@@ -39,6 +39,7 @@ from ..core.keyneg import EphemeralKeyCache
 from ..fs import pathops
 from ..fs.memfs import Cred
 from ..kernel.world import World
+from ..load.harness import run_to_report
 from ..load.workload import DEFAULT_MIX, FILE_SIZE, OpMix, OpStream
 from ..nfs3 import const as nfs_const
 from ..nfs3 import types as nfs_types
@@ -360,12 +361,7 @@ class ControlHarness:
         for index in range(config.clients):
             self.scheduler.spawn(self._client(index, report),
                                  name=f"control-client-{index}")
-        blocked = self.scheduler.run()
-        report.unfinished_tasks = len(blocked)
-        report.op_errors += sum(
-            1 for task in self.scheduler.tasks
-            if task.failed and not task.daemon
-        )
+        run_to_report(self.scheduler, report)
         for shard in self.fleet.shards:
             outcome = self._outcomes[shard.location]
             queue = self.queues[shard.location]

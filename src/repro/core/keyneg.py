@@ -26,7 +26,7 @@ from typing import Callable
 
 from ..crypto.mac import hmac_sha1
 from ..crypto.rabin import PrivateKey, PublicKey, RabinError, generate_key
-from ..crypto.sha1 import SHA1
+from ..crypto.sha1 import sha1_concat
 
 KEY_HALF_LEN = 16
 EPHEMERAL_KEY_BITS = 640  # short-lived, anonymity-only key
@@ -64,13 +64,8 @@ def decrypt_key_halves(key: PrivateKey, ciphertext: bytes) -> tuple[bytes, bytes
 
 def _derive(tag: bytes, ks: PublicKey, kc: PublicKey,
             client_half: bytes, server_half: bytes) -> bytes:
-    h = SHA1()
-    h.update(tag)
-    h.update(ks.to_bytes())
-    h.update(client_half)
-    h.update(kc.to_bytes())
-    h.update(server_half)
-    return h.digest()
+    return sha1_concat(tag, ks.to_bytes(), client_half, kc.to_bytes(),
+                       server_half)
 
 
 @dataclass(frozen=True)
@@ -82,11 +77,7 @@ class SessionKeys:
 
     @property
     def session_id(self) -> bytes:
-        h = SHA1()
-        h.update(b"SessionInfo")
-        h.update(self.ksc)
-        h.update(self.kcs)
-        return h.digest()
+        return sha1_concat(b"SessionInfo", self.ksc, self.kcs)
 
 
 def derive_session_keys(

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from ..crypto.rabin import PublicKey
-from ..crypto.sha1 import SHA1
+from ..crypto.sha1 import sha1_concat
 from ..crypto.util import sfs_base32_decode, sfs_base32_encode
 
 SFS_ROOT = "/sfs"
@@ -43,15 +43,11 @@ def compute_hostid(location: str, public_key: PublicKey) -> bytes:
     """The 20-byte HostID binding *location* to *public_key*."""
     if not _LOCATION_RE.match(location):
         raise PathnameError(f"invalid Location {location!r}")
-    h = SHA1()
     key_bytes = public_key.to_bytes()
-    for _ in range(2):  # the deliberate duplication
-        h.update(b"HostInfo")
-        h.update(len(location).to_bytes(4, "big"))
-        h.update(location.encode())
-        h.update(len(key_bytes).to_bytes(4, "big"))
-        h.update(key_bytes)
-    return h.digest()
+    host_info = (b"HostInfo", len(location).to_bytes(4, "big"),
+                 location.encode(), len(key_bytes).to_bytes(4, "big"),
+                 key_bytes)
+    return sha1_concat(*host_info * 2)  # the deliberate duplication
 
 
 def hostid_to_text(hostid: bytes) -> str:

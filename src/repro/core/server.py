@@ -28,9 +28,10 @@ mutates them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..crypto.rabin import PrivateKey
 from ..fs.memfs import ANONYMOUS, Cred, MemFs
@@ -244,39 +245,77 @@ class RwExport:
     handles: EncryptedHandles
     nfs_client: Nfs3Client          # loopback to the local NFS server
     nfs_server: Nfs3Server
-    connections: list["ServerConnection"] = field(default_factory=list)
+    #: Connections with a session on this export, as an insertion-
+    #: ordered set; the value is the admission rank fan-out sorts by.
+    connections: dict["ServerConnection", int] = field(default_factory=dict)
+    #: The lease table: plain handle -> the connections caching
+    #: attributes for it.  Volatile — a crash empties it.
+    leases: dict[bytes, set["ServerConnection"]] = field(default_factory=dict)
     active_connection: "ServerConnection | None" = None
     #: Loopback transport behind nfs_client/nfs_server; a crash closes
     #: it along with every client-facing link.
     loop_links: "tuple[LinkSide, LinkSide] | None" = None
     master: "SfsServerMaster | None" = None
+    _ranks: Iterator[int] = field(default_factory=itertools.count)
+
+    def admit(self, connection: "ServerConnection") -> None:
+        """List *connection* for fan-out (a REKEY re-admits: no-op)."""
+        if connection not in self.connections:
+            self.connections[connection] = next(self._ranks)
+
+    def drop(self, connection: "ServerConnection") -> None:
+        """Forget a dead connection and every lease it held."""
+        if self.connections.pop(connection, None) is None:
+            return
+        for handle in [handle for handle, lessees in self.leases.items()
+                       if connection in lessees]:
+            self._release(handle, connection)
+        if self.master is not None:
+            self.master.note_pruned()
+
+    def grant(self, plain_handle: bytes,
+              connection: "ServerConnection") -> None:
+        """*connection* now caches attributes for *plain_handle*.
+
+        A dropped connection is granted nothing: a call it queued
+        before its link closed may still execute afterwards.
+        """
+        if connection in self.connections:
+            self.leases.setdefault(plain_handle, set()).add(connection)
+
+    def _release(self, plain_handle: bytes,
+                 connection: "ServerConnection") -> None:
+        lessees = self.leases.get(plain_handle)
+        if lessees is not None:
+            lessees.discard(connection)
+            if not lessees:
+                del self.leases[plain_handle]
 
     def on_mutation(self, plain_handle: bytes) -> None:
-        """Fan lease invalidations out to every other connection.
+        """Send lease invalidations to the handle's other lessees.
 
-        Iterates over a snapshot: a send can kill a connection (closed
-        link) and prune it from the live list mid-loop, and one crashed
+        Walks a snapshot in admission order: a send can kill a
+        connection (closed link) and drop it mid-loop, and one crashed
         peer must not abort invalidations to the rest.
         """
+        lessees = self.leases.get(plain_handle)
+        if not lessees:
+            return
         encrypted = None
-        for connection in list(self.connections):
+        for connection in sorted(lessees, key=self.connections.__getitem__):
             if connection is self.active_connection:
                 continue
             if not connection.alive:
-                # A client that redialed (or died) leaves a half-open
-                # connection behind; drop it instead of broadcasting
-                # invalidations to a dead link forever.
-                self.connections.remove(connection)
-                if self.master is not None:
-                    self.master.note_pruned()
+                # Closed while this loop was sending to the others; its
+                # close hook has already dropped it.
                 continue
-            if plain_handle in connection.leased_handles:
-                if self.master is not None:
-                    self.master.crashpoint("lease-fanout")
-                if encrypted is None:
-                    fsid, ino, generation = PlainHandles().decode(plain_handle)
-                    encrypted = self.handles.encode(fsid, ino, generation)
-                connection.send_invalidate(encrypted, plain_handle)
+            if self.master is not None:
+                self.master.crashpoint("lease-fanout")
+            if encrypted is None:
+                fsid, ino, generation = PlainHandles().decode(plain_handle)
+                encrypted = self.handles.encode(fsid, ino, generation)
+            self._release(plain_handle, connection)
+            connection.send_invalidate(encrypted)
 
 
 @dataclass
@@ -306,8 +345,10 @@ class SfsServerMaster:
         self._revocations: dict[bytes, Record] = {}
         self._forwards: dict[bytes, Record] = {}
         self.connections_accepted = 0
-        #: Live inbound connections; volatile — a crash empties it.
-        self.connections: list["ServerConnection"] = []
+        #: Live inbound connections (an insertion-ordered set; each
+        #: leaves when its transport closes); volatile — a crash
+        #: empties it.
+        self.connections: dict["ServerConnection", None] = {}
         #: True between :meth:`crash` and :meth:`restart`; dials fail.
         self.down = False
         #: Optional scheduled-fault source (see :mod:`repro.sim.crash`).
@@ -429,10 +470,11 @@ class SfsServerMaster:
 
         Durable state survives in place: each export's private key, its
         handle map (derived from the key), the authserver database, and
-        whatever the file system had flushed.  Leases, authnos, reply
-        caches, and session keys all live on the ServerConnection
-        objects discarded here — exactly the paper's split between
-        long-lived key material and per-session state.
+        whatever the file system had flushed.  Authnos, reply caches and
+        session keys live on the ServerConnection objects discarded
+        here, leases in each export's table emptied here — exactly the
+        paper's split between long-lived key material and per-session
+        state.
         """
         if self.down:
             return
@@ -443,12 +485,17 @@ class SfsServerMaster:
             # Queued-but-unserved requests die with the machine; their
             # clients learn via the closing links, not busy replies.
             self.request_queue.clear()
-        for connection in self.connections:
-            connection.pipe.raw.close()
+        # Lists first: the close hooks below then find nothing to prune,
+        # so a crash is not counted as dead connections.
+        connections = list(self.connections)
         self.connections.clear()
         for export in self._rw.values():
             export.connections.clear()
+            export.leases.clear()
             export.active_connection = None
+        for connection in connections:
+            connection.pipe.raw.close()
+        for export in self._rw.values():
             if export.loop_links is not None:
                 for side in export.loop_links:
                     side.close()
@@ -547,11 +594,8 @@ class SfsServerMaster:
                 f"connection refused: {self.location} is down"
             )
         self.connections_accepted += 1
-        # Reap connections whose transports have since closed, so the
-        # live list does not grow monotonically across redials.
-        self.connections = [c for c in self.connections if c.alive]
         connection = ServerConnection(self, link)
-        self.connections.append(connection)
+        self.connections[connection] = None
         if self.request_queue is not None:
             self.request_queue.bind(connection.peer, connection,
                                     inline_calls=CHANNEL_CALLS)
@@ -571,7 +615,6 @@ class ServerConnection:
         self.session_keys = None
         self.encrypt_traffic = True
         self.channel: SecureChannel | None = None
-        self.leased_handles: set[bytes] = set()
         self._authnos: dict[int, Cred] = {ANONYMOUS_AUTHNO: ANONYMOUS}
         self._next_authno = 1
         self._seen_seqnos: set[int] = set()
@@ -596,6 +639,7 @@ class ServerConnection:
         self._m_logins_ok = self.metrics.counter("auth.logins_ok")
         self._m_logins_denied = self.metrics.counter("auth.logins_denied")
         self.pipe.control_handler = self._on_control
+        self.pipe.on_close(self._on_transport_closed)
         self.peer.register(self._connect_program())
 
     # --- plaintext phase: CONNECT + ENCRYPT -----------------------------------
@@ -768,8 +812,7 @@ class ServerConnection:
         else:
             self.peer.register(self._rw_program())
             assert self.export is not None
-            if self not in self.export.connections:
-                self.export.connections.append(self)
+            self.export.admit(self)
 
     def _deregister_session_programs(self) -> None:
         """Withdraw the session dialect while the pipe is in plaintext
@@ -879,33 +922,40 @@ class ServerConnection:
         """Remember (plain) handles this client now caches attributes for."""
         if status != nfs_const.NFS3_OK:
             return
+        grant = self.export.grant
         for path in handlemap._ARG_HANDLES.get(proc, []):
             target = args
             for attr in path:
                 target = getattr(target, attr)
-            self.leased_handles.add(target)
+            grant(target, self)
         for path, optional in handlemap._RES_HANDLES.get(proc, []):
             target = body
             for attr in path:
                 target = getattr(target, attr)
             if target is not None:
-                self.leased_handles.add(target)
+                grant(target, self)
         if proc == nfs_const.NFSPROC3_READDIRPLUS:
             for entry in body.entries:
                 if entry.name_handle is not None:
-                    self.leased_handles.add(entry.name_handle)
+                    grant(entry.name_handle, self)
 
     @property
     def alive(self) -> bool:
         """False once the underlying transport reports itself closed."""
         return getattr(self.pipe.raw, "is_open", True)
 
-    def send_invalidate(self, encrypted_handle: bytes,
-                        plain_handle: bytes) -> None:
+    def _on_transport_closed(self) -> None:
+        """The link closed under us: the client hung up, redialed or
+        died.  Leave the master's and the export's books here, so no
+        later accept or fan-out has to look for the corpse."""
+        self.master.connections.pop(self, None)
+        if self.export is not None:
+            self.export.drop(self)
+
+    def send_invalidate(self, encrypted_handle: bytes) -> None:
         """Server->client lease invalidation; fire and forget."""
         self.invalidations_sent += 1
         self._m_invalidations.inc()
-        self.leased_handles.discard(plain_handle)
         try:
             # One-way on purpose ("without waiting for acknowledgment"):
             # waiting would let one unreachable lease holder — crashed,
@@ -917,13 +967,7 @@ class ServerConnection:
                 proto.InvalidateArgs.make(handle=encrypted_handle),
             )
         except Exception:  # noqa: BLE001 - invalidations are best-effort
-            if not self.alive and self.export is not None:
-                try:
-                    self.export.connections.remove(self)
-                except ValueError:
-                    pass
-                else:
-                    self.master.note_pruned()
+            pass
 
     # -- user authentication --
 

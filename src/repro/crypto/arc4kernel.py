@@ -8,7 +8,9 @@ bit-identical keystream:
 
 * :data:`LIBCRYPTO` — OpenSSL's C implementation, driven through ctypes.
   ARC4's state machine is fully described by the 256-byte permutation
-  plus the two indices, and OpenSSL's ``RC4_KEY`` struct is exactly that
+  (held as a ``bytearray``: 342 B a cipher where a list of ints took
+  2,104 B, and a session owns eight) plus the two indices, and
+  OpenSSL's ``RC4_KEY`` struct is exactly that
   (``{RC4_INT x, y; RC4_INT data[256]}``), so we can run *our* key
   schedule — including SFS's one-spin-per-128-key-bits rule, which no
   library KSA implements — in Python, inject the resulting state, and
@@ -64,7 +66,7 @@ class KernelStats:
 STATS = KernelStats()
 
 
-def reference_crank(state: list[int], i: int, j: int,
+def reference_crank(state: bytearray, i: int, j: int,
                     n: int) -> tuple[bytes, int, int]:
     """The ground-truth per-byte PRGA loop (also the probe oracle)."""
     out = bytearray(n)
@@ -76,14 +78,17 @@ def reference_crank(state: list[int], i: int, j: int,
     return bytes(out), i, j
 
 
-def key_schedule(key: bytes, spins: int) -> list[int]:
+def key_schedule(key: bytes, spins: int) -> bytearray:
     """The KSA, including SFS's multi-spin variant (arc4.py's rules)."""
-    state = list(range(256))
+    state = bytearray(range(256))
+    stretched = (key * (256 // len(key) + 1))[:256]
     j = 0
     for _ in range(spins):
-        for i in range(256):
-            j = (j + state[i] + key[i % len(key)]) & 0xFF
-            state[i], state[j] = state[j], state[i]
+        for i, k in enumerate(stretched):
+            si = state[i]
+            j = (j + si + k) & 0xFF
+            state[i] = state[j]
+            state[j] = si
     return state
 
 
@@ -91,7 +96,7 @@ def key_schedule(key: bytes, spins: int) -> list[int]:
 # Pure-Python block kernel
 # ---------------------------------------------------------------------------
 
-def _pyblock_crank(state: list[int], i: int, j: int,
+def _pyblock_crank(state: bytearray, i: int, j: int,
                    n: int) -> tuple[bytes, int, int]:
     """Locals-bound, reduced-op PRGA: one lookup per index, plain-store
     swap, list-append output.  Bit-identical to :func:`reference_crank`
@@ -111,7 +116,7 @@ def _pyblock_crank(state: list[int], i: int, j: int,
     return bytes(out), i, j
 
 
-def pyblock_crank(state: list[int], i: int, j: int,
+def pyblock_crank(state: bytearray, i: int, j: int,
                   n: int) -> tuple[bytes, int, int]:
     STATS.pyblock_bytes += n
     return _pyblock_crank(state, i, j, n)
@@ -154,16 +159,17 @@ class _LibcryptoKernel:
             words = _STATE_WORDS.unpack_from(self._key_buf.raw, 0)
             if words[0] != 0 or words[1] != 0:
                 return False
-            if list(words[2:]) != key_schedule(probe_key, 1):
+            if bytes(words[2:]) != key_schedule(probe_key, 1):
                 return False
             state = key_schedule(b"arc4-kernel-probe-20", 2)
-            expected, exp_i, exp_j = reference_crank(list(state), 0, 0, 512)
+            expected, exp_i, exp_j = reference_crank(bytearray(state),
+                                                     0, 0, 512)
             got, got_i, got_j = self._crank(state, 0, 0, 512)
             return got == expected and (got_i, got_j) == (exp_i, exp_j)
         except Exception:  # noqa: BLE001 - any ctypes surprise: fall back
             return False
 
-    def _crank(self, state: list[int], i: int, j: int,
+    def _crank(self, state: bytearray, i: int, j: int,
                n: int) -> tuple[bytes, int, int]:
         buf = self._key_buf
         _STATE_WORDS.pack_into(buf, 0, i, j, *state)
@@ -174,7 +180,7 @@ class _LibcryptoKernel:
         state[:] = words[2:]
         return out.raw, words[0], words[1]
 
-    def crank(self, state: list[int], i: int, j: int,
+    def crank(self, state: bytearray, i: int, j: int,
               n: int) -> tuple[bytes, int, int]:
         STATS.libcrypto_bytes += n
         return self._crank(state, i, j, n)
@@ -202,7 +208,7 @@ _LIBCRYPTO = _load_libcrypto()
 FAST_KERNEL = "libcrypto" if _LIBCRYPTO is not None else "pyblock"
 
 
-def fast_crank(state: list[int], i: int, j: int,
+def fast_crank(state: bytearray, i: int, j: int,
                n: int) -> tuple[bytes, int, int]:
     """Generate *n* keystream bytes with the best available kernel."""
     if _LIBCRYPTO is not None:

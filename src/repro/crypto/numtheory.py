@@ -50,10 +50,10 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def modinv(a: int, m: int) -> int:
     """Modular inverse of *a* modulo *m* (raises if not coprime)."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError("modular inverse does not exist")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError("modular inverse does not exist") from None
 
 
 def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:

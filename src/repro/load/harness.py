@@ -109,6 +109,19 @@ class LoadReport:
             self.p99 = _percentile(ordered, 0.99)
 
 
+def run_to_report(scheduler, report) -> None:
+    """Run *scheduler* dry and book the outcome on *report*.
+
+    Tasks left hung land in ``unfinished_tasks``; non-daemon tasks that
+    died of an exception *during this run* are added to ``op_errors``
+    (the scheduler's count is for its lifetime, so a reused harness
+    must report the delta).
+    """
+    died_before = scheduler.failed_tasks
+    report.unfinished_tasks = len(scheduler.run())
+    report.op_errors += scheduler.failed_tasks - died_before
+
+
 def _percentile(ordered: list[float], q: float) -> float:
     """Exact nearest-rank percentile of pre-sorted values."""
     rank = max(1, math.ceil(q * len(ordered)))
@@ -371,8 +384,8 @@ class LoadHarness:
                 self._closed_loop_client(index, report),
                 name=f"client-{index}",
             )
-        blocked = self.scheduler.run()
-        self._finish(report, start, blocked)
+        run_to_report(self.scheduler, report)
+        self._finish(report, start)
         return report
 
     def run_open_loop(self) -> LoadReport:
@@ -403,17 +416,11 @@ class LoadHarness:
                 index += 1
 
         self.scheduler.spawn(arrivals(), name="arrivals")
-        blocked = self.scheduler.run()
-        self._finish(report, start, blocked)
+        run_to_report(self.scheduler, report)
+        self._finish(report, start)
         return report
 
-    def _finish(self, report: LoadReport, start: float,
-                blocked: list) -> None:
-        report.unfinished_tasks = len(blocked)
-        report.op_errors += sum(
-            1 for task in self.scheduler.tasks
-            if task.failed and not task.daemon
-        )
+    def _finish(self, report: LoadReport, start: float) -> None:
         report.busy_retries = sum(s.busy_retries for s in self.sessions)
         report.admission_rejects = self.world.metrics.counter(
             "server.queue.rejected"

@@ -171,6 +171,13 @@ class Scheduler:
         self._ready: list[Task] = []
         self.tasks: list[Task] = []
         self.steps = 0
+        #: Non-daemon tasks spawned and not yet finished: what
+        #: :meth:`run` loops on, so a pump costs the same in a World of
+        #: 4 sessions and of 1,024.
+        self._live_count = 0
+        #: Non-daemon tasks that died of an exception, ever; a run's
+        #: own failures are the delta around it.
+        self.failed_tasks = 0
         #: The task currently being stepped, if any — how re-entrant
         #: (legacy sync) code can tell it is running inside a task.
         self.current: Task | None = None
@@ -192,6 +199,8 @@ class Scheduler:
         """Register a generator as a runnable task."""
         task = Task(gen, name, daemon)
         self.tasks.append(task)
+        if not daemon:
+            self._live_count += 1
         self._m_spawned.inc()
         self._enqueue(task)
         return task
@@ -231,12 +240,17 @@ class Scheduler:
         except StopIteration as stop:
             task.finished = True
             task.result = stop.value
+            if not task.daemon:
+                self._live_count -= 1
             return
         except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
             task.finished = True
             task.failed = True
             task.exception = exc
             self._m_failed.inc()
+            if not task.daemon:
+                self._live_count -= 1
+                self.failed_tasks += 1
             return
         finally:
             task._running = False
@@ -364,7 +378,7 @@ class Scheduler:
         Returns the list of *blocked* non-daemon tasks (empty on a clean
         run): tasks still waiting on futures that can no longer resolve.
         """
-        while self._live():
+        while self._live_count:
             try:
                 self.pump_once()
             except SchedulerStalled:

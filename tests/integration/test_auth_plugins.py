@@ -53,7 +53,7 @@ def test_multi_round_login_succeeds(world, hmac_setup):
     authno = session.login(agent)
     assert authno != 0
     assert agent.rounds == 2  # round 1 + challenge response
-    connection = server.master.rw_export(path.hostid).connections[-1]
+    connection = list(server.master.rw_export(path.hostid).connections)[-1]
     assert connection._authnos[authno].uid == 1400
 
 

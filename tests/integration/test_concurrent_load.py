@@ -56,6 +56,29 @@ def test_all_clients_complete_all_ops():
     assert report.unfinished_tasks == 0
 
 
+def test_reused_harness_reports_only_this_runs_dead_tasks():
+    """``op_errors`` is per run: a client task that died in run 1 is
+    not billed again to run 2 of the same harness."""
+    harness = LoadHarness(LoadConfig(clients=4, ops_per_client=2, seed=5))
+    victim = harness.sessions[0]
+    run_op = harness._run_op
+
+    def exploding_op(session, stream, report):
+        if session is victim:
+            raise RuntimeError("planted fault")
+        return (yield from run_op(session, stream, report))
+
+    harness._run_op = exploding_op
+    first = harness.run_closed_loop()
+    assert first.op_errors == 1
+    assert first.ops_completed == 6
+    del harness._run_op
+    second = harness.run_closed_loop()
+    assert second.op_errors == 0
+    assert second.ops_completed == 8
+    assert second.unfinished_tasks == 0
+
+
 def test_open_loop_completes_every_arrival():
     config = LoadConfig(clients=4, seed=9, workers=2, service_time=0.001,
                         arrival_rate=300.0, duration=0.5)

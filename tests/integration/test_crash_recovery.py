@@ -271,24 +271,33 @@ def test_nonidempotent_replay_degrades_to_at_least_once(crashy):
         == duplicates_before
 
 
-def test_lease_fanout_prunes_dead_connections(crashy):
-    """Satellite 3: a connection that died *silently* (no redial) is
-    pruned — and counted — when a fan-out walks the connection list,
-    without aborting invalidations to the survivors."""
+def test_dead_connection_is_pruned_when_its_link_closes(crashy):
+    """A connection that died *silently* (no redial) is pruned — and
+    counted — the moment its link closes, leases and all, so the next
+    fan-out reaches the survivors without looking for the corpse."""
     world, server, path, alice, client, proc = crashy
     home = f"{path}/home/alice"
     proc.write_file(f"{home}/shared", b"v1")
     client2 = world.add_client("desktop")
     proc2 = client2.login_user("alice", alice.key, uid=1000)
     assert proc2.read_file(f"{home}/shared") == b"v1"
+    export = server.master.rw_export(path.hostid)
+    _laptop, ghost = export.connections
+    assert any(ghost in lessees for lessees in export.leases.values())
+    before = world.metrics.counter("server.dead_connections_pruned").value
     # The desktop vanishes without a word.
     session_of(client2, path).pipe.raw.close()
-    before = world.metrics.counter("server.dead_connections_pruned").value
-    proc.write_file(f"{home}/shared", b"v2")  # fan-out prunes the corpse
     assert world.metrics.counter("server.dead_connections_pruned").value \
         == before + 1
-    export = server.master.rw_export(path.hostid)
+    assert server.master.dead_connections_pruned == before + 1
     assert len(export.connections) == 1
+    assert ghost not in server.master.connections
+    assert not any(ghost in lessees for lessees in export.leases.values())
+    invalidations = ghost.invalidations_sent
+    proc.write_file(f"{home}/shared", b"v2")
+    assert ghost.invalidations_sent == invalidations
+    assert world.metrics.counter("server.dead_connections_pruned").value \
+        == before + 1
     assert proc.read_file(f"{home}/shared") == b"v2"
 
 

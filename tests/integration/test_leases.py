@@ -63,6 +63,73 @@ def test_invalidation_callback_on_remote_write(two_clients):
     assert p1.stat(f"{path}/shared/f").size == 19
 
 
+def test_fanout_looks_only_at_the_lessees(monkeypatch):
+    """A mutation costs what its lease holders cost, not what the
+    server's connection count costs: with 50 sessions and one lessee,
+    exactly one connection is examined and called back."""
+    from repro.core.server import ServerConnection
+    from repro.load import LoadConfig, LoadHarness
+    from repro.nfs3 import const as nfs_const
+    from repro.nfs3 import types as nfs_types
+
+    harness = LoadHarness(LoadConfig(clients=50, seed=9))
+    export = harness.server.master.rw_export(harness.path.hostid)
+    assert len(export.connections) == 50
+    # Session 0 looked every file up while the harness was built, so it
+    # is the one lessee of each; session 7 now writes one of them.
+    lessee = next(iter(export.connections))
+    examined = []
+    alive = ServerConnection.alive
+    monkeypatch.setattr(
+        ServerConnection, "alive",
+        property(lambda self: examined.append(self) or alive.fget(self)))
+    data = b"x" * 512
+    status, _body = harness.sessions[7].call_nfs(
+        nfs_const.NFSPROC3_WRITE,
+        nfs_types.WriteArgs.make(file=harness.handles[3], offset=0,
+                                 count=len(data),
+                                 stable=nfs_const.UNSTABLE, data=data),
+        authno=0,
+    )
+    assert status == nfs_const.NFS3_OK
+    assert examined == [lessee]
+    assert [c.invalidations_sent for c in export.connections] \
+        == [1] + [0] * 49
+
+
+def test_fanout_order_is_admission_order_not_lease_order(two_clients):
+    """Invalidations go out in the order the lessees joined the export,
+    whatever order they took their leases in — the order every seed's
+    interleaving was recorded with."""
+    world, server, path, _c1, p1, _c2, p2 = two_clients
+    c3 = world.add_client("c3")
+    c3.new_agent("u", 1000)
+    p3 = c3.process(uid=1000)
+    for proc in (p1, p2, p3):        # automount, in this order
+        proc.stat(f"{path}/shared")
+    p3.write_file(f"{path}/shared/h", b"v1")
+    export = server.master.rw_export(path.hostid)
+    first, second, writer = export.connections
+    # Leases taken in the reverse of admission order.
+    p2.stat(f"{path}/shared/h")
+    p1.stat(f"{path}/shared/h")
+    sent = []
+
+    def spy_on(connection):
+        send = connection.send_invalidate
+
+        def send_invalidate(handle):
+            sent.append(connection)
+            send(handle)
+        connection.send_invalidate = send_invalidate
+
+    for connection in (first, second, writer):
+        spy_on(connection)
+    p3.write_file(f"{path}/shared/h", b"v2 is longer")
+    assert sent[:2] == [first, second]
+    assert writer not in sent
+
+
 def test_leases_expire_with_clock(two_clients):
     world, _server, path, c1, p1, _c2, _p2 = two_clients
     p1.write_file(f"{path}/shared/g", b"x")

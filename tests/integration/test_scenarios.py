@@ -83,6 +83,31 @@ def test_failed_assertion_fails_the_run_with_a_reason():
     assert "scenario.crashes" in result.failures[0]
 
 
+def test_drain_names_a_task_that_died(monkeypatch):
+    """A client task killed by an exception fails ``drain`` with the
+    task's name and the exception, not with an AttributeError from the
+    check itself."""
+    from repro.load import LoadHarness
+
+    def exploding_op(self, session, stream, report):
+        raise RuntimeError("planted fault")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(LoadHarness, "_run_op", exploding_op)
+    result = run_scenario({
+        "name": "dying-task",
+        "workload": {
+            "clients": 1,
+            "phases": [{"name": "only", "ops_per_client": 1}],
+        },
+        "assertions": [{"check": "drain"}],
+    })
+    assert not result.passed
+    (failure,) = result.failures
+    assert "client-0" in failure
+    assert "died: RuntimeError('planted fault')" in failure
+
+
 def test_artifact_written_and_self_describing(tmp_path):
     spec = get_scenario("restart-flap")
     result = run_scenario(spec, out_dir=str(tmp_path))

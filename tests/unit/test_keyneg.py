@@ -63,6 +63,25 @@ def test_session_id_binds_both_directions(server_key, client_key):
     assert len(keys.session_id) == 20
 
 
+def test_derivation_matches_the_from_scratch_sha1(server_key, client_key):
+    """Figure 3's hashes, spelled out against the reference SHA-1: the
+    session keys and the SessionID go through the one-shot (hashlib-
+    backed) path, which must stay the same function."""
+    from repro.crypto.sha1 import SHA1
+
+    rng = random.Random(3)
+    kc1, kc2 = make_key_halves(rng)
+    ks1, ks2 = make_key_halves(rng)
+    ks, kc = server_key.public_key, client_key.public_key
+    keys = derive_session_keys(ks, kc, kc1, kc2, ks1, ks2)
+    assert keys.kcs == SHA1(
+        b"KCS" + ks.to_bytes() + kc1 + kc.to_bytes() + ks1).digest()
+    assert keys.ksc == SHA1(
+        b"KSC" + ks.to_bytes() + kc2 + kc.to_bytes() + ks2).digest()
+    assert keys.session_id == SHA1(
+        b"SessionInfo" + keys.ksc + keys.kcs).digest()
+
+
 def test_any_half_changes_keys(server_key, client_key):
     rng = random.Random(3)
     halves = [make_key_halves(rng)[0] for _ in range(4)]

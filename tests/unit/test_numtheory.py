@@ -53,8 +53,19 @@ def test_modinv_inverse(a):
     assert a * inv % m == 1
 
 
+@given(st.integers(min_value=-10**12, max_value=10**12),
+       st.integers(min_value=2, max_value=10**12))
+def test_modinv_agrees_with_the_egcd_reference(a, m):
+    g, x, _ = egcd(a % m, m)
+    if g == 1:
+        assert modinv(a, m) == x % m
+    else:
+        with pytest.raises(ValueError, match="does not exist"):
+            modinv(a, m)
+
+
 def test_modinv_requires_coprime():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modular inverse does not exist"):
         modinv(6, 9)
 
 

@@ -142,6 +142,39 @@ def test_different_seeds_differ_somewhere():
     assert len(runs) > 1
 
 
+def test_fixed_seed_step_order_is_pinned():
+    """The exact interleaving of one seed, so a change to the ready
+    queue (e.g. a swap-pop) cannot move every seed's run silently: if
+    this fails, every virtual number and scenario digest moved too."""
+    sched = Scheduler(Clock(), seed=2026)
+    order = []
+    gate = Future("gate")
+
+    def worker(index):
+        order.append(index)
+        yield Sleep((index % 4) * 0.001)
+        order.append(index)
+        if index == 5:
+            gate.resolve("open")
+        else:
+            yield gate
+        order.append(index)
+        yield Sleep(0.0)
+        order.append(index)
+
+    for index in range(16):
+        sched.spawn(worker(index), name=f"w{index}")
+    assert sched.run() == []
+    assert order == [
+        3, 6, 10, 11, 14, 1, 5, 15, 12, 13, 8, 9, 7, 4, 2, 0,
+        8, 12, 4, 0, 1, 13, 5, 5, 4, 9, 9, 1, 0, 8, 13, 12,
+        0, 9, 1, 13, 5, 12, 8, 4, 6, 2, 6, 14, 10, 10, 14, 2,
+        6, 2, 14, 10, 15, 15, 11, 3, 11, 3, 7, 7, 15, 3, 7, 11,
+    ]
+    assert sched.steps == 63
+    assert sched.clock.now == pytest.approx(0.003)
+
+
 # --- liveness, daemons, drain --------------------------------------------
 
 def test_run_returns_blocked_tasks():
@@ -165,6 +198,44 @@ def test_drain_raises_on_hung_task():
     sched.spawn(stuck(), name="hung-one")
     with pytest.raises(AssertionError, match="hung-one"):
         sched.drain()
+
+
+def test_run_does_not_scan_the_task_list_per_pump(monkeypatch):
+    """A pump costs the same however many tasks are parked: the loop
+    condition is a count, and the full scan happens once, for the
+    return value."""
+    sched = make()
+
+    def sleeper(index):
+        yield Sleep(1.0 + index * 1e-6)
+
+    for index in range(2000):
+        sched.spawn(sleeper(index))
+    scans = []
+    live = sched._live
+    monkeypatch.setattr(sched, "_live", lambda: scans.append(1) or live())
+    assert sched.run() == []
+    assert sched.steps == 4000
+    assert len(scans) <= 1
+
+
+def test_failed_task_count_skips_daemons_and_survives_pruning():
+    sched = make()
+
+    def bad():
+        raise RuntimeError("x")
+        yield  # pragma: no cover
+
+    sched.spawn(bad())
+    sched.spawn(bad(), daemon=True)
+    sched.run()
+    assert sched.failed_tasks == 1
+    # The benchmark drops finished tasks between runs; the count of a
+    # later run must still start from here.
+    sched.tasks[:] = [t for t in sched.tasks if not t.finished]
+    sched.spawn(bad())
+    assert sched.run() == []
+    assert sched.failed_tasks == 2
 
 
 def test_daemons_do_not_hold_the_loop_open():

@@ -342,7 +342,7 @@ def test_block_kernels_match_reference(crank):
                     for _ in range(rng.choice([1, 5, 16, 20, 24])))
         spins = max(1, (len(key) * 8 + 127) // 128)
         ref_state = arc4kernel.key_schedule(key, spins)
-        fast_state = list(ref_state)
+        fast_state = bytearray(ref_state)
         ri = rj = fi = fj = 0
         for n in _random_draws(rng, 6000):
             expected, ri, rj = arc4kernel.reference_crank(ref_state, ri,
@@ -351,6 +351,24 @@ def test_block_kernels_match_reference(crank):
             assert got == expected
             assert (fi, fj) == (ri, rj)
         assert fast_state == ref_state
+
+
+def test_key_schedule_is_a_compact_permutation_of_the_textbook_ksa():
+    """State is a 256-byte ``bytearray`` (eight ciphers a session), and
+    the pre-stretched key walks the same bytes as ``key[i % len(key)]``
+    for key lengths that do and do not divide 256."""
+    for key, spins in ((b"k", 1), (b"five!", 1), (bytes(range(16)), 1),
+                       (K_CS, 2), (bytes(range(255)), 16),
+                       (bytes(range(256)), 16)):
+        state = list(range(256))
+        j = 0
+        for _ in range(spins):
+            for i in range(256):
+                j = (j + state[i] + key[i % len(key)]) & 0xFF
+                state[i], state[j] = state[j], state[i]
+        scheduled = arc4kernel.key_schedule(key, spins)
+        assert type(scheduled) is bytearray and len(scheduled) == 256
+        assert list(scheduled) == state
 
 
 def test_sfs_spin_rule_selects_two_spins_for_20_byte_keys():
