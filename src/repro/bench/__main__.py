@@ -255,9 +255,9 @@ def run_scale(quick: bool, collector=None) -> tuple[str, dict]:
     """
     from ..load import LoadConfig, LoadHarness
 
-    # The last point runs on the task-native pipelined core (window
-    # depth 8) — the population a synchronous pump cannot reach: 256
-    # clients quick, 1024 in the full run.
+    # The last point widens the send window to 8 — the population
+    # that wire time would otherwise serialize: 256 clients quick, 1024
+    # in the full run.
     levels = [(1, 0), (4, 0), (16, 0)] if quick else [(1, 0), (4, 0),
                                                       (16, 0), (64, 0)]
     levels.append((256 if quick else 1024, 8))
@@ -547,9 +547,9 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
 
     Sequential large-file write + read through the full kernel -> sfscd
     -> secure channel -> sfssd stack, at RPC window depths 1/4/8/16 on
-    a switched LAN and a 20 ms WAN.  Depth 1 is the classic synchronous
-    core, bit-for-bit (``pipeline_depth`` stays 0, so readahead and
-    write-gathering are off too) — the honest baseline.
+    a switched LAN and a 20 ms WAN.  Depth 1 is the same engine with a
+    window of 1 (so no readahead and no write-gathering either) — the
+    honest baseline.
 
     The attribution columns prove *overlap*, not just speedup: at depth
     1 elapsed time is the serialized sum of wire time, while at depth N
@@ -558,9 +558,9 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
     crypto under way, during the same simulated instant.
 
     A scale panel rides along: 256 (quick) / 1024 (full) closed-loop
-    pipelined clients against one queued server, asserting zero op
+    clients at depth 8 against one queued server, asserting zero op
     errors and zero hung tasks — the determinism + no-pump-re-entrancy
-    acceptance for the async core.
+    acceptance for the engine.
     """
     from ..load import LoadConfig, LoadHarness
     from ..sim.network import NetworkParameters
@@ -574,8 +574,7 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
     speedups: dict = {}
     for net_name, params in networks:
         for depth in depths:
-            setup = make_setup(SFS, pipeline_depth=0 if depth == 1 else depth,
-                               params=params)
+            setup = make_setup(SFS, pipeline_depth=depth, params=params)
             proc, clock = setup.process, setup.clock
 
             def wire_now():
@@ -651,8 +650,7 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
     # saturated — summed in-flight wire time covers (nearly) the whole
     # elapsed read phase, so crypto and client CPU ran entirely under
     # in-flight records.  The depth-1 baseline spends the same transfer
-    # stalling on serialized round trips instead (its link delivers
-    # inline, so its pipelined wire counter is zero by construction).
+    # stalling on serialized round trips instead.
     wan16 = next(r for r in data_rows
                  if r["network"] == "WAN" and r["depth"] == 16)
     assert wan16["read_wire_s"] >= 0.9 * wan16["read_s"], (
@@ -674,7 +672,7 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
 
     table = format_table(
         f"Pipeline: SFS sequential {nchunks * 8} KB file vs RPC window "
-        "depth (d=1 = classic synchronous core)",
+        "depth (d=1 = a window of 1)",
         ["Config", "write s", "read s", "write x", "read x",
          "rd wire s", "ra hits", "gw flushes", "retrans"],
         rows,

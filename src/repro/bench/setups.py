@@ -66,11 +66,12 @@ def make_setup(name: str, seed: int = 7, caching: bool = True,
                params: NetworkParameters | None = None) -> BenchSetup:
     """Build one of the five configurations by display name.
 
-    ``pipeline_depth > 0`` flips the world to the task-native async
-    core (PROTOCOLS.md §17) before any machine exists: pipelined
-    links, a send window of that many in-flight RPCs, and client-side
-    readahead / write-gathering.  ``params`` overrides the default LAN
-    profile for every link (e.g. :meth:`NetworkParameters.wan`).
+    ``pipeline_depth > 0`` sets the world's pipeline depth
+    (PROTOCOLS.md §17) before any machine exists: a send window of that
+    many in-flight RPCs, and client-side readahead / write-gathering
+    that deep (1 = a window of 1, neither).  ``params`` overrides the
+    default LAN profile for every link (e.g.
+    :meth:`NetworkParameters.wan`).
     """
     world = World(seed=seed)
     if params is not None:

@@ -95,6 +95,9 @@ class RequestQueue:
         #: window the peer's duplicate-reply cache cannot cover.
         self._queued_xids: set[tuple[object, int]] = set()
         self._wakeup: Future | None = None
+        #: Bumped by :meth:`clear`; a worker that slept through a crash
+        #: finds its request belongs to a machine that no longer exists.
+        self._boots = 0
         self._g_depth = self.metrics.gauge("server.queue.depth",
                                            track_peak=True)
         #: Private watermark: the registry gauge can be shared by every
@@ -238,7 +241,10 @@ class RequestQueue:
                 continue
             self._m_wait.observe(self._clock.now - request.enqueued_at)
             if self.service_time > 0.0:
+                boot = self._boots
                 yield Sleep(self.service_time)
+                if boot != self._boots:
+                    continue  # the machine crashed mid-service
             try:
                 request.execute()
             except ConnectionError:
@@ -267,7 +273,8 @@ class RequestQueue:
     # -- lifecycle ---------------------------------------------------------
 
     def clear(self) -> int:
-        """Drop every waiting request (server crash); returns the count.
+        """Drop every waiting request, and whatever the workers have in
+        service (server crash); returns the count of waiting ones.
 
         Clients learn the same way they learn about any crash: their
         link closes and their in-flight futures fail with
@@ -277,6 +284,7 @@ class RequestQueue:
         rotation (whose conn_ids name connections that no longer exist).
         """
         dropped = self.depth
+        self._boots += 1
         self._fifo.clear()
         self._per_conn.clear()
         self._rotation.clear()

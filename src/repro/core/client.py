@@ -54,7 +54,7 @@ from ..rpc.rpcmsg import AUTH_SYS, AuthSys, OpaqueAuth, RpcMsgError
 from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
 from ..sim.network import LinkSide
-from ..sim.sched import Sleep
+from ..sim.sched import Future, Sleep
 from . import handlemap, proto
 from .agent import Agent, AgentRefused
 from .backoff import BackoffPolicy
@@ -150,7 +150,8 @@ class ServerSession:
         self._m_rekeys = self.metrics.counter("session.rekeys")
         self._m_resyncs_failed = self.metrics.counter("session.resyncs_failed")
         self._resyncing = False
-        self._resync_acked = False
+        #: Resolved by the server's RESYNC-ACK while a round waits on it.
+        self._resync_ack: Future | None = None
         # Reconnect engine (crash recovery): armed by enable_reconnect()
         # once the daemon has mounted this session.  Resync repairs a
         # desynchronized channel on a *live* link; reconnect replaces a
@@ -158,18 +159,19 @@ class ServerSession:
         # keys — after the server crashed or restarted.
         self.service = proto.SERVICE_FILESERVER
         self.on_reconnect: Callable[[], None] | None = None
-        #: Called with (old_path, new_path) when a reconnect followed a
-        #: forwarding pointer to a *new* HostID — a server key rollover
-        #: caught mid-session.  Fires before on_reconnect so the daemon
-        #: can re-home the mount under the new name first.
+        #: A generator function ``(old_path, new_path)`` the reconnect
+        #: delegates to when it followed a forwarding pointer to a *new*
+        #: HostID — a server key rollover caught mid-session.  It may
+        #: call over the fresh session (the new key means a new handle
+        #: map).  Runs before on_reconnect so the daemon can re-home the
+        #: mount under the new name first.
         self.on_retarget: Callable[
-            [SelfCertifyingPath, SelfCertifyingPath], None
+            [SelfCertifyingPath, SelfCertifyingPath], Any
         ] | None = None
         self.reconnects = 0
         self.retargets = 0
         self.backoff_sleeps = 0
         self._connector: Connector | None = None
-        self._clock: Clock | None = None
         self._reconnect_policy: BackoffPolicy | None = None
         self._reconnecting = False
         self._m_reconnects = self.metrics.counter("session.reconnects")
@@ -186,23 +188,15 @@ class ServerSession:
         self._m_busy_retries = self.metrics.counter("client.busy_retries")
         if self.session_keys is not None and self.channel is not None:
             pipe.control_handler = self._on_control
-            peer.recovery_hook = self.resync
+            peer.recovery_hook = self.resync_task
         self._register_callbacks()
 
     # -- establishment --
 
-    @classmethod
-    def connect(cls, link: LinkSide, path: SelfCertifyingPath,
-                ephemeral_keys: EphemeralKeyCache, rng: random.Random,
-                service: int = proto.SERVICE_FILESERVER,
-                encrypt: bool = True,
-                verify_hostid: bool = True) -> "ServerSession | Record":
-        """Dial, verify the HostID, and negotiate session keys.
-
-        Returns a ServerSession, or the SignedCertificate record when the
-        server answers with a revocation / forwarding pointer (the caller
-        verifies and acts on it).
-        """
+    @staticmethod
+    def _transport(link: LinkSide,
+                   path: SelfCertifyingPath) -> tuple[RpcPeer, SwitchablePipe]:
+        """A fresh plaintext transport on *link*, ready to handshake."""
         pipe = SwitchablePipe(link)
         peer = RpcPeer(pipe, f"sfscd->{path.location}")
         # Handshake records are as droppable as any others; plain
@@ -210,11 +204,38 @@ class ServerSession:
         # cache replays CONNECT/ENCRYPT replies rather than re-running
         # them) and needs no channel recovery, there being no channel.
         peer.retry_policy = RetryPolicy()
+        return peer, pipe
+
+    @classmethod
+    def connect(cls, link: LinkSide, path: SelfCertifyingPath,
+                ephemeral_keys: EphemeralKeyCache, rng: random.Random,
+                service: int = proto.SERVICE_FILESERVER,
+                encrypt: bool = True,
+                verify_hostid: bool = True) -> "ServerSession | Record":
+        """Synchronous :meth:`connect_task` over *link*."""
+        peer, pipe = cls._transport(link, path)
+        return peer.drive(cls.connect_task(
+            peer, pipe, path, ephemeral_keys, rng, service, encrypt,
+            verify_hostid))
+
+    @classmethod
+    def connect_task(cls, peer: RpcPeer, pipe: SwitchablePipe,
+                     path: SelfCertifyingPath,
+                     ephemeral_keys: EphemeralKeyCache, rng: random.Random,
+                     service: int = proto.SERVICE_FILESERVER,
+                     encrypt: bool = True, verify_hostid: bool = True):
+        """Verify the HostID and negotiate session keys (``yield from``).
+
+        *peer* and *pipe* are a fresh :meth:`_transport`.  Returns a
+        ServerSession, or the SignedCertificate record when the server
+        answers with a revocation / forwarding pointer (the caller
+        verifies and acts on it).
+        """
         # The "currently unused extensions string" of the paper's sfssd
         # dispatch is exactly where a dialect toggle like the
         # no-encryption evaluation mode belongs.
         extensions = [] if encrypt else ["noenc"]
-        disc, body = peer.call(
+        disc, body = yield from peer.call_task(
             proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION, proto.PROC_CONNECT,
             proto.ConnectArgs,
             proto.ConnectArgs.make(
@@ -246,25 +267,18 @@ class ServerSession:
             return cls(peer, pipe, path, servinfo, None, encrypt=False,
                        rng=rng)
         # Figure 3 steps 3-4.
-        client_key = ephemeral_keys.current()
-
-        def exchange(pubkey_bytes: bytes, sealed: bytes) -> bytes:
-            reply = peer.call(
-                proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION,
-                proto.PROC_ENCRYPT,
-                proto.EncryptArgs,
-                proto.EncryptArgs.make(
-                    client_pubkey=pubkey_bytes,
-                    encrypted_keyhalves=sealed,
-                ),
-                proto.EncryptRes,
-            )
-            return reply.encrypted_keyhalves
-
+        pubkey, sealed, finish = negotiate_client_keys(
+            public_key, ephemeral_keys.current(), rng
+        )
+        reply = yield from peer.call_task(
+            proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION, proto.PROC_ENCRYPT,
+            proto.EncryptArgs,
+            proto.EncryptArgs.make(client_pubkey=pubkey,
+                                   encrypted_keyhalves=sealed),
+            proto.EncryptRes,
+        )
         try:
-            session_keys = negotiate_client_keys(
-                public_key, client_key, rng, exchange
-            )
+            session_keys = finish(reply.encrypted_keyhalves)
         except KeyNegotiationError as exc:
             raise SecurityError(str(exc)) from None
         channel = SecureChannel(
@@ -279,11 +293,15 @@ class ServerSession:
     # -- channel supervision and recovery --
 
     def _on_control(self, payload: bytes) -> None:
-        if payload == RESYNC_ACK:
-            self._resync_acked = True
+        if payload == RESYNC_ACK and self._resync_ack is not None:
+            self._resync_ack.resolve()
         # Anything else is injected garbage; ignore.
 
     def resync(self) -> bool:
+        """Synchronous :meth:`resync_task`."""
+        return self.peer.drive(self.resync_task())
+
+    def resync_task(self):
         """Recover a desynchronized secure channel on the same link.
 
         Asks the server (in plaintext control records, the only framing
@@ -303,7 +321,7 @@ class ServerSession:
         self._m_resyncs.inc()
         try:
             for _ in range(_RESYNC_ROUNDS):
-                if self._resync_round():
+                if (yield from self._resync_round()):
                     self.rekeys += 1
                     self._m_rekeys.inc()
                     if self.on_rekey is not None:
@@ -317,6 +335,7 @@ class ServerSession:
             return False
         finally:
             self._resyncing = False
+            self._resync_ack = None
             if self.pipe.lower is self.pipe.raw:
                 # A failed resync must never leave the session speaking
                 # plaintext: reinstall the (possibly still broken)
@@ -326,8 +345,8 @@ class ServerSession:
                 # a silent downgrade.
                 self.pipe.switch_now(self.channel)
 
-    def _resync_round(self) -> bool:
-        self._resync_acked = False
+    def _resync_round(self):
+        ack = self._resync_ack = Future("resync-ack")
         self.pipe.reset_to_plaintext()
         try:
             self.pipe.send_control(RESYNC_REQUEST)
@@ -337,39 +356,34 @@ class ServerSession:
             # fail the same way and the error surfaces as a transport
             # timeout, which is what triggers reconnect().
             return False
-        if not self._resync_acked and self.peer.reply_waiter is not None:
-            # Asynchronous transports need a pump for the ACK to land.
-            try:
-                self.peer.reply_waiter()
-            except Exception:  # noqa: BLE001 - counts as a failed round
-                return False
-        if not self._resync_acked:
-            return False  # request or ack lost; next round retries
-        old_keys = self.session_keys
-
-        def exchange(pubkey_bytes: bytes, sealed: bytes) -> bytes:
-            disc, body = self.peer.call(
+        clock = self.peer.backoff_clock
+        if clock is not None:
+            # The request or its ACK can be lost like any record.
+            clock.call_at(
+                clock.now + self.peer.rto_floor,
+                lambda: ack.fail(RpcTimeout("no RESYNC-ACK")),
+            )
+        try:
+            yield ack
+            pubkey, sealed, finish = negotiate_client_keys(
+                self.server_public_key, self.ephemeral_keys.current(),
+                self.rng,
+            )
+            disc, body = yield from self.peer.call_task(
                 proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION,
                 proto.PROC_REKEY,
                 proto.RekeyArgs,
                 proto.RekeyArgs.make(
-                    client_pubkey=pubkey_bytes,
-                    encrypted_keyhalves=sealed,
-                    auth=rekey_auth(old_keys, pubkey_bytes, sealed),
+                    client_pubkey=pubkey, encrypted_keyhalves=sealed,
+                    auth=rekey_auth(self.session_keys, pubkey, sealed),
                 ),
                 proto.RekeyRes,
             )
             if disc != proto.REKEY_OK:
-                raise KeyNegotiationError("server denied re-keying")
-            return body.encrypted_keyhalves
-
-        try:
-            new_keys = negotiate_client_keys(
-                self.server_public_key, self.ephemeral_keys.current(),
-                self.rng, exchange,
-            )
-        except (RpcError, KeyNegotiationError):
-            return False
+                return False  # the server denied re-keying
+            new_keys = finish(body.encrypted_keyhalves)
+        except (RpcError, KeyNegotiationError, ConnectionError):
+            return False  # lost, denied or garbled; next round retries
         self.channel.rekey(new_keys.kcs, new_keys.ksc)
         self.pipe.switch_now(self.channel)
         self.session_keys = new_keys
@@ -377,7 +391,7 @@ class ServerSession:
 
     # -- crash recovery: failover to a fresh connection --
 
-    def enable_reconnect(self, connector: Connector, clock: Clock,
+    def enable_reconnect(self, connector: Connector,
                          policy: BackoffPolicy | None = None) -> None:
         """Arm the reconnect engine for this session.
 
@@ -386,11 +400,14 @@ class ServerSession:
         transport failure to their caller instead.
         """
         self._connector = connector
-        self._clock = clock
         self._reconnect_policy = policy if policy is not None \
             else BackoffPolicy()
 
     def reconnect(self) -> bool:
+        """Synchronous :meth:`reconnect_task`."""
+        return self.peer.drive(self.reconnect_task())
+
+    def reconnect_task(self):
         """Replace a dead connection with a freshly negotiated one.
 
         Redials with exponential backoff, re-runs CONNECT — which
@@ -402,14 +419,14 @@ class ServerSession:
         mount's reference to the session valid.  Returns True on
         success; SecurityError propagates and is never retried.
         """
-        if (self._connector is None or self._clock is None
+        if (self._connector is None
                 or self.session_keys is None or self.ephemeral_keys is None
                 or self._reconnecting):
             return False
         old_path = self.path
         self._reconnecting = True
         try:
-            fresh = self._redial()
+            fresh = yield from self._redial()
         finally:
             self._reconnecting = False
         if fresh is None:
@@ -427,7 +444,7 @@ class ServerSession:
             self._m_retargets.inc()
             if self.on_retarget is not None:
                 try:
-                    self.on_retarget(old_path, self.path)
+                    yield from self.on_retarget(old_path, self.path)
                 except Exception:  # noqa: BLE001 - advisory
                     pass
         if self.on_reconnect is not None:
@@ -437,25 +454,25 @@ class ServerSession:
                 pass
         return True
 
-    def _redial(self) -> "ServerSession | None":
+    def _redial(self):
         assert self._reconnect_policy is not None
         hops = 0
         for delay in self._reconnect_policy.delays(self.rng):
             if delay:
                 self.backoff_sleeps += 1
                 self._m_backoff_sleeps.inc()
-            # Advancing the clock is what lets the simulated world make
-            # progress while we wait: a restart scheduled via
-            # Clock.call_at fires inside this sleep (a zero advance
-            # still fires anything already due).
-            self._clock.advance(delay)
+            # The sleep is what lets the simulated world make progress
+            # while we wait: a restart scheduled via Clock.call_at fires
+            # during it (a zero sleep still fires anything already due).
+            yield Sleep(delay)
             try:
                 link = self._connector(self.path.location, self.service)
             except (ConnectionError, OSError):
                 continue  # still down; back off and redial
+            peer, pipe = self._transport(link, self.path)
             try:
-                outcome = ServerSession.connect(
-                    link, self.path, self.ephemeral_keys, self.rng,
+                outcome = yield from self.connect_task(
+                    peer, pipe, self.path, self.ephemeral_keys, self.rng,
                     service=self.service, encrypt=self.encrypt,
                 )
             except SecurityError:
@@ -554,9 +571,8 @@ class ServerSession:
         # Authentication state died with the server's volatile tables.
         self.auth_seqno = 0
         self._resyncing = False
-        self._resync_acked = False
         self.pipe.control_handler = self._on_control
-        self.peer.recovery_hook = self.resync
+        self.peer.recovery_hook = self.resync_task
         self._register_callbacks()
 
     def _register_callbacks(self) -> None:
@@ -584,6 +600,12 @@ class ServerSession:
 
     def login(self, agent: Agent, max_attempts: int = 3,
               max_rounds: int = 8) -> int:
+        """Synchronous :meth:`login_task`."""
+        return self.peer.drive(self.login_task(agent, max_attempts,
+                                               max_rounds))
+
+    def login_task(self, agent: Agent, max_attempts: int = 3,
+                   max_rounds: int = 8):
         """Authenticate *agent*'s user; returns an authno (0 = anonymous).
 
         The agent may hold several keys; the client retries with each
@@ -593,59 +615,27 @@ class ServerSession:
         protocols expose ``continue_auth``; LOGIN_MORE replies loop back
         through it with fresh sequence numbers — the content stays
         opaque to this client code.
-        """
-        info = self.authinfo_bytes()
-        for key_index in range(min(max_attempts, max(1, agent.key_count))):
-            self.auth_seqno += 1
-            seqno = self.auth_seqno
-            try:
-                authmsg = agent.sign_request(info, seqno, key_index)
-            except AgentRefused:
-                break
-            for _round in range(max_rounds):
-                disc, body = self.peer.call(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
-                    proto.LoginArgs,
-                    proto.LoginArgs.make(seqno=seqno, authmsg=authmsg),
-                    proto.LoginRes,
-                )
-                if disc == proto.LOGIN_OK:
-                    return body.authno
-                if disc != proto.LOGIN_MORE:
-                    break
-                continue_auth = getattr(agent, "continue_auth", None)
-                if continue_auth is None:
-                    break
-                self.auth_seqno += 1
-                seqno = self.auth_seqno
-                authmsg = continue_auth(body, info, seqno)
-        return 0
-
-    def login_task(self, agent: Agent, max_attempts: int = 3,
-                   max_rounds: int = 8):
-        """Task variant of :meth:`login` (``yield from`` it).
 
         Login storms run thousands of these concurrently; each suspends
         while its reply is in flight, and SERVER_BUSY replies from the
-        admission queue are retried through the session's backoff policy
-        as cooperative sleeps.  Each busy retry signs a *fresh* sequence
-        number: sibling logins on the same session keep advancing the
-        server's replay window while this one backs off, so resending
-        the original seqno after a long wait would be self-inflicted
-        replay (denied as stale).  A backoff that exhausts raises
-        :class:`RpcBusy` to the caller — the login was shed.
+        admission queue are retried through :meth:`_retry_busy`.  Each
+        busy retry signs a *fresh* sequence number: sibling logins on
+        the same session keep advancing the server's replay window while
+        this one backs off, so resending the original seqno after a long
+        wait would be self-inflicted replay (denied as stale).  A
+        backoff that exhausts raises :class:`RpcBusy` to the caller —
+        the login was shed.
         """
         info = self.authinfo_bytes()
         for key_index in range(min(max_attempts, max(1, agent.key_count))):
-            try:
-                seqno, authmsg = self._sign_login(agent, info, key_index)
-            except AgentRefused:
-                break
-            resign = lambda: self._sign_login(agent, info, key_index)  # noqa: E731
+            def attempt(key_index=key_index):
+                return self._login_call(
+                    *self._sign_login(agent, info, key_index))
             for _round in range(max_rounds):
-                disc, body = yield from self._login_call_task(
-                    seqno, authmsg, resign
-                )
+                try:
+                    disc, body = yield from self._retry_busy(attempt)
+                except AgentRefused:
+                    return 0
                 if disc == proto.LOGIN_OK:
                     return body.authno
                 if disc != proto.LOGIN_MORE:
@@ -656,9 +646,11 @@ class ServerSession:
                 self.auth_seqno += 1
                 seqno = self.auth_seqno
                 authmsg = continue_auth(body, info, seqno)
+
                 # Multi-round protocol messages are not re-signable from
                 # here; a busy retry resends the round verbatim.
-                resign = None
+                def attempt(seqno=seqno, authmsg=authmsg):
+                    return self._login_call(seqno, authmsg)
         return 0
 
     def _sign_login(self, agent: Agent, info: bytes,
@@ -668,42 +660,24 @@ class ServerSession:
             info, self.auth_seqno, key_index
         )
 
-    def _login_call_task(self, seqno: int, authmsg: bytes, resign=None):
+    def _login_call(self, seqno: int, authmsg: bytes):
+        return self.peer.call_task(
+            proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
+            proto.LoginArgs,
+            proto.LoginArgs.make(seqno=seqno, authmsg=authmsg),
+            proto.LoginRes,
+        )
+
+    def _retry_busy(self, attempt):
+        """Run ``attempt()`` — a fresh :meth:`RpcPeer.call_task` each time
+        — until admission control lets it in: SERVER_BUSY is retried
+        through :attr:`busy_policy`, each wait a cooperative sleep (other
+        clients run during it, which is the contention being simulated).
+        """
         delays = None
         while True:
             try:
-                result = yield from self.peer.call_task(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
-                    proto.LoginArgs,
-                    proto.LoginArgs.make(seqno=seqno, authmsg=authmsg),
-                    proto.LoginRes,
-                )
-                return result
-            except RpcBusy:
-                if delays is None:
-                    delays = self.busy_policy.delays(self.rng)
-                    next(delays)  # discard the "first attempt" zero
-                delay = next(delays, None)
-                if delay is None:
-                    raise
-                self.busy_retries += 1
-                self._m_busy_retries.inc()
-                if delay:
-                    yield Sleep(delay)
-                if resign is not None:
-                    seqno, authmsg = resign()
-
-    # -- relaying --
-
-    def call_nfs(self, proc: int, args: Record, authno: int):
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        delays = None
-        while True:
-            try:
-                return self.peer.call(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-                    arg_codec, args, res_codec, cred=make_sfs_cred(authno),
-                )
+                return (yield from attempt())
             except RpcBusy:
                 if delays is None:
                     delays = self.busy_policy.delays(self.rng)
@@ -713,40 +687,22 @@ class ServerSession:
                     raise  # backoff exhausted; the server stayed full
                 self.busy_retries += 1
                 self._m_busy_retries.inc()
-                clock = self.peer.backoff_clock
-                if clock is not None and delay:
-                    clock.advance(delay)
-
-    def call_nfs_task(self, proc: int, args: Record, authno: int):
-        """Task variant of :meth:`call_nfs` (``yield from`` it).
-
-        Suspends instead of pumping while the reply is in flight, so
-        many client tasks share the simulation; SERVER_BUSY replies are
-        retried through the same backoff policy, with the wait spent as
-        a cooperative :class:`~repro.sim.sched.Sleep` rather than a
-        clock charge — other clients run during it, which is exactly
-        the contention being simulated.
-        """
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        delays = None
-        while True:
-            try:
-                result = yield from self.peer.call_task(
-                    proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-                    arg_codec, args, res_codec, cred=make_sfs_cred(authno),
-                )
-                return result
-            except RpcBusy:
-                if delays is None:
-                    delays = self.busy_policy.delays(self.rng)
-                    next(delays)  # discard the "first attempt" zero
-                delay = next(delays, None)
-                if delay is None:
-                    raise
-                self.busy_retries += 1
-                self._m_busy_retries.inc()
                 if delay:
                     yield Sleep(delay)
+
+    # -- relaying --
+
+    def call_nfs(self, proc: int, args: Record, authno: int):
+        """Synchronous :meth:`call_nfs_task`."""
+        return self.peer.drive(self.call_nfs_task(proc, args, authno))
+
+    def call_nfs_task(self, proc: int, args: Record, authno: int):
+        """Relay one NFS procedure over the session (``yield from``)."""
+        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
+        return (yield from self._retry_busy(lambda: self.peer.call_task(
+            proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
+            arg_codec, args, res_codec, cred=make_sfs_cred(authno),
+        )))
 
 
 # ---------------------------------------------------------------------------
@@ -1589,7 +1545,7 @@ class SfsClientDaemon:
             root_handle = mount.root_handle()
         else:
             mount = MountedRemoteFs(self, session, fsid)
-            session.enable_reconnect(self.connector, self.clock, self.backoff)
+            session.enable_reconnect(self.connector, self.backoff)
             session.on_retarget = (
                 lambda old, new, _mount=mount:
                 self._retarget_mount(_mount, old, new)
@@ -1603,13 +1559,17 @@ class SfsClientDaemon:
         return mount
 
     def _fetch_remote_root(self, session: ServerSession) -> bytes:
+        """Synchronous :meth:`_fetch_remote_root_task`."""
+        return session.peer.drive(self._fetch_remote_root_task(session))
+
+    def _fetch_remote_root_task(self, session: ServerSession):
         """Obtain the remote root's (encrypted) handle.
 
         The RW dialect's mount convention: a LOOKUP of "." on an all-zero
         directory handle names the export's root.
         """
         zero = bytes(24)
-        status, body = session.call_nfs(
+        status, body = yield from session.call_nfs_task(
             nfs_const.NFSPROC3_LOOKUP,
             nfs_types.LookupArgs.make(
                 what=nfs_types.DirOpArgs.make(dir=zero, name=".")
@@ -1674,8 +1634,9 @@ class SfsClientDaemon:
 
     def _retarget_mount(self, mount: "MountedRemoteFs",
                         old: SelfCertifyingPath,
-                        new: SelfCertifyingPath) -> None:
-        """Re-home a mount whose session followed a forwarding pointer.
+                        new: SelfCertifyingPath):
+        """Re-home a mount whose session followed a forwarding pointer
+        (the session's ``on_retarget`` generator).
 
         The server rolled its key: same export, new HostID.  Ordering
         matters — the stale HostID is evicted *first*, so nothing can
@@ -1697,7 +1658,7 @@ class SfsClientDaemon:
         # A new key means a new handle map: the cached root handle is
         # undecipherable to the reborn server and must be re-fetched
         # before the new name is allowed to resolve.
-        root_handle = self._fetch_remote_root(mount.session)
+        root_handle = yield from self._fetch_remote_root_task(mount.session)
         self._mounts[new.hostid] = mount
         self._mount_roots[new.hostid] = root_handle
         for names in self._references.values():

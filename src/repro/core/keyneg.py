@@ -99,25 +99,29 @@ def negotiate_client_keys(
     server_key: PublicKey,
     client_key: PrivateKey,
     rng: random.Random,
-    exchange: Callable[[bytes, bytes], bytes],
-) -> SessionKeys:
-    """Run the client side of figure 3 over any exchange mechanism.
+) -> tuple[bytes, bytes, Callable[[bytes], SessionKeys]]:
+    """Run the client side of figure 3 around its one round trip.
 
-    Picks fresh key halves, seals them to *server_key*, and calls
-    ``exchange(client_pubkey_bytes, sealed_halves)``, which performs the
-    actual round trip (ENCRYPT for a new session, REKEY for channel
-    resynchronization) and returns the server's sealed halves.  Both
-    callers derive identical keys from identical material, so re-keying
-    preserves every property of the original negotiation — including
-    forward secrecy, since nothing from the old streams is reused.
+    Picks fresh key halves, seals them to *server_key*, and returns
+    ``(client_pubkey, sealed_halves, finish)``.  The caller carries the
+    first two to the server however it likes — ENCRYPT for a new
+    session, REKEY for channel resynchronization, yielding while the
+    reply is in flight — and hands the server's sealed halves to
+    ``finish``, which derives the session keys.  Both uses derive
+    identical keys from identical material, so re-keying preserves
+    every property of the original negotiation — including forward
+    secrecy, since nothing from the old streams is reused.
     """
     kc1, kc2 = make_key_halves(rng)
     sealed = encrypt_key_halves(server_key, kc1, kc2, rng)
-    server_sealed = exchange(client_key.public_key.to_bytes(), sealed)
-    ks1, ks2 = decrypt_key_halves(client_key, server_sealed)
-    return derive_session_keys(
-        server_key, client_key.public_key, kc1, kc2, ks1, ks2
-    )
+
+    def finish(server_sealed: bytes) -> SessionKeys:
+        ks1, ks2 = decrypt_key_halves(client_key, server_sealed)
+        return derive_session_keys(
+            server_key, client_key.public_key, kc1, kc2, ks1, ks2
+        )
+
+    return client_key.public_key.to_bytes(), sealed, finish
 
 
 def rekey_auth(session_keys: SessionKeys, client_pubkey: bytes,

@@ -160,9 +160,6 @@ class SwitchablePipe:
             lower, "suggested_window_depth", None
         )
         self.suggested_rtt = getattr(lower, "suggested_rtt", 0.0)
-        self.synchronous_delivery = getattr(
-            lower, "synchronous_delivery", False
-        )
         lower.on_receive(self._dispatch)
 
     def _dispatch(self, data: bytes) -> None:

@@ -5,8 +5,8 @@ instrumentable), but SFS is a network file system: this module binds the
 same server master and client daemons to genuine localhost sockets, with
 RFC 1831 record marking on the wire.  The byte streams are identical to
 the virtual transport's — only the delivery mechanics change (the RPC
-peers pump the socket while awaiting replies instead of relying on
-synchronous in-process delivery).
+peers pump the socket while awaiting replies instead of advancing a
+virtual clock).
 """
 
 from __future__ import annotations

@@ -129,8 +129,8 @@ class ServerMachine:
     def schedule_restart(self, at: float) -> None:
         """Arrange for the machine to come back at absolute time *at*.
 
-        The timer fires from inside Clock.advance — which is exactly
-        where a reconnecting client sits while it backs off, so the
+        The timer fires from inside Clock.advance — which is where
+        time passes while a reconnecting client backs off, so the
         restart happens "during" the client's wait like a real reboot.
         A machine that never went down by then has nothing to do.
         """
@@ -148,14 +148,12 @@ class ServerMachine:
                         policy: str = "fifo", service_time: float = 0.0):
         """Serve this machine's requests through a bounded queue.
 
-        Requires (and, if needed, creates) the world's cooperative
-        scheduler, whose daemon tasks run the worker pool.  See
-        :meth:`repro.core.server.SfsServerMaster.enable_concurrency`.
+        The worker pool runs as daemon tasks on the world's scheduler.
+        See :meth:`repro.core.server.SfsServerMaster.enable_concurrency`.
         """
-        scheduler = self.world.enable_concurrency()
         return self.master.enable_concurrency(
-            scheduler, max_depth=max_depth, workers=workers,
-            policy=policy, service_time=service_time,
+            self.world.enable_concurrency(), max_depth=max_depth,
+            workers=workers, policy=policy, service_time=service_time,
         )
 
     def add_user(self, name: str, uid: int, gid: int = 100,
@@ -216,7 +214,7 @@ class ClientMachine:
         self.sfscd = SfsClientDaemon(
             world.clock, world.rng, world.connector, self.mounter,
             encrypt=encrypt, caching=caching, metrics=self.metrics,
-            pipeline_depth=world.pipeline_depth,
+            pipeline_depth=world.pipeline_depth or 1,
         )
         self.mounter.mount("/sfs", self.sfscd.program,
                            self.sfscd.root_handle())
@@ -277,11 +275,8 @@ class ClientMachine:
         kernel_side, server_side = link_pair(
             self.world.clock, params or self.world.lan_params,
             metrics=self.world.metrics, media=media,
-            pipelined=self.world.pipelining,
         )
-        if self.world.pipelining:
-            kernel_side.link.window_depth = self.world.pipeline_depth
-        self.world._wire_pump(kernel_side)
+        self.world._wire(kernel_side)
         peer = _RpcPeer(server_side, f"nfsd@{server.location}")
         peer.register(nfsd.program)
         peer.register(mountd.program)
@@ -313,18 +308,19 @@ class World:
         self.clients: dict[str, ClientMachine] = {}
         self.adversary_factory = None  # optional: () -> Adversary
         self.links: list[LinkSide] = []
-        #: Created by :meth:`enable_concurrency`; once present, every
-        #: new link pumps it while synchronous callers wait for replies.
-        self.scheduler: Scheduler | None = None
+        #: The world's one task engine.  Every wire link pumps it while
+        #: a synchronous caller waits for a reply; the first
+        #: :meth:`enable_concurrency` call picks its interleaving seed.
+        self.scheduler = Scheduler(self.clock, metrics=self.metrics)
+        self._scheduler_seeded = False
         #: Set by :meth:`enable_contention`: new links to a server share
         #: its NIC media, so concurrent clients queue for bandwidth.
         self.contention = False
-        #: Set by :meth:`enable_pipelining`: new links deliver records
-        #: via clock timers instead of nested synchronous calls, peers
-        #: built over them get a send window of :attr:`pipeline_depth`,
-        #: and client daemons turn on readahead / write-gathering.
-        self.pipelining = False
-        self.pipeline_depth = 1
+        #: Set by :meth:`enable_pipelining`: peers built over new wire
+        #: links get a send window this deep, and client daemons read
+        #: ahead / gather writes this deep.  None = never set: calls are
+        #: not windowed and nothing is prefetched.
+        self.pipeline_depth: int | None = None
         #: Created by :meth:`enable_control`; once present, every new
         #: machine gets a per-source registry and a collector heartbeat.
         self.control = None
@@ -332,10 +328,11 @@ class World:
     # -- concurrency --
 
     def enable_concurrency(self, seed: int = 0) -> Scheduler:
-        """Create (once) the world's cooperative task scheduler."""
-        if self.scheduler is None:
-            self.scheduler = Scheduler(self.clock, seed=seed,
-                                       metrics=self.metrics)
+        """The world's scheduler; the first call seeds its interleaving
+        (later calls, from harnesses sharing the world, leave it be)."""
+        if not self._scheduler_seeded:
+            self._scheduler_seeded = True
+            self.scheduler.rng.seed(seed)
         return self.scheduler
 
     def enable_contention(self) -> None:
@@ -346,36 +343,43 @@ class World:
         self.contention = True
 
     def enable_pipelining(self, depth: int = 8, seed: int = 0) -> Scheduler:
-        """Turn on the task-native async core (PROTOCOLS.md §17).
+        """Set the pipeline depth (PROTOCOLS.md §17).
 
-        Creates the scheduler (if needed) and flips the world to
-        pipelined delivery: every link dialed from now on delivers
-        records via clock timers (propagation overlaps instead of
-        serializing), RPC peers over those links get a send window of
-        *depth* in-flight xids, and client daemons created from now on
-        run sequential readahead and write-gathering at the same depth.
-        Also arms ``strict_pump``: with the hot paths task-native, any
-        legacy scheduler pump reached from *inside* a task step is a
-        bug, and fails loudly naming the task.  Call before creating
-        the machines that should benefit.
+        RPC peers over links dialed from now on get a send window of
+        *depth* in-flight xids, and client daemons run sequential
+        readahead and write-gathering at the same depth.  Every world
+        already delivers by timer and runs the same call path; depth 1
+        is simply a window of 1.  Call before creating the machines
+        that should benefit.
         """
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")
-        scheduler = self.enable_concurrency(seed=seed)
-        scheduler.strict_pump = True
-        self.pipelining = True
         self.pipeline_depth = depth
         for client in self.clients.values():
             client.sfscd.pipeline_depth = depth
-        return scheduler
+        return self.enable_concurrency(seed=seed)
 
-    def _wire_pump(self, side: "LinkSide") -> None:
-        """Give a new link the scheduler's legacy pump (if any): sync
-        entry points (handshakes, tests) wait out queued servers by
-        pumping; under ``strict_pump`` a pump from inside a task step
-        raises.  The single place link<->scheduler wiring happens."""
-        if self.scheduler is not None:
-            side.link.pump = self.scheduler.legacy_pump
+    def _wire(self, side: "LinkSide") -> None:
+        """The single place a wire link meets the world: it gets the
+        send window and :meth:`_pump`, so sync entry points (handshakes,
+        the kernel's calls, tests) can wait out replies and queued
+        servers."""
+        side.link.window_depth = self.pipeline_depth
+        side.link.pump = self._pump
+
+    def _pump(self) -> None:
+        """One unit of progress for a synchronous caller on a wire link:
+        a scheduler pump.  Inside a task step (a scenario's kernel
+        client calling the still-synchronous VFS) the scheduler may not
+        be re-entered, so only the clock runs, to the next timer —
+        enough for a reply that needs no other task stepped; with no
+        timer left, the pump's assertion names the task."""
+        if self.scheduler.current is not None:
+            deadline = self.clock.next_deadline()
+            if deadline is not None:
+                self.clock.advance(max(0.0, deadline - self.clock.now))
+                return
+        self.scheduler.legacy_pump()
 
     def enable_control(self, period: float = 0.010, ring_size: int = 64,
                        stale_after: int = 2, dead_after: int = 5,
@@ -539,12 +543,9 @@ class World:
         client_side, server_side = link_pair(
             self.clock, self.link_params.get(location, self.lan_params),
             adversary, metrics=server.metrics, media=media,
-            pipelined=self.pipelining,
         )
         client_side.link.location = location
-        if self.pipelining:
-            client_side.link.window_depth = self.pipeline_depth
-        self._wire_pump(client_side)
+        self._wire(client_side)
         server.master.accept(server_side)
         self.links.append(client_side)
         return client_side

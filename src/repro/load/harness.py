@@ -66,10 +66,9 @@ class LoadConfig:
     rpc_timeout: float = 1.0
     #: Arm each session's reconnect engine (crash-failover runs).
     failover: bool = False
-    #: Task-native async core (PROTOCOLS.md §17): None = classic
-    #: synchronous delivery; N > 1 = pipelined links with a send window
-    #: of N in-flight RPCs per session.  Scale runs use this to overlap
-    #: wire time across the fleet instead of serializing every record.
+    #: Send window (PROTOCOLS.md §17): at most N in-flight RPCs per
+    #: session; None = not windowed.  Scale runs use a deep window to
+    #: overlap wire time across the fleet.
     pipeline_depth: int | None = None
     #: Open loop only: mean arrivals per simulated second and how long
     #: to keep them coming.
@@ -156,7 +155,7 @@ class LoadHarness:
         #: someone else built — shared clock, scheduler, control plane
         #: and all.  Default: a self-contained world, as always.
         self.world = world if world is not None else World(seed=config.seed)
-        if config.pipeline_depth and config.pipeline_depth > 1:
+        if config.pipeline_depth:
             self.scheduler = self.world.enable_pipelining(
                 depth=config.pipeline_depth, seed=config.seed)
         else:
@@ -229,8 +228,7 @@ class LoadHarness:
                 max_delay=4.0 * self.config.rpc_timeout,
             )
             if self.config.failover:
-                outcome.enable_reconnect(self.world.connector,
-                                         self.world.clock)
+                outcome.enable_reconnect(self.world.connector)
             self.sessions.append(outcome)
 
     def _resolve_handles(self) -> None:
@@ -262,10 +260,10 @@ class LoadHarness:
                 report: LoadReport):
         """Issue one operation; yields while it is in flight.
 
-        A transport failure (server crash) triggers the session's
-        synchronous reconnect engine — which redials, re-verifies the
-        HostID, renegotiates keys, all while pumping the scheduler — and
-        then replays the operation once on the fresh connection.
+        A transport failure (server crash) runs the session's reconnect
+        engine — redial with backoff, re-verify the HostID, renegotiate
+        keys, yielding throughout so the other clients keep running —
+        and then replays the operation once on the fresh connection.
         """
         config = self.config
         proc, args = stream.next_op()
@@ -274,12 +272,8 @@ class LoadHarness:
         try:
             status, _body = yield from session.call_nfs_task(proc, args, 0)
         except RpcTransportDown:
-            # The reconnect engine is deliberately synchronous (redial,
-            # HostID re-verification, key renegotiation); under
-            # strict_pump this is the one sanctioned in-task pump scope.
-            with self.scheduler.allow_legacy_pump():
-                recovered = config.failover and session.reconnect()
-            if not recovered:
+            if not (config.failover
+                    and (yield from session.reconnect_task())):
                 report.op_errors += 1
                 return False
             try:

@@ -7,13 +7,15 @@ seconds from the virtual clock):
 * :class:`Tracer` records *inclusive* spans that nest — the
   generalization of the bench Timer, with per-span tags and children.
 * :class:`LayerTracker` is a stack profiler charging *exclusive* time to
-  the innermost active layer.  Because virtual-network delivery is
-  synchronous — a reply arrives via nested handler invocation before
-  ``call`` returns, all on one Python stack — exactly one layer (or the
-  root ``"other"`` bucket) is active at every instant, so the per-layer
-  totals sum to the tracked wall total by construction.  This is what
-  lets a Fig. 5 run split its headline number into crypto / RPC / NFS
-  server / network / disk components that actually add up.
+  the innermost active layer.  A synchronous caller waits for its reply
+  by advancing the clock (under the ``network`` layer), and the handlers
+  that run from the arrival timers nest on that same Python stack — so
+  on the kernel path exactly one layer (or the root ``"other"`` bucket)
+  is active at every instant, and the per-layer totals sum to the
+  tracked wall total by construction.  This is what lets a Fig. 5 run
+  split its headline number into crypto / RPC / NFS server / network /
+  disk components that actually add up.  (Across *tasks* there is no
+  one stack; see ROADMAP item 3.)
 """
 
 from __future__ import annotations

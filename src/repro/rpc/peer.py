@@ -8,10 +8,12 @@ the codecs in :mod:`repro.rpc.xdr`.
 
 The underlying "pipe" is anything with ``send(bytes)`` and
 ``on_receive(handler)`` — a :class:`repro.sim.network.LinkSide`, a secure
-channel wrapper, or a real TCP transport.  Delivery on the virtual
-network is synchronous, so a reply to an outbound call arrives (via
-nested handler invocation) before ``call`` returns; the TCP transport
-pumps a reader loop to get the same effect.
+channel wrapper, or a real TCP transport.  No transport delivers inside
+``send``: a reply arrives later, from a clock timer (the virtual
+network) or a socket read (TCP).  There is therefore one call path,
+:meth:`RpcPeer.call_task`, a generator that *yields* while its reply is
+in flight, and one synchronous edge, :meth:`RpcPeer.drive`, which runs
+such a generator to completion for callers outside any task.
 
 Set ``trace`` to a callable to pretty-print RPC traffic, mirroring the
 debugging aid the paper credits for SFS's reliability ("Our RPC library
@@ -73,15 +75,15 @@ class RpcTransportDown(RpcTimeout):
 
 
 class RpcNoWaiter(RpcError):
-    """No reply *could* arrive: delivery is asynchronous and no
-    ``reply_waiter`` is configured.  A transport-wiring problem, not a
-    lost record — deliberately *not* an :class:`RpcTimeout`, so retry
-    and redial logic that treats timeouts as packet loss (or an attack)
-    can never mask the misconfiguration; it fails fast instead."""
+    """No reply *could* arrive: a synchronous caller is waiting on a
+    transport that has neither a ``reply_waiter`` nor a clock to
+    advance.  A transport-wiring problem, not a lost record —
+    deliberately *not* an :class:`RpcTimeout`, so retry and redial logic
+    that treats timeouts as packet loss (or an attack) can never mask
+    the misconfiguration; it fails fast instead."""
 
 
-#: Minimum first-retransmission timeout on transports that deliver
-#: asynchronously (pipelined links).  Generous on purpose — it must
+#: Minimum first-retransmission timeout.  Generous on purpose — it must
 #: outlast not just propagation but reply serialization (a 16-segment
 #: READV is ~130 KB on the wire) *and* server-side device time (a
 #: COMMIT can charge tens of milliseconds of disk).  Real NFS clients
@@ -196,21 +198,18 @@ class RpcPeer:
         self._pipe = pipe
         self.name = name
         self.trace = trace
-        #: Optional hook for transports without synchronous delivery
-        #: (real TCP): called repeatedly until the awaited reply lands.
-        #: Must deliver at least one inbound record or raise.  Pipes can
-        #: volunteer one via a `suggested_reply_waiter` attribute, which
-        #: wrapper pipes (secure channel, switchable pipe) pass through.
+        #: How :meth:`drive` makes progress while a reply is in flight:
+        #: called repeatedly until the awaited future completes (a TCP
+        #: socket pump, the World scheduler's ``legacy_pump``).  Must
+        #: make progress or raise.  Pipes volunteer one via a
+        #: `suggested_reply_waiter` attribute, which wrapper pipes
+        #: (secure channel, switchable pipe) pass through; without one
+        #: :meth:`drive` advances :attr:`backoff_clock` itself.
         self.reply_waiter: Callable[[], None] | None = getattr(
             pipe, "suggested_reply_waiter", None
         )
-        #: True when the transport delivers inside ``send`` (the virtual
-        #: network); lets `call` tell a dropped record from a transport
-        #: that has no way to wait for one.
-        self.synchronous_delivery: bool = getattr(
-            pipe, "synchronous_delivery", False
-        )
-        #: Virtual clock to charge retry backoff to; None = wall clock.
+        #: Virtual clock retransmission timers and backoff run on; None
+        #: = wall clock.
         self.backoff_clock = getattr(pipe, "suggested_clock", None)
         #: Metrics registry volunteered by the pipe (see :mod:`repro.obs`);
         #: wrapper pipes pass it through like `suggested_clock`.  The
@@ -248,14 +247,11 @@ class RpcPeer:
         self.window_depth: int | None = getattr(
             pipe, "suggested_window_depth", None
         )
-        #: Round-trip estimate volunteered by the transport (pipelined
-        #: links surface their propagation delay).  Floors the first
-        #: retransmission timeout at 2x RTT: under synchronous delivery
-        #: a reply is present before the timer is even armed, so the
-        #: floor changes nothing, but once delivery takes real wire
-        #: time a 2ms base delay would expire long before any reply
-        #: could arrive and every call would retransmit itself into a
-        #: channel rekey storm.
+        #: Round-trip estimate volunteered by the transport (links
+        #: surface their propagation delay).  Floors the first
+        #: retransmission timeout at 2x RTT: a 2ms base delay would
+        #: expire long before any WAN reply could arrive and every call
+        #: would retransmit itself into a channel rekey storm.
         self.rtt_estimate: float = getattr(pipe, "suggested_rtt", 0.0) or 0.0
         self._window_in_flight = 0
         self._window_waiters: deque[Future] = deque()
@@ -270,17 +266,17 @@ class RpcPeer:
         #: with :meth:`send_busy`.  Duplicate retransmissions are still
         #: answered from the reply cache *before* dispatch.
         self.dispatcher: Callable[[CallHeader, bytes, bytes], None] | None = None
-        #: xid -> Future a cooperative task is waiting on (call_task).
+        #: xid -> the Future the call's current attempt waits on; a
+        #: reply resolves it with ``(header, body)``.
         self._call_futures: dict[int, Future] = {}
         self._closed = False
-        #: Called before the second and later retransmissions; the
-        #: session layer hangs channel resynchronization here.  Returns
-        #: truthy when it believes the path is repaired.
-        self.recovery_hook: Callable[[], bool] | None = None
+        #: A generator function :meth:`call_task` delegates to
+        #: (``yield from``) before the second and later retransmissions;
+        #: the session layer hangs channel resynchronization here.
+        #: Returns truthy when it believes the path is repaired.
+        self.recovery_hook: Callable[[], Any] | None = None
         self._xid = 0
         self._programs: dict[tuple[int, int], Program] = {}
-        self._pending: dict[int, ReplyHeader | None] = {}
-        self._results: dict[int, bytes] = {}
         #: xid -> (request digest, packed reply), for at-most-once
         #: semantics: a retransmitted call is answered from here, not
         #: re-executed.  The digest guards against xid collisions — only
@@ -311,6 +307,11 @@ class RpcPeer:
             ))
 
     @property
+    def rto_floor(self) -> float:
+        """The soonest a lost record can be told from a slow one here."""
+        return max(2.0 * self.rtt_estimate, _ASYNC_RTO_FLOOR)
+
+    @property
     def proc_counts(self) -> dict[tuple[int, int], int]:
         """(prog, proc) -> count of calls issued; the per-procedure RPC
         mix behind the paper's caching analysis (section 4.2).  Backed
@@ -328,6 +329,18 @@ class RpcPeer:
         self._programs.pop((prog, vers), None)
 
     def _on_record(self, data: bytes) -> None:
+        # The "rpc" layer claims parsing, dispatch, unmarshaling and
+        # handler glue; instrumented work the handler triggers (nfs3
+        # dispatch, crypto, network) is charged to its own layer by
+        # nesting.
+        layers = self.metrics.layers
+        layers.push("rpc")
+        try:
+            self._receive(data)
+        finally:
+            layers.pop()
+
+    def _receive(self, data: bytes) -> None:
         peeked = rpcmsg.peek_message(data)
         if peeked is not None and peeked[0] == rpcmsg.CALL:
             cached = self._reply_cache.get(peeked[1])
@@ -353,39 +366,27 @@ class RpcPeer:
             if self.dispatcher is not None:
                 self.dispatcher(message.call, message.body, data)
             else:
-                self._serve(message.call, message.body, data)
+                self._serve_inner(message.call, message.body, data)
         else:
             assert message.reply is not None
-            xid = message.reply.xid
-            if xid in self._pending:
-                self._pending[xid] = message.reply
-                self._results[xid] = message.body
-                future = self._call_futures.pop(xid, None)
-                if future is not None:
-                    future.resolve(message.reply)
+            future = self._call_futures.pop(message.reply.xid, None)
+            if future is not None:
+                future.resolve((message.reply, message.body))
             elif self.trace:
-                self.trace(f"{self.name}: reply for unknown xid {xid}")
-
-    def _serve(self, header: CallHeader, body: bytes, request: bytes) -> None:
-        # The "rpc" layer claims dispatch, unmarshaling, and handler
-        # glue; instrumented work the handler triggers (nfs3 dispatch,
-        # crypto, network) is charged to its own layer by nesting.
-        if not self.metrics.enabled:
-            self._serve_inner(header, body, request)
-            return
-        layers = self.metrics.layers
-        layers.push("rpc")
-        try:
-            self._serve_inner(header, body, request)
-        finally:
-            layers.pop()
+                self.trace(f"{self.name}: reply for unknown xid "
+                           f"{message.reply.xid}")
 
     def serve_queued(self, header: CallHeader, body: bytes,
                      request: bytes) -> None:
         """Execute a previously queued call (the request-queue workers'
         entry point — bypasses :attr:`dispatcher` so the queue cannot
         re-enqueue its own work)."""
-        self._serve(header, body, request)
+        layers = self.metrics.layers
+        layers.push("rpc")
+        try:
+            self._serve_inner(header, body, request)
+        finally:
+            layers.pop()
 
     def send_busy(self, xid: int) -> None:
         """Reject a call with ``SERVER_BUSY`` — admission control's
@@ -451,7 +452,14 @@ class RpcPeer:
         )
 
     def _send_reply(self, xid: int, request: bytes, record: bytes) -> None:
-        """Send a reply and remember it for the duplicate-call cache."""
+        """Send a reply and remember it for the duplicate-call cache.
+
+        A transport that closed while the handler ran (the server
+        crashed mid-procedure) swallows the reply here: this runs inside
+        the *caller's* arrival timer, and a handler's failure to reply
+        must never propagate into the other endpoint — the caller
+        learns of the death from its own close hook.
+        """
         self._reply_cache[xid] = (_request_digest(request), record)
         self._reply_cache.move_to_end(xid)
         while len(self._reply_cache) > self.reply_cache_size:
@@ -462,7 +470,10 @@ class RpcPeer:
             self._reply_cache.popitem(last=False)
             self.reply_cache_evictions += 1
             self._m_evictions.inc()
-        self._pipe.send(record)
+        try:
+            self._pipe.send(record)
+        except ConnectionError:
+            pass
 
     # --- calling ----------------------------------------------------------
 
@@ -479,7 +490,7 @@ class RpcPeer:
 
         For genuinely fire-and-forget notifications such as lease
         invalidations: the reply, when it eventually arrives, is
-        dropped as an unknown xid.  Never retransmits, never pumps the
+        dropped as an unknown xid.  Never retransmits, never waits on the
         transport — a peer that cannot answer (crashed, mid-resync)
         costs the caller nothing but the send.  Raises
         :class:`RpcTransportDown` if the link is already closed.
@@ -513,54 +524,27 @@ class RpcPeer:
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
     ) -> Any:
-        """Issue a call and return the decoded result.
-
-        Raises :class:`RpcTimeout` if no reply arrives (dropped record),
-        :class:`RpcNoWaiter` if none could have (asynchronous transport
-        with no reply waiter configured), and :class:`RpcRejected` on a
-        non-SUCCESS reply.
-
-        With a :attr:`retry_policy` set, an unanswered call is
-        retransmitted verbatim — same xid, same bytes — after an
-        exponentially backed-off delay; the remote peer's duplicate-reply
-        cache guarantees the procedure still executes at most once.
-        From the second retry on, :attr:`recovery_hook` runs first so a
-        desynchronized secure channel can be re-keyed before the record
-        goes out again.
-
-        This is now a thin synchronous shim over :meth:`call_task` —
-        the one task-native call path — kept for tests and true sync
-        entry points: it drives the generator in place, waiting out
-        each yielded future by pumping the transport's
-        :attr:`reply_waiter` (or advancing the backoff clock to the
-        attempt's retransmission timer).
+        """Issue a call and return the decoded result: a synchronous
+        :meth:`call_task` (same arguments, same exceptions), plus
+        :class:`RpcNoWaiter` when the transport gives :meth:`drive` no
+        way to wait.
         """
-        if not self.metrics.enabled:
-            return self._drive(self.call_task(
-                prog, vers, proc, arg_codec, args, res_codec, cred,
-                _observe=False,
-            ))
         layers = self.metrics.layers
-        clock = self.backoff_clock
-        sim0 = clock.now if clock is not None else 0.0
-        cpu0 = time.perf_counter()
         layers.push("rpc")
         try:
-            return self._drive(self.call_task(
-                prog, vers, proc, arg_codec, args, res_codec, cred,
-                _observe=False,
-            ))
+            return self.drive(self.call_task(
+                prog, vers, proc, arg_codec, args, res_codec, cred))
         finally:
             layers.pop()
-            sim = (clock.now - sim0) if clock is not None else 0.0
-            self._m_call_seconds.observe(time.perf_counter() - cpu0 + sim)
 
-    def _drive(self, gen) -> Any:
-        """Run a :meth:`call_task` generator to completion, synchronously.
+    def drive(self, gen) -> Any:
+        """Run a task generator to completion, synchronously.
 
-        Mirrors the scheduler's step protocol — resolve/fail whatever
-        the generator yields, send the outcome back in — so the task
-        path and the sync path are one implementation.
+        The one edge between synchronous callers (tests, examples, the
+        kernel's VFS facade) and the task-native engine.  Mirrors the
+        scheduler's step protocol — wait out whatever the generator
+        yields, send the outcome back in — so every ``x()`` beside an
+        ``x_task()`` is this applied to it, and nothing else.
         """
         try:
             waited = next(gen)
@@ -571,74 +555,76 @@ class RpcPeer:
                         waited = gen.throw(waited.exception)
                     else:
                         waited = gen.send(waited.value)
-                elif isinstance(waited, Sleep):
-                    self._backoff(waited.seconds)
-                    waited = gen.send(None)
                 else:
-                    self._backoff(float(waited))
+                    self._sleep_sync(waited.seconds
+                                     if isinstance(waited, Sleep)
+                                     else float(waited))
                     waited = gen.send(None)
         except StopIteration as stop:
             return stop.value
         except BaseException:
-            # A transport error surfaced outside the generator (e.g. a
-            # TCP pump raising mid-wait): run its finally blocks so the
-            # pending tables and window slot are reclaimed.
+            # An error surfaced outside the generator (e.g. a TCP pump
+            # raising mid-wait): run its finally blocks so the pending
+            # tables and window slot are reclaimed.
             gen.close()
             raise
 
     def _wait_sync(self, future: Future) -> None:
         """Block (in simulation terms) until *future* completes.
 
-        Three ways forward, tried in order each iteration: pump the
-        transport's reply waiter; advance the backoff clock to the next
-        timer (the attempt's retransmission deadline, when a retry
-        policy armed one); or fail the future — with
-        :class:`RpcTimeout` when delivery is synchronous (the record
-        was dropped inside ``send``), with :class:`RpcNoWaiter` when
-        the transport is asynchronous and nothing can ever pump it.
+        Two ways forward: the transport's :attr:`reply_waiter`, else
+        advance :attr:`backoff_clock` to its next timer (the record's
+        arrival, or the attempt's retransmission deadline).  Either way
+        the time spent is time on the wire, charged to the ``network``
+        layer; whatever runs from the timers charges its own.  With no
+        timer left the record was lost; with no clock either nothing
+        could ever arrive.
         """
-        while not future.done:
-            if self.reply_waiter is not None:
-                try:
-                    self.reply_waiter()
-                except SchedulerStalled:
-                    # Nothing runnable and no timer: the record (or its
-                    # reply) was lost.  Same as an elapsed
-                    # retransmission timeout — the task path retries.
-                    future.fail(RpcTimeout(
-                        f"scheduler stalled waiting on {future.name}"
+        waiter = self.reply_waiter
+        clock = self.backoff_clock
+        layers = self.metrics.layers
+        layers.push("network")
+        try:
+            while not future.done:
+                if waiter is not None:
+                    try:
+                        waiter()
+                    except SchedulerStalled:
+                        # Nothing runnable and no timer: the record (or
+                        # its reply) was lost.  Same as an elapsed
+                        # retransmission timeout — the task path retries.
+                        future.fail(RpcTimeout(
+                            f"scheduler stalled waiting on {future.name}"
+                        ))
+                elif clock is None:
+                    future.fail(RpcNoWaiter(
+                        f"no reply possible for {future.name}: the "
+                        "transport has no reply_waiter and no clock — "
+                        "wire one up (e.g. TcpPipe.pump) before calling"
                     ))
-                continue
-            clock = self.backoff_clock
-            if (clock is not None and self.retry_policy is not None):
-                deadline = clock.next_deadline()
-                if deadline is not None:
-                    # No pump to run, but the retry policy armed a
-                    # retransmission timer: advance to it (charging the
-                    # wait to the virtual clock, exactly like the old
-                    # synchronous backoff did).
+                elif (deadline := clock.next_deadline()) is None:
+                    future.fail(RpcTimeout(
+                        f"nothing in flight for {future.name}"
+                    ))
+                else:
                     clock.advance(max(0.0, deadline - clock.now))
-                    continue
-            if self.synchronous_delivery:
-                future.fail(RpcTimeout(
-                    f"no nested reply for {future.name}"
-                ))
-            else:
-                future.fail(RpcNoWaiter(
-                    f"no reply possible for {future.name}: transport "
-                    "delivers asynchronously and no reply_waiter is "
-                    "configured — wire one up (e.g. TcpPipe.pump) "
-                    "before calling"
-                ))
+        finally:
+            layers.pop()
+
+    def _sleep_sync(self, seconds: float) -> None:
+        """A yielded sleep, spent on whichever clock applies.  A zero
+        sleep still advances: it fires whatever is already due."""
+        if self.backoff_clock is not None:
+            self.backoff_clock.advance(seconds)
+        elif seconds > 0:
+            time.sleep(seconds)
 
     # --- the send window --------------------------------------------------
 
     def _window_acquire(self):
         """Take (or wait for) an in-flight slot; ``yield from`` it."""
-        depth = self.window_depth
-        if depth is None:
-            return
-        if self._window_in_flight < depth and not self._window_waiters:
+        if (self._window_in_flight < self.window_depth
+                and not self._window_waiters):
             self._window_in_flight += 1
         else:
             slot = Future(name=f"{self.name}:window-slot")
@@ -652,6 +638,8 @@ class RpcPeer:
         self._m_window_in_flight.set(self._window_in_flight)
 
     def _window_release(self) -> None:
+        if self.window_depth is None:
+            return
         if self._window_waiters:
             # Hand the slot to the oldest waiter instead of freeing it:
             # FIFO admission even when replies complete out of order.
@@ -666,15 +654,6 @@ class RpcPeer:
             return RpcBusy(reply)
         return RpcRejected(reply)
 
-    def _backoff(self, delay: float) -> None:
-        """Wait before a retransmission, on whichever clock applies."""
-        if delay <= 0:
-            return
-        if self.backoff_clock is not None:
-            self.backoff_clock.advance(delay)
-        else:
-            time.sleep(delay)
-
     def call_task(
         self,
         prog: int,
@@ -684,20 +663,25 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
-        *,
-        _observe: bool = True,
     ):
         """The one task-native call path (``yield from`` it).
 
-        Instead of pumping the transport until the reply lands, the
-        generator yields a :class:`~repro.sim.sched.Future` per attempt
-        and suspends, so many in-flight calls share one transport.  The
-        retry policy's backoff schedule doubles as the per-attempt
-        timeout: a timer fails the future after the attempt's delay,
-        the task wakes, and the record is retransmitted (same xid, same
-        bytes — at-most-once via the remote reply cache).  Raises the
-        same exceptions as :meth:`call`, plus :class:`RpcBusy` when the
-        server's admission control rejects the call.
+        The generator yields a :class:`~repro.sim.sched.Future` per
+        attempt and suspends, so many in-flight calls share one
+        transport.  Raises :class:`RpcTimeout` if no reply arrives
+        (dropped record), :class:`RpcTransportDown` if the transport
+        closed, :class:`RpcRejected` on a non-SUCCESS reply and
+        :class:`RpcBusy` when the server's admission control rejects
+        the call.
+
+        With a :attr:`retry_policy` set, the policy's backoff schedule
+        doubles as the per-attempt timeout: a timer fails the future
+        after the attempt's delay, the task wakes, and the record is
+        retransmitted verbatim (same xid, same bytes — at-most-once via
+        the remote reply cache).  From the second retry on,
+        :attr:`recovery_hook` runs first (``yield from``) so a
+        desynchronized secure channel can be re-keyed before the record
+        goes out again.
 
         With :attr:`window_depth` set, the call first acquires an
         in-flight slot (yielding on a slot future when the window is
@@ -706,17 +690,12 @@ class RpcPeer:
         """
         if self.window_depth is not None:
             yield from self._window_acquire()
-            try:
-                result = yield from self._call_task_inner(
-                    prog, vers, proc, arg_codec, args, res_codec, cred,
-                    _observe,
-                )
-            finally:
-                self._window_release()
-            return result
-        return (yield from self._call_task_inner(
-            prog, vers, proc, arg_codec, args, res_codec, cred, _observe,
-        ))
+        try:
+            return (yield from self._call_task_inner(
+                prog, vers, proc, arg_codec, args, res_codec, cred,
+            ))
+        finally:
+            self._window_release()
 
     def _call_task_inner(
         self,
@@ -727,13 +706,11 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth,
-        observe: bool,
     ):
         self._xid += 1
         xid = self._xid
         header = CallHeader(xid, prog, vers, proc, cred=cred)
         record = rpcmsg.pack_call(header, arg_codec.pack(args))
-        self._pending[xid] = None
         self.calls_sent += 1
         self._m_calls.inc()
         self._calls_by_proc.labels((prog, proc)).inc()
@@ -743,20 +720,11 @@ class RpcPeer:
         sim0 = clock.now if clock is not None else 0.0
         policy = self.retry_policy
         attempts = policy.max_attempts if policy is not None else 1
-        timeout = policy.base_delay if policy is not None else 0.0
-        if policy is not None and not self.synchronous_delivery:
-            # Asynchronous transports have real wire time between send
-            # and reply: propagation (2x RTT margin) plus serialization
-            # of large vectored replies, which the sender cannot size in
-            # advance.  Floor the first retransmission timeout so only
-            # genuine loss — not a reply still on the wire — triggers a
-            # resend (and, worse, the second-retry channel rekey).  Under
-            # synchronous delivery the reply beats the timer by
-            # construction, so legacy timing is untouched.
-            timeout = max(timeout, 2.0 * self.rtt_estimate,
-                          _ASYNC_RTO_FLOOR)
+        # Floored, so that only genuine loss — not a reply still on the
+        # wire — triggers a resend (and, worse, the second-retry rekey).
+        timeout = (max(policy.base_delay, self.rto_floor)
+                   if policy is not None else 0.0)
         try:
-            reply = None
             for attempt in range(attempts):
                 if attempt:
                     self.retransmissions += 1
@@ -768,11 +736,12 @@ class RpcPeer:
                         )
                     if attempt >= 2 and self.recovery_hook is not None:
                         try:
-                            if self.recovery_hook():
-                                self.recoveries += 1
-                                self._m_recoveries.inc()
-                        except Exception:  # noqa: BLE001 - keep retrying
-                            pass
+                            repaired = yield from self.recovery_hook()
+                        except (RpcError, ConnectionError):
+                            repaired = False  # keep retrying regardless
+                        if repaired:
+                            self.recoveries += 1
+                            self._m_recoveries.inc()
                 if self._closed:
                     self._m_timeouts.inc()
                     raise RpcTransportDown(
@@ -789,36 +758,32 @@ class RpcPeer:
                         f"transport down for xid {xid} "
                         f"(prog={prog} proc={proc}): {exc}"
                     ) from exc
-                reply = self._pending.get(xid)
-                if reply is not None:
-                    break  # nested synchronous delivery answered already
                 if clock is not None and policy is not None:
-                    def expire(future=future, xid=xid) -> None:
-                        if not future.done:  # reply already landed: no-op
-                            future.fail(RpcTimeout(f"no reply for xid {xid}"))
+                    def expire(xid=xid) -> None:
+                        # Looked up, not captured: the timer outlives
+                        # the call by up to its whole timeout and must
+                        # not pin the reply body the future then holds.
+                        # (A reply already landed: nothing to find.)
+                        pending = self._call_futures.get(xid)
+                        if pending is not None:
+                            pending.fail(RpcTimeout(f"no reply for xid {xid}"))
                     clock.call_at(clock.now + timeout, expire)
                     timeout = min(timeout * policy.multiplier,
                                   policy.max_delay)
                 try:
-                    yield future
+                    reply, body = yield future
                 except RpcTransportDown:
                     raise
                 except RpcTimeout:
                     continue  # this attempt timed out: retransmit
-                reply = self._pending.get(xid)
-                if reply is not None:
-                    break
-            if reply is None:
-                self._m_timeouts.inc()
-                raise RpcTimeout(
-                    f"no reply for xid {xid} (prog={prog} proc={proc})"
-                )
-            if not reply.successful:
-                raise self._rejection(reply)
-            return res_codec.unpack(self._results.pop(xid))
+                if not reply.successful:
+                    raise self._rejection(reply)
+                return res_codec.unpack(body)
+            self._m_timeouts.inc()
+            raise RpcTimeout(
+                f"no reply for xid {xid} (prog={prog} proc={proc})"
+            )
         finally:
-            self._pending.pop(xid, None)
-            self._results.pop(xid, None)
             self._call_futures.pop(xid, None)
-            if observe and self.metrics.enabled and clock is not None:
+            if clock is not None:
                 self._m_call_seconds.observe(clock.now - sim0)

@@ -6,9 +6,9 @@ system, so the same RPC peers also run over genuine sockets.  Records are
 framed with the standard record-marking header: a 4-byte big-endian word
 whose high bit marks the final fragment.
 
-`TcpPipe` satisfies the :class:`repro.rpc.peer.Pipe` protocol.  Because
-socket delivery is not synchronous like the virtual network's, `TcpPipe`
-pumps the socket when a caller waits for a reply; a background listener
+`TcpPipe` satisfies the :class:`repro.rpc.peer.Pipe` protocol.  Where a
+caller on the virtual network waits for a reply by advancing the clock,
+`TcpPipe` pumps the socket; a background listener
 (`TcpListener`) accepts connections and runs a service loop per
 connection thread.
 """
@@ -130,9 +130,8 @@ class TcpPipe:
 def attach_peer(pipe: TcpPipe, peer) -> None:
     """Wire an RpcPeer to a TcpPipe for synchronous-style calls.
 
-    Socket delivery is not synchronous like the virtual network's, so the
-    peer's ``reply_waiter`` pumps the socket until the awaited reply (or
-    an inbound call, which gets served) arrives.
+    The peer's ``reply_waiter`` pumps the socket until the awaited reply
+    (or an inbound call, which gets served) arrives.
     """
     peer.reply_waiter = pipe.pump
 

@@ -15,8 +15,8 @@ three stages:
    namespace-resolution loops, and the timeline driver (a non-daemon
    task that sleeps to each event's virtual time and applies it), then
    run the scheduler to completion.  Restart timers are clock timers
-   scheduled relative to the crash they heal, so they fire even while
-   a synchronous client reconnect owns the clock.
+   scheduled relative to the crash they heal, so they fire whoever is
+   advancing the clock at the time.
 3. **evaluate** — total the reports, run every assertion in the spec,
    and fold the deterministic facts of the run (fired events, per-phase
    op counts and simulated latency sums, virtual duration) into a
@@ -348,15 +348,22 @@ class _Runtime:
                 self._refresh_handles(_h, _s)
             )
 
-    def _refresh_handles(self, harness: LoadHarness, session) -> None:
-        root = self._lookup(session, bytes(24), ".")
-        fresh = [self._lookup(session, root, f"load{index}")
-                 for index in range(harness.config.file_count)]
+    def _refresh_handles(self, harness: LoadHarness, session):
+        """The sessions' ``on_retarget`` generator: it runs inside the
+        load task that is reconnecting, so it yields while it looks up."""
+        root = yield from self._lookup_task(session, bytes(24), ".")
+        fresh = []
+        for index in range(harness.config.file_count):
+            fresh.append((yield from self._lookup_task(
+                session, root, f"load{index}")))
         harness.handles[:] = fresh
         self.count("scenario.handle_refreshes")
 
     def _lookup(self, session, dir_handle: bytes, name: str) -> bytes:
-        status, body = session.call_nfs(
+        return session.peer.drive(self._lookup_task(session, dir_handle, name))
+
+    def _lookup_task(self, session, dir_handle: bytes, name: str):
+        status, body = yield from session.call_nfs_task(
             nfs_const.NFSPROC3_LOOKUP,
             nfs_types.LookupArgs.make(
                 what=nfs_types.DirOpArgs.make(dir=dir_handle, name=name)

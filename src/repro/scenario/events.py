@@ -45,8 +45,8 @@ def _ev_crash(rt, params: dict) -> None:
     restart_after = params.get("restart_after")
     if restart_after is not None:
         # Relative to the crash that just happened, via a clock timer:
-        # the reboot then fires from inside Clock.advance even while a
-        # synchronous client reconnect owns the scheduler.
+        # the reboot then fires from inside Clock.advance, whoever is
+        # advancing the clock.
         machine.schedule_restart(rt.clock.now + float(restart_after))
 
 

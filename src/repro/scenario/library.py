@@ -14,6 +14,8 @@ from pathlib import Path
 from .spec import ScenarioSpec, ScenarioSpecError, load_spec
 
 ENV_VAR = "REPRO_SCENARIO_DIR"
+#: The pinned per-seed digests of the shipped deck (not a scenario).
+DIGESTS_FILE = "DIGESTS.json"
 
 
 def scenario_dir() -> Path:
@@ -36,7 +38,7 @@ def _spec_files(directory: Path) -> list[Path]:
     files: list[Path] = []
     for pattern in patterns:
         files.extend(directory.glob(pattern))
-    return sorted(files)
+    return sorted(path for path in files if path.name != DIGESTS_FILE)
 
 
 def load_library(directory: Path | None = None) -> dict[str, ScenarioSpec]:

@@ -35,7 +35,6 @@ class Clock:
         self._now = 0.0
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
-        self._firing = False
 
     @property
     def now(self) -> float:
@@ -69,21 +68,17 @@ class Clock:
 
     def _fire_due(self) -> None:
         # Re-entrant by design: a callback that advances the clock (a
-        # relay synchronously waiting out a pipelined reply arrival,
-        # say) drains the newly-due timers right there, from the inner
+        # relay synchronously waiting out a reply's arrival, say)
+        # drains the newly-due timers right there, from the inner
         # frame.  Each timer is popped before its callback runs, so no
         # frame can double-fire one, and the heap hands out deadlines
         # earliest-first no matter which frame is draining — global
         # firing order is exactly what a single flat drain would give.
         # Nesting depth is bounded by the relay chain (kernel -> sfscd
         # -> sfssd), not by message count.
-        self._firing = True
-        try:
-            while self._timers and self._timers[0][0] <= self._now:
-                _when, _seq, callback = heapq.heappop(self._timers)
-                callback()
-        finally:
-            self._firing = False
+        while self._timers and self._timers[0][0] <= self._now:
+            _when, _seq, callback = heapq.heappop(self._timers)
+            callback()
 
     def reset(self) -> None:
         self._now = 0.0

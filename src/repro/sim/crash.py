@@ -8,12 +8,13 @@ when an armed hit count is reached it first runs the crash callback
 to TCP connections) and then raises :class:`ServerCrashed` to unwind the
 server out of whatever it was doing.
 
-Because delivery in the simulator is synchronous, the unwind is visible
-to the client as its own ``send`` failing: the server's attempt to reply
-over the now-closed link raises ``LinkDown``, which propagates back down
-the nested delivery stack into the caller.  No reply is ever generated —
-the same observable as a real crash, where the response packet simply
-never arrives.
+The unwind stops at the dead machine's own wire: the server's attempt
+to reply over the now-closed link goes nowhere, and the arrival timer
+that delivered the fatal record absorbs whatever is left of the
+``ConnectionError``.  The client sees its link's close hook fire
+(``RpcTransportDown`` for every call in flight).  No reply is ever
+generated — the same observable as a real crash, where the response
+packet simply never arrives.
 
 Crash points are deliberately few and named for the protocol window they
 interrupt (see docs/PROTOCOLS.md, "Crash and recovery semantics"):

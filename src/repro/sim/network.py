@@ -4,13 +4,16 @@
 Attackers can intercept packets, tamper with them, and inject new packets
 onto the network." (paper section 2.1.2)
 
-The network delivers framed records synchronously between endpoint pairs
-(one :class:`Link` per TCP-connection analogue), charging latency and
-bandwidth to the virtual clock, and routes every record through an
-optional :class:`Adversary` that may observe, modify, drop, reorder, or
-inject records.  Security tests use adversaries to prove that the SFS
-secure channel rejects all of this; benchmarks use a passive network with
-the paper's 100 Mbit switched-Ethernet timing.
+The network carries framed records between endpoint pairs (one
+:class:`Link` per TCP-connection analogue).  There is one delivery rule:
+*a record arrives when the virtual clock reaches its arrival time* —
+``send`` schedules a clock timer at ``depart + transmission + latency``
+and returns; whoever is waiting advances the clock (or yields to the
+scheduler, which does).  Every record is routed through an optional
+:class:`Adversary` that may observe, modify, drop, reorder, or inject
+records.  Security tests use adversaries to prove that the SFS secure
+channel rejects all of this; benchmarks use a passive network with the
+paper's 100 Mbit switched-Ethernet timing.
 """
 
 from __future__ import annotations
@@ -335,15 +338,10 @@ class Medium:
 
     Links that share a Medium (all the links terminating at one server's
     NIC) contend for its bandwidth: a record sent while the medium is
-    still carrying an earlier record queues behind it, and the sender is
-    charged the queueing delay on top of its own latency.  Transmission
-    time accrues on :attr:`busy_until` rather than being charged to the
-    global clock, so concurrent flows genuinely overlap-and-contend
-    instead of each paying full serialization independently.
-
-    Links *without* a medium keep the original independent
-    latency+bandwidth charge, so every single-client figure benchmark is
-    bit-identical to the uncontended model.
+    still carrying an earlier record queues behind it, store-and-forward
+    — its arrival is pushed back by the queueing delay plus its own
+    transmission time.  Links *without* a medium serialize the same way
+    on their own per-direction ``busy_until``.
     """
 
     __slots__ = ("name", "busy_until")
@@ -367,9 +365,14 @@ class _Endpoint:
 class Link:
     """A bidirectional record pipe between two endpoints ("a" and "b").
 
-    Delivery is synchronous: ``send_a(data)`` invokes b's handler before
-    returning (possibly multiple times if an adversary injects records).
-    Latency and bandwidth are charged to the clock per delivered record.
+    ``send_a(data)`` costs the sender nothing inline: the record departs
+    now and b's handler runs from a clock timer at its arrival time
+    (once per record the adversary lets through or injects).
+    Transmissions in one direction serialize on the wire; propagation,
+    remote processing and the return path overlap across in-flight
+    records.  A zero-latency, infinite-bandwidth link (the loopbacks)
+    arrives at ``now``: the clock does not move, but the handler still
+    runs from the timer, not from inside ``send``.
     """
 
     def __init__(
@@ -379,7 +382,6 @@ class Link:
         adversary: Adversary | None = None,
         metrics=None,
         media: "dict[str, Medium] | None" = None,
-        pipelined: bool = False,
     ) -> None:
         self._clock = clock
         self._params = params or NetworkParameters.instant()
@@ -387,17 +389,6 @@ class Link:
         self._a = _Endpoint()
         self._b = _Endpoint()
         self._open = True
-        #: Pipelined delivery: instead of charging the *sender* the
-        #: full latency+transmission inline (nested synchronous
-        #: delivery), the record departs immediately and arrives via a
-        #: clock timer at ``depart + tx + latency``.  Transmissions in
-        #: one direction serialize on the wire (per-direction
-        #: ``busy_until``), but propagation, remote processing, and the
-        #: return path all overlap across in-flight records — what
-        #: windowed RPC pipelining exploits.  Off by default: the
-        #: synchronous model stays bit-identical for every existing
-        #: test and figure.
-        self.pipelined = pipelined
         self._busy_until = {"a->b": 0.0, "b->a": 0.0}
         #: Advisory RPC send-window depth for peers built over this
         #: link (None = unwindowed); set by World.enable_pipelining and
@@ -406,9 +397,10 @@ class Link:
         #: Optional per-direction shared media ({"a->b": ..., "b->a": ...});
         #: see :class:`Medium`.  None = independent per-message charges.
         self._media = media or {}
-        #: Optional progress pump (Scheduler.pump_once) that RpcPeer
-        #: picks up as its reply_waiter via ``suggested_reply_waiter``;
-        #: lets synchronous calls wait out a queued server.
+        #: Optional progress pump (Scheduler.legacy_pump) that RpcPeer
+        #: picks up as its reply_waiter via ``suggested_reply_waiter``:
+        #: how a synchronous caller outside any task lets the world's
+        #: tasks (a queued server's workers) run while it waits.
         self.pump = None
         #: Called (once each) when the link closes; RpcPeer hangs the
         #: failure of its in-flight call futures here.
@@ -427,12 +419,12 @@ class Link:
         self._m_medium_wait_s = self._metrics.histogram(
             "net.medium_wait_seconds"
         )
-        # Pipelined-delivery visibility: total wire time spent off the
-        # sender's critical path (queueing + transmission + propagation),
-        # record count, and records lost because the link closed while
-        # they were in flight.  ``wire_seconds`` is what the bench
-        # attribution table cites to show the network time that a
-        # depth-N window overlapped instead of serializing.
+        # Wire visibility: total time records spent on the wire
+        # (queueing + transmission + propagation), record count, and
+        # records lost because the link closed while they were in
+        # flight.  ``wire_seconds`` is what the bench attribution table
+        # cites to show the network time that a depth-N window
+        # overlapped instead of serializing.
         self._m_wire_records = self._metrics.counter("net.pipelined.records")
         self._m_wire_seconds = self._metrics.counter(
             "net.pipelined.wire_seconds"
@@ -490,33 +482,11 @@ class Link:
     def is_open(self) -> bool:
         return self._open
 
-    def _charge(self, nbytes: int, direction: str) -> None:
-        layers = self._metrics.layers
-        layers.push("network")
-        try:
-            params = self._params
-            total = nbytes + params.per_message_overhead
-            tx = (total / params.bandwidth
-                  if params.bandwidth != float("inf") else 0.0)
-            medium = self._media.get(direction)
-            if medium is None:
-                # Uncontended: the original independent charge.
-                self._clock.advance(params.latency + tx)
-                return
-            # Contended: transmission occupies the shared medium; the
-            # sender is charged propagation latency plus however long
-            # the medium stays busy with *earlier* records.
-            wait = medium.occupy(self._clock.now, tx)
-            if wait > 0:
-                self._m_medium_waits.inc()
-                self._m_medium_wait_s.observe(wait)
-            self._clock.advance(params.latency + wait)
-        finally:
-            layers.pop()
-
     def _deliver(self, endpoint: _Endpoint, data: bytes, direction: str) -> None:
         if not self._open:
             raise LinkDown("link is closed")
+        if endpoint.handler is None:
+            raise LinkDown("no handler installed at destination")
         records = [data]
         if self._adversary is not None:
             records = self._adversary.process(data, direction)
@@ -532,17 +502,11 @@ class Link:
             self.bytes_carried += len(record)
             self._m_messages.inc()
             self._m_bytes.inc(len(record))
-            if self.pipelined:
-                self._schedule_arrival(endpoint, record, direction)
-                continue
-            self._charge(len(record), direction)
-            if endpoint.handler is None:
-                raise LinkDown("no handler installed at destination")
-            endpoint.handler(record)
+            self._schedule_arrival(endpoint, record, direction)
 
     def _schedule_arrival(self, endpoint: _Endpoint, record: bytes,
                           direction: str) -> None:
-        """Pipelined delivery: depart now, arrive via a clock timer.
+        """Depart now, arrive via a clock timer.
 
         The sender pays nothing inline.  Transmission serializes per
         direction (shared :class:`Medium` when present, otherwise this
@@ -552,9 +516,8 @@ class Link:
         link closes are lost silently — exactly a cable pull.
         """
         params = self._params
-        total = len(record) + params.per_message_overhead
-        tx = (total / params.bandwidth
-              if params.bandwidth != float("inf") else 0.0)
+        # (x / inf is 0.0: the instant profile transmits in no time.)
+        tx = (len(record) + params.per_message_overhead) / params.bandwidth
         now = self._clock.now
         medium = self._media.get(direction)
         if medium is not None:
@@ -575,7 +538,15 @@ class Link:
             if not self._open or endpoint.handler is None:
                 self._m_inflight_lost.inc()
                 return
-            endpoint.handler(record)
+            try:
+                endpoint.handler(record)
+            except ConnectionError:
+                # The receiving machine died handling the record (a
+                # crash closes its links, then unwinds it).  The unwind
+                # stops at its own wire: whoever is advancing the clock
+                # is some other endpoint, which learns of the death
+                # from its close hook.
+                pass
 
         self._clock.call_at(arrival, arrive)
 
@@ -590,17 +561,6 @@ class Link:
 
 class LinkSide:
     """One side of a link presented as a simple send/receive object."""
-
-    @property
-    def synchronous_delivery(self) -> bool:
-        """Whether a reply can arrive via nested handler invocation
-        before ``send`` returns.  True on the classic synchronous
-        network; False on a pipelined link, where records only arrive
-        when the clock crosses their arrival timer.  RpcPeer reads this
-        to tell a genuinely lost record from a transport that simply
-        has no way to wait.
-        """
-        return not self._link.pipelined
 
     def __init__(self, link: Link, side: str) -> None:
         if side not in ("a", "b"):
@@ -635,8 +595,8 @@ class LinkSide:
         """Round-trip propagation estimate (2x one-way latency).
 
         RPC peers floor their retransmission timers at twice this, so
-        pipelined links with real wire time don't retransmit calls
-        whose replies are still in flight."""
+        links with real wire time don't retransmit calls whose replies
+        are still in flight."""
         return 2.0 * self._link._params.latency
 
     @property
@@ -644,8 +604,9 @@ class LinkSide:
         """The link's progress pump (a Scheduler.pump_once), if any.
 
         With a queued server, a reply only arrives once a worker task
-        runs; synchronous callers wait by pumping the scheduler instead
-        of timing out.  None on plain links — behavior unchanged.
+        runs; synchronous callers wait by pumping the scheduler.  None
+        on bare links, where a waiting caller advances the clock to the
+        next arrival itself.
         """
         return self._link.pump
 
@@ -678,9 +639,7 @@ def link_pair(
     adversary: Adversary | None = None,
     metrics=None,
     media: dict[str, Medium] | None = None,
-    pipelined: bool = False,
 ) -> tuple[LinkSide, LinkSide]:
     """Create a link and return its two sides (client side first)."""
-    link = Link(clock, params, adversary, metrics, media=media,
-                pipelined=pipelined)
+    link = Link(clock, params, adversary, metrics, media=media)
     return LinkSide(link, "a"), LinkSide(link, "b")

@@ -1,32 +1,32 @@
 """A deterministic cooperative task engine over the virtual clock.
 
-The simulator's calls have so far been fully synchronous — one client,
-one RPC at a time, delivered by nested function calls.  Concurrency
-(many clients queueing against one server) needs tasks that can *wait*
-without blocking the whole world.  This module provides them without
-threads: a :class:`Task` wraps a generator that ``yield``\\ s what it is
-waiting for — a :class:`Future` (an RPC reply, a queue wakeup) or a
-:class:`Sleep` (think time, backoff) — and the :class:`Scheduler` steps
-whichever tasks are runnable, advancing the :class:`~repro.sim.clock.
-Clock` to the next timer deadline whenever everyone is waiting.
+Every record in the simulator arrives from a clock timer, and whoever
+waits for one waits by yielding.  This module is where the yielding
+happens, without threads: a :class:`Task` wraps a generator that
+``yield``\\ s what it is waiting for — a :class:`Future` (an RPC reply,
+a queue wakeup) or a :class:`Sleep` (think time, backoff) — and the
+:class:`Scheduler` steps whichever tasks are runnable, advancing the
+:class:`~repro.sim.clock.Clock` to the next timer deadline whenever
+everyone is waiting.
 
 Determinism: when several tasks are runnable the scheduler picks among
 them with its own seeded ``random.Random``, so every interleaving is a
 pure function of the seed.  Nothing here reads wall-clock time.
 
-Re-entrancy: the synchronous call paths (session handshakes, the crash
-failover engine) still run *inside* a task step.  They make progress by
-pumping the scheduler — :meth:`Scheduler.pump_once` steps one *other*
-runnable task or advances the clock — which is why a task being stepped
-is never in the ready queue.  When nothing can run and no timer is
-pending, :meth:`pump_once` raises :class:`SchedulerStalled`; the RPC
-layer treats that exactly like an elapsed retransmission timer.
+The synchronous edge: callers outside any task (tests, examples, the
+kernel's VFS facade) drive a generator to completion with
+:meth:`repro.rpc.peer.RpcPeer.drive`, which makes progress through
+:meth:`Scheduler.legacy_pump` — step one runnable task or advance the
+clock.  Code running *inside* a task step never pumps: it yields, and a
+pump from there is an :class:`AssertionError` naming the task.  When
+nothing can run and no timer is pending, :meth:`pump_once` raises
+:class:`SchedulerStalled`; the RPC layer treats that exactly like an
+elapsed retransmission timer.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable
 
 from ..obs.registry import NULL_REGISTRY
@@ -178,15 +178,9 @@ class Scheduler:
         #: Non-daemon tasks that died of an exception, ever; a run's
         #: own failures are the delta around it.
         self.failed_tasks = 0
-        #: The task currently being stepped, if any — how re-entrant
-        #: (legacy sync) code can tell it is running inside a task.
+        #: The task currently being stepped, if any — how
+        #: :meth:`legacy_pump` tells a sync entry point from a task.
         self.current: Task | None = None
-        #: With strict_pump on, :meth:`legacy_pump` asserts it is only
-        #: reached from true sync entry points (no task mid-step) — the
-        #: task-native worlds turn it on to prove their hot paths never
-        #: fall back to pump re-entrancy.
-        self.strict_pump = False
-        self._pump_allowances = 0
         self._m_steps = self.metrics.counter("sched.steps")
         self._m_spawned = self.metrics.counter("sched.tasks_spawned")
         self._m_failed = self.metrics.counter("sched.tasks_failed")
@@ -335,42 +329,24 @@ class Scheduler:
         self.clock.advance(max(0.0, deadline - self.clock.now))
 
     def legacy_pump(self) -> None:
-        """Deprecation shim around :meth:`pump_once` for sync callers.
+        """:meth:`pump_once` for synchronous callers outside any task.
 
         This is what :class:`~repro.kernel.world.World` wires into
-        ``link.pump``: legacy synchronous entry points (handshakes run
-        outside any task, tests) still make progress by pumping, but
-        every use is counted (``sched.legacy_pumps``), and under
-        ``strict_pump`` a pump *from inside a task step* — the
-        re-entrancy the task-native core exists to retire — is an
-        assertion failure naming the offending task.
+        ``link.pump``: sync entry points (handshakes run outside any
+        task, the kernel's VFS calls, tests) make progress by pumping,
+        and every use is counted (``sched.legacy_pumps``).  A pump
+        *from inside a task step* would re-enter the scheduler under
+        the task that is supposed to yield instead; that is always an
+        error, and it names the offending task.
         """
         self._m_legacy_pumps.inc()
-        if (self.strict_pump and self.current is not None
-                and not self._pump_allowances):
+        if self.current is not None:
             raise AssertionError(
                 "legacy scheduler pump reached from inside task "
                 f"{self.current.name!r}: this path must be task-native "
-                "(yield on a Future/Sleep) under strict_pump"
+                "(yield on a Future/Sleep)"
             )
         self.pump_once()
-
-    @contextmanager
-    def allow_legacy_pump(self):
-        """Permit :meth:`legacy_pump` inside a task for this scope.
-
-        The explicit cold-path escape hatch under ``strict_pump``: crash
-        recovery (redial, HostID re-verification, key renegotiation) is
-        a synchronous engine by design, and a worker task that trips
-        over a dead transport runs it inline rather than dying.  Scoping
-        the allowance keeps the strict check meaningful everywhere else
-        — a hot-path pump still fails loudly.
-        """
-        self._pump_allowances += 1
-        try:
-            yield
-        finally:
-            self._pump_allowances -= 1
 
     def run(self) -> list[Task]:
         """Run until every non-daemon task finishes or nothing can move.

@@ -24,10 +24,12 @@ from repro.kernel.world import World
 from repro.nfs3 import const as nfs_const
 from repro.nfs3 import types as nfs_types
 from repro.rpc import rpcmsg
+from tests.helpers import settle
 from repro.sim.network import (
     Adversary,
     ChaosAdversary,
     DropAdversary,
+    RandomDropAdversary,
     RecordingAdversary,
 )
 
@@ -261,6 +263,7 @@ def test_forged_resync_request_is_dos_only():
     # Inject the forged control record straight onto the raw link, as a
     # network attacker would:
     session.pipe.raw.send(make_control_record(RESYNC_REQUEST))
+    settle(world.clock)
     (connection,) = server_connections(server, path)
     assert connection.resyncs_served == 1  # server fell for it
     # ... yet the client recovers and the data is still right:
@@ -289,6 +292,7 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
     relayed_before = export.nfs_client.peer.calls_sent
     # Step 1: the forged control record drops the server to plaintext.
     session.pipe.raw.send(make_control_record(RESYNC_REQUEST))
+    settle(world.clock)
     assert connection.resyncs_served == 1
     # Step 2: the attacker speaks the session dialect in plaintext with
     # a guessed authno (authnos are small sequential ints).  The
@@ -305,6 +309,7 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
         )),
     )
     session.pipe.raw.send(forged)
+    settle(world.clock)
     # Not executed: no registered procedure ran and nothing reached the
     # local NFS server, so no reply can have carried file system state.
     assert connection.peer.calls_served == served_before
@@ -418,3 +423,25 @@ def test_eavesdropper_sees_no_plaintext_across_rekey():
     assert secret_before not in wire
     assert secret_after not in wire
     assert b"confidential" not in wire
+
+
+def test_lossy_depth_8_closed_loop_recovers_inside_its_tasks():
+    """Recovery on the engine the pipelined workloads run: 15 % of
+    records vanish once the handshakes are done, and every op of a
+    depth-8 closed loop still completes, because resync runs as part of
+    the task whose call timed out (it yields for the ACK and the REKEY)
+    instead of pumping from inside it."""
+    from repro.load import LoadConfig, LoadHarness
+
+    harness = LoadHarness(LoadConfig(clients=4, ops_per_client=30,
+                                     seed=2026, pipeline_depth=8))
+    seeds = random.Random(2026)
+    harness.world.set_wire_adversary(
+        lambda: RandomDropAdversary(0.15, random.Random(seeds.random())))
+    report = harness.run_closed_loop()
+    assert report.ops_completed == 4 * 30
+    assert report.op_errors == 0
+    assert report.unfinished_tasks == 0
+    assert sum(session.rekeys for session in harness.sessions) > 0
+    harness.scheduler.drain()
+

@@ -160,7 +160,12 @@ def test_policy_saturates_on_the_hot_shard(comparison):
     managed_hot = next(s for s in managed.shards if s.location == hot)
     assert baseline_hot.busy_rejects == max(
         s.busy_rejects for s in baseline.shards)
-    assert managed_hot.final_max_depth > 4    # grew from the configured 4
+    # Grew from the configured 4: the queue can only ever have held more
+    # than 4 after AIMD raised the bound.  (Re-pinned from
+    # final_max_depth > 4: the bound saws between 2 and 16 for the whole
+    # run, and where the run happens to end on that sawtooth moved from
+    # 12 to 2 when contended links became store-and-forward.)
+    assert managed_hot.peak_queue_depth > 4
     assert managed_hot.busy_rejects < baseline_hot.busy_rejects
     # The artifact ships the full control story.
     assert artifact["actions"], "policy action log must not be empty"

@@ -372,14 +372,15 @@ def test_same_seed_same_recovery_trace():
 
 # --- crash under concurrent queued load ----------------------------------
 
-def _crash_load_run(seed: int):
+def _crash_load_run(seed: int, pipeline_depth=None):
     """8 concurrent clients against a queued server that power-fails
     mid-run with requests still waiting in its queue."""
     from repro.load import LoadConfig, LoadHarness
 
     config = LoadConfig(clients=8, ops_per_client=12, seed=seed,
                         workers=1, service_time=0.002, think_time=0.004,
-                        max_depth=16, failover=True)
+                        max_depth=16, failover=True,
+                        pipeline_depth=pipeline_depth)
     harness = LoadHarness(config)
     server = harness.server
     clock = harness.world.clock
@@ -397,8 +398,10 @@ def _crash_load_run(seed: int):
     return harness, report, state
 
 
-def test_server_crash_mid_queue_under_concurrent_clients():
-    harness, report, state = _crash_load_run(seed=7)
+@pytest.mark.parametrize("pipeline_depth", [None, 8])
+def test_server_crash_mid_queue_under_concurrent_clients(pipeline_depth):
+    harness, report, state = _crash_load_run(
+        seed=7, pipeline_depth=pipeline_depth)
     # The crash really did catch requests waiting in the queue.
     assert state["depth_at_crash"] > 0
     assert harness.world.metrics.counter("server.crashes").value == 1
@@ -424,3 +427,46 @@ def test_crash_mid_queue_is_deterministic_per_seed():
     assert first.latencies == second.latencies
     assert first.ops_completed == second.ops_completed
     assert first.duration == second.duration
+
+
+def test_reconnect_backoff_yields_to_the_other_clients():
+    """One session's link dies and its first two redials are refused:
+    while that client backs off, the other clients' operations keep
+    completing — the reconnect engine sleeps as a task instead of
+    advancing the clock from inside its scheduler step."""
+    from repro.load import LoadConfig, LoadHarness
+
+    harness = LoadHarness(LoadConfig(clients=3, ops_per_client=12, seed=11,
+                                     think_time=0.004, failover=True))
+    clock = harness.world.clock
+    victim = harness.sessions[0]
+    refusals = [ConnectionError("still down")] * 2
+    window = {}
+
+    def dial(location, service):
+        window.setdefault("backoff_from", clock.now)
+        if refusals:
+            raise refusals.pop()
+        window["backoff_until"] = clock.now
+        return harness.world.connector(location, service)
+
+    victim.enable_reconnect(dial)
+    clock.call_at(clock.now + 0.010, victim.pipe.raw.close)
+    completions = []
+    run_op = harness._run_op
+
+    def logged_op(session, stream, report):
+        ok = yield from run_op(session, stream, report)
+        if ok and session is not victim:
+            completions.append(clock.now)
+        return ok
+
+    harness._run_op = logged_op
+    report = harness.run_closed_loop()
+    assert report.ops_completed == 3 * 12
+    assert report.op_errors == 0
+    assert victim.reconnects == 1 and victim.backoff_sleeps == 2
+    during_backoff = [t for t in completions
+                      if window["backoff_from"] < t < window["backoff_until"]]
+    assert during_backoff, "nobody else ran while the victim backed off"
+

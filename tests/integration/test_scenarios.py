@@ -17,8 +17,33 @@ import json
 import pytest
 
 from repro.scenario import get_scenario, run_scenario
+from repro.scenario.library import DIGESTS_FILE, load_library, scenario_dir
 
 CHAOS_SEEDS = (2026, 31337)
+
+
+def _pinned_digests() -> dict:
+    with open(scenario_dir() / DIGESTS_FILE, encoding="utf-8") as handle:
+        return json.load(handle)["digests"]
+
+
+@pytest.mark.parametrize("name,seed", [
+    (name, int(seed))
+    for name, by_seed in sorted(_pinned_digests().items())
+    for seed in sorted(by_seed)
+])
+def test_shipped_deck_matches_its_pinned_digest(name, seed):
+    """"Unchanged" has to be tellable from "changed": every shipped
+    scenario's digest is committed per seed.  A change that moves
+    virtual time on purpose re-pins ``scenarios/DIGESTS.json`` and says
+    why there; one that moves it by accident fails here."""
+    result = run_scenario(get_scenario(name), seed=seed)
+    assert result.passed, result.failures
+    assert result.digest == _pinned_digests()[name][str(seed)]
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert set(_pinned_digests()) == set(load_library())
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -153,6 +153,28 @@ def test_kernel_level_auth_selection(auth_world):
         bob_proc.write_file(f"{path}/home/alice/intrusion", b"x")
 
 
+def test_kernel_login_backs_off_when_the_admission_queue_is_full(auth_world):
+    """The LOGIN a first file access triggers meets SERVER_BUSY: the
+    client backs off, signs a fresh seqno and gets in — the user is
+    authenticated, not handed EIO (or silently left anonymous)."""
+    world, server, path, alice = auth_world
+    queue = server.enable_queueing(max_depth=1, workers=1,
+                                   service_time=0.010)
+    client = world.add_client("workstation")
+    client.process(uid=4000).stat(f"{path}/home")   # mount; no agent
+    session = client.sfscd._mounts[path.hostid].session
+    # One filler in service (the worker sleeps on it), one waiting: the
+    # queue is full when alice's LOGIN arrives.
+    assert queue.submit("filler", lambda: None)
+    world.scheduler.pump_once()
+    assert queue.submit("filler", lambda: None)
+    proc = client.login_user("alice", alice.key, uid=1000)
+    proc.write_file(f"{path}/home/alice/note", b"signed in")
+    assert proc.stat(f"{path}/home/alice/note").uid == 1000
+    assert session.busy_retries >= 1
+    assert world.metrics.counter("server.queue.rejected").value >= 1
+
+
 def test_user_authentication_over_secure_channel_only(auth_world):
     """LOGIN is part of the post-negotiation program: before ENCRYPT
     there is no RW program to call."""

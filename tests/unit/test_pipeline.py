@@ -1,8 +1,8 @@
 """Tests for the task-native async core (PROTOCOLS.md section 17).
 
-Windowed RPC pipelining, pipelined link delivery, NFS3 READV/WRITEV
-batching, client-side readahead / write-gathering, and the strict-pump
-discipline that proves the hot paths never fall back to scheduler
+Windowed RPC pipelining, timer link delivery, NFS3 READV/WRITEV
+batching, client-side readahead / write-gathering, and the pump
+discipline that proves code inside a task never falls back to scheduler
 re-entrancy.
 """
 
@@ -25,6 +25,7 @@ from repro.sim.network import (
     link_pair,
 )
 from repro.sim.sched import Future, Scheduler, SchedulerStalled
+from tests.helpers import settle
 
 ADD_ARGS = Struct("AddArgs", [("x", UInt32), ("y", UInt32)])
 WAN = NetworkParameters(latency=0.02, bandwidth=5_000_000.0,
@@ -33,7 +34,7 @@ WAN = NetworkParameters(latency=0.02, bandwidth=5_000_000.0,
 
 def make_pipelined_pair(params=WAN, adversary=None, depth=None, clock=None):
     clock = clock or Clock()
-    a, b = link_pair(clock, params, adversary, pipelined=True)
+    a, b = link_pair(clock, params, adversary)
     if depth is not None:
         a.link.window_depth = depth
     client = RpcPeer(a, "client")
@@ -59,7 +60,7 @@ def test_pipelined_link_overlaps_wire_time():
     """Back-to-back sends schedule arrivals one serialization apart;
     the sender is never charged a round trip inline."""
     clock = Clock()
-    a, b = link_pair(clock, WAN, pipelined=True)
+    a, b = link_pair(clock, WAN)
     arrivals = []
     b.on_receive(lambda record: arrivals.append(clock.now))
     payload = b"x" * 5000  # ~1 ms serialization at 5 MB/s
@@ -67,8 +68,7 @@ def test_pipelined_link_overlaps_wire_time():
     for _ in range(4):
         a.send(payload)
     assert clock.now == t0  # nothing charged inline
-    while clock.next_deadline() is not None:
-        clock.advance(clock.next_deadline() - clock.now)
+    settle(clock)
     assert len(arrivals) == 4
     # First record: serialization + propagation.  Each subsequent one
     # queues behind the previous transmission, not behind a full RTT.
@@ -240,11 +240,10 @@ def test_out_of_order_completion_with_duplicate_replay():
     assert results == {0: 1, 1: 2, 2: 3}
 
 
-# --- strict pump discipline (satellites 1 and 2) --------------------------
+# --- pump discipline --------------------------------------------------------
 
 def test_strict_pump_asserts_from_inside_a_task():
     scheduler = Scheduler(Clock(), seed=0)
-    scheduler.strict_pump = True
     errors = []
 
     def bad():
@@ -259,30 +258,6 @@ def test_strict_pump_asserts_from_inside_a_task():
     assert len(errors) == 1
     assert "hot-path-task" in errors[0]
     assert "task-native" in errors[0]
-
-
-def test_allow_legacy_pump_scopes_the_cold_path_escape():
-    """Crash recovery may pump synchronously from inside a task, but
-    only inside the explicit allowance scope."""
-    scheduler = Scheduler(Clock(), seed=0)
-    scheduler.strict_pump = True
-    progressed = []
-
-    def background():
-        yield 0.0
-        progressed.append(True)
-
-    def recovering():
-        with scheduler.allow_legacy_pump():
-            while not progressed:
-                scheduler.legacy_pump()
-        yield 0.0
-
-    scheduler.spawn(background(), name="background")
-    scheduler.spawn(recovering(), name="recovering")
-    scheduler.drain()
-    assert progressed == [True]
-    assert scheduler._pump_allowances == 0  # scope closed
 
 
 def test_stall_message_names_blocked_task_and_waited_future():

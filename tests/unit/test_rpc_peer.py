@@ -6,6 +6,7 @@ from repro.rpc.peer import Program, RpcPeer, RpcRejected, RpcTimeout
 from repro.rpc.xdr import String, Struct, UInt32, VOID
 from repro.sim.clock import Clock
 from repro.sim.network import DropAdversary, NetworkParameters, link_pair
+from tests.helpers import settle
 
 ADD_ARGS = Struct("AddArgs", [("x", UInt32), ("y", UInt32)])
 
@@ -294,7 +295,13 @@ def test_recovery_hook_runs_from_second_retry():
     client, server, _clock = make_pair(DropFirstThree())
     server.register(demo_program())
     client.retry_policy = RetryPolicy()
-    client.recovery_hook = lambda: hook_calls.append(True) or True
+
+    def hook():  # a generator function: call_task delegates to it
+        hook_calls.append(True)
+        return True
+        yield
+
+    client.recovery_hook = hook
     assert client.call(400000, 2, 1, ADD_ARGS, {"x": 2, "y": 2}, UInt32) == 4
     # attempt 0 dropped, attempt 1 (plain retransmit) dropped, attempts
     # 2 and 3 run the hook first:
@@ -329,14 +336,30 @@ def test_no_waiter_distinguished_from_timeout():
 def test_call_oneway_executes_and_drops_the_reply():
     """Fire-and-forget: the handler runs, the reply comes back to an
     xid nobody is waiting for, and the peer drops it silently."""
-    client, server, _clock = make_pair()
+    client, server, clock = make_pair()
     server.register(demo_program())
     client.call_oneway(400000, 2, 1, ADD_ARGS, {"x": 2, "y": 3})
+    settle(clock)
     assert client.calls_sent == 1
     assert server.calls_served == 1
     # The stray reply poisoned nothing: a real call still works.
     assert client.call(400000, 2, 1, ADD_ARGS, {"x": 4, "y": 4},
                        UInt32) == 8
+
+
+def test_zero_latency_link_still_delivers_from_the_clock():
+    """A loopback is timed like any link: nothing runs inside ``send``,
+    a waiting caller advances the clock to the arrival, and at zero
+    latency that arrival is *now* — the clock does not move."""
+    client, server, clock = make_pair()
+    server.register(demo_program())
+    clock.advance(1.0)
+    client.call_oneway(400000, 2, 1, ADD_ARGS, {"x": 2, "y": 3})
+    assert server.calls_served == 0
+    assert client.call(400000, 2, 1, ADD_ARGS, {"x": 4, "y": 4},
+                       UInt32) == 8
+    assert server.calls_served == 2
+    assert clock.now == 1.0
 
 
 def test_call_oneway_never_blocks_on_an_unresponsive_peer():

@@ -13,6 +13,7 @@ from repro.rpc.rpcmsg import AuthSys, CallHeader
 from repro.rpc.xdr import Record
 from repro.sim.clock import Clock
 from repro.sim.network import NetworkParameters, link_pair
+from tests.helpers import settle
 
 
 class _NoMounter:
@@ -186,6 +187,7 @@ def test_switchable_pipe_switch_after_reply():
     fake = FakeChannel()
     pipe_a.switch_after_reply(fake)
     pipe_a.send(b"the plaintext reply")      # goes out raw, then switch
+    settle(clock)
     assert received_b == [b"the plaintext reply"]
     pipe_a.send(b"now encrypted")
     assert sent == [b"now encrypted"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.helpers import settle
 from repro.sim.clock import Clock, Stopwatch
 from repro.sim.disk import Disk, DiskParameters
 from repro.sim.network import (
@@ -96,6 +97,7 @@ def test_link_delivers_and_charges():
     b.on_receive(inbox.append)
     a.on_receive(lambda data: None)
     a.send(b"hello")
+    settle(clock)
     assert inbox == [b"hello"]
     assert clock.now > 0.0
     assert a.link.messages == 1
@@ -106,6 +108,7 @@ def test_instant_network_is_free():
     a, b = link_pair(clock, NetworkParameters.instant())
     b.on_receive(lambda data: None)
     a.send(b"x" * 10000)
+    settle(clock)
     assert clock.now == 0.0
 
 
@@ -134,6 +137,7 @@ def test_tamper_adversary_flips_one_bit():
     a.send(b"\x00\x00")
     a.send(b"\x00\x00")
     a.send(b"\x00\x00")
+    settle(clock)
     assert inbox[0] == b"\x00\x00"
     assert inbox[1] != b"\x00\x00"
     assert inbox[2] == b"\x00\x00"
@@ -149,6 +153,7 @@ def test_tamper_adversary_direction_filter():
     b.on_receive(b_in.append)
     a.send(b"\x00")          # a->b untouched
     b.send(b"\x00")          # b->a tampered
+    settle(clock)
     assert b_in == [b"\x00"]
     assert a_in[0] != b"\x00"
 
@@ -161,6 +166,7 @@ def test_replay_adversary_duplicates():
     b.on_receive(inbox.append)
     a.send(b"one")
     a.send(b"two")
+    settle(clock)
     assert inbox == [b"one", b"two", b"one"]
     assert adversary.replayed == 1
 
@@ -173,6 +179,7 @@ def test_drop_adversary():
     b.on_receive(inbox.append)
     a.send(b"lost")
     a.send(b"kept")
+    settle(clock)
     assert inbox == [b"kept"]
     assert adversary.dropped == 1
 
@@ -348,8 +355,15 @@ def test_medium_occupy_accumulates_queueing_delay():
 
 
 def test_links_sharing_a_medium_contend_for_bandwidth():
-    """Two links into the same server NIC: the second sender pays the
-    first sender's residual transmission time."""
+    """Two links into the same server NIC: the second record pays the
+    first one's residual transmission time.
+
+    Re-pinned when inline delivery went: the medium is store-and-forward
+    (a record arrives after its *own* transmission too), where the
+    inline model charged the sender latency only and let transmission
+    accrue on the medium unseen (cut-through).  So 0.001 became 0.101
+    and 0.101 became 0.201; the 0.1 s of queueing between them is the
+    same."""
     from repro.sim.network import Medium, NetworkParameters, link_pair
 
     clock = Clock()
@@ -359,21 +373,22 @@ def test_links_sharing_a_medium_contend_for_bandwidth():
     seen = []
     a1, b1 = link_pair(clock, params, media={"a->b": rx})
     a2, b2 = link_pair(clock, params, media={"a->b": rx})
-    b1.on_receive(seen.append)
-    b2.on_receive(seen.append)
+    b1.on_receive(lambda data: seen.append(clock.now))
+    b2.on_receive(lambda data: seen.append(clock.now))
 
-    a1.send(b"x" * 100)             # tx = 0.1s, charged as occupancy
-    first_done = clock.now
+    a1.send(b"x" * 100)             # tx = 0.1s on the shared medium
     a2.send(b"y" * 100)             # queues behind link 1's record
-    assert first_done == pytest.approx(0.001)       # latency only
-    # Second sender: latency + 0.1s residual wait for the medium.
-    assert clock.now == pytest.approx(0.001 + 0.001 + 0.1 - 0.001)
+    settle(clock)
     assert len(seen) == 2
+    first_done, second_done = seen
+    assert first_done == pytest.approx(0.1 + 0.001)   # tx + latency
+    # Second record: 0.1s residual wait for the medium, then its own.
+    assert second_done == pytest.approx(first_done + 0.1)
 
 
 def test_link_without_medium_keeps_original_charge():
-    """Cut-through equivalence: no medium means the original
-    independent latency + serialization charge, bit for bit."""
+    """No medium means the original independent latency +
+    serialization charge, bit for bit."""
     from repro.sim.network import NetworkParameters, link_pair
 
     params = NetworkParameters(latency=0.001, bandwidth=1000.0,
@@ -382,6 +397,7 @@ def test_link_without_medium_keeps_original_charge():
     a, b = link_pair(plain_clock, params)
     b.on_receive(lambda data: None)
     a.send(b"x" * 100)
+    settle(plain_clock)
     assert plain_clock.now == pytest.approx(0.001 + 0.1)
 
 
