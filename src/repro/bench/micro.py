@@ -72,7 +72,7 @@ def measure_throughput(setup: BenchSetup,
     proc = setup.process
     path = f"{setup.workdir}/sparse"
     fd = proc.open(path, "w")
-    proc.close(fd, sync_on_close=False)
+    proc.close(fd)
     proc.truncate(path, size)  # sparse: no blocks allocated
     fd = proc.open(path, "r")
     sim_start = setup.clock.now

@@ -48,10 +48,6 @@ def run_small_file(setup: BenchSetup,
     def create() -> None:
         for index in range(count):
             proc.write_file(f"{work}/small/f{index}", body)
-        # flush at the end of the write phase
-        fd = proc.open(f"{work}/small/f0", "r")
-        proc.fsync(fd)
-        proc.close(fd)
 
     def read() -> None:
         for index in range(count):

@@ -925,6 +925,15 @@ class MountedRemoteFs:
                     file_wcc=nfs_types.WccData.make(before=None, after=None)
                 )
             return None
+        if proc == nfs_const.NFSPROC3_CREATE and _create_sets_size(args):
+            # O_TRUNC by name: the CREATE can shrink a file whose handle
+            # it does not carry, so it is a write-behind barrier for
+            # the whole mount — gathered writes land before the
+            # truncation, not after it (PROTOCOLS.md §17).
+            for handle in list(self._gather_segs):
+                status = self._flush_gather(handle, ctx)
+                if status is not None:
+                    return status, nfs_failure_shape(proc)
         # Any other procedure touching a handle with gathered dirty data
         # (COMMIT, SETATTR, GETATTR, ...) is a write-behind barrier:
         # flush first so the server-side view the reply reflects
@@ -1107,8 +1116,16 @@ class MountedRemoteFs:
         elif proc in (nfs_const.NFSPROC3_CREATE, nfs_const.NFSPROC3_MKDIR,
                       nfs_const.NFSPROC3_SYMLINK):
             caches.invalidate(args.where.dir)
-            if body.obj is not None and body.obj_attributes is not None:
-                caches.attrs.put(body.obj, body.obj_attributes)
+            if body.obj is not None:
+                if (proc == nfs_const.NFSPROC3_CREATE
+                        and _create_sets_size(args)):
+                    # The file may have existed and just been truncated:
+                    # what we held about it (attributes, access bits,
+                    # readahead chunks) describes the old one.
+                    caches.invalidate(body.obj)
+                    self._ra_discard(body.obj)
+                if body.obj_attributes is not None:
+                    caches.attrs.put(body.obj, body.obj_attributes)
             if body.dir_wcc.after is not None:
                 caches.attrs.put(args.where.dir, body.dir_wcc.after)
         elif proc in (nfs_const.NFSPROC3_REMOVE, nfs_const.NFSPROC3_RMDIR):
@@ -1125,6 +1142,13 @@ class MountedRemoteFs:
             for entry in body.entries:
                 if entry.name_handle is not None and entry.name_attributes is not None:
                     caches.attrs.put(entry.name_handle, entry.name_attributes)
+
+def _create_sets_size(args: Record) -> bool:
+    """Does this CREATE's ``sattr3`` carry a size (UNCHECKED/GUARDED
+    arms only; EXCLUSIVE carries a verifier)?"""
+    how_disc, how_body = args.how
+    return how_disc != nfs_const.EXCLUSIVE and how_body.size is not None
+
 
 def _handles_in_args(proc: int, args: Record) -> list[bytes]:
     """Collect every file handle a request record carries."""

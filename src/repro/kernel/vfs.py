@@ -32,6 +32,8 @@ from ..sim.network import link_pair
 
 _SYMLINK_MAX = 40
 _IO_CHUNK = 8192
+#: A read count no file reaches (FSINFO's maxfilesize): "until eof".
+_TO_EOF = 1 << 62
 
 _NFS_TO_ERRNO = {
     nfs_const.NFS3ERR_PERM: errno.EPERM,
@@ -98,6 +100,11 @@ class Kernel:
         self._mountpoints: dict[tuple[int, bytes], Mount] = {}
         self._next_mount_id = 1
         self.root: Mount | None = None
+        #: Files, as (mount id, handle), with UNSTABLE bytes no COMMIT
+        #: has covered yet: what close()/fsync() on *any* descriptor of
+        #: the file owe the server.  Dirty state is the file's, not the
+        #: descriptor's.
+        self.unstable: set[tuple[int, bytes]] = set()
 
     # --- mount management -----------------------------------------------
 
@@ -180,6 +187,11 @@ class Kernel:
         Follows symlinks (including the on-the-fly ones sfscd
         manufactures under /sfs) and crosses mount points.  ".." is
         handled with an ancestor stack so it behaves across mounts.
+
+        "/" and every mount root are directories by construction, so
+        the walk carries ``attrs=None`` for them and asks for their
+        attributes only if it ends there; LOOKUP's post-op attributes
+        cover every other component.
         """
         if not path.startswith("/"):
             raise KernelError(errno.EINVAL, path)
@@ -188,9 +200,9 @@ class Kernel:
         budget = _SYMLINK_MAX
         mount = self.root
         fh = mount.root_fh
-        attrs = self._getattr(mount, fh, cred, path)
+        attrs: Record | None = None
         # Ancestor stack of (mount, fh, attrs) above the current node.
-        stack: list[tuple[Mount, bytes, Record]] = []
+        stack: list[tuple[Mount, bytes, Record | None]] = []
         parts = [p for p in path.split("/") if p and p != "."]
         index = 0
         while index < len(parts):
@@ -200,7 +212,7 @@ class Kernel:
                     mount, fh, attrs = stack.pop()
                 index += 1
                 continue
-            if attrs.type != nfs_const.NF3DIR:
+            if attrs is not None and attrs.type != nfs_const.NF3DIR:
                 raise KernelError(errno.ENOTDIR, path)
             try:
                 res = mount.client.with_cred(cred).lookup(fh, part)
@@ -215,9 +227,11 @@ class Kernel:
             if crossing is not None:
                 child_mount = crossing
                 child_fh = crossing.root_fh
-                child_attrs = self._getattr(crossing, child_fh, cred, path)
+                child_attrs = None
             is_last = index == len(parts) - 1
-            if child_attrs.type == nfs_const.NF3LNK and (follow or not is_last):
+            if (child_attrs is not None
+                    and child_attrs.type == nfs_const.NF3LNK
+                    and (follow or not is_last)):
                 budget -= 1
                 if budget <= 0:
                     raise KernelError(errno.ELOOP, path)
@@ -232,11 +246,13 @@ class Kernel:
                     stack.clear()
                     mount = self.root
                     fh = mount.root_fh
-                    attrs = self._getattr(mount, fh, cred, path)
+                    attrs = None
                 continue
             stack.append((mount, fh, attrs))
             mount, fh, attrs = child_mount, child_fh, child_attrs
             index += 1
+        if attrs is None:
+            attrs = self._getattr(mount, fh, cred, path)
         return mount, fh, attrs
 
     def resolve_parent(self, path: str, cred: AuthSys
@@ -265,7 +281,6 @@ class FileHandle:
 
     mount: Mount
     fh: bytes
-    flags: str
     offset: int = 0
     path: str = ""
 
@@ -382,7 +397,13 @@ class Process:
     # --- file I/O -----------------------------------------------------------
 
     def open(self, path: str, flags: str = "r", mode: int = 0o644) -> int:
-        """Open a file.  *flags*: r, w (truncate+create), a, rw, x (excl)."""
+        """Open a file.  *flags*: r, w (truncate+create), a, rw, x (excl).
+
+        Create-and-truncate is one UNCHECKED CREATE whose ``sattr3``
+        carries both *mode* and ``size=0`` (RFC 1813): no SETATTR
+        follows a file that was born empty, and an existing file is
+        truncated by the server inside the same call.
+        """
         absolute = self._abspath(path)
         create = any(f in flags for f in ("w", "a", "x"))
         client_cred = self.cred
@@ -390,15 +411,14 @@ class Process:
             mount, dir_fh, leaf = self.kernel.resolve_parent(absolute, client_cred)
             try:
                 res = mount.client.with_cred(client_cred).create(
-                    dir_fh, leaf, mode=mode, exclusive="x" in flags
+                    dir_fh, leaf, mode=mode, exclusive="x" in flags,
+                    size=0 if "w" in flags else None,
                 )
             except Nfs3Error as exc:
                 _raise_from_nfs(exc, path)
             fh = res.obj
             if fh is None:
                 raise KernelError(errno.EIO, path)
-            if "w" in flags:
-                self._truncate(mount, fh, 0, path)
         else:
             mount, fh, attrs = self.kernel.resolve(absolute, client_cred)
             if attrs.type == nfs_const.NF3DIR:
@@ -413,17 +433,16 @@ class Process:
                 _raise_from_nfs(exc, path)
             if not granted & nfs_const.ACCESS3_READ:
                 raise KernelError(errno.EACCES, path)
-        handle = FileHandle(mount, fh, flags, path=absolute)
+        handle = FileHandle(mount, fh, path=absolute)
+        fd = self._register(handle)
         if "a" in flags:
-            handle.offset = self.fstat_fd(self._register(handle)).size
-            return self._last_fd
-        return self._register(handle)
+            handle.offset = self.fstat_fd(fd).size
+        return fd
 
     def _register(self, handle: FileHandle) -> int:
         fd = self._next_fd
         self._next_fd += 1
         self._fds[fd] = handle
-        self._last_fd = fd
         return fd
 
     def _handle(self, fd: int) -> FileHandle:
@@ -465,6 +484,8 @@ class Process:
                 _raise_from_nfs(exc, handle.path)
             handle.offset += res.count
             written += res.count
+            if not sync:
+                self.kernel.unstable.add((handle.mount.mount_id, handle.fh))
             if res.count == 0:
                 raise KernelError(errno.EIO, handle.path)
         return written
@@ -490,33 +511,39 @@ class Process:
             _raise_from_nfs(exc, handle.path)
 
     def fsync(self, fd: int) -> None:
-        handle = self._handle(fd)
+        self._commit(self._handle(fd))
+
+    def _commit(self, handle: FileHandle) -> None:
+        """COMMIT the file's UNSTABLE bytes, whichever descriptor wrote
+        them; nothing when it has none outstanding."""
+        key = (handle.mount.mount_id, handle.fh)
+        if key not in self.kernel.unstable:
+            return
         try:
             handle.mount.client.with_cred(self.cred).commit(handle.fh)
         except Nfs3Error as exc:
             _raise_from_nfs(exc, handle.path)
+        self.kernel.unstable.discard(key)
 
     def close(self, fd: int, sync_on_close: bool = True) -> None:
         """Close; like NFS clients, flush dirty data synchronously.
 
         The paper notes NFS "flushes data to disk on file closes", which
-        is what makes the Sprite create phase disk-bound.
+        is what makes the Sprite create phase disk-bound.  The
+        descriptor is gone either way; a failed flush is raised, as
+        close(2) reports the write-behind error it is the last to see.
         """
         handle = self._fds.pop(fd, None)
         if handle is None:
             raise KernelError(errno.EBADF)
-        if sync_on_close and any(f in handle.flags for f in ("w", "a", "x")):
-            try:
-                handle.mount.client.with_cred(self.cred).commit(handle.fh)
-            except Nfs3Error:
-                pass
+        if sync_on_close:
+            self._commit(handle)
 
     def read_file(self, path: str) -> bytes:
-        """Convenience: whole-file read."""
+        """Convenience: whole-file read, ended by READ's eof flag."""
         fd = self.open(path, "r")
         try:
-            size = self.fstat_fd(fd).size
-            return self.read(fd, size)
+            return self.read(fd, _TO_EOF)
         finally:
             self.close(fd)
 

@@ -149,11 +149,14 @@ class Nfs3Client:
         )
 
     def create(self, dir_handle: bytes, name: str, mode: int = 0o644,
-               exclusive: bool = False) -> Record:
+               exclusive: bool = False, size: int | None = None) -> Record:
+        """CREATE; UNCHECKED unless *exclusive*.  *size* rides in the
+        same ``sattr3`` as *mode* (``size=0`` is O_TRUNC); an EXCLUSIVE
+        create carries a verifier instead of attributes."""
         if exclusive:
             how = (const.EXCLUSIVE, b"\x00" * 8)
         else:
-            how = (const.UNCHECKED, types.sattr(mode=mode))
+            how = (const.UNCHECKED, types.sattr(mode=mode, size=size))
         return self._call(
             const.NFSPROC3_CREATE,
             types.CreateArgs.make(

@@ -384,12 +384,30 @@ class Nfs3Server:
         before = self._wcc_attr(directory)
         how_disc, how_body = args.how
         exclusive = how_disc == const.EXCLUSIVE
+        fields = ({} if exclusive or how_body is None
+                  else self._sattr_fields(how_body))
+        mode = fields.get("mode")
+        if mode is not None:
+            fields["mode"] = mode = mode & 0o7777
+        existed = args.where.name in (directory.entries or ())
         inode = self.fs.create(directory.ino, args.where.name, cred,
+                               mode=0o644 if mode is None else mode,
                                exclusive=exclusive)
-        if not exclusive and how_body is not None:
-            fields = self._sattr_fields(how_body)
-            if any(value is not None for value in fields.values()):
-                self.fs.setattr(inode.ino, cred, **fields)
+        # A new inode is born with its mode, and empty, in one metadata
+        # write.  What is left of the sattr3 is what changes a file that
+        # already existed (UNCHECKED returns it; a size is O_TRUNC, a
+        # permission-checked write even of an empty file): only that
+        # costs a second write, and only then does anyone hold a lease
+        # on the file that must hear about it.
+        changes = {
+            name: value for name, value in fields.items()
+            if value is not None
+            and (name in ("atime", "mtime") or (name == "size" and existed)
+                 or value != getattr(inode, name))
+        }
+        if changes:
+            self.fs.setattr(inode.ino, cred, **changes)
+            self._notify(inode)
         self._notify(directory)
         return const.NFS3_OK, types.Record(
             obj=self._encode_handle(inode),

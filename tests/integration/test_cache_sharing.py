@@ -54,7 +54,11 @@ def test_cache_accounting_lands_in_metrics_registry(world):
     client.new_agent("u1", 1000)
     proc = client.process(uid=1000)
     assert proc.read_file(f"{path}/shared") == b"cached once"
-    proc.stat(f"{path}/shared")  # warm-path hit on the attr cache
+    fd = proc.open(f"{path}/shared")
+    proc.fstat_fd(fd)  # warm-path hit on the attr cache
+    world.clock.advance(1000.0)  # beyond the lease
+    proc.fstat_fd(fd)  # expired: a miss, then a fresh lease
+    proc.close(fd)
     mount = client.sfscd._mounts[path.hostid]
     stats = mount.caches.stats()
     assert stats["attr_hits"] > 0 and stats["attr_misses"] > 0

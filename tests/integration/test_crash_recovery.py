@@ -146,14 +146,15 @@ def test_crash_during_lease_fanout_every_client_recovers(crashy):
     assert session_of(client, path).reconnects == 1
     assert proc.read_file(f"{home}/shared") == b"v2 after the crash"
     # The second client's connection died too, and the invalidation for
-    # its lease died with the server — so its first read is sized by the
-    # stale cached attributes (len("v1") == 2 bytes) while the READ
-    # itself fails over and flushes the caches.
-    assert proc2.read_file(f"{home}/shared") == b"v2"
-    assert session_of(client2, path).reconnects == 1
-    # With the caches flushed by the reconnect, the next read re-fetches
-    # attributes from the restarted server and sees everything.
+    # its lease died with the server — so until it next goes to the wire
+    # its cached attributes are the stale ones (len("v1") == 2 bytes).
+    assert proc2.stat(f"{home}/shared").size == 2
+    assert session_of(client2, path).reconnects == 0
+    # read_file reads to eof, not to the cached size: the READ fails
+    # over, flushes the caches, and returns everything.
     assert proc2.read_file(f"{home}/shared") == b"v2 after the crash"
+    assert session_of(client2, path).reconnects == 1
+    assert proc2.stat(f"{home}/shared").size == len(b"v2 after the crash")
 
 
 def test_crash_mid_resync_fails_over_to_fresh_connection(crashy):

@@ -1,5 +1,7 @@
 """Lease caching and server invalidation callbacks (paper section 3.3)."""
 
+import errno
+
 import pytest
 
 from repro.fs import pathops
@@ -9,7 +11,13 @@ from repro.kernel.world import World
 
 @pytest.fixture
 def two_clients():
+    return _two_clients()
+
+
+def _two_clients(pipeline_depth=1):
     world = World(seed=61)
+    if pipeline_depth > 1:
+        world.enable_pipelining(depth=pipeline_depth)
     server = world.add_server("cache.example.com")
     path = server.export_fs(lease_duration=1000.0)
     work = pathops.mkdirs(server.fs, "/shared")
@@ -61,6 +69,64 @@ def test_invalidation_callback_on_remote_write(two_clients):
     # And client 1 sees fresh data + fresh attributes immediately.
     assert p1.read_file(f"{path}/shared/f") == b"version 2 is longer"
     assert p1.stat(f"{path}/shared/f").size == 19
+
+
+@pytest.mark.parametrize("pipeline_depth", [1, 8])
+def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
+    """``open(f, "w")`` truncates by name, inside CREATE: the server
+    must call back whoever holds a lease on the *file*, not only on the
+    directory, and at depth 8 their readahead chunks must go too."""
+    _world, server, path, c1, p1, _c2, p2 = _two_clients(pipeline_depth)
+    name = f"{path}/shared/f"
+    p1.write_file(name, bytes(range(256)) * 256)  # 64 KB, c1 joins first
+    assert p1.stat(name).size == 65536            # c1 takes the lease
+    mount1 = _mount_of(c1, path)
+    fd = p1.open(name)
+    assert len(p1.read(fd, 3 * 8192)) == 3 * 8192
+    holding_readahead = bool(mount1._ra_buf)
+    assert holding_readahead == (pipeline_depth > 1)
+    c1_connection = next(iter(server.master.rw_export(path.hostid).connections))
+    sent_before = c1_connection.invalidations_sent
+
+    p2.close(p2.open(name, "w"))
+
+    assert c1_connection.invalidations_sent > sent_before
+    assert not mount1._ra_buf
+    assert p1.stat(name).size == 0
+    assert p1.read_file(name) == b""
+    assert p1.read(fd, 8192) == b""  # not a prefetched chunk of the old file
+    p1.close(fd)
+
+
+def test_create_that_changes_an_existing_file_notifies_its_lessees(two_clients):
+    """An UNCHECKED CREATE over an existing file applies its sattr3;
+    lessees of the file hear about it, as they would for a SETATTR."""
+    _world, _server, path, _c1, p1, _c2, p2 = two_clients
+    name = f"{path}/shared/m"
+    p1.write_file(name, b"x", mode=0o644)
+    fd = p1.open(name)
+    assert p1.fstat_fd(fd).mode == 0o644  # c1 takes the lease
+    p2.close(p2.open(name, "a", mode=0o600))
+    # By handle, not by name: the directory's invalidation (which CREATE
+    # always sent) refreshes a path walk, never an open descriptor.
+    assert p1.fstat_fd(fd).mode == 0o600
+    assert p1.stat(name).mode == 0o600
+    p1.close(fd)
+
+
+def test_close_raises_when_the_flush_fails(two_clients):
+    """"Flush on close" that fails must say so: the data is gone."""
+    _world, server, path, _c1, p1, _c2, _p2 = two_clients
+    fd = p1.open(f"{path}/shared/doomed", "w")
+    p1.write(fd, b"never durable")
+    shared = pathops.resolve(server.fs, "/shared")
+    server.fs.remove(shared.ino, "doomed", Cred(0, 0))
+    with pytest.raises(OSError) as stale:
+        p1.close(fd)
+    assert stale.value.errno == errno.ESTALE
+    with pytest.raises(OSError) as gone:  # the descriptor went regardless
+        p1.close(fd)
+    assert gone.value.errno == errno.EBADF
 
 
 def test_fanout_looks_only_at_the_lessees(monkeypatch):
@@ -134,14 +200,20 @@ def test_leases_expire_with_clock(two_clients):
     world, _server, path, c1, p1, _c2, _p2 = two_clients
     p1.write_file(f"{path}/shared/g", b"x")
     p1.stat(f"{path}/shared/g")
-    mount = _mount_of(c1, path)
-    hits_before = mount.caches.attrs.hits
+    fd = p1.open(f"{path}/shared/g")
+    caches = _mount_of(c1, path).caches
+    lookup_hits, attr_hits = caches.lookups.hits, caches.attrs.hits
     p1.stat(f"{path}/shared/g")
-    assert mount.caches.attrs.hits > hits_before  # cache is live
+    p1.fstat_fd(fd)
+    assert caches.lookups.hits > lookup_hits  # the walk is served locally
+    assert caches.attrs.hits > attr_hits      # and so is GETATTR
     world.clock.advance(2000.0)  # beyond the lease
-    misses_before = mount.caches.attrs.misses
+    lookup_misses, attr_misses = caches.lookups.misses, caches.attrs.misses
+    p1.fstat_fd(fd)
+    assert caches.attrs.misses > attr_misses      # lease expired
     p1.stat(f"{path}/shared/g")
-    assert mount.caches.attrs.misses > misses_before  # lease expired
+    assert caches.lookups.misses > lookup_misses  # for names too
+    p1.close(fd)
 
 
 def test_local_writes_invalidate_own_cache(two_clients):

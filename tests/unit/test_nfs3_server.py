@@ -11,6 +11,7 @@ from repro.nfs3.server import Nfs3Server, authsys_cred_mapper
 from repro.rpc.peer import RpcPeer
 from repro.rpc.rpcmsg import AuthSys, NULL_AUTH
 from repro.sim.clock import Clock
+from repro.sim.disk import Disk
 from repro.sim.network import NetworkParameters, link_pair
 
 ROOT = AuthSys(uid=0, gid=0)
@@ -235,3 +236,46 @@ def test_mutation_hook_fires():
     client.read(fh, 0, 1)
     assert events[-1] == fh  # reads do not notify
     assert len(events) == 2
+
+
+def test_create_costs_one_metadata_write_and_setattrs_only_what_changes():
+    """A new inode is born with its mode and empty; the rest of CREATE's
+    sattr3 is applied (a second write, and a notify on the *file*) only
+    where it would change a file that already existed."""
+    clock = Clock()
+    a, b = link_pair(clock, NetworkParameters.instant())
+    disk = Disk(clock)
+    fs = MemFs(disk=disk)
+    events = []
+    server = Nfs3Server(fs, mutation_hook=events.append)
+    RpcPeer(b, "nfsd").register(server.program)
+    client = Nfs3Client(RpcPeer(a, "kernel"), ROOT)
+    root = server.root_handle()
+
+    created = client.create(root, "f", mode=0o600, size=0)
+    fh = created.obj
+    assert created.obj_attributes.mode == 0o600
+    assert disk.syncs == 1 and events == [root]
+
+    client.write(fh, 0, b"payload", stable=const.FILE_SYNC)
+    syncs = disk.syncs
+    del events[:]
+    again = client.create(root, "f", mode=0o600)  # nothing differs
+    assert again.obj == fh and again.obj_attributes.size == 7
+    assert disk.syncs == syncs and events == [root]
+
+    truncated = client.create(root, "f", mode=0o600, size=0)  # O_TRUNC
+    assert truncated.obj == fh and truncated.obj_attributes.size == 0
+    assert disk.syncs == syncs + 1 and events == [root, fh, root]
+
+    chmodded = client.create(root, "f", mode=0o640)
+    assert chmodded.obj_attributes.mode == 0o640
+    assert disk.syncs == syncs + 2 and events[-2:] == [fh, root]
+
+    # Truncation by name is a write even when the file is already
+    # empty: it needs write permission and it costs the inode update.
+    with pytest.raises(Nfs3Error) as excinfo:
+        client.with_cred(ALICE).create(root, "f", mode=0o640, size=0)
+    assert excinfo.value.status == const.NFS3ERR_ACCES
+    client.create(root, "f", mode=0o640, size=0)
+    assert disk.syncs == syncs + 3

@@ -362,3 +362,36 @@ def test_pipelined_kernel_run_is_deterministic():
     second = _large_file_pass(depth=8, seed=11)
     assert first[0] == second[0]
     assert first[1] == second[1]
+
+
+def test_truncating_create_is_a_write_behind_barrier():
+    """``open(f, "w")`` truncates by name inside CREATE, which carries
+    no handle of *f*: gathered writes to it must reach the server before
+    the truncation (else a later flush resurrects them), and readahead
+    chunks of the old file must not outlive it."""
+    setup = make_setup(SFS, seed=7, pipeline_depth=8)
+    proc = setup.process
+    path = setup.workdir + "/f"
+    chunk = bytes(range(256)) * 32  # 8 KB
+
+    def counter(name):
+        return _count(setup.metrics.snapshot()["metrics"], name)
+
+    writer = proc.open(path, "w")
+    proc.write(writer, chunk)       # gathered at sfscd, not yet sent
+    flushes = counter("client.gather.flushes")
+    proc.close(proc.open(path, "w"))
+    assert counter("client.gather.flushes") == flushes + 1
+    proc.close(writer)              # nothing left to flush after the barrier
+    assert proc.stat(path).size == 0
+    assert proc.read_file(path) == b""
+
+    proc.write_file(path, chunk * 8)
+    reader = proc.open(path)
+    assert proc.read(reader, 3 * 8192) == chunk * 3  # READV prefetched the rest
+    hits = counter("client.readahead.hits")
+    assert hits > 0
+    proc.close(proc.open(path, "w"))
+    assert proc.read(reader, 8192) == b""
+    assert counter("client.readahead.hits") == hits
+    proc.close(reader)
