@@ -12,16 +12,18 @@ reflect the paper's relative costs rather than pure-Python speed:
   :mod:`repro.crypto.arc4kernel` (OpenSSL's RC4 when its layout
   self-check passes, else the unrolled pure-Python block loop) instead
   of the reference per-byte loop.
-* ``use_fast_marshal`` — XDR codecs with an installed flat fast path
-  (:mod:`repro.nfs3.fastpath`) marshal via precompiled struct formats
-  instead of per-field codec dispatch.
+* ``use_fast_marshal`` — every XDR codec marshals through the flat
+  function :mod:`repro.rpc.xdr` compiles from its declaration
+  (precompiled struct formats) instead of interpreting the declaration
+  field by field.
 
 The delegation is sound precisely because the outputs are identical —
 ``tests/unit/test_sha1.py`` asserts equality between the from-scratch
 SHA-1 and hashlib on randomized inputs, and the golden wire-vector
 suite (``tests/unit/test_wire_vectors.py``) asserts that channel records
-and the hot NFS3 marshals are bit-for-bit the same under both settings —
-so flipping these flags cannot change any protocol bytes, only speed.
+and NFS3 marshals are bit-for-bit the same under both settings, and
+``tests/unit/test_xdr_compiled.py`` that every declared codec is — so
+flipping these flags cannot change any protocol bytes, only speed.
 
 Call :func:`set_fast` to switch globally (e.g. ``set_fast(False)`` in
 tests that exercise the reference implementations end to end).
@@ -38,7 +40,7 @@ use_fast_sha1 = True
 #: When True (default), ARC4 keystream generation uses the block kernel.
 use_fast_arc4 = True
 
-#: When True (default), codecs with flat fast paths use them.
+#: When True (default), codecs run their compiled flat marshals.
 use_fast_marshal = True
 
 

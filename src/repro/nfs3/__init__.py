@@ -1,6 +1,6 @@
 """NFS version 3 (RFC 1813): types, server over MemFs, typed client."""
 
-from . import const, fastpath, types
+from . import const, types
 from .client import Nfs3Client, Nfs3Error
 from .handles import BadHandle, EncryptedHandles, PlainHandles
 from .server import Nfs3Server, authsys_cred_mapper
@@ -14,6 +14,5 @@ __all__ = [
     "PlainHandles",
     "authsys_cred_mapper",
     "const",
-    "fastpath",
     "types",
 ]

@@ -5,14 +5,11 @@ codec combinators from :mod:`repro.rpc.xdr`.  Results follow the RFC's
 discriminated-union convention: ``(NFS3_OK, ok_body)`` or
 ``(errstat, fail_body)``.
 
-XDR linked lists (READDIR entries) are handled by :class:`LinkedList`,
-which encodes a Python list as the bool-chained representation the RFC
-specifies.
+XDR linked lists (READDIR entries) are :class:`~repro.rpc.xdr.LinkedList`:
+a Python list as the bool-chained representation the RFC specifies.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from ..rpc.xdr import (
     Array,
@@ -20,39 +17,18 @@ from ..rpc.xdr import (
     Codec,
     Enum,
     FixedOpaque,
+    LinkedList,
     Opaque,
     Optional,
-    Packer,
     Record,
     String,
     Struct,
     UHyper,
     UInt32,
     Union,
-    Unpacker,
     VOID,
 )
 from . import const
-
-
-class LinkedList(Codec):
-    """XDR optional-chained list: ``*entry`` where entry ends with next."""
-
-    def __init__(self, element: Struct) -> None:
-        self.element = element
-
-    def encode(self, packer: Packer, value: list[Any]) -> None:
-        for item in value:
-            packer.pack_bool(True)
-            self.element.encode(packer, item)
-        packer.pack_bool(False)
-
-    def decode(self, unpacker: Unpacker) -> list[Any]:
-        out = []
-        while unpacker.unpack_bool():
-            out.append(self.element.decode(unpacker))
-        return out
-
 
 NfsFh = Opaque(const.NFS3_FHSIZE)
 Filename = String()

@@ -21,27 +21,37 @@ pooled ``bytearray`` with ``struct.pack_into`` (the pool is recycled by
 one-shot helpers), and an :class:`Unpacker` reads numerics in place with
 ``struct.unpack_from`` — no intermediate 4/8-byte slices.  An Unpacker
 also accepts ``memoryview`` input so record parsing never copies the
-payload region just to decode it.  Codecs may additionally carry a
-*flat fast path* (installed by :mod:`repro.nfs3.fastpath` on the hot
-NFS3 types): :meth:`Codec.pack`/:meth:`Codec.unpack` consult it when
-:data:`repro.crypto.backend.use_fast_marshal` is on, falling back to
-field-by-field dispatch whenever the fast path declines.  Fast and slow
-paths produce identical bytes — the golden wire-vector suite asserts
-this — and both enforce XDR's zero-fill rule for padding.
+payload region just to decode it.
+
+A declaration is the only description of a message.  Each combinator
+has two readings of it: ``encode``/``decode`` *interpret* the
+declaration against a Packer/Unpacker, field by field — the reference —
+and ``emit_pack``/``emit_unpack`` *compile* it, writing the statements
+of one flat function per codec into a :class:`_Source`, which gathers
+consecutive fixed-width items across nesting into a single
+``struct.Struct`` call.  :meth:`Codec.pack`/:meth:`Codec.unpack` build
+the two flat functions on first use and run them when
+:data:`repro.crypto.backend.use_fast_marshal` is on.  A flat function
+handles the canonical shape only and raises on anything else; the
+interpreter is then re-run, and either marshals the exotic-but-legal
+value (a dict, a ``memoryview`` handle) or raises the canonical
+:class:`XdrError`.  Both readings produce identical bytes and enforce
+the same strictness (zero-filled padding, no trailing bytes, flags in
+{0, 1}, enum membership, maxima, integer ranges) — the golden
+wire-vector suite and ``tests/unit/test_xdr_compiled.py`` assert it for
+every declared codec.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..crypto import backend
 
 UNLIMITED = 0xFFFFFFFF
-
-#: Sentinel a codec's flat fast path returns to decline a value whose
-#: shape it cannot marshal; the caller falls back to codec dispatch.
-DECLINED = object()
 
 _U32 = struct.Struct(">I")
 _I32 = struct.Struct(">i")
@@ -313,18 +323,181 @@ class Record:
         return dict(self.__dict__)
 
 
+# ---------------------------------------------------------------------------
+# The compiled reading of a declaration
+# ---------------------------------------------------------------------------
+
+#: What a flat function raises on anything but the canonical shape; the
+#: interpreter is re-run and is the authority on the value or the error.
+_NOT_FLAT = (struct.error, ValueError, TypeError, AttributeError)
+
+#: ``struct.Struct`` objects by format, shared by every flat function.
+_STRUCTS: dict[str, struct.Struct] = {}
+
+
+def _take(data: Any, off: int, length: int) -> bytes:
+    """The opaque body at *off*, bounds and zero fill checked."""
+    end = off + length
+    stop = end + (-length & 3)
+    if stop > len(data) or (stop != end and any(data[end:stop])):
+        raise ValueError("truncated or nonzero padding")
+    chunk = data[off:end]
+    return chunk if chunk.__class__ is bytes else bytes(chunk)
+
+
+class _Source:
+    """The statements of one flat ``pack(value)`` or ``unpack(data)``.
+
+    Fixed-width items are not written as they come: they queue (a format
+    plus the expression to pack, or the name to unpack into) across any
+    depth of struct nesting, and the run is written as one
+    ``struct.Struct`` call when the first variable-length item, branch
+    or loop needs the bytes in order.  ``pack`` appends to ``out``;
+    ``unpack`` reads ``data`` at ``off``.
+    """
+
+    def __init__(self, unpacking: bool) -> None:
+        self.unpacking = unpacking
+        self.lines: list[str] = []
+        self.depth = 1
+        self.names: dict[str, Any] = {
+            "Record": Record, "_take": _take, "_PAD": _PAD}
+        self.locals = 0
+        self.run: list[tuple[str, str, str | None]] = []
+
+    def new(self) -> str:
+        self.locals += 1
+        return f"t{self.locals}"
+
+    def local(self, expr: str) -> str:
+        """A plain name for *expr*, so it is evaluated once."""
+        if expr.isidentifier():
+            return expr
+        name = self.new()
+        self.line(f"{name} = {expr}", flush=False)
+        return name
+
+    def bind(self, constant: Any) -> str:
+        for name, bound in self.names.items():
+            if bound is constant:
+                return name
+        name = f"k{len(self.names)}"
+        self.names[name] = constant
+        return name
+
+    def line(self, text: str, flush: bool = True) -> None:
+        """Add a statement; one that reads only the value being packed
+        (``flush=False``) may overtake the queued run."""
+        if flush:
+            self.flush()
+        self.lines.append("    " * self.depth + text)
+
+    def put(self, fmt: str, expr: str) -> None:
+        self.run.append((fmt, expr, None))
+
+    def take(self, fmt: str, check: str | None = None) -> str:
+        """Queue a read; *check* (``{}`` = the name) runs once it is done."""
+        name = self.new()
+        self.run.append((fmt, name, check and check.format(name)))
+        return name
+
+    def take_flag(self) -> str:
+        return self.take("I", "if {} > 1: raise ValueError('flag not 0 or 1')")
+
+    def flush(self) -> None:
+        run, self.run = self.run, []
+        if not run:
+            return
+        fmt = ">" + "".join(item[0] for item in run)
+        if fmt not in _STRUCTS:
+            _STRUCTS[fmt] = struct.Struct(fmt)
+        packer = _STRUCTS[fmt]
+        items = [item[1] for item in run]
+        if self.unpacking:
+            self.line(f"{', '.join(items)}, = "
+                      f"{self.bind(packer)}.unpack_from(data, off)", False)
+            self.line(f"off += {packer.size}", False)
+            for _fmt, _name, check in run:
+                if check:
+                    self.line(check, False)
+        elif all(item.isdigit() for item in items):
+            self.line(f"out += {packer.pack(*map(int, items))!r}", False)
+        else:
+            self.line(f"out += {self.bind(packer)}.pack({', '.join(items)})",
+                      False)
+
+    @contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.line(header)
+        self.depth += 1
+        mark = len(self.lines)
+        yield
+        self.flush()
+        if len(self.lines) == mark:
+            self.line("pass")
+        self.depth -= 1
+
+    def function(self, label: str, result: str = "") -> Callable[[Any], Any]:
+        if self.unpacking:
+            head = ["def unpack(data):", "    off = 0"]
+            self.line("if off != len(data): raise ValueError('trailing bytes')")
+            self.line(f"return {result}")
+        else:
+            head = ["def pack(value):", "    out = bytearray()"]
+            self.line("return bytes(out)")
+        source = "\n".join(head + self.lines) + "\n"
+        exec(compile(source, f"<xdr {label}>", "exec"), self.names)
+        function = self.names["unpack" if self.unpacking else "pack"]
+        function.source = source
+        return function
+
+
+def _emit_pack_bytes(src: _Source, raw: str, maximum: int) -> None:
+    """Length word, body and zero fill of the ``bytes`` named *raw*."""
+    size = src.new()
+    src.line(f"{size} = len({raw})", False)
+    if maximum != UNLIMITED:
+        src.line(f"if {size} > {maximum}: raise ValueError('too long')", False)
+    src.put("I", size)
+    src.line(f"out += {raw}")
+    src.line(f"out += _PAD[-{size} & 3]")
+
+
+def _emit_unpack_bytes(src: _Source, maximum: int) -> str:
+    size = src.take("I", None if maximum == UNLIMITED else
+                    f"if {{}} > {maximum}: raise ValueError('too long')")
+    raw = src.new()
+    src.line(f"{raw} = _take(data, off, {size})")
+    src.line(f"off += {size} + 3 & -4")
+    return raw
+
+
+def _emit_pack_each(src: _Source, element: "Codec", items: str) -> None:
+    item = src.new()
+    with src.block(f"for {item} in {items}:"):
+        element.emit_pack(src, item)
+
+
+def _emit_unpack_each(src: _Source, element: "Codec", count: str | int) -> str:
+    out = src.new()
+    src.line(f"{out} = []")
+    with src.block(f"for _ in range({count}):"):
+        src.line(f"{out}.append({element.emit_unpack(src)})")
+    return out
+
+
 class Codec:
     """Base class for declarative XDR codecs.
 
-    ``fast_pack``/``fast_unpack`` are optional flat marshal functions
-    (installed on hot codec instances by :mod:`repro.nfs3.fastpath`);
-    they return :data:`DECLINED` for values/bytes whose shape they do
-    not cover, and the one-shot helpers then fall back to the
-    field-by-field ``encode``/``decode`` dispatch.
+    A combinator reads its declaration twice: ``encode``/``decode``
+    interpret it (the reference), ``emit_pack``/``emit_unpack`` write
+    the statements that do the same to a :class:`_Source`.
+    ``emit_pack`` packs the value of a source expression;
+    ``emit_unpack`` returns the expression holding the value read, which
+    its caller uses exactly once.
     """
 
-    fast_pack: Callable[[Any], Any] | None = None
-    fast_unpack: Callable[[bytes], Any] | None = None
+    _flat: tuple[Callable[[Any], bytes], Callable[[Any], Any]] | None = None
 
     def encode(self, packer: Packer, value: Any) -> None:
         raise NotImplementedError
@@ -332,12 +505,32 @@ class Codec:
     def decode(self, unpacker: Unpacker) -> Any:
         raise NotImplementedError
 
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        raise NotImplementedError(f"{type(self).__name__} has no emit_pack")
+
+    def emit_unpack(self, src: _Source) -> str:
+        raise NotImplementedError(f"{type(self).__name__} has no emit_unpack")
+
+    def flat(self) -> tuple[Callable[[Any], bytes], Callable[[Any], Any]]:
+        """The compiled ``(pack, unpack)`` pair, built on first use."""
+        if self._flat is None:
+            label = getattr(self, "name", type(self).__name__)
+            packing, unpacking = _Source(False), _Source(True)
+            self.emit_pack(packing, "value")
+            result = self.emit_unpack(unpacking)
+            self._flat = (packing.function(label),
+                          unpacking.function(label, result))
+        return self._flat
+
     def pack(self, value: Any) -> bytes:
         """One-shot encode to bytes."""
-        fast = self.fast_pack
-        if fast is not None and backend.use_fast_marshal:
-            out = fast(value)
-            if out is not DECLINED:
+        if backend.use_fast_marshal:
+            flat = self._flat or self.flat()
+            try:
+                out = flat[0](value)
+            except _NOT_FLAT:
+                pass
+            else:
                 STATS.fast_packs += 1
                 return out
         STATS.slow_packs += 1
@@ -347,12 +540,15 @@ class Codec:
 
     def unpack(self, data: bytes) -> Any:
         """One-shot decode from bytes (requires full consumption)."""
-        fast = self.fast_unpack
-        if fast is not None and backend.use_fast_marshal:
-            out = fast(data)
-            if out is not DECLINED:
+        if backend.use_fast_marshal:
+            flat = self._flat or self.flat()
+            try:
+                value = flat[1](data)
+            except _NOT_FLAT:
+                pass
+            else:
                 STATS.fast_unpacks += 1
-                return out
+                return value
         STATS.slow_unpacks += 1
         unpacker = Unpacker(data)
         value = self.decode(unpacker)
@@ -361,9 +557,10 @@ class Codec:
 
 
 class _Simple(Codec):
-    def __init__(self, packname: str, unpackname: str) -> None:
+    def __init__(self, packname: str, unpackname: str, fmt: str) -> None:
         self._packname = packname
         self._unpackname = unpackname
+        self._fmt = fmt
 
     def encode(self, packer: Packer, value: Any) -> None:
         getattr(packer, self._packname)(value)
@@ -371,12 +568,26 @@ class _Simple(Codec):
     def decode(self, unpacker: Unpacker) -> Any:
         return getattr(unpacker, self._unpackname)()
 
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        src.put(self._fmt, expr)
 
-UInt32 = _Simple("pack_uint32", "unpack_uint32")
-Int32 = _Simple("pack_int32", "unpack_int32")
-UHyper = _Simple("pack_uhyper", "unpack_uhyper")
-Hyper = _Simple("pack_hyper", "unpack_hyper")
-Bool = _Simple("pack_bool", "unpack_bool")
+    def emit_unpack(self, src: _Source) -> str:
+        return src.take(self._fmt)
+
+
+class _Bool(_Simple):
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        src.put("I", f"(1 if {expr} else 0)")
+
+    def emit_unpack(self, src: _Source) -> str:
+        return f"({src.take_flag()} == 1)"
+
+
+UInt32 = _Simple("pack_uint32", "unpack_uint32", "I")
+Int32 = _Simple("pack_int32", "unpack_int32", "i")
+UHyper = _Simple("pack_uhyper", "unpack_uhyper", "Q")
+Hyper = _Simple("pack_hyper", "unpack_hyper", "q")
+Bool = _Bool("pack_bool", "unpack_bool", "I")
 
 
 class Void(Codec):
@@ -388,6 +599,12 @@ class Void(Codec):
 
     def decode(self, unpacker: Unpacker) -> None:
         return None
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        src.line(f"if {expr} is not None: raise ValueError('void')", False)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return "None"
 
 
 VOID = Void()
@@ -410,6 +627,17 @@ class Enum(Codec):
             raise XdrError(f"enum value {value} not allowed")
         return value
 
+    def _check(self, src: _Source) -> str:
+        return f"if {{}} not in {src.bind(self._values)}: raise ValueError('enum')"
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        value = src.local(expr)
+        src.line(self._check(src).format(value), False)
+        src.put("i", value)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return src.take("i", self._check(src))
+
 
 class FixedOpaque(Codec):
     def __init__(self, length: int) -> None:
@@ -420,6 +648,20 @@ class FixedOpaque(Codec):
 
     def decode(self, unpacker: Unpacker) -> bytes:
         return unpacker.unpack_fixed_opaque(self.length)
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        raw = src.local(expr)
+        src.line(f"if {raw}.__class__ is not bytes or len({raw}) != "
+                 f"{self.length}: raise ValueError('fixed opaque')", False)
+        src.put(f"{self.length}s" + "x" * _padding(self.length), raw)
+
+    def emit_unpack(self, src: _Source) -> str:
+        raw = src.take(f"{self.length}s")
+        pad = _padding(self.length)
+        if pad:
+            src.take(f"{pad}s", f"if {{}} != {_PAD[pad]!r}: "
+                                "raise ValueError('nonzero padding')")
+        return raw
 
 
 class Opaque(Codec):
@@ -432,6 +674,15 @@ class Opaque(Codec):
     def decode(self, unpacker: Unpacker) -> bytes:
         return unpacker.unpack_opaque(self.maximum)
 
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        raw = src.local(expr)
+        src.line(f"if {raw}.__class__ is not bytes: raise TypeError('opaque')",
+                 False)
+        _emit_pack_bytes(src, raw, self.maximum)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return _emit_unpack_bytes(src, self.maximum)
+
 
 class String(Codec):
     def __init__(self, maximum: int = UNLIMITED) -> None:
@@ -442,6 +693,14 @@ class String(Codec):
 
     def decode(self, unpacker: Unpacker) -> str:
         return unpacker.unpack_string(self.maximum)
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        raw = src.new()
+        src.line(f"{raw} = {expr}.encode()", False)
+        _emit_pack_bytes(src, raw, self.maximum)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return f"{_emit_unpack_bytes(src, self.maximum)}.decode()"
 
 
 class Array(Codec):
@@ -464,6 +723,20 @@ class Array(Codec):
             raise XdrError(f"array length {length} exceeds maximum {self.maximum}")
         return [self.element.decode(unpacker) for _ in range(length)]
 
+    def _check(self) -> str:
+        return f"if {{}} > {self.maximum}: raise ValueError('too many')"
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        items, size = src.local(expr), src.new()
+        src.line(f"{size} = len({items})", False)
+        src.line(self._check().format(size), False)
+        src.put("I", size)
+        _emit_pack_each(src, self.element, items)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return _emit_unpack_each(src, self.element,
+                                 src.take("I", self._check()))
+
 
 class FixedArray(Codec):
     def __init__(self, element: Codec, length: int) -> None:
@@ -478,6 +751,15 @@ class FixedArray(Codec):
 
     def decode(self, unpacker: Unpacker) -> list[Any]:
         return [self.element.decode(unpacker) for _ in range(self.length)]
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        items = src.local(expr)
+        src.line(f"if len({items}) != {self.length}: "
+                 "raise ValueError('fixed array')", False)
+        _emit_pack_each(src, self.element, items)
+
+    def emit_unpack(self, src: _Source) -> str:
+        return _emit_unpack_each(src, self.element, self.length)
 
 
 class Optional(Codec):
@@ -498,6 +780,59 @@ class Optional(Codec):
             return self.element.decode(unpacker)
         return None
 
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        value = src.local(expr)
+        with src.block(f"if {value} is None:"):
+            src.put("I", "0")
+        with src.block("else:"):
+            src.put("I", "1")
+            self.element.emit_pack(src, value)
+
+    def emit_unpack(self, src: _Source) -> str:
+        flag, out = src.take_flag(), src.new()
+        src.line(f"{out} = None")
+        with src.block(f"if {flag}:"):
+            src.line(f"{out} = {self.element.emit_unpack(src)}")
+        return out
+
+
+class LinkedList(Codec):
+    """XDR optional-data chain as a list: ``(true, element)* false``.
+
+    The encoding of ``*entry`` where entry ends with its own ``*next``
+    (READDIR entries, READV/WRITEV segments).
+    """
+
+    def __init__(self, element: Codec) -> None:
+        self.element = element
+
+    def encode(self, packer: Packer, value: Sequence[Any]) -> None:
+        for item in value:
+            packer.pack_bool(True)
+            self.element.encode(packer, item)
+        packer.pack_bool(False)
+
+    def decode(self, unpacker: Unpacker) -> list[Any]:
+        out = []
+        while unpacker.unpack_bool():
+            out.append(self.element.decode(unpacker))
+        return out
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        item = src.new()
+        with src.block(f"for {item} in {expr}:"):
+            src.put("I", "1")
+            self.element.emit_pack(src, item)
+        src.put("I", "0")
+
+    def emit_unpack(self, src: _Source) -> str:
+        out = src.new()
+        src.line(f"{out} = []")
+        with src.block("while True:"):
+            src.line(f"if not {src.take_flag()}: break")
+            src.line(f"{out}.append({self.element.emit_unpack(src)})")
+        return out
+
 
 class Struct(Codec):
     """Named XDR struct; decodes to :class:`Record`.
@@ -509,23 +844,17 @@ class Struct(Codec):
     def __init__(self, name: str, fields: Iterable[tuple[str, Codec]]) -> None:
         self.name = name
         self.fields = list(fields)
+        self._names = frozenset(name for name, _ in self.fields)
 
     def encode(self, packer: Packer, value: Any) -> None:
+        keyed = isinstance(value, Mapping)
         for field_name, codec in self.fields:
-            if isinstance(value, Mapping):
-                try:
-                    item = value[field_name]
-                except KeyError:
-                    raise XdrError(
-                        f"{self.name}: missing field {field_name!r}"
-                    ) from None
-            else:
-                try:
-                    item = getattr(value, field_name)
-                except AttributeError:
-                    raise XdrError(
-                        f"{self.name}: missing field {field_name!r}"
-                    ) from None
+            try:
+                item = value[field_name] if keyed else getattr(value, field_name)
+            except (KeyError, AttributeError):
+                raise XdrError(
+                    f"{self.name}: missing field {field_name!r}"
+                ) from None
             codec.encode(packer, item)
 
     def decode(self, unpacker: Unpacker) -> Record:
@@ -533,13 +862,21 @@ class Struct(Codec):
             **{name: codec.decode(unpacker) for name, codec in self.fields}
         )
 
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        value = src.local(expr)
+        for name, codec in self.fields:
+            codec.emit_pack(src, f"{value}.{name}")
+
+    def emit_unpack(self, src: _Source) -> str:
+        fields = [f"{name}={codec.emit_unpack(src)}"
+                  for name, codec in self.fields]
+        return f"Record({', '.join(fields)})"
+
     def make(self, **fields: Any) -> Record:
         """Build a Record for this struct, checking the field names."""
-        expected = {name for name, _ in self.fields}
-        given = set(fields)
-        if given != expected:
-            missing = expected - given
-            extra = given - expected
+        if fields.keys() != self._names:
+            missing = self._names - fields.keys()
+            extra = fields.keys() - self._names
             raise XdrError(
                 f"{self.name}: bad fields (missing={sorted(missing)}, "
                 f"extra={sorted(extra)})"
@@ -590,3 +927,35 @@ class Union(Codec):
         if codec is None:
             return disc, None
         return disc, codec.decode(unpacker)
+
+    def _emit_arms(self, src: _Source, disc: str,
+                   emit_arm: Callable[[Codec], None]) -> None:
+        """An ``if``/``elif``/``else`` over *disc*, one test per distinct
+        arm codec; a declared void arm (``None``) is :data:`VOID`."""
+        by_arm: dict[int, list[int]] = {}
+        for value, codec in self.arms.items():
+            by_arm.setdefault(id(codec), []).append(int(value))
+        keyword = "if"
+        for values in by_arm.values():
+            test = f"== {values[0]}" if len(values) == 1 else f"in {tuple(values)}"
+            with src.block(f"{keyword} {disc} {test}:"):
+                emit_arm(self.arms[values[0]] or VOID)
+            keyword = "elif"
+        with src.block("else:"):
+            if self.default is Union._NO_DEFAULT:
+                src.line("raise ValueError('unknown discriminant')")
+            else:
+                emit_arm(self.default or VOID)
+
+    def emit_pack(self, src: _Source, expr: str) -> None:
+        disc, body = src.new(), src.new()
+        src.line(f"{disc}, {body} = {expr}", False)
+        src.put("I", disc)
+        self._emit_arms(src, disc, lambda arm: arm.emit_pack(src, body))
+
+    def emit_unpack(self, src: _Source) -> str:
+        disc, body = src.take("I"), src.new()
+        self._emit_arms(
+            src, disc,
+            lambda arm: src.line(f"{body} = {arm.emit_unpack(src)}"))
+        return f"({disc}, {body})"

@@ -1,13 +1,13 @@
 """Golden wire vectors: the fast lane never changes a protocol byte.
 
-The wire-path optimizations (block ARC4 kernels, flat NFS3 marshals, the
-single-buffer channel seal) are sound only if they are bit-identical to
+The wire-path optimizations (block ARC4 kernels, compiled XDR marshals,
+the single-buffer channel seal) are sound only if they are bit-identical to
 the reference implementations — that is the invariant
 :mod:`repro.crypto.backend` documents and docs/PERFORMANCE.md leans on.
 This suite pins it three ways:
 
-* **Golden digests** — seeded channel transcripts and the hot NFS3
-  encodings must match constants frozen from the reference path, so a
+* **Golden digests** — seeded channel transcripts and NFS3 encodings
+  must match constants frozen from the reference path, so a
   regression against *history* is caught even if both paths drift
   together.
 * **Cross-path equality** — every vector is produced under
@@ -29,6 +29,9 @@ import pytest
 from repro.core.channel import SecureChannel
 from repro.crypto import arc4kernel, backend
 from repro.crypto.arc4 import ARC4
+from repro.fs import pathops
+from repro.fs.memfs import Cred
+from repro.kernel.world import World
 from repro.nfs3 import const, types
 from repro.rpc import xdr
 from repro.rpc.xdr import Record, XdrError
@@ -77,8 +80,12 @@ def _wcc():
     )
 
 
+def _no_wcc():
+    return Record(before=None, after=None)
+
+
 def nfs3_vectors():
-    """(name, codec, value) for each hot codec, OK and failure arms."""
+    """(name, codec, value) per pinned codec, OK and failure arms."""
     payload = bytes((i * 13 + 5) & 0xFF for i in range(1025))
     return [
         ("getattr_args", types.GetAttrArgs, Record(object=_FH)),
@@ -109,6 +116,49 @@ def nfs3_vectors():
         ("write_res_fail", types.WriteRes,
          (const.NFS3ERR_IO, Record(file_wcc=Record(before=None,
                                                    after=None)))),
+        ("setattr_args", types.SetAttrArgs,
+         Record(object=_FH,
+                new_attributes=types.sattr(mode=0o600, uid=7, mtime=99),
+                guard=_time(5))),
+        ("setattr_res_ok", types.SetAttrRes,
+         (const.NFS3_OK, Record(obj_wcc=_wcc()))),
+        ("setattr_res_fail", types.SetAttrRes,
+         (const.NFS3ERR_PERM, Record(obj_wcc=_no_wcc()))),
+        ("access_args", types.AccessArgs, Record(object=_FH, access=0x2D)),
+        ("access_res_ok", types.AccessRes,
+         (const.NFS3_OK, Record(obj_attributes=_fattr(), access=0x0D))),
+        ("access_res_fail", types.AccessRes,
+         (const.NFS3ERR_STALE, Record(obj_attributes=None))),
+        ("create_args", types.CreateArgs,
+         Record(where=Record(dir=_FH, name="new"),
+                how=(const.UNCHECKED, types.sattr(mode=0o644, size=0)))),
+        ("create_res_ok", types.CreateRes,
+         (const.NFS3_OK, Record(obj=_FH2, obj_attributes=_fattr(),
+                                dir_wcc=_wcc()))),
+        ("create_res_fail", types.CreateRes,
+         (const.NFS3ERR_EXIST, Record(dir_wcc=_no_wcc()))),
+        ("remove_args", types.RemoveArgs,
+         Record(object=Record(dir=_FH, name="gone.txt"))),
+        ("remove_res_ok", types.RemoveRes,
+         (const.NFS3_OK, Record(dir_wcc=_wcc()))),
+        ("remove_res_fail", types.RemoveRes,
+         (const.NFS3ERR_NOENT, Record(dir_wcc=_no_wcc()))),
+        ("commit_args", types.CommitArgs,
+         Record(file=_FH, offset=0, count=0)),
+        ("commit_res_ok", types.CommitRes,
+         (const.NFS3_OK, Record(file_wcc=_wcc(), verf=_VERF))),
+        ("commit_res_fail", types.CommitRes,
+         (const.NFS3ERR_IO, Record(file_wcc=_no_wcc()))),
+        ("readdir_args", types.ReaddirArgs,
+         Record(dir=_FH, cookie=3, cookieverf=_VERF, count=65536)),
+        ("readdir_res_ok", types.ReaddirRes,
+         (const.NFS3_OK, Record(
+             dir_attributes=_fattr(), cookieverf=_VERF,
+             entries=[Record(fileid=2, name=".", cookie=1),
+                      Record(fileid=42, name="file.txt", cookie=2)],
+             eof=True))),
+        ("readdir_res_fail", types.ReaddirRes,
+         (const.NFS3ERR_NOTDIR, Record(dir_attributes=_fattr()))),
     ]
 
 
@@ -138,6 +188,42 @@ GOLDEN_NFS3 = {
         "a6d24f3cb51cba89b44db0a166a0a3a560fd5ce430d986512cc51b299cd3311a",
     "write_res_fail":
         "fa236c53c3c620a6d7a96ab6389430820cdbc0b22e73932bd36d3b5bc86df6c6",
+    "setattr_args":
+        "d3ea6a23e6e37db304b1230d2132f61c305ae546cb42aa2bb5ca516ee76a8653",
+    "setattr_res_ok":
+        "bd7f09980c2f7ced74ef1d05bf0aa38a9cddde86e98f72f3c59e61b54fdfcf52",
+    "setattr_res_fail":
+        "9cbc73d18d70c94fe366e696035c4f2cffdbab7ea6d6c2c039ca185f9c9f2746",
+    "access_args":
+        "123b6bb3b6a05201722f1a4714c72695f4a269ed74bdb9c75c96013ecd7200e2",
+    "access_res_ok":
+        "a7eba4e4aa2f7b14d5745a1842765a5cc4d9366f73a3fe669b6aa19a70280ed4",
+    "access_res_fail":
+        "902acf547ba173c4a6b61d917cc42ee63484d4b69e883bd45a4f42460bd95546",
+    "create_args":
+        "8bb145ba0f54981ca5490ab103589f2fd7804343ae965785a1e51e71841416d3",
+    "create_res_ok":
+        "fa43d891af057002a6b6291bae602d1ee9a4dd24d6f0d998b591add1422e04ea",
+    "create_res_fail":
+        "b2fe920c1679d88e17de63a558932deb693c394a989e91f657b1781038384cfb",
+    "remove_args":
+        "0aa6cd5f21b361f747f96903a6c8dce3ff60e0115ba67f46380ef8f7dfcc0a7f",
+    "remove_res_ok":
+        "bd7f09980c2f7ced74ef1d05bf0aa38a9cddde86e98f72f3c59e61b54fdfcf52",
+    "remove_res_fail":
+        "163e7f66d58036ccb1d0b0058d8f46e7cd639816f570e5eb32853ea73634e4cd",
+    "commit_args":
+        "40a8e1f20c48c1dc8432213c6428b7a69e2a4d24e582d1ec11c2470077a191f3",
+    "commit_res_ok":
+        "95dccf56b07fe2066d81d8c408286e9ddb6c67fa3702ab4e6edea7f74bdb9fd6",
+    "commit_res_fail":
+        "fa236c53c3c620a6d7a96ab6389430820cdbc0b22e73932bd36d3b5bc86df6c6",
+    "readdir_args":
+        "8f4116b1ec59d6d93886ed0db3d6a492e3beef3ce126650b1df0ba5a8c823e99",
+    "readdir_res_ok":
+        "ca0b0411509624d102f23cc8dac644b906845770085851a112be426e6177b10f",
+    "readdir_res_fail":
+        "5a172bdefee47bcda9403a06a1a647657b363d3c2aa10277e3dd57b14f8e2da8",
 }
 
 
@@ -242,15 +328,61 @@ def test_nfs3_fast_and_slow_encodings_identical():
 
 
 def test_fast_marshal_path_actually_runs():
-    """Guard against the fast path silently never installing."""
+    """Mount, log in and issue every NFS3 procedure through the whole
+    stack (kernel -> sfscd -> sfssd -> server, READV/WRITEV at depth 8):
+    every message of every protocol marshals through its compiled
+    function.  The one reference-path decode is login's own: authplugins
+    sniffs the legacy credential blob with ``AuthEnvelope.unpack`` and is
+    turned away, once per login."""
     backend.set_fast(True)
+    world = World(seed=42)
+    world.enable_pipelining(depth=8)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    alice = server.add_user("alice", uid=1000)
+    home = pathops.mkdirs(server.fs, "/home/alice")
+    server.fs.setattr(home.ino, Cred(0, 0), uid=1000, gid=100)
+    client = world.add_client("laptop")
+
     before = xdr.STATS.snapshot()
-    for name, codec, value in nfs3_vectors():
-        codec.unpack(codec.pack(value))
-    delta = {k: xdr.STATS.snapshot()[k] - before[k] for k in before}
-    count = len(nfs3_vectors())
-    assert delta["fast_packs"] == count
-    assert delta["fast_unpacks"] == count
+    proc = client.login_user("alice", alice.key, uid=1000)
+    logins = 1
+    top = f"{path}/home/alice"
+    big = bytes(range(256)) * 256       # 64 KB: full READV/WRITEV windows
+    proc.write_file(f"{top}/f", big)
+    assert proc.read_file(f"{top}/f") == big
+    fd = proc.open(f"{top}/f", "r+")
+    proc.write(fd, b"sync", sync=True)  # a lone FILE_SYNC write is a WRITE
+    proc.fsync(fd)
+    proc.close(fd)
+    proc.stat(f"{top}/f")
+    proc.chmod(f"{top}/f", 0o600)
+    proc.access(f"{top}/f", 4)
+    proc.mkdir(f"{top}/sub")
+    proc.symlink("f", f"{top}/ln")
+    assert proc.readlink(f"{top}/ln") == "f"
+    proc.link(f"{top}/f", f"{top}/hard")
+    proc.rename(f"{top}/hard", f"{top}/sub/moved")
+    assert sorted(proc.readdir(top)) == ["f", "ln", "sub"]
+    proc.unlink(f"{top}/sub/moved")
+    proc.rmdir(f"{top}/sub")
+    mount = client.kernel._mounts[-1]   # the /sfs/<host:hostid> mount
+    nfs = mount.client.with_cred(proc.cred)
+    nfs.null()
+    nfs.fsstat(mount.root_fh)
+    nfs.fsinfo(mount.root_fh)
+    nfs.pathconf(mount.root_fh)
+    nfs.readdirplus(mount.root_fh)
+    after = xdr.STATS.snapshot()
+
+    served = server.metrics.snapshot()["metrics"]
+    for number in types.PROC_CODECS:
+        if number != const.NFSPROC3_NULL:   # answered without an op count
+            name = const.PROC_NAMES[number].lower()
+            assert served[f"nfs3.ops.{name}"] >= 1, name
+    assert after["slow_packs"] == before["slow_packs"]
+    assert after["slow_unpacks"] - before["slow_unpacks"] == logins
+    assert after["fast_packs"] - before["fast_packs"] > 200
 
 
 def test_slow_marshal_path_counts_when_disabled():
@@ -264,9 +396,10 @@ def test_slow_marshal_path_counts_when_disabled():
 
 
 def test_non_canonical_values_fall_back_to_codec():
-    """DECLINED is an implementation detail: odd values still marshal."""
+    """The fallback is an implementation detail: odd values still marshal."""
     backend.set_fast(True)
-    # memoryview file handle: fast path wants real bytes, codec copes.
+    # memoryview file handle: the flat function wants real bytes, the
+    # interpreter copes.
     value = Record(object=memoryview(_FH))
     encoded = types.GetAttrArgs.pack(value)
     assert encoded == types.GetAttrArgs.pack(Record(object=_FH))
