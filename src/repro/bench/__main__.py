@@ -551,11 +551,14 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
     window of 1 (so no readahead and no write-gathering either) — the
     honest baseline.
 
-    The attribution columns prove *overlap*, not just speedup: at depth
-    1 elapsed time is the serialized sum of wire time, while at depth N
+    Two columns say whether the read actually overlapped anything.
+    ``link util`` is payload bytes / link bandwidth / elapsed read time:
+    1.0 is line rate, and a reader that waits out a round trip per
+    batch sits far below it however large the batch.  ``rd wire s`` is
     the summed per-record wire seconds (``net.pipelined.wire_seconds``)
-    exceed the elapsed clock — multiple records were on the wire, and
-    crypto under way, during the same simulated instant.
+    of the read phase: with one record in flight at a time it *equals*
+    the elapsed clock (every depth-1 row), and it exceeds it only when
+    several records were on the wire during the same simulated instant.
 
     A scale panel rides along: 256 (quick) / 1024 (full) closed-loop
     clients at depth 8 against one queued server, asserting zero op
@@ -568,10 +571,10 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
     chunk = b"\xa5" * 8192
     nchunks = 64 if quick else 128
     depths = [1, 4, 8, 16]
-    networks = [("LAN", None), ("WAN", NetworkParameters.wan())]
+    networks = [("LAN", NetworkParameters.lan_100mbit()),
+                ("WAN", NetworkParameters.wan())]
     rows, data_rows = [], []
     baselines: dict = {}
-    speedups: dict = {}
     for net_name, params in networks:
         for depth in depths:
             setup = make_setup(SFS, pipeline_depth=depth, params=params)
@@ -611,12 +614,12 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
             if depth == 1:
                 baselines[net_name] = (write_s, read_s)
             base_w, base_r = baselines[net_name]
-            speedups[(net_name, depth)] = base_r / read_s
             wire_s = count("net.pipelined.wire_seconds")
+            link_util = total / params.bandwidth / read_s
             rows.append((
                 f"{net_name} d={depth}", write_s, read_s,
                 f"{base_w / write_s:.2f}x", f"{base_r / read_s:.2f}x",
-                f"{read_wire_s:.3f}",
+                f"{link_util:.2f}", f"{read_wire_s:.3f}",
                 str(count("client.readahead.hits")),
                 str(count("client.gather.flushes")),
                 str(count("rpc.retransmissions")),
@@ -628,6 +631,7 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
                 "read_speedup": base_r / read_s,
                 "pipelined_wire_s": wire_s,
                 "read_wire_s": read_wire_s,
+                "read_link_utilisation": link_util,
                 "elapsed_s": write_s + read_s,
                 "readahead_hits": count("client.readahead.hits"),
                 "readahead_batches": count("client.readahead.batches"),
@@ -641,22 +645,25 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
                 collector.add(f"pipeline/{net_name}-d{depth}", setup.metrics,
                               meta={"figure": "pipeline",
                                     "network": net_name, "depth": depth})
-    # The acceptance gate: batching + pipelining must at least double
-    # sequential reads where latency dominates.
-    assert speedups[("WAN", 8)] >= 2.0, (
+    # The acceptance gate.  Stop-and-wait batching (a READV fetched on
+    # the miss and waited for) reaches 4.8x here and 0.18 of the link;
+    # keeping a bandwidth-delay product of READVs in flight must do
+    # better than both, and must show as overlap on the wire.
+    wan8 = next(r for r in data_rows
+                if r["network"] == "WAN" and r["depth"] == 8)
+    assert wan8["read_speedup"] >= 7.0, (
         f"WAN depth-8 sequential read speedup "
-        f"{speedups[('WAN', 8)]:.2f}x < 2x")
-    # Overlap proof: at depth 16 the WAN read phase is network-
-    # saturated — summed in-flight wire time covers (nearly) the whole
-    # elapsed read phase, so crypto and client CPU ran entirely under
-    # in-flight records.  The depth-1 baseline spends the same transfer
-    # stalling on serialized round trips instead.
-    wan16 = next(r for r in data_rows
-                 if r["network"] == "WAN" and r["depth"] == 16)
-    assert wan16["read_wire_s"] >= 0.9 * wan16["read_s"], (
-        f"depth-16 WAN read not network-saturated: "
-        f"{wan16['read_wire_s']:.3f}s wire vs "
-        f"{wan16['read_s']:.3f}s elapsed")
+        f"{wan8['read_speedup']:.2f}x < 7x")
+    # (The four round trips that open the file and find the run are a
+    # larger share of the quick mode's 512 KB than of the full 1 MB.)
+    floor = 0.35 if quick else 0.5
+    assert wan8["read_link_utilisation"] >= floor, (
+        f"WAN depth-8 sequential read uses "
+        f"{wan8['read_link_utilisation']:.2f} of the link, < {floor}")
+    assert wan8["read_wire_s"] > 1.5 * wan8["read_s"], (
+        f"WAN depth-8 read never overlapped records: "
+        f"{wan8['read_wire_s']:.3f}s on the wire in "
+        f"{wan8['read_s']:.3f}s elapsed")
 
     clients = 256 if quick else 1024
     config = LoadConfig(clients=clients, ops_per_client=6 if quick else 10,
@@ -674,7 +681,7 @@ def run_pipeline(quick: bool, collector=None) -> tuple[str, dict]:
         f"Pipeline: SFS sequential {nchunks * 8} KB file vs RPC window "
         "depth (d=1 = a window of 1)",
         ["Config", "write s", "read s", "write x", "read x",
-         "rd wire s", "ra hits", "gw flushes", "retrans"],
+         "link util", "rd wire s", "ra hits", "gw flushes", "retrans"],
         rows,
     )
     table += (

@@ -112,6 +112,7 @@ class SecureChannel:
             pipe, "suggested_window_depth", None
         )
         self.suggested_rtt = getattr(pipe, "suggested_rtt", 0.0)
+        self.suggested_bandwidth = getattr(pipe, "suggested_bandwidth", 0.0)
         self.metrics = self.suggested_metrics or NULL_REGISTRY
         self._m_sent = self.metrics.counter("channel.records_sent")
         self._m_received = self.metrics.counter("channel.records_received")

@@ -31,7 +31,9 @@ access (paper section 2.1.1).
 
 from __future__ import annotations
 
+import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -319,6 +321,12 @@ class ServerSession:
             return False
         self._resyncing = True
         self._m_resyncs.inc()
+        # While the pipe is down to plaintext an unauthenticated record
+        # can resolve any pending xid (ROADMAP item 1).  A prefetch
+        # answered that way would put forged bytes in the readahead
+        # buffer, so none crosses the window (PROTOCOLS.md §10): each is
+        # failed here, its xid forgotten and its window slot released.
+        self.peer.abandon_speculative()
         try:
             for _ in range(_RESYNC_ROUNDS):
                 if (yield from self._resync_round()):
@@ -696,13 +704,24 @@ class ServerSession:
         """Synchronous :meth:`call_nfs_task`."""
         return self.peer.drive(self.call_nfs_task(proc, args, authno))
 
-    def call_nfs_task(self, proc: int, args: Record, authno: int):
-        """Relay one NFS procedure over the session (``yield from``)."""
+    def call_nfs_task(self, proc: int, args: Record, authno: int,
+                      speculative: bool = False):
+        """Relay one NFS procedure over the session (``yield from``).
+
+        A *speculative* relay (a prefetch) is one attempt and nothing
+        more: see :meth:`RpcPeer.call_task`; SERVER_BUSY ends it too.
+        """
         arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        return (yield from self._retry_busy(lambda: self.peer.call_task(
-            proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-            arg_codec, args, res_codec, cred=make_sfs_cred(authno),
-        )))
+
+        def attempt():
+            return self.peer.call_task(
+                proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
+                arg_codec, args, res_codec, cred=make_sfs_cred(authno),
+                speculative=speculative,
+            )
+        if speculative:
+            return (yield from attempt())
+        return (yield from self._retry_busy(attempt))
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +761,43 @@ _MUTATING_PROCS = frozenset({
 })
 
 
+#: Handles whose readahead state is kept: reading one more evicts the
+#: least recently read, so files read once and unlinked do not pile up.
+_RA_STREAMS = 4
+
+
+class _ReadStream:
+    """Readahead state of one file handle (PROTOCOLS.md §17): the
+    sequential detector, the chunks buffered and those on the wire.
+
+    Never reset, only replaced: a READV reply belongs to the stream it
+    was requested for, and is dropped if that is no longer the one
+    :class:`MountedRemoteFs` holds for the handle.
+    """
+
+    __slots__ = ("next", "streak", "count", "window", "front", "limit",
+                 "attrs", "chunks", "pending")
+
+    def __init__(self) -> None:
+        #: Offset a sequential reader asks for next; reads in a row.
+        self.next: int | None = None
+        self.streak = 0
+        #: offset -> (data, eof, expiry time), in arrival order.
+        self.chunks: dict[int, tuple[bytes, bool, float]] = {}
+        #: offset -> the Future of the READV that will bring it.
+        self.pending: dict[int, Future] = {}
+        self.attrs: Record | None = None
+        self.open(0, 0, None, 0)
+
+    def open(self, front: int, count: int, limit: int | None,
+             window: int) -> None:
+        """Start a window at *front*: chunks of *count* bytes, *window*
+        bytes ahead, nothing requested past *limit* (the file's size,
+        where known; later the offset a reply reported end of file)."""
+        self.front, self.count, self.limit = front, count, limit
+        self.window = window
+
+
 class MountedRemoteFs:
     """One remote read-write file system, served to the kernel as NFS.
 
@@ -767,14 +823,11 @@ class MountedRemoteFs:
         self._m_relayed = daemon.metrics.counter("client.rpcs_relayed")
         self._m_replayed = daemon.metrics.counter("client.replayed_calls")
         self._m_stale = daemon.metrics.counter("client.stale_handles")
-        # Readahead state (active when daemon.pipeline_depth > 1):
-        # handle -> {offset: (data, eof)} chunks prefetched via READV,
-        # plus the sequential-access detector (next expected offset and
-        # current streak length per handle).
-        self._ra_buf: dict[bytes, dict[int, tuple[bytes, bool]]] = {}
-        self._ra_attrs: dict[bytes, Record | None] = {}
-        self._seq_next: dict[bytes, int] = {}
-        self._seq_streak: dict[bytes, int] = {}
+        # Readahead state (active when daemon.pipeline_depth > 1), for
+        # the _RA_STREAMS most recently read handles, oldest first; and
+        # how many READV prefetches are on the wire for all of them.
+        self._ra_streams: OrderedDict[bytes, _ReadStream] = OrderedDict()
+        self._ra_in_flight = 0
         # Write-gathering state: handle -> [[offset, bytearray], ...]
         # coalesced dirty ranges not yet sent to the server.
         self._gather_segs: dict[bytes, list[list]] = {}
@@ -807,8 +860,7 @@ class MountedRemoteFs:
         self.caches.attrs.clear()
         self.caches.access.clear()
         self.caches.lookups.clear()
-        self._ra_buf.clear()
-        self._ra_attrs.clear()
+        self._ra_discard_all()
 
     def _after_reconnect(self) -> None:
         """The server restarted: every piece of its volatile state is
@@ -821,8 +873,7 @@ class MountedRemoteFs:
         self.caches.attrs.clear()
         self.caches.access.clear()
         self.caches.lookups.clear()
-        self._ra_buf.clear()
-        self._ra_attrs.clear()
+        self._ra_discard_all()
 
     # -- authentication --
 
@@ -914,7 +965,7 @@ class MountedRemoteFs:
                 status = self._flush_gather(args.file, ctx)
                 if status is not None:
                     return status, Record(file_attributes=None)
-            return self._read_with_readahead(args, ctx, depth)
+            return self._read_ahead(args, ctx, depth)
         if proc == nfs_const.NFSPROC3_WRITE:
             self._ra_discard(args.file)
             if args.stable == nfs_const.UNSTABLE:
@@ -947,61 +998,178 @@ class MountedRemoteFs:
                     return status, nfs_failure_shape(proc)
         return None
 
-    def _ra_discard(self, handle: bytes) -> None:
-        if self._ra_buf.pop(handle, None) is not None:
-            self._m_ra_discarded.inc()
-        self._ra_attrs.pop(handle, None)
-        self._seq_next.pop(handle, None)
-        self._seq_streak.pop(handle, None)
+    def _ra_count(self, event: str) -> None:
+        """Count a prefetch *event* (``waits``, ``stale_replies``,
+        ``abandoned``).  Registered on first use, unlike the mount's
+        other counters: a mount that never reads ahead publishes the
+        metric set it always did, which perfbench's ``virt_digest``
+        hashes."""
+        self.daemon.metrics.counter(f"client.readahead.{event}").inc()
 
-    def _read_with_readahead(self, args: Record, ctx: CallContext,
-                             depth: int):
+    def _ra_discard(self, handle: bytes) -> None:
+        """Forget *handle*'s readahead state.  Prefetches of it still
+        on the wire find their stream gone or replaced when they land,
+        and update nothing."""
+        stream = self._ra_streams.pop(handle, None)
+        if stream is not None and (stream.chunks or stream.pending):
+            self._m_ra_discarded.inc()
+
+    def _ra_discard_all(self) -> None:
+        for handle in list(self._ra_streams):
+            self._ra_discard(handle)
+
+    def _read_ahead(self, args: Record, ctx: CallContext, depth: int):
+        """Serve a READ from its handle's stream, keeping the window
+        ahead of a sequential reader full; None = relay a plain READ."""
         handle, offset, count = args.file, args.offset, args.count
-        buf = self._ra_buf.get(handle)
-        if buf is not None:
-            entry = buf.pop(offset, None)
-            if entry is not None:
-                data, eof = entry
-                if len(data) <= count:
-                    self._m_ra_hits.inc()
-                    self._seq_next[handle] = offset + len(data)
-                    return nfs_const.NFS3_OK, Record(
-                        file_attributes=self._ra_attrs.get(handle),
-                        count=len(data), eof=eof, data=data,
-                    )
-                self._m_ra_discarded.inc()
-        # Buffer miss: update the sequential detector, and batch the
-        # next window via READV once a run of two chunks is seen.
+        stream = self._ra_streams.get(handle)
+        if stream is None:
+            stream = self._ra_streams[handle] = _ReadStream()
+            while len(self._ra_streams) > _RA_STREAMS:
+                self._ra_discard(next(iter(self._ra_streams)))
+        else:
+            self._ra_streams.move_to_end(handle)
+        waited = offset in stream.pending
+        if waited or offset in stream.chunks:
+            if offset == stream.next:
+                # The run goes on.  Top up before taking the chunk: the
+                # wire stays full while this read waits for it.
+                self._ra_top_up(stream, handle, offset + count, depth, ctx)
+            reply = self._ra_take(stream, handle, offset, count)
+            if reply is not None:
+                self._m_ra_hits.inc()
+                return reply
         self._m_ra_misses.inc()
-        sequential = self._seq_next.get(handle) == offset
-        self._seq_next[handle] = offset + count
-        streak = self._seq_streak.get(handle, 0) + 1 if sequential else 0
-        self._seq_streak[handle] = streak
-        if streak < 1 or count <= 0:
-            return None  # plain READ relay
-        segments = [Record(offset=offset + i * count, count=count)
-                    for i in range(depth)]
-        status, body = self._relay(
-            nfs_const.NFSPROC3_READV,
-            Record(file=handle, segments=segments), ctx,
-        )
-        if status != nfs_const.NFS3_OK:
-            # Fall back to a plain READ so the error surfaces with the
-            # reply shape the kernel asked for.
+        sequential = stream.next == offset
+        stream.next = offset + count
+        stream.streak = stream.streak + 1 if sequential else 0
+        if waited or stream.streak < 1 or count <= 0:
+            # Not a run yet — or the prefetch this read waited for was
+            # lost: the plain READ retransmits and recovers.
             return None
+        # A run of two: open the whole window at once (a ramp would cost
+        # a round trip per step).  The first READV carries only the
+        # chunk this read is blocked on, so that it never queues behind
+        # replies it does not need.
+        known = self.caches.attrs.get(handle)
+        stream.open(offset, count, known.size if known is not None else None,
+                    self._ra_window(depth, count))
+        self._ra_request(stream, handle, 1, ctx)
+        self._ra_top_up(stream, handle, offset + count, depth, ctx)
+        return self._ra_take(stream, handle, offset, count)
+
+    def _ra_window(self, depth: int, count: int) -> int:
+        """Bytes to keep requested or buffered ahead of a sequential
+        reader: the session link's bandwidth-delay product rounded up
+        to whole READVs of *depth* chunks, plus the READV being
+        consumed."""
+        peer = self.session.peer
+        batch = depth * count
+        fill = (min(peer.rtt_estimate * peer.bandwidth_estimate,
+                    depth * batch) if peer.rtt_estimate else 0.0)
+        return (math.ceil(fill / batch) + 1) * batch
+
+    def _ra_top_up(self, stream: "_ReadStream", handle: bytes,
+                   position: int, depth: int, ctx: CallContext) -> None:
+        """Issue READVs of up to *depth* chunks until the window beyond
+        *position* is requested — not past a known end of file, but
+        including the chunk *at* it (the empty read that tells a reader
+        it is done).  At most ``depth - 2`` are in flight, so the
+        foreground call and a REKEY always find a window slot."""
+        count = stream.count
+        while (self._ra_in_flight < max(1, depth - 2)
+               and stream.front + depth * count <= position + stream.window
+               and (stream.limit is None or stream.front <= stream.limit)):
+            chunks = depth
+            if stream.limit is not None:
+                chunks = min(depth, (stream.limit - stream.front) // count + 1)
+            self._ra_request(stream, handle, chunks, ctx)
+
+    def _ra_request(self, stream: "_ReadStream", handle: bytes,
+                    chunks: int, ctx: CallContext) -> None:
+        """Send one speculative READV for the next *chunks* chunks."""
+        count = stream.count
+        offsets = [stream.front + i * count for i in range(chunks)]
+        stream.front += chunks * count
+        done = self.session.peer.start(self.session.call_nfs_task(
+            nfs_const.NFSPROC3_READV,
+            Record(file=handle, segments=[
+                Record(offset=at, count=count) for at in offsets]),
+            self._authno_for(ctx), speculative=True,
+        ))
+        self._ra_in_flight += 1
+        for at in offsets:
+            stream.pending[at] = done
+        done.add_done_callback(
+            lambda done: self._ra_arrived(stream, handle, offsets, done))
+
+    def _ra_arrived(self, stream: "_ReadStream", handle: bytes,
+                    offsets: list[int], done: Future) -> None:
+        """A prefetch ended: buffer what it brought, if it still may."""
+        self._ra_in_flight -= 1
+        for at in offsets:
+            if stream.pending.get(at) is done:
+                del stream.pending[at]
+        if done.exception is not None:
+            if not isinstance(done.exception, (RpcError, ConnectionError)):
+                raise done.exception
+            self._ra_count("abandoned")
+            return
+        if self._ra_streams.get(handle) is not stream:
+            # Discarded since the request left (a write, an INVALIDATE,
+            # a rekey, a reconnect, eviction): what this reply read may
+            # predate the event, so none of it is kept.
+            self._ra_count("stale_replies")
+            return
+        self.rpcs_relayed += 1
+        self._m_relayed.inc()
+        status, body = done.value
+        if status != nfs_const.NFS3_OK:
+            return  # the reader's plain READ will report it, READ-shaped
+        _rewrite_fsids(body, self.fsid)
+        if body.file_attributes is not None:
+            self.caches.attrs.put(handle, body.file_attributes)
         self._m_ra_batches.inc()
-        self._ra_attrs[handle] = body.file_attributes
-        buf = self._ra_buf.setdefault(handle, {})
-        for seg_args, seg in zip(segments[1:], body.segments[1:]):
-            buf[seg_args.offset] = (seg.data, seg.eof)
+        stream.attrs = body.file_attributes
+        expires = self.daemon.clock.now + float(
+            self.session.servinfo.lease_duration)
+        for at, seg in zip(offsets, body.segments):
+            if stream.limit is not None and at > stream.limit:
+                break  # past the end of file: no reader asks for these
+            stream.chunks[at] = (seg.data, seg.eof, expires)
             self._m_ra_chunks.inc()
             if seg.eof:
-                break
-        first = body.segments[0]
-        self._seq_next[handle] = offset + first.count
+                stream.limit = at + len(seg.data)
+        # A stream holds two windows at most, the one ahead of its
+        # reader and one a jump left behind (a reader that comes back
+        # finds it); beyond that the oldest arrivals go.
+        while len(stream.chunks) * stream.count > 2 * stream.window:
+            del stream.chunks[next(iter(stream.chunks))]
+            self._m_ra_discarded.inc()
+
+    def _ra_take(self, stream: "_ReadStream", handle: bytes,
+                 offset: int, count: int):
+        """The chunk at *offset* as a READ reply — after waiting for it,
+        if it is on the wire — or None when there is none to serve."""
+        pending = stream.pending.get(offset)
+        if pending is not None:
+            self._ra_count("waits")
+            self.session.peer.wait_for(pending)
+            if self._ra_streams.get(handle) is not stream:
+                return None  # discarded while this read waited
+        entry = stream.chunks.pop(offset, None)
+        if entry is None:
+            return None
+        data, eof, expires = entry
+        if len(data) > count or expires < self.daemon.clock.now:
+            # Too long for this read, or older than a lease: what the
+            # attribute cache would no longer vouch for, neither do we.
+            self._m_ra_discarded.inc()
+            return None
+        stream.next = offset + len(data)
         return nfs_const.NFS3_OK, Record(
-            file_attributes=body.file_attributes,
-            count=first.count, eof=first.eof, data=first.data,
+            file_attributes=stream.attrs,
+            count=len(data), eof=eof, data=data,
         )
 
     def _gather_write(self, args: Record, ctx: CallContext, depth: int):
@@ -1100,9 +1268,6 @@ class MountedRemoteFs:
             if body.obj_attributes is not None:
                 caches.attrs.put(args.object, body.obj_attributes)
         elif proc == nfs_const.NFSPROC3_READ:
-            if body.file_attributes is not None:
-                caches.attrs.put(args.file, body.file_attributes)
-        elif proc == nfs_const.NFSPROC3_READV:
             if body.file_attributes is not None:
                 caches.attrs.put(args.file, body.file_attributes)
         elif proc in (nfs_const.NFSPROC3_WRITE, nfs_const.NFSPROC3_WRITEV):
@@ -1395,9 +1560,10 @@ class SfsClientDaemon:
         self.caching = caching
         #: Pipeline window depth for the daemon's mounts: 1 = classic
         #: one-RPC-at-a-time relaying (bit-identical to the pre-pipeline
-        #: stack); >1 turns on sequential readahead (READV batches of up
-        #: to this many chunks) and write-gathering (up to this many
-        #: coalesced UNSTABLE writes per WRITEV flush).
+        #: stack); >1 turns on sequential readahead (a window of READVs
+        #: of up to this many chunks, kept in flight ahead of the
+        #: reader) and write-gathering (up to this many coalesced
+        #: UNSTABLE writes per WRITEV flush).
         self.pipeline_depth = pipeline_depth
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: One policy drives both the mount-time handshake redial and

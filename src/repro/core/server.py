@@ -160,6 +160,7 @@ class SwitchablePipe:
             lower, "suggested_window_depth", None
         )
         self.suggested_rtt = getattr(lower, "suggested_rtt", 0.0)
+        self.suggested_bandwidth = getattr(lower, "suggested_bandwidth", 0.0)
         lower.on_receive(self._dispatch)
 
     def _dispatch(self, data: bytes) -> None:

@@ -12,8 +12,9 @@ channel wrapper, or a real TCP transport.  No transport delivers inside
 ``send``: a reply arrives later, from a clock timer (the virtual
 network) or a socket read (TCP).  There is therefore one call path,
 :meth:`RpcPeer.call_task`, a generator that *yields* while its reply is
-in flight, and one synchronous edge, :meth:`RpcPeer.drive`, which runs
-such a generator to completion for callers outside any task.
+in flight, and two ways to run such a generator from outside any task:
+:meth:`RpcPeer.drive` runs it to completion for a synchronous caller,
+:meth:`RpcPeer.start` runs it in the background and hands back a Future.
 
 Set ``trace`` to a callable to pretty-print RPC traffic, mirroring the
 debugging aid the paper credits for SFS's reliability ("Our RPC library
@@ -22,6 +23,7 @@ can pretty-print RPC traffic for debugging").
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from collections import OrderedDict, deque
@@ -253,6 +255,11 @@ class RpcPeer:
         #: expire long before any WAN reply could arrive and every call
         #: would retransmit itself into a channel rekey storm.
         self.rtt_estimate: float = getattr(pipe, "suggested_rtt", 0.0) or 0.0
+        #: The transport's bandwidth in bytes per second, where it knows
+        #: one (0.0 = unknown).  With :attr:`rtt_estimate` it gives the
+        #: bytes that fill the path, which is how far sfscd reads ahead.
+        self.bandwidth_estimate: float = getattr(
+            pipe, "suggested_bandwidth", 0.0) or 0.0
         self._window_in_flight = 0
         self._window_waiters: deque[Future] = deque()
         self.window_waits = 0
@@ -269,6 +276,9 @@ class RpcPeer:
         #: xid -> the Future the call's current attempt waits on; a
         #: reply resolves it with ``(header, body)``.
         self._call_futures: dict[int, Future] = {}
+        #: xids of speculative calls in flight (see :meth:`call_task`):
+        #: what :meth:`abandon_speculative` fails.
+        self._speculative: set[int] = set()
         self._closed = False
         #: A generator function :meth:`call_task` delegates to
         #: (``yield from``) before the second and later retransmissions;
@@ -550,7 +560,7 @@ class RpcPeer:
             waited = next(gen)
             while True:
                 if isinstance(waited, Future):
-                    self._wait_sync(waited)
+                    self.wait_for(waited)
                     if waited.exception is not None:
                         waited = gen.throw(waited.exception)
                     else:
@@ -569,7 +579,50 @@ class RpcPeer:
             gen.close()
             raise
 
-    def _wait_sync(self, future: Future) -> None:
+    def start(self, gen) -> Future:
+        """Run a task generator in the background; the Future returned
+        completes with its result or its exception.
+
+        The non-blocking counterpart of :meth:`drive`.  The generator is
+        stepped from the done-callbacks of the futures it yields (from a
+        :attr:`backoff_clock` timer for a sleep), so it moves whenever
+        the clock does and needs no scheduler: a synchronous caller
+        inside a task step, who may run the clock but not pump, sees it
+        progress exactly as one at top level does.
+        """
+        outcome = Future(name=f"{self.name}:background")
+        self._step(gen, outcome)
+        return outcome
+
+    def _step(self, gen, outcome: Future,
+              waited: Future | None = None) -> None:
+        """Resume a :meth:`start`-ed generator with what it waited for
+        (None: its first step, or a sleep that is over)."""
+        try:
+            if waited is None:
+                waited = gen.send(None)
+            elif waited.exception is not None:
+                waited = gen.throw(waited.exception)
+            else:
+                waited = gen.send(waited.value)
+        except StopIteration as stop:
+            outcome.resolve(stop.value)
+            return
+        except Exception as exc:  # noqa: BLE001 - carried by the future
+            outcome.fail(exc)
+            return
+        # (A partial, not a closure over itself: nothing here is left
+        # for the cycle collector once the generator is done.)
+        resume = functools.partial(self._step, gen, outcome)
+        if isinstance(waited, Future):
+            waited.add_done_callback(resume)
+        else:
+            clock = self.backoff_clock
+            clock.call_at(clock.now + (
+                waited.seconds if isinstance(waited, Sleep)
+                else float(waited)), resume)
+
+    def wait_for(self, future: Future) -> None:
         """Block (in simulation terms) until *future* completes.
 
         Two ways forward: the transport's :attr:`reply_waiter`, else
@@ -663,6 +716,7 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
+        speculative: bool = False,
     ):
         """The one task-native call path (``yield from`` it).
 
@@ -687,15 +741,37 @@ class RpcPeer:
         in-flight slot (yielding on a slot future when the window is
         full — backpressure without busy-spinning) and releases it on
         completion, handing it FIFO to the oldest waiter.
+
+        A *speculative* call is one whose caller can do without the
+        answer (a prefetch): it gets one attempt under the same timer,
+        is never retransmitted and never runs :attr:`recovery_hook`, and
+        :meth:`abandon_speculative` may fail it at any moment.  Either
+        way it ends in :class:`RpcTimeout`.
         """
         if self.window_depth is not None:
             yield from self._window_acquire()
         try:
             return (yield from self._call_task_inner(
                 prog, vers, proc, arg_codec, args, res_codec, cred,
+                speculative,
             ))
         finally:
             self._window_release()
+
+    def abandon_speculative(self) -> int:
+        """Fail every speculative call in flight; returns how many.
+
+        Their xids leave the pending table at once, so no record that
+        arrives afterwards can resolve them — what the session does
+        before it lets plaintext records through (PROTOCOLS.md §10).
+        """
+        abandoned = 0
+        for xid in sorted(self._speculative):
+            future = self._call_futures.pop(xid, None)
+            if future is not None and future.fail(
+                    RpcTimeout(f"speculative xid {xid} abandoned")):
+                abandoned += 1
+        return abandoned
 
     def _call_task_inner(
         self,
@@ -706,6 +782,7 @@ class RpcPeer:
         args: Any,
         res_codec: Codec,
         cred: OpaqueAuth,
+        speculative: bool,
     ):
         self._xid += 1
         xid = self._xid
@@ -719,7 +796,8 @@ class RpcPeer:
         clock = self.backoff_clock
         sim0 = clock.now if clock is not None else 0.0
         policy = self.retry_policy
-        attempts = policy.max_attempts if policy is not None else 1
+        attempts = (1 if policy is None or speculative
+                    else policy.max_attempts)
         # Floored, so that only genuine loss — not a reply still on the
         # wire — triggers a resend (and, worse, the second-retry rekey).
         timeout = (max(policy.base_delay, self.rto_floor)
@@ -750,6 +828,8 @@ class RpcPeer:
                     )
                 future = Future(name=f"{self.name}:xid{xid}")
                 self._call_futures[xid] = future
+                if speculative:
+                    self._speculative.add(xid)
                 try:
                     self._pipe.send(record)
                 except ConnectionError as exc:
@@ -785,5 +865,6 @@ class RpcPeer:
             )
         finally:
             self._call_futures.pop(xid, None)
+            self._speculative.discard(xid)
             if clock is not None:
                 self._m_call_seconds.observe(clock.now - sim0)

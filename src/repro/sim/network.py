@@ -600,6 +600,12 @@ class LinkSide:
         return 2.0 * self._link._params.latency
 
     @property
+    def suggested_bandwidth(self) -> float:
+        """Bytes per second this link carries in one direction; with
+        :attr:`suggested_rtt`, how many bytes in flight fill it."""
+        return self._link._params.bandwidth
+
+    @property
     def suggested_reply_waiter(self):
         """The link's progress pump (a Scheduler.pump_once), if any.
 

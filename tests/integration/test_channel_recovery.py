@@ -15,7 +15,12 @@ import random
 import pytest
 
 from repro.core import proto
-from repro.core.channel import RESYNC_REQUEST, make_control_record
+from repro.core.channel import (
+    RESYNC_ACK,
+    RESYNC_REQUEST,
+    make_control_record,
+    parse_control_record,
+)
 from repro.core.server import ZERO_HANDLE, make_sfs_cred
 from repro.fs import pathops
 from repro.fs.memfs import Cred
@@ -29,6 +34,7 @@ from repro.sim.network import (
     Adversary,
     ChaosAdversary,
     DropAdversary,
+    NetworkParameters,
     RandomDropAdversary,
     RecordingAdversary,
 )
@@ -445,3 +451,142 @@ def test_lossy_depth_8_closed_loop_recovers_inside_its_tasks():
     assert sum(session.rekeys for session in harness.sessions) > 0
     harness.scheduler.drain()
 
+
+
+@pytest.mark.parametrize("seed", [1, 4, 6, 7])
+def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
+    """5 % of records vanish on a WAN link at depth 8 while the kernel
+    writes and reads back four files.  Prefetches are speculative: one
+    attempt each, none retransmitted, none the caller of the recovery
+    hook, and — checked at the moment the pipe drops to plaintext —
+    none pending while an unauthenticated record could resolve it.  The
+    reads that waited for a lost one fall back to plain READs, whose
+    retransmissions recover as they always did: every file completes
+    with the right bytes."""
+    import re
+
+    world = World(seed=seed)
+    world.lan_params = NetworkParameters.wan()
+    world.enable_pipelining(depth=8, seed=seed)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    alice = server.add_user("alice", uid=1000)
+    home = pathops.mkdirs(server.fs, "/home/alice")
+    server.fs.setattr(home.ino, Cred(0, 0), uid=1000, gid=100)
+    client = world.add_client("laptop")
+    proc = client.login_user("alice", alice.key, uid=1000)
+    proc.stat(f"{path}/home/alice")           # mounted before the loss
+    session = session_for(world, path)
+    peer, pipe = session.peer, session.pipe
+
+    plaintext_windows = []
+    reset_to_plaintext = pipe.reset_to_plaintext
+
+    def checked_reset():
+        plaintext_windows.append(sorted(peer._speculative))
+        reset_to_plaintext()
+
+    pipe.reset_to_plaintext = checked_reset
+    proc_of_xid, retransmitted = {}, []
+
+    def trace(line):
+        if ": call " in line:
+            proc_of_xid[peer._xid] = int(re.search(r"proc=(\d+)", line)[1])
+        elif ": retransmit " in line:
+            retransmitted.append(
+                proc_of_xid[int(re.search(r"xid=(\d+)", line)[1])])
+
+    peer.trace = trace
+    seeds = random.Random(seed)
+    world.set_wire_adversary(
+        lambda: RandomDropAdversary(0.05, random.Random(seeds.random())))
+
+    for i in range(4):
+        data = random.Random(seed * 10 + i).randbytes(24 * 8192)
+        name = f"{path}/home/alice/f{i}"
+        proc.write_file(name, data)
+        fd = proc.open(name)
+        got = bytearray()
+        while piece := proc.read(fd, 8192):
+            got += piece
+        proc.close(fd)
+        assert bytes(got) == data
+
+    assert session.peer is peer               # recovered in place
+    assert session.rekeys >= 1 and plaintext_windows
+    assert not any(plaintext_windows)         # no prefetch xid pending
+    assert retransmitted                      # foreground calls recovered
+    assert nfs_const.NFSPROC3_READV not in retransmitted
+    assert proc_of_xid and nfs_const.NFSPROC3_READV in proc_of_xid.values()
+    assert not peer._speculative
+    assert world.metrics.counter("client.readahead.abandoned").value >= 1
+
+
+class ForgeReadvReplies(Adversary):
+    """ROADMAP item 1(a) aimed at the readahead buffer: behind the
+    server's RESYNC-ACK, a plaintext READV reply for every xid up to
+    *last_xid*, each offering attacker bytes as chunks of the file."""
+
+    EVIL = b"\xee" * 8192
+
+    def __init__(self):
+        self.forged = 0
+        self.last_xid = 0
+
+    def process(self, data, direction):
+        if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
+            return [data]
+        _args, res_codec = proto.NFS_PROC_CODECS[nfs_const.NFSPROC3_READV]
+        body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
+            file_attributes=None,
+            segments=[nfs_types.Record(count=8192, eof=False, data=self.EVIL)
+                      for _ in range(8)])))
+        forged = [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)
+                  for xid in range(1, self.last_xid + 1)]
+        self.forged += len(forged)
+        return [data] + forged
+
+
+def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
+    """With READVs in flight the session resyncs, and an attacker
+    answers every pending xid in plaintext.  Prefetches were abandoned
+    before the pipe dropped its channel — xid gone, future failed, slot
+    released — so the forgeries resolve nothing and no attacker byte
+    reaches the readahead buffer."""
+    world = World(seed=85)
+    world.lan_params = NetworkParameters.wan()
+    world.enable_pipelining(depth=8, seed=85)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    data = random.Random(85).randbytes(48 * 8192)
+    pathops.write_file(server.fs, "/big", data)
+    forger = ForgeReadvReplies()
+    world.adversary_factory = lambda: forger
+    client = world.add_client("laptop")
+    client.new_agent("user", 1000)
+    proc = client.process(uid=1000)
+    fd = proc.open(f"{path}/big")
+    assert proc.read(fd, 2 * 8192) == data[:2 * 8192]   # the window opens
+    mount = client.sfscd._mounts[path.hostid]
+    session = mount.session
+    assert mount._ra_in_flight >= 2 and session.peer._speculative
+    counter = world.metrics.counter
+    batches = counter("client.readahead.batches").value
+    pending_at_reset = []
+    reset_to_plaintext = session.pipe.reset_to_plaintext
+
+    def checked_reset():
+        pending_at_reset.append(sorted(session.peer._speculative))
+        reset_to_plaintext()
+
+    session.pipe.reset_to_plaintext = checked_reset
+    forger.last_xid = session.peer._xid       # every call sent so far
+    assert session.resync()
+    assert forger.forged and pending_at_reset == [[]]
+    assert counter("client.readahead.batches").value == batches
+    assert counter("client.readahead.abandoned").value >= 2
+    assert mount._ra_in_flight == 0
+    assert session.peer._window_in_flight == 0
+    assert not session.peer._call_futures
+    assert proc.read(fd, len(data)) == data[2 * 8192:]
+    proc.close(fd)

@@ -471,3 +471,44 @@ def test_reconnect_backoff_yields_to_the_other_clients():
                       if window["backoff_from"] < t < window["backoff_until"]]
     assert during_backoff, "nobody else ran while the victim backed off"
 
+
+
+def test_crash_with_a_readahead_window_in_flight_fails_over():
+    """The server dies with several READV prefetches on the wire: they
+    are speculative, so nobody replays them; the read that was waiting
+    for one falls back to a plain READ, which fails over and replays.
+    Every byte is right and no call is left pending on either peer."""
+    from repro.sim.network import NetworkParameters
+
+    world = World(seed=SEED)
+    world.lan_params = NetworkParameters.wan()
+    world.enable_pipelining(depth=8, seed=SEED)
+    server = world.add_server("crashy.example.com")
+    path = server.export_fs()
+    alice = server.add_user("alice", uid=1000)
+    home = pathops.mkdirs(server.fs, "/home/alice")
+    server.fs.setattr(home.ino, Cred(0, 0), uid=1000, gid=100)
+    client = world.add_client("laptop")
+    proc = client.login_user("alice", alice.key, uid=1000)
+    name = f"{path}/home/alice/big"
+    data = bytes(range(256)) * 32 * 64        # 64 x 8 KB
+    proc.write_file(name, data)               # committed by the close
+
+    fd = proc.open(name)
+    assert proc.read(fd, 2 * 8192) == data[:2 * 8192]   # the window opens
+    mount = mount_of(client, path)
+    old_peer = mount.session.peer
+    assert mount._ra_in_flight >= 2
+    world.clock.call_at(world.clock.now + 0.001, server.crash)
+    server.schedule_restart(world.clock.now + 0.5)
+    assert proc.read(fd, len(data)) == data[2 * 8192:]
+    proc.close(fd)
+
+    session = mount.session
+    assert session.reconnects == 1
+    assert mount.replayed_calls >= 1
+    assert world.metrics.counter("client.readahead.abandoned").value >= 2
+    assert mount._ra_in_flight == 0
+    for peer in (old_peer, session.peer):
+        assert not peer._call_futures and not peer._speculative
+    assert world.metrics.counter("client.readahead.hits").value > 32

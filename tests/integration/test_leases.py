@@ -1,12 +1,14 @@
 """Lease caching and server invalidation callbacks (paper section 3.3)."""
 
 import errno
+import random
 
 import pytest
 
 from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.world import World
+from repro.sim.network import NetworkParameters
 
 
 @pytest.fixture
@@ -83,7 +85,7 @@ def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
     mount1 = _mount_of(c1, path)
     fd = p1.open(name)
     assert len(p1.read(fd, 3 * 8192)) == 3 * 8192
-    holding_readahead = bool(mount1._ra_buf)
+    holding_readahead = bool(mount1._ra_streams)
     assert holding_readahead == (pipeline_depth > 1)
     c1_connection = next(iter(server.master.rw_export(path.hostid).connections))
     sent_before = c1_connection.invalidations_sent
@@ -91,7 +93,7 @@ def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
     p2.close(p2.open(name, "w"))
 
     assert c1_connection.invalidations_sent > sent_before
-    assert not mount1._ra_buf
+    assert not mount1._ra_streams
     assert p1.stat(name).size == 0
     assert p1.read_file(name) == b""
     assert p1.read(fd, 8192) == b""  # not a prefetched chunk of the old file
@@ -256,3 +258,66 @@ def test_access_cache_is_per_uid(two_clients):
     misses_before = mount.caches.access.misses
     other.access(f"{path}/shared/k", 0x1)
     assert mount.caches.access.misses > misses_before
+
+
+# --- readahead under leases (pipeline depth 8) -------------------------------
+
+CHUNK = 8192
+
+
+def test_remote_write_drops_prefetches_still_on_the_wire():
+    """Client 2 writes while one of client 1's READVs is still crossing
+    a slow link: the INVALIDATE reaches client 1 ahead of that READV's
+    reply, which then belongs to a discarded stream and is dropped —
+    nothing read ahead outlives the callback."""
+    world, _server, path, c1, p1, _c2, p2 = _two_clients(pipeline_depth=8)
+    name = f"{path}/shared/big"
+    old = random.Random(61).randbytes(64 * CHUNK)
+    lan, world.lan_params = world.lan_params, NetworkParameters.wan()
+    p1.write_file(name, old)           # c1 dials over the WAN ...
+    world.lan_params = lan
+    assert p2.stat(name).size == len(old)  # ... c2 over the LAN
+    reader = p1.open(name)
+    at = 2 * CHUNK
+    assert p1.read(reader, at) == old[:at]  # the window opens
+    world.clock.advance(0.5)           # and every READV of it lands
+    mount1 = _mount_of(c1, path)
+    (stream,) = mount1._ra_streams.values()
+    assert not stream.pending
+    while not stream.pending:          # read on until a top-up goes out
+        assert p1.read(reader, CHUNK) == old[at:at + CHUNK]
+        at += CHUNK
+    target = max(stream.pending)       # requested, 20 ms from the server
+    fresh = bytes(CHUNK)
+    writer = p2.open(name)
+    p2.lseek(writer, target)
+    p2.write(writer, fresh, sync=True)  # gets there first
+    p2.close(writer)
+    expected = old[:target] + fresh + old[target + CHUNK:]
+    assert p1.read(reader, len(old)) == expected[at:]
+    assert world.metrics.counter("client.readahead.stale_replies").value >= 1
+    assert stream.pending == {} and mount1._ra_in_flight == 0
+    assert mount1._ra_streams[next(iter(mount1._ra_streams))] is not stream
+    p1.close(reader)
+
+
+def test_buffered_chunks_do_not_outlive_the_lease():
+    """Invalidations are one-way and best-effort; a chunk read ahead is
+    vouched for by the lease it arrived under and no longer."""
+    world, _server, path, c1, p1, _c2, _p2 = _two_clients(pipeline_depth=8)
+    name = f"{path}/shared/big"
+    data = random.Random(62).randbytes(32 * CHUNK)
+    p1.write_file(name, data)
+    fd = p1.open(name)
+    assert p1.read(fd, 3 * CHUNK) == data[:3 * CHUNK]
+    (stream,) = _mount_of(c1, path)._ra_streams.values()
+    assert stream.chunks               # chunk 3 onwards, buffered
+    hit_count = world.metrics.counter("client.readahead.hits")
+    discard_count = world.metrics.counter("client.readahead.discarded")
+    hits, discarded = hit_count.value, discard_count.value
+    world.clock.advance(2000.0)        # beyond the 1,000 s lease
+    assert p1.read(fd, CHUNK) == data[3 * CHUNK:4 * CHUNK]
+    assert hit_count.value == hits
+    assert discard_count.value == discarded + 1
+    assert p1.read(fd, len(data)) == data[4 * CHUNK:]
+    p1.close(fd)

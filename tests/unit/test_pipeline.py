@@ -15,12 +15,19 @@ from repro.fs.memfs import MemFs
 from repro.nfs3 import const as nfs_const
 from repro.nfs3.client import Nfs3Client
 from repro.nfs3.server import Nfs3Server
-from repro.rpc.peer import Program, RetryPolicy, RpcPeer
+from repro.rpc.peer import (
+    Program,
+    RetryPolicy,
+    RpcPeer,
+    RpcRejected,
+    RpcTimeout,
+)
 from repro.rpc.rpcmsg import AuthSys
 from repro.rpc.xdr import Struct, UInt32
 from repro.sim.clock import Clock
 from repro.sim.network import (
     BurstLossAdversary,
+    DropAdversary,
     NetworkParameters,
     link_pair,
 )
@@ -277,6 +284,71 @@ def test_stall_message_names_blocked_task_and_waited_future():
     assert "oldest pending timer" in message
 
 
+# --- background calls and speculative calls --------------------------------
+
+def _add(client, x, **kwargs):
+    return client.call_task(400000, 2, 1, ADD_ARGS, {"x": x, "y": 1},
+                            UInt32, **kwargs)
+
+
+def test_start_runs_calls_from_timers_alone():
+    """``start`` needs no scheduler: three calls overlap on the wire and
+    complete as the clock reaches their replies."""
+    client, server, clock = make_pipelined_pair(depth=4)
+    program, _calls = counting_program()
+    server.register(program)
+    outcomes = [client.start(_add(client, i)) for i in range(3)]
+    assert client._window_in_flight == 3
+    assert not any(outcome.done for outcome in outcomes)
+    settle(clock)
+    assert [outcome.value for outcome in outcomes] == [1, 2, 3]
+    assert clock.now < 2 * (2 * WAN.latency)    # overlapped, not serial
+    assert client._window_in_flight == 0
+
+
+def test_start_delivers_a_failure_through_the_future():
+    client, _server, clock = make_pipelined_pair()
+    outcome = client.start(_add(client, 1))     # nobody serves program 400000
+    settle(clock)
+    assert isinstance(outcome.exception, RpcRejected)
+
+
+def test_speculative_call_gets_one_attempt():
+    client, server, clock = make_pipelined_pair(
+        adversary=DropAdversary(target_index=0, direction="a->b"), depth=4)
+    client.retry_policy = RetryPolicy()
+    recoveries = []
+    client.recovery_hook = lambda: recoveries.append(1) or (yield)
+    program, calls = counting_program()
+    server.register(program)
+    outcome = client.start(_add(client, 7, speculative=True))
+    settle(clock)
+    assert isinstance(outcome.exception, RpcTimeout)
+    assert calls == [] and client.retransmissions == 0 and not recoveries
+    assert clock.now == pytest.approx(client.rto_floor)
+    assert not client._call_futures and not client._speculative
+    assert client._window_in_flight == 0
+
+
+def test_abandoned_speculative_call_cannot_be_resolved():
+    """Abandoning forgets the xid at once: the reply, when it comes, is
+    one for an unknown call; foreground calls are left alone."""
+    client, server, clock = make_pipelined_pair(depth=4)
+    program, calls = counting_program()
+    server.register(program)
+    prefetches = [client.start(_add(client, i, speculative=True))
+                  for i in range(2)]
+    foreground = client.start(_add(client, 9))
+    assert client.abandon_speculative() == 2
+    assert all(isinstance(p.exception, RpcTimeout) for p in prefetches)
+    assert not client._speculative and len(client._call_futures) == 1
+    assert client._window_in_flight == 1
+    settle(clock)
+    assert foreground.value == 10
+    assert sorted(calls) == [0, 1, 9]           # sent, served, unheard
+    assert client.abandon_speculative() == 0
+
+
 # --- NFS3 vectored procedures ---------------------------------------------
 
 @pytest.fixture
@@ -395,3 +467,143 @@ def test_truncating_create_is_a_write_behind_barrier():
     assert proc.read(reader, 8192) == b""
     assert counter("client.readahead.hits") == hits
     proc.close(reader)
+
+
+# --- the readahead window: READVs kept in flight ahead of the reader ------
+
+CHUNK = 8192
+
+
+def _wan_file(depth, chunks, seed=7):
+    """A *chunks* x 8 KB file of seeded bytes behind a WAN link."""
+    setup = make_setup(SFS, seed=seed, pipeline_depth=depth,
+                       params=NetworkParameters.wan())
+    data = random.Random(seed).randbytes(chunks * CHUNK)
+    path = setup.workdir + "/big"
+    setup.process.write_file(path, data)
+    return setup, path, data
+
+
+def _mount(setup):
+    (mount,) = setup.world.clients["bench-client"].sfscd._mounts.values()
+    return mount
+
+
+def _read_all(proc, fd):
+    pieces = []
+    while True:
+        piece = proc.read(fd, CHUNK)
+        if not piece:
+            return b"".join(pieces)
+        pieces.append(piece)
+
+
+def test_wan_sequential_read_runs_near_line_rate():
+    """1 MB over a 5 MB/s, 40 ms-RTT link at depth 8: the transfer time
+    plus the round trips that find the run, not a round trip per batch
+    (stop-and-wait took 1.01 s for this)."""
+    setup, path, data = _wan_file(depth=8, chunks=128)
+    proc, clock = setup.process, setup.clock
+    wan = NetworkParameters.wan()
+    fd = proc.open(path)
+    start = clock.now
+    assert _read_all(proc, fd) == data
+    elapsed = clock.now - start
+    assert elapsed <= 1.5 * len(data) / wan.bandwidth + 3 * 2 * wan.latency
+    counts = setup.metrics.snapshot()["metrics"]
+    assert _count(counts, "rpc.retransmissions") == 0
+    assert _count(counts, "channel.mac_reject") == 0
+
+
+def test_several_readvs_are_in_flight_while_a_read_blocks():
+    setup, path, data = _wan_file(depth=8, chunks=64)
+    proc = setup.process
+    peer = _mount(setup).session.peer
+    in_flight = setup.metrics.gauge("rpc.window.in_flight")
+    seen = []
+    wait_for = peer.wait_for
+
+    def watching(future):
+        seen.append(in_flight.value)
+        return wait_for(future)
+
+    peer.wait_for = watching
+    fd = proc.open(path)
+    assert _read_all(proc, fd) == data
+    assert max(seen) >= 2
+    assert max(seen) <= 8 - 2  # room for the foreground call and a REKEY
+
+
+def test_depth_4_never_parks_a_call_behind_its_own_prefetches():
+    setup, path, data = _wan_file(depth=4, chunks=64)
+    proc = setup.process
+    fd = proc.open(path)
+    assert _read_all(proc, fd) == data
+    counts = setup.metrics.snapshot()["metrics"]
+    assert _count(counts, "client.readahead.hits") > 32
+    assert _count(counts, "rpc.window.waits") == 0
+
+
+def test_local_write_drops_the_prefetches_still_on_the_wire():
+    """A write discards the handle's stream; READV replies that were in
+    flight land afterwards and must change nothing — above all, no
+    pre-write byte may come out of the buffer after the write."""
+    setup, path, data = _wan_file(depth=8, chunks=64)
+    proc = setup.process
+    mount = _mount(setup)
+    reader = proc.open(path)
+    assert proc.read(reader, 2 * CHUNK) == data[:2 * CHUNK]  # window opens
+    assert mount._ra_in_flight >= 2
+    fresh = bytes(CHUNK)
+    writer = proc.open(path)
+    proc.lseek(writer, 5 * CHUNK)
+    proc.write(writer, fresh, sync=True)   # FILE_SYNC: relayed, not gathered
+    counts = setup.metrics.snapshot()["metrics"]
+    assert _count(counts, "client.readahead.stale_replies") >= 2
+    assert mount._ra_in_flight == 0
+    assert not mount._ra_streams           # nothing they carried was kept
+    expected = data[:5 * CHUNK] + fresh + data[6 * CHUNK:]
+    assert proc.read(reader, len(data)) == expected[2 * CHUNK:]
+    proc.close(writer)
+    proc.close(reader)
+
+
+def test_kernel_client_inside_a_task_reads_ahead_without_stalling():
+    """The scenario engine calls the synchronous VFS from inside a task
+    step, where the scheduler may not be pumped and only the clock runs:
+    prefetches must advance from timers alone."""
+    setup, path, data = _wan_file(depth=8, chunks=64)
+    proc, scheduler = setup.process, setup.world.scheduler
+
+    def reader():
+        fd = proc.open(path)
+        got = _read_all(proc, fd)
+        proc.close(fd)
+        return got
+        yield  # a generator: runs as one task step
+
+    task = scheduler.spawn(reader(), name="in-task-reader")
+    assert scheduler.run() == []
+    assert not task.failed, task.exception
+    assert task.result == data
+    counts = setup.metrics.snapshot()["metrics"]
+    assert _count(counts, "client.readahead.waits") > 0
+    assert _count(counts, "client.readahead.hits") > 32
+
+
+def test_readahead_state_is_kept_for_a_few_handles_only():
+    """Files read once and unlinked used to stay buffered for the life
+    of the mount (REMOVE names a directory and a leaf, never the
+    handle)."""
+    setup = make_setup(SFS, seed=7, pipeline_depth=8)
+    proc = setup.process
+    for i in range(12):
+        path = f"{setup.workdir}/f{i}"
+        proc.write_file(path, bytes(6 * CHUNK))
+        fd = proc.open(path)
+        assert len(proc.read(fd, 3 * CHUNK)) == 3 * CHUNK
+        proc.close(fd)
+        proc.unlink(path)
+    mount = _mount(setup)
+    assert 0 < len(mount._ra_streams) <= 4
+    assert mount._ra_in_flight == 0
