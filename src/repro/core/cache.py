@@ -68,6 +68,13 @@ class LeaseCache:
         self._m_hits.inc()
         return entry.value
 
+    def peek(self, handle: bytes, key: Any = None) -> Any | None:
+        """The value last put under (*handle*, *key*), expired or not,
+        counting no hit and no miss: for a caller that only needs to
+        know what, say, a name last pointed to."""
+        entry = self._entries.get(handle, {}).get(key)
+        return entry.value if entry is not None else None
+
     def put(self, handle: bytes, value: Any, key: Any = None) -> None:
         if not self.enabled:
             return

@@ -53,7 +53,7 @@ from ..rpc.peer import (
     RpcTransportDown,
 )
 from ..rpc.rpcmsg import AUTH_SYS, AuthSys, OpaqueAuth, RpcMsgError
-from ..rpc.xdr import Record, VOID
+from ..rpc.xdr import Record, VOID, XdrError
 from ..sim.clock import Clock
 from ..sim.network import LinkSide
 from ..sim.sched import Future, Sleep
@@ -143,6 +143,11 @@ class ServerSession:
         #: Called after each successful rekey (mounts flush lease caches
         #: here; authnos survive because the rekey is authenticated).
         self.on_rekey: Callable[[], None] | None = None
+        #: Called as each resync starts and again as it ends, whatever
+        #: the outcome: in between, a pending call can be resolved by an
+        #: unauthenticated plaintext record (PROTOCOLS.md §10), so
+        #: mounts forget every byte of file data they keep, both times.
+        self.on_resync: Callable[[], None] | None = None
         self.rekeys = 0
         self.resyncs_failed = 0
         # Recovery counters, visible in exported snapshots: attempts,
@@ -326,7 +331,11 @@ class ServerSession:
         # answered that way would put forged bytes in the readahead
         # buffer, so none crosses the window (PROTOCOLS.md §10): each is
         # failed here, its xid forgotten and its window slot released.
+        # A foreground READ cannot be failed so, but what it brings is
+        # only cached into the stream it left under, replaced here.
         self.peer.abandon_speculative()
+        if self.on_resync is not None:
+            self.on_resync()
         try:
             for _ in range(_RESYNC_ROUNDS):
                 if (yield from self._resync_round()):
@@ -352,6 +361,8 @@ class ServerSession:
                 # delay an attacker could always cause — rather than as
                 # a silent downgrade.
                 self.pipe.switch_now(self.channel)
+            if self.on_resync is not None:
+                self.on_resync()
 
     def _resync_round(self):
         ack = self._resync_ack = Future("resync-ack")
@@ -390,8 +401,10 @@ class ServerSession:
             if disc != proto.REKEY_OK:
                 return False  # the server denied re-keying
             new_keys = finish(body.encrypted_keyhalves)
-        except (RpcError, KeyNegotiationError, ConnectionError):
-            return False  # lost, denied or garbled; next round retries
+        except (RpcError, KeyNegotiationError, ConnectionError, XdrError):
+            # Lost, denied or garbled — a reply forged into the plaintext
+            # window need not even decode; the next round retries.
+            return False
         self.channel.rekey(new_keys.kcs, new_keys.ksc)
         self.pipe.switch_now(self.channel)
         self.session_keys = new_keys
@@ -762,28 +775,36 @@ _MUTATING_PROCS = frozenset({
 
 
 #: Handles whose readahead state is kept: reading one more evicts the
-#: least recently read, so files read once and unlinked do not pile up.
+#: least recently read.
 _RA_STREAMS = 4
+
+#: Bytes of file data one mount keeps, all its streams together: a 1 MB
+#: file read through comes back whole, with room for the window ahead
+#: of a second reader (PROTOCOLS.md §17).  Past it the oldest chunks go.
+_RA_BUDGET = 2 << 20
 
 
 class _ReadStream:
-    """Readahead state of one file handle (PROTOCOLS.md §17): the
-    sequential detector, the chunks buffered and those on the wire.
+    """Readahead state and block cache of one file handle (PROTOCOLS.md
+    §17): the sequential detector, the chunks kept and those on the wire.
 
-    Never reset, only replaced: a READV reply belongs to the stream it
-    was requested for, and is dropped if that is no longer the one
-    :class:`MountedRemoteFs` holds for the handle.
+    Never reset, only replaced: a reply — a READV's or a plain READ's —
+    belongs to the stream that was current when it was requested, and
+    is dropped if that is no longer the one :class:`MountedRemoteFs`
+    holds for the handle.
     """
 
     __slots__ = ("next", "streak", "count", "window", "front", "limit",
-                 "attrs", "chunks", "pending")
+                 "attrs", "chunks", "held", "pending")
 
     def __init__(self) -> None:
         #: Offset a sequential reader asks for next; reads in a row.
         self.next: int | None = None
         self.streak = 0
-        #: offset -> (data, eof, expiry time), in arrival order.
+        #: offset -> (data, eof, expiry time), in arrival order; and the
+        #: bytes of data they hold.
         self.chunks: dict[int, tuple[bytes, bool, float]] = {}
+        self.held = 0
         #: offset -> the Future of the READV that will bring it.
         self.pending: dict[int, Future] = {}
         self.attrs: Record | None = None
@@ -823,9 +844,10 @@ class MountedRemoteFs:
         self._m_relayed = daemon.metrics.counter("client.rpcs_relayed")
         self._m_replayed = daemon.metrics.counter("client.replayed_calls")
         self._m_stale = daemon.metrics.counter("client.stale_handles")
-        # Readahead state (active when daemon.pipeline_depth > 1), for
-        # the _RA_STREAMS most recently read handles, oldest first; and
-        # how many READV prefetches are on the wire for all of them.
+        # Readahead state and cached chunks (active when
+        # daemon.pipeline_depth > 1), for the _RA_STREAMS most recently
+        # read handles, oldest first; and how many READV prefetches are
+        # on the wire for all of them.
         self._ra_streams: OrderedDict[bytes, _ReadStream] = OrderedDict()
         self._ra_in_flight = 0
         # Write-gathering state: handle -> [[offset, bytearray], ...]
@@ -843,11 +865,12 @@ class MountedRemoteFs:
         self._m_gather_bytes = m.counter("client.gather.bytes")
         session.invalidate_handler = self._on_invalidate
         session.on_rekey = self._after_rekey
+        session.on_resync = self._ra_discard_all
         session.on_reconnect = self._after_reconnect
 
     def _on_invalidate(self, handle: bytes) -> None:
-        """Lease invalidation: drop cached state *and* readahead data —
-        another client wrote the file, so prefetched chunks are stale.
+        """Lease invalidation: drop cached state *and* file data —
+        another client wrote the file, so cached chunks are stale.
         Gathered (unsent) local writes survive: they are this client's
         own pending data, flushed at the next barrier."""
         self.caches.invalidate(handle)
@@ -856,11 +879,11 @@ class MountedRemoteFs:
     def _after_rekey(self) -> None:
         """A rekey means records were lost — possibly including lease
         invalidation callbacks — so cached leases can't be trusted.
-        Authnos survive: the rekey proved session continuity."""
+        Authnos survive: the rekey proved session continuity.  (File
+        data went already, as the resync started and as it ended.)"""
         self.caches.attrs.clear()
         self.caches.access.clear()
         self.caches.lookups.clear()
-        self._ra_discard_all()
 
     def _after_reconnect(self) -> None:
         """The server restarted: every piece of its volatile state is
@@ -894,6 +917,7 @@ class MountedRemoteFs:
     def _build_program(self) -> Program:
         program = Program("sfs-mount", nfs_const.NFS3_PROGRAM,
                           nfs_const.NFS3_VERSION)
+        program.idempotent = nfs_const.IDEMPOTENT_PROCS
         for proc, (arg_codec, res_codec) in proto.NFS_PROC_CODECS.items():
             if proc == nfs_const.NFSPROC3_NULL:
                 continue
@@ -951,13 +975,13 @@ class MountedRemoteFs:
         self._absorb(proc, args, ctx, status, body)
         return status, body
 
-    # -- readahead and write-gathering (pipeline_depth > 1) --
+    # -- readahead, block cache and write-gathering (pipeline_depth > 1) --
 
     def _pipeline_intercept(self, proc: int, args: Record, ctx: CallContext,
                             depth: int):
-        """Serve READ from the readahead buffer / absorb UNSTABLE WRITE
-        into the gather buffer; returns a reply, or None to fall through
-        to the normal cache-then-relay path."""
+        """Serve READ through its handle's stream / absorb UNSTABLE
+        WRITE into the gather buffer; returns a reply, or None to fall
+        through to the normal cache-then-relay path."""
         if proc == nfs_const.NFSPROC3_READ:
             if args.file in self._gather_segs:
                 # Read-your-writes: dirty gathered data must reach the
@@ -985,6 +1009,15 @@ class MountedRemoteFs:
                 status = self._flush_gather(handle, ctx)
                 if status is not None:
                     return status, nfs_failure_shape(proc)
+        if proc in (nfs_const.NFSPROC3_REMOVE, nfs_const.NFSPROC3_RENAME):
+            # The name may have held the last link of a file we keep
+            # data of; the call names a directory and a leaf, never that
+            # file, so the lookup cache says which one it was.
+            name = args.object if proc == nfs_const.NFSPROC3_REMOVE \
+                else args.to
+            entry = self.caches.lookups.peek(name.dir, name.name)
+            if entry is not None:
+                self._ra_discard(entry[0])
         # Any other procedure touching a handle with gathered dirty data
         # (COMMIT, SETATTR, GETATTR, ...) is a write-behind barrier:
         # flush first so the server-side view the reply reflects
@@ -999,17 +1032,17 @@ class MountedRemoteFs:
         return None
 
     def _ra_count(self, event: str) -> None:
-        """Count a prefetch *event* (``waits``, ``stale_replies``,
-        ``abandoned``).  Registered on first use, unlike the mount's
-        other counters: a mount that never reads ahead publishes the
-        metric set it always did, which perfbench's ``virt_digest``
-        hashes."""
+        """Count a readahead *event* (``waits``, ``stale_replies``,
+        ``abandoned``, ``kept_reads``).  Registered on first use, unlike
+        the mount's other counters: a mount that never reads ahead
+        publishes the metric set it always did, which perfbench's
+        ``virt_digest`` hashes."""
         self.daemon.metrics.counter(f"client.readahead.{event}").inc()
 
     def _ra_discard(self, handle: bytes) -> None:
-        """Forget *handle*'s readahead state.  Prefetches of it still
-        on the wire find their stream gone or replaced when they land,
-        and update nothing."""
+        """Forget *handle*'s stream and the data it keeps.  Replies for
+        it still on the wire find their stream gone or replaced when
+        they land, and update nothing."""
         stream = self._ra_streams.pop(handle, None)
         if stream is not None and (stream.chunks or stream.pending):
             self._m_ra_discarded.inc()
@@ -1019,8 +1052,10 @@ class MountedRemoteFs:
             self._ra_discard(handle)
 
     def _read_ahead(self, args: Record, ctx: CallContext, depth: int):
-        """Serve a READ from its handle's stream, keeping the window
-        ahead of a sequential reader full; None = relay a plain READ."""
+        """Serve a READ from its handle's stream — a chunk kept from an
+        earlier reply, or one still on the wire — keeping the window
+        ahead of a sequential reader full; else relay it as a plain
+        READ and keep what that brings."""
         handle, offset, count = args.file, args.offset, args.count
         stream = self._ra_streams.get(handle)
         if stream is None:
@@ -1031,9 +1066,10 @@ class MountedRemoteFs:
             self._ra_streams.move_to_end(handle)
         waited = offset in stream.pending
         if waited or offset in stream.chunks:
-            if offset == stream.next:
-                # The run goes on.  Top up before taking the chunk: the
-                # wire stays full while this read waits for it.
+            if offset == stream.next and stream.count:
+                # The run goes on, in a window that is open.  Top up
+                # before taking the chunk: the wire stays full while
+                # this read waits for it.
                 self._ra_top_up(stream, handle, offset + count, depth, ctx)
             reply = self._ra_take(stream, handle, offset, count)
             if reply is not None:
@@ -1046,7 +1082,7 @@ class MountedRemoteFs:
         if waited or stream.streak < 1 or count <= 0:
             # Not a run yet — or the prefetch this read waited for was
             # lost: the plain READ retransmits and recovers.
-            return None
+            return self._ra_fetch(stream, args, ctx)
         # A run of two: open the whole window at once (a ramp would cost
         # a round trip per step).  The first READV carries only the
         # chunk this read is blocked on, so that it never queues behind
@@ -1056,7 +1092,25 @@ class MountedRemoteFs:
                     self._ra_window(depth, count))
         self._ra_request(stream, handle, 1, ctx)
         self._ra_top_up(stream, handle, offset + count, depth, ctx)
-        return self._ra_take(stream, handle, offset, count)
+        reply = self._ra_take(stream, handle, offset, count)
+        return reply if reply is not None else \
+            self._ra_fetch(stream, args, ctx)
+
+    def _ra_fetch(self, stream: "_ReadStream", args: Record,
+                  ctx: CallContext):
+        """Relay a plain READ, and keep its data if *stream* — current
+        when the READ went out — still is when the reply is back.  A
+        resync replaces every stream as it starts, so nothing that can
+        have resolved inside its plaintext window is kept."""
+        status, body = self._relay(nfs_const.NFSPROC3_READ, args, ctx)
+        if (status == nfs_const.NFS3_OK
+                and self._ra_streams.get(args.file) is stream):
+            if body.file_attributes is not None:
+                stream.attrs = body.file_attributes
+            self._ra_keep(stream, args.offset, body.data, body.eof)
+            self._ra_count("kept_reads")
+            self._ra_trim()
+        return status, body
 
     def _ra_window(self, depth: int, count: int) -> int:
         """Bytes to keep requested or buffered ahead of a sequential
@@ -1105,7 +1159,7 @@ class MountedRemoteFs:
 
     def _ra_arrived(self, stream: "_ReadStream", handle: bytes,
                     offsets: list[int], done: Future) -> None:
-        """A prefetch ended: buffer what it brought, if it still may."""
+        """A prefetch ended: keep what it brought, if it still may."""
         self._ra_in_flight -= 1
         for at in offsets:
             if stream.pending.get(at) is done:
@@ -1117,8 +1171,8 @@ class MountedRemoteFs:
             return
         if self._ra_streams.get(handle) is not stream:
             # Discarded since the request left (a write, an INVALIDATE,
-            # a rekey, a reconnect, eviction): what this reply read may
-            # predate the event, so none of it is kept.
+            # a resync, a reconnect, an unlink, eviction): what this
+            # reply read may predate the event, so none of it is kept.
             self._ra_count("stale_replies")
             return
         self.rpcs_relayed += 1
@@ -1131,40 +1185,63 @@ class MountedRemoteFs:
             self.caches.attrs.put(handle, body.file_attributes)
         self._m_ra_batches.inc()
         stream.attrs = body.file_attributes
-        expires = self.daemon.clock.now + float(
-            self.session.servinfo.lease_duration)
         for at, seg in zip(offsets, body.segments):
             if stream.limit is not None and at > stream.limit:
                 break  # past the end of file: no reader asks for these
-            stream.chunks[at] = (seg.data, seg.eof, expires)
+            self._ra_keep(stream, at, seg.data, seg.eof)
             self._m_ra_chunks.inc()
             if seg.eof:
                 stream.limit = at + len(seg.data)
-        # A stream holds two windows at most, the one ahead of its
-        # reader and one a jump left behind (a reader that comes back
-        # finds it); beyond that the oldest arrivals go.
-        while len(stream.chunks) * stream.count > 2 * stream.window:
-            del stream.chunks[next(iter(stream.chunks))]
-            self._m_ra_discarded.inc()
+        self._ra_trim()
+
+    def _ra_keep(self, stream: "_ReadStream", at: int, data: bytes,
+                 eof: bool) -> None:
+        """Keep *data*, read at offset *at*, for one lease from now."""
+        old = stream.chunks.pop(at, None)
+        if old is not None:
+            stream.held -= len(old[0])
+        stream.chunks[at] = (data, eof, self.daemon.clock.now + float(
+            self.session.servinfo.lease_duration))
+        stream.held += len(data)
+
+    def _ra_drop(self, stream: "_ReadStream", at: int) -> None:
+        """Forget the chunk kept at offset *at*."""
+        stream.held -= len(stream.chunks.pop(at)[0])
+        self._m_ra_discarded.inc()
+
+    def _ra_trim(self) -> None:
+        """Hold the mount to :data:`_RA_BUDGET`: the oldest chunks go,
+        those of the least recently read streams first."""
+        excess = sum(s.held for s in self._ra_streams.values()) - _RA_BUDGET
+        for stream in self._ra_streams.values():
+            while excess > 0 and stream.chunks:
+                at = next(iter(stream.chunks))
+                excess -= len(stream.chunks[at][0])
+                self._ra_drop(stream, at)
+            if excess <= 0:
+                return
 
     def _ra_take(self, stream: "_ReadStream", handle: bytes,
                  offset: int, count: int):
         """The chunk at *offset* as a READ reply — after waiting for it,
-        if it is on the wire — or None when there is none to serve."""
+        if it is on the wire — or None when there is none to serve.  A
+        chunk served stays for the next reader of it."""
         pending = stream.pending.get(offset)
         if pending is not None:
             self._ra_count("waits")
             self.session.peer.wait_for(pending)
             if self._ra_streams.get(handle) is not stream:
                 return None  # discarded while this read waited
-        entry = stream.chunks.pop(offset, None)
+        entry = stream.chunks.get(offset)
         if entry is None:
             return None
         data, eof, expires = entry
-        if len(data) > count or expires < self.daemon.clock.now:
-            # Too long for this read, or older than a lease: what the
-            # attribute cache would no longer vouch for, neither do we.
-            self._m_ra_discarded.inc()
+        if (expires < self.daemon.clock.now or len(data) > count
+                or (len(data) < count and not eof)):
+            # Older than a lease — what the attribute cache would no
+            # longer vouch for, neither do we — or not the answer the
+            # server would give a read of *count* bytes.
+            self._ra_drop(stream, offset)
             return None
         stream.next = offset + len(data)
         return nfs_const.NFS3_OK, Record(
@@ -1393,6 +1470,7 @@ class ReadOnlyMount:
     def _build_program(self) -> Program:
         program = Program("sfs-ro-mount", nfs_const.NFS3_PROGRAM,
                           nfs_const.NFS3_VERSION)
+        program.idempotent = nfs_const.IDEMPOTENT_PROCS
         codecs = proto.NFS_PROC_CODECS
         program.add_proc(nfs_const.NFSPROC3_GETATTR, "GETATTR",
                          *codecs[nfs_const.NFSPROC3_GETATTR], self._getattr)
@@ -1863,6 +1941,7 @@ class SfsClientDaemon:
     def _build_root_program(self) -> Program:
         program = Program("sfscd-root", nfs_const.NFS3_PROGRAM,
                           nfs_const.NFS3_VERSION)
+        program.idempotent = nfs_const.IDEMPOTENT_PROCS
         codecs = proto.NFS_PROC_CODECS
         program.add_proc(nfs_const.NFSPROC3_GETATTR, "GETATTR",
                          *codecs[nfs_const.NFSPROC3_GETATTR], self._getattr)

@@ -827,6 +827,7 @@ class ServerConnection:
 
     def _rw_program(self) -> Program:
         program = Program("sfs-rw", proto.SFS_RW_PROGRAM, proto.SFS_VERSION)
+        program.idempotent = nfs_const.IDEMPOTENT_PROCS
         for proc, (arg_codec, res_codec) in proto.NFS_PROC_CODECS.items():
             if proc == nfs_const.NFSPROC3_NULL:
                 continue

@@ -80,6 +80,7 @@ def _stale_program() -> Program:
 
     program = Program("nfsmounter-stale", nfs_const.NFS3_PROGRAM,
                       nfs_const.NFS3_VERSION)
+    program.idempotent = nfs_const.IDEMPOTENT_PROCS
 
     def make_handler(proc: int):
         def handler(args: Record, ctx: CallContext):

@@ -182,6 +182,7 @@ class Nfs3Server:
 
     def _build_program(self) -> Program:
         program = Program("nfs3", const.NFS3_PROGRAM, const.NFS3_VERSION)
+        program.idempotent = const.IDEMPOTENT_PROCS
         handlers = {
             const.NFSPROC3_GETATTR: self._getattr,
             const.NFSPROC3_SETATTR: self._setattr,

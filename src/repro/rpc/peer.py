@@ -107,7 +107,8 @@ class RetryPolicy:
     repair a desynchronized secure channel before the record is resent.
     The receiving peer's duplicate-reply cache keeps the semantics
     at-most-once: a retransmitted call is answered from the cache, never
-    re-executed.
+    re-executed — except a call its program declares idempotent
+    (:attr:`Program.idempotent`), which simply runs again.
     """
 
     max_attempts: int = 5
@@ -166,6 +167,9 @@ class Program:
         self.prog = prog
         self.vers = vers
         self.procedures: dict[int, Procedure] = {}
+        #: Procedure numbers whose replies the duplicate-reply cache
+        #: skips: a retransmission of one is simply executed again.
+        self.idempotent: frozenset[int] = frozenset()
         # Procedure 0 is the conventional NULL ping.
         self.add_proc(0, "NULL", VOID, VOID, lambda args, ctx: None)
 
@@ -428,6 +432,8 @@ class RpcPeer:
                 reply = ReplyHeader(header.xid, accept_stat=rpcmsg.PROG_UNAVAIL)
             self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
             return
+        if header.proc in program.idempotent:
+            request = None  # a retransmission runs again, not replayed
         procedure = program.procedures.get(header.proc)
         if procedure is None:
             reply = ReplyHeader(header.xid, accept_stat=rpcmsg.PROC_UNAVAIL)
@@ -461,8 +467,11 @@ class RpcPeer:
             rpcmsg.pack_reply(ReplyHeader(header.xid), payload),
         )
 
-    def _send_reply(self, xid: int, request: bytes, record: bytes) -> None:
-        """Send a reply and remember it for the duplicate-call cache.
+    def _send_reply(self, xid: int, request: bytes | None,
+                    record: bytes) -> None:
+        """Send a reply and remember it for the duplicate-call cache —
+        unless *request* is None: an idempotent procedure's reply, which
+        a retransmission gets by running the procedure again.
 
         A transport that closed while the handler ran (the server
         crashed mid-procedure) swallows the reply here: this runs inside
@@ -470,16 +479,17 @@ class RpcPeer:
         must never propagate into the other endpoint — the caller
         learns of the death from its own close hook.
         """
-        self._reply_cache[xid] = (_request_digest(request), record)
-        self._reply_cache.move_to_end(xid)
-        while len(self._reply_cache) > self.reply_cache_size:
-            # Past this point at-most-once degrades to at-least-once
-            # for the evicted xid: a late retransmission re-executes.
-            # The counter is the observable signal that the window has
-            # been exceeded (see docs/OBSERVABILITY.md).
-            self._reply_cache.popitem(last=False)
-            self.reply_cache_evictions += 1
-            self._m_evictions.inc()
+        if request is not None:
+            self._reply_cache[xid] = (_request_digest(request), record)
+            self._reply_cache.move_to_end(xid)
+            while len(self._reply_cache) > self.reply_cache_size:
+                # Past this point at-most-once degrades to at-least-once
+                # for the evicted xid: a late retransmission re-executes.
+                # The counter is the observable signal that the window
+                # has been exceeded (see docs/OBSERVABILITY.md).
+                self._reply_cache.popitem(last=False)
+                self.reply_cache_evictions += 1
+                self._m_evictions.inc()
         try:
             self._pipe.send(record)
         except ConnectionError:

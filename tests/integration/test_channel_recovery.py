@@ -590,3 +590,159 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     assert not session.peer._call_futures
     assert proc.read(fd, len(data)) == data[2 * 8192:]
     proc.close(fd)
+
+
+class ForgeReadReplies(Adversary):
+    """ROADMAP item 1(a) aimed at the block cache: behind the server's
+    RESYNC-ACK, a plaintext READ reply for every xid up to *last_xid*,
+    each offering attacker bytes as file data."""
+
+    EVIL = b"\xee" * 8192
+
+    def __init__(self):
+        self.forged = 0
+        self.last_xid = 0
+
+    def process(self, data, direction):
+        if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
+            return [data]
+        _args, res_codec = proto.NFS_PROC_CODECS[nfs_const.NFSPROC3_READ]
+        body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
+            file_attributes=None, count=8192, eof=False, data=self.EVIL)))
+        forged = [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)
+                  for xid in range(1, self.last_xid + 1)]
+        self.forged += len(forged)
+        return [data] + forged
+
+
+def _wan_depth_8_world(seed, adversary, data):
+    """A depth-8 WAN world with *data* at /big, every dialed link under
+    *adversary*.  Returns (world, path, proc)."""
+    world = World(seed=seed)
+    world.lan_params = NetworkParameters.wan()
+    world.enable_pipelining(depth=8, seed=seed)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    pathops.write_file(server.fs, "/big", data)
+    world.adversary_factory = lambda: adversary
+    client = world.add_client("laptop")
+    client.new_agent("user", 1000)
+    return world, path, client.process(uid=1000)
+
+
+def test_a_read_resolved_inside_the_resync_window_is_not_kept():
+    """A plain READ is on the wire when the session starts a resync,
+    and the forger answers its xid in plaintext behind the RESYNC-ACK.
+    The forged reply still reaches the one caller (item 1(a), open) —
+    while the REKEY is still on its way — but it is not kept: the
+    resync replaced every stream as it started, and a reply is only
+    kept in the stream it left under.  The next read of that offset
+    goes to the wire and gets the true bytes."""
+    data = random.Random(87).randbytes(8 * 8192)
+    forger = ForgeReadReplies()
+    world, path, proc = _wan_depth_8_world(87, forger, data)
+    fd = proc.open(f"{path}/big")
+    mount = world.clients["laptop"].sfscd._mounts[path.hostid]
+    session = mount.session
+    call_nfs_task = session.call_nfs_task
+    resyncs = []
+
+    def read_then_resync(proc_no, args, authno, speculative=False):
+        if proc_no != nfs_const.NFSPROC3_READ or resyncs:
+            return (yield from call_nfs_task(proc_no, args, authno,
+                                             speculative))
+        pending = session.peer.start(call_nfs_task(proc_no, args, authno))
+        forger.last_xid = session.peer._xid      # the READ's, and older
+        resyncs.append(session.peer.start(session.resync_task()))
+        return (yield pending)
+
+    session.call_nfs_task = read_then_resync
+    forged = proc.read(fd, 8192)
+    (resync,) = resyncs
+    assert not resync.done                     # the window is still open
+    assert forger.forged and forged == ForgeReadReplies.EVIL
+    kept = [chunk for stream in mount._ra_streams.values()
+            for chunk, _eof, _expires in stream.chunks.values()]
+    assert ForgeReadReplies.EVIL not in kept
+    while not resync.done:
+        world.clock.advance(0.01)
+    assert resync.value is True
+    calls = session.peer.calls_sent
+    proc.lseek(fd, 0)
+    assert proc.read(fd, 8192) == data[:8192]
+    assert session.peer.calls_sent == calls + 1
+    proc.close(fd)
+
+
+def test_nothing_kept_across_a_failed_resync_is_served_after_it():
+    """The rekey never happens when every round fails, so no on-rekey
+    flush does either: the resync itself drops what is kept, as it
+    starts and as it ends.  A read of a chunk the mount held goes to
+    the (still broken) wire and fails — it is not answered from the
+    cache — and once the session does recover, the bytes are right."""
+    from repro.core.client import _ReadStream
+
+    data = random.Random(88).randbytes(8 * 8192)
+    world, path, proc = _wan_depth_8_world(88, Adversary(), data)
+    fd = proc.open(f"{path}/big")
+    assert b"".join(proc.read(fd, 8192) for _ in range(9)) == data
+    mount = world.clients["laptop"].sfscd._mounts[path.hostid]
+    session = mount.session
+    assert sum(stream.held for stream in mount._ra_streams.values()) \
+        == len(data)
+    (handle,) = mount._ra_streams
+    resync_round = session._resync_round
+
+    def round_that_keeps_a_forgery():
+        # As if a reply resolved inside the window had been kept.
+        planted = mount._ra_streams.setdefault(handle, _ReadStream())
+        mount._ra_keep(planted, 0, b"\xee" * 8192, False)
+        return (yield from resync_round())
+
+    session._resync_round = round_that_keeps_a_forgery
+    good_key = session.server_public_key
+    session.server_public_key = session.ephemeral_keys.current().public_key
+    assert session.resync() is False
+    del session._resync_round
+    assert not mount._ra_streams
+    proc.lseek(fd, 3 * 8192)
+    with pytest.raises(KernelError):
+        proc.read(fd, 8192)
+    session.server_public_key = good_key
+    assert session.resync()
+    proc.lseek(fd, 3 * 8192)
+    assert proc.read(fd, 8192) == data[3 * 8192:4 * 8192]
+    proc.close(fd)
+
+
+class ForgeRekeyReplyOnce(Adversary):
+    """Behind the first RESYNC-ACK, a plaintext reply for *xid* — the
+    one the REKEY call is about to take — whose body does not decode."""
+
+    def __init__(self):
+        self.xid = None
+        self.forged = 0
+
+    def process(self, data, direction):
+        if (self.xid is None or self.forged or direction != "b->a"
+                or parse_control_record(data) != RESYNC_ACK):
+            return [data]
+        self.forged += 1
+        return [data, rpcmsg.pack_reply(rpcmsg.ReplyHeader(self.xid),
+                                        b"\xff\xff")]
+
+
+def test_a_rekey_reply_that_does_not_decode_costs_one_round():
+    """A forged REKEY reply inside the window need not even be XDR: the
+    round it lands in fails like a lost one, and the next round — the
+    server still accepts the SessionID it just replaced — recovers."""
+    forger = ForgeRekeyReplyOnce()
+    world, path, proc = _wan_depth_8_world(89, forger, b"still here")
+    assert proc.read_file(f"{path}/big") == b"still here"
+    session = session_for(world, path)
+    forger.xid = session.peer._xid + 1
+    assert session.resync()
+    assert forger.forged == 1
+    assert session.rekeys == 1
+    assert world.metrics.counter("session.resyncs_failed").value == 0
+    assert proc.read_file(f"{path}/big") == b"still here"

@@ -12,6 +12,8 @@ acceptance properties:
   bounded.
 """
 
+import os
+
 import pytest
 
 from repro.load import LoadConfig, LoadHarness
@@ -88,6 +90,20 @@ def test_open_loop_completes_every_arrival():
     assert report.unfinished_tasks == 0
     # Concurrent in-flight calls shared 4 transports.
     assert report.ops_completed > config.clients
+
+
+def test_256_pipelined_clients_drain_cleanly():
+    """256 closed-loop clients at pipeline depth 8: every op completes,
+    none errors, no task is left hanging.  One seed here; CI's
+    pipeline-smoke job sets ``SFS_PIPELINE_SEED`` to run each of its
+    matrix seeds."""
+    seed = int(os.environ.get("SFS_PIPELINE_SEED", "2026"))
+    report = run_closed(clients=256, ops_per_client=6, seed=seed,
+                        workers=2, service_time=0.001, think_time=0.010,
+                        max_depth=None, pipeline_depth=8)
+    assert report.op_errors == 0
+    assert report.unfinished_tasks == 0
+    assert report.ops_completed == 256 * 6
 
 
 def test_unencrypted_mode_also_runs_concurrently():

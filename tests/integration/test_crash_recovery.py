@@ -511,4 +511,12 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
     assert mount._ra_in_flight == 0
     for peer in (old_peer, session.peer):
         assert not peer._call_futures and not peer._speculative
-    assert world.metrics.counter("client.readahead.hits").value > 32
+    hits = world.metrics.counter("client.readahead.hits")
+    assert hits.value > 32
+    # Read back: what was kept before the crash went with the old
+    # connection; what came in after it is served, byte for byte.
+    served = hits.value
+    fd = proc.open(name)
+    assert proc.read(fd, len(data)) == data
+    proc.close(fd)
+    assert hits.value - served > 32

@@ -301,6 +301,61 @@ def test_remote_write_drops_prefetches_still_on_the_wire():
     p1.close(reader)
 
 
+def _read_through(proc, fd, size):
+    proc.lseek(fd, 0)
+    return b"".join(proc.read(fd, CHUNK) for _ in range(size // CHUNK + 1))
+
+
+def test_reread_sees_a_remote_write_once_its_invalidate_lands():
+    """What was read stays for re-reads, until the server says
+    otherwise: client 2's write sends client 1 an INVALIDATE, and from
+    the moment it lands client 1 reads the new bytes.  (Before that
+    moment client 1 would serve the chunk it kept — the lease's honest
+    limit, PROTOCOLS.md §17.)"""
+    world, _server, path, c1, p1, _c2, p2 = _two_clients(pipeline_depth=8)
+    name = f"{path}/shared/big"
+    old = random.Random(63).randbytes(32 * CHUNK)
+    p1.write_file(name, old)
+    reader = p1.open(name)
+    assert _read_through(p1, reader, len(old)) == old
+    peer = _mount_of(c1, path).session.peer
+    calls = peer.calls_sent
+    assert _read_through(p1, reader, len(old)) == old
+    assert peer.calls_sent == calls           # kept, not fetched again
+    fresh = bytes(CHUNK)
+    writer = p2.open(name)
+    p2.lseek(writer, 7 * CHUNK)
+    p2.write(writer, fresh, sync=True)
+    p2.close(writer)
+    world.clock.advance(0.1)                  # the callback lands
+    assert _read_through(p1, reader, len(old)) \
+        == old[:7 * CHUNK] + fresh + old[8 * CHUNK:]
+    assert peer.calls_sent > calls
+    p1.close(reader)
+
+
+def test_kept_chunks_older_than_the_lease_are_misses():
+    world, _server, path, c1, p1, _c2, _p2 = _two_clients(pipeline_depth=8)
+    name = f"{path}/shared/big"
+    data = random.Random(64).randbytes(16 * CHUNK)
+    p1.write_file(name, data)
+    fd = p1.open(name)
+    assert _read_through(p1, fd, len(data)) == data
+    hit_count = world.metrics.counter("client.readahead.hits")
+    hits = hit_count.value
+    assert _read_through(p1, fd, len(data)) == data
+    assert hit_count.value == hits + 17       # every chunk, and the eof
+    world.clock.advance(2000.0)               # beyond the 1,000 s lease
+    hits = hit_count.value
+    peer = _mount_of(c1, path).session.peer
+    calls = peer.calls_sent
+    p1.lseek(fd, 5 * CHUNK)
+    assert p1.read(fd, CHUNK) == data[5 * CHUNK:6 * CHUNK]
+    assert hit_count.value == hits            # a miss ...
+    assert peer.calls_sent == calls + 1       # ... fetched again
+    p1.close(fd)
+
+
 def test_buffered_chunks_do_not_outlive_the_lease():
     """Invalidations are one-way and best-effort; a chunk read ahead is
     vouched for by the lease it arrived under and no longer."""

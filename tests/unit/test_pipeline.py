@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.bench.setups import SFS, make_setup
+from repro.core.client import _RA_BUDGET, _RA_STREAMS
 from repro.fs.memfs import MemFs
 from repro.nfs3 import const as nfs_const
 from repro.nfs3.client import Nfs3Client
@@ -591,19 +592,146 @@ def test_kernel_client_inside_a_task_reads_ahead_without_stalling():
     assert _count(counts, "client.readahead.hits") > 32
 
 
-def test_readahead_state_is_kept_for_a_few_handles_only():
-    """Files read once and unlinked used to stay buffered for the life
-    of the mount (REMOVE names a directory and a leaf, never the
-    handle)."""
+@pytest.mark.parametrize("seed", [2026, 31337])
+def test_wan_depth_sweep_and_a_reread_from_the_cache(seed):
+    """The depth sweep over a 512 KB WAN file: sequential read at depth
+    8 and up at least 7x its own depth-1 baseline (a window of 1 on the
+    same engine; readahead that waits for each batch stopped at 4.8x),
+    depth 4 at least 1.5x (two READVs in flight), no retransmission and
+    no MAC reject anywhere.  At depth 8 the file then reads back in
+    reverse order without one session call."""
+    chunk = b"\xa5" * CHUNK
+
+    def seq_read_seconds(depth, reread=False):
+        setup = make_setup(SFS, seed=seed, pipeline_depth=depth,
+                           params=NetworkParameters.wan())
+        proc, clock = setup.process, setup.clock
+        path = setup.workdir + "/large"
+        fd = proc.open(path, "w")
+        for _ in range(64):
+            proc.write(fd, chunk)
+        proc.fsync(fd)
+        proc.close(fd)
+        start = clock.now
+        fd = proc.open(path, "r")
+        while proc.read(fd, CHUNK):
+            pass
+        elapsed = clock.now - start
+        if reread:
+            peer = _mount(setup).session.peer
+            calls = peer.calls_sent
+            for at in reversed(range(64)):
+                proc.lseek(fd, at * CHUNK)
+                assert proc.read(fd, CHUNK) == chunk
+            assert peer.calls_sent == calls
+        proc.close(fd)
+        counts = setup.metrics.snapshot()["metrics"]
+        assert _count(counts, "rpc.retransmissions") == 0
+        assert _count(counts, "channel.mac_reject") == 0
+        return elapsed
+
+    base = seq_read_seconds(1)
+    for depth, floor in ((4, 1.5), (8, 7.0), (16, 7.0)):
+        speedup = base / seq_read_seconds(depth, reread=depth == 8)
+        assert speedup >= floor, f"depth {depth}: {speedup:.2f}x < {floor}x"
+
+
+# --- the block cache: what was read stays, under the lease ------------------
+
+def test_reread_in_random_order_sends_no_session_call():
+    """1 MB read through at WAN depth 8, then read back in random
+    order: every chunk — the plain READ that started the run included —
+    is still kept, so no call crosses the 40 ms round trip."""
+    setup, path, data = _wan_file(depth=8, chunks=128)
+    proc, clock = setup.process, setup.clock
+    peer = _mount(setup).session.peer
+    fd = proc.open(path)
+    assert _read_all(proc, fd) == data
+    calls, start = peer.calls_sent, clock.now
+    order = list(range(128))
+    random.Random(7).shuffle(order)
+    for at in order:
+        proc.lseek(fd, at * CHUNK)
+        assert proc.read(fd, CHUNK) == data[at * CHUNK:(at + 1) * CHUNK]
+    assert peer.calls_sent == calls
+    assert clock.now - start < 0.01     # a WAN round trip is 0.04 s
+    proc.close(fd)
+
+
+def test_local_write_and_truncation_drop_kept_chunks():
+    setup, path, data = _wan_file(depth=8, chunks=32)
+    proc = setup.process
+    mount = _mount(setup)
+    peer = mount.session.peer
+    reader = proc.open(path)
+    assert _read_all(proc, reader) == data
+    calls = peer.calls_sent
+    proc.lseek(reader, 0)
+    assert _read_all(proc, reader) == data
+    assert peer.calls_sent == calls     # served from what was kept
+    fresh = bytes(CHUNK)
+    writer = proc.open(path)
+    proc.lseek(writer, 5 * CHUNK)
+    proc.write(writer, fresh, sync=True)
+    proc.close(writer)
+    assert not mount._ra_streams
+    expected = data[:5 * CHUNK] + fresh + data[6 * CHUNK:]
+    proc.lseek(reader, 0)
+    assert _read_all(proc, reader) == expected
+    assert mount._ra_streams
+    proc.close(proc.open(path, "w"))    # truncates by name
+    assert not mount._ra_streams
+    proc.lseek(reader, 0)
+    assert proc.read(reader, CHUNK) == b""
+    proc.close(reader)
+
+
+def test_kept_bytes_stay_within_the_mount_budget():
+    """Two 1.25 MB files, read through one after the other: the mount
+    never holds more than its budget — the worst case PROTOCOLS.md §17
+    states, 2 MiB of file data — and what goes first is the least
+    recently read file's oldest chunks."""
+    assert _RA_BUDGET == 2 * 1024 * 1024
     setup = make_setup(SFS, seed=7, pipeline_depth=8)
     proc = setup.process
-    for i in range(12):
-        path = f"{setup.workdir}/f{i}"
-        proc.write_file(path, bytes(6 * CHUNK))
-        fd = proc.open(path)
-        assert len(proc.read(fd, 3 * CHUNK)) == 3 * CHUNK
-        proc.close(fd)
-        proc.unlink(path)
+    files = {}
+    for name in ("a", "b"):
+        files[name] = random.Random(name).randbytes(160 * CHUNK)
+        proc.write_file(f"{setup.workdir}/{name}", files[name])
     mount = _mount(setup)
-    assert 0 < len(mount._ra_streams) <= 4
-    assert mount._ra_in_flight == 0
+    for name, data in files.items():
+        fd = proc.open(f"{setup.workdir}/{name}")
+        got = []
+        while piece := proc.read(fd, CHUNK):
+            got.append(piece)
+            held = [sum(len(kept[0]) for kept in stream.chunks.values())
+                    for stream in mount._ra_streams.values()]
+            assert held == [s.held for s in mount._ra_streams.values()]
+            assert sum(held) <= _RA_BUDGET
+        proc.close(fd)
+        assert b"".join(got) == data
+    first, second = mount._ra_streams.values()
+    assert second.held == len(files["b"])       # the last file, whole
+    assert 0 < first.held <= _RA_BUDGET - second.held
+    assert min(first.chunks) > 0                # its oldest chunks went
+
+
+def test_readahead_state_is_kept_for_a_few_handles_only():
+    """Files read and kept: state for the four most recently read
+    handles only.  Files read and unlinked: none at all — REMOVE names
+    a directory and a leaf, never the handle, which sfscd finds in its
+    lookup cache."""
+    setup = make_setup(SFS, seed=7, pipeline_depth=8)
+    proc = setup.process
+    for unlink in (False, True):
+        for i in range(12):
+            path = f"{setup.workdir}/f{i}"
+            proc.write_file(path, bytes(6 * CHUNK))
+            fd = proc.open(path)
+            assert len(proc.read(fd, 3 * CHUNK)) == 3 * CHUNK
+            proc.close(fd)
+            if unlink:
+                proc.unlink(path)
+        mount = _mount(setup)
+        assert len(mount._ra_streams) == (0 if unlink else _RA_STREAMS)
+        assert mount._ra_in_flight == 0

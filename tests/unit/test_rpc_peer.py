@@ -275,6 +275,50 @@ def test_eviction_degrades_at_most_once_to_at_least_once():
     assert server.duplicates_served == 1  # not a cache hit this time
 
 
+def test_only_non_idempotent_nfs_replies_are_remembered():
+    """As in RFC 1813 servers, the duplicate-reply cache holds replies
+    of procedures that must not run twice: a retransmitted GETATTR is
+    executed again, a retransmitted REMOVE is still answered from the
+    cache.  (A READ reply is up to 8 KB, a READV's 64 KB: 128 of them
+    per peer was megabytes kept for nothing.)"""
+    from repro.fs.memfs import MemFs
+    from repro.nfs3.client import Nfs3Client
+    from repro.nfs3.server import Nfs3Server
+    from repro.rpc.rpcmsg import AuthSys
+
+    class Recorder:
+        def __init__(self):
+            self.sent = []
+
+        def process(self, data, direction):
+            if direction == "a->b":
+                self.sent.append(data)
+            return [data]
+
+    recorder = Recorder()
+    clock = Clock()
+    a, b = link_pair(clock, NetworkParameters.instant(), recorder)
+    nfsd = Nfs3Server(MemFs(fsid=9))
+    server = RpcPeer(b, "nfsd")
+    server.register(nfsd.program)
+    client = Nfs3Client(RpcPeer(a, "kernel"), AuthSys(uid=0, gid=0))
+    root = nfsd.root_handle()
+    handle = client.create(root, "f", mode=0o644).obj
+    client.getattr(handle)
+    getattr_call = recorder.sent[-1]
+    served = server.calls_served
+    server._on_record(getattr_call)
+    settle(clock)
+    assert server.calls_served == served + 1
+    assert server.duplicates_served == 0
+    client.remove(root, "f")
+    remove_call = recorder.sent[-1]
+    server._on_record(remove_call)
+    settle(clock)
+    assert server.calls_served == served + 2
+    assert server.duplicates_served == 1
+
+
 def test_recovery_hook_runs_from_second_retry():
     from repro.rpc.peer import RetryPolicy
 
