@@ -14,13 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import LOCAL, NFS_TCP, NFS_UDP, SFS, SFS_NOENC, make_setup
-from repro.bench.sprite import LARGE_PHASES, run_large_file
+from repro.bench.sprite import DEFAULT_LARGE_BYTES, LARGE_PHASES, run_large_file
 from repro.bench.timing import format_table
+from repro.core.client import _RA_BUDGET
 
 from conftest import emit_table
 
 CONFIGS = [LOCAL, NFS_UDP, NFS_TCP, SFS, SFS_NOENC]
-_SIZE = 2 << 20
+#: Larger than sfscd's block cache, as the paper's 40,000 KB file was:
+#: the re-reads measure the wire, not the cache.
+_SIZE = DEFAULT_LARGE_BYTES
+assert _SIZE > _RA_BUDGET
 
 _results: dict[str, object] = {}
 

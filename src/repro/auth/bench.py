@@ -129,7 +129,12 @@ class AuthHarness:
     def __init__(self, config: AuthLoadConfig) -> None:
         self.config = config
         self.world = World(seed=config.seed)
-        self.scheduler = self.world.enable_concurrency(config.seed)
+        # A window every arrival of the storm fits in: with fewer slots
+        # the logins would queue in the client, and the figure measures
+        # the shards' admission control, not the send window.
+        self.scheduler = self.world.enable_pipelining(
+            depth=math.ceil(config.arrival_rate * config.duration),
+            seed=config.seed)
         self.fleet = self.world.add_auth_fleet(config.shards,
                                                vnodes=config.vnodes)
         for index in range(max(0, config.users - config.login_users)):

@@ -62,22 +62,20 @@ def _prepare_export(server, uid: int) -> None:
 
 
 def make_setup(name: str, seed: int = 7, caching: bool = True,
-               pipeline_depth: int = 0,
+               pipeline_depth: int = 1,
                params: NetworkParameters | None = None) -> BenchSetup:
     """Build one of the five configurations by display name.
 
-    ``pipeline_depth > 0`` sets the world's pipeline depth
-    (PROTOCOLS.md §17) before any machine exists: a send window of that
-    many in-flight RPCs, and client-side readahead / write-gathering
-    that deep (1 = a window of 1, neither).  ``params`` overrides the
-    default LAN profile for every link (e.g.
-    :meth:`NetworkParameters.wan`).
+    ``pipeline_depth`` sets the world's pipeline depth (PROTOCOLS.md
+    §17) before any machine exists: a send window of that many
+    in-flight RPCs, and client-side readahead / write-gathering that
+    deep (below 3, no readahead).  ``params`` overrides the default LAN
+    profile for every link (e.g. :meth:`NetworkParameters.wan`).
     """
     world = World(seed=seed)
     if params is not None:
         world.lan_params = params
-    if pipeline_depth:
-        world.enable_pipelining(depth=pipeline_depth, seed=seed)
+    world.enable_pipelining(depth=pipeline_depth, seed=seed)
     if name == LOCAL:
         client = world.add_client("bench-client")
         proc = client.process(uid=_BENCH_UID)

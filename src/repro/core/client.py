@@ -148,6 +148,9 @@ class ServerSession:
         #: unauthenticated plaintext record (PROTOCOLS.md §10), so
         #: mounts forget every byte of file data they keep, both times.
         self.on_resync: Callable[[], None] | None = None
+        #: Called when the connection's transport closes: the leases it
+        #: held, and any INVALIDATE still owed on them, died with it.
+        self.on_close: Callable[[], None] | None = None
         self.rekeys = 0
         self.resyncs_failed = 0
         # Recovery counters, visible in exported snapshots: attempts,
@@ -397,6 +400,9 @@ class ServerSession:
                     auth=rekey_auth(self.session_keys, pubkey, sealed),
                 ),
                 proto.RekeyRes,
+                # The call whose recovery this is may hold the window's
+                # last slot (at depth 1, its only one).
+                reserved=True,
             )
             if disc != proto.REKEY_OK:
                 return False  # the server denied re-keying
@@ -606,6 +612,11 @@ class ServerSession:
         program.add_proc(proto.PROC_INVALIDATE, "INVALIDATE",
                          proto.InvalidateArgs, VOID, invalidate)
         self.peer.register(program)
+        self.pipe.on_close(self._transport_closed)
+
+    def _transport_closed(self) -> None:
+        if self.on_close is not None:
+            self.on_close()
 
     # -- the figure-4 client side --
 
@@ -844,10 +855,9 @@ class MountedRemoteFs:
         self._m_relayed = daemon.metrics.counter("client.rpcs_relayed")
         self._m_replayed = daemon.metrics.counter("client.replayed_calls")
         self._m_stale = daemon.metrics.counter("client.stale_handles")
-        # Readahead state and cached chunks (active when
-        # daemon.pipeline_depth > 1), for the _RA_STREAMS most recently
-        # read handles, oldest first; and how many READV prefetches are
-        # on the wire for all of them.
+        # Readahead state and cached chunks for the _RA_STREAMS most
+        # recently read handles, oldest first; and how many READV
+        # prefetches are on the wire for all of them.
         self._ra_streams: OrderedDict[bytes, _ReadStream] = OrderedDict()
         self._ra_in_flight = 0
         # Write-gathering state: handle -> [[offset, bytearray], ...]
@@ -864,8 +874,9 @@ class MountedRemoteFs:
         self._m_gather_segments = m.counter("client.gather.segments")
         self._m_gather_bytes = m.counter("client.gather.bytes")
         session.invalidate_handler = self._on_invalidate
-        session.on_rekey = self._after_rekey
+        session.on_rekey = self._void_leases
         session.on_resync = self._ra_discard_all
+        session.on_close = self._void_leases
         session.on_reconnect = self._after_reconnect
 
     def _on_invalidate(self, handle: bytes) -> None:
@@ -876,27 +887,25 @@ class MountedRemoteFs:
         self.caches.invalidate(handle)
         self._ra_discard(handle)
 
-    def _after_rekey(self) -> None:
-        """A rekey means records were lost — possibly including lease
-        invalidation callbacks — so cached leases can't be trusted.
-        Authnos survive: the rekey proved session continuity.  (File
-        data went already, as the resync started and as it ended.)"""
-        self.caches.attrs.clear()
-        self.caches.access.clear()
-        self.caches.lookups.clear()
-
-    def _after_reconnect(self) -> None:
-        """The server restarted: every piece of its volatile state is
-        gone.  Leases were never granted to this (new) connection, so
-        the lease caches are garbage; authnos index a login table that
-        no longer exists, so each uid lazily re-authenticates through
-        its agent on next use.  File handles, by contrast, survive —
-        the handle key derives from the server's durable private key."""
-        self._authnos.clear()
+    def _void_leases(self) -> None:
+        """Forget what was held under the session's leases — attributes,
+        access bits, lookups, file data — once an INVALIDATE may have
+        been lost: after a rekey (records were), or when the connection
+        closed (its leases died with it; PROTOCOLS.md §11).  Authnos
+        survive both."""
         self.caches.attrs.clear()
         self.caches.access.clear()
         self.caches.lookups.clear()
         self._ra_discard_all()
+
+    def _after_reconnect(self) -> None:
+        """The server restarted: authnos index a login table that no
+        longer exists, so each uid re-authenticates lazily through its
+        agent.  The leases went with the old connection (voided here
+        too, for a transport that reports no close: TCP).  File handles
+        survive: the handle key derives from the durable private key."""
+        self._authnos.clear()
+        self._void_leases()
 
     # -- authentication --
 
@@ -932,11 +941,10 @@ class MountedRemoteFs:
         return handler
 
     def _handle(self, proc: int, args: Record, ctx: CallContext):
-        if self.daemon.pipeline_depth > 1:
-            reply = self._pipeline_intercept(proc, args, ctx,
-                                             self.daemon.pipeline_depth)
-            if reply is not None:
-                return reply
+        reply = self._pipeline_intercept(proc, args, ctx,
+                                         self.daemon.pipeline_depth)
+        if reply is not None:
+            return reply
         cached = self._try_cache(proc, args, ctx)
         if cached is not None:
             return cached
@@ -975,7 +983,7 @@ class MountedRemoteFs:
         self._absorb(proc, args, ctx, status, body)
         return status, body
 
-    # -- readahead, block cache and write-gathering (pipeline_depth > 1) --
+    # -- readahead, block cache and write-gathering --
 
     def _pipeline_intercept(self, proc: int, args: Record, ctx: CallContext,
                             depth: int):
@@ -1079,9 +1087,10 @@ class MountedRemoteFs:
         sequential = stream.next == offset
         stream.next = offset + count
         stream.streak = stream.streak + 1 if sequential else 0
-        if waited or stream.streak < 1 or count <= 0:
-            # Not a run yet — or the prefetch this read waited for was
-            # lost: the plain READ retransmits and recovers.
+        if waited or stream.streak < 1 or count <= 0 or depth - 2 < 1:
+            # Not a run yet, or no window slot to prefetch in — or the
+            # prefetch this read waited for was lost: the plain READ
+            # retransmits and recovers.
             return self._ra_fetch(stream, args, ctx)
         # A run of two: open the whole window at once (a ramp would cost
         # a round trip per step).  The first READV carries only the
@@ -1128,10 +1137,11 @@ class MountedRemoteFs:
         """Issue READVs of up to *depth* chunks until the window beyond
         *position* is requested — not past a known end of file, but
         including the chunk *at* it (the empty read that tells a reader
-        it is done).  At most ``depth - 2`` are in flight, so the
-        foreground call and a REKEY always find a window slot."""
+        it is done).  At most ``depth - 2`` are in flight, so a
+        foreground call never parks behind the prefetches of its own
+        mount; below depth 3 there are none."""
         count = stream.count
-        while (self._ra_in_flight < max(1, depth - 2)
+        while (self._ra_in_flight < depth - 2
                and stream.front + depth * count <= position + stream.window
                and (stream.limit is None or stream.front <= stream.limit)):
             chunks = depth
@@ -1252,6 +1262,9 @@ class MountedRemoteFs:
     def _gather_write(self, args: Record, ctx: CallContext, depth: int):
         handle = args.file
         data = args.data[: args.count]
+        if handle not in self._gather_segs and (
+                depth <= 1 or len(data) >= depth * 65536):
+            return None  # it alone would flush: relay it as itself
         segs = self._gather_segs.setdefault(handle, [])
         if segs and segs[-1][0] + len(segs[-1][1]) == args.offset:
             segs[-1][1] += data
@@ -1636,12 +1649,11 @@ class SfsClientDaemon:
         self.mounter = mounter
         self.encrypt = encrypt
         self.caching = caching
-        #: Pipeline window depth for the daemon's mounts: 1 = classic
-        #: one-RPC-at-a-time relaying (bit-identical to the pre-pipeline
-        #: stack); >1 turns on sequential readahead (a window of READVs
-        #: of up to this many chunks, kept in flight ahead of the
-        #: reader) and write-gathering (up to this many coalesced
-        #: UNSTABLE writes per WRITEV flush).
+        #: Pipeline window depth for the daemon's mounts: sequential
+        #: readahead keeps READVs of up to this many chunks in flight
+        #: ahead of the reader (at most ``depth - 2`` of them, so none
+        #: below depth 3), and write-gathering sends up to this many
+        #: coalesced UNSTABLE writes per WRITEV flush (PROTOCOLS.md §17).
         self.pipeline_depth = pipeline_depth
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: One policy drives both the mount-time handshake redial and

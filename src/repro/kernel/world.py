@@ -214,7 +214,7 @@ class ClientMachine:
         self.sfscd = SfsClientDaemon(
             world.clock, world.rng, world.connector, self.mounter,
             encrypt=encrypt, caching=caching, metrics=self.metrics,
-            pipeline_depth=world.pipeline_depth or 1,
+            pipeline_depth=world.pipeline_depth,
         )
         self.mounter.mount("/sfs", self.sfscd.program,
                            self.sfscd.root_handle())
@@ -316,11 +316,10 @@ class World:
         #: Set by :meth:`enable_contention`: new links to a server share
         #: its NIC media, so concurrent clients queue for bandwidth.
         self.contention = False
-        #: Set by :meth:`enable_pipelining`: peers built over new wire
-        #: links get a send window this deep, and client daemons read
-        #: ahead / gather writes this deep.  None = never set: calls are
-        #: not windowed and nothing is prefetched.
-        self.pipeline_depth: int | None = None
+        #: Peers built over new wire links get a send window this deep,
+        #: and client daemons read ahead / gather writes this deep
+        #: (PROTOCOLS.md §17); :meth:`enable_pipelining` sets it.
+        self.pipeline_depth = 1
         #: Created by :meth:`enable_control`; once present, every new
         #: machine gets a per-source registry and a collector heartbeat.
         self.control = None
@@ -348,9 +347,9 @@ class World:
         RPC peers over links dialed from now on get a send window of
         *depth* in-flight xids, and client daemons run sequential
         readahead and write-gathering at the same depth.  Every world
-        already delivers by timer and runs the same call path; depth 1
-        is simply a window of 1.  Call before creating the machines
-        that should benefit.
+        runs the same call path and the same relay; the default depth 1
+        is a window of 1.  Call before creating the machines that
+        should benefit.
         """
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")

@@ -67,9 +67,9 @@ class LoadConfig:
     #: Arm each session's reconnect engine (crash-failover runs).
     failover: bool = False
     #: Send window (PROTOCOLS.md §17): at most N in-flight RPCs per
-    #: session; None = not windowed.  Scale runs use a deep window to
-    #: overlap wire time across the fleet.
-    pipeline_depth: int | None = None
+    #: session.  Scale runs use a deep window to overlap wire time
+    #: across the fleet.
+    pipeline_depth: int = 1
     #: Open loop only: mean arrivals per simulated second and how long
     #: to keep them coming.
     arrival_rate: float = 200.0
@@ -155,11 +155,8 @@ class LoadHarness:
         #: someone else built — shared clock, scheduler, control plane
         #: and all.  Default: a self-contained world, as always.
         self.world = world if world is not None else World(seed=config.seed)
-        if config.pipeline_depth:
-            self.scheduler = self.world.enable_pipelining(
-                depth=config.pipeline_depth, seed=config.seed)
-        else:
-            self.scheduler = self.world.enable_concurrency(seed=config.seed)
+        self.scheduler = self.world.enable_pipelining(
+            depth=config.pipeline_depth, seed=config.seed)
         if config.contention:
             self.world.enable_contention()
         if server is not None:

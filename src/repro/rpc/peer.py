@@ -243,13 +243,13 @@ class RpcPeer:
         #: None (default) = classic single-shot calls.  Assign a
         #: :class:`RetryPolicy` to get retransmission + backoff.
         self.retry_policy: RetryPolicy | None = None
-        #: Send-window depth for pipelined calls: at most this many
-        #: xids in flight per channel.  ``None`` (default) = unlimited,
-        #: the pre-window behavior.  When the window is full a new
-        #: :meth:`call_task` *yields* on a slot future (backpressure by
-        #: parking, never busy-spinning); completions hand their slot
-        #: to the oldest waiter FIFO, so out-of-order replies still
-        #: admit senders in arrival order.
+        #: Send-window depth: at most this many xids in flight per
+        #: channel.  ``None`` = unlimited, for a transport that offers
+        #: no depth (a loopback, a TCP socket).  When the window is
+        #: full a new :meth:`call_task` *yields* on a slot future
+        #: (backpressure by parking, never busy-spinning); completions
+        #: hand their slot to the oldest waiter FIFO, so out-of-order
+        #: replies still admit senders in arrival order.
         self.window_depth: int | None = getattr(
             pipe, "suggested_window_depth", None
         )
@@ -701,8 +701,6 @@ class RpcPeer:
         self._m_window_in_flight.set(self._window_in_flight)
 
     def _window_release(self) -> None:
-        if self.window_depth is None:
-            return
         if self._window_waiters:
             # Hand the slot to the oldest waiter instead of freeing it:
             # FIFO admission even when replies complete out of order.
@@ -727,6 +725,7 @@ class RpcPeer:
         res_codec: Codec,
         cred: OpaqueAuth = NULL_AUTH,
         speculative: bool = False,
+        reserved: bool = False,
     ):
         """The one task-native call path (``yield from`` it).
 
@@ -750,7 +749,11 @@ class RpcPeer:
         With :attr:`window_depth` set, the call first acquires an
         in-flight slot (yielding on a slot future when the window is
         full — backpressure without busy-spinning) and releases it on
-        completion, handing it FIFO to the oldest waiter.
+        completion, handing it FIFO to the oldest waiter.  A *reserved*
+        call takes the one slot outside the window: the session's REKEY,
+        which runs inside the recovery of a call that holds a slot and
+        would otherwise wait for it forever at depth 1 (PROTOCOLS.md
+        §10).
 
         A *speculative* call is one whose caller can do without the
         answer (a prefetch): it gets one attempt under the same timer,
@@ -758,13 +761,13 @@ class RpcPeer:
         :meth:`abandon_speculative` may fail it at any moment.  Either
         way it ends in :class:`RpcTimeout`.
         """
-        if self.window_depth is not None:
-            yield from self._window_acquire()
+        call = self._call_task_inner(prog, vers, proc, arg_codec, args,
+                                     res_codec, cred, speculative)
+        if self.window_depth is None or reserved:
+            return (yield from call)
+        yield from self._window_acquire()
         try:
-            return (yield from self._call_task_inner(
-                prog, vers, proc, arg_codec, args, res_codec, cred,
-                speculative,
-            ))
+            return (yield from call)
         finally:
             self._window_release()
 

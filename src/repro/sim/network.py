@@ -391,8 +391,9 @@ class Link:
         self._open = True
         self._busy_until = {"a->b": 0.0, "b->a": 0.0}
         #: Advisory RPC send-window depth for peers built over this
-        #: link (None = unwindowed); set by World.enable_pipelining and
-        #: surfaced to RpcPeer via ``suggested_window_depth``.
+        #: link; World gives every wire link its pipeline depth (None =
+        #: unwindowed).  Surfaced to RpcPeer via
+        #: ``suggested_window_depth``.
         self.window_depth: "int | None" = None
         #: Optional per-direction shared media ({"a->b": ..., "b->a": ...});
         #: see :class:`Medium`.  None = independent per-message charges.

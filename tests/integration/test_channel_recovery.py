@@ -261,6 +261,7 @@ def test_forged_resync_request_is_dos_only():
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     pathops.write_file(server.fs, "/data", b"protected contents")
+    pathops.write_file(server.fs, "/other", b"not read yet")
     client = world.add_client("laptop")
     client.new_agent("user", 1000)
     proc = client.process(uid=1000)
@@ -272,8 +273,9 @@ def test_forged_resync_request_is_dos_only():
     settle(world.clock)
     (connection,) = server_connections(server, path)
     assert connection.resyncs_served == 1  # server fell for it
-    # ... yet the client recovers and the data is still right:
-    assert proc.read_file(f"{path}/data") == b"protected contents"
+    # ... yet the client recovers and the data is still right (a file
+    # not read before, so the read goes to the wire):
+    assert proc.read_file(f"{path}/other") == b"not read yet"
     assert session.rekeys >= 1
 
 
@@ -287,6 +289,7 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     pathops.write_file(server.fs, "/data", b"protected contents")
+    pathops.write_file(server.fs, "/other", b"not read yet")
     client = world.add_client("laptop")
     client.new_agent("user", 1000)
     proc = client.process(uid=1000)
@@ -321,7 +324,7 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
     assert connection.peer.calls_served == served_before
     assert export.nfs_client.peer.calls_sent == relayed_before
     # The real client still recovers; the attacker bought only delay.
-    assert proc.read_file(f"{path}/data") == b"protected contents"
+    assert proc.read_file(f"{path}/other") == b"not read yet"
     assert session.rekeys >= 1
     assert connection.peer.calls_served > served_before
 
@@ -450,6 +453,35 @@ def test_lossy_depth_8_closed_loop_recovers_inside_its_tasks():
     assert report.unfinished_tasks == 0
     assert sum(session.rekeys for session in harness.sessions) > 0
     harness.scheduler.drain()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lossy_depth_1_write_and_read_back_completes(seed):
+    """A window of 1 on a LAN that loses 5 % of records.  The call that
+    timed out holds the only slot while its recovery rekeys; the REKEY
+    takes the slot reserved for it, so the first desync does not park
+    the session for good, and a 64 KB write and its read-back complete
+    with the right bytes."""
+    world = World(seed=seed)
+    world.enable_pipelining(depth=1, seed=seed)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    alice = server.add_user("alice", uid=1000)
+    home = pathops.mkdirs(server.fs, "/home/alice")
+    server.fs.setattr(home.ino, Cred(0, 0), uid=1000, gid=100)
+    client = world.add_client("laptop")
+    proc = client.login_user("alice", alice.key, uid=1000)
+    proc.stat(f"{path}/home/alice")           # mounted before the loss
+    seeds = random.Random(seed)
+    world.set_wire_adversary(
+        lambda: RandomDropAdversary(0.05, random.Random(seeds.random())))
+    data = random.Random(seed).randbytes(64 * 1024)
+    name = f"{path}/home/alice/f"
+    proc.write_file(name, data)
+    assert proc.read_file(name) == data
+    session = session_for(world, path)
+    assert session.peer.window_depth == 1
+    assert session.peer._window_in_flight == 0
 
 
 
@@ -615,12 +647,16 @@ class ForgeReadReplies(Adversary):
         return [data] + forged
 
 
-def _wan_depth_8_world(seed, adversary, data):
-    """A depth-8 WAN world with *data* at /big, every dialed link under
-    *adversary*.  Returns (world, path, proc)."""
+#: The block cache is one at every depth; its tests run at both.
+CACHE_DEPTHS = (1, 8)
+
+
+def _wan_world(seed, adversary, data, depth=8):
+    """A WAN world at *depth* with *data* at /big, every dialed link
+    under *adversary*.  Returns (world, path, proc)."""
     world = World(seed=seed)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=8, seed=seed)
+    world.enable_pipelining(depth=depth, seed=seed)
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     pathops.write_file(server.fs, "/big", data)
@@ -637,41 +673,44 @@ def test_a_read_resolved_inside_the_resync_window_is_not_kept():
     while the REKEY is still on its way — but it is not kept: the
     resync replaced every stream as it started, and a reply is only
     kept in the stream it left under.  The next read of that offset
-    goes to the wire and gets the true bytes."""
+    goes to the wire and gets the true bytes.  At depth 1 the REKEY
+    takes its reserved slot beside the READ holding the only one."""
     data = random.Random(87).randbytes(8 * 8192)
-    forger = ForgeReadReplies()
-    world, path, proc = _wan_depth_8_world(87, forger, data)
-    fd = proc.open(f"{path}/big")
-    mount = world.clients["laptop"].sfscd._mounts[path.hostid]
-    session = mount.session
-    call_nfs_task = session.call_nfs_task
-    resyncs = []
+    for depth in CACHE_DEPTHS:
+        forger = ForgeReadReplies()
+        world, path, proc = _wan_world(87, forger, data, depth)
+        fd = proc.open(f"{path}/big")
+        mount = world.clients["laptop"].sfscd._mounts[path.hostid]
+        session = mount.session
+        call_nfs_task = session.call_nfs_task
+        resyncs = []
 
-    def read_then_resync(proc_no, args, authno, speculative=False):
-        if proc_no != nfs_const.NFSPROC3_READ or resyncs:
-            return (yield from call_nfs_task(proc_no, args, authno,
-                                             speculative))
-        pending = session.peer.start(call_nfs_task(proc_no, args, authno))
-        forger.last_xid = session.peer._xid      # the READ's, and older
-        resyncs.append(session.peer.start(session.resync_task()))
-        return (yield pending)
+        def read_then_resync(proc_no, args, authno, speculative=False):
+            if proc_no != nfs_const.NFSPROC3_READ or resyncs:
+                return (yield from call_nfs_task(proc_no, args, authno,
+                                                 speculative))
+            pending = session.peer.start(
+                call_nfs_task(proc_no, args, authno))
+            forger.last_xid = session.peer._xid  # the READ's, and older
+            resyncs.append(session.peer.start(session.resync_task()))
+            return (yield pending)
 
-    session.call_nfs_task = read_then_resync
-    forged = proc.read(fd, 8192)
-    (resync,) = resyncs
-    assert not resync.done                     # the window is still open
-    assert forger.forged and forged == ForgeReadReplies.EVIL
-    kept = [chunk for stream in mount._ra_streams.values()
-            for chunk, _eof, _expires in stream.chunks.values()]
-    assert ForgeReadReplies.EVIL not in kept
-    while not resync.done:
-        world.clock.advance(0.01)
-    assert resync.value is True
-    calls = session.peer.calls_sent
-    proc.lseek(fd, 0)
-    assert proc.read(fd, 8192) == data[:8192]
-    assert session.peer.calls_sent == calls + 1
-    proc.close(fd)
+        session.call_nfs_task = read_then_resync
+        forged = proc.read(fd, 8192)
+        (resync,) = resyncs
+        assert not resync.done                 # the window is still open
+        assert forger.forged and forged == ForgeReadReplies.EVIL
+        kept = [chunk for stream in mount._ra_streams.values()
+                for chunk, _eof, _expires in stream.chunks.values()]
+        assert ForgeReadReplies.EVIL not in kept
+        while not resync.done:
+            world.clock.advance(0.01)
+        assert resync.value is True, depth
+        calls = session.peer.calls_sent
+        proc.lseek(fd, 0)
+        assert proc.read(fd, 8192) == data[:8192]
+        assert session.peer.calls_sent == calls + 1
+        proc.close(fd)
 
 
 def test_nothing_kept_across_a_failed_resync_is_served_after_it():
@@ -683,36 +722,38 @@ def test_nothing_kept_across_a_failed_resync_is_served_after_it():
     from repro.core.client import _ReadStream
 
     data = random.Random(88).randbytes(8 * 8192)
-    world, path, proc = _wan_depth_8_world(88, Adversary(), data)
-    fd = proc.open(f"{path}/big")
-    assert b"".join(proc.read(fd, 8192) for _ in range(9)) == data
-    mount = world.clients["laptop"].sfscd._mounts[path.hostid]
-    session = mount.session
-    assert sum(stream.held for stream in mount._ra_streams.values()) \
-        == len(data)
-    (handle,) = mount._ra_streams
-    resync_round = session._resync_round
+    for depth in CACHE_DEPTHS:
+        world, path, proc = _wan_world(88, Adversary(), data, depth)
+        fd = proc.open(f"{path}/big")
+        assert b"".join(proc.read(fd, 8192) for _ in range(9)) == data
+        mount = world.clients["laptop"].sfscd._mounts[path.hostid]
+        session = mount.session
+        assert sum(stream.held for stream in mount._ra_streams.values()) \
+            == len(data), depth
+        (handle,) = mount._ra_streams
+        resync_round = session._resync_round
 
-    def round_that_keeps_a_forgery():
-        # As if a reply resolved inside the window had been kept.
-        planted = mount._ra_streams.setdefault(handle, _ReadStream())
-        mount._ra_keep(planted, 0, b"\xee" * 8192, False)
-        return (yield from resync_round())
+        def round_that_keeps_a_forgery():
+            # As if a reply resolved inside the window had been kept.
+            planted = mount._ra_streams.setdefault(handle, _ReadStream())
+            mount._ra_keep(planted, 0, b"\xee" * 8192, False)
+            return (yield from resync_round())
 
-    session._resync_round = round_that_keeps_a_forgery
-    good_key = session.server_public_key
-    session.server_public_key = session.ephemeral_keys.current().public_key
-    assert session.resync() is False
-    del session._resync_round
-    assert not mount._ra_streams
-    proc.lseek(fd, 3 * 8192)
-    with pytest.raises(KernelError):
-        proc.read(fd, 8192)
-    session.server_public_key = good_key
-    assert session.resync()
-    proc.lseek(fd, 3 * 8192)
-    assert proc.read(fd, 8192) == data[3 * 8192:4 * 8192]
-    proc.close(fd)
+        session._resync_round = round_that_keeps_a_forgery
+        good_key = session.server_public_key
+        session.server_public_key = \
+            session.ephemeral_keys.current().public_key
+        assert session.resync() is False
+        del session._resync_round
+        assert not mount._ra_streams
+        proc.lseek(fd, 3 * 8192)
+        with pytest.raises(KernelError):
+            proc.read(fd, 8192)
+        session.server_public_key = good_key
+        assert session.resync()
+        proc.lseek(fd, 3 * 8192)
+        assert proc.read(fd, 8192) == data[3 * 8192:4 * 8192]
+        proc.close(fd)
 
 
 class ForgeRekeyReplyOnce(Adversary):
@@ -737,7 +778,7 @@ def test_a_rekey_reply_that_does_not_decode_costs_one_round():
     round it lands in fails like a lost one, and the next round — the
     server still accepts the SessionID it just replaced — recovers."""
     forger = ForgeRekeyReplyOnce()
-    world, path, proc = _wan_depth_8_world(89, forger, b"still here")
+    world, path, proc = _wan_world(89, forger, b"still here")
     assert proc.read_file(f"{path}/big") == b"still here"
     session = session_for(world, path)
     forger.xid = session.peer._xid + 1

@@ -88,8 +88,31 @@ def test_open_loop_completes_every_arrival():
     assert report.ops_completed > 50          # Poisson(300 × 0.5) ≈ 150
     assert report.op_errors == 0
     assert report.unfinished_tasks == 0
-    # Concurrent in-flight calls shared 4 transports.
+    # Concurrent arrivals shared 4 transports (taking turns at each
+    # one's send window of 1).
     assert report.ops_completed > config.clients
+
+
+def test_scale_smoke_run():
+    """16 closed-loop clients against a queued server finish every
+    operation with no hung tasks.  CI's scale-smoke job sets
+    ``SFS_SCALE_SEED`` to each of its matrix seeds and
+    ``SFS_SCALE_METRICS_OUT`` to export the metrics snapshot it
+    uploads."""
+    seed = int(os.environ.get("SFS_SCALE_SEED", "2026"))
+    harness = LoadHarness(LoadConfig(clients=16, ops_per_client=20,
+                                     seed=seed, workers=2,
+                                     service_time=0.001, max_depth=32))
+    report = harness.run_closed_loop()
+    assert report.unfinished_tasks == 0, "tasks hung at drain"
+    assert report.op_errors == 0
+    assert report.ops_completed == 16 * 20
+    out = os.environ.get("SFS_SCALE_METRICS_OUT")
+    if out:
+        from repro.obs.export import write_snapshot
+
+        write_snapshot(out, harness.world.metrics,
+                       meta={"seed": seed, "clients": 16})
 
 
 def test_256_pipelined_clients_drain_cleanly():

@@ -18,8 +18,7 @@ def two_clients():
 
 def _two_clients(pipeline_depth=1):
     world = World(seed=61)
-    if pipeline_depth > 1:
-        world.enable_pipelining(depth=pipeline_depth)
+    world.enable_pipelining(depth=pipeline_depth)
     server = world.add_server("cache.example.com")
     path = server.export_fs(lease_duration=1000.0)
     work = pathops.mkdirs(server.fs, "/shared")
@@ -77,7 +76,7 @@ def test_invalidation_callback_on_remote_write(two_clients):
 def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
     """``open(f, "w")`` truncates by name, inside CREATE: the server
     must call back whoever holds a lease on the *file*, not only on the
-    directory, and at depth 8 their readahead chunks must go too."""
+    directory, and the chunks they keep of it must go too."""
     _world, server, path, c1, p1, _c2, p2 = _two_clients(pipeline_depth)
     name = f"{path}/shared/f"
     p1.write_file(name, bytes(range(256)) * 256)  # 64 KB, c1 joins first
@@ -85,8 +84,8 @@ def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
     mount1 = _mount_of(c1, path)
     fd = p1.open(name)
     assert len(p1.read(fd, 3 * 8192)) == 3 * 8192
-    holding_readahead = bool(mount1._ra_streams)
-    assert holding_readahead == (pipeline_depth > 1)
+    (stream,) = mount1._ra_streams.values()
+    assert stream.chunks
     c1_connection = next(iter(server.master.rw_export(path.hostid).connections))
     sent_before = c1_connection.invalidations_sent
 
@@ -260,9 +259,13 @@ def test_access_cache_is_per_uid(two_clients):
     assert mount.caches.access.misses > misses_before
 
 
-# --- readahead under leases (pipeline depth 8) -------------------------------
+# --- readahead and the block cache under leases -----------------------------
 
 CHUNK = 8192
+
+#: Each block-cache test runs at both depths: the cache is one at every
+#: depth, filled at depth 1 by plain READs only.
+CACHE_DEPTHS = (1, 8)
 
 
 def test_remote_write_drops_prefetches_still_on_the_wire():
@@ -312,48 +315,50 @@ def test_reread_sees_a_remote_write_once_its_invalidate_lands():
     the moment it lands client 1 reads the new bytes.  (Before that
     moment client 1 would serve the chunk it kept — the lease's honest
     limit, PROTOCOLS.md §17.)"""
-    world, _server, path, c1, p1, _c2, p2 = _two_clients(pipeline_depth=8)
-    name = f"{path}/shared/big"
-    old = random.Random(63).randbytes(32 * CHUNK)
-    p1.write_file(name, old)
-    reader = p1.open(name)
-    assert _read_through(p1, reader, len(old)) == old
-    peer = _mount_of(c1, path).session.peer
-    calls = peer.calls_sent
-    assert _read_through(p1, reader, len(old)) == old
-    assert peer.calls_sent == calls           # kept, not fetched again
-    fresh = bytes(CHUNK)
-    writer = p2.open(name)
-    p2.lseek(writer, 7 * CHUNK)
-    p2.write(writer, fresh, sync=True)
-    p2.close(writer)
-    world.clock.advance(0.1)                  # the callback lands
-    assert _read_through(p1, reader, len(old)) \
-        == old[:7 * CHUNK] + fresh + old[8 * CHUNK:]
-    assert peer.calls_sent > calls
-    p1.close(reader)
+    for depth in CACHE_DEPTHS:
+        world, _server, path, c1, p1, _c2, p2 = _two_clients(depth)
+        name = f"{path}/shared/big"
+        old = random.Random(63).randbytes(32 * CHUNK)
+        p1.write_file(name, old)
+        reader = p1.open(name)
+        assert _read_through(p1, reader, len(old)) == old
+        peer = _mount_of(c1, path).session.peer
+        calls = peer.calls_sent
+        assert _read_through(p1, reader, len(old)) == old
+        assert peer.calls_sent == calls, depth  # kept, not fetched again
+        fresh = bytes(CHUNK)
+        writer = p2.open(name)
+        p2.lseek(writer, 7 * CHUNK)
+        p2.write(writer, fresh, sync=True)
+        p2.close(writer)
+        world.clock.advance(0.1)                  # the callback lands
+        assert _read_through(p1, reader, len(old)) \
+            == old[:7 * CHUNK] + fresh + old[8 * CHUNK:]
+        assert peer.calls_sent > calls
+        p1.close(reader)
 
 
 def test_kept_chunks_older_than_the_lease_are_misses():
-    world, _server, path, c1, p1, _c2, _p2 = _two_clients(pipeline_depth=8)
-    name = f"{path}/shared/big"
-    data = random.Random(64).randbytes(16 * CHUNK)
-    p1.write_file(name, data)
-    fd = p1.open(name)
-    assert _read_through(p1, fd, len(data)) == data
-    hit_count = world.metrics.counter("client.readahead.hits")
-    hits = hit_count.value
-    assert _read_through(p1, fd, len(data)) == data
-    assert hit_count.value == hits + 17       # every chunk, and the eof
-    world.clock.advance(2000.0)               # beyond the 1,000 s lease
-    hits = hit_count.value
-    peer = _mount_of(c1, path).session.peer
-    calls = peer.calls_sent
-    p1.lseek(fd, 5 * CHUNK)
-    assert p1.read(fd, CHUNK) == data[5 * CHUNK:6 * CHUNK]
-    assert hit_count.value == hits            # a miss ...
-    assert peer.calls_sent == calls + 1       # ... fetched again
-    p1.close(fd)
+    for depth in CACHE_DEPTHS:
+        world, _server, path, c1, p1, _c2, _p2 = _two_clients(depth)
+        name = f"{path}/shared/big"
+        data = random.Random(64).randbytes(16 * CHUNK)
+        p1.write_file(name, data)
+        fd = p1.open(name)
+        assert _read_through(p1, fd, len(data)) == data
+        hit_count = world.metrics.counter("client.readahead.hits")
+        hits = hit_count.value
+        assert _read_through(p1, fd, len(data)) == data
+        assert hit_count.value == hits + 17, depth  # every chunk, the eof
+        world.clock.advance(2000.0)               # beyond the 1,000 s lease
+        hits = hit_count.value
+        peer = _mount_of(c1, path).session.peer
+        calls = peer.calls_sent
+        p1.lseek(fd, 5 * CHUNK)
+        assert p1.read(fd, CHUNK) == data[5 * CHUNK:6 * CHUNK]
+        assert hit_count.value == hits            # a miss ...
+        assert peer.calls_sent == calls + 1       # ... fetched again
+        p1.close(fd)
 
 
 def test_buffered_chunks_do_not_outlive_the_lease():

@@ -420,10 +420,15 @@ def _count(snapshot, name):
 
 
 def test_readahead_and_gather_preserve_file_contents():
-    legacy_data, _t, legacy_metrics = _large_file_pass(depth=0)
+    """Depth 1 reads ahead nothing and gathers nothing — each write
+    would flush on arrival, so it is relayed as itself — and depth 8
+    does both; the bytes are the same."""
+    single_data, _t, single_metrics = _large_file_pass(depth=1)
     piped_data, _t, piped_metrics = _large_file_pass(depth=8)
-    assert piped_data == legacy_data == bytes(range(256)) * 32 * 32
-    assert _count(legacy_metrics, "client.readahead.hits") == 0
+    assert piped_data == single_data == bytes(range(256)) * 32 * 32
+    assert _count(single_metrics, "client.readahead.hits") == 0
+    assert _count(single_metrics, "client.readahead.batches") == 0
+    assert _count(single_metrics, "client.gather.writes") == 0
     assert _count(piped_metrics, "client.readahead.hits") > 0
     assert _count(piped_metrics, "client.gather.writes") == 32
     assert _count(piped_metrics, "client.gather.flushes") >= 1
@@ -532,7 +537,7 @@ def test_several_readvs_are_in_flight_while_a_read_blocks():
     fd = proc.open(path)
     assert _read_all(proc, fd) == data
     assert max(seen) >= 2
-    assert max(seen) <= 8 - 2  # room for the foreground call and a REKEY
+    assert max(seen) <= 8 - 2  # the prefetch cap: depth - 2
 
 
 def test_depth_4_never_parks_a_call_behind_its_own_prefetches():
@@ -638,52 +643,59 @@ def test_wan_depth_sweep_and_a_reread_from_the_cache(seed):
 
 # --- the block cache: what was read stays, under the lease ------------------
 
+#: The cache is one at every depth: at depth 1 only plain READs fill
+#: it, at depth 8 READV prefetches too.  Each cache test runs at both.
+CACHE_DEPTHS = (1, 8)
+
+
 def test_reread_in_random_order_sends_no_session_call():
-    """1 MB read through at WAN depth 8, then read back in random
-    order: every chunk — the plain READ that started the run included —
-    is still kept, so no call crosses the 40 ms round trip."""
-    setup, path, data = _wan_file(depth=8, chunks=128)
-    proc, clock = setup.process, setup.clock
-    peer = _mount(setup).session.peer
-    fd = proc.open(path)
-    assert _read_all(proc, fd) == data
-    calls, start = peer.calls_sent, clock.now
-    order = list(range(128))
-    random.Random(7).shuffle(order)
-    for at in order:
-        proc.lseek(fd, at * CHUNK)
-        assert proc.read(fd, CHUNK) == data[at * CHUNK:(at + 1) * CHUNK]
-    assert peer.calls_sent == calls
-    assert clock.now - start < 0.01     # a WAN round trip is 0.04 s
-    proc.close(fd)
+    """1 MB read through over the WAN, then read back in random order:
+    every chunk — the plain READ that started the run included — is
+    still kept, so no call crosses the 40 ms round trip."""
+    for depth in CACHE_DEPTHS:
+        setup, path, data = _wan_file(depth=depth, chunks=128)
+        proc, clock = setup.process, setup.clock
+        peer = _mount(setup).session.peer
+        fd = proc.open(path)
+        assert _read_all(proc, fd) == data
+        calls, start = peer.calls_sent, clock.now
+        order = list(range(128))
+        random.Random(7).shuffle(order)
+        for at in order:
+            proc.lseek(fd, at * CHUNK)
+            assert proc.read(fd, CHUNK) == data[at * CHUNK:(at + 1) * CHUNK]
+        assert peer.calls_sent == calls, depth
+        assert clock.now - start < 0.01     # a WAN round trip is 0.04 s
+        proc.close(fd)
 
 
 def test_local_write_and_truncation_drop_kept_chunks():
-    setup, path, data = _wan_file(depth=8, chunks=32)
-    proc = setup.process
-    mount = _mount(setup)
-    peer = mount.session.peer
-    reader = proc.open(path)
-    assert _read_all(proc, reader) == data
-    calls = peer.calls_sent
-    proc.lseek(reader, 0)
-    assert _read_all(proc, reader) == data
-    assert peer.calls_sent == calls     # served from what was kept
-    fresh = bytes(CHUNK)
-    writer = proc.open(path)
-    proc.lseek(writer, 5 * CHUNK)
-    proc.write(writer, fresh, sync=True)
-    proc.close(writer)
-    assert not mount._ra_streams
-    expected = data[:5 * CHUNK] + fresh + data[6 * CHUNK:]
-    proc.lseek(reader, 0)
-    assert _read_all(proc, reader) == expected
-    assert mount._ra_streams
-    proc.close(proc.open(path, "w"))    # truncates by name
-    assert not mount._ra_streams
-    proc.lseek(reader, 0)
-    assert proc.read(reader, CHUNK) == b""
-    proc.close(reader)
+    for depth in CACHE_DEPTHS:
+        setup, path, data = _wan_file(depth=depth, chunks=32)
+        proc = setup.process
+        mount = _mount(setup)
+        peer = mount.session.peer
+        reader = proc.open(path)
+        assert _read_all(proc, reader) == data
+        calls = peer.calls_sent
+        proc.lseek(reader, 0)
+        assert _read_all(proc, reader) == data
+        assert peer.calls_sent == calls, depth  # served from what was kept
+        fresh = bytes(CHUNK)
+        writer = proc.open(path)
+        proc.lseek(writer, 5 * CHUNK)
+        proc.write(writer, fresh, sync=True)
+        proc.close(writer)
+        assert not mount._ra_streams
+        expected = data[:5 * CHUNK] + fresh + data[6 * CHUNK:]
+        proc.lseek(reader, 0)
+        assert _read_all(proc, reader) == expected
+        assert mount._ra_streams
+        proc.close(proc.open(path, "w"))    # truncates by name
+        assert not mount._ra_streams
+        proc.lseek(reader, 0)
+        assert proc.read(reader, CHUNK) == b""
+        proc.close(reader)
 
 
 def test_kept_bytes_stay_within_the_mount_budget():
@@ -692,28 +704,29 @@ def test_kept_bytes_stay_within_the_mount_budget():
     states, 2 MiB of file data — and what goes first is the least
     recently read file's oldest chunks."""
     assert _RA_BUDGET == 2 * 1024 * 1024
-    setup = make_setup(SFS, seed=7, pipeline_depth=8)
-    proc = setup.process
-    files = {}
-    for name in ("a", "b"):
-        files[name] = random.Random(name).randbytes(160 * CHUNK)
-        proc.write_file(f"{setup.workdir}/{name}", files[name])
-    mount = _mount(setup)
-    for name, data in files.items():
-        fd = proc.open(f"{setup.workdir}/{name}")
-        got = []
-        while piece := proc.read(fd, CHUNK):
-            got.append(piece)
-            held = [sum(len(kept[0]) for kept in stream.chunks.values())
-                    for stream in mount._ra_streams.values()]
-            assert held == [s.held for s in mount._ra_streams.values()]
-            assert sum(held) <= _RA_BUDGET
-        proc.close(fd)
-        assert b"".join(got) == data
-    first, second = mount._ra_streams.values()
-    assert second.held == len(files["b"])       # the last file, whole
-    assert 0 < first.held <= _RA_BUDGET - second.held
-    assert min(first.chunks) > 0                # its oldest chunks went
+    for depth in CACHE_DEPTHS:
+        setup = make_setup(SFS, seed=7, pipeline_depth=depth)
+        proc = setup.process
+        files = {}
+        for name in ("a", "b"):
+            files[name] = random.Random(name).randbytes(160 * CHUNK)
+            proc.write_file(f"{setup.workdir}/{name}", files[name])
+        mount = _mount(setup)
+        for name, data in files.items():
+            fd = proc.open(f"{setup.workdir}/{name}")
+            got = []
+            while piece := proc.read(fd, CHUNK):
+                got.append(piece)
+                held = [sum(len(kept[0]) for kept in stream.chunks.values())
+                        for stream in mount._ra_streams.values()]
+                assert held == [s.held for s in mount._ra_streams.values()]
+                assert sum(held) <= _RA_BUDGET
+            proc.close(fd)
+            assert b"".join(got) == data
+        first, second = mount._ra_streams.values()
+        assert second.held == len(files["b"])   # the last file, whole
+        assert 0 < first.held <= _RA_BUDGET - second.held
+        assert min(first.chunks) > 0            # its oldest chunks went
 
 
 def test_readahead_state_is_kept_for_a_few_handles_only():
@@ -721,17 +734,18 @@ def test_readahead_state_is_kept_for_a_few_handles_only():
     handles only.  Files read and unlinked: none at all — REMOVE names
     a directory and a leaf, never the handle, which sfscd finds in its
     lookup cache."""
-    setup = make_setup(SFS, seed=7, pipeline_depth=8)
-    proc = setup.process
-    for unlink in (False, True):
-        for i in range(12):
-            path = f"{setup.workdir}/f{i}"
-            proc.write_file(path, bytes(6 * CHUNK))
-            fd = proc.open(path)
-            assert len(proc.read(fd, 3 * CHUNK)) == 3 * CHUNK
-            proc.close(fd)
-            if unlink:
-                proc.unlink(path)
-        mount = _mount(setup)
-        assert len(mount._ra_streams) == (0 if unlink else _RA_STREAMS)
-        assert mount._ra_in_flight == 0
+    for depth in CACHE_DEPTHS:
+        setup = make_setup(SFS, seed=7, pipeline_depth=depth)
+        proc = setup.process
+        for unlink in (False, True):
+            for i in range(12):
+                path = f"{setup.workdir}/f{i}"
+                proc.write_file(path, bytes(6 * CHUNK))
+                fd = proc.open(path)
+                assert len(proc.read(fd, 3 * CHUNK)) == 3 * CHUNK
+                proc.close(fd)
+                if unlink:
+                    proc.unlink(path)
+            mount = _mount(setup)
+            assert len(mount._ra_streams) == (0 if unlink else _RA_STREAMS)
+            assert mount._ra_in_flight == 0
