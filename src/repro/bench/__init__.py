@@ -1,4 +1,10 @@
-"""Benchmark harness regenerating every figure in the paper's section 4."""
+"""Benchmark harness regenerating every figure in the paper's section 4.
+
+The figures beyond the paper live here too — ``scale`` and
+``pipeline`` in :mod:`repro.bench.__main__`, and :mod:`fleet`,
+:mod:`control` and :mod:`auth` — and drive their clients through the
+one client engine, :mod:`repro.load`.
+"""
 
 from . import compile as compile_bench
 from . import mab, micro, setups, sprite, timing

@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from ..crypto import arc4kernel, backend
 from ..obs.export import SnapshotCollector
@@ -307,7 +308,7 @@ def run_fleet(quick: bool, collector=None) -> tuple[str, dict]:
     the fastest namespace mirror serves bit-flipped blobs and is banned
     on the first digest mismatch with zero wrong links resolved.
     """
-    from ..fleet.bench import FleetHarness, FleetLoadConfig, run_tamper_demo
+    from .fleet import FLEET_LOAD, FleetBench, FleetConfig, run_tamper_demo
 
     levels = [1, 4, 16]
     ops = 8 if quick else 20
@@ -315,35 +316,31 @@ def run_fleet(quick: bool, collector=None) -> tuple[str, dict]:
     rows, data_rows = [], []
     previous_throughput = 0.0
     for servers in levels:
-        config = FleetLoadConfig(servers=servers, clients=16,
-                                 ops_per_client=ops, names=names, seed=2026)
-        harness = FleetHarness(config)
-        report = harness.run()
+        bench = FleetBench(FleetConfig(
+            load=replace(FLEET_LOAD, ops_per_client=ops, seed=2026),
+            servers=servers, names=names))
+        report = bench.run()
         assert report.op_errors == 0 and report.unfinished_tasks == 0
-        assert report.names_resolved == names
+        assert bench.names_resolved == names
         assert report.throughput > previous_throughput, \
             f"{servers} servers did not beat {previous_throughput:.0f} ops/s"
         previous_throughput = report.throughput
+        shards = bench.shard_rows(report)
         rows.append((str(servers), report.throughput,
                      report.p50 * 1000, report.p99 * 1000,
-                     report.worst_shard_p99() * 1000,
-                     str(max(s.peak_queue_depth for s in report.shards))))
+                     max(shard["p99_ms"] for shard in shards),
+                     str(max(shard["peak_queue_depth"] for shard in shards))))
         data_rows.append({
             "servers": servers, "clients": report.clients,
             "ops_per_second": report.throughput,
             "p50_ms": report.p50 * 1000, "p95_ms": report.p95 * 1000,
             "p99_ms": report.p99 * 1000,
-            "names_resolved": report.names_resolved,
-            "namespace": report.namespace,
-            "shards": [{
-                "location": shard.location, "names": shard.names,
-                "clients": shard.clients, "ops": shard.ops_completed,
-                "p50_ms": shard.p50 * 1000, "p99_ms": shard.p99 * 1000,
-                "peak_queue_depth": shard.peak_queue_depth,
-            } for shard in report.shards],
+            "names_resolved": bench.names_resolved,
+            "namespace": bench.namespace_counters(),
+            "shards": shards,
         })
         if collector is not None:
-            collector.add(f"fleet/{servers}-servers", harness.world.metrics,
+            collector.add(f"fleet/{servers}-servers", bench.world.metrics,
                           meta={"figure": "fleet", "servers": servers})
     tamper = run_tamper_demo(seed=2026)
     assert tamper.wrong_links == 0 and tamper.bans >= 1
@@ -386,28 +383,33 @@ def run_control(quick: bool, collector=None) -> tuple[str, dict]:
     fleet p99 and busy-rejects — the closed loop has to pay for
     itself, not just emit actions.
     """
-    from ..control.bench import ControlBenchConfig, run_control_comparison
+    from .control import CONTROL_LOAD, ControlConfig, run_control_comparison
 
     ops = 12 if quick else 30
-    config = ControlBenchConfig(ops_per_client=ops, max_depth=4,
-                                hot_clients=12, hot_factor=6.0, seed=2026)
+    config = ControlConfig(
+        load=replace(CONTROL_LOAD, ops_per_client=ops, max_depth=4,
+                     seed=2026),
+        hot_clients=12, hot_factor=6.0)
     baseline, managed, artifact = run_control_comparison(config)
-    assert managed.op_errors == 0 and managed.unfinished_tasks == 0
-    assert managed.p99 < baseline.p99, \
-        f"managed p99 {managed.p99:.4f}s >= baseline {baseline.p99:.4f}s"
-    assert managed.busy_rejects < baseline.busy_rejects, \
-        (f"managed rejects {managed.busy_rejects} >= "
-         f"baseline {baseline.busy_rejects}")
+    assert managed.report.op_errors == 0
+    assert managed.report.unfinished_tasks == 0
+    assert managed.report.p99 < baseline.report.p99, \
+        (f"managed p99 {managed.report.p99:.4f}s >= "
+         f"baseline {baseline.report.p99:.4f}s")
+    assert managed.report.admission_rejects < \
+        baseline.report.admission_rejects, \
+        (f"managed rejects {managed.report.admission_rejects} >= "
+         f"baseline {baseline.report.admission_rejects}")
     assert managed.policy_actions > 0
     rows = [
-        (label, report.throughput, report.p50 * 1000, report.p99 * 1000,
-         str(report.busy_rejects), str(report.op_errors),
-         f"{report.final_think_scale:g}", str(report.policy_actions))
-        for label, report in (("open loop", baseline),
-                              ("closed loop", managed))
+        (label, run.report.throughput, run.report.p50 * 1000,
+         run.report.p99 * 1000, str(run.report.admission_rejects),
+         str(run.report.op_errors), f"{run.final_think_scale:g}",
+         str(run.policy_actions))
+        for label, run in (("open loop", baseline), ("closed loop", managed))
     ]
     table = format_table(
-        f"Control plane: {config.clients} clients vs {config.servers} "
+        f"Control plane: {config.load.clients} clients vs {config.servers} "
         f"shards, hot shard {managed.hot_shard} at "
         f"{config.hot_factor:g}x service time ({ops} ops/client)",
         ["Policy", "ops/s", "p50 ms", "p99 ms", "busy-rejects", "errors",
@@ -418,7 +420,7 @@ def run_control(quick: bool, collector=None) -> tuple[str, dict]:
     table += (
         f"\n\ncontrol loop: {managed.policy_actions} actions, "
         f"{len(events)} SLO transitions, hot shard final depth "
-        f"{next(s.final_max_depth for s in managed.shards if s.hot)}"
+        f"{next(s['final_max_depth'] for s in managed.shards if s['hot'])}"
     )
     if collector is not None:
         # The control plane already built the fleet-level snapshot
@@ -445,9 +447,10 @@ def run_auth(quick: bool, collector=None) -> tuple[str, dict]:
     cost sweep of section 2.5.2 — per-layer login-latency attribution
     as the password-hardening cost parameter climbs.
     """
-    from ..auth.bench import (
-        AuthHarness,
-        AuthLoadConfig,
+    from .auth import (
+        STORM_LOAD,
+        AuthConfig,
+        AuthStorm,
         run_cache_phase,
         run_cost_sweep,
     )
@@ -457,23 +460,24 @@ def run_auth(quick: bool, collector=None) -> tuple[str, dict]:
     rows, data_rows = [], []
     previous_throughput = 0.0
     for shards in (1, 4):
-        config = AuthLoadConfig(shards=shards, users=users,
-                                duration=duration, seed=2026)
-        harness = AuthHarness(config)
-        report = harness.run_storm()
-        assert report.errors == 0 and report.unfinished_tasks == 0
-        assert report.logins_ok > 0 and report.denied == 0
+        storm = AuthStorm(AuthConfig(
+            load=replace(STORM_LOAD, duration=duration, seed=2026),
+            shards=shards, users=users))
+        report = storm.run()
+        assert report.op_errors == 0 and report.unfinished_tasks == 0
+        assert report.ops_completed > 0 and report.denied == 0
         assert report.throughput > previous_throughput, \
             (f"{shards} auth shards did not beat "
              f"{previous_throughput:.0f} logins/s")
         previous_throughput = report.throughput
+        row = storm.row(report)
         rows.append((str(shards), report.throughput,
                      report.p50 * 1000, report.p95 * 1000,
-                     str(report.logins_ok), str(report.shed),
-                     str(report.queue_rejected)))
-        data_rows.append(report.row())
+                     str(report.ops_completed), str(report.shed),
+                     str(row["queue_rejected"])))
+        data_rows.append(row)
         if collector is not None:
-            collector.add(f"auth/{shards}-shards", harness.world.metrics,
+            collector.add(f"auth/{shards}-shards", storm.world.metrics,
                           meta={"figure": "auth", "shards": shards,
                                 "users": users})
     # Panel (b): table size must not show up in login latency (hash
@@ -483,16 +487,16 @@ def run_auth(quick: bool, collector=None) -> tuple[str, dict]:
     sizes = [1_000, 10_000] if quick else [1_000, 10_000, 100_000]
     sweep_rows, sweep_data = [], []
     for size in sizes:
-        config = AuthLoadConfig(shards=2, users=size, login_users=8,
-                                arrival_rate=400.0, duration=duration,
-                                seed=2026)
-        harness = AuthHarness(config)
-        report = harness.run_storm()
-        assert report.errors == 0 and report.denied == 0
+        storm = AuthStorm(AuthConfig(
+            load=replace(STORM_LOAD, clients=8, arrival_rate=400.0,
+                         duration=duration, seed=2026),
+            shards=2, users=size))
+        report = storm.run()
+        assert report.op_errors == 0 and report.denied == 0
         sweep_rows.append((f"{size:,}", report.throughput,
                            report.p50 * 1000, report.p95 * 1000,
-                           str(report.logins_ok)))
-        sweep_data.append(report.row())
+                           str(report.ops_completed)))
+        sweep_data.append(storm.row(report))
     # Panel (c): the decision cache, then a revocation mid-stream.
     cache = run_cache_phase(users=500 if quick else 2000,
                             logins_per_session=20 if quick else 40,

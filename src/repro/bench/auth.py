@@ -3,9 +3,9 @@
 Three questions, three phases, all in simulated time (deterministic per
 seed):
 
-* **Storm sweep** — Poisson login arrivals (reusing the open-loop
-  arrival model of :mod:`repro.load.harness`) against the sharded auth
-  fleet at a 10^5-user table: does adding authserver shards raise
+* **Storm sweep** — Poisson login arrivals (the client engine's
+  :func:`~repro.load.harness.poisson_arrivals`) against the sharded
+  auth fleet at a 10^5-user table: does adding authserver shards raise
   aggregate login throughput when the arrival rate exceeds one shard's
   admission capacity?  The shards sit behind the standard
   :class:`RequestQueue` bounded admission control, so overload becomes
@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..core import proto, sfskey
+from ..core import sfskey
 from ..core.agent import Agent
 from ..core.authserv import PrivateRecord
-from ..core.client import ServerSession
 from ..core.keyneg import EphemeralKeyCache
 from ..kernel.world import World
-from ..rpc.peer import RetryPolicy, RpcBusy, RpcError
-from ..sim.sched import Sleep
+from ..load.harness import LoadConfig, LoadReport, dial, poisson_arrivals, \
+    run_to_report
+from ..rpc.peer import RpcBusy, RpcError
 
 #: Modeled client CPU per eksblowfish expansion (seconds of virtual
 #: time); a login at cost c is charged ``HARDEN_UNIT * 2**c``.  The
@@ -48,138 +48,84 @@ from ..sim.sched import Sleep
 #: charge is modeled, so the sweep stays deterministic across hosts.
 HARDEN_UNIT = 0.0008
 
+#: A storm: ``clients`` login accounts with one live session each,
+#: Poisson logins at ``arrival_rate`` for ``duration`` simulated
+#: seconds, and each shard's admission queue (``service_time`` per
+#: login, ``max_depth`` waiting).
+STORM_LOAD = LoadConfig(clients=16, arrival_rate=1600.0, duration=0.5,
+                        service_time=0.004, max_depth=16)
+
 
 @dataclass
-class AuthLoadConfig:
-    """One storm: a user table, an arrival process, an admission queue."""
+class AuthConfig:
+    """One storm: the logins, and the auth fleet and user table."""
 
+    load: LoadConfig = field(default_factory=lambda: replace(STORM_LOAD))
     shards: int = 4
     users: int = 100_000
-    login_users: int = 16
-    arrival_rate: float = 1600.0   # Poisson logins per simulated second
-    duration: float = 0.5          # arrival window, simulated seconds
-    seed: int = 2026
-    workers: int = 2
-    service_time: float = 0.004    # per-login authserver service charge
-    max_depth: int = 16            # admission queue bound per shard
-    encrypt: bool = True
     vnodes: int = 16
     queueing: bool = True          # admission control on the shards
 
 
 @dataclass
-class AuthStormReport:
-    shards: int
-    users: int
-    arrival_rate: float
+class StormReport(LoadReport):
+    """A login storm's outcome: a LoadReport whose operations are the
+    logins that succeeded, plus what became of the rest."""
+
     offered: int = 0
-    logins_ok: int = 0
     denied: int = 0
     shed: int = 0
-    errors: int = 0
-    unfinished_tasks: int = 0
-    duration: float = 0.0
-    throughput: float = 0.0
-    p50: float = 0.0
-    p95: float = 0.0
-    p99: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    queue_rejected: int = 0
-    srp_evicted: int = 0
-    latencies: list[float] = field(default_factory=list)
-
-    def finish(self, duration: float, metrics) -> None:
-        self.duration = duration
-        self.throughput = self.logins_ok / duration if duration > 0 else 0.0
-        ordered = sorted(self.latencies)
-        self.p50 = _percentile(ordered, 0.50)
-        self.p95 = _percentile(ordered, 0.95)
-        self.p99 = _percentile(ordered, 0.99)
-        self.cache_hits = metrics.counter("auth.cache.hits").value
-        self.cache_misses = metrics.counter("auth.cache.misses").value
-        self.queue_rejected = metrics.counter("server.queue.rejected").value
-        self.srp_evicted = metrics.counter(
-            "auth.srp.sessions_evicted").value
-
-    def row(self) -> dict:
-        return {
-            "shards": self.shards, "users": self.users,
-            "arrival_rate": self.arrival_rate, "offered": self.offered,
-            "logins_ok": self.logins_ok, "denied": self.denied,
-            "shed": self.shed, "errors": self.errors,
-            "duration_s": self.duration, "logins_per_second": self.throughput,
-            "p50_ms": self.p50 * 1000, "p95_ms": self.p95 * 1000,
-            "p99_ms": self.p99 * 1000,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "queue_rejected": self.queue_rejected,
-        }
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
-
-
-class AuthHarness:
+class AuthStorm:
     """A World with an auth fleet, a padded user table, live sessions."""
 
-    def __init__(self, config: AuthLoadConfig) -> None:
+    def __init__(self, config: AuthConfig) -> None:
+        load = config.load
         self.config = config
-        self.world = World(seed=config.seed)
+        self.world = World(seed=load.seed)
         # A window every arrival of the storm fits in: with fewer slots
         # the logins would queue in the client, and the figure measures
         # the shards' admission control, not the send window.
         self.scheduler = self.world.enable_pipelining(
-            depth=math.ceil(config.arrival_rate * config.duration),
-            seed=config.seed)
+            depth=math.ceil(load.arrival_rate * load.duration),
+            seed=load.seed)
         self.fleet = self.world.add_auth_fleet(config.shards,
                                                vnodes=config.vnodes)
-        for index in range(max(0, config.users - config.login_users)):
+        for index in range(max(0, config.users - load.clients)):
             self.fleet.add_user(f"user{index:07d}")
         self.accounts = [
             self.fleet.add_real_user(f"login{index:02d}", uid=3000 + index)
-            for index in range(config.login_users)
+            for index in range(load.clients)
         ]
         if config.queueing:
             for shard in self.fleet.shards:
                 shard.server.enable_queueing(
-                    max_depth=config.max_depth, workers=config.workers,
-                    service_time=config.service_time,
+                    max_depth=load.max_depth, workers=load.workers,
+                    service_time=load.service_time,
                 )
-        shared_keys = EphemeralKeyCache(self.world.rng)
+        keys = EphemeralKeyCache(self.world.rng)
         #: (session, agent) per login account, dialed to the account's
         #: owning shard — login storms reuse these (the steady state a
-        #: decision cache exists for).
-        self.sessions: list[tuple[ServerSession, Agent]] = []
+        #: decision cache exists for).  The default retry policy will
+        #: do: the peer's ``rto_floor`` keeps the first retransmit above
+        #: queue-wait scale (PROTOCOLS.md §16).
+        self.sessions: list[tuple] = []
         for account in self.accounts:
-            shard = self.fleet.shard_for(account.name)
-            link = self.world.connector(shard.location,
-                                        proto.SERVICE_FILESERVER)
-            session = ServerSession.connect(
-                link, shard.path, shared_keys, self.world.rng,
-                encrypt=config.encrypt,
-            )
-            # Queue waits under a storm dwarf the default 2 ms retransmit
-            # timer; a spurious retransmit escalates to channel recovery
-            # (rekey), which would invalidate every in-flight login's
-            # AuthID.  Give storm sessions a timer above queue-wait scale.
-            session.peer.retry_policy = RetryPolicy(base_delay=0.25)
+            session = dial(self.world,
+                           self.fleet.shard_for(account.name).path, keys,
+                           load.encrypt)
             agent = Agent(account.name, self.world.rng)
             agent.add_key(account.key)
             self.sessions.append((session, agent))
 
-    def run_storm(self) -> AuthStormReport:
+    def run(self) -> StormReport:
         """Open-loop Poisson login arrivals over the session pool."""
-        config = self.config
+        load = self.config.load
         clock = self.world.clock
-        report = AuthStormReport(shards=config.shards, users=config.users,
-                                 arrival_rate=config.arrival_rate)
-        rng = random.Random(config.seed ^ 0x517A7E)
+        report = StormReport(clients=load.clients)
 
-        def login_once(session: ServerSession, agent: Agent):
+        def login_once(session, agent: Agent):
             begin = clock.now
             try:
                 authno = yield from session.login_task(agent)
@@ -187,31 +133,45 @@ class AuthHarness:
                 report.shed += 1
                 return
             except RpcError:
-                report.errors += 1
+                report.op_errors += 1
                 return
             if authno > 0:
-                report.logins_ok += 1
                 report.latencies.append(clock.now - begin)
             else:
                 report.denied += 1
 
-        def arrivals():
-            deadline = clock.now + config.duration
-            index = 0
-            while clock.now < deadline:
-                yield Sleep(rng.expovariate(config.arrival_rate))
-                session, agent = self.sessions[index % len(self.sessions)]
-                self.scheduler.spawn(login_once(session, agent),
-                                     name=f"login-{index}")
-                index += 1
-            report.offered = index
+        def arrive(index: int) -> None:
+            session, agent = self.sessions[index % len(self.sessions)]
+            self.scheduler.spawn(login_once(session, agent),
+                                 name=f"login-{index}")
+
+        def storm():
+            report.offered = yield from poisson_arrivals(
+                clock, random.Random(load.seed ^ 0x517A7E),
+                load.arrival_rate, load.duration, arrive)
 
         start = clock.now
-        self.scheduler.spawn(arrivals(), name="auth-arrivals")
-        blocked = self.scheduler.run()
-        report.unfinished_tasks = len(blocked)
-        report.finish(clock.now - start, self.world.metrics)
+        self.scheduler.spawn(storm(), name="auth-arrivals")
+        run_to_report(self.scheduler, report)
+        report.finish(clock.now - start)
         return report
+
+    def row(self, report: StormReport) -> dict:
+        metrics = self.world.metrics
+        return {
+            "shards": self.config.shards, "users": self.config.users,
+            "arrival_rate": self.config.load.arrival_rate,
+            "offered": report.offered,
+            "logins_ok": report.ops_completed, "denied": report.denied,
+            "shed": report.shed, "errors": report.op_errors,
+            "duration_s": report.duration,
+            "logins_per_second": report.throughput,
+            "p50_ms": report.p50 * 1000, "p95_ms": report.p95 * 1000,
+            "p99_ms": report.p99 * 1000,
+            "cache_hits": metrics.counter("auth.cache.hits").value,
+            "cache_misses": metrics.counter("auth.cache.misses").value,
+            "queue_rejected": metrics.counter("server.queue.rejected").value,
+        }
 
 
 # --- phase 2: decision cache + revocation ---------------------------------
@@ -259,32 +219,32 @@ def run_cache_phase(users: int = 2000, shards: int = 2,
     *every* post-revocation attempt fails, and an unrelated account
     still logs in.
     """
-    harness = AuthHarness(AuthLoadConfig(
-        shards=shards, users=users, login_users=login_users, seed=seed,
-        queueing=False,
+    storm = AuthStorm(AuthConfig(
+        load=replace(STORM_LOAD, clients=login_users, seed=seed),
+        shards=shards, users=users, queueing=False,
     ))
     report = CacheReport(users=users, shards=shards, sessions=login_users,
                          logins_per_session=logins_per_session)
-    for session, agent in harness.sessions:
+    for session, agent in storm.sessions:
         for _ in range(logins_per_session):
             if session.login(agent) > 0:
                 report.logins_ok += 1
-    metrics = harness.world.metrics
+    metrics = storm.world.metrics
     report.hits = metrics.counter("auth.cache.hits").value
     report.misses = metrics.counter("auth.cache.misses").value
     total = report.hits + report.misses
     report.hit_rate = report.hits / total if total else 0.0
 
     victim_index = 0
-    victim = harness.accounts[victim_index]
+    victim = storm.accounts[victim_index]
     report.revoked_user = victim.name
-    harness.fleet.revoke_user(victim.name)
-    session, agent = harness.sessions[victim_index]
+    storm.fleet.revoke_user(victim.name)
+    session, agent = storm.sessions[victim_index]
     report.post_revocation_attempts = 5
     for _ in range(report.post_revocation_attempts):
         if session.login(agent) > 0:
             report.post_revocation_ok += 1
-    other_session, other_agent = harness.sessions[victim_index + 1]
+    other_session, other_agent = storm.sessions[victim_index + 1]
     report.other_user_ok = other_session.login(other_agent) > 0
     return report
 

@@ -13,9 +13,10 @@ the star-topology single enforcement point over those silos:
   the mechanisms earlier PRs built: dynamic admission depth (AIMD),
   replica steering biases, and closed-loop load shedding;
 * :mod:`plane` — the ControlPlane wiring all three into one daemon
-  task per World (``World.enable_control()``);
-* :mod:`bench` — the ``bench control`` figure: a hot-shard fleet with
-  and without the loop closed.
+  task per World (``World.enable_control()``).
+
+The ``bench control`` figure — a hot-shard fleet with and without the
+loop closed — is :mod:`repro.bench.control`.
 
 Nothing here adds trust: the control plane reads metrics and tunes
 *availability* policy — admission bounds, replica preference, offered

@@ -105,6 +105,8 @@ class RequestQueue:
         #: *world-wide* depth watermark; this one is exactly this
         #: queue's, whatever registry (even a disabled one) is in use.
         self._watermark = Gauge("server.queue.depth#local", track_peak=True)
+        #: This queue's busy-rejects, for the same reason.
+        self.rejected = 0
         self._g_max_depth = self.metrics.gauge("server.queue.max_depth")
         self._g_max_depth.set(max_depth)
         self._m_admitted = self.metrics.counter("server.queue.admitted")
@@ -119,6 +121,11 @@ class RequestQueue:
         """High-water mark of :attr:`depth` — the depth gauge's peak."""
         return int(self._watermark.peak)
 
+    def reset_peak(self) -> None:
+        """Restart :attr:`peak_depth` from the current depth (a load run
+        reporting its own peak); the registry gauge keeps its own."""
+        self._watermark.reset_peak()
+
     def _set_depth(self, depth: int) -> None:
         self._g_depth.set(depth)
         self._watermark.set(depth)
@@ -128,6 +135,7 @@ class RequestQueue:
     def submit(self, conn_id: object, execute: Callable[[], None]) -> bool:
         """Admit a request, or return False (caller sends SERVER_BUSY)."""
         if self.depth >= self.max_depth:
+            self.rejected += 1
             self._m_rejected.inc()
             return False
         request = QueuedRequest(conn_id, execute, self._clock.now)

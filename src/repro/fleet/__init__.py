@@ -6,7 +6,8 @@ See :mod:`repro.fleet.fleet` for the big picture.  The pieces:
 * :mod:`~repro.fleet.fleet` — N shard servers behind one CA namespace.
 * :mod:`~repro.fleet.replicas` — verified fetching over untrusted
   mirrors with latency-ranked selection and tamper demotion.
-* :mod:`~repro.fleet.bench` — the ``bench fleet`` scaling figure.
+
+The ``bench fleet`` scaling figure is :mod:`repro.bench.fleet`.
 """
 
 from .fleet import Fleet, Shard

@@ -1,23 +1,34 @@
-"""The multi-client load harness: full SFS stacks under the scheduler.
+"""The client engine: full SFS stacks under the scheduler.
 
-Builds one :class:`~repro.kernel.world.World` with a queued server and N
-client sessions, then drives them as cooperative tasks:
+Builds (or joins) a :class:`~repro.kernel.world.World` and drives N
+client sessions as cooperative tasks.  Client *i* goes to target *i*:
+an export and the files its op stream reads.  By default every client
+targets one queued server the harness creates and seeds; the fleet and
+control figures pass one target per client, spread over a fleet's
+shards.
 
-* **closed loop** — each of N clients runs think-time → one call →
-  repeat, for a fixed number of operations.  Offered load scales with N
-  against the server's fixed capacity (workers × 1/service_time), which
-  is what makes tail latency degrade super-linearly once the queue is
-  the bottleneck.
+* **closed loop** — each client runs think-time → one call → repeat,
+  for a fixed number of operations (a phased run with one phase).
+  Offered load scales with N against the servers' fixed capacity
+  (workers × 1/service_time), which is what makes tail latency degrade
+  super-linearly once the queue is the bottleneck.
 * **open loop** — operations arrive by a Poisson process at a target
   rate and each runs as its own task over a shared session pool, so one
   transport carries many concurrent in-flight calls (the RPC layer's
   ``call_task`` multiplexing).
 
 Latencies are *simulated* seconds (clock deltas around each call), so a
-report is a pure function of the configuration and seed.  Each latency
-also lands in the world registry's ``load.op_seconds`` histogram, whose
-snapshot now carries interpolated p50/p95/p99 — the exact percentiles
-reported here double as a cross-check of that estimator.
+report is a pure function of the configuration and seed.  A report has
+one slice per target location, with the same figures for that
+location's clients and queue.  Each latency also lands in the world
+registry's ``load.op_seconds`` histogram, whose snapshot carries
+interpolated p50/p95/p99 — the exact percentiles reported here double
+as a cross-check of that estimator.
+
+The pieces every client-driving bench shares live here too: the
+world-readable seed file (:func:`seed_file`), the dialer
+(:func:`dial`), the LOOKUP walk (:func:`resolve_task`) and the Poisson
+arrival process (:func:`poisson_arrivals`).
 """
 
 from __future__ import annotations
@@ -29,12 +40,15 @@ from dataclasses import dataclass, field
 from ..core import proto
 from ..core.client import ServerSession
 from ..core.keyneg import EphemeralKeyCache
+from ..core.pathnames import SelfCertifyingPath
+from ..fs import pathops
 from ..fs.memfs import Cred
 from ..kernel.world import World
 from ..nfs3 import const as nfs_const
+from ..nfs3 import types as nfs_types
 from ..rpc.peer import RetryPolicy, RpcError, RpcTransportDown
 from ..sim.sched import Sleep
-from .workload import DEFAULT_MIX, FILE_SIZE, OpMix, OpStream
+from .workload import DEFAULT_MIX, FILE_CONTENT, OpMix, OpStream
 
 #: Unbounded-enough queue depth standing in for "admission control off".
 NO_ADMISSION_LIMIT = 1 << 30
@@ -94,6 +108,17 @@ class LoadReport:
     p99: float = 0.0
     unfinished_tasks: int = 0
     latencies: list[float] = field(default_factory=list, repr=False)
+    #: Location -> the same figures for the clients that went there and
+    #: that location's queue (op_errors there count failed calls only).
+    locations: dict[str, "LoadReport"] = field(default_factory=dict,
+                                                repr=False)
+
+    def at(self, location: str) -> "LoadReport":
+        """The slice for *location*, created empty on first use."""
+        where = self.locations.get(location)
+        if where is None:
+            where = self.locations[location] = LoadReport(clients=0)
+        return where
 
     def finish(self, duration: float) -> None:
         self.duration = duration
@@ -102,10 +127,14 @@ class LoadReport:
             self.throughput = self.ops_completed / duration
         if self.latencies:
             ordered = sorted(self.latencies)
+
+            def rank(q: float) -> float:       # exact nearest-rank
+                return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
             self.mean = sum(ordered) / len(ordered)
-            self.p50 = _percentile(ordered, 0.50)
-            self.p95 = _percentile(ordered, 0.95)
-            self.p99 = _percentile(ordered, 0.99)
+            self.p50, self.p95, self.p99 = rank(0.50), rank(0.95), rank(0.99)
+        for where in self.locations.values():
+            where.finish(duration)
 
 
 def run_to_report(scheduler, report) -> None:
@@ -121,10 +150,17 @@ def run_to_report(scheduler, report) -> None:
     report.op_errors += scheduler.failed_tasks - died_before
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of pre-sorted values."""
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+@dataclass(frozen=True)
+class Target:
+    """Where one client goes: an export, and the files (paths relative
+    to the export root) its op stream reads and writes."""
+
+    path: SelfCertifyingPath
+    files: tuple[str, ...]
+
+    @property
+    def location(self) -> str:
+        return self.path.location
 
 
 @dataclass
@@ -144,42 +180,118 @@ class WorkloadPhase:
     mix: OpMix | None = None
 
 
+# -- the shared pieces ------------------------------------------------------
+
+
+def seed_file(fs, path: str, content: bytes) -> None:
+    """A world-accessible file at *path*, so anonymous (authno 0)
+    clients can GETATTR/READ/WRITE it without running the login
+    protocol — the benches measure the data path, not authentication."""
+    owner = Cred(uid=0, gid=0)
+    directory, _, name = path.rpartition("/")
+    parent = pathops.resolve(fs, directory or "/")
+    inode = fs.create(parent.ino, name, owner, mode=0o666)
+    fs.write(inode.ino, 0, content, owner)
+    fs.commit(inode.ino)
+
+
+def dial(world: World, path: SelfCertifyingPath,
+         keys: EphemeralKeyCache, encrypt: bool = True) -> ServerSession:
+    """One client session to *path*'s export: dial its Location, verify
+    the HostID and negotiate keys, synchronously.  *keys* is shared
+    across a bench's sessions, so they play N identically configured
+    client machines without paying N key generations."""
+    session = ServerSession.connect(
+        world.connector(path.location, proto.SERVICE_FILESERVER),
+        path, keys, world.rng, encrypt=encrypt,
+    )
+    if not isinstance(session, ServerSession):
+        raise ConnectionError(f"{path.location} refused the session")
+    return session
+
+
+def resolve_task(session: ServerSession, paths):
+    """LOOKUP each export-relative path from the export's root over
+    *session* (``yield from``); returns their handles, in order."""
+
+    def lookup(directory: bytes, name: str):
+        status, body = yield from session.call_nfs_task(
+            nfs_const.NFSPROC3_LOOKUP,
+            nfs_types.LookupArgs.make(
+                what=nfs_types.DirOpArgs.make(dir=directory, name=name)),
+            authno=0,
+        )
+        if status != nfs_const.NFS3_OK:
+            raise RuntimeError(f"lookup({name}) failed: status {status}")
+        return body.object
+
+    root = yield from lookup(bytes(24), ".")  # the RW dialect's convention
+    handles = []
+    for path in paths:
+        handle = root
+        for name in path.split("/"):
+            handle = yield from lookup(handle, name)
+        handles.append(handle)
+    return handles
+
+
+def poisson_arrivals(clock, rng: random.Random, rate: float,
+                     duration: float, arrive):
+    """Call ``arrive(index)`` at Poisson arrivals of mean *rate* per
+    simulated second for *duration* seconds (a task generator); returns
+    how many arrived."""
+    deadline = clock.now + duration
+    index = 0
+    while clock.now < deadline:
+        yield Sleep(rng.expovariate(rate))
+        arrive(index)
+        index += 1
+    return index
+
+
+# -- the engine -------------------------------------------------------------
+
+
 class LoadHarness:
-    """Owns the world, the sessions, and the client task generators."""
+    """Owns the sessions, their targets, and the client task generators.
+
+    ``server``, ``path``, ``location``, ``queue`` and ``handles`` are
+    the first target's (the only one unless *targets* is given).
+    """
 
     def __init__(self, config: LoadConfig, location: str = "load.sfs.test",
-                 world: World | None = None, server=None) -> None:
+                 world: World | None = None, server=None,
+                 targets: "list[Target] | None" = None) -> None:
         self.config = config
-        #: Scenario composition: pass an existing *world* (and
-        #: optionally a *server* in it) to drive load against machinery
-        #: someone else built — shared clock, scheduler, control plane
-        #: and all.  Default: a self-contained world, as always.
+        #: Composition: pass an existing *world* (and optionally a
+        #: *server* in it, or one *target* per client) to drive load
+        #: against machinery someone else built — shared clock,
+        #: scheduler, control plane and all.  Default: a self-contained
+        #: world with one seeded server, as always.
         self.world = world if world is not None else World(seed=config.seed)
         self.scheduler = self.world.enable_pipelining(
             depth=config.pipeline_depth, seed=config.seed)
         if config.contention:
             self.world.enable_contention()
-        if server is not None:
-            self.server = server
-            self.location = server.location
-        else:
-            self.server = self.world.add_server(location)
-            self.location = location
-        self.path = (self.server.path if "default" in self.server.exports
-                     else self.server.export_fs())
-        self._seed_files()
-        depth = (config.max_depth if config.max_depth is not None
-                 else NO_ADMISSION_LIMIT)
-        if self.server.master.request_queue is not None:
-            self.queue = self.server.master.request_queue
-        else:
-            self.queue = self.server.enable_queueing(
-                max_depth=depth, workers=config.workers,
-                policy=config.queue_policy,
-                service_time=config.service_time,
-            )
+        if targets is None:
+            targets = [self._seed_server(server, location)] * config.clients
+        if len(targets) != config.clients:
+            raise ValueError(f"{len(targets)} targets for "
+                             f"{config.clients} clients")
+        self.targets = list(targets)
+        #: Location -> its server's request queue, in target order.
+        self.queues = {}
+        for target in self.targets:
+            if target.location not in self.queues:
+                self.queues[target.location] = self._queue(
+                    self.world.servers[target.location])
+        first = self.targets[0]
+        self.path, self.location = first.path, first.location
+        self.server = self.world.servers[self.location]
+        self.queue = self.queues[self.location]
         self.sessions: list[ServerSession] = []
-        self.handles: list[bytes] = []
+        self._target_of: dict[ServerSession, Target] = {}
+        self._handles: dict[Target, list[bytes]] = {}
         #: Load-shedding hook (control plane): closed-loop clients
         #: multiply every think-time draw by this factor, so raising it
         #: lowers the offered rate without disturbing the rng sequence.
@@ -190,107 +302,117 @@ class LoadHarness:
         self._connect_sessions()
         self._resolve_handles()
 
+    @property
+    def handles(self) -> list[bytes]:
+        return self._handles[self.targets[0]]
+
     # -- setup -------------------------------------------------------------
 
-    def _seed_files(self) -> None:
-        """World-accessible files so anonymous (authno 0) clients can
-        GETATTR/READ/WRITE without running the login protocol — the load
-        engine measures the data path, not authentication."""
-        fs = self.server.fs
-        owner = Cred(uid=0, gid=0)
-        content = bytes(range(256)) * (FILE_SIZE // 256)
-        for index in range(self.config.file_count):
-            inode = fs.create(fs.root_ino, f"load{index}", owner,
-                              mode=0o666)
-            fs.write(inode.ino, 0, content, owner)
-            fs.commit(inode.ino)
+    def _seed_server(self, server, location: str) -> Target:
+        """The default target: *server* (or a new one at *location*)
+        with ``file_count`` seeded files at its export root."""
+        if server is None:
+            server = self.world.add_server(location)
+        path = (server.path if "default" in server.exports
+                else server.export_fs())
+        files = tuple(f"load{index}"
+                      for index in range(self.config.file_count))
+        for name in files:
+            seed_file(server.fs, name, FILE_CONTENT)
+        return Target(path, files)
+
+    def _queue(self, server):
+        """*server*'s request queue, enabled with this config's
+        admission parameters if it has none yet."""
+        if server.master.request_queue is not None:
+            return server.master.request_queue
+        config = self.config
+        return server.enable_queueing(
+            max_depth=(config.max_depth if config.max_depth is not None
+                       else NO_ADMISSION_LIMIT),
+            workers=config.workers, policy=config.queue_policy,
+            service_time=config.service_time,
+        )
 
     def _connect_sessions(self) -> None:
-        """Establish one session per client, sequentially and
-        synchronously (each handshake pumps the scheduler while it waits
-        on the queued server).  One shared ephemeral-key cache plays the
-        role of N identically configured client machines without paying
-        N key generations."""
-        shared_keys = EphemeralKeyCache(self.world.rng)
-        for index in range(self.config.clients):
-            link = self.world.connector(self.location,
-                                        proto.SERVICE_FILESERVER)
-            outcome = ServerSession.connect(
-                link, self.path, shared_keys, self.world.rng,
-                encrypt=self.config.encrypt,
-            )
-            assert isinstance(outcome, ServerSession)
-            outcome.peer.retry_policy = RetryPolicy(
-                base_delay=self.config.rpc_timeout, multiplier=2.0,
-                max_delay=4.0 * self.config.rpc_timeout,
-            )
-            if self.config.failover:
-                outcome.enable_reconnect(self.world.connector)
-            self.sessions.append(outcome)
+        """Dial every client's session, sequentially and synchronously
+        (each handshake pumps the scheduler while it waits on the queued
+        server)."""
+        config = self.config
+        keys = EphemeralKeyCache(self.world.rng)
+        retry = RetryPolicy(base_delay=config.rpc_timeout, multiplier=2.0,
+                            max_delay=4.0 * config.rpc_timeout)
+        for target in self.targets:
+            session = dial(self.world, target.path, keys, config.encrypt)
+            session.peer.retry_policy = retry
+            if config.failover:
+                session.enable_reconnect(self.world.connector)
+            self._target_of[session] = target
+            self.sessions.append(session)
 
     def _resolve_handles(self) -> None:
-        """Look the seeded files up once; the export's handle map is a
-        pure function of its durable key, so the handles are valid on
-        every session (and across a crash/restart)."""
-        from ..nfs3 import types as nfs_types
+        """Look each target's files up once, on the first session that
+        goes there; the export's handle map is a pure function of its
+        durable key, so the handles are valid on every session to it
+        (and across a crash/restart)."""
+        for session, target in zip(self.sessions, self.targets):
+            if target not in self._handles:
+                self._handles[target] = session.peer.drive(
+                    resolve_task(session, target.files))
 
-        session = self.sessions[0]
-
-        def lookup(dir_handle: bytes, name: str):
-            status, body = session.call_nfs(
-                nfs_const.NFSPROC3_LOOKUP,
-                nfs_types.LookupArgs.make(
-                    what=nfs_types.DirOpArgs.make(dir=dir_handle, name=name)
-                ),
-                authno=0,
-            )
-            assert status == nfs_const.NFS3_OK, f"lookup({name}): {status}"
-            return body.object
-
-        root = lookup(bytes(24), ".")  # the RW dialect's mount convention
-        for index in range(self.config.file_count):
-            self.handles.append(lookup(root, f"load{index}"))
+    def refresh_task(self, session: ServerSession):
+        """Re-resolve *session*'s target through it (``yield from``),
+        after a retarget: a new HostID means a new handle map.  The
+        list is updated in place, and op streams hold the list itself,
+        so every client sees the fresh handles at once."""
+        target = self._target_of[session]
+        self._handles[target][:] = yield from resolve_task(
+            session, target.files)
 
     # -- one operation, as task steps --------------------------------------
 
     def _run_op(self, session: ServerSession, stream: OpStream,
                 report: LoadReport):
-        """Issue one operation; yields while it is in flight.
+        """Issue one operation; yields while it is in flight."""
+        proc, args = stream.next_op()
+        clock = self.world.clock
+        start = clock.now
+        ok = yield from self._call(session, proc, args)
+        where = report.at(self._target_of[session].location)
+        if not ok:
+            report.op_errors += 1
+            where.op_errors += 1
+            return False
+        latency = clock.now - start
+        report.latencies.append(latency)
+        where.latencies.append(latency)
+        self._m_op_seconds.observe(latency)
+        return True
+
+    def _call(self, session: ServerSession, proc: int, args):
+        """One NFS call; True if it returned NFS3_OK.
 
         A transport failure (server crash) runs the session's reconnect
         engine — redial with backoff, re-verify the HostID, renegotiate
         keys, yielding throughout so the other clients keep running —
         and then replays the operation once on the fresh connection.
+        Backoff exhausted against a persistently full queue, or a
+        rejection: the op failed, the client moves on.
         """
-        config = self.config
-        proc, args = stream.next_op()
-        clock = self.world.clock
-        start = clock.now
         try:
             status, _body = yield from session.call_nfs_task(proc, args, 0)
         except RpcTransportDown:
-            if not (config.failover
+            if not (self.config.failover
                     and (yield from session.reconnect_task())):
-                report.op_errors += 1
                 return False
             try:
                 status, _body = yield from session.call_nfs_task(
                     proc, args, 0)
             except RpcError:
-                report.op_errors += 1
                 return False
         except RpcError:
-            # Backoff exhausted against a persistently full queue, or a
-            # rejection: the op failed, the client moves on.
-            report.op_errors += 1
             return False
-        if status != nfs_const.NFS3_OK:
-            report.op_errors += 1
-            return False
-        latency = clock.now - start
-        report.latencies.append(latency)
-        self._m_op_seconds.observe(latency)
-        return True
+        return status == nfs_const.NFS3_OK
 
     def set_think_scale(self, scale: float) -> float:
         """Shed (scale > 1) or restore (1.0) closed-loop offered load.
@@ -304,18 +426,6 @@ class LoadHarness:
         self._m_shed.set(self.think_scale)
         return self.think_scale
 
-    def _closed_loop_client(self, index: int, report: LoadReport):
-        config = self.config
-        session = self.sessions[index]
-        stream = OpStream(self.handles, config.mix, config.io_size,
-                          seed=(config.seed << 8) ^ index)
-        think_rng = random.Random((config.seed << 16) ^ index)
-        for _op in range(config.ops_per_client):
-            if config.think_time > 0:
-                yield Sleep(think_rng.expovariate(1.0 / config.think_time)
-                            * self.think_scale)
-            yield from self._run_op(session, stream, report)
-
     def _phased_client(self, index: int, phases: "list[WorkloadPhase]",
                        reports: "dict[str, LoadReport]"):
         """One client running every phase in order, no barrier between
@@ -323,10 +433,11 @@ class LoadHarness:
         like real traffic shifting shape rather than stopping."""
         config = self.config
         session = self.sessions[index]
+        handles = self._handles[self.targets[index]]
         think_rng = random.Random((config.seed << 16) ^ index)
         for number, phase in enumerate(phases):
             stream = OpStream(
-                self.handles,
+                handles,
                 phase.mix if phase.mix is not None else config.mix,
                 phase.io_size if phase.io_size is not None
                 else config.io_size,
@@ -359,25 +470,18 @@ class LoadHarness:
         for index in range(self.config.clients):
             self.scheduler.spawn(
                 self._phased_client(index, phases, reports),
-                name=f"{self.location}-client-{index}",
+                name=f"{self.targets[index].location}-client-{index}",
             )
         return reports
 
     # -- run loops ---------------------------------------------------------
 
     def run_closed_loop(self) -> LoadReport:
-        """N clients, each issuing ops_per_client operations."""
-        config = self.config
-        report = LoadReport(clients=config.clients)
-        start = self.world.clock.now
-        for index in range(config.clients):
-            self.scheduler.spawn(
-                self._closed_loop_client(index, report),
-                name=f"client-{index}",
-            )
-        run_to_report(self.scheduler, report)
-        self._finish(report, start)
-        return report
+        """Every client issues ops_per_client operations: a phased run
+        with one phase."""
+        phase = WorkloadPhase("run", self.config.ops_per_client)
+        return self._run(lambda report: self.spawn_phased_clients(
+            [phase], {"run": report}))
 
     def run_open_loop(self) -> LoadReport:
         """Poisson arrivals at ``arrival_rate`` for ``duration`` seconds.
@@ -385,36 +489,49 @@ class LoadHarness:
         Each arrival is its own task on a round-robin session — many
         operations in flight per transport, not one."""
         config = self.config
-        report = LoadReport(clients=config.clients)
-        clock = self.world.clock
-        start = clock.now
 
-        def arrivals():
-            rng = random.Random(config.seed ^ 0x9E3779B9)
-            deadline = clock.now + config.duration
-            index = 0
-            while clock.now < deadline:
-                yield Sleep(rng.expovariate(config.arrival_rate))
+        def spawn(report: LoadReport) -> None:
+            def arrive(index: int) -> None:
                 session = self.sessions[index % len(self.sessions)]
                 stream = OpStream(
-                    self.handles, config.mix, config.io_size,
-                    seed=(config.seed << 8) ^ (0xA5A5 + index),
+                    self._handles[self._target_of[session]], config.mix,
+                    config.io_size, seed=(config.seed << 8) ^ (0xA5A5 + index),
                 )
-                self.scheduler.spawn(
-                    self._run_op(session, stream, report),
-                    name=f"op-{index}",
-                )
-                index += 1
+                self.scheduler.spawn(self._run_op(session, stream, report),
+                                     name=f"op-{index}")
 
-        self.scheduler.spawn(arrivals(), name="arrivals")
+            self.scheduler.spawn(poisson_arrivals(
+                self.world.clock, random.Random(config.seed ^ 0x9E3779B9),
+                config.arrival_rate, config.duration, arrive,
+            ), name="arrivals")
+
+        return self._run(spawn)
+
+    def _run(self, spawn) -> LoadReport:
+        """Spawn a run's tasks, run the scheduler dry, and book what
+        *this* run did: busy retries, admission rejects and queue peaks
+        are deltas, not the harness's lifetime."""
+        report = LoadReport(clients=self.config.clients)
+        for target in self.targets:
+            report.at(target.location).clients += 1
+        retries = {session: session.busy_retries for session in self.sessions}
+        rejected = {location: queue.rejected
+                    for location, queue in self.queues.items()}
+        for queue in self.queues.values():
+            queue.reset_peak()
+        start = self.world.clock.now
+        spawn(report)
         run_to_report(self.scheduler, report)
-        self._finish(report, start)
-        return report
-
-    def _finish(self, report: LoadReport, start: float) -> None:
-        report.busy_retries = sum(s.busy_retries for s in self.sessions)
-        report.admission_rejects = self.world.metrics.counter(
-            "server.queue.rejected"
-        ).value
-        report.max_queue_depth = self.queue.peak_depth
+        for session, target in zip(self.sessions, self.targets):
+            retried = session.busy_retries - retries[session]
+            report.busy_retries += retried
+            report.at(target.location).busy_retries += retried
+        for location, queue in self.queues.items():
+            where = report.at(location)
+            where.admission_rejects = queue.rejected - rejected[location]
+            where.max_queue_depth = queue.peak_depth
+            report.admission_rejects += where.admission_rejects
+            report.max_queue_depth = max(report.max_queue_depth,
+                                         where.max_queue_depth)
         report.finish(self.world.clock.now - start)
+        return report

@@ -22,6 +22,7 @@ WRITE = "write"
 
 #: Bytes of content seeded into each workload file.
 FILE_SIZE = 65536
+FILE_CONTENT = bytes(range(256)) * (FILE_SIZE // 256)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from typing import Callable
 
 from ..keymgmt.rollover import fan_out_revocations, revoke_export, \
     rollover_export
+from ..load.harness import poisson_arrivals
 from ..load.workload import OpMix, OpStream
 from ..rpc.peer import RpcBusy, RpcError
 from ..sim.network import ChaosAdversary, NetworkParameters
-from ..sim.sched import Sleep
 
 
 @dataclass(frozen=True)
@@ -196,18 +196,15 @@ def _ev_login_storm(rt, params: dict) -> None:
         rt.count("scenario.logins_ok" if authno > 0
                  else "scenario.logins_denied")
 
+    def arrive(index: int) -> None:
+        session, agent = rt.login_sessions[index % len(rt.login_sessions)]
+        rt.scheduler.spawn(login_once(session, agent),
+                           name=f"login-storm-{index}")
+
     def arrivals():
-        deadline = rt.clock.now + duration
-        index = 0
-        while rt.clock.now < deadline:
-            yield Sleep(rng.expovariate(rate))
-            session, agent = rt.login_sessions[
-                index % len(rt.login_sessions)
-            ]
-            rt.scheduler.spawn(login_once(session, agent),
-                               name=f"login-storm-{index}")
-            index += 1
-        rt.count("scenario.login_arrivals", index)
+        arrived = yield from poisson_arrivals(rt.clock, rng, rate, duration,
+                                              arrive)
+        rt.count("scenario.login_arrivals", arrived)
 
     rt.scheduler.spawn(arrivals(), name="login-storm-arrivals")
     rt.count("scenario.login_storms")

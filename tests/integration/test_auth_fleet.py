@@ -3,8 +3,13 @@ sharded authservers, signed user-database images imported by file
 servers, and revocation/rotation coherence with the fileserver
 decision cache — both arrival orders, end to end."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.auth import STORM_LOAD, AuthConfig, AuthStorm, \
+    run_cache_phase
 from repro.core import proto
 from repro.core.agent import Agent
 from repro.core.client import ServerSession
@@ -160,15 +165,46 @@ def test_mini_login_storm_completes_cleanly():
     arrival resolves as ok/shed (never an error), nothing hangs, and
     the run exercises busy-retry re-signing plus retransmit absorption
     under genuinely concurrent logins."""
-    from repro.auth.bench import AuthHarness, AuthLoadConfig
-
-    harness = AuthHarness(AuthLoadConfig(
-        shards=2, users=120, login_users=4, arrival_rate=300.0,
-        duration=0.1, seed=31337, workers=1, max_depth=8,
-    ))
-    report = harness.run_storm()
-    assert report.errors == 0
+    report = AuthStorm(AuthConfig(
+        load=replace(STORM_LOAD, clients=4, arrival_rate=300.0,
+                     duration=0.1, seed=31337, workers=1, max_depth=8),
+        shards=2, users=120,
+    )).run()
+    assert report.op_errors == 0
     assert report.unfinished_tasks == 0
     assert report.denied == 0
-    assert report.logins_ok > 0
-    assert report.logins_ok + report.shed == report.offered
+    assert report.ops_completed > 0
+    assert report.ops_completed + report.shed == report.offered
+
+
+def test_login_storm_smoke_run():
+    """A 2-shard fleet absorbs a Poisson login storm through bounded
+    admission with zero errors and hung tasks; then the decision cache
+    hits in steady state, and a mid-run revocation locks its user out
+    (cached decision or not) while everyone else keeps logging in.
+    CI's figure-smoke job sets ``SFS_AUTH_SEED`` to each of its matrix
+    seeds."""
+    seed = int(os.environ.get("SFS_AUTH_SEED", "2026"))
+    report = AuthStorm(AuthConfig(
+        load=replace(STORM_LOAD, clients=8, arrival_rate=600.0,
+                     duration=0.2, seed=seed),
+        shards=2, users=2000,
+    )).run()
+    print(f"seed {seed}: {report.offered} offered, "
+          f"{report.ops_completed} ok, {report.shed} shed, "
+          f"{report.throughput:.1f} logins/s, "
+          f"p50 {report.p50 * 1e3:.2f} ms, p99 {report.p99 * 1e3:.2f} ms")
+    assert report.unfinished_tasks == 0, "tasks hung at drain"
+    assert report.op_errors == 0 and report.denied == 0
+    assert report.ops_completed > 0
+    assert report.ops_completed + report.shed == report.offered
+
+    cache = run_cache_phase(users=500, login_users=6,
+                            logins_per_session=20, seed=seed)
+    print(f"cache: hit rate {cache.hit_rate:.1%}, "
+          f"revoked {cache.revoked_user!r} -> "
+          f"{cache.post_revocation_ok}/"
+          f"{cache.post_revocation_attempts} post-revocation")
+    assert cache.hit_rate > 0.9
+    assert cache.post_revocation_ok == 0
+    assert cache.other_user_ok

@@ -81,6 +81,32 @@ def test_reused_harness_reports_only_this_runs_dead_tasks():
     assert second.unfinished_tasks == 0
 
 
+def test_reused_harness_reports_only_this_runs_backpressure():
+    """Busy retries, admission rejects and the queue's peak are per run
+    too: run 2 of one harness books what happened in run 2, not the
+    harness's lifetime."""
+    harness = LoadHarness(LoadConfig(clients=16, ops_per_client=10, seed=3,
+                                     workers=1, service_time=0.004,
+                                     max_depth=2))
+    metrics = harness.world.metrics
+    first = harness.run_closed_loop()
+    retries = metrics.counter("client.busy_retries").value
+    rejects = metrics.counter("server.queue.rejected").value
+    second = harness.run_closed_loop()
+    assert second.admission_rejects > 0
+    assert second.busy_retries == (
+        metrics.counter("client.busy_retries").value - retries)
+    assert second.admission_rejects == (
+        metrics.counter("server.queue.rejected").value - rejects)
+    # Clients ten thousand times slower never find a request waiting
+    # ahead of theirs.
+    harness.set_think_scale(10_000.0)
+    idle = harness.run_closed_loop()
+    assert first.max_queue_depth == 2
+    assert idle.max_queue_depth == 1
+    assert idle.admission_rejects == idle.busy_retries == 0
+
+
 def test_open_loop_completes_every_arrival():
     config = LoadConfig(clients=4, seed=9, workers=2, service_time=0.001,
                         arrival_rate=300.0, duration=0.5)

@@ -8,9 +8,14 @@ fleet run finishes with both a lower fleet p99 and fewer busy-rejects
 than the open-loop baseline.
 """
 
+import json
+import os
+from dataclasses import replace
+
 import pytest
 
-from repro.control.bench import ControlBenchConfig, run_control_comparison
+from repro.bench.control import CONTROL_LOAD, ControlConfig, \
+    run_control_comparison
 from repro.kernel.world import World
 from repro.sim.sched import Sleep
 
@@ -132,22 +137,28 @@ def test_enable_control_is_idempotent():
 # -- the closed loop --------------------------------------------------------
 
 
+def hot_shard_config(ops_per_client, hot_clients, hot_factor, seed):
+    return ControlConfig(
+        load=replace(CONTROL_LOAD, ops_per_client=ops_per_client,
+                     max_depth=4, seed=seed),
+        hot_clients=hot_clients, hot_factor=hot_factor)
+
+
 @pytest.fixture(scope="module")
 def comparison():
-    config = ControlBenchConfig(ops_per_client=10, max_depth=4,
-                                hot_clients=12, hot_factor=6.0, seed=2026)
-    return run_control_comparison(config)
+    return run_control_comparison(hot_shard_config(10, 12, 6.0, 2026))
 
 
 def test_closed_loop_beats_open_loop_on_latency_and_rejects(comparison):
     baseline, managed, _artifact = comparison
-    assert managed.op_errors == 0
-    assert managed.unfinished_tasks == 0
+    assert managed.report.op_errors == 0
+    assert managed.report.unfinished_tasks == 0
     # The managed run completes every op; the baseline may drop some.
-    assert managed.ops_completed == 16 * 10
-    assert managed.ops_completed >= baseline.ops_completed
-    assert managed.p99 < baseline.p99
-    assert managed.busy_rejects < baseline.busy_rejects
+    assert managed.report.ops_completed == 16 * 10
+    assert managed.report.ops_completed >= baseline.report.ops_completed
+    assert managed.report.p99 < baseline.report.p99
+    assert (managed.report.admission_rejects
+            < baseline.report.admission_rejects)
     assert managed.policy_actions > 0
 
 
@@ -156,17 +167,22 @@ def test_policy_saturates_on_the_hot_shard(comparison):
     hot = managed.hot_shard
     # Per-shard registries attribute rejects: the hot shard dominates
     # the open-loop baseline, and the AIMD actuator grew its depth.
-    baseline_hot = next(s for s in baseline.shards if s.location == hot)
-    managed_hot = next(s for s in managed.shards if s.location == hot)
-    assert baseline_hot.busy_rejects == max(
-        s.busy_rejects for s in baseline.shards)
+    baseline_hot = next(s for s in baseline.shards if s["location"] == hot)
+    managed_hot = next(s for s in managed.shards if s["location"] == hot)
+    assert baseline_hot["busy_rejects"] == max(
+        s["busy_rejects"] for s in baseline.shards)
     # Grew from the configured 4: the queue can only ever have held more
     # than 4 after AIMD raised the bound.  (Re-pinned from
     # final_max_depth > 4: the bound saws between 2 and 16 for the whole
     # run, and where the run happens to end on that sawtooth moved from
     # 12 to 2 when contended links became store-and-forward.)
-    assert managed_hot.peak_queue_depth > 4
-    assert managed_hot.busy_rejects < baseline_hot.busy_rejects
+    assert managed_hot["peak_queue_depth"] > 4
+    assert managed_hot["busy_rejects"] < baseline_hot["busy_rejects"]
+    # The per-shard rows are the engine report's per-location slices.
+    for run in (baseline, managed):
+        assert sum(s["ops"] for s in run.shards) == run.report.ops_completed
+        assert sum(s["busy_rejects"] for s in run.shards) == (
+            run.report.admission_rejects)
     # The artifact ships the full control story.
     assert artifact["actions"], "policy action log must not be empty"
     assert artifact["collector"]["merged"] is not None
@@ -174,10 +190,51 @@ def test_policy_saturates_on_the_hot_shard(comparison):
 
 
 def test_comparison_is_deterministic_per_seed():
-    config = ControlBenchConfig(ops_per_client=6, max_depth=4,
-                                hot_clients=10, hot_factor=4.0, seed=31337)
+    config = hot_shard_config(6, 10, 4.0, 31337)
     first_baseline, first_managed, _ = run_control_comparison(config)
     second_baseline, second_managed, _ = run_control_comparison(config)
-    assert first_baseline.latencies == second_baseline.latencies
-    assert first_managed.latencies == second_managed.latencies
-    assert first_managed.busy_rejects == second_managed.busy_rejects
+    assert first_baseline.report.latencies == second_baseline.report.latencies
+    assert first_managed.report.latencies == second_managed.report.latencies
+    assert (first_managed.report.admission_rejects
+            == second_managed.report.admission_rejects)
+
+
+def test_control_smoke_run():
+    """The same overloaded 4-shard fleet (16 clients x 20 ops, one hot
+    shard) open-loop and then with the control plane steering admission
+    depths and offered load: the managed run must converge — strictly
+    fewer busy-rejects AND a lower fleet p99 than the open-loop
+    baseline, with zero errors and hung tasks.  CI's figure-smoke job
+    sets ``SFS_CONTROL_SEED`` to each of its matrix seeds, and
+    ``SFS_CONTROL_ARTIFACT_OUT`` to write the fleet-level control
+    artifact (per-source + merged snapshots, SLO transitions, policy
+    action log) it uploads."""
+    seed = int(os.environ.get("SFS_CONTROL_SEED", "2026"))
+    config = hot_shard_config(20, 12, 6.0, seed)
+    baseline, managed, artifact = run_control_comparison(config)
+    for run in (baseline, managed):
+        mode = "closed loop" if run.controlled else "open loop"
+        print(f"seed {seed} {mode}: {run.report.ops_completed} ops, "
+              f"p99 {run.report.p99 * 1e3:.1f} ms, "
+              f"rejects {run.report.admission_rejects}, "
+              f"errors {run.report.op_errors}, "
+              f"actions {run.policy_actions}")
+    assert managed.report.unfinished_tasks == 0, "tasks hung at drain"
+    assert managed.report.op_errors == 0
+    # The managed run completes every op; the open-loop baseline is
+    # allowed to drop some (that failure mode is part of what the
+    # control plane exists to prevent).
+    assert managed.report.ops_completed == 16 * 20
+    assert managed.report.ops_completed >= baseline.report.ops_completed
+    # Convergence: actuation must cut busy-rejects without trading the
+    # tail away — both improve or the gate fails.
+    assert (managed.report.admission_rejects
+            < baseline.report.admission_rejects), (
+        "control plane failed to reduce busy-rejects")
+    assert managed.report.p99 < baseline.report.p99, (
+        "control plane failed to improve the fleet p99")
+    assert managed.policy_actions > 0, "no policy actions recorded"
+    out = os.environ.get("SFS_CONTROL_ARTIFACT_OUT")
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump(artifact, handle, indent=2, sort_keys=True)

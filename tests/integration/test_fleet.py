@@ -1,7 +1,12 @@
 """Fleet federation end to end: sharded namespace, mirrors, demotion."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.fleet import FLEET_LOAD, FleetBench, FleetConfig, \
+    run_tamper_demo
 from repro.fs import pathops
 from repro.kernel.world import World
 from repro.sim.network import NetworkParameters
@@ -125,26 +130,48 @@ def test_dead_mirror_fails_over_not_up(world):
 def test_fleet_bench_harness_smoke():
     """The bench harness end to end at a tiny scale: every op succeeds,
     per-shard accounting adds up, namespace counters populated."""
-    from repro.fleet.bench import FleetHarness, FleetLoadConfig
-
-    config = FleetLoadConfig(servers=2, clients=4, ops_per_client=3,
-                             names=4, mirrors=1, seed=11)
-    harness = FleetHarness(config)
-    report = harness.run()
+    config = FleetConfig(load=replace(FLEET_LOAD, clients=4,
+                                      ops_per_client=3, seed=11),
+                         servers=2, names=4, mirrors=1)
+    bench = FleetBench(config)
+    report = bench.run()
     assert report.op_errors == 0 and report.unfinished_tasks == 0
     assert report.ops_completed == 12
-    assert report.names_resolved == 4
-    assert sum(s.ops_completed for s in report.shards) == 12
-    assert report.namespace["fetches"] > 0
+    assert bench.names_resolved == 4
+    assert sum(row["ops"] for row in bench.shard_rows(report)) == 12
+    assert bench.namespace_counters()["fetches"] > 0
     assert report.throughput > 0
     assert report.p99 >= report.p50 > 0
 
 
 def test_fleet_bench_tamper_demo():
-    from repro.fleet.bench import run_tamper_demo
-
     report = run_tamper_demo(seed=13, names=4, mirrors=2)
     assert report.wrong_links == 0
     assert report.names_resolved == 4
     assert report.bans >= 1 and report.corrupt_blobs >= 1
     assert report.banned_replicas == ["mirror0.fleet"]
+
+
+def test_fleet_smoke_run():
+    """16 closed-loop clients x 20 ops against a 4-shard fleet, the
+    namespace resolved through the untrusted replica tier, drain with
+    zero errors and hung tasks, and the tamper demonstration bans the
+    bit-flipped mirror with zero wrong links.  CI's figure-smoke job
+    sets ``SFS_FLEET_SEED`` to each of its matrix seeds."""
+    seed = int(os.environ.get("SFS_FLEET_SEED", "2026"))
+    config = FleetConfig(load=replace(FLEET_LOAD, seed=seed))
+    bench = FleetBench(config)
+    report = bench.run()
+    worst = max(row["p99_ms"] for row in bench.shard_rows(report))
+    print(f"seed {seed}: {report.ops_completed} ops over "
+          f"{config.servers} shards, {report.throughput:.1f} ops/s, "
+          f"p50 {report.p50 * 1e3:.2f} ms, p99 {report.p99 * 1e3:.2f} ms, "
+          f"worst shard p99 {worst:.2f} ms")
+    assert report.unfinished_tasks == 0, "tasks hung at drain"
+    assert report.op_errors == 0
+    assert report.ops_completed == 16 * 20
+    assert bench.names_resolved == config.names
+    tamper = run_tamper_demo(seed=seed)
+    print(f"tamper: {tamper.corrupt_blobs} corrupt blob(s) rejected, "
+          f"banned {tamper.banned_replicas}")
+    assert tamper.wrong_links == 0 and tamper.bans >= 1

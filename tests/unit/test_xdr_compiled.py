@@ -38,7 +38,7 @@ from repro.rpc.xdr import (
 MODULES = (
     "repro.nfs3.types", "repro.nfs3.mountproto", "repro.core.proto",
     "repro.core.readonly", "repro.core.authplugins", "repro.auth.fleet",
-    "repro.keymgmt.extpki", "repro.rpc.portmap",
+    "repro.keymgmt.extpki",
 )
 
 
