@@ -361,7 +361,3 @@ class AuthFleet:
         self._publish_shard(shard)
         if shard.location in self._imports:
             self._refresh_import(shard)
-
-    @property
-    def importers(self) -> list[AuthServer]:
-        return list(self._importers)

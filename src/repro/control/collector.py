@@ -130,10 +130,6 @@ class Collector:
         self._g_sources.set(len(self.sources))
         return record
 
-    def unregister(self, name: str) -> None:
-        self.sources.pop(name, None)
-        self._g_sources.set(len(self.sources))
-
     def notify_boot(self, name: str) -> None:
         """A machine restarted: clear its missed-heartbeat debt.
 

@@ -100,10 +100,6 @@ class ControlPlane:
 
         self.collector.register(machine.hostname, report, kind="client")
 
-    def register_source(self, name: str, report, kind: str = "other"):
-        """Heartbeat anything else (load generators, adversaries...)."""
-        return self.collector.register(name, report, kind=kind)
-
     # -- configuration -----------------------------------------------------
 
     def add_slo(self, spec: SloSpec) -> SloSpec:

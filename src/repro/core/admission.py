@@ -33,7 +33,7 @@ histogram of time spent queued before service.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..obs.registry import NULL_REGISTRY, Gauge
 from ..sim.clock import Clock
@@ -48,7 +48,7 @@ class QueuedRequest:
 
     __slots__ = ("conn_id", "execute", "enqueued_at")
 
-    def __init__(self, conn_id: object, execute: Callable[[], None],
+    def __init__(self, conn_id: object, execute: Callable[[], Iterator],
                  enqueued_at: float) -> None:
         self.conn_id = conn_id
         self.execute = execute
@@ -132,8 +132,10 @@ class RequestQueue:
 
     # -- admission ---------------------------------------------------------
 
-    def submit(self, conn_id: object, execute: Callable[[], None]) -> bool:
-        """Admit a request, or return False (caller sends SERVER_BUSY)."""
+    def submit(self, conn_id: object, execute: Callable[[], Iterator]) -> bool:
+        """Admit a request, or return False (caller sends SERVER_BUSY).
+        A worker serves it by ``yield from execute()``: it stays busy
+        while the call's handler waits on a hop of its own."""
         if self.depth >= self.max_depth:
             self.rejected += 1
             self._m_rejected.inc()
@@ -184,15 +186,15 @@ class RequestQueue:
         """
         def dispatch(header, body, request) -> None:
             if (header.prog, header.proc) in inline_calls:
-                peer.serve_queued(header, body, request)
+                peer.serve(header, body, request)
                 return
             key = (conn_id, header.xid)
             if key in self._queued_xids:
                 self._m_absorbed.inc()
                 return
-            def execute() -> None:
+            def execute():
                 self._queued_xids.discard(key)
-                peer.serve_queued(header, body, request)
+                return peer.serve_queued(header, body, request)
             if self.submit(conn_id, execute):
                 self._queued_xids.add(key)
             else:
@@ -254,7 +256,7 @@ class RequestQueue:
                 if boot != self._boots:
                     continue  # the machine crashed mid-service
             try:
-                request.execute()
+                yield from request.execute()
             except ConnectionError:
                 # The caller's link died while its request waited (or
                 # mid-reply, e.g. a server crash): the reply has nowhere

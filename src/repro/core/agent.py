@@ -116,44 +116,6 @@ class Agent:
             )
         )
 
-    def sign_requests(self, authinfo_bytes: bytes, seqnos,
-                      key_index: int = 0) -> list[bytes]:
-        """Batch variant of :meth:`sign_request` for connection bursts.
-
-        A client reconnecting many sessions at once (failover storms,
-        mount fan-out) needs one AuthMsg per fresh sequence number; the
-        AuthID and the key are shared across the burst, so they are
-        computed once and only the per-seqno SignedAuthReq is signed in
-        the loop.  One audit entry covers the whole batch — the trail
-        records the burst, not a thousand identical lines.
-        """
-        if key_index >= len(self._keys):
-            raise AgentRefused(
-                f"agent for {self.user} has no key #{key_index}"
-            )
-        key = self._keys[key_index]
-        authid = sha1(authinfo_bytes)
-        public_key_bytes = key.public_key.to_bytes()
-        messages: list[bytes] = []
-        for seqno in seqnos:
-            signed_req = proto.SignedAuthReq.pack(
-                proto.SignedAuthReq.make(
-                    req_type="SignedAuthReq", authid=authid, seqno=seqno
-                )
-            )
-            messages.append(proto.AuthMsg.pack(
-                proto.AuthMsg.make(
-                    signed_req=signed_req,
-                    public_key=public_key_bytes,
-                    signature=key.sign(signed_req),
-                )
-            ))
-        self.audit_log.append(AuditEntry(
-            "sign-batch",
-            f"authid={authid.hex()[:12]} count={len(messages)}",
-        ))
-        return messages
-
     # --- /sfs name resolution -------------------------------------------------
 
     def add_link(self, name: str, target: str) -> None:

@@ -122,7 +122,3 @@ class RemoteAgent:
             proto.RevcheckArgs.make(location=location, hostid=hostid),
             proto.RevcheckRes,
         )
-
-    def forwarded(self, peer: RpcPeer, hop: str) -> "RemoteAgent":
-        """One more ssh-like hop: a proxy of this proxy."""
-        return RemoteAgent(peer, self.user, hop, via=self._via)

@@ -63,11 +63,6 @@ class UserRecord:
     groups: tuple[int, ...]
     public_key_bytes: bytes
 
-    def credentials_record(self) -> Record:
-        return proto.Credentials.make(
-            user=self.user, uid=self.uid, gid=self.gid, groups=list(self.groups)
-        )
-
 
 @dataclass
 class PrivateRecord:
@@ -390,9 +385,6 @@ class AuthServer:
         record = UserRecord(user, uid, gid, groups, public_key_bytes)
         self.local_db.add_user(record)
         return record
-
-    def add_group(self, gid: int, name: str) -> None:
-        self.groups[gid] = name
 
     def register_protocol(self, plugin) -> None:
         """Install a new user-authentication protocol — no file system

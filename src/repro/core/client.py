@@ -430,10 +430,6 @@ class ServerSession:
         self._reconnect_policy = policy if policy is not None \
             else BackoffPolicy()
 
-    def reconnect(self) -> bool:
-        """Synchronous :meth:`reconnect_task`."""
-        return self.peer.drive(self.reconnect_task())
-
     def reconnect_task(self):
         """Replace a dead connection with a freshly negotiated one.
 
@@ -909,12 +905,15 @@ class MountedRemoteFs:
 
     # -- authentication --
 
-    def _authno_for(self, ctx: CallContext) -> int:
+    def _authno_for(self, ctx: CallContext):
+        """The caller's authno (``yield from``): a uid's first call logs
+        it in through its agent."""
         uid = _uid_from_authsys(ctx.cred)
         if uid in self._authnos:
             return self._authnos[uid]
         agent = self.daemon.agents.get(uid)
-        authno = self.session.login(agent) if agent is not None else 0
+        authno = ((yield from self.session.login_task(agent))
+                  if agent is not None else 0)
         self._authnos[uid] = authno
         return authno
 
@@ -941,19 +940,23 @@ class MountedRemoteFs:
         return handler
 
     def _handle(self, proc: int, args: Record, ctx: CallContext):
-        reply = self._pipeline_intercept(proc, args, ctx,
-                                         self.daemon.pipeline_depth)
+        """Serve one kernel call: a generator handler, which yields while
+        the session relays it (and whatever flush or prefetch it waits
+        on), so no kernel call drives a nested wait."""
+        reply = yield from self._pipeline_intercept(
+            proc, args, ctx, self.daemon.pipeline_depth)
         if reply is not None:
             return reply
         cached = self._try_cache(proc, args, ctx)
         if cached is not None:
             return cached
-        return self._relay(proc, args, ctx)
+        return (yield from self._relay(proc, args, ctx))
 
     def _relay(self, proc: int, args: Record, ctx: CallContext):
         try:
-            authno = self._authno_for(ctx)
-            status, body = self.session.call_nfs(proc, args, authno)
+            authno = yield from self._authno_for(ctx)
+            status, body = yield from self.session.call_nfs_task(
+                proc, args, authno)
         except RpcTransportDown:
             # Transport dead (server crash) — fail over, then replay.
             # Plain RpcTimeout is *not* failover material: a live but
@@ -963,12 +966,13 @@ class MountedRemoteFs:
             # replay is at-least-once, not at-most-once: if the crash
             # fell between execution and the reply, a non-idempotent
             # call runs twice (PROTOCOLS.md §11).
-            if not self.session.reconnect():
+            if not (yield from self.session.reconnect_task()):
                 raise
             self.replayed_calls += 1
             self._m_replayed.inc()
-            authno = self._authno_for(ctx)
-            status, body = self.session.call_nfs(proc, args, authno)
+            authno = yield from self._authno_for(ctx)
+            status, body = yield from self.session.call_nfs_task(
+                proc, args, authno)
         self.rpcs_relayed += 1
         self._m_relayed.inc()
         if status in (nfs_const.NFS3ERR_STALE, nfs_const.NFS3ERR_BADHANDLE):
@@ -988,21 +992,21 @@ class MountedRemoteFs:
     def _pipeline_intercept(self, proc: int, args: Record, ctx: CallContext,
                             depth: int):
         """Serve READ through its handle's stream / absorb UNSTABLE
-        WRITE into the gather buffer; returns a reply, or None to fall
-        through to the normal cache-then-relay path."""
+        WRITE into the gather buffer (``yield from``); returns a reply,
+        or None to fall through to the normal cache-then-relay path."""
         if proc == nfs_const.NFSPROC3_READ:
             if args.file in self._gather_segs:
                 # Read-your-writes: dirty gathered data must reach the
                 # server before we read the file back.
-                status = self._flush_gather(args.file, ctx)
+                status = yield from self._flush_gather(args.file, ctx)
                 if status is not None:
                     return status, Record(file_attributes=None)
-            return self._read_ahead(args, ctx, depth)
+            return (yield from self._read_ahead(args, ctx, depth))
         if proc == nfs_const.NFSPROC3_WRITE:
             self._ra_discard(args.file)
             if args.stable == nfs_const.UNSTABLE:
-                return self._gather_write(args, ctx, depth)
-            status = self._flush_gather(args.file, ctx)
+                return (yield from self._gather_write(args, ctx, depth))
+            status = yield from self._flush_gather(args.file, ctx)
             if status is not None:
                 return status, Record(
                     file_wcc=nfs_types.WccData.make(before=None, after=None)
@@ -1014,7 +1018,7 @@ class MountedRemoteFs:
             # the whole mount — gathered writes land before the
             # truncation, not after it (PROTOCOLS.md §17).
             for handle in list(self._gather_segs):
-                status = self._flush_gather(handle, ctx)
+                status = yield from self._flush_gather(handle, ctx)
                 if status is not None:
                     return status, nfs_failure_shape(proc)
         if proc in (nfs_const.NFSPROC3_REMOVE, nfs_const.NFSPROC3_RENAME):
@@ -1034,7 +1038,7 @@ class MountedRemoteFs:
             if proc in _MUTATING_PROCS:
                 self._ra_discard(handle)
             if handle in self._gather_segs:
-                status = self._flush_gather(handle, ctx)
+                status = yield from self._flush_gather(handle, ctx)
                 if status is not None:
                     return status, nfs_failure_shape(proc)
         return None
@@ -1063,7 +1067,7 @@ class MountedRemoteFs:
         """Serve a READ from its handle's stream — a chunk kept from an
         earlier reply, or one still on the wire — keeping the window
         ahead of a sequential reader full; else relay it as a plain
-        READ and keep what that brings."""
+        READ and keep what that brings (``yield from``)."""
         handle, offset, count = args.file, args.offset, args.count
         stream = self._ra_streams.get(handle)
         if stream is None:
@@ -1078,8 +1082,9 @@ class MountedRemoteFs:
                 # The run goes on, in a window that is open.  Top up
                 # before taking the chunk: the wire stays full while
                 # this read waits for it.
-                self._ra_top_up(stream, handle, offset + count, depth, ctx)
-            reply = self._ra_take(stream, handle, offset, count)
+                yield from self._ra_top_up(stream, handle, offset + count,
+                                           depth, ctx)
+            reply = yield from self._ra_take(stream, handle, offset, count)
             if reply is not None:
                 self._m_ra_hits.inc()
                 return reply
@@ -1091,7 +1096,7 @@ class MountedRemoteFs:
             # Not a run yet, or no window slot to prefetch in — or the
             # prefetch this read waited for was lost: the plain READ
             # retransmits and recovers.
-            return self._ra_fetch(stream, args, ctx)
+            return (yield from self._ra_fetch(stream, args, ctx))
         # A run of two: open the whole window at once (a ramp would cost
         # a round trip per step).  The first READV carries only the
         # chunk this read is blocked on, so that it never queues behind
@@ -1099,11 +1104,12 @@ class MountedRemoteFs:
         known = self.caches.attrs.get(handle)
         stream.open(offset, count, known.size if known is not None else None,
                     self._ra_window(depth, count))
-        self._ra_request(stream, handle, 1, ctx)
-        self._ra_top_up(stream, handle, offset + count, depth, ctx)
-        reply = self._ra_take(stream, handle, offset, count)
+        authno = yield from self._authno_for(ctx)
+        self._ra_request(stream, handle, 1, authno)
+        yield from self._ra_top_up(stream, handle, offset + count, depth, ctx)
+        reply = yield from self._ra_take(stream, handle, offset, count)
         return reply if reply is not None else \
-            self._ra_fetch(stream, args, ctx)
+            (yield from self._ra_fetch(stream, args, ctx))
 
     def _ra_fetch(self, stream: "_ReadStream", args: Record,
                   ctx: CallContext):
@@ -1111,7 +1117,8 @@ class MountedRemoteFs:
         when the READ went out — still is when the reply is back.  A
         resync replaces every stream as it starts, so nothing that can
         have resolved inside its plaintext window is kept."""
-        status, body = self._relay(nfs_const.NFSPROC3_READ, args, ctx)
+        status, body = yield from self._relay(nfs_const.NFSPROC3_READ,
+                                              args, ctx)
         if (status == nfs_const.NFS3_OK
                 and self._ra_streams.get(args.file) is stream):
             if body.file_attributes is not None:
@@ -1133,13 +1140,14 @@ class MountedRemoteFs:
         return (math.ceil(fill / batch) + 1) * batch
 
     def _ra_top_up(self, stream: "_ReadStream", handle: bytes,
-                   position: int, depth: int, ctx: CallContext) -> None:
+                   position: int, depth: int, ctx: CallContext):
         """Issue READVs of up to *depth* chunks until the window beyond
         *position* is requested — not past a known end of file, but
         including the chunk *at* it (the empty read that tells a reader
         it is done).  At most ``depth - 2`` are in flight, so a
         foreground call never parks behind the prefetches of its own
-        mount; below depth 3 there are none."""
+        mount; below depth 3 there are none.  (``yield from``: the
+        caller's authno, should it need one.)"""
         count = stream.count
         while (self._ra_in_flight < depth - 2
                and stream.front + depth * count <= position + stream.window
@@ -1147,10 +1155,11 @@ class MountedRemoteFs:
             chunks = depth
             if stream.limit is not None:
                 chunks = min(depth, (stream.limit - stream.front) // count + 1)
-            self._ra_request(stream, handle, chunks, ctx)
+            self._ra_request(stream, handle, chunks,
+                             (yield from self._authno_for(ctx)))
 
     def _ra_request(self, stream: "_ReadStream", handle: bytes,
-                    chunks: int, ctx: CallContext) -> None:
+                    chunks: int, authno: int) -> None:
         """Send one speculative READV for the next *chunks* chunks."""
         count = stream.count
         offsets = [stream.front + i * count for i in range(chunks)]
@@ -1159,7 +1168,7 @@ class MountedRemoteFs:
             nfs_const.NFSPROC3_READV,
             Record(file=handle, segments=[
                 Record(offset=at, count=count) for at in offsets]),
-            self._authno_for(ctx), speculative=True,
+            authno, speculative=True,
         ))
         self._ra_in_flight += 1
         for at in offsets:
@@ -1234,12 +1243,15 @@ class MountedRemoteFs:
     def _ra_take(self, stream: "_ReadStream", handle: bytes,
                  offset: int, count: int):
         """The chunk at *offset* as a READ reply — after waiting for it,
-        if it is on the wire — or None when there is none to serve.  A
-        chunk served stays for the next reader of it."""
+        if it is on the wire — or None when there is none to serve
+        (``yield from``).  A chunk served stays for the next reader."""
         pending = stream.pending.get(offset)
         if pending is not None:
             self._ra_count("waits")
-            self.session.peer.wait_for(pending)
+            try:
+                yield pending
+            except (RpcError, ConnectionError):
+                pass  # a lost prefetch: nothing kept, the READ relays
             if self._ra_streams.get(handle) is not stream:
                 return None  # discarded while this read waited
         entry = stream.chunks.get(offset)
@@ -1260,6 +1272,9 @@ class MountedRemoteFs:
         )
 
     def _gather_write(self, args: Record, ctx: CallContext, depth: int):
+        """Absorb an UNSTABLE WRITE into the gather buffer (``yield
+        from``), flushing it as one WRITEV once it holds *depth* writes
+        or bytes for *depth* chunks."""
         handle = args.file
         data = args.data[: args.count]
         if handle not in self._gather_segs and (
@@ -1275,7 +1290,7 @@ class MountedRemoteFs:
         self.caches.invalidate(handle)
         total = sum(len(chunk) for _, chunk in segs)
         if len(segs) >= depth or total >= depth * 65536:
-            status = self._flush_gather(handle, ctx)
+            status = yield from self._flush_gather(handle, ctx)
             if status is not None:
                 return status, Record(
                     file_wcc=nfs_types.WccData.make(before=None, after=None)
@@ -1289,16 +1304,17 @@ class MountedRemoteFs:
         )
 
     def _flush_gather(self, handle: bytes, ctx: CallContext):
-        """Send gathered dirty ranges as one WRITEV.  Returns None on
-        success (or nothing to flush); a non-OK NFS status on failure —
-        the caller shapes the error for whatever op hit the barrier."""
+        """Send gathered dirty ranges as one WRITEV (``yield from``).
+        Returns None on success (or nothing to flush); a non-OK NFS
+        status on failure — the caller shapes the error for whatever op
+        hit the barrier."""
         segs = self._gather_segs.pop(handle, None)
         if not segs:
             return None
         self._m_gather_flushes.inc()
         self._m_gather_segments.inc(len(segs))
         self._m_gather_bytes.inc(sum(len(chunk) for _, chunk in segs))
-        status, _body = self._relay(
+        status, _body = yield from self._relay(
             nfs_const.NFSPROC3_WRITEV,
             Record(
                 file=handle, stable=nfs_const.UNSTABLE,
@@ -1742,13 +1758,16 @@ class SfsClientDaemon:
         self._mount_roots[path.hostid] = mount.root_handle()
         self._references.setdefault(uid, set()).add(path.mount_name)
         self.mounter.mount(f"/sfs/{path.mount_name}", mount.program,
-                           mount.root_handle())
+                           mount.root_handle(),
+                           self._mountpoint_handle(path.mount_name))
         return mount
 
     # -- mounting --
 
     def mount_path(self, path: SelfCertifyingPath, uid: int):
-        """Connect to and mount a self-certifying pathname for *uid*.
+        """Connect to and mount a self-certifying pathname for *uid*
+        (``yield from``: the automounter's LOOKUP handler waits on the
+        handshake and the back-off between dials by yielding).
 
         Honors agent revocation checks and server-supplied revocation
         certificates / forwarding pointers.  Returns the mount object.
@@ -1782,15 +1801,16 @@ class SfsClientDaemon:
         for delay in self.backoff.delays(self.rng):
             if delay:
                 self._m_mount_backoff.inc()
-                self.clock.advance(delay)
+                yield Sleep(delay)
             try:
                 link = self.connector(path.location, proto.SERVICE_FILESERVER)
             except (ConnectionError, OSError) as exc:
                 last_error = exc
                 continue
             try:
-                outcome = ServerSession.connect(
-                    link, path, self.ephemeral_keys, self.rng,
+                peer, pipe = ServerSession._transport(link, path)
+                outcome = yield from ServerSession.connect_task(
+                    peer, pipe, path, self.ephemeral_keys, self.rng,
                     encrypt=self.encrypt,
                 )
                 break
@@ -1830,17 +1850,13 @@ class SfsClientDaemon:
                 lambda old, new, _mount=mount:
                 self._retarget_mount(_mount, old, new)
             )
-            root_handle = self._fetch_remote_root(session)
+            root_handle = yield from self._fetch_remote_root_task(session)
         self._mounts[path.hostid] = mount
         self._mount_roots[path.hostid] = root_handle
         self._references.setdefault(uid, set()).add(path.mount_name)
         self.mounter.mount(f"/sfs/{path.mount_name}", mount.program,
-                           root_handle)
+                           root_handle, self._mountpoint_handle(path.mount_name))
         return mount
-
-    def _fetch_remote_root(self, session: ServerSession) -> bytes:
-        """Synchronous :meth:`_fetch_remote_root_task`."""
-        return session.peer.drive(self._fetch_remote_root_task(session))
 
     def _fetch_remote_root_task(self, session: ServerSession):
         """Obtain the remote root's (encrypted) handle.
@@ -1945,7 +1961,7 @@ class SfsClientDaemon:
             if old.mount_name in names:
                 names.add(new.mount_name)
         self.mounter.mount(f"/sfs/{new.mount_name}", mount.program,
-                           root_handle)
+                           root_handle, self._mountpoint_handle(new.mount_name))
         self._m_retargeted.inc()
 
     # -- the /sfs synthetic file system --
@@ -2044,7 +2060,7 @@ class SfsClientDaemon:
         parsed = parse_mount_name(name)
         if parsed is not None:
             try:
-                self.mount_path(parsed, uid)
+                yield from self.mount_path(parsed, uid)
             except MountError:
                 # Mount failures may have installed a revoked link.
                 node = self._symlinks.get((None, name))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 from ..crypto.rabin import PrivateKey
@@ -249,7 +250,11 @@ class RwExport:
     #: The lease table: plain handle -> the connections caching
     #: attributes for it.  Volatile — a crash empties it.
     leases: dict[bytes, set["ServerConnection"]] = field(default_factory=dict)
-    active_connection: "ServerConnection | None" = None
+    #: Relays waiting on the local NFS server, keyed by the id of their
+    #: record: (connection, the plain handles other connections' calls
+    #: changed meanwhile, in order).  See :meth:`relay_started`.
+    in_flight: dict[int, tuple["ServerConnection", dict[bytes, None]]] = \
+        field(default_factory=dict)
     #: Loopback transport behind nfs_client/nfs_server; a crash closes
     #: it along with every client-facing link.
     loop_links: "tuple[LinkSide, LinkSide] | None" = None
@@ -289,19 +294,72 @@ class RwExport:
             if not lessees:
                 del self.leases[plain_handle]
 
+    def origin_stamp(self, connection: "ServerConnection") -> int:
+        """The AUTH_SYS stamp *connection*'s relayed calls carry to the
+        local NFS server: its admission rank + 1 (0 for one no longer
+        listed), which is how :meth:`on_mutation` knows whose call made
+        a change, however many relays are in flight."""
+        return self.connections.get(connection, -1) + 1
+
+    def relay_started(self, connection: "ServerConnection"
+                      ) -> dict[bytes, None]:
+        """*connection*'s relay is about to wait on the local NFS server.
+        Returns the record that collects, until :meth:`relay_done`, each
+        handle another connection's call changes meanwhile."""
+        changed: dict[bytes, None] = {}
+        self.in_flight[id(changed)] = (connection, changed)
+        return changed
+
+    def relay_done(self, changed: dict[bytes, None]) -> None:
+        self.in_flight.pop(id(changed), None)
+
+    def call_back_overtaken(self, connection: "ServerConnection",
+                            changed: dict[bytes, None]) -> None:
+        """*connection*'s relay has its reply, and another connection
+        changed the handles in *changed* while it was out: the reply may
+        describe them as they were.  Call *connection* back for each of
+        them it holds a lease on (this reply's grants among them) — once
+        the reply is out, since an INVALIDATE that overtook it would be
+        undone by it.  The reply goes out in this same step; the timer
+        at ``now`` runs after it."""
+        stale = [handle for handle in changed
+                 if connection in self.leases.get(handle, ())]
+        if stale:
+            clock = self.master.clock
+            clock.call_at(clock.now, partial(self._call_back, connection,
+                                             stale))
+
+    def _call_back(self, connection: "ServerConnection",
+                   plain_handles: list[bytes]) -> None:
+        for plain_handle in plain_handles:
+            if (connection.alive
+                    and connection in self.leases.get(plain_handle, ())):
+                self._release(plain_handle, connection)
+                fsid, ino, generation = PlainHandles().decode(plain_handle)
+                connection.send_invalidate(
+                    self.handles.encode(fsid, ino, generation))
+
     def on_mutation(self, plain_handle: bytes) -> None:
-        """Send lease invalidations to the handle's other lessees.
+        """Send lease invalidations to the handle's other lessees: all
+        but the connection whose call made the change.  Other
+        connections' relays in flight note the change too.
 
         Walks a snapshot in admission order: a send can kill a
         connection (closed link) and drop it mid-loop, and one crashed
         peer must not abort invalidations to the rest.
         """
         lessees = self.leases.get(plain_handle)
+        if not lessees and len(self.in_flight) < 2:
+            return  # the one relay in flight is the caller's own
+        origin = AuthSys.from_auth(self.nfs_server.caller.cred).stamp - 1
+        for connection, changed in self.in_flight.values():
+            if self.connections.get(connection) != origin:
+                changed[plain_handle] = None
         if not lessees:
             return
         encrypted = None
         for connection in sorted(lessees, key=self.connections.__getitem__):
-            if connection is self.active_connection:
+            if self.connections.get(connection) == origin:
                 continue
             if not connection.alive:
                 # Closed while this loop was sending to the others; its
@@ -490,7 +548,6 @@ class SfsServerMaster:
         for export in self._rw.values():
             export.connections.clear()
             export.leases.clear()
-            export.active_connection = None
         for connection in connections:
             connection.pipe.raw.close()
         for export in self._rw.values():
@@ -869,7 +926,12 @@ class ServerConnection:
         return relay
 
     def _relay(self, proc: int, args: Record, ctx: CallContext):
-        """Tag with credentials, translate handles, forward to local NFS."""
+        """Tag with credentials, translate handles, forward to local NFS.
+
+        A generator handler: it yields while the local NFS server
+        answers, so relays from any number of connections can be in
+        flight at once; each carries its originator in its credential
+        (:meth:`RwExport.origin_stamp`)."""
         export = self.export
         assert export is not None
         authno = parse_sfs_cred(ctx.cred)
@@ -883,26 +945,29 @@ class ServerConnection:
                 handlemap.translate_args(proc, args, self._decrypt_handle)
             except BadHandle:
                 return nfs_const.NFS3ERR_BADHANDLE, nfs_failure_shape(proc)
-        auth_sys = AuthSys(uid=cred.uid, gid=cred.gid, gids=tuple(cred.groups))
+        auth_sys = AuthSys(stamp=export.origin_stamp(self), uid=cred.uid,
+                           gid=cred.gid, gids=tuple(cred.groups))
         if proc == nfs_const.NFSPROC3_COMMIT:
             # Whatever unstable writes preceded this COMMIT are still
             # volatile; a crash here provably loses them.
             self.master.crashpoint("before-commit")
-        export.active_connection = self
+        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
+        overtaken = export.relay_started(self)
         try:
-            _arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-            status, body = export.nfs_client.peer.call(
+            status, body = yield from export.nfs_client.peer.call_task(
                 nfs_const.NFS3_PROGRAM, nfs_const.NFS3_VERSION, proc,
-                _arg_codec, args, res_codec, cred=auth_sys.to_auth(),
+                arg_codec, args, res_codec, cred=auth_sys.to_auth(),
             )
         finally:
-            export.active_connection = None
+            export.relay_done(overtaken)
         if proc in (nfs_const.NFSPROC3_WRITE, nfs_const.NFSPROC3_WRITEV):
             # The write executed but its reply is not out yet; the
             # client must replay it after reconnecting (and the crash
             # itself rolls the un-committed data back).
             self.master.crashpoint("after-write")
         self._record_leases(proc, args, status, body)
+        if overtaken:
+            export.call_back_overtaken(self, overtaken)
         handlemap.translate_result(proc, status, body, self._encrypt_handle)
         return status, body
 

@@ -24,8 +24,19 @@ class TcpServerHost:
         self._connections = []
 
         def session(pipe: TcpPipe) -> None:
-            connection = master.accept(pipe)
-            self._connections.append(connection)
+            # A relayed call yields while the local NFS server, on the
+            # master's virtual clock, answers: run what falls due after
+            # each record the connection delivers.
+            install = pipe.on_receive
+
+            def on_receive(handler) -> None:
+                def deliver(record: bytes) -> None:
+                    handler(record)
+                    master.clock.advance(0.0)
+                install(deliver)
+
+            pipe.on_receive = on_receive
+            self._connections.append(master.accept(pipe))
 
         self._listener = TcpListener(host, port, session)
         self.host = host

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..sim.disk import Disk
 
@@ -260,10 +259,6 @@ class BufferCache:
             oldest = next(iter(self._resident))
             del self._resident[oldest]
         self._resident[key] = None
-
-    def evict_inode(self, ino: int) -> None:
-        for key in [k for k in self._resident if k[0] == ino]:
-            del self._resident[key]
 
 
 class MemFs:
@@ -880,7 +875,3 @@ class MemFs:
             "ffiles": (1 << 20) - len(self._inodes),
             "afiles": (1 << 20) - len(self._inodes),
         }
-
-    def iter_inodes(self) -> Iterator[Inode]:
-        """All live inodes (used by the read-only digest builder)."""
-        return iter(self._inodes.values())

@@ -29,30 +29,23 @@ class NfsMounter:
         self._kernel = kernel
         self._managed: dict[str, Mount] = {}
 
-    def mount(self, path: str, program: Program, root_fh: bytes) -> Mount:
-        """Graft a daemon's NFS program over the directory at *path*."""
-        mount = self._kernel.add_mount(path, program, root_fh)
+    def mount(self, path: str, program: Program, root_fh: bytes,
+              covered: bytes | None = None) -> Mount:
+        """Graft a daemon's NFS program over the directory at *path*.
+
+        *covered* is the handle of that directory in the managed mount
+        that holds it (sfscd's mount points under /sfs): the graft then
+        needs no path walk through the daemon asking for it."""
+        parent = self._managed.get(path.rpartition("/")[0])
+        mount = self._kernel.add_mount(
+            path, program, root_fh,
+            covered=None if covered is None else (parent, covered))
         self._managed[path] = mount
         return mount
 
     def unmount(self, path: str) -> bool:
         self._managed.pop(path, None)
         return self._kernel.remove_mount(path)
-
-    def remount(self, path: str, root_fh: bytes) -> bool:
-        """Re-point a managed mount at a (possibly new) root handle.
-
-        Used after a server restart: SFS handles derive from the
-        server's durable key so the root normally survives verbatim,
-        but a daemon that re-fetched the root can push it here without
-        the disruptive unmount/mount cycle.  Returns True if the path
-        was one of ours.
-        """
-        mount = self._managed.get(path)
-        if mount is None:
-            return False
-        mount.root_fh = root_fh
-        return True
 
     def mounted_paths(self) -> list[str]:
         return sorted(self._managed)

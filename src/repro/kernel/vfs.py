@@ -92,10 +92,15 @@ class Kernel:
     """Mount table + path walking."""
 
     def __init__(self, clock: Clock, hostname: str = "client",
-                 metrics=None) -> None:
+                 metrics=None, pump=None) -> None:
         self.clock = clock
         self.hostname = hostname
         self.metrics = metrics
+        #: How a system call waits for its daemon's reply (the world's
+        #: scheduler pump; None: advance the clock).  The daemons'
+        #: handlers yield, so this wait is the one that lets a queued
+        #: server's workers run.
+        self.pump = pump
         self._mounts: list[Mount] = []
         self._mountpoints: dict[tuple[int, bytes], Mount] = {}
         self._next_mount_id = 1
@@ -112,6 +117,7 @@ class Kernel:
                         root_fh: bytes) -> Mount:
         """Create the kernel<->daemon NFS loopback for one mount."""
         kernel_side, daemon_side = link_pair(self.clock, metrics=self.metrics)
+        kernel_side.link.pump = self.pump
         server_peer = RpcPeer(daemon_side, f"daemon:{name}")
         server_peer.register(program)
         client = Nfs3Client(RpcPeer(kernel_side, f"kernel:{name}"))
@@ -127,25 +133,22 @@ class Kernel:
         return self.root
 
     def add_mount(self, path: str, program: Program, root_fh: bytes,
-                  cred: AuthSys | None = None) -> Mount:
-        """Graft *program* over the directory at *path* (nfsmounter's job)."""
-        cred = cred or AuthSys(uid=0, gid=0)
-        mount_at, fh, _attrs = self.resolve(path, cred, follow=False)
+                  cred: AuthSys | None = None,
+                  covered: tuple[Mount, bytes] | None = None) -> Mount:
+        """Graft *program* over the directory at *path* (nfsmounter's job).
+
+        *covered* is that directory's (mount, handle) when the caller
+        already knows them: a daemon mounting under its own directory,
+        from inside the handler of a call, which must not walk the path
+        through that very daemon."""
+        if covered is None:
+            cred = cred or AuthSys(uid=0, gid=0)
+            mount_at, fh, _attrs = self.resolve(path, cred, follow=False)
+        else:
+            mount_at, fh = covered
         new_mount = self._attach_program(path, program, root_fh)
         self._mountpoints[(mount_at.mount_id, fh)] = new_mount
         return new_mount
-
-    def add_mount_link(self, path: str, pipe, root_fh: bytes,
-                       cred: AuthSys | None = None) -> Mount:
-        """Mount an NFS server reached over *pipe* (a network link side).
-
-        This is how the plain-NFS baselines mount remote servers: the
-        kernel's NFS client speaks directly over the wire, with no
-        user-level daemon in between.
-        """
-        return self.add_mount_peer(
-            path, RpcPeer(pipe, f"kernel:{path}"), root_fh, cred
-        )
 
     def add_mount_peer(self, path: str, peer: RpcPeer, root_fh: bytes,
                        cred: AuthSys | None = None) -> Mount:

@@ -200,7 +200,8 @@ class ClientMachine:
         #: otherwise the world registry.
         self.metrics = metrics if metrics is not None else world.metrics
         self.registry = None
-        self.kernel = Kernel(world.clock, hostname, metrics=self.metrics)
+        self.kernel = Kernel(world.clock, hostname, metrics=self.metrics,
+                             pump=world._pump)
         disk = Disk(world.clock, DiskParameters.ibm_18es(),
                     metrics=self.metrics) if with_disk else None
         self.local_fs = MemFs(fsid=0x100, disk=disk)

@@ -50,10 +50,6 @@ class SslDirectory:
         self._ca_key = ca_key
         self._certs: dict[str, IssuedCert] = {}
 
-    @property
-    def ca_public_key(self) -> PublicKey:
-        return self._ca_key.public_key
-
     def issue(self, hostname: str, host_key: PublicKey) -> IssuedCert:
         """CA signs "host_key belongs to hostname"."""
         body = SslCertBody.pack(

@@ -57,7 +57,8 @@ class Nfs3Server:
 
     ``mutation_hook(handle)`` fires after any operation that changes the
     object or directory identified by *handle* — the SFS server uses it
-    to drive lease-invalidation callbacks.
+    to drive lease-invalidation callbacks, and reads :attr:`caller` to
+    tell whose call made the change.
     """
 
     def __init__(
@@ -73,6 +74,9 @@ class Nfs3Server:
         self.handles = handles or PlainHandles()
         self._cred_mapper = cred_mapper
         self._mutation_hook = mutation_hook
+        #: The call whose procedure is executing, while one is (a disk
+        #: charge can run another inside it; each sees its own).
+        self.caller: CallContext | None = None
         #: Per-op counts land in ``nfs3.ops.<op>`` / ``nfs3.errors.<op>``
         #: and latencies in the ``nfs3.op_seconds`` histogram; servers
         #: sharing a registry (client loopback, export relay target)
@@ -84,16 +88,6 @@ class Nfs3Server:
         #: clients can tell when a restart may have lost unstable writes.
         self.write_verf = _next_write_verf()
         self.program = self._build_program()
-
-    def attach_queue(self, peer, queue, conn_id=None) -> None:
-        """Serve *peer*'s calls through a request queue.
-
-        The plain-NFS baseline registers this server's program directly
-        on a client-facing peer; routing that peer through the same
-        :class:`~repro.core.admission.RequestQueue` the SFS master uses
-        keeps the two configurations comparable under concurrent load.
-        """
-        queue.bind(peer, conn_id if conn_id is not None else peer)
 
     # --- handle and attribute helpers --------------------------------------
 
@@ -220,6 +214,13 @@ class Nfs3Server:
         err_counter = self.metrics.counter(f"nfs3.errors.{name.lower()}")
 
         def dispatch(args, ctx: CallContext):
+            previous, self.caller = self.caller, ctx
+            try:
+                return serve(args, ctx)
+            finally:
+                self.caller = previous
+
+        def serve(args, ctx: CallContext):
             if not self.metrics.enabled:
                 cred = self._cred_mapper(ctx)
                 try:

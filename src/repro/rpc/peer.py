@@ -16,6 +16,12 @@ in flight, and two ways to run such a generator from outside any task:
 :meth:`RpcPeer.drive` runs it to completion for a synchronous caller,
 :meth:`RpcPeer.start` runs it in the background and hands back a Future.
 
+Serving is the mirror image.  A procedure's handler returns its result,
+or is itself a generator — a relay that ``yield from``\\ s the call to
+its next hop — and the peer steps it from the futures it yields, as
+:meth:`RpcPeer.start` would, sending the reply when it returns.  No
+handler waits inside the record delivery that brought its call.
+
 Set ``trace`` to a callable to pretty-print RPC traffic, mirroring the
 debugging aid the paper credits for SFS's reliability ("Our RPC library
 can pretty-print RPC traffic for debugging").
@@ -28,6 +34,7 @@ import hashlib
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Protocol
 
 from ..obs.registry import CounterFamily, NULL_REGISTRY
@@ -380,7 +387,7 @@ class RpcPeer:
             if self.dispatcher is not None:
                 self.dispatcher(message.call, message.body, data)
             else:
-                self._serve_inner(message.call, message.body, data)
+                self.serve(message.call, message.body, data)
         else:
             assert message.reply is not None
             future = self._call_futures.pop(message.reply.xid, None)
@@ -390,17 +397,12 @@ class RpcPeer:
                 self.trace(f"{self.name}: reply for unknown xid "
                            f"{message.reply.xid}")
 
-    def serve_queued(self, header: CallHeader, body: bytes,
-                     request: bytes) -> None:
-        """Execute a previously queued call (the request-queue workers'
-        entry point — bypasses :attr:`dispatcher` so the queue cannot
-        re-enqueue its own work)."""
-        layers = self.metrics.layers
-        layers.push("rpc")
-        try:
-            self._serve_inner(header, body, request)
-        finally:
-            layers.pop()
+    def serve(self, header: CallHeader, body: bytes, request: bytes) -> None:
+        """Execute a call now, from record delivery (or for a dispatcher
+        that lets it bypass the queue).  A handler that yields runs on
+        from the futures it waits for, like a :meth:`start`-ed task, and
+        its reply goes out when it returns."""
+        self._step(self.serve_queued(header, body, request), None)
 
     def send_busy(self, xid: int) -> None:
         """Reject a call with ``SERVER_BUSY`` — admission control's
@@ -416,56 +418,86 @@ class RpcPeer:
         except ConnectionError:
             pass  # client already gone; its retry logic owns recovery
 
-    def _serve_inner(self, header: CallHeader, body: bytes,
-                     request: bytes) -> None:
-        program = self._programs.get((header.prog, header.vers))
-        if program is None:
-            versions = [v for (p, v) in self._programs if p == header.prog]
-            if versions:
-                reply = ReplyHeader(
-                    header.xid,
-                    accept_stat=rpcmsg.PROG_MISMATCH,
-                    mismatch_low=min(versions),
-                    mismatch_high=max(versions),
-                )
-            else:
-                reply = ReplyHeader(header.xid, accept_stat=rpcmsg.PROG_UNAVAIL)
-            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-            return
-        if header.proc in program.idempotent:
-            request = None  # a retransmission runs again, not replayed
-        procedure = program.procedures.get(header.proc)
-        if procedure is None:
-            reply = ReplyHeader(header.xid, accept_stat=rpcmsg.PROC_UNAVAIL)
-            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-            return
+    def serve_queued(self, header: CallHeader, body: bytes, request: bytes):
+        """Run one call's handler and send its reply (``yield from``):
+        :meth:`serve`'s body, and the request-queue workers' entry point,
+        which bypasses :attr:`dispatcher` so the queue cannot re-enqueue
+        its own work.  A worker stays busy until the handler returns.
+
+        A handler either returns its result or is a generator: one that
+        relays the call onward yields while the next hop answers
+        (``status, body = yield from session.call_nfs_task(...)``) and
+        returns the result.  Either way an exception becomes SYSTEM_ERR.
+        """
+        # The "rpc" layer claims the unmarshaling, dispatch and reply;
+        # instrumented work the handler triggers nests in its own layer.
+        layers = self.metrics.layers
+        layers.push("rpc")
         try:
-            args = procedure.arg_codec.unpack(body)
-        except XdrError:
-            reply = ReplyHeader(header.xid, accept_stat=rpcmsg.GARBAGE_ARGS)
-            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-            return
-        if self.trace:
-            self.trace(
-                f"{self.name}: serve {program.name}.{procedure.name}({args!r})"
-            )
-        self.calls_served += 1
-        self._m_served.inc()
-        try:
-            result = procedure.handler(args, CallContext(self, header))
-            payload = procedure.res_codec.pack(result)
-        except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
+            program = self._programs.get((header.prog, header.vers))
+            if program is None:
+                versions = [v for (p, v) in self._programs
+                            if p == header.prog]
+                if versions:
+                    reply = ReplyHeader(
+                        header.xid,
+                        accept_stat=rpcmsg.PROG_MISMATCH,
+                        mismatch_low=min(versions),
+                        mismatch_high=max(versions),
+                    )
+                else:
+                    reply = ReplyHeader(header.xid,
+                                        accept_stat=rpcmsg.PROG_UNAVAIL)
+                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+                return
+            if header.proc in program.idempotent:
+                request = None  # a retransmission runs again, not replayed
+            procedure = program.procedures.get(header.proc)
+            if procedure is None:
+                reply = ReplyHeader(header.xid,
+                                    accept_stat=rpcmsg.PROC_UNAVAIL)
+                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+                return
+            try:
+                args = procedure.arg_codec.unpack(body)
+            except XdrError:
+                reply = ReplyHeader(header.xid,
+                                    accept_stat=rpcmsg.GARBAGE_ARGS)
+                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+                return
             if self.trace:
                 self.trace(
-                    f"{self.name}: {program.name}.{procedure.name} failed: {exc!r}"
+                    f"{self.name}: serve "
+                    f"{program.name}.{procedure.name}({args!r})"
                 )
-            reply = ReplyHeader(header.xid, accept_stat=rpcmsg.SYSTEM_ERR)
-            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-            return
-        self._send_reply(
-            header.xid, request,
-            rpcmsg.pack_reply(ReplyHeader(header.xid), payload),
-        )
+            self.calls_served += 1
+            self._m_served.inc()
+            try:
+                result = procedure.handler(args, CallContext(self, header))
+                if isinstance(result, GeneratorType):
+                    # Its waits, and the steps whoever resumes it runs,
+                    # are not this peer's "rpc" work.
+                    layers.pop()
+                    try:
+                        result = yield from result
+                    finally:
+                        layers.push("rpc")
+                payload = procedure.res_codec.pack(result)
+            except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
+                if self.trace:
+                    self.trace(
+                        f"{self.name}: {program.name}.{procedure.name} "
+                        f"failed: {exc!r}"
+                    )
+                reply = ReplyHeader(header.xid, accept_stat=rpcmsg.SYSTEM_ERR)
+                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+                return
+            self._send_reply(
+                header.xid, request,
+                rpcmsg.pack_reply(ReplyHeader(header.xid), payload),
+            )
+        finally:
+            layers.pop()
 
     def _send_reply(self, xid: int, request: bytes | None,
                     record: bytes) -> None:
@@ -604,10 +636,11 @@ class RpcPeer:
         self._step(gen, outcome)
         return outcome
 
-    def _step(self, gen, outcome: Future,
+    def _step(self, gen, outcome: Future | None,
               waited: Future | None = None) -> None:
-        """Resume a :meth:`start`-ed generator with what it waited for
-        (None: its first step, or a sleep that is over)."""
+        """Resume a :meth:`start`-ed generator (or a served call's, whose
+        *outcome* is None) with what it waited for (None: its first
+        step, or a sleep that is over)."""
         try:
             if waited is None:
                 waited = gen.send(None)
@@ -616,9 +649,12 @@ class RpcPeer:
             else:
                 waited = gen.send(waited.value)
         except StopIteration as stop:
-            outcome.resolve(stop.value)
+            if outcome is not None:
+                outcome.resolve(stop.value)
             return
         except Exception as exc:  # noqa: BLE001 - carried by the future
+            if outcome is None:
+                raise
             outcome.fail(exc)
             return
         # (A partial, not a closure over itself: nothing here is left

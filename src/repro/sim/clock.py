@@ -68,14 +68,13 @@ class Clock:
 
     def _fire_due(self) -> None:
         # Re-entrant by design: a callback that advances the clock (a
-        # relay synchronously waiting out a reply's arrival, say)
-        # drains the newly-due timers right there, from the inner
-        # frame.  Each timer is popped before its callback runs, so no
-        # frame can double-fire one, and the heap hands out deadlines
+        # disk charge inside the NFS server's handler, say) drains the
+        # newly-due timers right there, from the inner frame.  Each
+        # timer is popped before its callback runs, so no frame can
+        # double-fire one, and the heap hands out deadlines
         # earliest-first no matter which frame is draining — global
         # firing order is exactly what a single flat drain would give.
-        # Nesting depth is bounded by the relay chain (kernel -> sfscd
-        # -> sfssd), not by message count.
+        # The relays do not nest here: their handlers yield.
         while self._timers and self._timers[0][0] <= self._now:
             _when, _seq, callback = heapq.heappop(self._timers)
             callback()

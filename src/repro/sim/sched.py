@@ -100,35 +100,6 @@ class Future:
         return True
 
 
-def gather(futures: "Iterable[Future]", name: str = "gather") -> Future:
-    """One Future that completes when *all* of ``futures`` have.
-
-    Resolves with the list of values in input order.  The first
-    failure wins immediately (matching Future's first-call-wins rule),
-    so a window of pipelined calls collapses as soon as one of them
-    dies — the callers' cleanup runs instead of waiting out the rest.
-    An empty iterable resolves at once with ``[]``.
-    """
-    futures = list(futures)
-    combined = Future(name)
-    if not futures:
-        combined.resolve([])
-        return combined
-    remaining = [len(futures)]
-
-    def on_done(future: Future) -> None:
-        if future.exception is not None:
-            combined.fail(future.exception)
-            return
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            combined.resolve([f.value for f in futures])
-
-    for future in futures:
-        future.add_done_callback(on_done)
-    return combined
-
-
 class Task:
     """One cooperative task: a generator plus its lifecycle state."""
 

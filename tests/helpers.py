@@ -11,3 +11,13 @@ def settle(clock) -> None:
     """
     while (deadline := clock.next_deadline()) is not None:
         clock.advance(max(0.0, deadline - clock.now))
+
+
+def job(action=None):
+    """An ``execute`` for ``RequestQueue.submit``: a worker ``yield
+    from``s what it returns, a generator that runs *action* (if any)."""
+    def execute():
+        if action is not None:
+            action()
+        yield from ()
+    return execute

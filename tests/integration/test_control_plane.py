@@ -18,6 +18,7 @@ from repro.bench.control import CONTROL_LOAD, ControlConfig, \
     run_control_comparison
 from repro.kernel.world import World
 from repro.sim.sched import Sleep
+from tests.helpers import job
 
 
 def make_world():
@@ -67,7 +68,7 @@ def test_server_instruments_tee_through_to_the_collector():
                                    service_time=0.001)
     conn = object()
     for _ in range(4):                        # 2 admitted + 2 rejected
-        queue.submit(conn, lambda: None)
+        queue.submit(conn, job())
     world.clock.advance(0.01)
     world.control.collector.tick()
     per_source = world.control.collector.sources[

@@ -229,7 +229,7 @@ def test_reconnect_refuses_an_impostor(crashy):
     impostor.master.config.add_export("default", path.hostid,
                                       proto.DIALECT_RW)
     with pytest.raises(SecurityError):
-        session.reconnect()
+        session.peer.drive(session.reconnect_task())
     assert session.reconnects == 0
     assert world.metrics.counter("session.reconnects_failed").value == 0
 

@@ -115,7 +115,7 @@ def test_redial_after_revocation_refuses_with_security_error(rolled):
     server.crash()
     server.restart()
     with pytest.raises(SecurityError, match="revoked"):
-        session.reconnect()
+        session.peer.drive(session.reconnect_task())
     assert session.reconnects == 0
     assert session.retargets == 0
 

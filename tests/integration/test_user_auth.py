@@ -14,6 +14,7 @@ from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.vfs import KernelError
 from repro.kernel.world import World
+from tests.helpers import job
 
 
 @pytest.fixture
@@ -165,9 +166,9 @@ def test_kernel_login_backs_off_when_the_admission_queue_is_full(auth_world):
     session = client.sfscd._mounts[path.hostid].session
     # One filler in service (the worker sleeps on it), one waiting: the
     # queue is full when alice's LOGIN arrives.
-    assert queue.submit("filler", lambda: None)
+    assert queue.submit("filler", job())
     world.scheduler.pump_once()
-    assert queue.submit("filler", lambda: None)
+    assert queue.submit("filler", job())
     proc = client.login_user("alice", alice.key, uid=1000)
     proc.write_file(f"{path}/home/alice/note", b"signed in")
     assert proc.stat(f"{path}/home/alice/note").uid == 1000

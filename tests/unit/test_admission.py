@@ -6,6 +6,7 @@ from repro.core.admission import FAIR_SHARE, FIFO, RequestQueue
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.sched import Scheduler, SchedulerStalled, Sleep
+from tests.helpers import job
 
 
 def pump_all(sched):
@@ -41,9 +42,9 @@ def test_rejects_bad_configuration():
 
 def test_submit_bounded_by_max_depth():
     _clock, _sched, registry, queue = make(max_depth=2)
-    assert queue.submit("c1", lambda: None) is True
-    assert queue.submit("c1", lambda: None) is True
-    assert queue.submit("c1", lambda: None) is False
+    assert queue.submit("c1", job()) is True
+    assert queue.submit("c1", job()) is True
+    assert queue.submit("c1", job()) is False
     assert queue.depth == 2
     assert queue.peak_depth == 2
     assert registry.counter("server.queue.admitted").value == 2
@@ -56,7 +57,7 @@ def test_workers_drain_fifo_in_arrival_order():
     queue.start(sched, name="q")
     served = []
     for index in range(3):
-        queue.submit("c1", lambda i=index: served.append(i))
+        queue.submit("c1", job(lambda i=index: served.append(i)))
     pump_all(sched)
     assert served == [0, 1, 2]
     assert queue.depth == 0
@@ -69,9 +70,9 @@ def test_fair_share_round_robins_across_connections():
     queue.start(sched, name="q")
     served = []
     for index in range(6):                    # greedy client first
-        queue.submit("greedy", lambda i=index: served.append(("g", i)))
-    queue.submit("meek", lambda: served.append(("m", 0)))
-    queue.submit("meek", lambda: served.append(("m", 1)))
+        queue.submit("greedy", job(lambda i=index: served.append(("g", i))))
+    queue.submit("meek", job(lambda: served.append(("m", 0))))
+    queue.submit("meek", job(lambda: served.append(("m", 1))))
     pump_all(sched)
     # Round-robin: g0 m0 g1 m1 g2 g3 g4 g5 — the meek connection's two
     # requests are served 2nd and 4th, not behind all six greedy ones.
@@ -89,8 +90,8 @@ def test_fifo_makes_the_meek_wait():
     queue.start(sched, name="q")
     served = []
     for index in range(6):
-        queue.submit("greedy", lambda i=index: served.append(("g", i)))
-    queue.submit("meek", lambda: served.append(("m", 0)))
+        queue.submit("greedy", job(lambda i=index: served.append(("g", i))))
+    queue.submit("meek", job(lambda: served.append(("m", 0))))
     pump_all(sched)
     assert served.index(("m", 0)) == 6
 
@@ -100,7 +101,7 @@ def test_service_time_occupies_workers():
     queue.start(sched, name="q")
     done = []
     for index in range(4):
-        queue.submit("c", lambda i=index: done.append((i, clock.now)))
+        queue.submit("c", job(lambda i=index: done.append((i, clock.now))))
     pump_all(sched)
     # 4 requests, 2 workers, 10 ms each: two service waves.
     assert [t for _i, t in done] == pytest.approx([0.01, 0.01, 0.02, 0.02])
@@ -109,8 +110,8 @@ def test_service_time_occupies_workers():
 def test_wait_histogram_measures_queueing_delay():
     clock, sched, registry, queue = make(workers=1, service_time=0.005)
     queue.start(sched, name="q")
-    queue.submit("c", lambda: None)
-    queue.submit("c", lambda: None)
+    queue.submit("c", job())
+    queue.submit("c", job())
     pump_all(sched)
     snapshot = registry.histogram("server.queue.wait_seconds").snapshot()
     assert snapshot["count"] == 2
@@ -122,8 +123,8 @@ def test_worker_survives_failing_jobs():
     _clock, sched, registry, queue = make()
     queue.start(sched, name="q")
     served = []
-    queue.submit("c", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-    queue.submit("c", lambda: served.append("after"))
+    queue.submit("c", job(lambda: (_ for _ in ()).throw(RuntimeError("boom"))))
+    queue.submit("c", job(lambda: served.append("after")))
     pump_all(sched)
     assert served == ["after"]
     assert registry.counter("server.queue.job_failures").value == 1
@@ -136,7 +137,7 @@ def test_workers_wake_for_requests_submitted_later():
 
     def late_submitter():
         yield Sleep(1.0)
-        queue.submit("c", lambda: served.append(clock.now))
+        queue.submit("c", job(lambda: served.append(clock.now)))
 
     sched.spawn(late_submitter())
     pump_all(sched)
@@ -148,14 +149,14 @@ def test_clear_drops_waiting_requests():
     queue.start(sched, name="q")
     served = []
     for index in range(3):
-        queue.submit("c", lambda i=index: served.append(i))
+        queue.submit("c", job(lambda i=index: served.append(i)))
     assert queue.clear() == 3
     pump_all(sched)
     assert served == []
     assert queue.depth == 0
     assert registry.gauge("server.queue.depth").value == 0
     # The queue still works after a clear (server restart).
-    queue.submit("c", lambda: served.append("fresh"))
+    queue.submit("c", job(lambda: served.append("fresh")))
     pump_all(sched)
     assert served == ["fresh"]
 
@@ -163,11 +164,11 @@ def test_clear_drops_waiting_requests():
 def test_fair_share_clear_resets_rotation():
     _clock, sched, _registry, queue = make(max_depth=8, policy=FAIR_SHARE)
     queue.start(sched, name="q")
-    queue.submit("a", lambda: None)
-    queue.submit("b", lambda: None)
+    queue.submit("a", job())
+    queue.submit("b", job())
     queue.clear()
     served = []
-    queue.submit("c", lambda: served.append("c"))
+    queue.submit("c", job(lambda: served.append("c")))
     pump_all(sched)
     assert served == ["c"]
 
@@ -180,7 +181,7 @@ def test_crash_with_deep_fair_share_queue_leaves_no_stale_state():
     _clock, sched, registry, queue = make(max_depth=16, policy=FAIR_SHARE)
     for conn in ("a", "b", "c"):
         for index in range(3):
-            queue.submit(conn, lambda: None)
+            queue.submit(conn, job())
     # Serve a couple so the rotation is mid-cycle when the crash hits.
     assert queue._pop() is not None
     assert queue._pop() is not None
@@ -196,7 +197,7 @@ def test_crash_with_deep_fair_share_queue_leaves_no_stale_state():
     # from scratch.
     queue.start(sched, name="q")
     served = []
-    queue.submit("d", lambda: served.append("d"))
+    queue.submit("d", job(lambda: served.append("d")))
     assert queue.peak_depth == 1
     pump_all(sched)
     assert served == ["d"]
@@ -207,9 +208,9 @@ def test_fair_share_drain_drops_empty_connection_queues():
     from long-gone dials do not accumulate on a long-lived server."""
     _clock, sched, _registry, queue = make(max_depth=16, policy=FAIR_SHARE)
     queue.start(sched, name="q")
-    queue.submit("a", lambda: None)
-    queue.submit("a", lambda: None)
-    queue.submit("b", lambda: None)
+    queue.submit("a", job())
+    queue.submit("a", job())
+    queue.submit("b", job())
     pump_all(sched)
     assert queue.depth == 0
     assert queue._per_conn == {}
@@ -218,18 +219,18 @@ def test_fair_share_drain_drops_empty_connection_queues():
 
 def test_set_max_depth_retunes_admission_at_runtime():
     _clock, _sched, registry, queue = make(max_depth=2)
-    assert queue.submit("c", lambda: None)
-    assert queue.submit("c", lambda: None)
-    assert not queue.submit("c", lambda: None)
+    assert queue.submit("c", job())
+    assert queue.submit("c", job())
+    assert not queue.submit("c", job())
     # Raise the bound: the very next submit is admitted.
     assert queue.set_max_depth(4) == 4
     assert registry.gauge("server.queue.max_depth").value == 4
-    assert queue.submit("c", lambda: None)
+    assert queue.submit("c", job())
     # Shrink below the current depth: existing requests stay queued,
     # new ones are rejected until the queue drains under the bound.
     assert queue.set_max_depth(1) == 1
     assert queue.depth == 3
-    assert not queue.submit("c", lambda: None)
+    assert not queue.submit("c", job())
     # Values below 1 clamp (an admission bound of 0 would deadlock).
     assert queue.set_max_depth(0) == 1
     assert queue.set_max_depth(-7) == 1
@@ -253,8 +254,12 @@ class FakePeer:
         self.served = []
         self.busied = []
 
-    def serve_queued(self, header, body, request):
+    def serve(self, header, body, request):
         self.served.append((header.prog, header.proc))
+
+    def serve_queued(self, header, body, request):
+        self.serve(header, body, request)
+        yield from ()
 
     def send_busy(self, xid):
         self.busied.append(xid)
@@ -322,7 +327,7 @@ def test_bind_inline_calls_bypass_the_queue():
     # No workers pumping: the queue is wedged on purpose.
     peer = FakePeer()
     queue.bind(peer, "conn", inline_calls=frozenset({(344440, 3)}))
-    assert queue.submit("other", lambda: None)      # fill the queue
+    assert queue.submit("other", job())      # fill the queue
     peer.dispatcher(FakeHeader(344440, 3, xid=7), b"", None)
     assert peer.served == [(344440, 3)]             # served immediately
     assert peer.busied == []

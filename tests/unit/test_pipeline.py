@@ -237,7 +237,7 @@ def test_out_of_order_completion_with_duplicate_replay():
     arrival_xs = [ADD_ARGS.unpack(body).x for _h, body, _r in captured]
     # Serve newest-first: completions come back out of send order.
     for header, body, request in reversed(captured):
-        server.serve_queued(header, body, request)
+        server.serve(header, body, request)
     assert calls == list(reversed(arrival_xs))
     # A retransmission of the first request arrives late: the cache
     # answers it and the handler does not run again.
@@ -524,16 +524,17 @@ def test_wan_sequential_read_runs_near_line_rate():
 def test_several_readvs_are_in_flight_while_a_read_blocks():
     setup, path, data = _wan_file(depth=8, chunks=64)
     proc = setup.process
-    peer = _mount(setup).session.peer
+    mount = _mount(setup)
     in_flight = setup.metrics.gauge("rpc.window.in_flight")
     seen = []
-    wait_for = peer.wait_for
+    count = mount._ra_count
 
-    def watching(future):
-        seen.append(in_flight.value)
-        return wait_for(future)
+    def watching(event):
+        if event == "waits":  # a READ parks on a prefetch still in flight
+            seen.append(in_flight.value)
+        count(event)
 
-    peer.wait_for = watching
+    mount._ra_count = watching
     fd = proc.open(path)
     assert _read_all(proc, fd) == data
     assert max(seen) >= 2
