@@ -21,7 +21,8 @@ import time
 import pytest
 
 from repro.core.keyneg import EphemeralKeyCache
-from repro.core.readonly import ReadOnlyClient, ReadOnlyStore, publish
+from repro.core.readonly import (ReadOnlyClient, ReadOnlyStore,
+                                 local_fetchers, publish, run_local)
 from repro.core.client import ServerSession
 from repro.core import proto
 from repro.crypto.rabin import generate_key
@@ -74,16 +75,14 @@ def test_serving_cost_independent_of_clients(benchmark, capsys):
     n_clients = 20
 
     def serve_all() -> int:
-        store = ReadOnlyStore(image)
+        fetch_root, fetch_data = local_fetchers(ReadOnlyStore(image),
+                                                key.public_key.to_bytes())
         path = make_path("ro.example.com", key.public_key)
         served = 0
         for _ in range(n_clients):
-            client = ReadOnlyClient(
-                path,
-                fetch_root=lambda: _root_with_key(store, key),
-                fetch_data=store.get_data,
-            )
-            client.resolve_path("dir0")
+            client = ReadOnlyClient(path, run_local(fetch_root()),
+                                    fetch_data)
+            run_local(client.resolve_path("dir0"))
             served += 1
         return served
 
@@ -109,9 +108,3 @@ def test_serving_cost_independent_of_clients(benchmark, capsys):
          ("read-write", "5", "5 (one Rabin decrypt per key negotiation)")],
     )
     emit_table("ablation_ro_clients", table, capsys)
-
-
-def _root_with_key(store: ReadOnlyStore, key):
-    res = store.get_root()
-    res.public_key = key.public_key.to_bytes()
-    return res

@@ -32,12 +32,11 @@ key is gone before the next validate call anywhere in the fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from ..core.authserv import AuthServer, KeyDatabase, UserRecord
 from ..core.pathnames import SelfCertifyingPath, hostid_to_text
 from ..core.readonly import ReadOnlyClient, ReadOnlyImage, ReadOnlyStore, \
-    publish
+    local_fetchers, publish, run_local
 from ..crypto.rabin import PrivateKey, generate_key
 from ..crypto.sha1 import sha1
 from ..fleet.sharding import DEFAULT_VNODES, HashRing
@@ -285,24 +284,17 @@ class AuthFleet:
         validate call can run.
         """
         image = self._images[shard.location].replicate()
-        store = ReadOnlyStore(image)
-
-        def fetch_root():
-            res = store.get_root()
-            return SimpleNamespace(
-                root_bytes=res.root_bytes, signature=res.signature,
-                public_key=image.public_key_bytes,
-            )
-
+        fetch_root, fetch_data = local_fetchers(ReadOnlyStore(image),
+                                                image.public_key_bytes)
         client = ReadOnlyClient(
-            image.path(), fetch_root, store.get_data,
+            image.path(), run_local(fetch_root()), fetch_data,
             min_serial=self._serials[shard.location],
         )
         db = self._imports[shard.location]
-        users_digest = client.resolve_path("users")
+        users_digest = run_local(client.resolve_path("users"))
         seen: set[str] = set()
-        for name, digest in client.listdir(users_digest):
-            entry = AuthDbEntry.unpack(client.read_file(digest))
+        for name, digest in run_local(client.listdir(users_digest)):
+            entry = AuthDbEntry.unpack(run_local(client.read_file(digest)))
             seen.add(entry.user)
             existing = db.lookup_user(entry.user)
             if (existing is not None

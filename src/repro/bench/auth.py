@@ -43,9 +43,9 @@ from ..load.harness import LoadConfig, LoadReport, dial, poisson_arrivals, \
 from ..rpc.peer import RpcBusy, RpcError
 
 #: Modeled client CPU per eksblowfish expansion (seconds of virtual
-#: time); a login at cost c is charged ``HARDEN_UNIT * 2**c``.  The
+#: time); a login at cost c costs ``HARDEN_UNIT * 2**c``.  The
 #: protocol legs of the cost sweep run for real — only the hardening
-#: charge is modeled, so the sweep stays deterministic across hosts.
+#: is modeled, so the sweep stays deterministic across hosts.
 HARDEN_UNIT = 0.0008
 
 #: A storm: ``clients`` login accounts with one live session each,
@@ -259,8 +259,8 @@ def run_cost_sweep(costs=(2, 4, 6), seed: int = 2026,
     Each cost gets a fresh World: one server, one enrolled user, one
     real ``sfskey add`` (SRP over the authserv service, through the
     admission queue).  The protocol legs are measured in simulated
-    time; the client-side hardening is charged to the virtual clock as
-    ``HARDEN_UNIT * 2**cost`` (see :data:`HARDEN_UNIT`).
+    time; the client-side hardening, ``HARDEN_UNIT * 2**cost`` (see
+    :data:`HARDEN_UNIT`), is added to the row.
     """
     rows = []
     for cost in costs:
@@ -290,7 +290,6 @@ def run_cost_sweep(costs=(2, 4, 6), seed: int = 2026,
                             "files.test", password, world.rng)
         protocol = clock.now - begin
         harden = HARDEN_UNIT * (1 << cost)
-        clock.advance(harden)
         assert result.key is not None and agent.key_count == 1
         service = 2 * service_time  # SRP_INIT + SRP_CONFIRM service legs
         rows.append({

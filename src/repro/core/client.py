@@ -1447,51 +1447,54 @@ def _uid_from_authsys(cred: OpaqueAuth) -> int:
 # ---------------------------------------------------------------------------
 
 
+def readonly_fetchers(session: ServerSession):
+    """GETROOT and GETDATA on a read-only *session*'s peer:
+    ``(fetch_root, fetch_data)``, task generators (``yield from``).
+    The root carries the key the session's ServInfo announced, which
+    :class:`ReadOnlyClient` checks against the pathname."""
+    peer = session.peer
+
+    def fetch_root():
+        res = yield from peer.call_task(
+            proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETROOT,
+            VOID, None, proto.GetRootRes,
+        )
+        res.public_key = session.servinfo.public_key
+        return res
+
+    def fetch_data(digest: bytes):
+        disc, body = yield from peer.call_task(
+            proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETDATA,
+            proto.GetDataArgs, proto.GetDataArgs.make(digest=digest),
+            proto.GetDataRes,
+        )
+        return body if disc == proto.GETDATA_OK else None
+
+    return fetch_root, fetch_data
+
+
 class ReadOnlyMount:
     """Serves a verified read-only file system to the kernel as NFS.
 
     Handles are the 20-byte content digests themselves — self-verifying
     names all the way down.
 
-    The transport is a pair of fetch callbacks: a single session's RPC
-    stubs (:meth:`from_session`, the classic one-server mount) or a
-    :class:`~repro.fleet.replicas.ReplicaSet`'s latency-ranked,
-    tamper-demoting fetchers (the fleet's untrusted mirror tier).
-    Verification lives in :class:`ReadOnlyClient` either way — where
-    the bytes came from never changes what is accepted.
+    The transport is a verified GETROOT reply and a GETDATA fetcher: a
+    single session's (:func:`readonly_fetchers`, the classic one-server
+    mount) or a :class:`~repro.fleet.replicas.ReplicaSet`'s
+    latency-ranked, tamper-demoting one (the fleet's untrusted mirror
+    tier).  Verification lives in :class:`ReadOnlyClient` either way —
+    where the bytes came from never changes what is accepted.  The
+    handlers are generators: they yield while a fetch is out.
     """
 
     def __init__(self, daemon: "SfsClientDaemon", path: SelfCertifyingPath,
-                 fetch_root, fetch_data, fsid: int) -> None:
+                 root_res: Record, fetch_data, fsid: int) -> None:
         self.daemon = daemon
         self.fsid = fsid
-        self.client = ReadOnlyClient(path, fetch_root, fetch_data,
+        self.client = ReadOnlyClient(path, root_res, fetch_data,
                                      metrics=daemon.metrics)
         self.program = self._build_program()
-
-    @classmethod
-    def from_session(cls, daemon: "SfsClientDaemon", session: ServerSession,
-                     fsid: int) -> "ReadOnlyMount":
-        """The one-server transport: both callbacks on *session*'s peer."""
-        store_peer = session.peer
-
-        def fetch_root() -> Record:
-            res = store_peer.call(
-                proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETROOT,
-                VOID, None, proto.GetRootRes,
-            )
-            res.public_key = session.servinfo.public_key
-            return res
-
-        def fetch_data(digest: bytes) -> bytes | None:
-            disc, body = store_peer.call(
-                proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETDATA,
-                proto.GetDataArgs, proto.GetDataArgs.make(digest=digest),
-                proto.GetDataRes,
-            )
-            return body if disc == proto.GETDATA_OK else None
-
-        return cls(daemon, session.path, fetch_root, fetch_data, fsid)
 
     def root_handle(self) -> bytes:
         return self.client.root_digest
@@ -1534,12 +1537,13 @@ class ReadOnlyMount:
 
     def _node(self, digest: bytes):
         try:
-            return self.client.node(digest)
+            return (yield from self.client.node(digest))
         except ReadOnlyError:
             return None
 
-    def _fattr(self, digest: bytes) -> Record | None:
-        node = self._node(digest)
+    def _fattr(self, digest: bytes):
+        """The attributes of *digest*'s node, or None (``yield from``)."""
+        node = yield from self._node(digest)
         if node is None:
             return None
         kind, body = node
@@ -1560,22 +1564,23 @@ class ReadOnlyMount:
         )
 
     def _getattr(self, args: Record, ctx: CallContext):
-        attrs = self._fattr(args.object)
+        attrs = yield from self._fattr(args.object)
         if attrs is None:
             return nfs_const.NFS3ERR_STALE, None
         return nfs_const.NFS3_OK, Record(obj_attributes=attrs)
 
     def _lookup(self, args: Record, ctx: CallContext):
         try:
-            child = self.client.lookup(args.what.dir, args.what.name)
+            child = yield from self.client.lookup(args.what.dir,
+                                                  args.what.name)
         except ReadOnlyError:
             return nfs_const.NFS3ERR_NOENT, Record(
-                dir_attributes=self._fattr(args.what.dir)
+                dir_attributes=(yield from self._fattr(args.what.dir))
             )
         return nfs_const.NFS3_OK, Record(
             object=child,
-            obj_attributes=self._fattr(child),
-            dir_attributes=self._fattr(args.what.dir),
+            obj_attributes=(yield from self._fattr(child)),
+            dir_attributes=(yield from self._fattr(args.what.dir)),
         )
 
     def _access(self, args: Record, ctx: CallContext):
@@ -1583,33 +1588,36 @@ class ReadOnlyMount:
                                  | nfs_const.ACCESS3_LOOKUP
                                  | nfs_const.ACCESS3_EXECUTE)
         return nfs_const.NFS3_OK, Record(
-            obj_attributes=self._fattr(args.object), access=granted
+            obj_attributes=(yield from self._fattr(args.object)),
+            access=granted,
         )
 
     def _readlink(self, args: Record, ctx: CallContext):
         try:
-            target = self.client.readlink(args.symlink)
+            target = yield from self.client.readlink(args.symlink)
         except ReadOnlyError:
             return nfs_const.NFS3ERR_INVAL, Record(symlink_attributes=None)
         return nfs_const.NFS3_OK, Record(
-            symlink_attributes=self._fattr(args.symlink), data=target
+            symlink_attributes=(yield from self._fattr(args.symlink)),
+            data=target,
         )
 
     def _read(self, args: Record, ctx: CallContext):
         try:
-            data = self.client.read_file(args.file, args.offset, args.count)
-            kind, body = self.client.node(args.file)
+            data = yield from self.client.read_file(args.file, args.offset,
+                                                    args.count)
+            kind, body = yield from self.client.node(args.file)
         except ReadOnlyError:
             return nfs_const.NFS3ERR_IO, Record(file_attributes=None)
         eof = args.offset + len(data) >= body.size
         return nfs_const.NFS3_OK, Record(
-            file_attributes=self._fattr(args.file),
+            file_attributes=(yield from self._fattr(args.file)),
             count=len(data), eof=eof, data=data,
         )
 
     def _readdir(self, args: Record, ctx: CallContext):
         try:
-            listing = self.client.listdir(args.dir)
+            listing = yield from self.client.listdir(args.dir)
         except ReadOnlyError:
             return nfs_const.NFS3ERR_NOTDIR, Record(dir_attributes=None)
         entries = []
@@ -1621,13 +1629,13 @@ class ReadOnlyMount:
                 name=name, cookie=position,
             ))
         return nfs_const.NFS3_OK, Record(
-            dir_attributes=self._fattr(args.dir),
+            dir_attributes=(yield from self._fattr(args.dir)),
             cookieverf=b"\x00" * 8, entries=entries, eof=True,
         )
 
     def _fsinfo(self, args: Record, ctx: CallContext):
         return nfs_const.NFS3_OK, Record(
-            obj_attributes=self._fattr(args.fsroot),
+            obj_attributes=(yield from self._fattr(args.fsroot)),
             rtmax=65536, rtpref=8192, rtmult=512,
             wtmax=0, wtpref=0, wtmult=512, dtpref=8192,
             maxfilesize=1 << 62,
@@ -1727,9 +1735,9 @@ class SfsClientDaemon:
                              "location")
         self._replicas[path.hostid] = tuple(locations)
 
-    def _mount_replicated(self, path: SelfCertifyingPath,
-                          uid: int) -> "ReadOnlyMount":
-        """Build a read-only mount whose transport is the replica set."""
+    def _mount_replicated(self, path: SelfCertifyingPath, uid: int):
+        """Build a read-only mount whose transport is the replica set
+        (``yield from``; returns the :class:`ReadOnlyMount`)."""
         from ..fleet.replicas import Replica, ReplicaSet, dial_readonly
 
         def dialer_for(location: str):
@@ -1747,7 +1755,8 @@ class SfsClientDaemon:
         fsid = self._next_fsid
         self._next_fsid += 1
         try:
-            mount = ReadOnlyMount(self, path, replica_set.fetch_root,
+            mount = ReadOnlyMount(self, path,
+                                  (yield from replica_set.fetch_root()),
                                   replica_set.fetch_data, fsid)
         except ReadOnlyError as exc:
             raise MountError(
@@ -1788,7 +1797,7 @@ class SfsClientDaemon:
             # A registered replica tier replaces the single-server dial:
             # the ReplicaSet picks (and re-picks) which mirror actually
             # answers, with its own failover and demotion policy.
-            return self._mount_replicated(path, uid)
+            return (yield from self._mount_replicated(path, uid))
         # A hostile network can drop handshake records; in-call
         # retransmission covers most of that, but a reply lost *after*
         # the server armed its secure channel strands the plaintext
@@ -1834,9 +1843,10 @@ class SfsClientDaemon:
         fsid = self._next_fsid
         self._next_fsid += 1
         if session.servinfo.dialect == proto.DIALECT_RO:
+            fetch_root, fetch_data = readonly_fetchers(session)
             try:
-                mount: MountedRemoteFs | ReadOnlyMount = \
-                    ReadOnlyMount.from_session(self, session, fsid)
+                mount: MountedRemoteFs | ReadOnlyMount = ReadOnlyMount(
+                    self, path, (yield from fetch_root()), fetch_data, fsid)
             except ReadOnlyError as exc:
                 # Bad signature / wrong key: the mount simply does not
                 # exist from this client's point of view.

@@ -16,7 +16,10 @@ once per version.  A :class:`ReadOnlyServer` (or any untrusted mirror
 holding the same image) answers two procedures: GETROOT (the signed root)
 and GETDATA (bytes for a digest).  The :class:`ReadOnlyClient` verifies
 the root signature against the self-certifying pathname and every fetched
-blob against its digest, so a tampering mirror is always detected.
+blob against its digest, so a tampering mirror is always detected.  Its
+reads are task generators (``yield from``) that wait as long as their
+fetches do; a reader holding the image itself runs them with
+:func:`run_local` over :func:`local_fetchers`.
 """
 
 from __future__ import annotations
@@ -195,18 +198,48 @@ class ReadOnlyStore:
         return self.image.store.get(digest)
 
 
+def local_fetchers(store: ReadOnlyStore, public_key_bytes: bytes):
+    """GETROOT and GETDATA over a *store* this process holds, for a
+    reader that has the image itself: ``(fetch_root, fetch_data)``, task
+    generators that never wait.  The root carries *public_key_bytes*,
+    which the reader still checks against the pathname."""
+    def fetch_root():
+        yield from ()
+        res = store.get_root()
+        res.public_key = public_key_bytes
+        return res
+
+    def fetch_data(digest: bytes):
+        yield from ()
+        return store.get_data(digest)
+
+    return fetch_root, fetch_data
+
+
+def run_local(task):
+    """Run a read-only task over :func:`local_fetchers` to its result."""
+    try:
+        waited = task.send(None)
+    except StopIteration as stop:
+        return stop.value
+    task.close()
+    raise RuntimeError(f"a local read-only fetch waited on {waited!r}")
+
+
 class ReadOnlyClient:
     """Verifying client view of a read-only file system.
 
-    *fetch_root* and *fetch_data* are transport callbacks (bound to RPC
-    stubs by the client daemon, or directly to a store in tests).  Every
+    *root_res* is the GETROOT reply, with the server's public key
+    attached as ``public_key``; *fetch_data* is the GETDATA transport, a
+    generator function returning a blob or None (an RPC stub of the
+    client daemon's, a replica set's, or :func:`local_fetchers`).  Every
     byte returned by this class has been verified against the signed
     root: the root signature is checked against the public key that the
     self-certifying pathname commits to, and every blob is re-hashed.
     """
 
-    def __init__(self, path: SelfCertifyingPath, fetch_root, fetch_data,
-                 min_serial: int = 0,
+    def __init__(self, path: SelfCertifyingPath, root_res: Record,
+                 fetch_data, min_serial: int = 0,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  metrics=NULL_REGISTRY) -> None:
         self._path = path
@@ -219,7 +252,6 @@ class ReadOnlyClient:
         self._m_cache_hits = metrics.counter("readonly.cache_hits")
         self._m_cache_misses = metrics.counter("readonly.cache_misses")
         self._m_cache_evictions = metrics.counter("readonly.cache_evictions")
-        root_res = fetch_root()
         try:
             public_key = PublicKey.from_bytes(
                 # The server's key arrives out of band in the connect
@@ -256,9 +288,9 @@ class ReadOnlyClient:
             raise ReadOnlyError("transport did not supply the server key")
         return key_bytes
 
-    # --- verified fetching ---------------------------------------------------
+    # --- verified fetching (each a task: ``yield from``) ----------------------
 
-    def fetch(self, digest: bytes) -> bytes:
+    def fetch(self, digest: bytes):
         """Fetch and verify one blob by digest."""
         cached = self._cache.get(digest)
         if cached is not None:
@@ -266,7 +298,7 @@ class ReadOnlyClient:
             self._m_cache_hits.inc()
             return cached
         self._m_cache_misses.inc()
-        blob = self._fetch_data(digest)
+        blob = yield from self._fetch_data(digest)
         if blob is None:
             raise ReadOnlyError(f"server has no data for {digest.hex()[:12]}")
         if sha1(blob) != digest:
@@ -279,17 +311,18 @@ class ReadOnlyClient:
             self._m_cache_evictions.inc()
         return blob
 
-    def node(self, digest: bytes) -> tuple[int, Record]:
-        """Fetch and decode a file system node."""
+    def node(self, digest: bytes):
+        """Fetch and decode a file system node: ``(kind, body)``."""
+        blob = yield from self.fetch(digest)
         try:
-            return RoNode.unpack(self.fetch(digest))
+            return RoNode.unpack(blob)
         except XdrError as exc:
             raise ReadOnlyError(f"malformed node: {exc}") from None
 
     # --- navigation ------------------------------------------------------------
 
-    def lookup(self, dir_digest: bytes, name: str) -> bytes:
-        kind, body = self.node(dir_digest)
+    def lookup(self, dir_digest: bytes, name: str):
+        kind, body = yield from self.node(dir_digest)
         if kind != RO_DIR:
             raise ReadOnlyError("lookup in a non-directory")
         for entry in body.entries:
@@ -297,21 +330,21 @@ class ReadOnlyClient:
                 return entry.digest
         raise ReadOnlyError(f"no entry {name!r}")
 
-    def listdir(self, dir_digest: bytes) -> list[tuple[str, bytes]]:
-        kind, body = self.node(dir_digest)
+    def listdir(self, dir_digest: bytes):
+        kind, body = yield from self.node(dir_digest)
         if kind != RO_DIR:
             raise ReadOnlyError("listdir on a non-directory")
         return [(entry.name, entry.digest) for entry in body.entries]
 
-    def readlink(self, digest: bytes) -> str:
-        kind, body = self.node(digest)
+    def readlink(self, digest: bytes):
+        kind, body = yield from self.node(digest)
         if kind != RO_LNK:
             raise ReadOnlyError("readlink on a non-symlink")
         return body.target
 
     def read_file(self, digest: bytes, offset: int = 0,
-                  count: int | None = None) -> bytes:
-        kind, body = self.node(digest)
+                  count: int | None = None):
+        kind, body = yield from self.node(digest)
         if kind != RO_REG:
             raise ReadOnlyError("read of a non-file")
         # The root signature proves the publisher signed this node, not
@@ -335,7 +368,7 @@ class ReadOnlyClient:
         first = offset // CHUNK_SIZE
         last = (end - 1) // CHUNK_SIZE
         for index in range(first, last + 1):
-            chunk = self.fetch(body.chunks[index])
+            chunk = yield from self.fetch(body.chunks[index])
             expected_len = (CHUNK_SIZE if index < chunk_count - 1
                             else size - (chunk_count - 1) * CHUNK_SIZE)
             if len(chunk) != expected_len:
@@ -350,10 +383,10 @@ class ReadOnlyClient:
         skip = offset - first * CHUNK_SIZE
         return bytes(out[skip : skip + (end - offset)])
 
-    def resolve_path(self, rest: str) -> bytes:
+    def resolve_path(self, rest: str):
         """Walk a /-separated path from the root; returns the digest."""
         digest = self.root_digest
         for part in rest.split("/"):
             if part:
-                digest = self.lookup(digest, part)
+                digest = yield from self.lookup(digest, part)
         return digest

@@ -492,8 +492,7 @@ class SfsServerMaster:
             self.clock, metrics=self.metrics
         )
         export.loop_links = (loop_client_side, loop_server_side)
-        export.nfs_server = Nfs3Server(export.fs, metrics=self.metrics,
-                                       clock=self.clock)
+        export.nfs_server = Nfs3Server(export.fs, metrics=self.metrics)
         export.nfs_server._mutation_hook = export.on_mutation
         export.nfs_client = Nfs3Client(RpcPeer(loop_client_side,
                                                "sfssd-nfsc"))

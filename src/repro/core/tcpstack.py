@@ -24,19 +24,32 @@ class TcpServerHost:
         self._connections = []
 
         def session(pipe: TcpPipe) -> None:
-            # A relayed call yields while the local NFS server, on the
-            # master's virtual clock, answers: run what falls due after
-            # each record the connection delivers.
+            # A relayed call yields while the local NFS server answers,
+            # on the master's virtual clock and after any disk wait it
+            # booked: after each record the connection delivers, run
+            # that clock until the connection has no relay in flight.
             install = pipe.on_receive
+            clock = master.clock
+
+            def relaying() -> bool:
+                export = connection.export
+                return export is not None and any(
+                    relay is connection
+                    for relay, _changed in export.in_flight.values())
 
             def on_receive(handler) -> None:
                 def deliver(record: bytes) -> None:
                     handler(record)
-                    master.clock.advance(0.0)
+                    deadline = clock.now
+                    while deadline is not None:
+                        clock.advance(max(0.0, deadline - clock.now))
+                        deadline = clock.next_deadline() if relaying() \
+                            else None
                 install(deliver)
 
             pipe.on_receive = on_receive
-            self._connections.append(master.accept(pipe))
+            connection = master.accept(pipe)
+            self._connections.append(connection)
 
         self._listener = TcpListener(host, port, session)
         self.host = host

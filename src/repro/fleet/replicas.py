@@ -25,12 +25,16 @@ adds is availability policy:
   :class:`~repro.core.backoff.BackoffPolicy` paces re-probing (with
   jitter, so a fleet of clients does not stampede recovering mirrors),
   exactly like the read-write failover engine it composes with.
+
+Dialing and fetching are task generators (``yield from``): a fetch
+yields while its RPC is out and a backoff is ``yield Sleep(delay)``, so
+the read-only mount's handlers wait without running the clock.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, Generator
 
 from ..core import proto
 from ..core.backoff import BackoffPolicy
@@ -38,8 +42,8 @@ from ..core.readonly import ReadOnlyError
 from ..crypto.sha1 import sha1
 from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import RpcError
-from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
+from ..sim.sched import Sleep
 
 #: A transient failure sidelines a replica for this many (simulated)
 #: seconds before it becomes eligible for redial.
@@ -48,9 +52,9 @@ DEFAULT_COOLDOWN = 1.0
 #: EWMA smoothing for observed fetch latency.
 LATENCY_ALPHA = 0.3
 
-#: dial() -> (fetch_root, fetch_data); raises ConnectionError/RpcError.
-Dialer = Callable[[], tuple[Callable[[], Record],
-                            Callable[[bytes], "bytes | None"]]]
+#: dial() -> a task (``yield from``) returning (fetch_root, fetch_data),
+#: themselves generator functions; raises ConnectionError/RpcError.
+Dialer = Callable[[], Generator]
 
 
 class ReplicaMisconductError(Exception):
@@ -60,7 +64,8 @@ class ReplicaMisconductError(Exception):
 
 
 def dial_readonly(connector, location: str, path, ephemeral_keys, rng):
-    """Dial *location* and speak the read-only dialect for *path*.
+    """Dial *location* and speak the read-only dialect for *path*
+    (``yield from``; returns the session's fetchers).
 
     The dial location and the pathname's Location may differ — that is
     the whole replica tier: an untrusted mirror at ``mirror7.volunteer``
@@ -69,13 +74,15 @@ def dial_readonly(connector, location: str, path, ephemeral_keys, rng):
     *publisher's* key, which must hash to the pathname's HostID).
     """
     # Runtime import: core.client lazily imports this module too.
-    from ..core.client import MountError, SecurityError, ServerSession
+    from ..core.client import (MountError, SecurityError, ServerSession,
+                               readonly_fetchers)
 
     link = connector(location, proto.SERVICE_READONLY)
+    peer, pipe = ServerSession._transport(link, path)
     try:
-        outcome = ServerSession.connect(link, path, ephemeral_keys, rng,
-                                        service=proto.SERVICE_READONLY,
-                                        encrypt=False)
+        outcome = yield from ServerSession.connect_task(
+            peer, pipe, path, ephemeral_keys, rng,
+            service=proto.SERVICE_READONLY, encrypt=False)
     except SecurityError as exc:
         # Wrong key for the HostID: an impostor, not an outage.
         raise ReplicaMisconductError(f"{location}: {exc}") from None
@@ -89,25 +96,7 @@ def dial_readonly(connector, location: str, path, ephemeral_keys, rng):
             f"{location} does not serve the read-only dialect for "
             f"{path.mount_name}"
         )
-    peer = outcome.peer
-
-    def fetch_root() -> Record:
-        res = peer.call(
-            proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETROOT,
-            VOID, None, proto.GetRootRes,
-        )
-        res.public_key = outcome.servinfo.public_key
-        return res
-
-    def fetch_data(digest: bytes) -> bytes | None:
-        disc, body = peer.call(
-            proto.SFS_RO_PROGRAM, proto.SFS_VERSION, proto.PROC_GETDATA,
-            proto.GetDataArgs, proto.GetDataArgs.make(digest=digest),
-            proto.GetDataRes,
-        )
-        return body if disc == proto.GETDATA_OK else None
-
-    return fetch_root, fetch_data
+    return readonly_fetchers(outcome)
 
 
 class Replica:
@@ -142,7 +131,7 @@ class Replica:
 
     def _connected(self):
         if self._fetchers is None:
-            self._fetchers = self._dial()
+            self._fetchers = yield from self._dial()
         return self._fetchers
 
     def _observe(self, seconds: float) -> None:
@@ -152,18 +141,18 @@ class Replica:
             self.latency = (LATENCY_ALPHA * seconds
                             + (1.0 - LATENCY_ALPHA) * self.latency)
 
-    def fetch_root(self) -> Record:
-        fetch_root, _ = self._connected()
+    def fetch_root(self):
+        fetch_root, _ = yield from self._connected()
         start = self.clock.now
-        res = fetch_root()
+        res = yield from fetch_root()
         self._observe(self.clock.now - start)
         self.fetches += 1
         return res
 
-    def fetch_data(self, digest: bytes) -> bytes | None:
-        _, fetch_data = self._connected()
+    def fetch_data(self, digest: bytes):
+        _, fetch_data = yield from self._connected()
         start = self.clock.now
-        blob = fetch_data(digest)
+        blob = yield from fetch_data(digest)
         self._observe(self.clock.now - start)
         self.fetches += 1
         return blob
@@ -197,7 +186,8 @@ class ReplicaSet:
     """Verified fetching with latency-ranked selection over mirrors.
 
     Drop-in transport for :class:`~repro.core.readonly.ReadOnlyClient`:
-    pass :meth:`fetch_root` and :meth:`fetch_data` as its callbacks.
+    give it what :meth:`fetch_root` returns and :meth:`fetch_data`, both
+    task generators (``yield from``).
     ``fetch_data`` verifies the digest *before* returning, so a
     tampering mirror costs one extra round trip, never a wrong byte
     (the ReadOnlyClient re-checks, making the invariant double-entry).
@@ -258,10 +248,11 @@ class ReplicaSet:
         tied = [replica for replica in usable if replica.rank() == best]
         return tied[0] if len(tied) == 1 else self.rng.choice(tied)
 
-    def _candidates(self):
-        """Yield usable replicas best-first until none remain, pacing
-        full-set outages with the jittered backoff policy."""
-        tried: set[str] = set()
+    def _candidate(self, tried: set[str]):
+        """The best usable replica not in *tried*, which it joins, or
+        None when none is left (``yield from``).  A full-set outage is
+        paced by the jittered backoff policy: wait out cooldowns, then
+        start a fresh round over anything that recovered."""
         while True:
             usable = sorted(
                 (replica for replica in self.replicas
@@ -270,34 +261,29 @@ class ReplicaSet:
             )
             if usable:
                 tried.add(usable[0].name)
-                yield usable[0]
-                continue
-            # Everyone left is sidelined (or already tried and failed
-            # this round): wait out cooldowns under backoff, then allow
-            # a fresh round over anything that recovered.
-            recovered = False
+                return usable[0]
             for delay in self.backoff.delays(self.rng):
                 if delay:
                     self._m_backoff_waits.inc()
-                    self.clock.advance(delay)
+                    yield Sleep(delay)
                 if any(replica.usable() for replica in self.replicas):
-                    recovered = True
                     break
-            if not recovered:
-                return
+            else:
+                return None
             tried.clear()
 
     # -- the ReadOnlyClient transport surface -------------------------------
 
-    def fetch_root(self) -> Record:
+    def fetch_root(self):
         """GETROOT from the best mirror, failing over past dead ones."""
+        tried: set[str] = set()
         first = True
-        for replica in self._candidates():
+        while (replica := (yield from self._candidate(tried))) is not None:
             if not first:
                 self._m_failovers.inc()
             first = False
             try:
-                res = replica.fetch_root()
+                res = yield from replica.fetch_root()
             except (ConnectionError, OSError, RpcError):
                 self._demote(replica)
                 continue
@@ -308,16 +294,17 @@ class ReplicaSet:
             return res
         raise ReadOnlyError("no replica answered GETROOT")
 
-    def fetch_data(self, digest: bytes) -> bytes | None:
+    def fetch_data(self, digest: bytes):
         """One verified blob: correct bytes from *some* mirror, or an
         error — never unverified data, whatever any mirror does."""
+        tried: set[str] = set()
         first = True
-        for replica in self._candidates():
+        while (replica := (yield from self._candidate(tried))) is not None:
             if not first:
                 self._m_failovers.inc()
             first = False
             try:
-                blob = replica.fetch_data(digest)
+                blob = yield from replica.fetch_data(digest)
             except (ConnectionError, OSError, RpcError):
                 self._demote(replica)
                 continue

@@ -238,27 +238,30 @@ class JournalRecord:
 class BufferCache:
     """A block-granular buffer cache for disk-time accounting.
 
-    Tracks which (inode, block) pairs are resident in server memory:
-    reads of resident blocks cost no disk time; misses charge the disk
-    and insert.  Simple FIFO eviction at a fixed capacity, standing in
-    for the machine's page cache (the paper's server had 256 MB).
+    Tracks which (inode, block) pairs are resident in server memory, and
+    from when: reads of resident blocks cost no disk time; misses charge
+    the disk and insert, ready once the disk has read them, and a read
+    of a block still on its way waits for it.  Simple FIFO eviction at a
+    fixed capacity, standing in for the machine's page cache (the
+    paper's server had 256 MB).
     """
 
     def __init__(self, capacity_blocks: int = 16384) -> None:
         self._capacity = capacity_blocks
-        self._resident: dict[tuple[int, int], None] = {}
+        self._resident: dict[tuple[int, int], float] = {}
 
-    def contains(self, ino: int, block: int) -> bool:
-        return (ino, block) in self._resident
+    def ready_at(self, ino: int, block: int) -> float | None:
+        """When the block is (or was) in memory; None if it is not."""
+        return self._resident.get((ino, block))
 
-    def insert(self, ino: int, block: int) -> None:
+    def insert(self, ino: int, block: int, ready: float = 0.0) -> None:
         key = (ino, block)
         if key in self._resident:
             return
         if len(self._resident) >= self._capacity:
             oldest = next(iter(self._resident))
             del self._resident[oldest]
-        self._resident[key] = None
+        self._resident[key] = ready
 
 
 class MemFs:
@@ -345,9 +348,11 @@ class MemFs:
         if want & ~bits:
             raise FsError(ERR_ACCES, f"need {want:o}, have {bits:o}")
 
-    def _charge_read(self, inode: Inode, nbytes: int) -> None:
-        if self.disk is not None:
-            self.disk.read(inode.ino * 16, max(nbytes, 512))
+    def _charge_read(self, inode: Inode, nbytes: int) -> float:
+        """Book a read; returns when its data is in memory."""
+        if self.disk is None:
+            return 0.0
+        return self.disk.read(inode.ino * 16, max(nbytes, 512))
 
     def _charge_write(self, inode: Inode, nbytes: int, sync: bool) -> None:
         if self.disk is not None:
@@ -672,23 +677,30 @@ class MemFs:
 
         Holes cost nothing (sparse files never touch the disk) and
         buffer-cache hits cost nothing (reads of recently written or
-        recently read data are served from server memory).
+        recently read data are served from server memory) — but a hit
+        on a block an earlier request is still reading waits for it.
         """
-        if self.disk is None or count <= 0:
+        disk = self.disk
+        if disk is None or count <= 0:
             return
         assert inode.data is not None
         first = offset // _BLOCK
         last = (offset + count - 1) // _BLOCK
-        miss_bytes = 0
+        missed = []
+        pending = 0.0
         for block in range(first, last + 1):
             if block not in inode.data._blocks:
                 continue
-            if self.buffer_cache.contains(inode.ino, block):
-                continue
-            self.buffer_cache.insert(inode.ino, block)
-            miss_bytes += _BLOCK
-        if miss_bytes:
-            self._charge_read(inode, miss_bytes)
+            ready = self.buffer_cache.ready_at(inode.ino, block)
+            if ready is None:
+                missed.append(block)
+            elif ready > pending:
+                pending = ready
+        if missed:
+            ready = self._charge_read(inode, len(missed) * _BLOCK)
+            for block in missed:
+                self.buffer_cache.insert(inode.ino, block, ready)
+        disk.wait_until(pending)
 
     def write(self, ino: int, offset: int, data: bytes, cred: Cred,
               sync: bool = False) -> int:

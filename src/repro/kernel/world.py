@@ -205,8 +205,7 @@ class ClientMachine:
         disk = Disk(world.clock, DiskParameters.ibm_18es(),
                     metrics=self.metrics) if with_disk else None
         self.local_fs = MemFs(fsid=0x100, disk=disk)
-        self.local_server = Nfs3Server(self.local_fs, metrics=self.metrics,
-                                       clock=world.clock)
+        self.local_server = Nfs3Server(self.local_fs, metrics=self.metrics)
         self.kernel.mount_root(self.local_server.program,
                                self.local_server.root_handle())
         self.mounter = NfsMounter(self.kernel)
@@ -267,8 +266,7 @@ class ClientMachine:
         from ..rpc.peer import RpcPeer as _RpcPeer
 
         _path, fs, _auth = server.exports[export]
-        nfsd = Nfs3Server(fs, metrics=self.world.metrics,
-                          clock=self.world.clock)
+        nfsd = Nfs3Server(fs, metrics=self.world.metrics)
         mountd = MountServer()
         mountd.add_export(export_dir, nfsd.root_handle())
         media = ({"a->b": server.nic_rx, "b->a": server.nic_tx}

@@ -14,7 +14,6 @@ credentials", paper section 3).
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from ..fs.memfs import ANONYMOUS, Cred, FsError, Inode, MemFs
@@ -22,6 +21,7 @@ from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import CallContext, Program
 from ..rpc.rpcmsg import AUTH_SYS, AuthSys, RpcMsgError
 from ..rpc.xdr import Record
+from ..sim.sched import Sleep
 from . import const, types
 from .handles import BadHandle, PlainHandles
 
@@ -39,6 +39,12 @@ def _next_write_verf() -> bytes:
     return b"SFSW" + _BOOT_COUNTER.to_bytes(4, "big")
 
 CredMapper = Callable[[CallContext], Cred]
+
+
+def _reply_after(seconds: float, result):
+    """A served call's tail: wait *seconds* for the disk, then reply."""
+    yield Sleep(seconds)
+    return result
 
 
 def authsys_cred_mapper(ctx: CallContext) -> Cred:
@@ -68,21 +74,21 @@ class Nfs3Server:
         cred_mapper: CredMapper = authsys_cred_mapper,
         mutation_hook: Callable[[bytes], None] | None = None,
         metrics=None,
-        clock=None,
     ) -> None:
         self.fs = fs
         self.handles = handles or PlainHandles()
         self._cred_mapper = cred_mapper
         self._mutation_hook = mutation_hook
-        #: The call whose procedure is executing, while one is (a disk
-        #: charge can run another inside it; each sees its own).
+        #: The call whose procedure is executing, while one is.  A
+        #: procedure runs to its end without waiting, so no other call
+        #: can start inside it.
         self.caller: CallContext | None = None
         #: Per-op counts land in ``nfs3.ops.<op>`` / ``nfs3.errors.<op>``
-        #: and latencies in the ``nfs3.op_seconds`` histogram; servers
+        #: and each call's virtual seconds from dispatch to reply (its
+        #: disk wait) in the ``nfs3.op_seconds`` histogram; servers
         #: sharing a registry (client loopback, export relay target)
         #: aggregate into the same names.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._clock = clock
         self._op_seconds = self.metrics.histogram("nfs3.op_seconds")
         #: Changes every boot (every instance): WRITE/COMMIT return it so
         #: clients can tell when a restart may have lost unstable writes.
@@ -214,11 +220,23 @@ class Nfs3Server:
         err_counter = self.metrics.counter(f"nfs3.errors.{name.lower()}")
 
         def dispatch(args, ctx: CallContext):
-            previous, self.caller = self.caller, ctx
+            # The procedure runs without waiting; what it booked on the
+            # disk it waits out before replying, so that wait is the
+            # call's whole virtual time from dispatch to reply.
+            disk = self.fs.disk
+            self.caller = ctx
+            if disk is not None:
+                disk.start_call()
             try:
-                return serve(args, ctx)
+                result = serve(args, ctx)
             finally:
-                self.caller = previous
+                self.caller = None
+                wait = disk.finish_call() if disk is not None else 0.0
+            if self.metrics.enabled:
+                self._op_seconds.observe(wait)
+            if wait > 0.0:
+                return _reply_after(wait, result)
+            return result
 
         def serve(args, ctx: CallContext):
             if not self.metrics.enabled:
@@ -229,8 +247,6 @@ class Nfs3Server:
                     return exc.code, self._failure_body(args, handler)
             op_counter.inc()
             layers = self.metrics.layers
-            sim0 = self._clock.now if self._clock is not None else 0.0
-            cpu0 = time.perf_counter()
             layers.push("nfs3")
             try:
                 cred = self._cred_mapper(ctx)
@@ -241,9 +257,6 @@ class Nfs3Server:
                     return exc.code, self._failure_body(args, handler)
             finally:
                 layers.pop()
-                sim = ((self._clock.now - sim0)
-                       if self._clock is not None else 0.0)
-                self._op_seconds.observe(time.perf_counter() - cpu0 + sim)
         return dispatch
 
     def _failure_body(self, args, handler):

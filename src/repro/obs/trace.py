@@ -135,15 +135,18 @@ class LayerTracker:
     :meth:`pop` (or ``with layers.layer("crypto")``).  Time between a
     push and the next push/pop is charged to the pushed layer; time with
     an empty stack goes to the root bucket :data:`ROOT` (``"other"``).
-    Nested pushes suspend the outer layer, so totals are exclusive and
-    :meth:`breakdown` sums to exactly the time elapsed since
-    :meth:`reset`.
+    Nested pushes suspend the outer layer, so totals are exclusive.
+    A device that books time ahead (the disk) charges it with
+    :meth:`book` when it books, and the simulated time until the device
+    is done is not charged again; so :meth:`breakdown` sums to the time
+    elapsed since :meth:`reset` once every booking has passed.
     """
 
     ROOT = "other"
     enabled = True
 
-    __slots__ = ("_clock", "_stack", "_totals", "_cpu_mark", "_sim_mark")
+    __slots__ = ("_clock", "_stack", "_totals", "_cpu_mark", "_sim_mark",
+                 "_booked_until")
 
     def __init__(self, clock=None) -> None:
         self._clock = clock
@@ -151,6 +154,8 @@ class LayerTracker:
         self._totals: dict[str, list[float]] = {}
         self._cpu_mark = time.perf_counter()
         self._sim_mark = self._now_sim()
+        #: Simulated time before this was booked and charged ahead.
+        self._booked_until = 0.0
 
     def _now_sim(self) -> float:
         return self._clock.now if self._clock is not None else 0.0
@@ -163,7 +168,10 @@ class LayerTracker:
         if bucket is None:
             bucket = self._totals[name] = [0.0, 0.0]
         bucket[0] += cpu - self._cpu_mark
-        bucket[1] += sim - self._sim_mark
+        passed = sim - self._sim_mark
+        if self._booked_until > self._sim_mark:
+            passed -= min(sim, self._booked_until) - self._sim_mark
+        bucket[1] += passed
         self._cpu_mark = cpu
         self._sim_mark = sim
 
@@ -176,6 +184,17 @@ class LayerTracker:
         if self._stack:
             self._stack.pop()
 
+    def book(self, seconds: float, until: float) -> None:
+        """Charge *seconds* of device time to the innermost layer now,
+        for a device busy until simulated time *until*.  The time up to
+        *until* is not charged again as it passes, to whichever layer
+        is on the stack then."""
+        self._flush()
+        self._totals[self._stack[-1] if self._stack else self.ROOT][1] \
+            += seconds
+        if until > self._booked_until:
+            self._booked_until = until
+
     def layer(self, name: str) -> _LayerContext:
         return _LayerContext(self, name)
 
@@ -186,6 +205,7 @@ class LayerTracker:
         code is active further up the call stack.
         """
         self._totals.clear()
+        self._booked_until = 0.0
         self._cpu_mark = time.perf_counter()
         self._sim_mark = self._now_sim()
 
@@ -224,6 +244,9 @@ class NullLayerTracker:
         pass
 
     def pop(self) -> None:
+        pass
+
+    def book(self, seconds: float, until: float) -> None:
         pass
 
     def layer(self, name: str) -> _NullLayerContext:

@@ -1,18 +1,22 @@
-"""Virtual clock for the simulated machine.
+"""Virtual clock for the simulated machines.
 
 The paper's evaluation ran on real hardware (550 MHz Pentium IIIs, 100
-Mbit Ethernet, SCSI disks).  Our substrate is a simulator, so benchmark
-time is accounted as:
+Mbit Ethernet, SCSI disks).  Our substrate is a simulator: every
+machine in a World shares one virtual clock, and virtual time passes
+only by timers.  Devices do not stall the clock to charge their
+latency; they book it.  A link or NIC occupies a
+:class:`~repro.sim.network.Medium` and delivers each record from a
+timer at its arrival time; a disk occupies its arm the same way, and the
+NFS call that booked it sleeps until the disk is done.  The clock is
+advanced only by whoever waits at top level (a synchronous RPC caller,
+the World's pump, the scheduler), to the next timer's deadline.
 
-    reported time = measured CPU time + accumulated simulated device time
-
-Components (the disk model, the network links) charge their latencies to
-the clock with :meth:`Clock.advance`; CPU work simply takes real time that
-the harness measures around the workload.  This keeps benchmarks fast to
-run while preserving the *shape* of the paper's results: latency-bound
-phases are dominated by network round trips, sync-write phases by disk
-time, and crypto/user-level relay costs show up as genuine Python CPU
-time.
+Benchmarks report virtual seconds (what the modelled 1999 testbed would
+see: network round trips, disk seeks and transfers) next to host CPU
+seconds (what the Python simulator costs per operation; see
+:mod:`repro.bench.timing`), so latency-bound phases are dominated by
+round trips, sync-write phases by disk time, and crypto/user-level
+relay costs show up as genuine CPU time.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ class Clock:
     Callbacks registered with :meth:`call_at` fire from inside
     :meth:`advance` once the clock passes their deadline.  That is the
     only notion of "elapsed wall time" a single-threaded simulation has:
-    a server restart scheduled for t=5 happens during whatever sleep or
-    device charge crosses t=5 (e.g. a client's reconnect backoff).
+    a server restart scheduled for t=5 happens during whatever wait
+    crosses t=5 (e.g. a client's reconnect backoff).
     """
 
     def __init__(self) -> None:
@@ -60,21 +64,23 @@ class Clock:
         return self._timers[0][0] if self._timers else None
 
     def advance(self, seconds: float) -> None:
-        """Charge *seconds* of simulated device time."""
+        """Move time forward *seconds*, firing the timers that fall due."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
         self._now += seconds
         self._fire_due()
 
     def _fire_due(self) -> None:
-        # Re-entrant by design: a callback that advances the clock (a
-        # disk charge inside the NFS server's handler, say) drains the
-        # newly-due timers right there, from the inner frame.  Each
-        # timer is popped before its callback runs, so no frame can
-        # double-fire one, and the heap hands out deadlines
-        # earliest-first no matter which frame is draining — global
-        # firing order is exactly what a single flat drain would give.
-        # The relays do not nest here: their handlers yield.
+        # Re-entrant: a callback that waits synchronously drains the
+        # newly-due timers from its inner frame.  Devices book time and
+        # every RPC handler on the file-system paths yields, so the
+        # waits that still nest here are the agent's reads through the
+        # kernel, the agent proxy's calls and the unmount after a
+        # revocation.  Each timer is popped before its callback runs,
+        # so no frame can double-fire one, and the heap hands out
+        # deadlines earliest-first no matter which frame is draining —
+        # global firing order is exactly what a single flat drain would
+        # give.
         while self._timers and self._timers[0][0] <= self._now:
             _when, _seq, callback = heapq.heappop(self._timers)
             callback()

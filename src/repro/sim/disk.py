@@ -9,6 +9,14 @@ The model does not simulate data placement; it distinguishes sequential
 from random access by whether the accessed block follows the previous
 one, which captures the paper's observation that "disk seeks push
 throughput below 1 Mbyte/sec on anything but sequential accesses".
+
+The disk is a device, like a network link: each request books the arm
+on a :class:`~repro.sim.network.Medium`, queueing behind whatever it is
+still doing, and nothing stalls the clock.  The NFS server brackets
+each call it serves with :meth:`Disk.start_call` /
+:meth:`Disk.finish_call` and waits out what the call booked before it
+replies; a request made outside any served call (a test or a bench
+seeding the file system directly) books nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 
 from ..obs.registry import NULL_REGISTRY
 from .clock import Clock
+from .network import Medium
 
 
 @dataclass
@@ -35,7 +44,8 @@ class DiskParameters:
 
 
 class Disk:
-    """Charges simulated time for disk requests against a :class:`Clock`.
+    """One machine's disk: requests occupy its arm until
+    :attr:`busy_until` on the *clock*'s time line.
 
     The write-back cache is modelled explicitly: asynchronous writes
     enter a dirty set (keyed by caller-supplied *tag*, typically an
@@ -48,6 +58,11 @@ class Disk:
                  metrics=None) -> None:
         self._clock = clock
         self._params = params or DiskParameters()
+        self._arm = Medium("disk")
+        #: True between start_call and finish_call: requests book time.
+        self._in_call = False
+        #: When the disk is done with the served call's requests.
+        self._call_done = 0.0
         self._last_block: int | None = None
         self.reads = 0
         self.writes = 0
@@ -69,7 +84,39 @@ class Disk:
     def params(self) -> DiskParameters:
         return self._params
 
-    def _access(self, block: int, nbytes: int) -> None:
+    @property
+    def busy_until(self) -> float:
+        """When the arm finishes the last request booked on it."""
+        return self._arm.busy_until
+
+    def start_call(self) -> None:
+        """A served call begins: its requests book the arm."""
+        self._in_call = True
+        self._call_done = self._clock.now
+
+    def finish_call(self) -> float:
+        """The served call's handler is done: stop booking.  Returns the
+        seconds until the disk completes the call's requests, which the
+        call waits out before it replies (0.0: it booked nothing)."""
+        self._in_call = False
+        return self._call_done - self._clock.now
+
+    def wait_until(self, when: float) -> None:
+        """The served call needs data an earlier request is still
+        reading, which is in memory at *when*: it replies no sooner."""
+        if self._in_call and when > self._call_done:
+            self._call_done = when
+
+    def _book(self, seconds: float) -> None:
+        """Occupy the arm for *seconds* after what it is doing already."""
+        if self._in_call:
+            self._arm.occupy(self._clock.now, seconds)
+            until = self._arm.busy_until
+            if until > self._call_done:
+                self._call_done = until
+            self._metrics.layers.book(seconds, until)
+
+    def _access(self, block: int, nbytes: int) -> float:
         layers = self._metrics.layers
         layers.push("disk")
         try:
@@ -77,23 +124,23 @@ class Disk:
             sequential = (self._last_block is not None
                           and block == self._last_block + 1)
             if not sequential:
-                self._clock.advance(
-                    params.average_seek + params.rotational_latency
-                )
-            self._clock.advance(nbytes / params.transfer_rate)
+                self._book(params.average_seek + params.rotational_latency)
+            self._book(nbytes / params.transfer_rate)
             self._last_block = block + max(0, (nbytes - 1) // params.block_size)
         finally:
             layers.pop()
+        return self._arm.busy_until if self._in_call else self._clock.now
 
-    def read(self, block: int, nbytes: int) -> None:
-        """Charge for a read of *nbytes* starting at *block*."""
+    def read(self, block: int, nbytes: int) -> float:
+        """Book a read of *nbytes* starting at *block*; returns when its
+        data is in memory."""
         self.reads += 1
         self._m_reads.inc()
-        self._access(block, nbytes)
+        return self._access(block, nbytes)
 
     def write(self, block: int, nbytes: int, sync: bool = False,
               tag: int = 0) -> None:
-        """Charge for a write; asynchronous writes cost nothing now.
+        """Book a write; asynchronous writes cost nothing now.
 
         Asynchronous writes land in the write-back cache (dirty under
         *tag*) and are assumed to be flushed during otherwise-idle
@@ -111,7 +158,7 @@ class Disk:
             self._dirty[tag] = self._dirty.get(tag, 0) + 1
 
     def sync(self, nbytes: int = 0, tag: int | None = None) -> None:
-        """Charge for an explicit flush of *nbytes* of dirty data.
+        """Book an explicit flush of *nbytes* of dirty data.
 
         With *tag* given only that tag's dirty writes are flushed (an
         NFS COMMIT covers one file); without it the whole cache drains.
@@ -127,9 +174,9 @@ class Disk:
         layers.push("disk")
         try:
             params = self._params
-            self._clock.advance(params.average_seek + params.rotational_latency)
+            self._book(params.average_seek + params.rotational_latency)
             if nbytes:
-                self._clock.advance(nbytes / params.transfer_rate)
+                self._book(nbytes / params.transfer_rate)
             self._last_block = None
         finally:
             layers.pop()
@@ -188,11 +235,12 @@ class Disk:
         """Power loss: the write-back cache evaporates.
 
         Returns the number of dirty writes lost (also counted on the
-        ``disk.lost_writes`` metric).  Charges no time — a crash is
-        instantaneous as far as the disk arm is concerned.
+        ``disk.lost_writes`` metric).  The arm stops: whatever was
+        booked on it is abandoned, and the disk comes back idle.
         """
         lost = sum(self._dirty.values())
         self._dirty.clear()
+        self._arm.busy_until = self._clock.now
         self._last_block = None
         self._torn_pending = False
         if lost:

@@ -340,8 +340,9 @@ class Medium:
     NIC) contend for its bandwidth: a record sent while the medium is
     still carrying an earlier record queues behind it, store-and-forward
     — its arrival is pushed back by the queueing delay plus its own
-    transmission time.  Links *without* a medium serialize the same way
-    on their own per-direction ``busy_until``.
+    transmission time.  A link given no shared medium has a private one
+    per direction, and a disk (:mod:`repro.sim.disk`) books its arm on
+    one the same way: one device model.
     """
 
     __slots__ = ("name", "busy_until")
@@ -389,15 +390,16 @@ class Link:
         self._a = _Endpoint()
         self._b = _Endpoint()
         self._open = True
-        self._busy_until = {"a->b": 0.0, "b->a": 0.0}
         #: Advisory RPC send-window depth for peers built over this
         #: link; World gives every wire link its pipeline depth (None =
         #: unwindowed).  Surfaced to RpcPeer via
         #: ``suggested_window_depth``.
         self.window_depth: "int | None" = None
-        #: Optional per-direction shared media ({"a->b": ..., "b->a": ...});
-        #: see :class:`Medium`.  None = independent per-message charges.
-        self._media = media or {}
+        #: The medium each direction transmits on ({"a->b": ..., "b->a":
+        #: ...}): a shared one where given (see :class:`Medium`), else
+        #: this link's own.
+        self._media = {"a->b": Medium("a->b"), "b->a": Medium("b->a"),
+                       **(media or {})}
         #: Optional progress pump (Scheduler.legacy_pump) that RpcPeer
         #: picks up as its reply_waiter via ``suggested_reply_waiter``:
         #: how a synchronous caller outside any task lets the world's
@@ -510,24 +512,16 @@ class Link:
         """Depart now, arrive via a clock timer.
 
         The sender pays nothing inline.  Transmission serializes per
-        direction (shared :class:`Medium` when present, otherwise this
-        link's own ``busy_until``), then the record propagates for
-        ``latency`` and is handed to the destination handler when the
-        clock crosses the arrival time.  Records in flight when the
+        direction on that direction's :class:`Medium`, then the record
+        propagates for ``latency`` and is handed to the destination
+        handler when the clock crosses the arrival time.  Records in flight when the
         link closes are lost silently — exactly a cable pull.
         """
         params = self._params
         # (x / inf is 0.0: the instant profile transmits in no time.)
         tx = (len(record) + params.per_message_overhead) / params.bandwidth
         now = self._clock.now
-        medium = self._media.get(direction)
-        if medium is not None:
-            wait = medium.occupy(now, tx)
-        else:
-            busy = self._busy_until[direction]
-            start = busy if busy > now else now
-            self._busy_until[direction] = start + tx
-            wait = start - now
+        wait = self._media[direction].occupy(now, tx)
         if wait > 0:
             self._m_medium_waits.inc()
             self._m_medium_wait_s.observe(wait)

@@ -21,3 +21,15 @@ def job(action=None):
             action()
         yield from ()
     return execute
+
+
+def run(task, clock):
+    """Run a task generator to its result at top level: each
+    :class:`~repro.sim.sched.Sleep` it yields advances *clock*."""
+    try:
+        waited = task.send(None)
+        while True:
+            clock.advance(waited.seconds)
+            waited = task.send(None)
+    except StopIteration as stop:
+        return stop.value

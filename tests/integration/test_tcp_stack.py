@@ -17,6 +17,7 @@ from repro.fs.memfs import Cred, MemFs
 from repro.nfs3 import const as nfs_const
 from repro.nfs3 import types as nfs_types
 from repro.sim.clock import Clock
+from repro.sim.disk import Disk
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def tcp_server():
     clock = Clock()
     rng = random.Random(101)
     master = SfsServerMaster("tcp.example.com", clock, rng)
-    fs = MemFs()
+    fs = MemFs(disk=Disk(clock))
     authserver = AuthServer(rng)
     key = generate_key(768, rng)
     path = master.add_rw_export(key, fs, authserver)

@@ -20,6 +20,8 @@ from repro.fleet.replicas import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
+from repro.sim.sched import Sleep
+from tests.helpers import run
 
 BLOB = b"the signed namespace blob"
 DIGEST = sha1(BLOB)
@@ -39,17 +41,18 @@ class FakeMirror:
         self.dials = 0
 
     def dial(self):
+        yield from ()
         self.dials += 1
         if self.dial_errors > 0:
             self.dial_errors -= 1
             raise ConnectionError("mirror down")
 
         def fetch_root():
-            self.clock.advance(self.latency)
+            yield Sleep(self.latency)
             return ROOT
 
         def fetch_data(digest):
-            self.clock.advance(self.latency)
+            yield Sleep(self.latency)
             if self.missing:
                 return None
             return self.blob
@@ -83,14 +86,14 @@ def test_selection_prefers_measured_latency():
     replica_set, _ = make_set([fast, slow])
     # Unprobed replicas rank first, so both get measured once.
     for _ in range(2):
-        assert replica_set.fetch_data(DIGEST) == BLOB
+        assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert fast.dials == 1 and slow.dials == 1
     # From here on the fast mirror wins every selection.
     chosen = replica_set.select()
     assert chosen.name == "m0"
     before = fast.dials
     for _ in range(5):
-        assert replica_set.fetch_data(DIGEST) == BLOB
+        assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert fast.dials == before  # same connection, same mirror
     assert slow.dials == 1
 
@@ -104,7 +107,7 @@ def test_tampering_mirror_banned_never_a_wrong_byte():
     # m0 (evil) is probed first and answers fastest — and is banned the
     # moment its blob fails the digest check, without the caller ever
     # seeing the corrupt bytes.
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     stats = {entry["name"]: entry for entry in replica_set.stats()}
     assert stats["m0"]["banned"] and not stats["m1"]["banned"]
     assert metrics.counter("fleet.replica.corrupt_blobs").value == 1
@@ -113,7 +116,7 @@ def test_tampering_mirror_banned_never_a_wrong_byte():
     # A ban is permanent: time does not rehabilitate a tamperer.
     clock.advance(3600.0)
     assert not replica_set.replicas[0].usable()
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert evil.dials == 1
 
 
@@ -122,7 +125,7 @@ def test_missing_blob_sidelines_not_bans():
     stale = FakeMirror(clock, latency=0.001, missing=True)
     full = FakeMirror(clock, latency=0.050)
     replica_set, metrics = make_set([stale, full])
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     stats = {entry["name"]: entry for entry in replica_set.stats()}
     assert not stats["m0"]["banned"]  # stale, not malicious
     assert not stats["m0"]["usable"]  # but in cooldown right now
@@ -139,7 +142,7 @@ def test_dead_mirror_waits_out_cooldown_under_backoff():
     # The only replica fails to dial, gets sidelined, and the set backs
     # off (advancing the clock) until the cooldown expires — then the
     # redial succeeds and the fetch completes.
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert flaky.dials == 2
     assert metrics.counter("fleet.replica.backoff_waits").value > 0
     assert clock.now >= 1.0  # waited at least the cooldown
@@ -150,12 +153,12 @@ def test_all_mirrors_banned_is_an_error_not_garbage():
     evil = FakeMirror(clock, blob=b"x" * len(BLOB))
     replica_set, metrics = make_set([evil])
     with pytest.raises(ReadOnlyError):
-        replica_set.fetch_data(DIGEST)
+        run(replica_set.fetch_data(DIGEST), clock)
     assert metrics.counter("fleet.replica.corrupt_blobs").value == 1
     # Still dead after any amount of time: bans are permanent.
     clock.advance(3600.0)
     with pytest.raises(ReadOnlyError):
-        replica_set.fetch_data(DIGEST)
+        run(replica_set.fetch_data(DIGEST), clock)
 
 
 def test_misconduct_on_dial_is_banned():
@@ -170,7 +173,7 @@ def test_misconduct_on_dial_is_banned():
     metrics = MetricsRegistry(clock=clock)
     replica_set = ReplicaSet(replicas, clock, random.Random(3),
                              metrics=metrics)
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert replicas[0].banned
     assert metrics.counter("fleet.replica.bans").value == 1
 
@@ -180,7 +183,7 @@ def test_fetch_root_fails_over_past_dead_mirror():
     dead = FakeMirror(clock, latency=0.001, dial_errors=99)
     alive = FakeMirror(clock, latency=0.050)
     replica_set, metrics = make_set([dead, alive])
-    assert replica_set.fetch_root() is ROOT
+    assert run(replica_set.fetch_root(), clock) is ROOT
     assert metrics.counter("fleet.replica.failovers").value == 1
     assert metrics.counter("fleet.replica.fetches").value == 1
 
@@ -192,17 +195,17 @@ def test_cooldown_expiry_reprobes_a_sidelined_mirror():
     replica_set, _metrics = make_set([flaky, steady])
     # m0 is probed first, fails its dial, and is sidelined; the fetch
     # fails over to m1.
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert flaky.dials == 1
     assert not replica_set.replicas[0].usable()
     # Inside the cooldown the set leaves the sidelined mirror alone.
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert flaky.dials == 1
     # Cooldown elapses: the mirror is re-probed with a *fresh* dial —
     # and, being fast, wins the ranking back.
     clock.advance(1.5)
     assert replica_set.replicas[0].usable()
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert flaky.dials == 2
     assert replica_set.select().name == "m0"
 
@@ -213,12 +216,12 @@ def test_ewma_reranks_when_the_fast_mirror_degrades():
     steady = FakeMirror(clock, latency=0.050)
     replica_set, _ = make_set([fickle, steady])
     for _ in range(2):                        # probe both once
-        assert replica_set.fetch_data(DIGEST) == BLOB
+        assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert replica_set.select().name == "m0"
     # The fast mirror turns slow; its EWMA absorbs the new latency and
     # selection flips to the mirror whose old measurement now wins.
     fickle.latency = 0.500
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert replica_set.select().name == "m1"
     # ...and recovery is symmetric: once it is fast again, fetches it
     # does serve (none right now) would pull its EWMA back down.  The
@@ -234,7 +237,7 @@ def test_steering_bias_flips_selection_between_healthy_mirrors():
     slow = FakeMirror(clock, latency=0.050)
     replica_set, metrics = make_set([fast, slow])
     for _ in range(2):
-        assert replica_set.fetch_data(DIGEST) == BLOB
+        assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert replica_set.select().name == "m0"
     # Bias the fast mirror away (control plane saw its shard breaching).
     replica_set.set_steering_bias("m0", 1.0)
@@ -255,14 +258,14 @@ def test_steering_bias_composes_with_permanent_ban():
                       blob=bytes([BLOB[0] ^ 1]) + BLOB[1:])
     honest = FakeMirror(clock, latency=0.050)
     replica_set, _ = make_set([evil, honest])
-    assert replica_set.fetch_data(DIGEST) == BLOB   # bans m0
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB   # bans m0
     assert replica_set.replicas[0].banned
     # No amount of bias in the banned mirror's favor (or against the
     # honest one) re-admits it: bias tunes ranking among usable
     # replicas, it never overrides the health machinery.
     replica_set.set_steering_bias("m1", 100.0)
     assert replica_set.select().name == "m1"
-    assert replica_set.fetch_data(DIGEST) == BLOB
+    assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
     assert evil.dials == 1                    # never dialed again
 
 
@@ -279,6 +282,6 @@ def test_backoff_policy_is_shared_and_jittered():
             replicas, clock, random.Random(seed),
             backoff=BackoffPolicy(),  # jittered by default
         )
-        assert replica_set.fetch_data(DIGEST) == BLOB
+        assert run(replica_set.fetch_data(DIGEST), clock) == BLOB
         waits.append(clock.now)
     assert waits[0] != waits[1]

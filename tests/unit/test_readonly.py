@@ -12,6 +12,7 @@ from repro.core.readonly import (
     ReadOnlyError,
     ReadOnlyImage,
     ReadOnlyStore,
+    local_fetchers,
     RoDir,
     RoDirEntry,
     RoFile,
@@ -19,6 +20,7 @@ from repro.core.readonly import (
     RO_DIR,
     RO_REG,
     publish,
+    run_local,
 )
 from repro.crypto.sha1 import sha1
 from repro.crypto.rabin import generate_key
@@ -40,18 +42,18 @@ def image(key):
     return publish(fs, key, "ro.example.com", serial=5)
 
 
-def make_client(image, key, path=None):
+def make_client(image, key, path=None, **kwargs):
     store = ReadOnlyStore(image)
-
-    def fetch_root():
-        res = store.get_root()
-        res.public_key = key.public_key.to_bytes()
-        return res
-
+    fetch_root, fetch_data = local_fetchers(store, key.public_key.to_bytes())
     return ReadOnlyClient(
         path or make_path("ro.example.com", key.public_key),
-        fetch_root, store.get_data,
+        run_local(fetch_root()), fetch_data, **kwargs,
     ), store
+
+
+def read(client, path):
+    """The verified contents of the file at *path*."""
+    return run_local(client.read_file(run_local(client.resolve_path(path))))
 
 
 def test_publish_produces_signed_root(image, key):
@@ -62,30 +64,32 @@ def test_publish_produces_signed_root(image, key):
 
 def test_client_verifies_and_navigates(image, key):
     client, _store = make_client(image, key)
-    docs = client.lookup(client.root_digest, "docs")
-    readme = client.lookup(docs, "readme.txt")
-    assert client.read_file(readme) == b"hello read-only world"
-    assert client.readlink(client.lookup(client.root_digest, "latest")) == "docs"
-    names = [name for name, _d in client.listdir(client.root_digest)]
+    docs = run_local(client.lookup(client.root_digest, "docs"))
+    readme = run_local(client.lookup(docs, "readme.txt"))
+    assert run_local(client.read_file(readme)) == b"hello read-only world"
+    latest = run_local(client.lookup(client.root_digest, "latest"))
+    assert run_local(client.readlink(latest)) == "docs"
+    listing = run_local(client.listdir(client.root_digest))
+    names = [name for name, _d in listing]
     assert names == ["docs", "latest"]
 
 
 def test_resolve_path(image, key):
     client, _store = make_client(image, key)
-    digest = client.resolve_path("docs/readme.txt")
-    assert client.read_file(digest) == b"hello read-only world"
+    digest = run_local(client.resolve_path("docs/readme.txt"))
+    assert run_local(client.read_file(digest)) == b"hello read-only world"
 
 
 def test_chunked_reads(image, key):
     client, _store = make_client(image, key)
-    digest = client.resolve_path("docs/big.bin")
+    digest = run_local(client.resolve_path("docs/big.bin"))
     full = bytes(range(256)) * 100
-    assert client.read_file(digest) == full
-    assert client.read_file(digest, 5, 10) == full[5:15]
-    assert client.read_file(digest, CHUNK_SIZE - 3, 10) == (
+    assert run_local(client.read_file(digest)) == full
+    assert run_local(client.read_file(digest, 5, 10)) == full[5:15]
+    assert run_local(client.read_file(digest, CHUNK_SIZE - 3, 10)) == (
         full[CHUNK_SIZE - 3 : CHUNK_SIZE + 7]
     )
-    assert client.read_file(digest, len(full) + 10, 5) == b""
+    assert run_local(client.read_file(digest, len(full) + 10, 5)) == b""
 
 
 def test_wrong_key_for_pathname_rejected(image, key):
@@ -117,44 +121,44 @@ def test_tampered_blob_detected(image, key):
             break
     client, _store = make_client(evil, key)
     with pytest.raises(ReadOnlyError):
-        client.read_file(client.resolve_path("docs/readme.txt"))
+        read(client, "docs/readme.txt")
 
 
 def test_missing_blob_detected(image, key):
     evil = image.replicate()
     client, _store = make_client(image, key)
-    target = client.resolve_path("docs/big.bin")
+    target = run_local(client.resolve_path("docs/big.bin"))
     del evil.store[target]
     client2, _store2 = make_client(evil, key)
     with pytest.raises(ReadOnlyError):
-        client2.node(target)
+        run_local(client2.node(target))
 
 
 def test_type_confusion_rejected(image, key):
     client, _store = make_client(image, key)
-    file_digest = client.resolve_path("docs/readme.txt")
+    file_digest = run_local(client.resolve_path("docs/readme.txt"))
     with pytest.raises(ReadOnlyError):
-        client.lookup(file_digest, "x")
+        run_local(client.lookup(file_digest, "x"))
     with pytest.raises(ReadOnlyError):
-        client.listdir(file_digest)
+        run_local(client.listdir(file_digest))
     with pytest.raises(ReadOnlyError):
-        client.readlink(file_digest)
-    dir_digest = client.resolve_path("docs")
+        run_local(client.readlink(file_digest))
+    dir_digest = run_local(client.resolve_path("docs"))
     with pytest.raises(ReadOnlyError):
-        client.read_file(dir_digest)
+        run_local(client.read_file(dir_digest))
 
 
 def test_lookup_missing_entry(image, key):
     client, _store = make_client(image, key)
     with pytest.raises(ReadOnlyError):
-        client.lookup(client.root_digest, "nonexistent")
+        run_local(client.lookup(client.root_digest, "nonexistent"))
 
 
 def test_client_caches_blobs(image, key):
     client, store = make_client(image, key)
-    client.read_file(client.resolve_path("docs/readme.txt"))
+    read(client, "docs/readme.txt")
     calls_before = store.getdata_calls
-    client.read_file(client.resolve_path("docs/readme.txt"))
+    read(client, "docs/readme.txt")
     assert store.getdata_calls == calls_before  # all cache hits
 
 
@@ -201,11 +205,11 @@ def test_size_exceeding_chunk_list_raises_readonly_error(key):
                              [("f", 3 * CHUNK_SIZE, [b"x" * CHUNK_SIZE])])
     client, _store = make_client(evil, key)
     with pytest.raises(ReadOnlyError, match="chunk list"):
-        client.read_file(client.resolve_path("f"))
+        read(client, "f")
     # A read that stays inside the existing chunks is just as rejected:
     # the node is malformed, not merely short.
     with pytest.raises(ReadOnlyError):
-        client.read_file(client.resolve_path("f"), 0, 10)
+        run_local(client.read_file(run_local(client.resolve_path("f")), 0, 10))
 
 
 def test_size_smaller_than_chunk_list_rejected(key):
@@ -213,7 +217,7 @@ def test_size_smaller_than_chunk_list_rejected(key):
                              [("f", 5, [b"x" * CHUNK_SIZE, b"y" * 7])])
     client, _store = make_client(evil, key)
     with pytest.raises(ReadOnlyError, match="chunk list"):
-        client.read_file(client.resolve_path("f"))
+        read(client, "f")
 
 
 def test_overlength_interior_chunk_rejected(key):
@@ -226,7 +230,7 @@ def test_overlength_interior_chunk_rejected(key):
     )
     client, _store = make_client(evil, key)
     with pytest.raises(ReadOnlyError, match="chunk 0"):
-        client.read_file(client.resolve_path("f"))
+        read(client, "f")
 
 
 def test_short_final_chunk_mismatch_rejected(key):
@@ -236,7 +240,7 @@ def test_short_final_chunk_mismatch_rejected(key):
     )
     client, _store = make_client(evil, key)
     with pytest.raises(ReadOnlyError, match="chunk 1"):
-        client.read_file(client.resolve_path("f"))
+        read(client, "f")
 
 
 def test_wellformed_crafted_image_still_reads(key):
@@ -247,9 +251,9 @@ def test_wellformed_crafted_image_still_reads(key):
         [("f", len(content), [content[:CHUNK_SIZE], content[CHUNK_SIZE:]])],
     )
     client, _store = make_client(image, key)
-    digest = client.resolve_path("f")
-    assert client.read_file(digest) == content
-    assert client.read_file(digest, CHUNK_SIZE - 5, 10) == (
+    digest = run_local(client.resolve_path("f"))
+    assert run_local(client.read_file(digest)) == content
+    assert run_local(client.read_file(digest, CHUNK_SIZE - 5, 10)) == (
         content[CHUNK_SIZE - 5 : CHUNK_SIZE + 5]
     )
 
@@ -274,27 +278,17 @@ def test_cache_is_bounded_lru(key):
 
     image, content = distinct_chunk_image(key)
     metrics = MetricsRegistry()
-    store = ReadOnlyStore(image)
-
-    def fetch_root():
-        res = store.get_root()
-        res.public_key = key.public_key.to_bytes()
-        return res
-
-    client = ReadOnlyClient(
-        make_path("ro.example.com", key.public_key),
-        fetch_root, store.get_data,
-        cache_bytes=2 * CHUNK_SIZE, metrics=metrics,
-    )
-    digest = client.resolve_path("f")
-    assert client.read_file(digest) == content
+    client, store = make_client(image, key, cache_bytes=2 * CHUNK_SIZE,
+                                metrics=metrics)
+    digest = run_local(client.resolve_path("f"))
+    assert run_local(client.read_file(digest)) == content
     assert metrics.counter("readonly.cache_evictions").value > 0
     # The cache never exceeds its budget...
     assert client._cached_bytes <= 2 * CHUNK_SIZE
     # ...and an evicted blob is refetched on the next read (the cache
     # does not pretend to still hold the whole image).
     calls_before = store.getdata_calls
-    assert client.read_file(digest) == content
+    assert run_local(client.read_file(digest)) == content
     assert store.getdata_calls > calls_before
 
 
@@ -303,25 +297,15 @@ def test_evicted_blob_is_reverified_on_refetch(key):
     goes back to the (untrusted) server and re-checks the digest, so a
     mirror that turns hostile after the first read is still caught."""
     image, content = distinct_chunk_image(key)
-    store = ReadOnlyStore(image)
-
-    def fetch_root():
-        res = store.get_root()
-        res.public_key = key.public_key.to_bytes()
-        return res
-
-    client = ReadOnlyClient(
-        make_path("ro.example.com", key.public_key),
-        fetch_root, store.get_data, cache_bytes=2 * CHUNK_SIZE,
-    )
-    digest = client.resolve_path("f")
-    assert client.read_file(digest) == content
-    kind, body = client.node(digest)
+    client, store = make_client(image, key, cache_bytes=2 * CHUNK_SIZE)
+    digest = run_local(client.resolve_path("f"))
+    assert run_local(client.read_file(digest)) == content
+    kind, body = run_local(client.node(digest))
     tampered = body.chunks[0]
     assert tampered not in client._cache  # evicted under the small budget
     store.image.store[tampered] = b"Z" * CHUNK_SIZE
     with pytest.raises(ReadOnlyError, match="digest mismatch"):
-        client.read_file(digest)
+        run_local(client.read_file(digest))
 
 
 def test_cache_keeps_hot_blob_under_pressure(key):
@@ -329,13 +313,13 @@ def test_cache_keeps_hot_blob_under_pressure(key):
     image, _content = distinct_chunk_image(key, chunks=6)
     client, _store = make_client(image, key)
     client._cache_limit = 3 * CHUNK_SIZE
-    digest = client.resolve_path("f")
-    kind, body = client.node(digest)
+    digest = run_local(client.resolve_path("f"))
+    kind, body = run_local(client.node(digest))
     hot = body.chunks[0]
-    client.fetch(hot)
+    run_local(client.fetch(hot))
     for chunk in body.chunks[1:]:
-        client.fetch(hot)  # keep the hot blob most-recently-used
-        client.fetch(chunk)
+        run_local(client.fetch(hot))  # keep the hot blob most-recently-used
+        run_local(client.fetch(chunk))
     assert hot in client._cache
 
 

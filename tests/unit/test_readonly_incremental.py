@@ -10,7 +10,9 @@ from repro.core.readonly import (
     ReadOnlyClient,
     ReadOnlyError,
     ReadOnlyStore,
+    local_fetchers,
     publish,
+    run_local,
 )
 from repro.crypto.rabin import generate_key
 from repro.fs import pathops
@@ -33,17 +35,17 @@ def build_tree(n_files=32):
 
 
 def _client_for(image, key, **kwargs):
-    store = ReadOnlyStore(image)
-
-    def fetch_root():
-        res = store.get_root()
-        res.public_key = key.public_key.to_bytes()
-        return res
-
+    fetch_root, fetch_data = local_fetchers(ReadOnlyStore(image),
+                                            key.public_key.to_bytes())
     return ReadOnlyClient(
         make_path(image.location, key.public_key),
-        fetch_root, store.get_data, **kwargs,
+        run_local(fetch_root()), fetch_data, **kwargs,
     )
+
+
+def read(client, path):
+    """The verified contents of the file at *path*."""
+    return run_local(client.read_file(run_local(client.resolve_path(path))))
 
 
 def test_incremental_republish_small_delta(key):
@@ -72,11 +74,9 @@ def test_incremental_publish_serves_correctly(key):
     pathops.write_file(fs, "/dir1/file1", b"v2")
     image2 = publish(fs, key, "inc.example.com", serial=2, previous=image1)
     client = _client_for(image2, key)
-    assert client.read_file(client.resolve_path("dir1/file1")) == b"v2"
+    assert read(client, "dir1/file1") == b"v2"
     # untouched file still reads
-    assert b"contents of file 0" in client.read_file(
-        client.resolve_path("dir0/file0")
-    )
+    assert b"contents of file 0" in read(client, "dir0/file0")
 
 
 def test_noop_republish_creates_one_root_blob_at_most(key):

@@ -43,49 +43,77 @@ def test_stopwatch():
 
 # --- disk ---------------------------------------------------------------
 
+def booked(disk, *requests):
+    """Seconds the disk needs for *requests*, made as one served call:
+    what the call waits before it replies.  Each request is a
+    ``(method, args...)`` tuple."""
+    disk.start_call()
+    for method, *args in requests:
+        getattr(disk, method)(*args)
+    return disk.finish_call()
+
+
 def test_sequential_reads_cheaper_than_random():
     params = DiskParameters()
-    clock_seq = Clock()
-    disk_seq = Disk(clock_seq, params)
-    disk_seq.read(0, 8192)
-    for block in range(1, 20):
-        disk_seq.read(block, 8192)
-
-    clock_rand = Clock()
-    disk_rand = Disk(clock_rand, params)
-    for block in range(0, 200, 10):
-        disk_rand.read(block, 8192)
-    assert clock_seq.now < clock_rand.now
+    sequential = booked(Disk(Clock(), params),
+                        *[("read", block, 8192) for block in range(20)])
+    random_ = booked(Disk(Clock(), params),
+                     *[("read", block, 8192) for block in range(0, 200, 10)])
+    assert sequential < random_
 
 
 def test_async_writes_free_sync_writes_cost():
     clock = Clock()
     disk = Disk(clock)
-    disk.write(0, 8192, sync=False)
-    assert clock.now == 0.0
-    disk.write(1, 8192, sync=True)
-    assert clock.now > 0.0
+    assert booked(disk, ("write", 0, 8192, False)) == 0.0
+    assert booked(disk, ("write", 1, 8192, True)) > 0.0
+    assert clock.now == 0.0     # booked on the arm, not charged to the clock
     assert disk.writes == 2
     assert disk.syncs == 1
 
 
 def test_explicit_sync_charges_seek():
-    clock = Clock()
-    disk = Disk(clock)
-    disk.sync(65536)
-    assert clock.now > 0.0
+    disk = Disk(Clock())
+    params = disk.params
+    assert booked(disk, ("sync", 65536)) == pytest.approx(
+        params.average_seek + params.rotational_latency
+        + 65536 / params.transfer_rate)
     assert disk.syncs == 1
 
 
 def test_transfer_time_scales_with_size():
+    small = booked(Disk(Clock()), ("read", 0, 8192))
+    assert booked(Disk(Clock()), ("read", 0, 8192 * 100)) > small
+
+
+def test_requests_outside_a_served_call_book_nothing():
+    """Seeding a file system directly (tests, bench setup) leaves no
+    backlog for the first served call to queue behind."""
+    disk = Disk(Clock())
+    disk.sync(65536)
+    disk.read(0, 8192)
+    assert disk.busy_until == 0.0
+    assert disk.syncs == 1 and disk.reads == 1
+
+
+def test_a_request_queues_behind_the_booked_ones():
     clock = Clock()
     disk = Disk(clock)
-    disk.read(0, 8192)
-    small = clock.now
-    clock2 = Clock()
-    disk2 = Disk(clock2)
-    disk2.read(0, 8192 * 100)
-    assert clock2.now > small
+    first = booked(disk, ("sync",))
+    assert booked(disk, ("sync",)) == pytest.approx(2 * first)
+    clock.advance(first)
+    assert booked(disk, ("sync",)) == pytest.approx(2 * first)
+
+
+def test_crash_leaves_the_disk_idle():
+    clock = Clock()
+    disk = Disk(clock)
+    seek = booked(disk, ("sync",))
+    booked(disk, ("sync",))
+    clock.advance(seek / 2)
+    disk.crash()
+    assert disk.busy_until == clock.now
+    assert booked(disk, ("sync",)) == pytest.approx(seek)
 
 
 # --- network --------------------------------------------------------------
