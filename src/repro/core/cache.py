@@ -82,6 +82,11 @@ class LeaseCache:
             value, self._clock.now + self._lease
         )
 
+    def forget(self, handle: bytes, key: Any = None) -> None:
+        """Drop the one entry under (*handle*, *key*), keeping the rest
+        of *handle*'s: a name this client's own call removed."""
+        self._entries.get(handle, {}).pop(key, None)
+
     def invalidate(self, handle: bytes) -> None:
         """Drop all entries for *handle* (server callback or local write)."""
         if self._entries.pop(handle, None) is not None:

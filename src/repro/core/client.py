@@ -183,7 +183,9 @@ class ServerSession:
         self.backoff_sleeps = 0
         self._connector: Connector | None = None
         self._reconnect_policy: BackoffPolicy | None = None
-        self._reconnecting = False
+        #: The redial under way, which every relay whose transport died
+        #: meanwhile waits for.
+        self._reconnecting: Future | None = None
         self._m_reconnects = self.metrics.counter("session.reconnects")
         self._m_retargets = self.metrics.counter("session.retargets")
         self._m_backoff_sleeps = self.metrics.counter("session.backoff_sleeps")
@@ -443,15 +445,28 @@ class ServerSession:
         success; SecurityError propagates and is never retried.
         """
         if (self._connector is None
-                or self.session_keys is None or self.ephemeral_keys is None
-                or self._reconnecting):
+                or self.session_keys is None or self.ephemeral_keys is None):
             return False
-        old_path = self.path
-        self._reconnecting = True
+        if self._reconnecting is not None:
+            # Another relay is redialing this session: its outcome is
+            # ours too, so both replay on the fresh connection.
+            return (yield self._reconnecting)
+        outcome = self._reconnecting = Future(name="reconnect")
         try:
-            fresh = yield from self._redial()
-        finally:
-            self._reconnecting = False
+            replaced = yield from self._reconnect()
+        except BaseException as exc:
+            self._reconnecting = None
+            outcome.fail(exc if isinstance(exc, Exception)
+                         else RpcTransportDown("reconnect abandoned"))
+            raise
+        self._reconnecting = None
+        outcome.resolve(replaced)
+        return replaced
+
+    def _reconnect(self):
+        """The redial :meth:`reconnect_task` shares (``yield from``)."""
+        old_path = self.path
+        fresh = yield from self._redial()
         if fresh is None:
             self._m_reconnects_failed.inc()
             return False
@@ -826,6 +841,20 @@ class _ReadStream:
         self.window = window
 
 
+class _Flush:
+    """One WRITEV of gathered ranges on the wire (PROTOCOLS.md §17)."""
+
+    __slots__ = ("ranges", "done", "superseded")
+
+    def __init__(self, ranges: list[tuple[int, int]], done: Future) -> None:
+        #: [start, stop) byte ranges it carries; the Future of its relay.
+        self.ranges = ranges
+        self.done = done
+        #: A later flush of the same handle left while this one was on
+        #: the wire, so this reply's attributes may predate those bytes.
+        self.superseded = False
+
+
 class MountedRemoteFs:
     """One remote read-write file system, served to the kernel as NFS.
 
@@ -852,13 +881,20 @@ class MountedRemoteFs:
         self._m_replayed = daemon.metrics.counter("client.replayed_calls")
         self._m_stale = daemon.metrics.counter("client.stale_handles")
         # Readahead state and cached chunks for the _RA_STREAMS most
-        # recently read handles, oldest first; and how many READV
-        # prefetches are on the wire for all of them.
+        # recently read handles, oldest first.
         self._ra_streams: OrderedDict[bytes, _ReadStream] = OrderedDict()
-        self._ra_in_flight = 0
-        # Write-gathering state: handle -> [[offset, bytearray], ...]
-        # coalesced dirty ranges not yet sent to the server.
+        # Write-behind state: handle -> [[offset, [data, ...], size], ...]
+        # coalesced dirty ranges not yet sent to the server, each joined
+        # once, as its flush leaves; the flushes of each handle on the
+        # wire, oldest first; and the first failure of each whose next
+        # barrier has not yet reported it.
         self._gather_segs: dict[bytes, list[list]] = {}
+        self._flushes: dict[bytes, list[_Flush]] = {}
+        self._flush_errors: dict[bytes, int] = {}
+        # Prefetches and flushes on the wire, oldest first: at most
+        # depth - 2 of them, so a foreground call never parks behind
+        # its own mount's background calls.
+        self._background: list[Future] = []
         m = daemon.metrics
         self._m_ra_batches = m.counter("client.readahead.batches")
         self._m_ra_chunks = m.counter("client.readahead.chunks")
@@ -995,10 +1031,10 @@ class MountedRemoteFs:
         WRITE into the gather buffer (``yield from``); returns a reply,
         or None to fall through to the normal cache-then-relay path."""
         if proc == nfs_const.NFSPROC3_READ:
-            if args.file in self._gather_segs:
-                # Read-your-writes: dirty gathered data must reach the
-                # server before we read the file back.
-                status = yield from self._flush_gather(args.file, ctx)
+            if self._dirty(args.file):
+                # Read-your-writes: our writes to the file land before
+                # we read it back.
+                status = yield from self._write_barrier(args.file, ctx)
                 if status is not None:
                     return status, Record(file_attributes=None)
             return (yield from self._read_ahead(args, ctx, depth))
@@ -1006,7 +1042,7 @@ class MountedRemoteFs:
             self._ra_discard(args.file)
             if args.stable == nfs_const.UNSTABLE:
                 return (yield from self._gather_write(args, ctx, depth))
-            status = yield from self._flush_gather(args.file, ctx)
+            status = yield from self._write_barrier(args.file, ctx)
             if status is not None:
                 return status, Record(
                     file_wcc=nfs_types.WccData.make(before=None, after=None)
@@ -1014,31 +1050,30 @@ class MountedRemoteFs:
             return None
         if proc == nfs_const.NFSPROC3_CREATE and _create_sets_size(args):
             # O_TRUNC by name: the CREATE can shrink a file whose handle
-            # it does not carry, so it is a write-behind barrier for
-            # the whole mount — gathered writes land before the
-            # truncation, not after it (PROTOCOLS.md §17).
-            for handle in list(self._gather_segs):
-                status = yield from self._flush_gather(handle, ctx)
-                if status is not None:
-                    return status, nfs_failure_shape(proc)
+            # it does not carry, so it waits for every write of the
+            # mount — they land before the truncation, not after it
+            # (PROTOCOLS.md §17).  A failure stays with its own file.
+            for handle in list(dict.fromkeys(
+                    [*self._gather_segs, *self._flushes])):
+                yield from self._settle(handle, ctx)
         if proc in (nfs_const.NFSPROC3_REMOVE, nfs_const.NFSPROC3_RENAME):
             # The name may have held the last link of a file we keep
             # data of; the call names a directory and a leaf, never that
             # file, so the lookup cache says which one it was.
             name = args.object if proc == nfs_const.NFSPROC3_REMOVE \
                 else args.to
-            entry = self.caches.lookups.peek(name.dir, name.name)
-            if entry is not None:
-                self._ra_discard(entry[0])
-        # Any other procedure touching a handle with gathered dirty data
-        # (COMMIT, SETATTR, GETATTR, ...) is a write-behind barrier:
-        # flush first so the server-side view the reply reflects
-        # includes our writes.  Mutating ops also discard readahead.
+            named = self.caches.lookups.peek(name.dir, name.name)
+            if named is not None:
+                self._ra_discard(named)
+        # Any other procedure naming a handle we wrote to (COMMIT,
+        # SETATTR, GETATTR, ...) is a write-behind barrier: the reply
+        # reflects our writes, and reports a flush that failed.
+        # Mutating ops also discard readahead.
         for handle in _handles_in_args(proc, args):
             if proc in _MUTATING_PROCS:
                 self._ra_discard(handle)
-            if handle in self._gather_segs:
-                status = yield from self._flush_gather(handle, ctx)
+            if self._dirty(handle):
+                status = yield from self._write_barrier(handle, ctx)
                 if status is not None:
                     return status, nfs_failure_shape(proc)
         return None
@@ -1050,6 +1085,12 @@ class MountedRemoteFs:
         publishes the metric set it always did, which perfbench's
         ``virt_digest`` hashes."""
         self.daemon.metrics.counter(f"client.readahead.{event}").inc()
+
+    def _gather_count(self, event: str) -> None:
+        """Count a write-behind *event* (``waits``: a write waited for a
+        flush; ``failed``: a flush failed), registered on first use as
+        :meth:`_ra_count`'s are."""
+        self.daemon.metrics.counter(f"client.gather.{event}").inc()
 
     def _ra_discard(self, handle: bytes) -> None:
         """Forget *handle*'s stream and the data it keeps.  Replies for
@@ -1092,11 +1133,26 @@ class MountedRemoteFs:
         sequential = stream.next == offset
         stream.next = offset + count
         stream.streak = stream.streak + 1 if sequential else 0
-        if waited or stream.streak < 1 or count <= 0 or depth - 2 < 1:
-            # Not a run yet, or no window slot to prefetch in — or the
-            # prefetch this read waited for was lost: the plain READ
-            # retransmits and recovers.
+        if waited or count <= 0 or depth - 2 < 1:
+            # No window slot to prefetch in — or the prefetch this read
+            # waited for was lost: the plain READ retransmits and
+            # recovers.
             return (yield from self._ra_fetch(stream, args, ctx))
+        if stream.streak < 1:
+            # A first read at offset 0 of a file the attribute cache
+            # says is longer opens the window at once.  The chunk it is
+            # blocked on goes out first, as a plain READ that keeps its
+            # retransmission; the READVs follow it in the same step.
+            known = self.caches.attrs.get(handle) if offset == 0 else None
+            if known is None or known.size <= count:
+                return (yield from self._ra_fetch(stream, args, ctx))
+            yield from self._authno_for(ctx)  # logged in: the READ leaves now
+            reading = self.session.peer.start(
+                self._ra_fetch(stream, args, ctx))
+            stream.open(count, count, known.size,
+                        self._ra_window(depth, count))
+            yield from self._ra_top_up(stream, handle, count, depth, ctx)
+            return (yield reading)
         # A run of two: open the whole window at once (a ramp would cost
         # a round trip per step).  The first READV carries only the
         # chunk this read is blocked on, so that it never queues behind
@@ -1144,12 +1200,12 @@ class MountedRemoteFs:
         """Issue READVs of up to *depth* chunks until the window beyond
         *position* is requested — not past a known end of file, but
         including the chunk *at* it (the empty read that tells a reader
-        it is done).  At most ``depth - 2`` are in flight, so a
-        foreground call never parks behind the prefetches of its own
-        mount; below depth 3 there are none.  (``yield from``: the
-        caller's authno, should it need one.)"""
+        it is done).  At most ``depth - 2`` background calls, prefetches
+        and flushes together, are in flight, so a foreground call never
+        parks behind its own mount's; below depth 3 there are none.
+        (``yield from``: the caller's authno, should it need one.)"""
         count = stream.count
-        while (self._ra_in_flight < depth - 2
+        while (len(self._background) < depth - 2
                and stream.front + depth * count <= position + stream.window
                and (stream.limit is None or stream.front <= stream.limit)):
             chunks = depth
@@ -1170,7 +1226,7 @@ class MountedRemoteFs:
                 Record(offset=at, count=count) for at in offsets]),
             authno, speculative=True,
         ))
-        self._ra_in_flight += 1
+        self._background.append(done)
         for at in offsets:
             stream.pending[at] = done
         done.add_done_callback(
@@ -1179,7 +1235,7 @@ class MountedRemoteFs:
     def _ra_arrived(self, stream: "_ReadStream", handle: bytes,
                     offsets: list[int], done: Future) -> None:
         """A prefetch ended: keep what it brought, if it still may."""
-        self._ra_in_flight -= 1
+        self._background.remove(done)
         for at in offsets:
             if stream.pending.get(at) is done:
                 del stream.pending[at]
@@ -1273,57 +1329,131 @@ class MountedRemoteFs:
 
     def _gather_write(self, args: Record, ctx: CallContext, depth: int):
         """Absorb an UNSTABLE WRITE into the gather buffer (``yield
-        from``), flushing it as one WRITEV once it holds *depth* writes
-        or bytes for *depth* chunks."""
+        from``); once it holds *depth* writes or bytes for *depth*
+        chunks, send it as one WRITEV behind the write, which waits only
+        while the mount's background calls are at their cap."""
         handle = args.file
         data = args.data[: args.count]
-        if handle not in self._gather_segs and (
-                depth <= 1 or len(data) >= depth * 65536):
+        if handle not in self._gather_segs and handle not in self._flushes \
+                and (depth <= 1 or len(data) >= depth * 65536):
             return None  # it alone would flush: relay it as itself
+        end = args.offset + len(data)
+        for flush in list(self._flushes.get(handle, ())):
+            if any(start < end and args.offset < stop
+                   for start, stop in flush.ranges):
+                # The last writer wins: these bytes go out after the
+                # flush carrying those they overwrite has landed.
+                self._gather_count("waits")
+                yield from self._landed(flush.done)
         segs = self._gather_segs.setdefault(handle, [])
-        if segs and segs[-1][0] + len(segs[-1][1]) == args.offset:
-            segs[-1][1] += data
+        if segs and segs[-1][0] + segs[-1][2] == args.offset:
+            segs[-1][1].append(data)
+            segs[-1][2] += len(data)
         else:
-            segs.append([args.offset, bytearray(data)])
+            segs.append([args.offset, [data], len(data)])
         self._m_gather_writes.inc()
         # Local attrs (size, mtime) are stale until the flush lands.
         self.caches.invalidate(handle)
-        total = sum(len(chunk) for _, chunk in segs)
+        total = sum(size for _, _, size in segs)
         if len(segs) >= depth or total >= depth * 65536:
-            status = yield from self._flush_gather(handle, ctx)
-            if status is not None:
-                return status, Record(
-                    file_wcc=nfs_types.WccData.make(before=None, after=None)
-                )
+            # Bounded dirty data: at the cap, wait for the oldest call
+            # (and a barrier may send these bytes meanwhile).
+            while len(self._background) >= max(depth - 2, 1):
+                self._gather_count("waits")
+                yield from self._landed(self._background[0])
+            if handle in self._gather_segs:
+                done = self._flush_start(handle, ctx)
+                if depth - 2 < 1:
+                    self._gather_count("waits")  # no background below depth 3
+                    yield from self._landed(done)
         # Synthetic immediate OK: UNSTABLE data is volatile by contract
-        # until COMMIT, which is a flush barrier (PROTOCOLS.md §17).
+        # until COMMIT, a barrier that reports a flush that failed
+        # (PROTOCOLS.md §17).
         return nfs_const.NFS3_OK, Record(
             file_wcc=nfs_types.WccData.make(before=None, after=None),
             count=len(data), committed=nfs_const.UNSTABLE,
             verf=b"\x00" * 8,
         )
 
-    def _flush_gather(self, handle: bytes, ctx: CallContext):
-        """Send gathered dirty ranges as one WRITEV (``yield from``).
-        Returns None on success (or nothing to flush); a non-OK NFS
-        status on failure — the caller shapes the error for whatever op
-        hit the barrier."""
-        segs = self._gather_segs.pop(handle, None)
-        if not segs:
-            return None
+    def _dirty(self, handle: bytes) -> bool:
+        """Has *handle* writes not landed, or a failure not reported?"""
+        return (handle in self._gather_segs or handle in self._flushes
+                or handle in self._flush_errors)
+
+    def _flush_start(self, handle: bytes, ctx: CallContext) -> Future:
+        """Send *handle*'s gathered ranges as one background WRITEV."""
+        segs = self._gather_segs.pop(handle)
         self._m_gather_flushes.inc()
         self._m_gather_segments.inc(len(segs))
-        self._m_gather_bytes.inc(sum(len(chunk) for _, chunk in segs))
-        status, _body = yield from self._relay(
+        self._m_gather_bytes.inc(sum(size for _, _, size in segs))
+        flushes = self._flushes.setdefault(handle, [])
+        for older in flushes:
+            older.superseded = True
+        done = self.session.peer.start(self._relay(
             nfs_const.NFSPROC3_WRITEV,
             Record(
                 file=handle, stable=nfs_const.UNSTABLE,
-                segments=[Record(offset=offset, data=bytes(chunk))
-                          for offset, chunk in segs],
+                segments=[Record(offset=offset, data=b"".join(parts))
+                          for offset, parts, _ in segs],
             ),
             ctx,
-        )
-        return None if status == nfs_const.NFS3_OK else status
+        ))
+        flush = _Flush([(offset, offset + size)
+                        for offset, _, size in segs], done)
+        flushes.append(flush)
+        self._background.append(done)
+        done.add_done_callback(lambda done: self._flush_landed(handle, flush))
+        return done
+
+    def _flush_landed(self, handle: bytes, flush: "_Flush") -> None:
+        """A flush ended: keep its failure for the handle's next
+        barrier, and its reply's attributes only if they are the
+        file's — no other flush of it raced this one, nothing more is
+        gathered."""
+        done = flush.done
+        self._background.remove(done)
+        flushes = self._flushes[handle]
+        flushes.remove(flush)
+        if not flushes:
+            del self._flushes[handle]
+        if done.exception is not None:
+            if not isinstance(done.exception, (RpcError, ConnectionError)):
+                raise done.exception
+            status = nfs_const.NFS3ERR_IO
+        else:
+            status = done.value[0]
+        if status != nfs_const.NFS3_OK:
+            self._gather_count("failed")
+            self._flush_errors.setdefault(handle, status)
+        if (status != nfs_const.NFS3_OK or flush.superseded or flushes
+                or handle in self._gather_segs):
+            self.caches.attrs.invalidate(handle)
+
+    @staticmethod
+    def _landed(done: Future):
+        """Wait for a background call to end (``yield from``); how it
+        ended is for its done-callback to record."""
+        if not done.done:
+            try:
+                yield done
+            except (RpcError, ConnectionError):
+                pass
+
+    def _settle(self, handle: bytes, ctx: CallContext):
+        """Send *handle*'s gathered ranges and wait until every flush of
+        it has landed (``yield from``)."""
+        if handle in self._gather_segs:
+            self._flush_start(handle, ctx)
+        while handle in self._flushes:
+            yield from self._landed(self._flushes[handle][0].done)
+
+    def _write_barrier(self, handle: bytes, ctx: CallContext):
+        """Settle *handle* (``yield from``) and return the first flush
+        failure not yet reported — a non-OK NFS status the caller shapes
+        for whatever op hit the barrier — or None.  Each failure is
+        reported once."""
+        yield from self._settle(handle, ctx)
+        return self._flush_errors.pop(handle, None)
 
     # -- caching --
 
@@ -1341,9 +1471,12 @@ class MountedRemoteFs:
                     obj_attributes=attrs, access=entry
                 )
         elif proc == nfs_const.NFSPROC3_LOOKUP:
-            entry = self.caches.lookups.get(args.what.dir, args.what.name)
-            if entry is not None:
-                handle, attrs = entry
+            # A name maps to a handle only; what the handle's file looks
+            # like now is the attribute cache's to say, and without it
+            # the LOOKUP goes to the wire.
+            handle = self.caches.lookups.get(args.what.dir, args.what.name)
+            attrs = self.caches.attrs.get(handle) if handle else None
+            if attrs is not None:
                 return nfs_const.NFS3_OK, Record(
                     object=handle,
                     obj_attributes=attrs,
@@ -1362,10 +1495,7 @@ class MountedRemoteFs:
         elif proc == nfs_const.NFSPROC3_LOOKUP:
             if body.obj_attributes is not None:
                 caches.attrs.put(body.object, body.obj_attributes)
-                caches.lookups.put(
-                    args.what.dir, (body.object, body.obj_attributes),
-                    args.what.name,
-                )
+                caches.lookups.put(args.what.dir, body.object, args.what.name)
             if body.dir_attributes is not None:
                 caches.attrs.put(args.what.dir, body.dir_attributes)
         elif proc == nfs_const.NFSPROC3_ACCESS:
@@ -1386,7 +1516,7 @@ class MountedRemoteFs:
                 caches.attrs.put(args.object, body.obj_wcc.after)
         elif proc in (nfs_const.NFSPROC3_CREATE, nfs_const.NFSPROC3_MKDIR,
                       nfs_const.NFSPROC3_SYMLINK):
-            caches.invalidate(args.where.dir)
+            self._name_changed(args.where, body.dir_wcc)
             if body.obj is not None:
                 if (proc == nfs_const.NFSPROC3_CREATE
                         and _create_sets_size(args)):
@@ -1397,22 +1527,36 @@ class MountedRemoteFs:
                     self._ra_discard(body.obj)
                 if body.obj_attributes is not None:
                     caches.attrs.put(body.obj, body.obj_attributes)
-            if body.dir_wcc.after is not None:
-                caches.attrs.put(args.where.dir, body.dir_wcc.after)
+                caches.lookups.put(args.where.dir, body.obj, args.where.name)
         elif proc in (nfs_const.NFSPROC3_REMOVE, nfs_const.NFSPROC3_RMDIR):
-            caches.invalidate(args.object.dir)
-            if body.dir_wcc.after is not None:
-                caches.attrs.put(args.object.dir, body.dir_wcc.after)
+            self._name_changed(args.object, body.dir_wcc)
         elif proc == nfs_const.NFSPROC3_RENAME:
-            caches.invalidate(args.from_.dir)
-            caches.invalidate(args.to.dir)
+            self._name_changed(args.from_, body.fromdir_wcc)
+            self._name_changed(args.to, body.todir_wcc)
         elif proc == nfs_const.NFSPROC3_LINK:
             caches.invalidate(args.file)
-            caches.invalidate(args.link.dir)
+            self._name_changed(args.link, body.linkdir_wcc)
         elif proc == nfs_const.NFSPROC3_READDIRPLUS:
             for entry in body.entries:
                 if entry.name_handle is not None and entry.name_attributes is not None:
                     caches.attrs.put(entry.name_handle, entry.name_attributes)
+
+    def _name_changed(self, name: Record, wcc: Record) -> None:
+        """Our own call changed what *name* (a ``diropargs3``) names:
+        forget it — a CREATE puts its handle back — and what we held on
+        the file it named, whose link count moved; the directory's
+        attributes are the reply's *wcc* ones.  The directory's other
+        names stand: only an INVALIDATE or the lease drops those."""
+        caches = self.caches
+        gone = caches.lookups.peek(name.dir, name.name)
+        if gone is not None:
+            caches.attrs.invalidate(gone)
+        caches.lookups.forget(name.dir, name.name)
+        caches.attrs.invalidate(name.dir)
+        caches.access.invalidate(name.dir)
+        if wcc.after is not None:
+            caches.attrs.put(name.dir, wcc.after)
+
 
 def _create_sets_size(args: Record) -> bool:
     """Does this CREATE's ``sattr3`` carry a size (UNCHECKED/GUARDED
@@ -1675,9 +1819,10 @@ class SfsClientDaemon:
         self.caching = caching
         #: Pipeline window depth for the daemon's mounts: sequential
         #: readahead keeps READVs of up to this many chunks in flight
-        #: ahead of the reader (at most ``depth - 2`` of them, so none
-        #: below depth 3), and write-gathering sends up to this many
-        #: coalesced UNSTABLE writes per WRITEV flush (PROTOCOLS.md §17).
+        #: ahead of the reader, and write-gathering sends up to this many
+        #: coalesced UNSTABLE writes per WRITEV flush, behind the write
+        #: (at most ``depth - 2`` background calls, so none below depth
+        #: 3; PROTOCOLS.md §17).
         self.pipeline_depth = pipeline_depth
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: One policy drives both the mount-time handshake redial and

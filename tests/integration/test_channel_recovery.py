@@ -494,7 +494,9 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
     none pending while an unauthenticated record could resolve it.  The
     reads that waited for a lost one fall back to plain READs, whose
     retransmissions recover as they always did: every file completes
-    with the right bytes."""
+    with the right bytes.  Whatever the seed's losses hit, one READV is
+    lost by construction: the first one's record is dropped as it
+    leaves, so a prefetch is known to be pending when a record goes."""
     import re
 
     world = World(seed=seed)
@@ -521,17 +523,31 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
     pipe.reset_to_plaintext = checked_reset
     proc_of_xid, retransmitted = {}, []
 
+    first_readv = []
+
     def trace(line):
         if ": call " in line:
-            proc_of_xid[peer._xid] = int(re.search(r"proc=(\d+)", line)[1])
+            proc = int(re.search(r"proc=(\d+)", line)[1])
+            proc_of_xid[peer._xid] = proc
+            if proc == nfs_const.NFSPROC3_READV and not first_readv:
+                first_readv.append(peer._xid)   # its record leaves next
         elif ": retransmit " in line:
             retransmitted.append(
                 proc_of_xid[int(re.search(r"xid=(\d+)", line)[1])])
 
     peer.trace = trace
     seeds = random.Random(seed)
+
+    class LoseTheFirstReadv(RandomDropAdversary):
+        def process(self, data, direction):
+            delivered = super().process(data, direction)
+            if direction == "a->b" and len(first_readv) == 1:
+                first_readv.append("lost")
+                return []
+            return delivered
+
     world.set_wire_adversary(
-        lambda: RandomDropAdversary(0.05, random.Random(seeds.random())))
+        lambda: LoseTheFirstReadv(0.05, random.Random(seeds.random())))
 
     for i in range(4):
         data = random.Random(seed * 10 + i).randbytes(24 * 8192)
@@ -551,6 +567,7 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
     assert nfs_const.NFSPROC3_READV not in retransmitted
     assert proc_of_xid and nfs_const.NFSPROC3_READV in proc_of_xid.values()
     assert not peer._speculative
+    assert first_readv[1:] == ["lost"]
     assert world.metrics.counter("client.readahead.abandoned").value >= 1
 
 
@@ -601,7 +618,7 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     assert proc.read(fd, 2 * 8192) == data[:2 * 8192]   # the window opens
     mount = client.sfscd._mounts[path.hostid]
     session = mount.session
-    assert mount._ra_in_flight >= 2 and session.peer._speculative
+    assert len(mount._background) >= 2 and session.peer._speculative
     counter = world.metrics.counter
     batches = counter("client.readahead.batches").value
     pending_at_reset = []
@@ -617,7 +634,7 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     assert forger.forged and pending_at_reset == [[]]
     assert counter("client.readahead.batches").value == batches
     assert counter("client.readahead.abandoned").value >= 2
-    assert mount._ra_in_flight == 0
+    assert not mount._background
     assert session.peer._window_in_flight == 0
     assert not session.peer._call_futures
     assert proc.read(fd, len(data)) == data[2 * 8192:]

@@ -495,7 +495,7 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
     assert proc.read(fd, 2 * 8192) == data[:2 * 8192]   # the window opens
     mount = mount_of(client, path)
     old_peer = mount.session.peer
-    assert mount._ra_in_flight >= 2
+    assert len(mount._background) >= 2
     world.clock.call_at(world.clock.now + 0.001, server.crash)
     server.schedule_restart(world.clock.now + 0.5)
     assert proc.read(fd, len(data)) == data[2 * 8192:]
@@ -505,7 +505,7 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
     assert session.reconnects == 1
     assert mount.replayed_calls >= 1
     assert world.metrics.counter("client.readahead.abandoned").value >= 2
-    assert mount._ra_in_flight == 0
+    assert not mount._background
     for peer in (old_peer, session.peer):
         assert not peer._call_futures and not peer._speculative
     hits = world.metrics.counter("client.readahead.hits")
@@ -517,3 +517,42 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
     assert proc.read(fd, len(data)) == data
     proc.close(fd)
     assert hits.value - served > 32
+
+
+def test_crash_with_a_write_behind_flush_in_flight_replays_it():
+    """The server dies as it executes a background WRITEV, before the
+    reply leaves, with the fsync's own flush queued behind it.  Both are
+    relays, not prefetches: each fails over and replays on the fresh
+    connection, the fsync reports success, and every byte is there —
+    the replays land before the COMMIT that makes them durable."""
+    from repro.sim.network import NetworkParameters
+
+    world = World(seed=SEED)
+    world.lan_params = NetworkParameters.wan()
+    world.enable_pipelining(depth=8, seed=SEED)
+    server = world.add_server("crashy.example.com")
+    path = server.export_fs()
+    alice = server.add_user("alice", uid=1000)
+    home = pathops.mkdirs(server.fs, "/home/alice")
+    server.fs.setattr(home.ino, Cred(0, 0), uid=1000, gid=100)
+    client = world.add_client("laptop")
+    proc = client.login_user("alice", alice.key, uid=1000)
+    name = f"{path}/home/alice/behind"
+    data = bytes(range(256)) * 32 * 80        # 80 x 8 KB: one flush + a tail
+    fd = proc.open(name, "w")
+    injector = server.install_crash_injector([("after-write", 1)])
+    server.schedule_restart(world.clock.now + 0.5)
+    for at in range(0, len(data), 8192):
+        proc.write(fd, data[at:at + 8192])
+    mount = mount_of(client, path)
+    assert len(mount._flushes) == 1           # the first WRITEV is out
+    proc.fsync(fd)
+    proc.close(fd)
+
+    assert injector.fired == [("after-write", 1)]
+    assert mount.session.reconnects == 1
+    assert mount.replayed_calls >= 2          # both WRITEVs
+    assert not mount._flushes and not mount._flush_errors
+    assert not mount._background
+    assert proc.read_file(name) == data
+    assert pathops.read_file(server.fs, "/home/alice/behind") == data

@@ -225,6 +225,24 @@ def test_local_writes_invalidate_own_cache(two_clients):
     assert p1.stat(f"{path}/shared/h").size == 20
 
 
+@pytest.mark.parametrize("pipeline_depth", [1, 8])
+def test_stat_after_an_append_reports_the_new_size(pipeline_depth):
+    """sfscd's name cache maps a name to a handle, nothing more: a stat
+    whose walk finds the name cached reports the attributes cached for
+    the handle now, not those the file had when the name was looked up
+    (every read equals a model of what was written, sizes included)."""
+    _world, _server, path, _c1, p1, _c2, _p2 = _two_clients(pipeline_depth)
+    name = f"{path}/shared/grows"
+    p1.write_file(name, b"a" * 100)
+    fd = p1.open(name, "a")
+    assert p1.stat(name).size == 100
+    p1.write(fd, b"b" * 50)
+    p1.fsync(fd)
+    p1.close(fd)
+    assert p1.stat(name).size == 150
+    assert p1.read_file(name) == b"a" * 100 + b"b" * 50
+
+
 def test_caching_disabled_goes_to_server_every_time():
     world = World(seed=62)
     server = world.add_server("nocache.example.com")
@@ -299,7 +317,7 @@ def test_remote_write_drops_prefetches_still_on_the_wire():
     expected = old[:target] + fresh + old[target + CHUNK:]
     assert p1.read(reader, len(old)) == expected[at:]
     assert world.metrics.counter("client.readahead.stale_replies").value >= 1
-    assert stream.pending == {} and mount1._ra_in_flight == 0
+    assert stream.pending == {} and not mount1._background
     assert mount1._ra_streams[next(iter(mount1._ra_streams))] is not stream
     p1.close(reader)
 

@@ -85,9 +85,9 @@ def test_small_file_life_cycle_budget(mounted):
 
     assert spent(world, lambda: proc.write_file(name, data)) == (
         {"LOOKUP": 3, "CREATE": 1, "WRITE": 1, "COMMIT": 1}, relayed(3), 2)
-    # The new name is not in sfscd's lookup cache yet: one LOOKUP relayed.
-    assert spent(world, lambda: proc.stat(name)) == (
-        {"LOOKUP": 4}, relayed(1), 0)
+    # sfscd's own CREATE put the new name in its lookup cache, and the
+    # WRITE reply its attributes: the first stat relays nothing either.
+    assert spent(world, lambda: proc.stat(name)) == ({"LOOKUP": 4}, 0, 0)
     assert spent(world, lambda: proc.stat(name)) == ({"LOOKUP": 4}, 0, 0)
     assert spent(world, lambda: proc.read_file(name)) == (
         {"LOOKUP": 4, "ACCESS": 1, "READ": 1}, relayed(2), 0)

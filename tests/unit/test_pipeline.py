@@ -560,14 +560,14 @@ def test_local_write_drops_the_prefetches_still_on_the_wire():
     mount = _mount(setup)
     reader = proc.open(path)
     assert proc.read(reader, 2 * CHUNK) == data[:2 * CHUNK]  # window opens
-    assert mount._ra_in_flight >= 2
+    assert len(mount._background) >= 2
     fresh = bytes(CHUNK)
     writer = proc.open(path)
     proc.lseek(writer, 5 * CHUNK)
     proc.write(writer, fresh, sync=True)   # FILE_SYNC: relayed, not gathered
     counts = setup.metrics.snapshot()["metrics"]
     assert _count(counts, "client.readahead.stale_replies") >= 2
-    assert mount._ra_in_flight == 0
+    assert not mount._background
     assert not mount._ra_streams           # nothing they carried was kept
     expected = data[:5 * CHUNK] + fresh + data[6 * CHUNK:]
     assert proc.read(reader, len(data)) == expected[2 * CHUNK:]
@@ -749,4 +749,4 @@ def test_readahead_state_is_kept_for_a_few_handles_only():
                     proc.unlink(path)
             mount = _mount(setup)
             assert len(mount._ra_streams) == (0 if unlink else _RA_STREAMS)
-            assert mount._ra_in_flight == 0
+            assert not mount._background
