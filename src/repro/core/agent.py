@@ -21,6 +21,8 @@ callbacks the client master invokes:
 Certification paths and revocation directories read the file system
 *through SFS itself* via an injected ``fs_reader``, realizing the paper's
 point that the file namespace doubles as a key certification namespace.
+sfscd calls all three from inside its handlers, so each is a generator
+(``yield from agent.resolve(name)``), even one that never waits.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ Resolver = Callable[[str], "str | None"]
 
 
 class FsReader(Protocol):
-    """The slice of the file system the agent reads for key management."""
+    """The slice of the file system the agent reads for key management
+    (generators returning None for a missing file or link)."""
 
-    def readlink(self, path: str) -> str | None: ...
+    def readlink(self, path: str): ...
 
-    def readfile(self, path: str) -> bytes | None: ...
+    def readfile(self, path: str): ...
 
 
 @dataclass
@@ -87,13 +90,14 @@ class Agent:
         return len(self._keys)
 
     def sign_request(self, authinfo_bytes: bytes, seqno: int,
-                     key_index: int = 0) -> bytes:
+                     key_index: int = 0):
         """Produce an AuthMsg for the client (paper figure 4).
 
         AuthID = SHA-1(AuthInfo); the agent signs {AuthID, seqno} and
         appends the public key.  *key_index* selects among the agent's
         keys so the client can retry with different credentials.
         """
+        yield from ()
         if key_index >= len(self._keys):
             raise AgentRefused(
                 f"agent for {self.user} has no key #{key_index}"
@@ -134,7 +138,7 @@ class Agent:
     def links(self) -> dict[str, str]:
         return dict(self._links)
 
-    def resolve(self, name: str) -> str | None:
+    def resolve(self, name: str):
         """Map a non-self-certifying /sfs name to a symlink target.
 
         Order: explicit agent links, then each directory on the
@@ -145,7 +149,8 @@ class Agent:
             return self._links[name]
         if self._fs_reader is not None:
             for directory in self.certpaths:
-                target = self._fs_reader.readlink(f"{directory}/{name}")
+                target = yield from self._fs_reader.readlink(
+                    f"{directory}/{name}")
                 if target is not None:
                     return target
         for resolver in self._resolvers:
@@ -163,8 +168,7 @@ class Agent:
     def unblock_hostid(self, hostid: bytes) -> None:
         self._blocked.discard(hostid)
 
-    def check_revoked(self, location: str,
-                      hostid: bytes) -> tuple[int, Record | None]:
+    def check_revoked(self, location: str, hostid: bytes):
         """Consult policy before the client mounts (Location, HostID).
 
         Returns one of the proto.REVCHECK_* discriminants, with the
@@ -177,7 +181,8 @@ class Agent:
         if self._fs_reader is not None:
             name = hostid_to_text(hostid)
             for directory in self.revocation_dirs:
-                blob = self._fs_reader.readfile(f"{directory}/{name}")
+                blob = yield from self._fs_reader.readfile(
+                    f"{directory}/{name}")
                 if blob is None:
                     continue
                 cert = self._parse_certificate(blob, hostid)

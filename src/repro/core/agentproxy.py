@@ -16,7 +16,8 @@ enables two things the paper describes:
 RPC peer; :class:`RemoteAgent` is the client-side stub implementing the
 agent interface; chaining a RemoteAgent to a machine whose agent is
 itself remote yields the ssh-like hop chain, with every hop recorded in
-the home agent's audit trail via the request's ``via`` field.
+the home agent's audit trail via the request's ``via`` field.  Both
+sides are generators, over the agent's methods and over ``call_task``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class AgentServer:
                 AuditEntry("proxy", " -> ".join(via))
             )
         try:
-            blob = self.agent.sign_request(
+            blob = yield from self.agent.sign_request(
                 args.authinfo_bytes, args.seqno, args.key_index
             )
         except AgentRefused:
@@ -62,14 +63,14 @@ class AgentServer:
         return proto.SIGN_OK, blob
 
     def _resolve(self, args: Record, ctx: CallContext):
-        target = self.agent.resolve(args.name)
+        target = yield from self.agent.resolve(args.name)
         if target is None:
             return proto.RESOLVE_NONE, None
         return proto.RESOLVE_LINK, target
 
     def _revcheck(self, args: Record, ctx: CallContext):
-        disc, cert = self.agent.check_revoked(args.location, args.hostid)
-        return disc, cert
+        return (yield from self.agent.check_revoked(args.location,
+                                                    args.hostid))
 
 
 class RemoteAgent:
@@ -93,8 +94,8 @@ class RemoteAgent:
         return 1
 
     def sign_request(self, authinfo_bytes: bytes, seqno: int,
-                     key_index: int = 0) -> bytes:
-        disc, blob = self._peer.call(
+                     key_index: int = 0):
+        disc, blob = yield from self._peer.call_task(
             proto.SFS_AGENT_PROGRAM, proto.SFS_VERSION, proto.PROC_SIGNREQ,
             proto.SignReqArgs,
             proto.SignReqArgs.make(
@@ -107,8 +108,8 @@ class RemoteAgent:
             raise AgentRefused(f"remote agent for {self.user} refused")
         return blob
 
-    def resolve(self, name: str) -> str | None:
-        disc, target = self._peer.call(
+    def resolve(self, name: str):
+        disc, target = yield from self._peer.call_task(
             proto.SFS_AGENT_PROGRAM, proto.SFS_VERSION, proto.PROC_RESOLVE,
             proto.ResolveArgs, proto.ResolveArgs.make(name=name),
             proto.ResolveRes,
@@ -116,9 +117,9 @@ class RemoteAgent:
         return target if disc == proto.RESOLVE_LINK else None
 
     def check_revoked(self, location: str, hostid: bytes):
-        return self._peer.call(
+        return (yield from self._peer.call_task(
             proto.SFS_AGENT_PROGRAM, proto.SFS_VERSION, proto.PROC_REVCHECK,
             proto.RevcheckArgs,
             proto.RevcheckArgs.make(location=location, hostid=hostid),
             proto.RevcheckRes,
-        )
+        ))

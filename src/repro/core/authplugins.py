@@ -175,7 +175,8 @@ class HmacPasswordAgent:
         return 1
 
     def sign_request(self, authinfo_bytes: bytes, seqno: int,
-                     key_index: int = 0) -> bytes:
+                     key_index: int = 0):
+        yield from ()
         if key_index != 0:
             raise AgentRefused("hmac-password agent has one identity")
         self.rounds += 1
@@ -199,7 +200,9 @@ class HmacPasswordAgent:
         )
 
     def resolve(self, name: str):
+        yield from ()
         return None
 
     def check_revoked(self, location: str, hostid: bytes):
+        yield from ()
         return proto.REVCHECK_CLEAR, None

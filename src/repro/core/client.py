@@ -52,7 +52,7 @@ from ..rpc.peer import (
     RpcTimeout,
     RpcTransportDown,
 )
-from ..rpc.rpcmsg import AUTH_SYS, AuthSys, OpaqueAuth, RpcMsgError
+from ..rpc.rpcmsg import AuthSys, OpaqueAuth, RpcMsgError
 from ..rpc.xdr import Record, VOID, XdrError
 from ..sim.clock import Clock
 from ..sim.network import LinkSide
@@ -483,8 +483,8 @@ class ServerSession:
             if self.on_retarget is not None:
                 try:
                     yield from self.on_retarget(old_path, self.path)
-                except Exception:  # noqa: BLE001 - advisory
-                    pass
+                except (MountError, RpcError):
+                    pass  # the old name forwards; a LOOKUP redials
         if self.on_reconnect is not None:
             try:
                 self.on_reconnect()
@@ -672,8 +672,11 @@ class ServerSession:
         info = self.authinfo_bytes()
         for key_index in range(min(max_attempts, max(1, agent.key_count))):
             def attempt(key_index=key_index):
-                return self._login_call(
-                    *self._sign_login(agent, info, key_index))
+                self.auth_seqno += 1
+                seqno = self.auth_seqno
+                authmsg = yield from agent.sign_request(info, seqno,
+                                                        key_index)
+                return (yield from self._login_call(seqno, authmsg))
             for _round in range(max_rounds):
                 try:
                     disc, body = yield from self._retry_busy(attempt)
@@ -695,13 +698,6 @@ class ServerSession:
                 def attempt(seqno=seqno, authmsg=authmsg):
                     return self._login_call(seqno, authmsg)
         return 0
-
-    def _sign_login(self, agent: Agent, info: bytes,
-                    key_index: int) -> tuple[int, bytes]:
-        self.auth_seqno += 1
-        return self.auth_seqno, agent.sign_request(
-            info, self.auth_seqno, key_index
-        )
 
     def _login_call(self, seqno: int, authmsg: bytes):
         return self.peer.call_task(
@@ -944,7 +940,7 @@ class MountedRemoteFs:
     def _authno_for(self, ctx: CallContext):
         """The caller's authno (``yield from``): a uid's first call logs
         it in through its agent."""
-        uid = _uid_from_authsys(ctx.cred)
+        uid = _authsys(ctx.cred).uid
         if uid in self._authnos:
             return self._authnos[uid]
         agent = self.daemon.agents.get(uid)
@@ -1463,7 +1459,7 @@ class MountedRemoteFs:
             if attrs is not None:
                 return nfs_const.NFS3_OK, Record(obj_attributes=attrs)
         elif proc == nfs_const.NFSPROC3_ACCESS:
-            uid = _uid_from_authsys(ctx.cred)
+            uid = _authsys(ctx.cred).uid
             entry = self.caches.access.get(args.object, (uid, args.access))
             if entry is not None:
                 attrs = self.caches.attrs.get(args.object)
@@ -1499,7 +1495,7 @@ class MountedRemoteFs:
             if body.dir_attributes is not None:
                 caches.attrs.put(args.what.dir, body.dir_attributes)
         elif proc == nfs_const.NFSPROC3_ACCESS:
-            uid = _uid_from_authsys(ctx.cred)
+            uid = _authsys(ctx.cred).uid
             caches.access.put(args.object, body.access, (uid, args.access))
             if body.obj_attributes is not None:
                 caches.attrs.put(args.object, body.obj_attributes)
@@ -1577,13 +1573,17 @@ def _handles_in_args(proc: int, args: Record) -> list[bytes]:
     return found
 
 
-def _uid_from_authsys(cred: OpaqueAuth) -> int:
-    if cred.flavor != AUTH_SYS:
-        return 0xFFFE
+#: The group the kernel tags an agent's own reads with (its
+#: certification paths and revocation directories).
+AGENT_GID = 0xFFFD
+_NOBODY = AuthSys(uid=0xFFFE)
+
+
+def _authsys(cred: OpaqueAuth) -> AuthSys:
     try:
-        return AuthSys.from_auth(cred).uid
+        return AuthSys.from_auth(cred)
     except RpcMsgError:
-        return 0xFFFE
+        return _NOBODY
 
 
 # ---------------------------------------------------------------------------
@@ -1843,6 +1843,8 @@ class SfsClientDaemon:
         self._mount_roots: dict[bytes, bytes] = {}  # hostid -> root handle
         self._references: dict[int, set[str]] = {}  # uid -> mount names seen
         self._symlinks: dict[tuple[int | None, str], _SymlinkNode] = {}
+        #: (uid, hostid) -> the verdict of the revocation check running.
+        self._revchecks: dict[tuple[int, bytes], Future] = {}
         self._next_fsid = 0x5F50000
         self.program = self._build_root_program()
         self._time = 0
@@ -1918,17 +1920,20 @@ class SfsClientDaemon:
 
     # -- mounting --
 
-    def mount_path(self, path: SelfCertifyingPath, uid: int):
+    def mount_path(self, path: SelfCertifyingPath, uid: int,
+                   agent_read: bool = False):
         """Connect to and mount a self-certifying pathname for *uid*
         (``yield from``: the automounter's LOOKUP handler waits on the
         handshake and the back-off between dials by yielding).
 
         Honors agent revocation checks and server-supplied revocation
         certificates / forwarding pointers.  Returns the mount object.
+        *agent_read*: the LOOKUP is the agent's own (:data:`AGENT_GID`).
         """
         agent = self.agents.get(uid)
         if agent is not None:
-            disc, cert = agent.check_revoked(path.location, path.hostid)
+            disc, cert = yield from self._check_revoked(agent, path, uid,
+                                                        agent_read)
             if disc == proto.REVCHECK_BLOCKED:
                 raise MountError(f"HostID blocked by agent: {path.mount_name}")
             if disc == proto.REVCHECK_REVOKED:
@@ -2012,6 +2017,29 @@ class SfsClientDaemon:
         self.mounter.mount(f"/sfs/{path.mount_name}", mount.program,
                            root_handle, self._mountpoint_handle(path.mount_name))
         return mount
+
+    def _check_revoked(self, agent: Agent, path: SelfCertifyingPath,
+                       uid: int, agent_read: bool):
+        """*agent*'s verdict on *path* (``yield from``).  One check per
+        (uid, HostID) runs at a time and a LOOKUP meanwhile waits for its
+        verdict, but the agent's own reads go through: they may need that
+        very server (its revocation directory is there)."""
+        key = (uid, path.hostid)
+        while (running := self._revchecks.get(key)) is not None:
+            if agent_read:
+                return proto.REVCHECK_CLEAR, None
+            verdict = yield running
+            if verdict is not None:
+                return verdict
+        running = self._revchecks[key] = Future(f"revcheck:{uid}")
+        verdict = None
+        try:
+            verdict = yield from agent.check_revoked(path.location,
+                                                     path.hostid)
+        finally:
+            del self._revchecks[key]
+            running.resolve(verdict)  # None: it failed; waiters ask again
+        return verdict
 
     def _fetch_remote_root_task(self, session: ServerSession):
         """Obtain the remote root's (encrypted) handle.
@@ -2198,7 +2226,8 @@ class SfsClientDaemon:
     def _lookup(self, args: Record, ctx: CallContext):
         if args.what.dir != self.ROOT_HANDLE:
             return nfs_const.NFS3ERR_NOTDIR, Record(dir_attributes=None)
-        uid = _uid_from_authsys(ctx.cred)
+        cred = _authsys(ctx.cred)
+        uid = cred.uid
         name = args.what.name
         dir_attrs = self._dir_attrs(self.ROOT_HANDLE, 1)
         # Global links (revocations, forwarding pointers) come first:
@@ -2215,7 +2244,7 @@ class SfsClientDaemon:
         parsed = parse_mount_name(name)
         if parsed is not None:
             try:
-                yield from self.mount_path(parsed, uid)
+                yield from self.mount_path(parsed, uid, AGENT_GID in cred.gids)
             except MountError:
                 # Mount failures may have installed a revoked link.
                 node = self._symlinks.get((None, name))
@@ -2238,7 +2267,7 @@ class SfsClientDaemon:
         # Not self-certifying: notify the agent; it may produce a link.
         agent = self.agents.get(uid)
         if agent is not None:
-            target = agent.resolve(name)
+            target = yield from agent.resolve(name)
             if target is not None:
                 node = _SymlinkNode(name, target, uid)
                 self._symlinks[(uid, name)] = node
@@ -2276,7 +2305,7 @@ class SfsClientDaemon:
         """
         if args.dir != self.ROOT_HANDLE:
             return nfs_const.NFS3ERR_NOTDIR, Record(dir_attributes=None)
-        uid = _uid_from_authsys(ctx.cred)
+        uid = _authsys(ctx.cred).uid
         names = [".", ".."]
         names.extend(sorted(self._references.get(uid, ())))
         names.extend(sorted(

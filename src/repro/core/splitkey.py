@@ -122,7 +122,8 @@ class SplitKeyAgent:
         return 1
 
     def sign_request(self, authinfo_bytes: bytes, seqno: int,
-                     key_index: int = 0) -> bytes:
+                     key_index: int = 0):
+        yield from ()
         if key_index != 0:
             raise AgentRefused("split-key agent holds exactly one key")
         try:
@@ -146,9 +147,10 @@ class SplitKeyAgent:
         return blob
 
     def resolve(self, name: str):
-        return self._inner.resolve(name) if self._inner is not None else None
+        if self._inner is not None:
+            return (yield from self._inner.resolve(name))
 
     def check_revoked(self, location: str, hostid: bytes):
         if self._inner is not None:
-            return self._inner.check_revoked(location, hostid)
+            return (yield from self._inner.check_revoked(location, hostid))
         return proto.REVCHECK_CLEAR, None

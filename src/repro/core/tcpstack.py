@@ -11,6 +11,8 @@ virtual clock).
 
 from __future__ import annotations
 
+import threading
+
 from ..rpc.tcp import TcpListener, TcpPipe, connect
 from .server import SfsServerMaster
 
@@ -22,6 +24,7 @@ class TcpServerHost:
                  port: int = 0) -> None:
         self.master = master
         self._connections = []
+        turn = threading.Lock()  # one connection's thread at a time
 
         def session(pipe: TcpPipe) -> None:
             # A relayed call yields while the local NFS server answers,
@@ -39,12 +42,13 @@ class TcpServerHost:
 
             def on_receive(handler) -> None:
                 def deliver(record: bytes) -> None:
-                    handler(record)
-                    deadline = clock.now
-                    while deadline is not None:
-                        clock.advance(max(0.0, deadline - clock.now))
-                        deadline = clock.next_deadline() if relaying() \
-                            else None
+                    with turn:
+                        handler(record)
+                        deadline = clock.now
+                        while deadline is not None:
+                            clock.advance(max(0.0, deadline - clock.now))
+                            deadline = clock.next_deadline() \
+                                if relaying() else None
                 install(deliver)
 
             pipe.on_receive = on_receive

@@ -39,13 +39,14 @@ class NfsMounter:
         parent = self._managed.get(path.rpartition("/")[0])
         mount = self._kernel.add_mount(
             path, program, root_fh,
-            covered=None if covered is None else (parent, covered))
+            covered=None if covered is None else (parent.mount_id, covered))
         self._managed[path] = mount
         return mount
 
     def unmount(self, path: str) -> bool:
-        self._managed.pop(path, None)
-        return self._kernel.remove_mount(path)
+        """Unmount *path*; no path walk, so sfscd may from a handler."""
+        mount = self._managed.pop(path, None)
+        return mount is not None and self._kernel.remove_mount(mount)
 
     def mounted_paths(self) -> list[str]:
         return sorted(self._managed)

@@ -13,6 +13,10 @@ User code talks to :class:`Process`, which provides the POSIX-style
 syscalls benchmarks and examples use (open/read/write/stat/readdir/...),
 tagging every NFS call with the process's AUTH_SYS credentials — which is
 how sfscd knows which user's agent to consult.
+
+Each system call, and the path walk under it, is one generator:
+``proc.stat(path)`` runs it through the kernel's :class:`Runner`, and a
+task or an RPC handler yields on it, ``yield from proc.task.stat(path)``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterator
 from ..nfs3 import const as nfs_const
 from ..nfs3 import types as nfs_types
 from ..nfs3.client import Nfs3Client, Nfs3Error
-from ..rpc.peer import Program, RpcPeer
+from ..rpc.peer import Program, RpcPeer, Runner, Tasks, blocking
 from ..rpc.rpcmsg import AuthSys
 from ..rpc.xdr import Record
 from ..sim.clock import Clock
@@ -61,6 +65,15 @@ class KernelError(OSError):
         super().__init__(err, errno.errorcode.get(err, str(err)), path or None)
 
 
+def _mapped(call, path: str):
+    """Run the NFS call generator *call* (``yield from``), raising its
+    Nfs3Error as the KernelError a system call on *path* reports."""
+    try:
+        return (yield from call)
+    except Nfs3Error as exc:
+        _raise_from_nfs(exc, path)
+
+
 def _raise_from_nfs(exc: Nfs3Error, path: str = "") -> "KernelError":
     raise KernelError(_NFS_TO_ERRNO.get(exc.status, errno.EIO), path) from None
 
@@ -71,7 +84,8 @@ class Mount:
 
     *program*/*server_peer* are set for daemon loopback mounts (the
     kernel talking to a local user-level daemon) and None for mounts
-    whose NFS traffic goes straight over a network link.
+    whose NFS traffic goes straight over a network link.  *covered* is
+    the (mount id, handle) of the directory it is grafted on.
     """
 
     mount_id: int
@@ -80,6 +94,7 @@ class Mount:
     root_fh: bytes
     program: Program | None = None
     server_peer: RpcPeer | None = None
+    covered: tuple[int, bytes] | None = None
 
 
 def _normalize(path: str) -> str:
@@ -96,11 +111,11 @@ class Kernel:
         self.clock = clock
         self.hostname = hostname
         self.metrics = metrics
-        #: How a system call waits for its daemon's reply (the world's
-        #: scheduler pump; None: advance the clock).  The daemons'
-        #: handlers yield, so this wait is the one that lets a queued
-        #: server's workers run.
-        self.pump = pump
+        #: Runs a synchronous system call: *pump* is how it waits (the
+        #: world's scheduler pump; None: advance the clock).  The
+        #: daemons' handlers yield, so this wait is the one that lets a
+        #: queued server's workers run.
+        self.runner = Runner(pump, clock, metrics)
         self._mounts: list[Mount] = []
         self._mountpoints: dict[tuple[int, bytes], Mount] = {}
         self._next_mount_id = 1
@@ -113,79 +128,70 @@ class Kernel:
 
     # --- mount management -----------------------------------------------
 
-    def _attach_program(self, name: str, program: Program,
-                        root_fh: bytes) -> Mount:
-        """Create the kernel<->daemon NFS loopback for one mount."""
-        kernel_side, daemon_side = link_pair(self.clock, metrics=self.metrics)
-        kernel_side.link.pump = self.pump
-        server_peer = RpcPeer(daemon_side, f"daemon:{name}")
-        server_peer.register(program)
-        client = Nfs3Client(RpcPeer(kernel_side, f"kernel:{name}"))
-        mount = Mount(self._next_mount_id, name, client, root_fh,
-                      program, server_peer)
+    def _graft(self, name: str, root_fh: bytes,
+               covered: tuple[int, bytes] | None,
+               program: Program | None = None,
+               peer: RpcPeer | None = None) -> Mount:
+        """Mount *program* (over a new kernel<->daemon NFS loopback) or
+        *peer* on the directory *covered* (None: as the root)."""
+        server_peer = None
+        if program is not None:
+            kernel_side, daemon_side = link_pair(self.clock,
+                                                 metrics=self.metrics)
+            kernel_side.link.pump = self.runner.reply_waiter
+            server_peer = RpcPeer(daemon_side, f"daemon:{name}")
+            server_peer.register(program)
+            peer = RpcPeer(kernel_side, f"kernel:{name}")
+        mount = Mount(self._next_mount_id, name, Nfs3Client(peer), root_fh,
+                      program, server_peer, covered)
         self._next_mount_id += 1
         self._mounts.append(mount)
+        if covered is not None:
+            self._mountpoints[covered] = mount
         return mount
 
     def mount_root(self, program: Program, root_fh: bytes) -> Mount:
         """Mount the root file system."""
-        self.root = self._attach_program("/", program, root_fh)
+        self.root = self._graft("/", root_fh, None, program)
         return self.root
 
     def add_mount(self, path: str, program: Program, root_fh: bytes,
-                  cred: AuthSys | None = None,
-                  covered: tuple[Mount, bytes] | None = None) -> Mount:
+                  covered: tuple[int, bytes] | None = None) -> Mount:
         """Graft *program* over the directory at *path* (nfsmounter's job).
 
-        *covered* is that directory's (mount, handle) when the caller
+        *covered* is that directory's (mount id, handle) when the caller
         already knows them: a daemon mounting under its own directory,
         from inside the handler of a call, which must not walk the path
         through that very daemon."""
-        if covered is None:
-            cred = cred or AuthSys(uid=0, gid=0)
-            mount_at, fh, _attrs = self.resolve(path, cred, follow=False)
-        else:
-            mount_at, fh = covered
-        new_mount = self._attach_program(path, program, root_fh)
-        self._mountpoints[(mount_at.mount_id, fh)] = new_mount
-        return new_mount
+        return self._graft(path, root_fh, covered or self._covering(path),
+                           program)
 
-    def add_mount_peer(self, path: str, peer: RpcPeer, root_fh: bytes,
-                       cred: AuthSys | None = None) -> Mount:
+    def add_mount_peer(self, path: str, peer: RpcPeer,
+                       root_fh: bytes) -> Mount:
         """Mount over an existing RPC peer (e.g. after a MOUNT exchange)."""
-        cred = cred or AuthSys(uid=0, gid=0)
-        mount_at, fh, _attrs = self.resolve(path, cred, follow=False)
-        mount = Mount(self._next_mount_id, path, Nfs3Client(peer), root_fh)
-        self._next_mount_id += 1
-        self._mounts.append(mount)
-        self._mountpoints[(mount_at.mount_id, fh)] = mount
-        return mount
+        return self._graft(path, root_fh, self._covering(path), peer=peer)
 
-    def remove_mount(self, path: str, cred: AuthSys | None = None) -> bool:
-        cred = cred or AuthSys(uid=0, gid=0)
-        try:
-            # Resolve to the *covered* directory, not across the mount:
-            # walk to the parent, then look the leaf up directly.
-            parent_mount, parent_fh, leaf = self.resolve_parent(path, cred)
-            res = parent_mount.client.with_cred(cred).lookup(parent_fh, leaf)
-        except (KernelError, Nfs3Error):
+    def _covering(self, path: str) -> tuple[int, bytes]:
+        """The (mount id, handle) of the directory at *path*, as root."""
+        mount, fh, _attrs = self.runner.drive(self.resolve(
+            path, AuthSys(uid=0, gid=0), follow=False))
+        return mount.mount_id, fh
+
+    def remove_mount(self, mount: Mount) -> bool:
+        """Take *mount* off the directory it covers.  The graft recorded
+        that directory, so unmounting walks no path and sends no RPC —
+        which is what lets a daemon unmount from inside a handler."""
+        if self._mountpoints.get(mount.covered) is not mount:
             return False
-        removed = self._mountpoints.pop(
-            (parent_mount.mount_id, res.object), None
-        )
-        if removed is not None:
-            self._mounts = [m for m in self._mounts if m is not removed]
-            return True
-        return False
-
-    def mounts(self) -> list[str]:
-        return [mount.name for mount in self._mounts]
+        del self._mountpoints[mount.covered]
+        self._mounts.remove(mount)
+        return True
 
     # --- path walking ------------------------------------------------------
 
     def resolve(self, path: str, cred: AuthSys, follow: bool = True
                 ) -> tuple[Mount, bytes, Record]:
-        """Walk *path* to (mount, handle, attributes).
+        """Walk *path* to (mount, handle, attributes) (``yield from``).
 
         Follows symlinks (including the on-the-fly ones sfscd
         manufactures under /sfs) and crosses mount points.  ".." is
@@ -217,14 +223,13 @@ class Kernel:
                 continue
             if attrs is not None and attrs.type != nfs_const.NF3DIR:
                 raise KernelError(errno.ENOTDIR, path)
-            try:
-                res = mount.client.with_cred(cred).lookup(fh, part)
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, path)
+            res = yield from _mapped(
+                mount.client.with_cred(cred).lookup(fh, part), path)
             child_fh = res.object
             child_attrs = res.obj_attributes
             if child_attrs is None:
-                child_attrs = self._getattr(mount, child_fh, cred, path)
+                child_attrs = yield from _mapped(
+                    mount.client.with_cred(cred).getattr(child_fh), path)
             child_mount = mount
             crossing = self._mountpoints.get((mount.mount_id, child_fh))
             if crossing is not None:
@@ -238,10 +243,8 @@ class Kernel:
                 budget -= 1
                 if budget <= 0:
                     raise KernelError(errno.ELOOP, path)
-                try:
-                    target = mount.client.with_cred(cred).readlink(child_fh)
-                except Nfs3Error as exc:
-                    _raise_from_nfs(exc, path)
+                target = yield from _mapped(mount.client.with_cred(
+                    cred).readlink(child_fh), path)
                 new_parts = [p for p in target.split("/") if p and p != "."]
                 parts = new_parts + parts[index + 1 :]
                 index = 0
@@ -255,7 +258,8 @@ class Kernel:
             mount, fh, attrs = child_mount, child_fh, child_attrs
             index += 1
         if attrs is None:
-            attrs = self._getattr(mount, fh, cred, path)
+            attrs = yield from _mapped(
+                mount.client.with_cred(cred).getattr(fh), path)
         return mount, fh, attrs
 
     def resolve_parent(self, path: str, cred: AuthSys
@@ -265,17 +269,10 @@ class Kernel:
         if normalized == "/":
             raise KernelError(errno.EINVAL, path)
         parent, _, leaf = normalized.rpartition("/")
-        mount, fh, attrs = self.resolve(parent or "/", cred)
+        mount, fh, attrs = yield from self.resolve(parent or "/", cred)
         if attrs.type != nfs_const.NF3DIR:
             raise KernelError(errno.ENOTDIR, path)
         return mount, fh, leaf
-
-    def _getattr(self, mount: Mount, fh: bytes, cred: AuthSys,
-                 path: str) -> Record:
-        try:
-            return mount.client.with_cred(cred).getattr(fh)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
 
 
 @dataclass
@@ -329,11 +326,14 @@ def _stat_from_fattr(attrs: Record) -> StatResult:
 
 
 class Process:
-    """A user process: credentials, cwd, fd table, POSIX syscalls."""
+    """A user process: credentials, cwd, fd table, POSIX syscalls (each
+    one that waits a :func:`~repro.rpc.peer.blocking` generator)."""
 
     def __init__(self, kernel: Kernel, uid: int = 0, gid: int = 0,
                  groups: tuple[int, ...] = ()) -> None:
         self.kernel = kernel
+        self.runner = kernel.runner
+        self.task = Tasks(self)
         self.cred = AuthSys(uid=uid, gid=gid, gids=groups,
                             machinename=kernel.hostname)
         self._cwd = "/"
@@ -344,6 +344,10 @@ class Process:
     def uid(self) -> int:
         return self.cred.uid
 
+    def _nfs(self, mount: Mount) -> Nfs3Client:
+        """*mount*'s NFS client, as this process."""
+        return mount.client.with_cred(self.cred)
+
     # --- paths ------------------------------------------------------------
 
     def _abspath(self, path: str) -> str:
@@ -351,6 +355,7 @@ class Process:
             path = self._cwd.rstrip("/") + "/" + path
         return _normalize(path)
 
+    @blocking
     def realpath(self, path: str) -> str:
         """Resolve symlinks and ".." to a canonical absolute path.
 
@@ -368,7 +373,7 @@ class Process:
                 continue
             candidate = "/" + "/".join(resolved + [part])
             try:
-                st = self.lstat(candidate)
+                st = yield from self.task.lstat(candidate)
             except KernelError:
                 resolved.append(part)
                 continue
@@ -376,7 +381,7 @@ class Process:
                 budget -= 1
                 if budget <= 0:
                     raise KernelError(errno.ELOOP, path)
-                target = self.readlink(candidate)
+                target = yield from self.task.readlink(candidate)
                 new_parts = [p for p in target.split("/") if p and p != "."]
                 if target.startswith("/"):
                     resolved = []
@@ -385,20 +390,23 @@ class Process:
                 resolved.append(part)
         return "/" + "/".join(resolved)
 
+    @blocking
     def chdir(self, path: str) -> None:
         absolute = self._abspath(path)
-        _mount, _fh, attrs = self.kernel.resolve(absolute, self.cred)
+        _mount, _fh, attrs = yield from self.kernel.resolve(absolute,
+                                                            self.cred)
         if attrs.type != nfs_const.NF3DIR:
             raise KernelError(errno.ENOTDIR, path)
         # Canonicalize so getcwd() prints the real (self-certifying,
         # when under /sfs) pathname, as the paper's pwd does.
-        self._cwd = self.realpath(absolute)
+        self._cwd = yield from self.task.realpath(absolute)
 
     def getcwd(self) -> str:
         return self._cwd
 
     # --- file I/O -----------------------------------------------------------
 
+    @blocking
     def open(self, path: str, flags: str = "r", mode: int = 0o644) -> int:
         """Open a file.  *flags*: r, w (truncate+create), a, rw, x (excl).
 
@@ -409,37 +417,30 @@ class Process:
         """
         absolute = self._abspath(path)
         create = any(f in flags for f in ("w", "a", "x"))
-        client_cred = self.cred
         if create:
-            mount, dir_fh, leaf = self.kernel.resolve_parent(absolute, client_cred)
-            try:
-                res = mount.client.with_cred(client_cred).create(
-                    dir_fh, leaf, mode=mode, exclusive="x" in flags,
-                    size=0 if "w" in flags else None,
-                )
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, path)
+            mount, dir_fh, leaf = yield from self.kernel.resolve_parent(
+                absolute, self.cred)
+            res = yield from _mapped(self._nfs(mount).create(
+                dir_fh, leaf, mode=mode, exclusive="x" in flags,
+                size=0 if "w" in flags else None), path)
             fh = res.obj
             if fh is None:
                 raise KernelError(errno.EIO, path)
         else:
-            mount, fh, attrs = self.kernel.resolve(absolute, client_cred)
+            mount, fh, attrs = yield from self.kernel.resolve(absolute,
+                                                              self.cred)
             if attrs.type == nfs_const.NF3DIR:
                 raise KernelError(errno.EISDIR, path)
             # Like a real NFS client, check permissions with ACCESS at
             # open time (this is the call SFS's access cache absorbs).
-            try:
-                granted = mount.client.with_cred(client_cred).access(
-                    fh, nfs_const.ACCESS3_READ
-                )
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, path)
+            granted = yield from _mapped(self._nfs(mount).access(
+                fh, nfs_const.ACCESS3_READ), path)
             if not granted & nfs_const.ACCESS3_READ:
                 raise KernelError(errno.EACCES, path)
         handle = FileHandle(mount, fh, path=absolute)
         fd = self._register(handle)
         if "a" in flags:
-            handle.offset = self.fstat_fd(fd).size
+            handle.offset = (yield from self.task.fstat_fd(fd)).size
         return fd
 
     def _register(self, handle: FileHandle) -> int:
@@ -454,17 +455,15 @@ class Process:
         except KeyError:
             raise KernelError(errno.EBADF) from None
 
+    @blocking
     def read(self, fd: int, count: int) -> bytes:
         handle = self._handle(fd)
+        nfs = self._nfs(handle.mount)
         out = bytearray()
         while count > 0:
             chunk = min(count, _IO_CHUNK)
-            try:
-                res = handle.mount.client.with_cred(self.cred).read(
-                    handle.fh, handle.offset, chunk
-                )
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, handle.path)
+            res = yield from _mapped(
+                nfs.read(handle.fh, handle.offset, chunk), handle.path)
             out += res.data
             handle.offset += len(res.data)
             count -= len(res.data)
@@ -472,19 +471,18 @@ class Process:
                 break
         return bytes(out)
 
+    @blocking
     def write(self, fd: int, data: bytes, sync: bool = False) -> int:
         handle = self._handle(fd)
+        nfs = self._nfs(handle.mount)
         stable = nfs_const.FILE_SYNC if sync else nfs_const.UNSTABLE
         written = 0
         view = memoryview(data)
         while written < len(data):
             chunk = view[written : written + _IO_CHUNK]
-            try:
-                res = handle.mount.client.with_cred(self.cred).write(
-                    handle.fh, handle.offset, bytes(chunk), stable=stable
-                )
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, handle.path)
+            res = yield from _mapped(nfs.write(
+                handle.fh, handle.offset, bytes(chunk), stable=stable),
+                handle.path)
             handle.offset += res.count
             written += res.count
             if not sync:
@@ -498,6 +496,7 @@ class Process:
         handle.offset = offset
         return offset
 
+    @blocking
     def fchown(self, fd: int, uid: int, gid: int | None = None) -> None:
         """chown on an open descriptor: exactly one SETATTR RPC.
 
@@ -506,28 +505,24 @@ class Process:
         requires a disk access — an unauthorized fchown system call."
         """
         handle = self._handle(fd)
-        try:
-            handle.mount.client.with_cred(self.cred).setattr(
-                handle.fh, nfs_types.sattr(uid=uid, gid=gid)
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, handle.path)
+        yield from self._setattr(handle.mount, handle.fh, handle.path,
+                                 uid=uid, gid=gid)
 
+    @blocking
     def fsync(self, fd: int) -> None:
-        self._commit(self._handle(fd))
+        yield from self._commit(self._handle(fd))
 
-    def _commit(self, handle: FileHandle) -> None:
+    def _commit(self, handle: FileHandle):
         """COMMIT the file's UNSTABLE bytes, whichever descriptor wrote
         them; nothing when it has none outstanding."""
         key = (handle.mount.mount_id, handle.fh)
         if key not in self.kernel.unstable:
             return
-        try:
-            handle.mount.client.with_cred(self.cred).commit(handle.fh)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, handle.path)
+        yield from _mapped(self._nfs(handle.mount).commit(handle.fh),
+                           handle.path)
         self.kernel.unstable.discard(key)
 
+    @blocking
     def close(self, fd: int, sync_on_close: bool = True) -> None:
         """Close; like NFS clients, flush dirty data synchronously.
 
@@ -540,102 +535,94 @@ class Process:
         if handle is None:
             raise KernelError(errno.EBADF)
         if sync_on_close:
-            self._commit(handle)
+            yield from self._commit(handle)
 
+    @blocking
     def read_file(self, path: str) -> bytes:
         """Convenience: whole-file read, ended by READ's eof flag."""
-        fd = self.open(path, "r")
+        fd = yield from self.task.open(path, "r")
         try:
-            return self.read(fd, _TO_EOF)
+            return (yield from self.task.read(fd, _TO_EOF))
         finally:
-            self.close(fd)
+            yield from self.task.close(fd)
 
+    @blocking
     def write_file(self, path: str, data: bytes, mode: int = 0o644,
                    sync: bool = False) -> None:
         """Convenience: create/truncate + write + close."""
-        fd = self.open(path, "w", mode)
+        fd = yield from self.task.open(path, "w", mode)
         try:
-            self.write(fd, data, sync=sync)
+            yield from self.task.write(fd, data, sync=sync)
         finally:
-            self.close(fd)
+            yield from self.task.close(fd)
 
-    def _truncate(self, mount: Mount, fh: bytes, size: int, path: str) -> None:
-        try:
-            mount.client.with_cred(self.cred).setattr(
-                fh, nfs_types.sattr(size=size)
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+    def _setattr(self, mount: Mount, fh: bytes, path: str, **attrs):
+        yield from _mapped(
+            self._nfs(mount).setattr(fh, nfs_types.sattr(**attrs)), path)
 
     # --- metadata --------------------------------------------------------------
 
+    @blocking
     def stat(self, path: str) -> StatResult:
-        _mount, _fh, attrs = self.kernel.resolve(self._abspath(path), self.cred)
+        _mount, _fh, attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred)
         return _stat_from_fattr(attrs)
 
+    @blocking
     def lstat(self, path: str) -> StatResult:
-        _mount, _fh, attrs = self.kernel.resolve(
-            self._abspath(path), self.cred, follow=False
-        )
+        _mount, _fh, attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred, follow=False)
         return _stat_from_fattr(attrs)
 
+    @blocking
     def fstat_fd(self, fd: int) -> StatResult:
         handle = self._handle(fd)
-        try:
-            attrs = handle.mount.client.with_cred(self.cred).getattr(handle.fh)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, handle.path)
+        attrs = yield from _mapped(
+            self._nfs(handle.mount).getattr(handle.fh), handle.path)
         return _stat_from_fattr(attrs)
 
+    @blocking
     def access(self, path: str, mask: int) -> int:
-        mount, fh, _attrs = self.kernel.resolve(self._abspath(path), self.cred)
-        try:
-            return mount.client.with_cred(self.cred).access(fh, mask)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        mount, fh, _attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred)
+        return (yield from _mapped(self._nfs(mount).access(fh, mask), path))
 
+    @blocking
     def chmod(self, path: str, mode: int) -> None:
-        mount, fh, _attrs = self.kernel.resolve(self._abspath(path), self.cred)
-        try:
-            mount.client.with_cred(self.cred).setattr(
-                fh, nfs_types.sattr(mode=mode)
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._setattr_path(path, mode=mode)
 
+    @blocking
     def chown(self, path: str, uid: int, gid: int | None = None) -> None:
-        mount, fh, _attrs = self.kernel.resolve(self._abspath(path), self.cred)
-        try:
-            mount.client.with_cred(self.cred).setattr(
-                fh, nfs_types.sattr(uid=uid, gid=gid)
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._setattr_path(path, uid=uid, gid=gid)
 
+    @blocking
     def truncate(self, path: str, size: int) -> None:
-        mount, fh, _attrs = self.kernel.resolve(self._abspath(path), self.cred)
-        self._truncate(mount, fh, size, path)
+        yield from self._setattr_path(path, size=size)
 
+    @blocking
     def utimes(self, path: str, atime: int, mtime: int) -> None:
-        mount, fh, _attrs = self.kernel.resolve(self._abspath(path), self.cred)
-        try:
-            mount.client.with_cred(self.cred).setattr(
-                fh, nfs_types.sattr(atime=atime, mtime=mtime)
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._setattr_path(path, atime=atime, mtime=mtime)
+
+    def _setattr_path(self, path: str, **attrs):
+        mount, fh, _attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred)
+        yield from self._setattr(mount, fh, path, **attrs)
 
     # --- namespace ops ------------------------------------------------------------
 
-    def mkdir(self, path: str, mode: int = 0o755) -> None:
-        mount, dir_fh, leaf = self.kernel.resolve_parent(
-            self._abspath(path), self.cred
-        )
-        try:
-            mount.client.with_cred(self.cred).mkdir(dir_fh, leaf, mode)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+    def _in_parent(self, path: str, call: str, *args):
+        """Resolve *path*'s parent directory, then run the NFS *call* on
+        (directory handle, leaf, *args)."""
+        mount, dir_fh, leaf = yield from self.kernel.resolve_parent(
+            self._abspath(path), self.cred)
+        yield from _mapped(
+            getattr(self._nfs(mount), call)(dir_fh, leaf, *args), path)
 
+    @blocking
+    def mkdir(self, path: str, mode: int = 0o755) -> None:
+        yield from self._in_parent(path, "mkdir", mode)
+
+    @blocking
     def makedirs(self, path: str, mode: int = 0o755) -> None:
         absolute = self._abspath(path)
         parts = [p for p in absolute.split("/") if p]
@@ -643,96 +630,70 @@ class Process:
         for part in parts:
             so_far += "/" + part
             try:
-                self.stat(so_far)
+                yield from self.task.stat(so_far)
                 continue
             except KernelError as exc:
                 if exc.errno != errno.ENOENT:
                     raise
             try:
-                self.mkdir(so_far, mode)
+                yield from self.task.mkdir(so_far, mode)
             except KernelError as exc:
                 if exc.errno != errno.EEXIST:
                     raise
 
+    @blocking
     def rmdir(self, path: str) -> None:
-        mount, dir_fh, leaf = self.kernel.resolve_parent(
-            self._abspath(path), self.cred
-        )
-        try:
-            mount.client.with_cred(self.cred).rmdir(dir_fh, leaf)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._in_parent(path, "rmdir")
 
+    @blocking
     def unlink(self, path: str) -> None:
-        mount, dir_fh, leaf = self.kernel.resolve_parent(
-            self._abspath(path), self.cred
-        )
-        try:
-            mount.client.with_cred(self.cred).remove(dir_fh, leaf)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._in_parent(path, "remove")
 
+    @blocking
     def rename(self, old: str, new: str) -> None:
-        from_mount, from_fh, from_leaf = self.kernel.resolve_parent(
-            self._abspath(old), self.cred
-        )
-        to_mount, to_fh, to_leaf = self.kernel.resolve_parent(
-            self._abspath(new), self.cred
-        )
+        from_mount, from_fh, from_leaf = yield from self.kernel.resolve_parent(
+            self._abspath(old), self.cred)
+        to_mount, to_fh, to_leaf = yield from self.kernel.resolve_parent(
+            self._abspath(new), self.cred)
         if from_mount.mount_id != to_mount.mount_id:
             raise KernelError(errno.EXDEV, new)
-        try:
-            from_mount.client.with_cred(self.cred).rename(
-                from_fh, from_leaf, to_fh, to_leaf
-            )
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, new)
+        yield from _mapped(self._nfs(from_mount).rename(
+            from_fh, from_leaf, to_fh, to_leaf), new)
 
+    @blocking
     def symlink(self, target: str, path: str) -> None:
-        mount, dir_fh, leaf = self.kernel.resolve_parent(
-            self._abspath(path), self.cred
-        )
-        try:
-            mount.client.with_cred(self.cred).symlink(dir_fh, leaf, target)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        yield from self._in_parent(path, "symlink", target)
 
+    @blocking
     def readlink(self, path: str) -> str:
-        mount, fh, attrs = self.kernel.resolve(
-            self._abspath(path), self.cred, follow=False
-        )
+        mount, fh, attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred, follow=False)
         if attrs.type != nfs_const.NF3LNK:
             raise KernelError(errno.EINVAL, path)
-        try:
-            return mount.client.with_cred(self.cred).readlink(fh)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, path)
+        return (yield from _mapped(self._nfs(mount).readlink(fh), path))
 
+    @blocking
     def link(self, existing: str, new: str) -> None:
-        file_mount, file_fh, _attrs = self.kernel.resolve(
-            self._abspath(existing), self.cred
-        )
-        dir_mount, dir_fh, leaf = self.kernel.resolve_parent(
-            self._abspath(new), self.cred
-        )
+        file_mount, file_fh, _attrs = yield from self.kernel.resolve(
+            self._abspath(existing), self.cred)
+        dir_mount, dir_fh, leaf = yield from self.kernel.resolve_parent(
+            self._abspath(new), self.cred)
         if file_mount.mount_id != dir_mount.mount_id:
             raise KernelError(errno.EXDEV, new)
-        try:
-            file_mount.client.with_cred(self.cred).link(file_fh, dir_fh, leaf)
-        except Nfs3Error as exc:
-            _raise_from_nfs(exc, new)
+        yield from _mapped(
+            self._nfs(file_mount).link(file_fh, dir_fh, leaf), new)
 
+    @blocking
     def readdir(self, path: str) -> list[str]:
-        mount, fh, attrs = self.kernel.resolve(self._abspath(path), self.cred)
+        mount, fh, attrs = yield from self.kernel.resolve(
+            self._abspath(path), self.cred)
         if attrs.type != nfs_const.NF3DIR:
             raise KernelError(errno.ENOTDIR, path)
+        nfs = self._nfs(mount)
         names: list[str] = []
         cookie = 0
         while True:
-            try:
-                res = mount.client.with_cred(self.cred).readdir(fh, cookie)
-            except Nfs3Error as exc:
-                _raise_from_nfs(exc, path)
+            res = yield from _mapped(nfs.readdir(fh, cookie), path)
             for entry in res.entries:
                 if entry.name not in (".", ".."):
                     names.append(entry.name)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..core.agent import Agent
 from ..core.authserv import AuthServer
-from ..core.client import SfsClientDaemon
+from ..core.client import AGENT_GID, SfsClientDaemon
 from ..core.pathnames import SelfCertifyingPath
 from ..core.server import SfsServerMaster
 from ..crypto.rabin import PrivateKey, generate_key
@@ -170,20 +170,21 @@ class ServerMachine:
 
 
 class _KernelFsReader:
-    """Adapts a root Process to the agent's FsReader protocol."""
+    """Adapts a Process to the agent's FsReader protocol: the agent
+    reads from inside sfscd's handlers, so it yields on the kernel."""
 
     def __init__(self, process: Process) -> None:
         self._process = process
 
-    def readlink(self, path: str) -> str | None:
+    def readlink(self, path: str):
         try:
-            return self._process.readlink(path)
+            return (yield from self._process.task.readlink(path))
         except KernelError:
             return None
 
-    def readfile(self, path: str) -> bytes | None:
+    def readfile(self, path: str):
         try:
-            return self._process.read_file(path)
+            return (yield from self._process.task.read_file(path))
         except KernelError:
             return None
 
@@ -201,7 +202,7 @@ class ClientMachine:
         self.metrics = metrics if metrics is not None else world.metrics
         self.registry = None
         self.kernel = Kernel(world.clock, hostname, metrics=self.metrics,
-                             pump=world._pump)
+                             pump=world.scheduler.legacy_pump)
         disk = Disk(world.clock, DiskParameters.ibm_18es(),
                     metrics=self.metrics) if with_disk else None
         self.local_fs = MemFs(fsid=0x100, disk=disk)
@@ -230,7 +231,7 @@ class ClientMachine:
     def new_agent(self, user: str, uid: int) -> Agent:
         """Start an agent for *uid* with file system access for key
         management (certification paths, revocation directories)."""
-        reader = _KernelFsReader(self.process(uid))
+        reader = _KernelFsReader(self.process(uid, groups=(AGENT_GID,)))
         agent = Agent(user, self.world.rng, fs_reader=reader)
         self.sfscd.attach_agent(uid, agent)
         return agent
@@ -359,25 +360,12 @@ class World:
 
     def _wire(self, side: "LinkSide") -> None:
         """The single place a wire link meets the world: it gets the
-        send window and :meth:`_pump`, so sync entry points (handshakes,
-        the kernel's calls, tests) can wait out replies and queued
-        servers."""
+        send window and the scheduler's pump, so sync entry points
+        (handshakes, the kernel's calls, tests) can wait out replies
+        and queued servers.  Inside a task they may not: the pump's
+        assertion names the task, which must yield instead."""
         side.link.window_depth = self.pipeline_depth
-        side.link.pump = self._pump
-
-    def _pump(self) -> None:
-        """One unit of progress for a synchronous caller on a wire link:
-        a scheduler pump.  Inside a task step (a scenario's kernel
-        client calling the still-synchronous VFS) the scheduler may not
-        be re-entered, so only the clock runs, to the next timer —
-        enough for a reply that needs no other task stepped; with no
-        timer left, the pump's assertion names the task."""
-        if self.scheduler.current is not None:
-            deadline = self.clock.next_deadline()
-            if deadline is not None:
-                self.clock.advance(max(0.0, deadline - self.clock.now))
-                return
-        self.scheduler.legacy_pump()
+        side.link.pump = self.scheduler.legacy_pump
 
     def enable_control(self, period: float = 0.010, ring_size: int = 64,
                        stale_after: int = 2, dead_after: int = 5,

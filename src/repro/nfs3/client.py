@@ -25,7 +25,8 @@ class Nfs3Error(Exception):
 
 
 class Nfs3Client:
-    """Typed procedure stubs over an :class:`RpcPeer`."""
+    """Typed procedure stubs over an :class:`RpcPeer`: generators over
+    :meth:`RpcPeer.call_task` (``yield from client.read(...)``)."""
 
     def __init__(self, peer: RpcPeer, cred: OpaqueAuth | AuthSys = NULL_AUTH) -> None:
         self.peer = peer
@@ -35,10 +36,10 @@ class Nfs3Client:
         """A view of the same connection under different credentials."""
         return Nfs3Client(self.peer, cred)
 
-    def _call(self, proc: int, args) -> Record | None:
+    def _call(self, proc: int, args):
         arg_codec, res_codec = types.PROC_CODECS[proc]
         try:
-            result = self.peer.call(
+            result = yield from self.peer.call_task(
                 const.NFS3_PROGRAM, const.NFS3_VERSION, proc,
                 arg_codec, args, res_codec, cred=self.cred,
             )
@@ -56,14 +57,14 @@ class Nfs3Client:
 
     # --- procedures --------------------------------------------------------
 
-    def null(self) -> None:
-        self.peer.call(
+    def null(self):
+        yield from self.peer.call_task(
             const.NFS3_PROGRAM, const.NFS3_VERSION, const.NFSPROC3_NULL,
             VOID, None, VOID, cred=self.cred,
         )
 
     def getattr(self, handle: bytes) -> Record:
-        body = self._call(
+        body = yield from self._call(
             const.NFSPROC3_GETATTR, types.GetAttrArgs.make(object=handle)
         )
         return body.obj_attributes
@@ -89,13 +90,13 @@ class Nfs3Client:
         )
 
     def access(self, handle: bytes, mask: int) -> int:
-        body = self._call(
+        body = yield from self._call(
             const.NFSPROC3_ACCESS, types.AccessArgs.make(object=handle, access=mask)
         )
         return body.access
 
     def readlink(self, handle: bytes) -> str:
-        body = self._call(
+        body = yield from self._call(
             const.NFSPROC3_READLINK, types.ReadlinkArgs.make(symlink=handle)
         )
         return body.data

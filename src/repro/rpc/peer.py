@@ -13,8 +13,9 @@ channel wrapper, or a real TCP transport.  No transport delivers inside
 network) or a socket read (TCP).  There is therefore one call path,
 :meth:`RpcPeer.call_task`, a generator that *yields* while its reply is
 in flight, and two ways to run such a generator from outside any task:
-:meth:`RpcPeer.drive` runs it to completion for a synchronous caller,
-:meth:`RpcPeer.start` runs it in the background and hands back a Future.
+:meth:`Runner.drive` (a peer is a :class:`Runner`) runs it to completion
+for a synchronous caller, :meth:`RpcPeer.start` runs it in the
+background and hands back a Future.
 
 Serving is the mirror image.  A procedure's handler returns its result,
 or is itself a generator — a relay that ``yield from``\\ s the call to
@@ -200,35 +201,147 @@ class Program:
         return register
 
 
+class Runner:
+    """Runs task generators to completion for synchronous callers: an
+    :class:`RpcPeer` over its transport's waiter and clock, or the
+    kernel's own (a system call may wait on any of its mounts)."""
+
+    def __init__(self, reply_waiter: Callable[[], None] | None = None,
+                 backoff_clock=None, metrics=None) -> None:
+        #: How :meth:`drive` makes progress while a reply is in flight:
+        #: called repeatedly until the awaited future completes (a TCP
+        #: socket pump, the World scheduler's ``legacy_pump``).  Must
+        #: make progress or raise.  Without one :meth:`drive` advances
+        #: :attr:`backoff_clock` itself.
+        self.reply_waiter = reply_waiter
+        #: Virtual clock retransmission timers and backoff run on; None
+        #: = wall clock.
+        self.backoff_clock = backoff_clock
+        #: The registry whose layer tracker a wait is charged to.
+        self.metrics = metrics or NULL_REGISTRY
+
+    def drive(self, gen) -> Any:
+        """Run a task generator to completion, synchronously.
+
+        The one edge between synchronous callers (tests, examples, the
+        kernel's system calls) and the task-native engine.  Mirrors the
+        scheduler's step protocol — wait out whatever the generator
+        yields, send the outcome back in — so every synchronous method
+        beside a generator is this applied to it (:func:`blocking`).
+        """
+        try:
+            waited = next(gen)
+            while True:
+                if isinstance(waited, Future):
+                    self.wait_for(waited)
+                    if waited.exception is not None:
+                        waited = gen.throw(waited.exception)
+                    else:
+                        waited = gen.send(waited.value)
+                else:
+                    self._sleep_sync(waited.seconds
+                                     if isinstance(waited, Sleep)
+                                     else float(waited))
+                    waited = gen.send(None)
+        except StopIteration as stop:
+            return stop.value
+        except BaseException:
+            # An error surfaced outside the generator (e.g. a TCP pump
+            # raising mid-wait): run its finally blocks so the pending
+            # tables and window slot are reclaimed.
+            gen.close()
+            raise
+
+    def wait_for(self, future: Future) -> None:
+        """Block (in simulation terms) until *future* completes.
+
+        Two ways forward: the transport's :attr:`reply_waiter`, else
+        advance :attr:`backoff_clock` to its next timer (the record's
+        arrival, or the attempt's retransmission deadline).  Either way
+        the time spent is time on the wire, charged to the ``network``
+        layer; whatever runs from the timers charges its own.  With no
+        timer left the record was lost; with no clock either nothing
+        could ever arrive.
+        """
+        waiter = self.reply_waiter
+        clock = self.backoff_clock
+        layers = self.metrics.layers
+        layers.push("network")
+        try:
+            while not future.done:
+                if waiter is not None:
+                    try:
+                        waiter()
+                    except SchedulerStalled:
+                        # Nothing runnable and no timer: the record (or
+                        # its reply) was lost.  Same as an elapsed
+                        # retransmission timeout — the task path retries.
+                        future.fail(RpcTimeout(
+                            f"scheduler stalled waiting on {future.name}"
+                        ))
+                elif clock is None:
+                    future.fail(RpcNoWaiter(
+                        f"no reply possible for {future.name}: the "
+                        "transport has no reply_waiter and no clock — "
+                        "wire one up (e.g. TcpPipe.pump) before calling"
+                    ))
+                elif (deadline := clock.next_deadline()) is None:
+                    future.fail(RpcTimeout(
+                        f"nothing in flight for {future.name}"
+                    ))
+                else:
+                    clock.advance(max(0.0, deadline - clock.now))
+        finally:
+            layers.pop()
+
+    def _sleep_sync(self, seconds: float) -> None:
+        """A yielded sleep, spent on whichever clock applies.  A zero
+        sleep still advances: it fires whatever is already due."""
+        if self.backoff_clock is not None:
+            self.backoff_clock.advance(seconds)
+        elif seconds > 0:
+            time.sleep(seconds)
+
+
+def blocking(method):
+    """The synchronous method of the generator *method*: it runs it to
+    completion on ``self.runner``.  Code inside a task or an RPC handler
+    yields on the generator form instead, ``obj.task.<name>(...)``."""
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        return self.runner.drive(method(self, *args, **kwargs))
+    run.task = method
+    return run
+
+
+class Tasks:
+    """``obj.task.<name>``: the generator form of *obj*'s
+    :func:`blocking` methods, bound to *obj*."""
+
+    def __init__(self, owner) -> None:
+        self._owner = owner
+
+    def __getattr__(self, name: str):
+        owner = self._owner
+        return getattr(type(owner), name).task.__get__(owner)
+
+
 TraceFn = Callable[[str], None]
 
 
-class RpcPeer:
+class RpcPeer(Runner):
     """One end of an RPC connection; both caller and dispatcher."""
 
     def __init__(self, pipe: Pipe, name: str = "peer",
                  trace: TraceFn | None = None) -> None:
+        # The pipe volunteers its waiter, clock and metrics registry;
+        # wrapper pipes (secure channel, switchable pipe) pass them on.
+        super().__init__(getattr(pipe, "suggested_reply_waiter", None),
+                         getattr(pipe, "suggested_clock", None),
+                         getattr(pipe, "suggested_metrics", None))
         self._pipe = pipe
         self.name = name
         self.trace = trace
-        #: How :meth:`drive` makes progress while a reply is in flight:
-        #: called repeatedly until the awaited future completes (a TCP
-        #: socket pump, the World scheduler's ``legacy_pump``).  Must
-        #: make progress or raise.  Pipes volunteer one via a
-        #: `suggested_reply_waiter` attribute, which wrapper pipes
-        #: (secure channel, switchable pipe) pass through; without one
-        #: :meth:`drive` advances :attr:`backoff_clock` itself.
-        self.reply_waiter: Callable[[], None] | None = getattr(
-            pipe, "suggested_reply_waiter", None
-        )
-        #: Virtual clock retransmission timers and backoff run on; None
-        #: = wall clock.
-        self.backoff_clock = getattr(pipe, "suggested_clock", None)
-        #: Metrics registry volunteered by the pipe (see :mod:`repro.obs`);
-        #: wrapper pipes pass it through like `suggested_clock`.  The
-        #: shared ``rpc.*`` counters aggregate across peers; the scoped
-        #: call family backs :attr:`proc_counts` per peer.
-        self.metrics = getattr(pipe, "suggested_metrics", None) or NULL_REGISTRY
         if self.metrics.enabled:
             self._calls_by_proc = self.metrics.scope(
                 f"rpc.peer.{name}"
@@ -427,7 +540,8 @@ class RpcPeer:
         A handler either returns its result or is a generator: one that
         relays the call onward yields while the next hop answers
         (``status, body = yield from session.call_nfs_task(...)``) and
-        returns the result.  Either way an exception becomes SYSTEM_ERR.
+        returns the result.  Either way an exception becomes SYSTEM_ERR,
+        except an AssertionError, which fails the run.
         """
         # The "rpc" layer claims the unmarshaling, dispatch and reply;
         # instrumented work the handler triggers nests in its own layer.
@@ -483,6 +597,8 @@ class RpcPeer:
                     finally:
                         layers.push("rpc")
                 payload = procedure.res_codec.pack(result)
+            except AssertionError:
+                raise  # a broken invariant (the clock's guard) is no reply
             except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
                 if self.trace:
                     self.trace(
@@ -589,48 +705,15 @@ class RpcPeer:
         finally:
             layers.pop()
 
-    def drive(self, gen) -> Any:
-        """Run a task generator to completion, synchronously.
-
-        The one edge between synchronous callers (tests, examples, the
-        kernel's VFS facade) and the task-native engine.  Mirrors the
-        scheduler's step protocol — wait out whatever the generator
-        yields, send the outcome back in — so every ``x()`` beside an
-        ``x_task()`` is this applied to it, and nothing else.
-        """
-        try:
-            waited = next(gen)
-            while True:
-                if isinstance(waited, Future):
-                    self.wait_for(waited)
-                    if waited.exception is not None:
-                        waited = gen.throw(waited.exception)
-                    else:
-                        waited = gen.send(waited.value)
-                else:
-                    self._sleep_sync(waited.seconds
-                                     if isinstance(waited, Sleep)
-                                     else float(waited))
-                    waited = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
-        except BaseException:
-            # An error surfaced outside the generator (e.g. a TCP pump
-            # raising mid-wait): run its finally blocks so the pending
-            # tables and window slot are reclaimed.
-            gen.close()
-            raise
-
     def start(self, gen) -> Future:
         """Run a task generator in the background; the Future returned
-        completes with its result or its exception.
+        completes with its result or its exception (an AssertionError
+        is raised, not carried).
 
         The non-blocking counterpart of :meth:`drive`.  The generator is
         stepped from the done-callbacks of the futures it yields (from a
         :attr:`backoff_clock` timer for a sleep), so it moves whenever
-        the clock does and needs no scheduler: a synchronous caller
-        inside a task step, who may run the clock but not pump, sees it
-        progress exactly as one at top level does.
+        the clock does and needs no scheduler.
         """
         outcome = Future(name=f"{self.name}:background")
         self._step(gen, outcome)
@@ -652,6 +735,8 @@ class RpcPeer:
             if outcome is not None:
                 outcome.resolve(stop.value)
             return
+        except AssertionError:
+            raise
         except Exception as exc:  # noqa: BLE001 - carried by the future
             if outcome is None:
                 raise
@@ -667,56 +752,6 @@ class RpcPeer:
             clock.call_at(clock.now + (
                 waited.seconds if isinstance(waited, Sleep)
                 else float(waited)), resume)
-
-    def wait_for(self, future: Future) -> None:
-        """Block (in simulation terms) until *future* completes.
-
-        Two ways forward: the transport's :attr:`reply_waiter`, else
-        advance :attr:`backoff_clock` to its next timer (the record's
-        arrival, or the attempt's retransmission deadline).  Either way
-        the time spent is time on the wire, charged to the ``network``
-        layer; whatever runs from the timers charges its own.  With no
-        timer left the record was lost; with no clock either nothing
-        could ever arrive.
-        """
-        waiter = self.reply_waiter
-        clock = self.backoff_clock
-        layers = self.metrics.layers
-        layers.push("network")
-        try:
-            while not future.done:
-                if waiter is not None:
-                    try:
-                        waiter()
-                    except SchedulerStalled:
-                        # Nothing runnable and no timer: the record (or
-                        # its reply) was lost.  Same as an elapsed
-                        # retransmission timeout — the task path retries.
-                        future.fail(RpcTimeout(
-                            f"scheduler stalled waiting on {future.name}"
-                        ))
-                elif clock is None:
-                    future.fail(RpcNoWaiter(
-                        f"no reply possible for {future.name}: the "
-                        "transport has no reply_waiter and no clock — "
-                        "wire one up (e.g. TcpPipe.pump) before calling"
-                    ))
-                elif (deadline := clock.next_deadline()) is None:
-                    future.fail(RpcTimeout(
-                        f"nothing in flight for {future.name}"
-                    ))
-                else:
-                    clock.advance(max(0.0, deadline - clock.now))
-        finally:
-            layers.pop()
-
-    def _sleep_sync(self, seconds: float) -> None:
-        """A yielded sleep, spent on whichever clock applies.  A zero
-        sleep still advances: it fires whatever is already due."""
-        if self.backoff_clock is not None:
-            self.backoff_clock.advance(seconds)
-        elif seconds > 0:
-            time.sleep(seconds)
 
     # --- the send window --------------------------------------------------
 

@@ -33,6 +33,7 @@ from typing import Callable
 
 from ..control.collector import DEAD
 from ..core.revocation import verify_certificate
+from ..kernel.vfs import KernelError
 
 _OPS = {
     ">=": operator.ge,
@@ -150,7 +151,7 @@ def _chk_revoked_unreachable(rt, params: dict) -> list[str]:
             reader = machine.root_process()
             try:
                 target = reader.readlink(f"/sfs/{path.mount_name}")
-            except Exception:  # noqa: BLE001 - never cached: nothing to check
+            except KernelError:  # never cached: nothing to check
                 continue
             if target != REVOKED_LINK_TARGET:
                 failures.append(

@@ -36,6 +36,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from ..kernel.vfs import KernelError
 from ..kernel.world import ClientMachine, ServerMachine, World
 from ..load.harness import (
     LoadConfig,
@@ -391,8 +392,9 @@ class _Runtime:
                 for name, target in expected:
                     yield Sleep(workload.resolve_think)
                     try:
-                        got = proc.readlink(f"/sfs/{ca_mount}/{name}")
-                    except Exception:  # noqa: BLE001 - a miss is a wrong link
+                        got = yield from proc.task.readlink(
+                            f"/sfs/{ca_mount}/{name}")
+                    except KernelError:  # a miss is a wrong link
                         got = None
                     self.count("scenario.resolves")
                     if got != target:

@@ -9,7 +9,8 @@ latency; they book it.  A link or NIC occupies a
 timer at its arrival time; a disk occupies its arm the same way, and the
 NFS call that booked it sleeps until the disk is done.  The clock is
 advanced only by whoever waits at top level (a synchronous RPC caller,
-the World's pump, the scheduler), to the next timer's deadline.
+the scheduler's pump), to the next timer's deadline; never from
+inside a timer callback, where every handler and task yields instead.
 
 Benchmarks report virtual seconds (what the modelled 1999 testbed would
 see: network round trips, disk seeks and transfers) next to host CPU
@@ -39,6 +40,7 @@ class Clock:
         self._now = 0.0
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
+        self._firing: Callable[[], None] | None = None
 
     @property
     def now(self) -> float:
@@ -67,23 +69,26 @@ class Clock:
         """Move time forward *seconds*, firing the timers that fall due."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        self._now += seconds
-        self._fire_due()
+        self._fire_due(self._now + seconds)
 
-    def _fire_due(self) -> None:
-        # Re-entrant: a callback that waits synchronously drains the
-        # newly-due timers from its inner frame.  Devices book time and
-        # every RPC handler on the file-system paths yields, so the
-        # waits that still nest here are the agent's reads through the
-        # kernel, the agent proxy's calls and the unmount after a
-        # revocation.  Each timer is popped before its callback runs,
-        # so no frame can double-fire one, and the heap hands out
-        # deadlines earliest-first no matter which frame is draining —
-        # global firing order is exactly what a single flat drain would
-        # give.
-        while self._timers and self._timers[0][0] <= self._now:
-            _when, _seq, callback = heapq.heappop(self._timers)
-            callback()
+    def _fire_due(self, now: float) -> None:
+        # A flat drain: devices book their time and handlers and tasks
+        # yield, so a callback that runs the clock (and would fire later
+        # timers inside its own frame) is refused, by name.
+        if self._firing is not None:
+            named = getattr(self._firing, "func", self._firing)
+            raise AssertionError(
+                "clock advanced inside timer callback "
+                f"{getattr(named, '__qualname__', named)}: yield instead")
+        self._now = now
+        timers = self._timers
+        try:
+            while timers and timers[0][0] <= now:
+                _when, _seq, callback = heapq.heappop(timers)
+                self._firing = callback
+                callback()
+        finally:
+            self._firing = None
 
     def reset(self) -> None:
         self._now = 0.0

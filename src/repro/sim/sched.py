@@ -13,15 +13,15 @@ Determinism: when several tasks are runnable the scheduler picks among
 them with its own seeded ``random.Random``, so every interleaving is a
 pure function of the seed.  Nothing here reads wall-clock time.
 
-The synchronous edge: callers outside any task (tests, examples, the
-kernel's VFS facade) drive a generator to completion with
-:meth:`repro.rpc.peer.RpcPeer.drive`, which makes progress through
+The synchronous edge: callers outside any task (tests, examples, a
+system call made at top level) drive a generator to completion with
+:meth:`repro.rpc.peer.Runner.drive`, which makes progress through
 :meth:`Scheduler.legacy_pump` — step one runnable task or advance the
-clock.  Code running *inside* a task step never pumps: it yields, and a
-pump from there is an :class:`AssertionError` naming the task.  When
-nothing can run and no timer is pending, :meth:`pump_once` raises
-:class:`SchedulerStalled`; the RPC layer treats that exactly like an
-elapsed retransmission timer.
+clock.  Code running *inside* a task step (or a handler) never pumps:
+it yields, system calls too, and a pump from there is an
+:class:`AssertionError` naming the task.  When nothing can run and no
+timer is pending, :meth:`pump_once` raises :class:`SchedulerStalled`;
+the RPC layer treats that exactly like an elapsed retransmission timer.
 """
 
 from __future__ import annotations
@@ -303,12 +303,13 @@ class Scheduler:
         """:meth:`pump_once` for synchronous callers outside any task.
 
         This is what :class:`~repro.kernel.world.World` wires into
-        ``link.pump``: sync entry points (handshakes run outside any
-        task, the kernel's VFS calls, tests) make progress by pumping,
-        and every use is counted (``sched.legacy_pumps``).  A pump
-        *from inside a task step* would re-enter the scheduler under
-        the task that is supposed to yield instead; that is always an
-        error, and it names the offending task.
+        ``link.pump`` and the kernel's runner: sync entry points
+        (handshakes run outside any task, top-level system calls,
+        tests) make progress by pumping, and every use is counted
+        (``sched.legacy_pumps``).  A pump *from inside a task step*
+        would re-enter the scheduler under the task that is supposed
+        to yield instead; that is always an error, and it names the
+        offending task.
         """
         self._m_legacy_pumps.inc()
         if self.current is not None:

@@ -1,5 +1,9 @@
 """Helpers shared across the test suite."""
 
+from repro.nfs3.client import Nfs3Client
+from repro.rpc.peer import Runner
+from repro.rpc.rpcmsg import NULL_AUTH
+
 
 def settle(clock) -> None:
     """Advance *clock* to each pending timer in turn until none is left.
@@ -24,12 +28,25 @@ def job(action=None):
 
 
 def run(task, clock):
-    """Run a task generator to its result at top level: each
-    :class:`~repro.sim.sched.Sleep` it yields advances *clock*."""
-    try:
-        waited = task.send(None)
-        while True:
-            clock.advance(waited.seconds)
-            waited = task.send(None)
-    except StopIteration as stop:
-        return stop.value
+    """Run a task generator to its result at top level, through the one
+    synchronous runner: a :class:`~repro.sim.sched.Sleep` it yields
+    advances *clock*, a Future waits for *clock*'s timers to resolve
+    it.  An agent's methods and a handler called directly run this
+    way."""
+    return Runner(backoff_clock=clock).drive(task)
+
+
+class SyncNfs3Client:
+    """An :class:`~repro.nfs3.client.Nfs3Client` whose stubs each run to
+    their result on its peer, for tests that speak NFS directly."""
+
+    def __init__(self, peer, cred=NULL_AUTH):
+        self.peer = peer
+        self._stubs = Nfs3Client(peer, cred)
+
+    def with_cred(self, cred):
+        return SyncNfs3Client(self.peer, cred)
+
+    def __getattr__(self, name):
+        stub = getattr(self._stubs, name)
+        return lambda *args, **kwargs: self.peer.drive(stub(*args, **kwargs))

@@ -3,13 +3,15 @@
 
 import pytest
 
+from repro.core.agent import AgentRefused
 from repro.core.agentproxy import AgentServer, RemoteAgent
 from repro.core.libsfs import LibSfs, LocalAccounts
 from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.world import World
-from repro.rpc.peer import RpcPeer
+from repro.rpc.peer import RpcError, RpcPeer
 from repro.sim.network import link_pair
+from tests.helpers import run
 
 
 @pytest.fixture
@@ -109,14 +111,15 @@ def test_agent_over_rpc(world):
     AgentServer(home_agent, RpcPeer(agent_side, "agent-proc"))
     remote = RemoteAgent(RpcPeer(client_side, "sfscd-side"),
                          "alice", hop="laptop")
-    blob = remote.sign_request(b"authinfo", 1)
+    blob = run(remote.sign_request(b"authinfo", 1), world.clock)
     from repro.core import proto
     msg = proto.AuthMsg.unpack(blob)
     assert msg.public_key == alice.key.public_key.to_bytes()
     home_agent.add_link("mit", "/sfs/somewhere")
-    assert remote.resolve("mit") == "/sfs/somewhere"
-    assert remote.resolve("nothing") is None
-    disc, _cert = remote.check_revoked("srv.example.com", path.hostid)
+    assert run(remote.resolve("mit"), world.clock) == "/sfs/somewhere"
+    assert run(remote.resolve("nothing"), world.clock) is None
+    disc, _cert = run(remote.check_revoked("srv.example.com", path.hostid),
+                      world.clock)
     assert disc == proto.REVCHECK_CLEAR
 
 
@@ -166,10 +169,10 @@ def test_chained_proxy_agents(world):
 
     def forward_sign(args, ctx):
         try:
-            blob = gateway_proxy.sign_request(
+            blob = yield from gateway_proxy.sign_request(
                 args.authinfo_bytes, args.seqno, args.key_index
             )
-        except Exception:
+        except (AgentRefused, RpcError):
             return _proto.SIGN_REFUSED, None
         return _proto.SIGN_OK, blob
 
@@ -179,5 +182,5 @@ def test_chained_proxy_agents(world):
     final_proxy = RemoteAgent(RpcPeer(hop2_b, "ws"), "alice",
                               hop="workstation.far.org",
                               via=["gateway.example.org"])
-    blob = final_proxy.sign_request(b"info", 1)
+    blob = run(final_proxy.sign_request(b"info", 1), world.clock)
     assert blob  # signature produced by the home agent two hops away

@@ -189,14 +189,14 @@ def test_nfs_baseline_is_tamperable_where_sfs_is_not():
 
     from repro.sim.network import link_pair
     from repro.nfs3.server import Nfs3Server
-    from repro.nfs3.client import Nfs3Client
+    from tests.helpers import SyncNfs3Client
     from repro.rpc.peer import RpcPeer
     from repro.rpc.rpcmsg import AuthSys
 
     nfsd = Nfs3Server(server.fs)
     kernel_side, server_side = link_pair(world.clock, adversary=PayloadFlipper())
     RpcPeer(server_side, "nfsd").register(nfsd.program)
-    client = Nfs3Client(RpcPeer(kernel_side, "kernel"), AuthSys(uid=0, gid=0))
+    client = SyncNfs3Client(RpcPeer(kernel_side, "kernel"), AuthSys(uid=0, gid=0))
     root = nfsd.root_handle()
     bench = client.lookup(root, "bench").object
     fh = client.lookup(bench, "data").object

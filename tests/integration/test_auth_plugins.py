@@ -17,6 +17,7 @@ from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.vfs import KernelError
 from repro.kernel.world import World
+from tests.helpers import run
 
 
 @pytest.fixture
@@ -94,7 +95,8 @@ def test_challenge_response_not_replayable(world, hmac_setup):
         proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
         proto.LoginArgs,
         proto.LoginArgs.make(
-            seqno=seqno1, authmsg=agent.sign_request(info, seqno1)
+            seqno=seqno1,
+            authmsg=run(agent.sign_request(info, seqno1), world.clock),
         ),
         proto.LoginRes,
     )

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.channel import SecureChannel
 from repro.fs.memfs import MemFs
-from repro.nfs3.client import Nfs3Client, Nfs3Error
+from repro.nfs3.client import Nfs3Error
 from repro.nfs3.server import Nfs3Server
 from repro.rpc.peer import Program, RpcError, RpcPeer
 from repro.rpc.rpcmsg import AuthSys, CallHeader, pack_call
 from repro.rpc.xdr import UInt32, VOID
 from repro.sim.clock import Clock
 from repro.sim.network import NetworkParameters, link_pair
-from tests.helpers import settle
+from tests.helpers import SyncNfs3Client, settle
 
 
 @given(st.binary(max_size=200))
@@ -49,7 +49,7 @@ def test_nfs_server_survives_garbage_args(body):
     settle(clock)
     # Either a parsed reply arrived (any status) or nothing — both fine;
     # what matters is the server is still alive:
-    client = Nfs3Client(client_peer, AuthSys(uid=0, gid=0))
+    client = SyncNfs3Client(client_peer, AuthSys(uid=0, gid=0))
     attrs = client.getattr(nfsd.root_handle())
     assert attrs.fileid == 2
 

@@ -30,10 +30,10 @@ def _nested_waits(monkeypatch) -> list[str]:
     nested: list[str] = []
     fire_due = Clock._fire_due
 
-    def counted_fire_due(clock):
+    def counted_fire_due(clock, now):
         firing[0] += 1
         try:
-            fire_due(clock)
+            fire_due(clock, now)
         finally:
             firing[0] -= 1
 

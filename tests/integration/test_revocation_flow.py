@@ -5,6 +5,7 @@ import errno
 
 import pytest
 
+from repro.core.agent import Agent
 from repro.core.revocation import (
     REVOKED_LINK_TARGET,
     make_forwarding_pointer,
@@ -103,6 +104,68 @@ def test_agent_revocation_directory(world):
     assert proc.readlink(f"/sfs/{victim_path.mount_name}") == (
         REVOKED_LINK_TARGET
     )
+
+
+def test_concurrent_lookups_of_a_revoked_path_wait_for_one_verdict(world):
+    """Two processes of one user look up a path the agent's revocation
+    directory revokes, at the same time.  The second waits for the
+    first's check instead of passing it: both see the :REVOKED: link,
+    and the victim is never mounted."""
+    _victim, victim_path, victim_key = make_server(
+        world, "victim.example.com", {"/f": b"x"}
+    )
+    ca = CertificationAuthority("rev.example.net", world.rng)
+    ca.publish_revocation(
+        make_revocation_certificate(victim_key, "victim.example.com"))
+    ca_path = world.add_server("rev.example.net").master.add_ro_export(
+        ca.publish_image())
+    client = world.add_client("c")
+    install_link(client.root_process(), "/rev", ca_path)
+    agent = client.new_agent("u", 1000)
+    set_revocation_directories(agent, ["/rev/revocations"])
+    mounted = []
+    mount = client.mounter.mount
+    client.mounter.mount = lambda where, *rest: (mounted.append(where),
+                                                 mount(where, *rest))[1]
+
+    def look(proc):
+        return (yield from proc.task.readlink(
+            f"/sfs/{victim_path.mount_name}"))
+
+    tasks = [world.scheduler.spawn(look(client.process(uid=1000)),
+                                   name=f"lookup-{n}") for n in range(2)]
+    assert world.scheduler.run() == []
+    for task in tasks:
+        assert not task.failed, task.exception
+        assert task.result == REVOKED_LINK_TARGET
+    assert mounted == [f"/sfs/{ca_path.mount_name}"]
+    assert victim_path.hostid not in client.sfscd._mounts
+
+
+def test_a_synchronous_read_inside_a_handler_fails_the_run(world):
+    """An agent read that waits synchronously inside sfscd's LOOKUP
+    handler (which runs from a clock timer) trips the clock's guard.
+    The AssertionError reaches the caller: the handler does not turn it
+    into SYSTEM_ERR, which the kernel would report as EIO and a reader
+    would take for "no certificate here"."""
+    _server, path, _key = make_server(world, "victim.example.com",
+                                      {"/f": b"x"})
+    client = world.add_client("c")
+    reader_proc = client.process(uid=1000)
+
+    class SynchronousReader:
+        def readfile(self, name):
+            yield from ()
+            try:
+                return reader_proc.read_file(name)
+            except KernelError:
+                return None
+
+    agent = Agent("u", world.rng, fs_reader=SynchronousReader())
+    agent.revocation_dirs = ["/"]
+    client.sfscd.attach_agent(1000, agent)
+    with pytest.raises(AssertionError, match="inside timer callback"):
+        client.process(uid=1000).read_file(f"{path}/f")
 
 
 def test_ca_rejects_forged_revocation(world):

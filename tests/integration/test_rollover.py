@@ -177,3 +177,30 @@ def test_fan_out_skips_forgeries_and_counts_deliveries(rolled):
     assert world.metrics.counter(
         "keymgmt.revocations_fanned_out").value == 2
     assert path.hostid not in client.sfscd._mounts
+
+
+def kernel_calls(world):
+    """Every RPC the client kernels have sent, per mount and procedure
+    (a mount that has sent none has an empty family)."""
+    return {name: dict(family["values"])
+            for name, family in world.metrics.snapshot()["metrics"].items()
+            if name.startswith("rpc.peer.kernel:") and family["values"]}
+
+
+def test_unmounts_after_a_revocation_or_a_retarget_send_no_kernel_rpc(rolled):
+    """sfscd unmounts from inside its handlers: the graft recorded the
+    directory it covers, so neither an eviction nor a re-homing walks a
+    path through the kernel."""
+    world, server, path, client, proc = rolled
+    mount = client.sfscd._mounts[path.hostid]
+    result = rollover_export(server, mode=FORWARD)
+    before = kernel_calls(world)
+    mount.session.peer.drive(client.sfscd._retarget_mount(
+        mount, path, result.new_path))
+    assert kernel_calls(world) == before
+    assert client.mounter.mounted_paths() == [
+        "/sfs", f"/sfs/{result.new_path.mount_name}"]
+    cert = revoke_export(server)
+    assert client.sfscd.submit_certificate(cert) is True
+    assert kernel_calls(world) == before
+    assert client.mounter.mounted_paths() == ["/sfs"]

@@ -133,6 +133,37 @@ def test_drain_names_a_task_that_died(monkeypatch):
     assert "died: RuntimeError('planted fault')" in failure
 
 
+def test_an_assertion_inside_a_resolver_fails_the_run(monkeypatch):
+    """A resolver counts only a KernelError as a wrong link.  Anything
+    else — here a planted AssertionError, as the scheduler's and the
+    clock's guards raise — kills its task and fails ``drain``, with no
+    wrong link counted."""
+    from repro.kernel.vfs import Process
+    from repro.rpc.peer import blocking
+
+    def guarded_readlink(self, path):
+        raise AssertionError("planted guard")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(Process, "readlink", blocking(guarded_readlink))
+    result = run_scenario({
+        "name": "resolver-guard",
+        "topology": {"kernel_clients": 1, "names": 1},
+        "workload": {
+            "clients": 1,
+            "phases": [{"name": "only", "ops_per_client": 1}],
+            "resolve_rounds": 1,
+        },
+        "assertions": [{"check": "drain"}, {"check": "no_wrong_links"}],
+    })
+    assert not result.passed
+    died, unfinished = result.failures
+    assert "resolver-" in died
+    assert "AssertionError('planted guard')" in died
+    assert unfinished == ("no_wrong_links: resolver loops finished 0 of 1 "
+                          "lookups")
+
+
 def test_artifact_written_and_self_describing(tmp_path):
     spec = get_scenario("restart-flap")
     result = run_scenario(spec, out_dir=str(tmp_path))

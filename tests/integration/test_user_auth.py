@@ -14,7 +14,7 @@ from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.vfs import KernelError
 from repro.kernel.world import World
-from tests.helpers import job
+from tests.helpers import job, run
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def test_seqno_replay_rejected_by_server(auth_world):
     agent.add_key(alice.key)
     session = connect_session(world, path)
     info = session.authinfo_bytes()
-    authmsg = agent.sign_request(info, seqno=1)
+    authmsg = run(agent.sign_request(info, seqno=1), world.clock)
     disc, body = session.peer.call(
         proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
         proto.LoginArgs, proto.LoginArgs.make(seqno=1, authmsg=authmsg),
@@ -108,7 +108,8 @@ def test_authmsg_not_transferable_across_sessions(auth_world):
     agent.add_key(alice.key)
     session1 = connect_session(world, path)
     session2 = connect_session(world, path)
-    stolen = agent.sign_request(session1.authinfo_bytes(), seqno=1)
+    stolen = run(agent.sign_request(session1.authinfo_bytes(), seqno=1),
+                 world.clock)
     disc, _ = session2.peer.call(
         proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proto.PROC_LOGIN,
         proto.LoginArgs, proto.LoginArgs.make(seqno=1, authmsg=stolen),

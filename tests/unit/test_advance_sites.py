@@ -17,10 +17,9 @@ import repro
 ALLOWED = {
     # A synchronous caller waiting for a reply or sleeping out a
     # back-off, at top level.
-    ("rpc/peer.py", "RpcPeer.wait_for"),
-    ("rpc/peer.py", "RpcPeer._sleep_sync"),
-    # The World's and the scheduler's own loops.
-    ("kernel/world.py", "World._pump"),
+    ("rpc/peer.py", "Runner.wait_for"),
+    ("rpc/peer.py", "Runner._sleep_sync"),
+    # The scheduler's own loop.
     ("sim/sched.py", "Scheduler.pump_once"),
     # A master served over real sockets: the relay of each record runs
     # on the master's clock until it has replied.

@@ -9,10 +9,13 @@ from repro.core.agent import Agent, AgentRefused
 from repro.core.revocation import make_revocation_certificate
 from repro.crypto.rabin import generate_key
 from repro.crypto.sha1 import sha1
+from repro.sim.clock import Clock
+from tests.helpers import run
 
 
 class FakeFsReader:
-    """An in-memory stand-in for the agent's file system access."""
+    """An in-memory stand-in for the agent's file system access (its
+    reads never wait)."""
 
     def __init__(self):
         self.links: dict[str, str] = {}
@@ -20,10 +23,12 @@ class FakeFsReader:
         self.reads: list[str] = []
 
     def readlink(self, path):
+        yield from ()
         self.reads.append(path)
         return self.links.get(path)
 
     def readfile(self, path):
+        yield from ()
         self.reads.append(path)
         return self.files.get(path)
 
@@ -38,6 +43,11 @@ def server_key():
     return generate_key(768, random.Random(82))
 
 
+def call(task):
+    """Run one of the agent's methods to its result."""
+    return run(task, Clock())
+
+
 def make_agent(key=None, reader=None):
     agent = Agent("alice", random.Random(83), fs_reader=reader)
     if key is not None:
@@ -50,7 +60,7 @@ def make_agent(key=None, reader=None):
 def test_sign_request_produces_valid_authmsg(user_key):
     agent = make_agent(user_key)
     info = b"marshaled AuthInfo bytes"
-    blob = agent.sign_request(info, seqno=3)
+    blob = call(agent.sign_request(info, seqno=3))
     msg = proto.AuthMsg.unpack(blob)
     assert msg.public_key == user_key.public_key.to_bytes()
     assert user_key.public_key.verify(msg.signed_req, msg.signature)
@@ -61,8 +71,8 @@ def test_sign_request_produces_valid_authmsg(user_key):
 
 def test_sign_keeps_audit_trail(user_key):
     agent = make_agent(user_key)
-    agent.sign_request(b"info", 1)
-    agent.sign_request(b"info", 2)
+    call(agent.sign_request(b"info", 1))
+    call(agent.sign_request(b"info", 2))
     assert len(agent.audit_log) == 2
     assert all(entry.operation == "sign" for entry in agent.audit_log)
 
@@ -70,17 +80,17 @@ def test_sign_keeps_audit_trail(user_key):
 def test_sign_without_key_refused():
     agent = make_agent()
     with pytest.raises(AgentRefused):
-        agent.sign_request(b"info", 1)
+        call(agent.sign_request(b"info", 1))
 
 
 def test_sign_selects_key_by_index(user_key, server_key):
     agent = make_agent(user_key)
     agent.add_key(server_key)  # a second identity
-    blob = agent.sign_request(b"info", 1, key_index=1)
+    blob = call(agent.sign_request(b"info", 1, key_index=1))
     msg = proto.AuthMsg.unpack(blob)
     assert msg.public_key == server_key.public_key.to_bytes()
     with pytest.raises(AgentRefused):
-        agent.sign_request(b"info", 1, key_index=5)
+        call(agent.sign_request(b"info", 1, key_index=5))
 
 
 # --- resolution ----------------------------------------------------------------
@@ -88,10 +98,10 @@ def test_sign_selects_key_by_index(user_key, server_key):
 def test_explicit_links_win():
     agent = make_agent()
     agent.add_link("mit", "/sfs/host:" + "2" * 32)
-    assert agent.resolve("mit") == "/sfs/host:" + "2" * 32
-    assert agent.resolve("absent") is None
+    assert call(agent.resolve("mit")) == "/sfs/host:" + "2" * 32
+    assert call(agent.resolve("absent")) is None
     agent.remove_link("mit")
-    assert agent.resolve("mit") is None
+    assert call(agent.resolve("mit")) is None
 
 
 def test_certification_path_order():
@@ -100,9 +110,9 @@ def test_certification_path_order():
     reader.links["/second/name"] = "/sfs/second-target"
     agent = make_agent(reader=reader)
     agent.certpaths = ["/first", "/second"]
-    assert agent.resolve("name") == "/sfs/first-target"
+    assert call(agent.resolve("name")) == "/sfs/first-target"
     agent.certpaths = ["/second", "/first"]
-    assert agent.resolve("name") == "/sfs/second-target"
+    assert call(agent.resolve("name")) == "/sfs/second-target"
 
 
 def test_chained_resolvers():
@@ -119,7 +129,7 @@ def test_chained_resolvers():
 
     agent.add_resolver(resolver_a)
     agent.add_resolver(resolver_b)
-    assert agent.resolve("web.ssl") == "/sfs/resolved-web.ssl"
+    assert call(agent.resolve("web.ssl")) == "/sfs/resolved-web.ssl"
     assert calls == [("a", "web.ssl"), ("b", "web.ssl")]
 
 
@@ -129,9 +139,9 @@ def test_links_beat_certpaths_beat_resolvers():
     agent = make_agent(reader=reader)
     agent.certpaths = ["/ca"]
     agent.add_resolver(lambda name: "/sfs/from-resolver")
-    assert agent.resolve("name") == "/sfs/from-ca"
+    assert call(agent.resolve("name")) == "/sfs/from-ca"
     agent.add_link("name", "/sfs/from-link")
-    assert agent.resolve("name") == "/sfs/from-link"
+    assert call(agent.resolve("name")) == "/sfs/from-link"
 
 
 # --- revocation -------------------------------------------------------------------
@@ -141,13 +151,14 @@ def test_blocking_is_checked_first(server_key):
 
     agent = make_agent()
     hostid = compute_hostid("srv.com", server_key.public_key)
-    disc, cert = agent.check_revoked("srv.com", hostid)
+    disc, cert = call(agent.check_revoked("srv.com", hostid))
     assert disc == proto.REVCHECK_CLEAR
     agent.block_hostid(hostid)
-    disc, cert = agent.check_revoked("srv.com", hostid)
+    disc, cert = call(agent.check_revoked("srv.com", hostid))
     assert disc == proto.REVCHECK_BLOCKED
     agent.unblock_hostid(hostid)
-    assert agent.check_revoked("srv.com", hostid)[0] == proto.REVCHECK_CLEAR
+    disc, _cert = call(agent.check_revoked("srv.com", hostid))
+    assert disc == proto.REVCHECK_CLEAR
 
 
 def test_revocation_directory_lookup(server_key):
@@ -161,7 +172,7 @@ def test_revocation_directory_lookup(server_key):
     )
     agent = make_agent(reader=reader)
     agent.revocation_dirs = ["/revdir"]
-    disc, found = agent.check_revoked("srv.com", hostid)
+    disc, found = call(agent.check_revoked("srv.com", hostid))
     assert disc == proto.REVCHECK_REVOKED
     assert found is not None
 
@@ -179,5 +190,5 @@ def test_bad_certificate_in_directory_ignored(server_key, user_key):
     reader.files["/revdir2/" + hostid_to_text(hostid)] = b"garbage bytes"
     agent = make_agent(reader=reader)
     agent.revocation_dirs = ["/revdir", "/revdir2"]
-    disc, _cert = agent.check_revoked("srv.com", hostid)
+    disc, _cert = call(agent.check_revoked("srv.com", hostid))
     assert disc == proto.REVCHECK_CLEAR

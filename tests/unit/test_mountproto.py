@@ -73,11 +73,11 @@ def test_the_nfs_security_hole(stack):
     """The paper's point about NFS: the handle from MNT is a bearer
     capability — anyone holding it has full access, no questions asked."""
     nfsd, _mountd, peer = stack
-    from repro.nfs3.client import Nfs3Client
+    from tests.helpers import SyncNfs3Client
     from repro.rpc.rpcmsg import AuthSys
 
     stolen_handle = MountClient(peer, "attacker").mnt("/")
-    nfs = Nfs3Client(peer, AuthSys(uid=0, gid=0))
+    nfs = SyncNfs3Client(peer, AuthSys(uid=0, gid=0))
     # With just the handle, the "attacker" creates files as root.
     created = nfs.create(stolen_handle, "owned")
     assert created.obj is not None

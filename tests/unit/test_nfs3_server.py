@@ -5,7 +5,7 @@ import pytest
 from repro.fs.memfs import Cred, MemFs
 from repro.fs import pathops
 from repro.nfs3 import const
-from repro.nfs3.client import Nfs3Client, Nfs3Error
+from repro.nfs3.client import Nfs3Error
 from repro.nfs3.handles import EncryptedHandles
 from repro.nfs3.server import Nfs3Server, authsys_cred_mapper
 from repro.rpc.peer import RpcPeer
@@ -13,6 +13,7 @@ from repro.rpc.rpcmsg import AuthSys, NULL_AUTH
 from repro.sim.clock import Clock
 from repro.sim.disk import Disk
 from repro.sim.network import NetworkParameters, link_pair
+from tests.helpers import SyncNfs3Client
 
 ROOT = AuthSys(uid=0, gid=0)
 ALICE = AuthSys(uid=1000, gid=100)
@@ -26,7 +27,7 @@ def stack():
     server = Nfs3Server(fs)
     server_peer = RpcPeer(b, "nfsd")
     server_peer.register(server.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), ROOT)
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), ROOT)
     return fs, server, client
 
 
@@ -209,7 +210,7 @@ def test_encrypted_handles_end_to_end():
     fs = MemFs(fsid=3)
     server = Nfs3Server(fs, handles=EncryptedHandles(b"h" * 20))
     RpcPeer(b, "nfsd").register(server.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), ROOT)
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), ROOT)
     root = server.root_handle()
     assert len(root) == 24
     fh = client.create(root, "f").obj
@@ -227,7 +228,7 @@ def test_mutation_hook_fires():
     events = []
     server = Nfs3Server(fs, mutation_hook=events.append)
     RpcPeer(b, "nfsd").register(server.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), ROOT)
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), ROOT)
     root = server.root_handle()
     fh = client.create(root, "f").obj
     assert events[-1] == root  # directory changed
@@ -249,7 +250,7 @@ def test_create_costs_one_metadata_write_and_setattrs_only_what_changes():
     events = []
     server = Nfs3Server(fs, mutation_hook=events.append)
     RpcPeer(b, "nfsd").register(server.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), ROOT)
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), ROOT)
     root = server.root_handle()
 
     created = client.create(root, "f", mode=0o600, size=0)

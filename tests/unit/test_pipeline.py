@@ -14,7 +14,6 @@ from repro.bench.setups import SFS, make_setup
 from repro.core.client import _RA_BUDGET, _RA_STREAMS
 from repro.fs.memfs import MemFs
 from repro.nfs3 import const as nfs_const
-from repro.nfs3.client import Nfs3Client
 from repro.nfs3.server import Nfs3Server
 from repro.rpc.peer import (
     Program,
@@ -32,8 +31,8 @@ from repro.sim.network import (
     NetworkParameters,
     link_pair,
 )
-from repro.sim.sched import Future, Scheduler, SchedulerStalled
-from tests.helpers import settle
+from repro.sim.sched import Future, Scheduler, SchedulerStalled, Sleep
+from tests.helpers import SyncNfs3Client, settle
 
 ADD_ARGS = Struct("AddArgs", [("x", UInt32), ("y", UInt32)])
 WAN = NetworkParameters(latency=0.02, bandwidth=5_000_000.0,
@@ -360,7 +359,7 @@ def nfs_stack():
     server = Nfs3Server(fs)
     server_peer = RpcPeer(b, "nfsd")
     server_peer.register(server.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), AuthSys(uid=0, gid=0))
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), AuthSys(uid=0, gid=0))
     return server, client
 
 
@@ -576,23 +575,35 @@ def test_local_write_drops_the_prefetches_still_on_the_wire():
 
 
 def test_kernel_client_inside_a_task_reads_ahead_without_stalling():
-    """The scenario engine calls the synchronous VFS from inside a task
-    step, where the scheduler may not be pumped and only the clock runs:
-    prefetches must advance from timers alone."""
+    """A kernel client inside a task (the scenario engine's resolvers)
+    yields from the system calls' generator forms: the read waits on
+    prefetches like a synchronous one, and other tasks step meanwhile —
+    a ticker sleeping 1 ms at a time runs through the transfer."""
     setup, path, data = _wan_file(depth=8, chunks=64)
     proc, scheduler = setup.process, setup.world.scheduler
+    ticks = []
+    reading = [True]
 
     def reader():
-        fd = proc.open(path)
-        got = _read_all(proc, fd)
-        proc.close(fd)
-        return got
-        yield  # a generator: runs as one task step
+        fd = yield from proc.task.open(path)
+        pieces = []
+        while piece := (yield from proc.task.read(fd, CHUNK)):
+            pieces.append(piece)
+        yield from proc.task.close(fd)
+        reading[0] = False
+        return b"".join(pieces)
+
+    def ticker():
+        while reading[0]:
+            ticks.append(setup.clock.now)
+            yield Sleep(0.001)
 
     task = scheduler.spawn(reader(), name="in-task-reader")
+    scheduler.spawn(ticker(), name="ticker")
     assert scheduler.run() == []
     assert not task.failed, task.exception
     assert task.result == data
+    assert len(ticks) > 100  # the transfer takes some 180 ms
     counts = setup.metrics.snapshot()["metrics"]
     assert _count(counts, "client.readahead.waits") > 0
     assert _count(counts, "client.readahead.hits") > 32

@@ -127,7 +127,7 @@ def test_callback_during_handler():
 
     @program.proc(1, "TRIGGER", VOID, VOID)
     def trigger(args, ctx):
-        ctx.peer.call(600001, 1, 1, VOID, None, VOID)
+        yield from ctx.peer.call_task(600001, 1, 1, VOID, None, VOID)
         events.append("handled")
 
     server.register(program)
@@ -282,7 +282,7 @@ def test_only_non_idempotent_nfs_replies_are_remembered():
     cache.  (A READ reply is up to 8 KB, a READV's 64 KB: 128 of them
     per peer was megabytes kept for nothing.)"""
     from repro.fs.memfs import MemFs
-    from repro.nfs3.client import Nfs3Client
+    from tests.helpers import SyncNfs3Client
     from repro.nfs3.server import Nfs3Server
     from repro.rpc.rpcmsg import AuthSys
 
@@ -301,7 +301,7 @@ def test_only_non_idempotent_nfs_replies_are_remembered():
     nfsd = Nfs3Server(MemFs(fsid=9))
     server = RpcPeer(b, "nfsd")
     server.register(nfsd.program)
-    client = Nfs3Client(RpcPeer(a, "kernel"), AuthSys(uid=0, gid=0))
+    client = SyncNfs3Client(RpcPeer(a, "kernel"), AuthSys(uid=0, gid=0))
     root = nfsd.root_handle()
     handle = client.create(root, "f", mode=0o644).obj
     client.getattr(handle)

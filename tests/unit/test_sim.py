@@ -305,24 +305,28 @@ def test_chaos_adversary_mixes_faults():
     assert out == 300 - adversary.dropped + adversary.duplicated
 
 
-# --- timer re-entrancy ---------------------------------------------------
+# --- the flat drain ---------------------------------------------------------
 
 def test_callback_advancing_clock_fires_later_timer_exactly_once():
-    """A timer callback that itself advances the clock (a device charge
-    inside a restart handler) must not re-enter ``_fire_due``: the
-    now-due later timer fires once, from the outer drain loop."""
+    """A timer callback that advances the clock (a device charge inside
+    a restart handler) would drain later timers from its own frame; the
+    drain refuses it by name, before time moves, and the later timer
+    still fires once, from the next advance."""
     clock = Clock()
     fired = []
 
-    def first():
+    def restart_handler():
         fired.append("first")
-        clock.advance(1.0)          # re-entrant advance crosses t=2
+        clock.advance(1.0)
 
-    clock.call_at(1.0, first)
+    clock.call_at(1.0, restart_handler)
     clock.call_at(2.0, lambda: fired.append("second"))
+    with pytest.raises(AssertionError, match="restart_handler"):
+        clock.advance(1.0)
+    assert fired == ["first"]
+    assert clock.now == pytest.approx(1.0)
     clock.advance(1.0)
     assert fired == ["first", "second"]
-    assert clock.now == pytest.approx(2.0)
 
 
 def test_callback_registering_already_due_timer_fires_in_same_drain():
@@ -340,16 +344,15 @@ def test_callback_registering_already_due_timer_fires_in_same_drain():
     assert fired == ["first", "past-due"]
 
 
-def test_chained_reentrant_callbacks_never_double_fire():
+def test_chained_callbacks_never_double_fire():
+    """Each firing schedules the next tick at an instant already
+    passed: the one drain fires all five, each exactly once."""
     clock = Clock()
     count = {"n": 0}
 
     def tick():
         count["n"] += 1
         if count["n"] < 5:
-            # Each firing both advances (re-entrantly, a no-op drain)
-            # and schedules the next tick at an already-passed instant.
-            clock.advance(0.0)
             clock.call_at(clock.now, tick)
 
     clock.call_at(0.5, tick)
@@ -357,14 +360,29 @@ def test_chained_reentrant_callbacks_never_double_fire():
     assert count["n"] == 5
 
 
-def test_ties_fire_in_registration_order_under_reentrancy():
+def test_ties_fire_in_registration_order():
     clock = Clock()
     fired = []
-    clock.call_at(1.0, lambda: (fired.append("a"), clock.advance(0.0)))
+    clock.call_at(1.0, lambda: fired.append("a"))
     clock.call_at(1.0, lambda: fired.append("b"))
     clock.call_at(1.0, lambda: fired.append("c"))
     clock.advance(1.0)
     assert fired == ["a", "b", "c"]
+
+
+def test_zero_advance_inside_a_partial_callback_names_its_function():
+    """A callback bound with functools.partial (how peers resume their
+    generators) is named by the function it wraps."""
+    import functools
+
+    clock = Clock()
+
+    def resume_relay(step):
+        clock.advance(0.0)
+
+    clock.call_at(1.0, functools.partial(resume_relay, 1))
+    with pytest.raises(AssertionError, match="resume_relay"):
+        clock.advance(1.0)
 
 
 # --- shared-medium contention --------------------------------------------

@@ -14,6 +14,8 @@ from repro.core.splitkey import (
 )
 from repro.crypto.rabin import generate_key
 from repro.crypto.sha1 import sha1
+from repro.sim.clock import Clock
+from tests.helpers import run
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def test_split_key_agent_signs_valid_requests(key, rng):
     half_server = KeyHalfServer()
     half_server.store(pair)
     agent = SplitKeyAgent("alice", pair.agent_share, half_server)
-    blob = agent.sign_request(b"authinfo", 7)
+    blob = run(agent.sign_request(b"authinfo", 7), Clock())
     msg = proto.AuthMsg.unpack(blob)
     assert msg.public_key == key.public_key.to_bytes()
     assert key.public_key.verify(msg.signed_req, msg.signature)
@@ -77,10 +79,10 @@ def test_half_server_revocation_disables_agent(key, rng):
     half_server = KeyHalfServer()
     half_server.store(pair)
     agent = SplitKeyAgent("alice", pair.agent_share, half_server)
-    agent.sign_request(b"x", 1)
+    run(agent.sign_request(b"x", 1), Clock())
     half_server.drop(pair.agent_share)
     with pytest.raises(AgentRefused):
-        agent.sign_request(b"x", 2)
+        run(agent.sign_request(b"x", 2), Clock())
 
 
 def test_wrong_share_gets_nothing(key, rng):
@@ -98,7 +100,7 @@ def test_split_key_agent_single_key(key, rng):
     agent = SplitKeyAgent("alice", pair.agent_share, half_server)
     assert agent.key_count == 1
     with pytest.raises(AgentRefused):
-        agent.sign_request(b"x", 1, key_index=1)
+        run(agent.sign_request(b"x", 1, key_index=1), Clock())
 
 
 def test_split_key_agent_in_full_stack(key, rng):

@@ -35,6 +35,7 @@ from repro.kernel.world import World
 from repro.nfs3 import const, types
 from repro.rpc import xdr
 from repro.rpc.xdr import Record, XdrError
+from tests.helpers import SyncNfs3Client
 
 K_CS = bytes(range(1, 21))
 K_SC = bytes(range(101, 121))
@@ -367,7 +368,7 @@ def test_fast_marshal_path_actually_runs():
     proc.unlink(f"{top}/sub/moved")
     proc.rmdir(f"{top}/sub")
     mount = client.kernel._mounts[-1]   # the /sfs/<host:hostid> mount
-    nfs = mount.client.with_cred(proc.cred)
+    nfs = SyncNfs3Client(mount.client.peer, proc.cred)
     nfs.null()
     nfs.fsstat(mount.root_fh)
     nfs.fsinfo(mount.root_fh)
