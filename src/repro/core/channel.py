@@ -75,10 +75,6 @@ def parse_control_record(record: bytes) -> bytes | None:
     return None
 
 
-class ChannelError(Exception):
-    """Raised on misuse (not on attack traffic, which is dropped)."""
-
-
 class SecureChannel:
     """Wraps a pipe; presents the same pipe interface with crypto inside.
 

@@ -193,9 +193,7 @@ class SwitchablePipe:
     def on_close(self, handler: Callable[[], None]) -> None:
         """Close notification always comes from the raw transport —
         channels are wrappers and never close independently."""
-        register = getattr(self._raw, "on_close", None)
-        if callable(register):
-            register(handler)
+        self._raw.on_close(handler)
 
     def _install(self, channel: SecureChannel) -> None:
         self._lower = channel
@@ -1005,7 +1003,7 @@ class ServerConnection:
     @property
     def alive(self) -> bool:
         """False once the underlying transport reports itself closed."""
-        return getattr(self.pipe.raw, "is_open", True)
+        return self.pipe.raw.is_open
 
     def _on_transport_closed(self) -> None:
         """The link closed under us: the client hung up, redialed or

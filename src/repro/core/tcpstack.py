@@ -1,77 +1,45 @@
-"""Running the SFS stack over real TCP sockets.
-
-The virtual network is the default substrate (deterministic, adversary-
-instrumentable), but SFS is a network file system: this module binds the
-same server master and client daemons to genuine localhost sockets, with
-RFC 1831 record marking on the wire.  The byte streams are identical to
-the virtual transport's — only the delivery mechanics change (the RPC
-peers pump the socket while awaiting replies instead of advancing a
-virtual clock).
+"""Running the SFS stack over real TCP sockets: the same server master
+and client daemons as on the virtual network, with the same byte
+streams, on localhost sockets and the process's one selector loop
+(:data:`repro.rpc.tcp.LOOP`).
 """
 
 from __future__ import annotations
 
-import threading
-
-from ..rpc.tcp import TcpListener, TcpPipe, connect
+from ..rpc.tcp import LOOP, TcpListener, TcpPipe, connect
+from ..sim.sched import Scheduler
 from .server import SfsServerMaster
 
 
 class TcpServerHost:
-    """Accepts TCP connections for a server master."""
+    """Accepts TCP connections for a server master.  Its relays wait on
+    the master's clock, which :attr:`scheduler` advances when no socket
+    is ready; TCP waits pump it, and in-process clients run as its tasks."""
 
     def __init__(self, master: SfsServerMaster, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.master = master
-        self._connections = []
-        turn = threading.Lock()  # one connection's thread at a time
-
-        def session(pipe: TcpPipe) -> None:
-            # A relayed call yields while the local NFS server answers,
-            # on the master's virtual clock and after any disk wait it
-            # booked: after each record the connection delivers, run
-            # that clock until the connection has no relay in flight.
-            install = pipe.on_receive
-            clock = master.clock
-
-            def relaying() -> bool:
-                export = connection.export
-                return export is not None and any(
-                    relay is connection
-                    for relay, _changed in export.in_flight.values())
-
-            def on_receive(handler) -> None:
-                def deliver(record: bytes) -> None:
-                    with turn:
-                        handler(record)
-                        deadline = clock.now
-                        while deadline is not None:
-                            clock.advance(max(0.0, deadline - clock.now))
-                            deadline = clock.next_deadline() \
-                                if relaying() else None
-                install(deliver)
-
-            pipe.on_receive = on_receive
-            connection = master.accept(pipe)
-            self._connections.append(connection)
-
-        self._listener = TcpListener(host, port, session)
         self.host = host
+        self.scheduler = LOOP.scheduler = Scheduler(master.clock)
+        self.scheduler.sockets = LOOP
+        self._listener = TcpListener(host, port, self._accept)
+        self.port = self._listener.port
 
-    @property
-    def port(self) -> int:
-        return self._listener.port
+    def _accept(self, pipe: TcpPipe) -> None:
+        try:
+            self.master.accept(pipe)
+        except ConnectionError:
+            pipe.close()  # the master is down: refuse
 
     def close(self) -> None:
         self._listener.close()
+        if LOOP.scheduler is self.scheduler:
+            LOOP.scheduler = None
 
 
 class TcpConnector:
-    """A Connector (location, service) -> pipe that dials TCP hosts.
-
-    Drop-in replacement for :meth:`repro.kernel.world.World.connector`;
-    register each server's (host, port) under its Location name.
-    """
+    """A Connector (location, service) -> pipe that dials the hosts
+    routed under their Location names (cf. ``World.connector``)."""
 
     def __init__(self) -> None:
         self._routes: dict[str, tuple[str, int]] = {}
@@ -80,8 +48,6 @@ class TcpConnector:
         self._routes[location] = (host.host, host.port)
 
     def __call__(self, location: str, service: int) -> TcpPipe:
-        try:
-            host, port = self._routes[location]
-        except KeyError:
-            raise ConnectionError(f"no route to host {location}") from None
-        return connect(host, port)
+        if location not in self._routes:
+            raise ConnectionError(f"no route to host {location}")
+        return connect(*self._routes[location])

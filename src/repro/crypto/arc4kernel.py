@@ -138,10 +138,6 @@ class _LibcryptoKernel:
         self._set_key.argtypes = [ctypes.c_char_p, ctypes.c_int,
                                   ctypes.c_char_p]
         self._set_key.restype = None
-        # One reusable RC4_KEY-sized scratch buffer; oversized so that a
-        # wider-than-expected RC4_INT cannot make RC4_set_key scribble
-        # past the end during the probe.
-        self._key_buf = ctypes.create_string_buffer(4096)
         self._zeros = bytes(65536)
 
     def self_check(self) -> bool:
@@ -154,9 +150,10 @@ class _LibcryptoKernel:
         (i, j).  Any mismatch disables the kernel.
         """
         try:
+            probe = ctypes.create_string_buffer(4096)  # any RC4_INT fits
             probe_key = bytes(range(1, 17))
-            self._set_key(self._key_buf, len(probe_key), probe_key)
-            words = _STATE_WORDS.unpack_from(self._key_buf.raw, 0)
+            self._set_key(probe, len(probe_key), probe_key)
+            words = _STATE_WORDS.unpack_from(probe.raw, 0)
             if words[0] != 0 or words[1] != 0:
                 return False
             if bytes(words[2:]) != key_schedule(probe_key, 1):
@@ -171,7 +168,9 @@ class _LibcryptoKernel:
 
     def _crank(self, state: bytearray, i: int, j: int,
                n: int) -> tuple[bytes, int, int]:
-        buf = self._key_buf
+        # A buffer per crank: ctypes drops the GIL in RC4(), so a shared
+        # one would let two threads crank each other's state.
+        buf = ctypes.create_string_buffer(_STATE_WORDS.size)
         _STATE_WORDS.pack_into(buf, 0, i, j, *state)
         zeros = self._zeros if n <= len(self._zeros) else bytes(n)
         out = ctypes.create_string_buffer(n)

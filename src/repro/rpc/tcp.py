@@ -1,180 +1,214 @@
-"""Real TCP transport with RFC 1831 record marking.
+"""Real TCP transport with RFC 1831 record marking, on one selector loop.
 
-The virtual network (:mod:`repro.sim.network`) is the default substrate —
-deterministic and adversary-instrumentable — but SFS is a network file
-system, so the same RPC peers also run over genuine sockets.  Records are
-framed with the standard record-marking header: a 4-byte big-endian word
-whose high bit marks the final fragment.
-
-`TcpPipe` satisfies the :class:`repro.rpc.peer.Pipe` protocol.  Where a
-caller on the virtual network waits for a reply by advancing the clock,
-`TcpPipe` pumps the socket; a background listener
-(`TcpListener`) accepts connections and runs a service loop per
-connection thread.
+Beside the virtual network the same RPC peers run over real sockets,
+each record behind a 4-byte big-endian header whose high bit marks the
+final fragment.  As in SFS's daemons, a process runs its sockets from
+one loop (:data:`LOOP`) and no threads.  A `TcpPipe` never blocks: it
+queues what the socket will not take yet, so one thread can serve both
+ends of a connection.  `TcpPipe.pump`, every TCP peer's reply waiter,
+makes one round of the loop, and a bound Scheduler polls it before it
+advances its clock.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
-import threading
 from typing import Callable
 
 _LAST_FRAGMENT = 0x80000000
 _MAX_FRAGMENT = 0x7FFFFFFF
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_CHUNK = 1 << 18  # the most bytes one recv asks for
 
 
-class TcpClosed(Exception):
+class TcpClosed(ConnectionError):
     """The peer closed the connection."""
 
 
-def send_record(sock: socket.socket, data: bytes) -> None:
-    """Send one record-marked record.
-
-    Header and payload go out with one scatter-gather ``sendmsg`` —
-    no ``header + data`` copy of every record just to prepend 4 bytes.
-    """
-    if len(data) > _MAX_FRAGMENT:
+def _header(length: int) -> bytes:
+    if length > _MAX_FRAGMENT:
         raise ValueError("record too large for a single fragment")
-    header = struct.pack(">I", _LAST_FRAGMENT | len(data))
-    buffers = [memoryview(header)]
-    if data:
-        buffers.append(memoryview(data))
-    remaining = 4 + len(data)
-    while remaining:
-        sent = sock.sendmsg(buffers)
-        remaining -= sent
-        while sent:
-            if sent >= len(buffers[0]):
-                sent -= len(buffers[0])
-                del buffers[0]
-            else:
-                buffers[0] = buffers[0][sent:]
-                sent = 0
+    return struct.pack(">I", _LAST_FRAGMENT | length)
+
+
+class RecordReader:
+    """The record-marking parser: bytes in, whole records out."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._fragments: list[bytes] = []
+
+    def missing(self) -> int:
+        """Bytes the next fragment lacks (at most 0 once it is whole)."""
+        buf = self._buf
+        if len(buf) < 4:
+            return 4 - len(buf)
+        return 4 + (int.from_bytes(buf[:4], "big") & _MAX_FRAGMENT) - len(buf)
+
+    def feed(self, data: bytes) -> list[bytes]:
+        """Take *data* and return the records it completed."""
+        buf = self._buf
+        buf += data
+        records = []
+        while self.missing() <= 0:
+            word = int.from_bytes(buf[:4], "big")
+            end = 4 + (word & _MAX_FRAGMENT)
+            self._fragments.append(bytes(buf[4:end]))
+            del buf[:end]
+            if word & _LAST_FRAGMENT:
+                records.append(b"".join(self._fragments))
+                self._fragments.clear()
+        return records
+
+
+def send_record(sock: socket.socket, data: bytes) -> None:
+    """Send one record on a blocking socket."""
+    sock.sendall(_header(len(data)) + data)
 
 
 def recv_record(sock: socket.socket) -> bytes:
-    """Receive one record (possibly multiple fragments)."""
-    fragments = []
-    while True:
-        header = _recv_exact(sock, 4)
-        word = struct.unpack(">I", header)[0]
-        length = word & _MAX_FRAGMENT
-        body = _recv_exact(sock, length)
-        if word & _LAST_FRAGMENT:
-            if not fragments:
-                return body
-            fragments.append(body)
-            return b"".join(fragments)
-        fragments.append(body)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = bytearray(count)
-    view = memoryview(buf)
-    got = 0
-    while got < count:
-        n = sock.recv_into(view[got:])
-        if not n:
+    """Receive one record from a blocking socket, reading no further."""
+    reader, records = RecordReader(), []
+    while not records:
+        data = sock.recv(min(reader.missing(), _CHUNK))
+        if not data:
             raise TcpClosed("connection closed mid-record")
-        got += n
-    return bytes(buf)
+        records = reader.feed(data)
+    return records[0]
+
+
+class Loop:
+    """A process's one selector loop; each key's data is its callback."""
+
+    def __init__(self) -> None:
+        self.selector: selectors.BaseSelector | None = None
+        #: If set, what a synchronous wait pumps: a scheduler polling us.
+        self.scheduler = None
+
+    def register(self, sock: socket.socket, callback) -> None:
+        if self.selector is None:  # opened on first use, not on import
+            self.selector = selectors.DefaultSelector()
+        self.selector.register(sock, _READ, callback)
+
+    def poll(self, timeout: float | None) -> bool:
+        """Run the callback of each socket ready within *timeout* seconds
+        (None: until one is); False at once if none is registered."""
+        if self.selector is None or not self.selector.get_map():
+            return False
+        events = self.selector.select(timeout)
+        for key, mask in events:
+            key.data(mask)
+        return bool(events)
+
+    def run_once(self) -> None:
+        """One round, for a synchronous caller."""
+        if self.scheduler is not None:
+            self.scheduler.legacy_pump()
+        else:
+            self.poll(None)
+
+
+#: The loop every socket of this process runs on.
+LOOP = Loop()
 
 
 class TcpPipe:
-    """A Pipe over a connected TCP socket.
-
-    ``pump()`` reads and delivers exactly one inbound record; callers that
-    expect a synchronous reply (RpcPeer.call) should be wrapped with
-    :func:`pumping_call`.  For fully asynchronous service, `serve_loop`
-    pumps until the peer closes.
-    """
+    """A Pipe over a connected socket; like a ``LinkSide``, it reports
+    its close (:meth:`on_close`), whichever end closed."""
 
     def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
         self._sock = sock
+        self._reader = RecordReader()
+        self._outbound = bytearray()
         self._handler: Callable[[bytes], None] | None = None
-        self._lock = threading.Lock()
-        #: RpcPeer picks this up so calls pump the socket while waiting.
-        self.suggested_reply_waiter = self.pump
+        self._close_handlers: list[Callable[[], None]] = []
+        self.is_open = True
+        #: One round of the loop; RpcPeer waits for replies with it.
+        self.pump = self.suggested_reply_waiter = LOOP.run_once
+        LOOP.register(sock, self._ready)
 
     def send(self, data: bytes) -> None:
-        with self._lock:
-            send_record(self._sock, data)
+        if not self.is_open:
+            raise TcpClosed("connection closed")
+        self._outbound += _header(len(data))
+        self._outbound += data
+        self._flush()
 
     def on_receive(self, handler: Callable[[bytes], None]) -> None:
         self._handler = handler
 
-    def pump(self) -> None:
-        """Deliver one inbound record to the handler (blocking)."""
-        record = recv_record(self._sock)
-        if self._handler is None:
-            raise RuntimeError("no receive handler installed")
-        self._handler(record)
+    def on_close(self, handler: Callable[[], None]) -> None:
+        self._close_handlers.append(handler)
 
-    def serve_loop(self) -> None:
-        """Pump records until the peer disconnects."""
+    def _ready(self, mask: int) -> None:
+        if mask & _WRITE:
+            self._flush()
+        if mask & _READ and self.is_open:
+            try:
+                data = self._sock.recv(_CHUNK)
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                self.close()
+            for record in self._reader.feed(data):
+                self._handler(record)
+
+    def _flush(self) -> None:
         try:
-            while True:
-                self.pump()
-        except (TcpClosed, OSError):
+            del self._outbound[:self._sock.send(self._outbound)]
+        except BlockingIOError:
             pass
+        except OSError:
+            self.close()
+            return
+        events = _READ | (_WRITE if self._outbound else 0)
+        if LOOP.selector.get_key(self._sock).events != events:
+            LOOP.selector.modify(self._sock, events, self._ready)
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        """Close, dropping unsent bytes, and run the close handlers."""
+        if not self.is_open:
+            return
+        self.is_open = False
+        LOOP.selector.unregister(self._sock)
         self._sock.close()
+        handlers, self._close_handlers = self._close_handlers, []
+        for handler in handlers:
+            handler()
 
 
 def attach_peer(pipe: TcpPipe, peer) -> None:
-    """Wire an RpcPeer to a TcpPipe for synchronous-style calls.
-
-    The peer's ``reply_waiter`` pumps the socket until the awaited reply
-    (or an inbound call, which gets served) arrives.
-    """
+    """Wire an RpcPeer to a TcpPipe for synchronous-style calls."""
     peer.reply_waiter = pipe.pump
 
 
 class TcpListener:
-    """Accepts TCP connections and hands each to a connection factory."""
+    """Accepts TCP connections in the loop and hands each to a factory."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        factory: Callable[[TcpPipe], None],
-    ) -> None:
+    def __init__(self, host: str, port: int,
+                 factory: Callable[[TcpPipe], None]) -> None:
         self._server = socket.create_server((host, port))
+        self._server.setblocking(False)
+        self.port = self._server.getsockname()[1]
         self._factory = factory
-        self._threads: list[threading.Thread] = []
-        self._running = True
-        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        self._acceptor.start()
+        LOOP.register(self._server, self._accept)
 
-    @property
-    def port(self) -> int:
-        return self._server.getsockname()[1]
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _addr = self._server.accept()
-            except OSError:
-                return
-            pipe = TcpPipe(sock)
-
-            def session(pipe: TcpPipe = pipe) -> None:
-                self._factory(pipe)
-                pipe.serve_loop()
-
-            thread = threading.Thread(target=session, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+    def _accept(self, _mask: int) -> None:
+        try:
+            sock, _addr = self._server.accept()
+        except (BlockingIOError, ConnectionAbortedError):
+            return
+        self._factory(TcpPipe(sock))
 
     def close(self) -> None:
-        self._running = False
-        self._server.close()
+        if self._server.fileno() != -1:
+            LOOP.selector.unregister(self._server)
+            self._server.close()
 
 
 def connect(host: str, port: int) -> TcpPipe:

@@ -19,9 +19,10 @@ system call made at top level) drive a generator to completion with
 :meth:`Scheduler.legacy_pump` — step one runnable task or advance the
 clock.  Code running *inside* a task step (or a handler) never pumps:
 it yields, system calls too, and a pump from there is an
-:class:`AssertionError` naming the task.  When nothing can run and no
-timer is pending, :meth:`pump_once` raises :class:`SchedulerStalled`;
-the RPC layer treats that exactly like an elapsed retransmission timer.
+:class:`AssertionError` naming the task.  With nothing runnable and no
+timer pending, :meth:`pump_once` waits on its sockets (if any; they are
+served before each clock advance) or raises :class:`SchedulerStalled`,
+which the RPC layer treats like an elapsed retransmission timer.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ class Scheduler:
         #: The task currently being stepped, if any — how
         #: :meth:`legacy_pump` tells a sync entry point from a task.
         self.current: Task | None = None
+        #: Sockets polled before the clock advances (a repro.rpc.tcp.Loop).
+        self.sockets = None
         self._m_steps = self.metrics.counter("sched.steps")
         self._m_spawned = self.metrics.counter("sched.tasks_spawned")
         self._m_failed = self.metrics.counter("sched.tasks_failed")
@@ -280,9 +283,9 @@ class Scheduler:
         return ", ".join(parts)
 
     def pump_once(self) -> None:
-        """Make one unit of progress: step a ready task or advance time.
+        """One unit of progress: step a task, serve sockets or advance time.
 
-        Raises :class:`SchedulerStalled` when neither is possible —
+        Raises :class:`SchedulerStalled` when none is possible —
         the caller's awaited event cannot occur without intervention.
         """
         task = self._take_ready()
@@ -290,8 +293,12 @@ class Scheduler:
             send, throw = self._resume_args(task)
             self._step(task, send, throw)
             return
+        if self.sockets is not None and self.sockets.poll(0.0):
+            return
         deadline = self.clock.next_deadline()
         if deadline is None:
+            if self.sockets is not None and self.sockets.poll(None):
+                return
             raise SchedulerStalled(
                 "no runnable task and no pending timer; blocked: "
                 f"{self._describe_blocked()}; oldest pending timer: none "

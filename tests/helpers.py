@@ -1,5 +1,8 @@
 """Helpers shared across the test suite."""
 
+import contextlib
+import signal
+
 from repro.nfs3.client import Nfs3Client
 from repro.rpc.peer import Runner
 from repro.rpc.rpcmsg import NULL_AUTH
@@ -15,6 +18,22 @@ def settle(clock) -> None:
     """
     while (deadline := clock.next_deadline()) is not None:
         clock.advance(max(0.0, deadline - clock.now))
+
+
+@contextlib.contextmanager
+def wall_bound(seconds: float):
+    """Fail the block with :class:`TimeoutError` after *seconds* of wall
+    time, even while it waits on a socket, instead of letting a wedged
+    run hang the suite (Unix, main thread)."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s of wall time")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def job(action=None):

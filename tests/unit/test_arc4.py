@@ -1,9 +1,12 @@
 """Tests for ARC4 (repro.crypto.arc4), including the SFS key-schedule
 variant for 20-byte keys."""
 
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import arc4kernel
 from repro.crypto.arc4 import ARC4
 
 # RFC 6229 test vectors (single-spin keystreams).
@@ -85,3 +88,32 @@ def test_keystream_chunking_invariance(key, chunks):
     cipher = ARC4(key)
     pieces = b"".join(cipher.keystream(n) for n in chunks)
     assert pieces == whole
+
+
+@pytest.mark.skipif(arc4kernel.FAST_KERNEL != "libcrypto",
+                    reason="no libcrypto RC4")
+def test_libcrypto_cranks_keep_their_own_state_across_threads():
+    """ctypes drops the GIL inside RC4(): cranks in four threads at once
+    must each run on their own stream's state."""
+    cranks, size = 300, 4096
+    keys = [bytes([n + 1]) * 20 for n in range(4)]
+    got: dict[bytes, list[bytes]] = {}
+
+    def crank(key: bytes) -> None:
+        state, i, j = arc4kernel.key_schedule(key, 2), 0, 0
+        out = []
+        for _ in range(cranks):
+            block, i, j = arc4kernel.fast_crank(state, i, j, size)
+            out.append(block)
+        got[key] = out
+
+    threads = [threading.Thread(target=crank, args=(key,)) for key in keys]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for key in keys:
+        state, i, j = arc4kernel.key_schedule(key, 2), 0, 0
+        expected, _i, _j = arc4kernel.pyblock_crank(state, i, j,
+                                                     cranks * size)
+        assert b"".join(got[key]) == expected
