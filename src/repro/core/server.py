@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from ..crypto.rabin import PrivateKey
@@ -42,7 +42,7 @@ from ..nfs3.handles import BadHandle, EncryptedHandles, PlainHandles
 from ..nfs3.server import Nfs3Server
 from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import CallContext, Program, Pipe, RpcPeer
-from ..rpc.rpcmsg import AuthSys, OpaqueAuth
+from ..rpc.rpcmsg import CRED_MEMO, AuthSys, OpaqueAuth
 from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
 from ..sim.crash import CrashInjector
@@ -119,6 +119,7 @@ def nfs_failure_shape(proc: int) -> Record | None:
     return shapes[proc]
 
 
+@lru_cache(maxsize=CRED_MEMO)
 def make_sfs_cred(authno: int) -> OpaqueAuth:
     """The AUTH_SFS credential carrying an authentication number."""
     return OpaqueAuth(proto.AUTH_SFS, authno.to_bytes(4, "big"))

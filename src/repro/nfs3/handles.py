@@ -46,6 +46,9 @@ class PlainHandles:
 
 
 _REDUNDANCY = 8
+#: Handles each :class:`EncryptedHandles` remembers in each direction
+#: (the oldest goes first).
+_MEMO_MAX = 4096
 
 
 class EncryptedHandles:
@@ -54,6 +57,9 @@ class EncryptedHandles:
     The IV is derived from the key, keeping handles deterministic so a
     client can compare handles for equality; secrecy of the NFS handle
     inside comes from the cipher, integrity from the redundancy bytes.
+    Being deterministic, a handle's ciphertext is memoised both ways:
+    every handle this instance encoded, and every one that passed the
+    redundancy check, so forged handles never enter the tables.
     """
 
     size = 24
@@ -70,13 +76,23 @@ class EncryptedHandles:
         #: a restart; the restart path asserts fingerprint equality to
         #: pin that invariant without exposing key bytes.
         self.fingerprint = sha1(b"SFS-handle-fingerprint" + key)[:8]
+        self._handles: dict[tuple[int, int, int], bytes] = {}
+        self._files: dict[bytes, tuple[int, int, int]] = {}
 
     def encode(self, fsid: int, ino: int, generation: int) -> bytes:
-        plain = self._inner.encode(fsid, ino, generation)
-        redundancy = sha1(b"SFS-handle-check" + plain)[:_REDUNDANCY]
-        return self._cipher.encrypt_cbc(plain + redundancy, self._iv)
+        handle = self._handles.get((fsid, ino, generation))
+        if handle is None:
+            plain = self._inner.encode(fsid, ino, generation)
+            redundancy = sha1(b"SFS-handle-check" + plain)[:_REDUNDANCY]
+            handle = self._cipher.encrypt_cbc(plain + redundancy, self._iv)
+            _remember(self._files, handle, self._inner.decode(plain))
+            _remember(self._handles, (fsid, ino, generation), handle)
+        return handle
 
     def decode(self, handle: bytes) -> tuple[int, int, int]:
+        file = self._files.get(handle)
+        if file is not None:
+            return file
         if len(handle) != self.size:
             raise BadHandle(f"handle must be {self.size} bytes")
         decrypted = self._cipher.decrypt_cbc(handle, self._iv)
@@ -84,4 +100,11 @@ class EncryptedHandles:
         expected = sha1(b"SFS-handle-check" + plain)[:_REDUNDANCY]
         if not constant_time_eq(redundancy, expected):
             raise BadHandle("handle redundancy check failed")
-        return self._inner.decode(plain)
+        return _remember(self._files, handle, self._inner.decode(plain))
+
+
+def _remember(table: dict, key, value):
+    if len(table) >= _MEMO_MAX:
+        del table[next(iter(table))]
+    table[key] = value
+    return value

@@ -4,13 +4,22 @@ Only the pieces SFS needs: CALL and REPLY messages, AUTH_NONE and
 AUTH_SYS credential flavors, and the accept/reject status hierarchy.
 Argument and result bodies are carried as raw trailing bytes so each
 program's codecs stay independent of the envelope.
+
+Every record on every hop pays for its envelope, so the envelope is a
+handful of ``struct`` calls: a CALL's fixed words, and those of an
+accepted SUCCESS reply, pack in one; an authenticator's wire bytes are
+computed once, a parsed one is interned by those bytes, and an AUTH_SYS
+body is marshalled once per identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from .xdr import Opaque, Packer, String, Unpacker, XdrError
+from .xdr import Packer, Unpacker, XdrError
 
 RPC_VERSION = 2
 
@@ -43,9 +52,23 @@ AUTH_SYS = 1
 
 _MAX_AUTH_BODY = 400
 
+#: Entries each credential memo keeps (least recently used go first).
+CRED_MEMO = 256
+
+_WORD = struct.Struct(">I")
+_PAIR = struct.Struct(">II")
+_TRIPLE = struct.Struct(">III")
+#: xid, CALL, rpcvers, prog, vers, proc — and also xid, REPLY,
+#: MSG_ACCEPTED, an AUTH_NONE verifier (flavor, length), SUCCESS.
+_SIX = struct.Struct(">6I")
+
 
 class RpcMsgError(XdrError):
     """Raised on malformed RPC envelopes."""
+
+
+def _words(*words: int) -> bytes:
+    return struct.pack(f">{len(words)}I", *words)
 
 
 @dataclass(frozen=True)
@@ -55,18 +78,40 @@ class OpaqueAuth:
     flavor: int = AUTH_NONE
     body: bytes = b""
 
-    def pack_into(self, packer: Packer) -> None:
-        packer.pack_uint32(self.flavor)
-        packer.pack_opaque(self.body, _MAX_AUTH_BODY)
-
-    @classmethod
-    def unpack_from(cls, unpacker: Unpacker) -> "OpaqueAuth":
-        flavor = unpacker.unpack_uint32()
-        body = unpacker.unpack_opaque(_MAX_AUTH_BODY)
-        return cls(flavor, body)
+    @cached_property
+    def wire(self) -> bytes:
+        """Flavor, length, body and zero padding: the envelope's bytes."""
+        body = self.body
+        if len(body) > _MAX_AUTH_BODY:
+            raise RpcMsgError(f"auth body exceeds {_MAX_AUTH_BODY} bytes")
+        return _words(self.flavor, len(body)) + body + bytes(-len(body) % 4)
 
 
 NULL_AUTH = OpaqueAuth()
+
+
+@lru_cache(maxsize=CRED_MEMO)
+def _interned(raw: bytes) -> OpaqueAuth:
+    """The authenticator whose wire bytes are *raw*: built and checked
+    once per distinct credential (the caller checked its length)."""
+    flavor, length = _PAIR.unpack_from(raw)
+    if any(raw[8 + length:]):
+        raise RpcMsgError("nonzero auth padding")
+    return OpaqueAuth(flavor, raw[8 : 8 + length])
+
+
+def _auth_at(data: bytes, off: int) -> tuple[OpaqueAuth, int]:
+    """The authenticator at *off* in *data*, and the offset past it."""
+    flavor, length = _PAIR.unpack_from(data, off)
+    if not (flavor or length):
+        return NULL_AUTH, off + 8
+    if length > _MAX_AUTH_BODY:
+        raise RpcMsgError(f"auth body of {length} bytes")
+    end = off + 8 + length + (-length % 4)
+    if end > len(data):
+        raise RpcMsgError("truncated authenticator")
+    raw = data[off:end]
+    return _interned(raw if raw.__class__ is bytes else bytes(raw)), end
 
 
 @dataclass(frozen=True)
@@ -79,6 +124,7 @@ class AuthSys:
     gid: int = 0
     gids: tuple[int, ...] = ()
 
+    @lru_cache(maxsize=CRED_MEMO)
     def to_auth(self) -> OpaqueAuth:
         packer = Packer()
         packer.pack_uint32(self.stamp)
@@ -91,25 +137,29 @@ class AuthSys:
             packer.pack_uint32(gid)
         return OpaqueAuth(AUTH_SYS, packer.detach())
 
-    @classmethod
-    def from_auth(cls, auth: OpaqueAuth) -> "AuthSys":
+    @staticmethod
+    def from_auth(auth: OpaqueAuth) -> "AuthSys":
         if auth.flavor != AUTH_SYS:
             raise RpcMsgError("not an AUTH_SYS credential")
-        unpacker = Unpacker(auth.body)
-        stamp = unpacker.unpack_uint32()
-        machinename = unpacker.unpack_string(255)
-        uid = unpacker.unpack_uint32()
-        gid = unpacker.unpack_uint32()
-        count = unpacker.unpack_uint32()
-        if count > 16:
-            raise RpcMsgError("too many groups in AUTH_SYS")
-        gids = tuple(unpacker.unpack_uint32() for _ in range(count))
-        unpacker.done()
-        return cls(stamp, machinename, uid, gid, gids)
+        return _authsys(auth.body)
 
 
-@dataclass(frozen=True)
-class CallHeader:
+@lru_cache(maxsize=CRED_MEMO)
+def _authsys(body: bytes) -> AuthSys:
+    unpacker = Unpacker(body)
+    stamp = unpacker.unpack_uint32()
+    machinename = unpacker.unpack_string(255)
+    uid = unpacker.unpack_uint32()
+    gid = unpacker.unpack_uint32()
+    count = unpacker.unpack_uint32()
+    if count > 16:
+        raise RpcMsgError("too many groups in AUTH_SYS")
+    gids = tuple(unpacker.unpack_uint32() for _ in range(count))
+    unpacker.done()
+    return AuthSys(stamp, machinename, uid, gid, gids)
+
+
+class CallHeader(NamedTuple):
     """A parsed RPC CALL envelope (argument bytes carried separately)."""
 
     xid: int
@@ -121,21 +171,13 @@ class CallHeader:
 
 
 def pack_call(header: CallHeader, args: bytes) -> bytes:
-    packer = Packer()
-    packer.pack_uint32(header.xid)
-    packer.pack_uint32(CALL)
-    packer.pack_uint32(RPC_VERSION)
-    packer.pack_uint32(header.prog)
-    packer.pack_uint32(header.vers)
-    packer.pack_uint32(header.proc)
-    header.cred.pack_into(packer)
-    header.verf.pack_into(packer)
-    packer.pack_raw(args)  # envelope + body leave as one buffer
-    return packer.detach()
+    xid, prog, vers, proc, cred, verf = header
+    head = _SIX.pack(xid, CALL, RPC_VERSION, prog, vers, proc)
+    # envelope + body leave as one buffer
+    return b"".join((head, cred.wire, verf.wire, args))
 
 
-@dataclass(frozen=True)
-class ReplyHeader:
+class ReplyHeader(NamedTuple):
     """A parsed RPC REPLY envelope (result bytes carried separately)."""
 
     xid: int
@@ -153,30 +195,20 @@ class ReplyHeader:
 
 
 def pack_reply(header: ReplyHeader, results: bytes = b"") -> bytes:
-    packer = Packer()
-    packer.pack_uint32(header.xid)
-    packer.pack_uint32(REPLY)
-    packer.pack_uint32(header.reply_stat)
-    if header.reply_stat == MSG_ACCEPTED:
-        header.verf.pack_into(packer)
-        packer.pack_uint32(header.accept_stat)
-        if header.accept_stat == PROG_MISMATCH:
-            packer.pack_uint32(header.mismatch_low)
-            packer.pack_uint32(header.mismatch_high)
-        elif header.accept_stat == SUCCESS:
-            packer.pack_raw(results)
-    else:
-        packer.pack_uint32(header.reject_stat)
-        if header.reject_stat == RPC_MISMATCH:
-            packer.pack_uint32(header.mismatch_low)
-            packer.pack_uint32(header.mismatch_high)
-        else:
-            packer.pack_uint32(header.auth_stat)
-    return packer.detach()
+    xid, reply_stat, accept_stat, reject_stat, auth_stat, verf, low, high = header
+    if reply_stat != MSG_ACCEPTED:
+        if reject_stat == RPC_MISMATCH:
+            return _words(xid, REPLY, reply_stat, reject_stat, low, high)
+        return _words(xid, REPLY, reply_stat, reject_stat, auth_stat)
+    if accept_stat == SUCCESS and verf is NULL_AUTH:
+        return _SIX.pack(xid, REPLY, MSG_ACCEPTED, AUTH_NONE, 0, SUCCESS) + results
+    head = _words(xid, REPLY, MSG_ACCEPTED) + verf.wire
+    if accept_stat == PROG_MISMATCH:
+        return head + _words(accept_stat, low, high)
+    return head + _words(accept_stat) + (results if accept_stat == SUCCESS else b"")
 
 
-@dataclass(frozen=True)
-class ParsedMessage:
+class ParsedMessage(NamedTuple):
     """Either a CALL or a REPLY, with the trailing body bytes.
 
     ``body`` is a ``memoryview`` over the record's tail, not a copy —
@@ -201,8 +233,7 @@ def peek_message(data: bytes) -> tuple[int, int] | None:
     """
     if len(data) < 8:
         return None
-    xid = int.from_bytes(data[0:4], "big")
-    mtype = int.from_bytes(data[4:8], "big")
+    xid, mtype = _PAIR.unpack_from(data)
     if mtype not in (CALL, REPLY):
         return None
     return mtype, xid
@@ -210,65 +241,43 @@ def peek_message(data: bytes) -> tuple[int, int] | None:
 
 def parse_message(data: bytes) -> ParsedMessage:
     """Parse an RPC record into its envelope + trailing body bytes."""
-    unpacker = Unpacker(data)
-    xid = unpacker.unpack_uint32()
-    mtype = unpacker.unpack_uint32()
-    if mtype == CALL:
-        rpcvers = unpacker.unpack_uint32()
-        if rpcvers != RPC_VERSION:
-            raise RpcMsgError(f"unsupported RPC version {rpcvers}")
-        prog = unpacker.unpack_uint32()
-        vers = unpacker.unpack_uint32()
-        proc = unpacker.unpack_uint32()
-        cred = OpaqueAuth.unpack_from(unpacker)
-        verf = OpaqueAuth.unpack_from(unpacker)
-        body = memoryview(data)[len(data) - unpacker.remaining() :]
-        return ParsedMessage(
-            CALL, CallHeader(xid, prog, vers, proc, cred, verf), None, body
-        )
-    if mtype == REPLY:
-        reply_stat = unpacker.unpack_uint32()
-        if reply_stat == MSG_ACCEPTED:
-            verf = OpaqueAuth.unpack_from(unpacker)
-            accept_stat = unpacker.unpack_uint32()
+    try:
+        xid, mtype, word = _TRIPLE.unpack_from(data)
+        if mtype == CALL:
+            if word != RPC_VERSION:
+                raise RpcMsgError(f"unsupported RPC version {word}")
+            prog, vers, proc = _TRIPLE.unpack_from(data, 12)
+            cred, off = _auth_at(data, 24)
+            verf, off = _auth_at(data, off)
+            return ParsedMessage(
+                CALL, CallHeader(xid, prog, vers, proc, cred, verf), None,
+                memoryview(data)[off:],
+            )
+        if mtype != REPLY:
+            raise RpcMsgError(f"bad message type {mtype}")
+        if word == MSG_ACCEPTED:
+            verf, off = _auth_at(data, 12)
+            (stat,) = _WORD.unpack_from(data, off)
             low = high = 0
-            if accept_stat == PROG_MISMATCH:
-                low = unpacker.unpack_uint32()
-                high = unpacker.unpack_uint32()
-            body = memoryview(data)[len(data) - unpacker.remaining() :]
+            if stat == PROG_MISMATCH:
+                low, high = _PAIR.unpack_from(data, off + 4)
+                off += 8
             return ParsedMessage(
-                REPLY,
-                None,
-                ReplyHeader(
-                    xid,
-                    MSG_ACCEPTED,
-                    accept_stat,
-                    verf=verf,
-                    mismatch_low=low,
-                    mismatch_high=high,
-                ),
-                body,
+                REPLY, None,
+                ReplyHeader(xid, MSG_ACCEPTED, stat, RPC_MISMATCH, 0, verf,
+                            low, high),
+                memoryview(data)[off + 4 :],
             )
-        if reply_stat == MSG_DENIED:
-            reject_stat = unpacker.unpack_uint32()
-            low = high = auth_stat = 0
+        if word == MSG_DENIED:
+            reject_stat, value = _PAIR.unpack_from(data, 12)
             if reject_stat == RPC_MISMATCH:
-                low = unpacker.unpack_uint32()
-                high = unpacker.unpack_uint32()
+                (high,) = _WORD.unpack_from(data, 20)
+                header = ReplyHeader(xid, MSG_DENIED, reject_stat=reject_stat,
+                                     mismatch_low=value, mismatch_high=high)
             else:
-                auth_stat = unpacker.unpack_uint32()
-            return ParsedMessage(
-                REPLY,
-                None,
-                ReplyHeader(
-                    xid,
-                    MSG_DENIED,
-                    reject_stat=reject_stat,
-                    auth_stat=auth_stat,
-                    mismatch_low=low,
-                    mismatch_high=high,
-                ),
-                b"",
-            )
-        raise RpcMsgError(f"bad reply_stat {reply_stat}")
-    raise RpcMsgError(f"bad message type {mtype}")
+                header = ReplyHeader(xid, MSG_DENIED, reject_stat=reject_stat,
+                                     auth_stat=value)
+            return ParsedMessage(REPLY, None, header, b"")
+        raise RpcMsgError(f"bad reply_stat {word}")
+    except struct.error:
+        raise RpcMsgError("truncated RPC message") from None

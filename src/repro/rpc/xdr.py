@@ -99,8 +99,10 @@ class MarshalStats:
 
 STATS = MarshalStats()
 
-# Recycled Packer buffers.  Small stack: steady-state RPC traffic keeps
-# a handful in flight (call pack + reply pack per hop).  Buffers above
+# Recycled Packer buffers.  Only the interpreter path borrows one (a
+# value a compiled marshal would not take, an AUTH_SYS body the first
+# time its identity is seen); the RPC envelope and compiled codecs build
+# their bytes directly, so a small stack is plenty.  Buffers above
 # _MAX_POOLED (a full WRITE record is ~8.2 KB; 128 KB is far past any
 # legal record) are dropped rather than hoarded.
 _POOL: list[bytearray] = []

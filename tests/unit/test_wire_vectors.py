@@ -26,14 +26,17 @@ import random
 
 import pytest
 
+from repro.core import proto
 from repro.core.channel import SecureChannel
+from repro.core.server import make_sfs_cred
 from repro.crypto import arc4kernel, backend
 from repro.crypto.arc4 import ARC4
 from repro.fs import pathops
 from repro.fs.memfs import Cred
 from repro.kernel.world import World
 from repro.nfs3 import const, types
-from repro.rpc import xdr
+from repro.rpc import rpcmsg, xdr
+from repro.rpc.rpcmsg import AuthSys, CallHeader, ReplyHeader
 from repro.rpc.xdr import Record, XdrError
 from tests.helpers import SyncNfs3Client
 
@@ -450,6 +453,69 @@ def test_truncated_record_rejected(fast):
     )
     with pytest.raises(XdrError):
         types.ReadArgs.unpack(encoded[:-3])
+
+
+# ---------------------------------------------------------------------------
+# RPC envelopes (RFC 1831)
+# ---------------------------------------------------------------------------
+
+def envelope_vectors():
+    """(name, header, body) for each envelope branch SFS puts on a wire."""
+    sys_cred = AuthSys(stamp=7, machinename="laptop", uid=1000, gid=100,
+                       gids=(100, 0xFFFD)).to_auth()
+    return [
+        ("call_auth_sys",
+         CallHeader(0x01020304, 100003, 3, 3, cred=sys_cred),
+         b"ARGS\x00\x00\x00\x01"),
+        ("call_auth_sfs",
+         CallHeader(0xCAFE0001, proto.SFS_RW_PROGRAM, proto.SFS_VERSION, 6,
+                    cred=make_sfs_cred(5)),
+         b"\x00\x00\x00\x02"),
+        ("reply_success", ReplyHeader(0x01020304), b"RESULT\x00\x00"),
+        ("reply_prog_mismatch",
+         ReplyHeader(9, accept_stat=rpcmsg.PROG_MISMATCH,
+                     mismatch_low=2, mismatch_high=3), b""),
+        ("reply_auth_error",
+         ReplyHeader(10, reply_stat=rpcmsg.MSG_DENIED,
+                     reject_stat=rpcmsg.AUTH_ERROR, auth_stat=5), b""),
+        ("reply_rpc_mismatch",
+         ReplyHeader(11, reply_stat=rpcmsg.MSG_DENIED,
+                     reject_stat=rpcmsg.RPC_MISMATCH,
+                     mismatch_low=2, mismatch_high=2), b""),
+    ]
+
+
+#: The envelope bytes of each vector, in hex.  Frozen from the
+#: ``Packer``-based envelope that the struct-packed one replaced.
+GOLDEN_ENVELOPES = {
+    "call_auth_sys":
+        "010203040000000000000002000186a3000000030000000300000001000000240000"
+        "0007000000066c6170746f700000000003e80000006400000002000000640000fffd"
+        "00000000000000004152475300000001",
+    "call_auth_sfs":
+        "cafe000100000000000000020005417c00000001000000060005f370000000040000"
+        "0005000000000000000000000002",
+    "reply_success":
+        "010203040000000100000000000000000000000000000000524553554c540000",
+    "reply_prog_mismatch":
+        "0000000900000001000000000000000000000000000000020000000200000003",
+    "reply_auth_error": "0000000a00000001000000010000000100000005",
+    "reply_rpc_mismatch":
+        "0000000b0000000100000001000000000000000200000002",
+}
+
+
+@pytest.mark.parametrize("name,header,body", envelope_vectors(),
+                         ids=[name for name, _h, _b in envelope_vectors()])
+def test_envelope_bytes_match_golden(name, header, body):
+    if isinstance(header, CallHeader):
+        record = rpcmsg.pack_call(header, body)
+    else:
+        record = rpcmsg.pack_reply(header, body)
+    assert record.hex() == GOLDEN_ENVELOPES[name]
+    parsed = rpcmsg.parse_message(record)
+    assert (parsed.call or parsed.reply) == header
+    assert bytes(parsed.body) == body
 
 
 # ---------------------------------------------------------------------------
