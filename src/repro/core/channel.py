@@ -205,15 +205,14 @@ class SecureChannel:
         layers.push("crypto")
         try:
             # Seal in one buffer: length‖payload‖MAC assembled once,
-            # one encrypt pass over the whole record.  Chained bytes
-            # concatenation here cost two extra copies of every payload.
+            # then encrypted where it lies, in one pass.
             mac = self._send_mac.compute(data)
             n = len(data)
-            body = bytearray(_LEN_BYTES + n + len(mac))
-            body[:_LEN_BYTES] = n.to_bytes(_LEN_BYTES, "big")
-            body[_LEN_BYTES:_LEN_BYTES + n] = data
-            body[_LEN_BYTES + n:] = mac
-            record = self._send_stream.encrypt(body)
+            record = bytearray(_LEN_BYTES + n + len(mac))
+            record[:_LEN_BYTES] = n.to_bytes(_LEN_BYTES, "big")
+            record[_LEN_BYTES:_LEN_BYTES + n] = data
+            record[_LEN_BYTES + n:] = mac
+            self._send_stream.encrypt(record, record)
         finally:
             layers.pop()
         self._pipe.send(record)

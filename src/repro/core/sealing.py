@@ -27,7 +27,7 @@ def seal(key: bytes, plaintext: bytes, label: bytes = b"") -> bytes:
     """Encrypt-then-MAC *plaintext* under *key* (domain-separated by label)."""
     enc_key = sha1(b"seal-enc" + label + key)
     mac_key = sha1(b"seal-mac" + label + key)
-    ciphertext = ARC4(enc_key).encrypt(plaintext)
+    ciphertext = bytes(ARC4(enc_key).encrypt(plaintext))
     return ciphertext + hmac_sha1(mac_key, ciphertext)
 
 
@@ -40,4 +40,4 @@ def unseal(key: bytes, blob: bytes, label: bytes = b"") -> bytes:
     if not constant_time_eq(tag, hmac_sha1(mac_key, ciphertext)):
         raise SealError("seal authentication failed")
     enc_key = sha1(b"seal-enc" + label + key)
-    return ARC4(enc_key).decrypt(ciphertext)
+    return bytes(ARC4(enc_key).decrypt(ciphertext))

@@ -9,26 +9,21 @@ implementation particulars which we reproduce:
 * SFS keeps one ARC4 stream running for the whole session, pulling 32 bytes
   of MAC key per message from the same stream (see :mod:`repro.crypto.mac`).
 
-Keystream generation is a block operation: draws are served from a
-lazily-refilled lookahead buffer so the per-message 32-byte MAC rekey
-draws and the bulk `process` calls share amortized block generation.
-Blocks come from the best kernel in :mod:`repro.crypto.arc4kernel`
-(OpenSSL's C PRGA when its layout self-check passes, else a locals-bound
-pure-Python block loop); with :func:`repro.crypto.backend.set_fast`
-switched off, every byte instead comes from the reference per-byte loop
-below, which remains the ground truth the kernels are tested against.
-All three advance the identical (state, i, j) machine, so the choice can
-never change a wire byte — only speed.
+Where :mod:`repro.crypto.arc4kernel` found a usable libcrypto, a stream's
+state lives in an ``RC4_KEY`` of its own, and OpenSSL's ``RC4()`` cranks
+and XORs each record in C, in one pass.  Otherwise the state is a Python
+``bytearray`` cranked by the pure-Python block loop; with
+:func:`repro.crypto.backend.set_fast` switched off, every byte instead
+comes from the reference per-byte loop, which remains the ground truth
+the kernels are tested against.  A stream keeps exactly one copy of its
+state and moves it across when the flag flips, so all three advance the
+identical (state, i, j) machine and the choice can never change a wire
+byte — only speed.
 """
 
 from __future__ import annotations
 
 from . import arc4kernel, backend
-
-#: Lookahead block size for small draws.  One refill covers 32 MAC rekey
-#: draws, so a session's MAC stream touches the kernel once per 32
-#: records instead of once per record.
-_REFILL = 1024
 
 
 class ARC4:
@@ -40,6 +35,8 @@ class ARC4:
     session keys get two).
     """
 
+    __slots__ = ("_key", "_state", "_i", "_j")
+
     def __init__(self, key: bytes, spins: int | None = None) -> None:
         if not key:
             raise ValueError("ARC4 key must be non-empty")
@@ -47,21 +44,35 @@ class ARC4:
             raise ValueError("ARC4 key must be at most 256 bytes")
         if spins is None:
             spins = max(1, (len(key) * 8 + 127) // 128)
+        #: The machine, in Python: ``None`` while libcrypto holds it.
         self._state = arc4kernel.key_schedule(key, spins)
         self._i = 0
         self._j = 0
-        #: Keystream generated ahead of consumption.  ``_state``/``_i``/
-        #: ``_j`` always describe the *generated* frontier; the logical
-        #: stream position trails it by ``len(_pending) - _pending_pos``
-        #: bytes.  Draining the buffer before generating keeps the
-        #: stream continuous even if the backend flag flips mid-session.
-        self._pending = b""
-        self._pending_pos = 0
+        #: The machine, in C: the stream's own ``RC4_KEY``, or ``None``.
+        self._key = None
 
-    def _generate(self, length: int) -> bytes:
-        """Advance the machine by *length* bytes with the active kernel."""
+    def _resident(self):
+        """The ``RC4_KEY`` to crank in C, or None to crank in Python.
+
+        Moves the state to the side the backend flag selects, so the
+        stream stays continuous across a flip and only one copy exists.
+        """
+        key = self._key
+        if backend.use_fast_arc4 and arc4kernel.LIBCRYPTO is not None:
+            if key is None:
+                key = self._key = arc4kernel.load(self._state, self._i,
+                                                  self._j)
+                self._state = None
+            return key
+        if key is not None:
+            self._state, self._i, self._j = arc4kernel.unload(key)
+            self._key = None
+        return None
+
+    def _crank(self, length: int) -> bytes:
+        """*length* keystream bytes from the Python state."""
         if backend.use_fast_arc4:
-            out, self._i, self._j = arc4kernel.fast_crank(
+            out, self._i, self._j = arc4kernel.pyblock_crank(
                 self._state, self._i, self._j, length
             )
             return out
@@ -73,38 +84,30 @@ class ARC4:
 
     def keystream(self, length: int) -> bytes:
         """Produce *length* keystream bytes, advancing the cipher state."""
-        pending = self._pending
-        pos = self._pending_pos
-        buffered = len(pending) - pos
-        if buffered >= length:
-            # Entirely from the lookahead buffer.
-            self._pending_pos = pos + length
-            if self._pending_pos == len(pending):
-                self._pending = b""
-                self._pending_pos = 0
-            return pending[pos : pos + length]
-        need = length - buffered
-        head = pending[pos:] if buffered else b""
-        self._pending = b""
-        self._pending_pos = 0
-        if backend.use_fast_arc4 and need < _REFILL:
-            block = self._generate(_REFILL)
-            self._pending = block
-            self._pending_pos = need
-            return head + block[:need] if head else block[:need]
-        return head + self._generate(need) if head else self._generate(need)
+        return bytes(self.process(bytes(length)))
 
-    def process(self, data: bytes) -> bytes:
+    def process(self, data, out: bytearray | None = None) -> bytearray:
         """Encrypt or decrypt *data* (XOR with the keystream).
 
-        The XOR runs on big integers, which is dramatically faster in
-        CPython than a per-byte loop and bit-identical.
+        Returns a new ``bytearray``, or *out* — a writable buffer of
+        ``len(data)`` bytes, possibly *data* itself (the channel seals a
+        record in place) — holding the result.  Nothing else is written.
         """
-        if not data:
-            return b""
-        stream = self.keystream(len(data))
-        value = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-        return value.to_bytes(len(data), "big")
+        if out is None:
+            out = bytearray(data)
+        elif out is not data:
+            out[:] = data
+        key = self._key
+        if key is None or not backend.use_fast_arc4:
+            key = self._resident()
+            if key is None:
+                n = len(out)
+                if n:
+                    value = (int.from_bytes(out, "big")
+                             ^ int.from_bytes(self._crank(n), "big"))
+                    out[:] = value.to_bytes(n, "big")
+                return out
+        return arc4kernel.LIBCRYPTO.xor_into(key, out)
 
     # Encryption and decryption are the same operation for a stream cipher,
     # but both names read better at call sites.

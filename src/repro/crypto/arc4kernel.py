@@ -1,37 +1,38 @@
-"""Block keystream kernels behind :class:`repro.crypto.arc4.ARC4`.
+"""Keystream kernels behind :class:`repro.crypto.arc4.ARC4`.
 
-The per-byte PRGA loop in :mod:`repro.crypto.arc4` is the *reference*
+The per-byte PRGA loop :func:`reference_crank` is the *reference*
 implementation; it stays the testable ground truth.  This module holds
-the two interchangeable fast kernels the wire path uses instead, both of
-which advance the identical (state, i, j) machine and therefore produce
-bit-identical keystream:
+the two fast kernels the wire path uses instead, both of which advance
+the identical (state, i, j) machine and therefore produce bit-identical
+keystream:
 
 * :data:`LIBCRYPTO` — OpenSSL's C implementation, driven through ctypes.
   ARC4's state machine is fully described by the 256-byte permutation
-  (held as a ``bytearray``: 342 B a cipher where a list of ints took
-  2,104 B, and a session owns eight) plus the two indices, and
-  OpenSSL's ``RC4_KEY`` struct is exactly that
-  (``{RC4_INT x, y; RC4_INT data[256]}``), so we can run *our* key
-  schedule — including SFS's one-spin-per-128-key-bits rule, which no
-  library KSA implements — in Python, inject the resulting state, and
-  let C crank the stream.  The struct layout is probed **empirically**
-  at load time: we call ``RC4_set_key`` with a known key and check the
-  buffer against our own single-spin schedule, then run a PRGA vector
-  through ``RC4`` and compare it with the reference loop.  If either
-  check fails (different RC4_INT width, RC4 compiled out, no libcrypto),
-  the kernel reports unavailable and the pure-Python block kernel is
-  used instead.  This is the same soundness argument as
+  plus the two indices, and OpenSSL's ``RC4_KEY`` struct is exactly that
+  (``{RC4_INT x, y; RC4_INT data[256]}``), so we run *our* key schedule
+  — including SFS's one-spin-per-128-key-bits rule, which no library KSA
+  implements — in Python, :func:`load` the result into an ``RC4_KEY``
+  the stream then owns, and let ``RC4()`` crank and XOR records in C,
+  in place, for as long as the stream lives.  The struct layout is
+  probed **empirically** at load time: we call ``RC4_set_key`` with a
+  known key and check the buffer against our own single-spin schedule,
+  then run a PRGA vector through ``RC4`` on a loaded state and compare
+  it, and the state :func:`unload` reads back, with the reference loop.
+  If either check fails (different RC4_INT width, RC4 compiled out, no
+  libcrypto), :data:`LIBCRYPTO` is None and the pure-Python block kernel
+  is used instead.  This is the same soundness argument as
   :mod:`repro.crypto.backend`'s hashlib delegation: equivalence is
   verified, not assumed.
 
-* :data:`PYBLOCK` — a locals-bound, partially unrolled pure-Python loop.
-  Same machine, fewer interpreter touches per byte than the reference
-  loop (single-assignment swap instead of tuple packing, one state
-  lookup per index).  It is the fallback wherever libcrypto is missing.
+* :func:`pyblock_crank` — a locals-bound, partially unrolled pure-Python
+  loop over a ``bytearray`` state.  Same machine, fewer interpreter
+  touches per byte than the reference loop (single-assignment swap
+  instead of tuple packing, one state lookup per index).  It is the
+  fallback wherever libcrypto is missing.
 
-Both kernels share the module-level :class:`KernelStats`, which the
+All kernels count into the module-level :class:`KernelStats`, which the
 bench layer surfaces (keystream bytes per kernel) so Fig. 5's
-attribution can say *which* crank generated the bytes.
+attribution can say *which* kernel generated the bytes.
 """
 
 from __future__ import annotations
@@ -126,28 +127,44 @@ def pyblock_crank(state: bytearray, i: int, j: int,
 # libcrypto kernel
 # ---------------------------------------------------------------------------
 
+def load(state: bytearray, i: int, j: int) -> ctypes.Array:
+    """A fresh ``RC4_KEY`` holding the machine (state, i, j)."""
+    key = ctypes.create_string_buffer(_STATE_WORDS.size)
+    _STATE_WORDS.pack_into(key, 0, i, j, *state)
+    return key
+
+
+def unload(key: ctypes.Array) -> tuple[bytearray, int, int]:
+    """The machine an ``RC4_KEY`` holds, as (state, i, j)."""
+    words = _STATE_WORDS.unpack_from(key)
+    return bytearray(words[2:]), words[0], words[1]
+
+
 class _LibcryptoKernel:
-    """ctypes binding to OpenSSL's RC4, state round-tripped per crank."""
+    """ctypes binding to OpenSSL's RC4 over states :func:`load` made.
+
+    Each stream owns its ``RC4_KEY`` and nothing else touches it, so
+    ctypes dropping the GIL inside ``RC4()`` shares no state.
+    """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._rc4 = lib.RC4
-        self._rc4.argtypes = [ctypes.c_char_p, ctypes.c_size_t,
-                              ctypes.c_char_p, ctypes.c_char_p]
+        self._rc4.argtypes = [ctypes.c_void_p, ctypes.c_size_t,
+                              ctypes.c_void_p, ctypes.c_void_p]
         self._rc4.restype = None
         self._set_key = lib.RC4_set_key
         self._set_key.argtypes = [ctypes.c_char_p, ctypes.c_int,
                                   ctypes.c_char_p]
         self._set_key.restype = None
-        self._zeros = bytes(65536)
 
     def self_check(self) -> bool:
         """Prove the struct layout and the PRGA match the reference.
 
         Layout: RC4_set_key with a known single-spin key must leave
         ``x = y = 0`` and ``data[]`` equal to our own KSA when read as
-        little-endian 32-bit words.  PRGA: an injected two-spin SFS
-        state must produce the reference keystream and leave the same
-        (i, j).  Any mismatch disables the kernel.
+        little-endian 32-bit words.  PRGA: a loaded two-spin SFS state
+        must produce the reference keystream and leave the same
+        (i, j) and permutation.  Any mismatch disables the kernel.
         """
         try:
             probe = ctypes.create_string_buffer(4096)  # any RC4_INT fits
@@ -159,30 +176,23 @@ class _LibcryptoKernel:
             if bytes(words[2:]) != key_schedule(probe_key, 1):
                 return False
             state = key_schedule(b"arc4-kernel-probe-20", 2)
-            expected, exp_i, exp_j = reference_crank(bytearray(state),
-                                                     0, 0, 512)
-            got, got_i, got_j = self._crank(state, 0, 0, 512)
-            return got == expected and (got_i, got_j) == (exp_i, exp_j)
+            key = load(state, 0, 0)
+            got = self.xor_into(key, bytearray(512))
+            STATS.libcrypto_bytes -= 512  # a probe, not traffic
+            expected, i, j = reference_crank(state, 0, 0, 512)
+            return (got, *unload(key)) == (expected, state, i, j)
         except Exception:  # noqa: BLE001 - any ctypes surprise: fall back
             return False
 
-    def _crank(self, state: bytearray, i: int, j: int,
-               n: int) -> tuple[bytes, int, int]:
-        # A buffer per crank: ctypes drops the GIL in RC4(), so a shared
-        # one would let two threads crank each other's state.
-        buf = ctypes.create_string_buffer(_STATE_WORDS.size)
-        _STATE_WORDS.pack_into(buf, 0, i, j, *state)
-        zeros = self._zeros if n <= len(self._zeros) else bytes(n)
-        out = ctypes.create_string_buffer(n)
-        self._rc4(buf, n, zeros, out)
-        words = _STATE_WORDS.unpack_from(buf.raw, 0)
-        state[:] = words[2:]
-        return out.raw, words[0], words[1]
-
-    def crank(self, state: bytearray, i: int, j: int,
-              n: int) -> tuple[bytes, int, int]:
+    def xor_into(self, key: ctypes.Array, buf: bytearray) -> bytearray:
+        """XOR the next ``len(buf)`` keystream bytes into *buf*, in C."""
+        n = len(buf)
         STATS.libcrypto_bytes += n
-        return self._crank(state, i, j, n)
+        if n:
+            pinned = ctypes.c_char.from_buffer(buf)
+            at = ctypes.addressof(pinned)
+            self._rc4(key, n, at, at)
+        return buf
 
 
 def _load_libcrypto() -> _LibcryptoKernel | None:
@@ -200,16 +210,9 @@ def _load_libcrypto() -> _LibcryptoKernel | None:
     return None
 
 
-_LIBCRYPTO = _load_libcrypto()
+#: The libcrypto kernel, or None where its self-check failed.
+LIBCRYPTO = _load_libcrypto()
 
 #: Name of the kernel block generation goes through when the fast path
 #: is enabled ("libcrypto" or "pyblock") — surfaced in bench output.
-FAST_KERNEL = "libcrypto" if _LIBCRYPTO is not None else "pyblock"
-
-
-def fast_crank(state: bytearray, i: int, j: int,
-               n: int) -> tuple[bytes, int, int]:
-    """Generate *n* keystream bytes with the best available kernel."""
-    if _LIBCRYPTO is not None:
-        return _LIBCRYPTO.crank(state, i, j, n)
-    return pyblock_crank(state, i, j, n)
+FAST_KERNEL = "libcrypto" if LIBCRYPTO is not None else "pyblock"

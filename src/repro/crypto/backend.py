@@ -8,10 +8,10 @@ module lets the hot paths delegate to it so that benchmark results
 reflect the paper's relative costs rather than pure-Python speed:
 
 * ``use_fast_sha1`` — one-shot SHA-1/HMAC go through hashlib's C code.
-* ``use_fast_arc4`` — ARC4 keystream blocks come from
-  :mod:`repro.crypto.arc4kernel` (OpenSSL's RC4 when its layout
-  self-check passes, else the unrolled pure-Python block loop) instead
-  of the reference per-byte loop.
+* ``use_fast_arc4`` — ARC4 streams run on :mod:`repro.crypto.arc4kernel`
+  (each in an ``RC4_KEY`` of its own under OpenSSL's RC4 when its
+  layout self-check passes, else the unrolled pure-Python block loop)
+  instead of the reference per-byte loop.
 * ``use_fast_marshal`` — every XDR codec marshals through the flat
   function :mod:`repro.rpc.xdr` compiles from its declaration
   (precompiled struct formats) instead of interpreting the declaration
@@ -32,7 +32,6 @@ tests that exercise the reference implementations end to end).
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 
 #: When True (default), one-shot SHA-1/HMAC use hashlib's C implementation.
 use_fast_sha1 = True
@@ -64,18 +63,22 @@ def fast_sha1(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()
 
 
-def fast_hmac_sha1(key: bytes, message: bytes) -> bytes:
-    return _hmac.new(key, message, hashlib.sha1).digest()
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def fast_hmac_sha1_parts(key: bytes, *parts: bytes) -> bytes:
     """HMAC over the concatenation of *parts* without concatenating.
 
-    Bit-identical to ``fast_hmac_sha1(key, b"".join(parts))``; the
-    channel MAC uses it to authenticate length‖message without building
-    a copy of every payload.
+    RFC 2104 over hashlib's SHA-1, with the pads XORed in by
+    ``bytes.translate``: bit-identical to ``hmac.new`` without its
+    per-call Python wrapper.  The channel MAC uses it to authenticate
+    length‖message without building a copy of every payload.
     """
-    mac = _hmac.new(key, digestmod=hashlib.sha1)
+    if len(key) > 64:
+        key = hashlib.sha1(key).digest()
+    key = key.ljust(64, b"\0")
+    inner = hashlib.sha1(key.translate(_IPAD))
     for part in parts:
-        mac.update(part)
-    return mac.digest()
+        inner.update(part)
+    return hashlib.sha1(key.translate(_OPAD) + inner.digest()).digest()

@@ -13,6 +13,7 @@ Two constructions live here:
 
 from __future__ import annotations
 
+from . import backend
 from .arc4 import ARC4
 from .sha1 import sha1
 from .util import constant_time_eq
@@ -20,6 +21,10 @@ from .util import constant_time_eq
 MAC_LEN = 20
 _REKEY_BYTES = 32
 _BLOCK = 64
+#: Per-message keys drawn from the MAC stream at once.  One keystream
+#: call per record cost three times a slot served from four drawn
+#: ahead, and 128 B a stream keeps ``fanout-1024``'s 4,096 small.
+_LOOKAHEAD = 4 * _REKEY_BYTES
 
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
@@ -28,10 +33,8 @@ def hmac_sha1(key: bytes, message: bytes) -> bytes:
     Uses the accelerated backend when enabled (identical output; see
     :mod:`repro.crypto.backend`), else the from-scratch construction.
     """
-    from . import backend
-
     if backend.use_fast_sha1:
-        return backend.fast_hmac_sha1(key, message)
+        return backend.fast_hmac_sha1_parts(key, message)
     if not isinstance(message, bytes):
         message = bytes(message)  # from-scratch sha1 wants real bytes
     if len(key) > _BLOCK:
@@ -60,8 +63,21 @@ class SessionMAC:
         # of encryption"; a dedicated keystream keyed by a derived key is
         # the cleanest equivalent that keeps MAC and cipher independent.
         self._stream = ARC4(sha1(b"SFS-MAC-stream" + key))
+        #: Keystream drawn ahead, and the offset of the next unused key.
+        self._keys = b""
+        self._next = 0
         #: Message slots consumed so far (compute + verify + skip).
         self.slots_consumed = 0
+
+    def _draw(self) -> bytes:
+        """The next 32-byte per-message key: one message slot."""
+        self.slots_consumed += 1
+        at = self._next
+        if at == len(self._keys):
+            self._keys = self._stream.keystream(_LOOKAHEAD)
+            at = 0
+        self._next = at + _REKEY_BYTES
+        return self._keys[at : at + _REKEY_BYTES]
 
     def compute(self, message: bytes) -> bytes:
         """MAC over the length and plaintext of *message*.
@@ -70,10 +86,7 @@ class SessionMAC:
         separately, so sealing a record never copies the payload just to
         prepend four bytes; output is identical either way.
         """
-        from . import backend
-
-        per_message_key = self._stream.keystream(_REKEY_BYTES)
-        self.slots_consumed += 1
+        per_message_key = self._draw()
         length = len(message).to_bytes(4, "big")
         if backend.use_fast_sha1:
             return backend.fast_hmac_sha1_parts(per_message_key, length,
@@ -94,5 +107,4 @@ class SessionMAC:
         advances in lock-step with the cipher keystream, which already
         consumed the record's bytes during decryption.
         """
-        self._stream.keystream(_REKEY_BYTES)
-        self.slots_consumed += 1
+        self._draw()

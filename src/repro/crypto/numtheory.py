@@ -146,8 +146,13 @@ def sqrt_mod_blum_prime(a: int, p: int) -> int:
     return pow(a, (p + 1) // 4, p)
 
 
-def crt_pair(rp: int, p: int, rq: int, q: int) -> int:
-    """Combine residues mod *p* and *q* into a residue mod ``p*q``."""
-    q_inv = modinv(q, p)
+def crt_pair(rp: int, p: int, rq: int, q: int,
+             q_inv: int | None = None) -> int:
+    """Combine residues mod *p* and *q* into a residue mod ``p*q``.
+
+    *q_inv* is ``modinv(q, p)``, for a caller that keeps it.
+    """
+    if q_inv is None:
+        q_inv = modinv(q, p)
     diff = (rp - rq) * q_inv % p
     return (rq + q * diff) % (p * q)

@@ -25,12 +25,13 @@ residue, which gives every (padded) message a square root after a cheap
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .numtheory import (
     crt_pair,
     gen_prime,
     jacobi,
+    modinv,
     sqrt_mod_blum_prime,
 )
 from .sha1 import sha1
@@ -119,10 +120,13 @@ class PrivateKey:
 
     p: int
     q: int
+    #: q^-1 mod p, which every CRT recombination needs: paid once a key.
+    q_inv: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p % 8 != 3 or self.q % 8 != 7:
             raise RabinError("Rabin-Williams requires p=3 (mod 8), q=7 (mod 8)")
+        object.__setattr__(self, "q_inv", modinv(self.q, self.p))
 
     @property
     def n(self) -> int:
@@ -180,7 +184,7 @@ class PrivateKey:
         roots = set()
         for sp in (rp, self.p - rp):
             for sq in (rq, self.q - rq):
-                roots.add(crt_pair(sp, self.p, sq, self.q))
+                roots.add(crt_pair(sp, self.p, sq, self.q, self.q_inv))
         return sorted(roots)
 
     # --- signing ---------------------------------------------------------
@@ -198,7 +202,7 @@ class PrivateKey:
         target = e * f % n * m % n
         rp = sqrt_mod_blum_prime(target % self.p, self.p)
         rq = sqrt_mod_blum_prime(target % self.q, self.q)
-        s = crt_pair(rp, self.p, rq, self.q)
+        s = crt_pair(rp, self.p, rq, self.q, self.q_inv)
         if s * s % n != target:
             raise RabinError("internal error: padded hash not a residue")
         tweak = (0 if e == 1 else 2) | (0 if f == 1 else 1)

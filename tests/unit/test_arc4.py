@@ -4,9 +4,9 @@ variant for 20-byte keys."""
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.crypto import arc4kernel
+from repro.crypto import arc4kernel, backend
 from repro.crypto.arc4 import ARC4
 
 # RFC 6229 test vectors (single-spin keystreams).
@@ -90,22 +90,86 @@ def test_keystream_chunking_invariance(key, chunks):
     assert pieces == whole
 
 
+_SIZES = st.one_of(
+    st.sampled_from([0, 1, 31, 32, 1023, 1024, 1025, 8192, 65537]),
+    st.integers(min_value=0, max_value=300),
+)
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["keystream", "encrypt-bytes",
+                               "encrypt-bytearray", "decrypt-memoryview"]),
+              _SIZES,
+              st.sampled_from([None, True, False])),  # backend flip first
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(min_size=1, max_size=64), _OPS, st.randoms())
+def test_resident_stream_matches_one_reference_stream(key, ops, rng):
+    """However draws, encrypts, decrypts and backend flips interleave,
+    the outputs are one reference keystream and no input changes."""
+    spins = max(1, (len(key) * 8 + 127) // 128)
+    expected, _i, _j = arc4kernel.reference_crank(
+        arc4kernel.key_schedule(key, spins), 0, 0,
+        sum(size for _kind, size, _flip in ops))
+    cipher = ARC4(key)
+    at = 0
+    try:
+        for kind, size, flip in ops:
+            if flip is not None:
+                backend.set_fast(flip)
+            stream = expected[at : at + size]
+            at += size
+            if kind == "keystream":
+                assert cipher.keystream(size) == stream
+                continue
+            data = rng.randbytes(size)
+            if kind == "encrypt-bytes":
+                given_in = data
+                got = cipher.encrypt(given_in)
+            elif kind == "encrypt-bytearray":
+                given_in = bytearray(data)
+                got = cipher.encrypt(given_in)
+            else:
+                owner = bytearray(data)
+                given_in = memoryview(owner)
+                got = cipher.decrypt(given_in)
+                assert owner == data
+            assert bytes(given_in) == data
+            assert got is not given_in
+            assert got == bytes(a ^ b for a, b in zip(data, stream))
+    finally:
+        backend.set_fast(True)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_process_writes_into_out(fast):
+    data = bytes(range(200))
+    expected = ARC4(b"k" * 20).encrypt(data)
+    backend.set_fast(fast)
+    try:
+        buf = bytearray(data)
+        assert ARC4(b"k" * 20).encrypt(buf, buf) is buf
+        assert buf == expected
+        out = bytearray(len(data))
+        assert ARC4(b"k" * 20).encrypt(data, out) is out
+        assert out == expected
+    finally:
+        backend.set_fast(True)
+
+
 @pytest.mark.skipif(arc4kernel.FAST_KERNEL != "libcrypto",
                     reason="no libcrypto RC4")
 def test_libcrypto_cranks_keep_their_own_state_across_threads():
-    """ctypes drops the GIL inside RC4(): cranks in four threads at once
-    must each run on their own stream's state."""
+    """ctypes drops the GIL inside RC4(): streams encrypting in four
+    threads at once must each run on their own state."""
     cranks, size = 300, 4096
     keys = [bytes([n + 1]) * 20 for n in range(4)]
     got: dict[bytes, list[bytes]] = {}
 
     def crank(key: bytes) -> None:
-        state, i, j = arc4kernel.key_schedule(key, 2), 0, 0
-        out = []
-        for _ in range(cranks):
-            block, i, j = arc4kernel.fast_crank(state, i, j, size)
-            out.append(block)
-        got[key] = out
+        cipher = ARC4(key)
+        got[key] = [cipher.encrypt(bytes(size)) for _ in range(cranks)]
 
     threads = [threading.Thread(target=crank, args=(key,)) for key in keys]
     for thread in threads:

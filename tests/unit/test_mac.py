@@ -1,5 +1,8 @@
 """Tests for HMAC-SHA1 and the SFS session MAC (repro.crypto.mac)."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,9 +36,18 @@ def test_rfc2202_vectors_pure_backend(key, message, expected):
         backend.set_fast(True)
 
 
-@given(st.binary(min_size=1, max_size=100), st.binary(max_size=200))
-def test_backends_agree(key, message):
+@given(st.one_of(st.binary(min_size=1, max_size=100),
+                 st.sampled_from([0, 20, 32, 64, 65, 200]).flatmap(
+                     lambda n: st.binary(min_size=n, max_size=n))),
+       st.lists(st.binary(max_size=200), max_size=4))
+def test_backends_agree(key, parts):
+    """The hashlib HMAC, fed whole or in parts, matches the from-scratch
+    one and the standard library's, for keys on both sides of the
+    64-byte block (longer keys are hashed first)."""
+    message = b"".join(parts)
     fast = hmac_sha1(key, message)
+    assert backend.fast_hmac_sha1_parts(key, *parts) == fast
+    assert fast == hmac.new(key, message, hashlib.sha1).digest()
     backend.set_fast(False)
     try:
         pure = hmac_sha1(key, message)

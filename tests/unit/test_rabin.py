@@ -165,3 +165,25 @@ def _cached_key():
     if not _KEY_CACHE:
         _KEY_CACHE.append(rabin.generate_key(768, random.Random(99)))
     return _KEY_CACHE[0]
+
+
+def test_crt_coefficient_is_paid_once_per_key(monkeypatch):
+    from repro.crypto import numtheory
+
+    built = rabin.generate_key(768, random.Random(44))
+    calls = []
+
+    def counting_modinv(a, m):
+        calls.append((a, m))
+        return numtheory.egcd(a, m)[1] % m
+
+    monkeypatch.setattr(numtheory, "modinv", counting_modinv)
+    monkeypatch.setattr(rabin, "modinv", counting_modinv, raising=False)
+    rng = random.Random(2)
+    ciphertext = built.public_key.encrypt(b"session key half", rng)
+    assert built.decrypt(ciphertext) == b"session key half"
+    assert built.public_key.verify(b"m", built.sign(b"m"))
+    assert calls == []
+    # A key rebuilt from its bytes pays once, on construction.
+    rabin.PrivateKey.from_bytes(built.to_bytes())
+    assert len(calls) == 1
