@@ -35,6 +35,7 @@ from typing import Callable
 from ..crypto.arc4 import ARC4
 from ..crypto.mac import MAC_LEN, SessionMAC
 from ..obs.registry import NULL_REGISTRY
+from ..sim.network import Transport
 
 _LEN_BYTES = 4
 
@@ -99,17 +100,9 @@ class SecureChannel:
         #: threshold (and again after each successful rekey, should the
         #: new streams desynchronize too).
         self.on_desync: Callable[[], None] | None = None
-        self.suggested_reply_waiter = getattr(
-            pipe, "suggested_reply_waiter", None
-        )
-        self.suggested_clock = getattr(pipe, "suggested_clock", None)
-        self.suggested_metrics = getattr(pipe, "suggested_metrics", None)
-        self.suggested_window_depth = getattr(
-            pipe, "suggested_window_depth", None
-        )
-        self.suggested_rtt = getattr(pipe, "suggested_rtt", 0.0)
-        self.suggested_bandwidth = getattr(pipe, "suggested_bandwidth", 0.0)
-        self.metrics = self.suggested_metrics or NULL_REGISTRY
+        #: The lower pipe's description, passed on to the peer above.
+        self.transport = getattr(pipe, "transport", None) or Transport()
+        self.metrics = self.transport.metrics or NULL_REGISTRY
         self._m_sent = self.metrics.counter("channel.records_sent")
         self._m_received = self.metrics.counter("channel.records_received")
         self._m_rejects = self.metrics.counter("channel.mac_reject")

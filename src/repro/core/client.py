@@ -347,10 +347,7 @@ class ServerSession:
                     self.rekeys += 1
                     self._m_rekeys.inc()
                     if self.on_rekey is not None:
-                        try:
-                            self.on_rekey()
-                        except Exception:  # noqa: BLE001 - advisory
-                            pass
+                        self.on_rekey()
                     return True
             self.resyncs_failed += 1
             self._m_resyncs_failed.inc()
@@ -380,7 +377,7 @@ class ServerSession:
             # fail the same way and the error surfaces as a transport
             # timeout, which is what triggers reconnect().
             return False
-        clock = self.peer.backoff_clock
+        clock = self.peer.clock
         if clock is not None:
             # The request or its ACK can be lost like any record.
             clock.call_at(
@@ -486,10 +483,7 @@ class ServerSession:
                 except (MountError, RpcError):
                     pass  # the old name forwards; a LOOKUP redials
         if self.on_reconnect is not None:
-            try:
-                self.on_reconnect()
-            except Exception:  # noqa: BLE001 - advisory
-                pass
+            self.on_reconnect()
         return True
 
     def _redial(self):

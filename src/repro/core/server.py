@@ -153,16 +153,7 @@ class SwitchablePipe:
         self._pending: SecureChannel | None = None
         #: Receives control-record payloads (the resync handshake).
         self.control_handler: Callable[[bytes], None] | None = None
-        self.suggested_reply_waiter = getattr(
-            lower, "suggested_reply_waiter", None
-        )
-        self.suggested_clock = getattr(lower, "suggested_clock", None)
-        self.suggested_metrics = getattr(lower, "suggested_metrics", None)
-        self.suggested_window_depth = getattr(
-            lower, "suggested_window_depth", None
-        )
-        self.suggested_rtt = getattr(lower, "suggested_rtt", 0.0)
-        self.suggested_bandwidth = getattr(lower, "suggested_bandwidth", 0.0)
+        self.transport = lower.transport
         lower.on_receive(self._dispatch)
 
     def _dispatch(self, data: bytes) -> None:

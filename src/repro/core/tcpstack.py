@@ -7,20 +7,21 @@ streams, on localhost sockets and the process's one selector loop
 from __future__ import annotations
 
 from ..rpc.tcp import LOOP, TcpListener, TcpPipe, connect
-from ..sim.sched import Scheduler
 from .server import SfsServerMaster
 
 
 class TcpServerHost:
     """Accepts TCP connections for a server master.  Its relays wait on
-    the master's clock, which :attr:`scheduler` advances when no socket
-    is ready; TCP waits pump it, and in-process clients run as its tasks."""
+    the master's clock, whose scheduler (:attr:`scheduler`) it binds to
+    the socket loop: that scheduler serves ready sockets before it
+    advances the clock, TCP waits pump it, and in-process clients run
+    as its tasks."""
 
     def __init__(self, master: SfsServerMaster, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.master = master
         self.host = host
-        self.scheduler = LOOP.scheduler = Scheduler(master.clock)
+        self.scheduler = LOOP.scheduler = master.clock.scheduler
         self.scheduler.sockets = LOOP
         self._listener = TcpListener(host, port, self._accept)
         self.port = self._listener.port
@@ -33,6 +34,7 @@ class TcpServerHost:
 
     def close(self) -> None:
         self._listener.close()
+        self.scheduler.sockets = None
         if LOOP.scheduler is self.scheduler:
             LOOP.scheduler = None
 

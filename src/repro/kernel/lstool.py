@@ -10,7 +10,7 @@ numerically.
 from __future__ import annotations
 
 from ..core.libsfs import LibSfs, LocalAccounts
-from ..core.pathnames import SFS_ROOT, parse_path
+from ..core.pathnames import SFS_ROOT, PathnameError, parse_path
 from ..nfs3 import const as nfs_const
 from .vfs import Process, StatResult
 
@@ -37,7 +37,7 @@ def _libsfs_for(process: Process, directory: str,
         return None
     try:
         path = parse_path(real)
-    except Exception:
+    except PathnameError:
         return None
     # Find the subordinate daemon serving this mount: kernel mounts tag
     # their programs, and MountedRemoteFs programs carry a back-pointer.

@@ -107,15 +107,14 @@ class Kernel:
     """Mount table + path walking."""
 
     def __init__(self, clock: Clock, hostname: str = "client",
-                 metrics=None, pump=None) -> None:
+                 metrics=None) -> None:
         self.clock = clock
         self.hostname = hostname
         self.metrics = metrics
-        #: Runs a synchronous system call: *pump* is how it waits (the
-        #: world's scheduler pump; None: advance the clock).  The
-        #: daemons' handlers yield, so this wait is the one that lets a
-        #: queued server's workers run.
-        self.runner = Runner(pump, clock, metrics)
+        #: Runs a synchronous system call, waiting by pumping the
+        #: clock's scheduler.  The daemons' handlers yield, so this wait
+        #: is the one that lets a queued server's workers run.
+        self.runner = Runner(clock, metrics)
         self._mounts: list[Mount] = []
         self._mountpoints: dict[tuple[int, bytes], Mount] = {}
         self._next_mount_id = 1
@@ -138,7 +137,6 @@ class Kernel:
         if program is not None:
             kernel_side, daemon_side = link_pair(self.clock,
                                                  metrics=self.metrics)
-            kernel_side.link.pump = self.runner.reply_waiter
             server_peer = RpcPeer(daemon_side, f"daemon:{name}")
             server_peer.register(program)
             peer = RpcPeer(kernel_side, f"kernel:{name}")

@@ -201,8 +201,7 @@ class ClientMachine:
         #: otherwise the world registry.
         self.metrics = metrics if metrics is not None else world.metrics
         self.registry = None
-        self.kernel = Kernel(world.clock, hostname, metrics=self.metrics,
-                             pump=world.scheduler.legacy_pump)
+        self.kernel = Kernel(world.clock, hostname, metrics=self.metrics)
         disk = Disk(world.clock, DiskParameters.ibm_18es(),
                     metrics=self.metrics) if with_disk else None
         self.local_fs = MemFs(fsid=0x100, disk=disk)
@@ -308,8 +307,8 @@ class World:
         self.clients: dict[str, ClientMachine] = {}
         self.adversary_factory = None  # optional: () -> Adversary
         self.links: list[LinkSide] = []
-        #: The world's one task engine.  Every wire link pumps it while
-        #: a synchronous caller waits for a reply; the first
+        #: The world's one task engine, its clock's scheduler: every
+        #: synchronous wait pumps it; the first
         #: :meth:`enable_concurrency` call picks its interleaving seed.
         self.scheduler = Scheduler(self.clock, metrics=self.metrics)
         self._scheduler_seeded = False
@@ -360,12 +359,8 @@ class World:
 
     def _wire(self, side: "LinkSide") -> None:
         """The single place a wire link meets the world: it gets the
-        send window and the scheduler's pump, so sync entry points
-        (handshakes, the kernel's calls, tests) can wait out replies
-        and queued servers.  Inside a task they may not: the pump's
-        assertion names the task, which must yield instead."""
+        send window of the world's pipeline depth."""
         side.link.window_depth = self.pipeline_depth
-        side.link.pump = self.scheduler.legacy_pump
 
     def enable_control(self, period: float = 0.010, ring_size: int = 64,
                        stale_after: int = 2, dead_after: int = 5,

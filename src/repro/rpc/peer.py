@@ -8,14 +8,17 @@ the codecs in :mod:`repro.rpc.xdr`.
 
 The underlying "pipe" is anything with ``send(bytes)`` and
 ``on_receive(handler)`` — a :class:`repro.sim.network.LinkSide`, a secure
-channel wrapper, or a real TCP transport.  No transport delivers inside
-``send``: a reply arrives later, from a clock timer (the virtual
-network) or a socket read (TCP).  There is therefore one call path,
-:meth:`RpcPeer.call_task`, a generator that *yields* while its reply is
-in flight, and two ways to run such a generator from outside any task:
-:meth:`Runner.drive` (a peer is a :class:`Runner`) runs it to completion
-for a synchronous caller, :meth:`RpcPeer.start` runs it in the
-background and hands back a Future.
+channel wrapper, or a real TCP transport — and describes itself in one
+``transport`` attribute (:class:`repro.sim.network.Transport`), which
+the peer reads once.  No transport delivers inside ``send``: a reply
+arrives later, from a clock timer (the virtual network) or a socket
+read (TCP).  There is therefore one call path, :meth:`RpcPeer.call_task`,
+a generator that *yields* while its reply is in flight, and two ways to
+run such a generator from outside any task: :meth:`Runner.drive` (a
+peer is a :class:`Runner`) runs it to completion for a synchronous
+caller, pumping the scheduler of the transport's clock (TCP: its socket
+loop), and :meth:`RpcPeer.start` runs it in the background and hands
+back a Future.
 
 Serving is the mirror image.  A procedure's handler returns its result,
 or is itself a generator — a relay that ``yield from``\\ s the call to
@@ -39,6 +42,7 @@ from types import GeneratorType
 from typing import Any, Callable, Protocol
 
 from ..obs.registry import CounterFamily, NULL_REGISTRY
+from ..sim.network import Transport
 from ..sim.sched import Future, SchedulerStalled, Sleep
 from . import rpcmsg
 from .rpcmsg import (
@@ -53,7 +57,8 @@ from .xdr import Codec, VOID, XdrError
 
 
 class Pipe(Protocol):
-    """Minimal transport interface RpcPeer relies on."""
+    """Minimal transport interface RpcPeer relies on; a pipe may also
+    describe itself in a ``transport`` attribute (a :class:`Transport`)."""
 
     def send(self, data: bytes) -> None: ...
 
@@ -86,11 +91,11 @@ class RpcTransportDown(RpcTimeout):
 
 class RpcNoWaiter(RpcError):
     """No reply *could* arrive: a synchronous caller is waiting on a
-    transport that has neither a ``reply_waiter`` nor a clock to
-    advance.  A transport-wiring problem, not a lost record —
-    deliberately *not* an :class:`RpcTimeout`, so retry and redial logic
-    that treats timeouts as packet loss (or an attack) can never mask
-    the misconfiguration; it fails fast instead."""
+    transport that has neither a clock (whose scheduler it would pump)
+    nor a wait of its own.  A transport-wiring problem, not a lost
+    record — deliberately *not* an :class:`RpcTimeout`, so retry and
+    redial logic that treats timeouts as packet loss (or an attack) can
+    never mask the misconfiguration; it fails fast instead."""
 
 
 #: Minimum first-retransmission timeout.  Generous on purpose — it must
@@ -203,22 +208,19 @@ class Program:
 
 class Runner:
     """Runs task generators to completion for synchronous callers: an
-    :class:`RpcPeer` over its transport's waiter and clock, or the
-    kernel's own (a system call may wait on any of its mounts)."""
+    :class:`RpcPeer` over its transport, or the kernel's own (a system
+    call may wait on any of its mounts)."""
 
-    def __init__(self, reply_waiter: Callable[[], None] | None = None,
-                 backoff_clock=None, metrics=None) -> None:
-        #: How :meth:`drive` makes progress while a reply is in flight:
-        #: called repeatedly until the awaited future completes (a TCP
-        #: socket pump, the World scheduler's ``legacy_pump``).  Must
-        #: make progress or raise.  Without one :meth:`drive` advances
-        #: :attr:`backoff_clock` itself.
-        self.reply_waiter = reply_waiter
-        #: Virtual clock retransmission timers and backoff run on; None
-        #: = wall clock.
-        self.backoff_clock = backoff_clock
+    def __init__(self, clock=None, metrics=None,
+                 wait: Callable[[], None] | None = None) -> None:
+        #: Virtual clock retransmission timers and backoff run on, and
+        #: whose scheduler a wait pumps; None = wall clock.
+        self.clock = clock
         #: The registry whose layer tracker a wait is charged to.
         self.metrics = metrics or NULL_REGISTRY
+        #: How a transport without a clock makes progress (a TCP
+        #: socket's loop); must make progress or raise.
+        self._wait = wait
 
     def drive(self, gen) -> Any:
         """Run a task generator to completion, synchronously.
@@ -255,50 +257,47 @@ class Runner:
     def wait_for(self, future: Future) -> None:
         """Block (in simulation terms) until *future* completes.
 
-        Two ways forward: the transport's :attr:`reply_waiter`, else
-        advance :attr:`backoff_clock` to its next timer (the record's
-        arrival, or the attempt's retransmission deadline).  Either way
-        the time spent is time on the wire, charged to the ``network``
-        layer; whatever runs from the timers charges its own.  With no
-        timer left the record was lost; with no clock either nothing
-        could ever arrive.
+        The time spent is time on the wire, charged to the ``network``
+        layer; whatever runs from the timers charges its own.
         """
-        waiter = self.reply_waiter
-        clock = self.backoff_clock
         layers = self.metrics.layers
         layers.push("network")
         try:
-            while not future.done:
-                if waiter is not None:
-                    try:
-                        waiter()
-                    except SchedulerStalled:
-                        # Nothing runnable and no timer: the record (or
-                        # its reply) was lost.  Same as an elapsed
-                        # retransmission timeout — the task path retries.
-                        future.fail(RpcTimeout(
-                            f"scheduler stalled waiting on {future.name}"
-                        ))
-                elif clock is None:
-                    future.fail(RpcNoWaiter(
-                        f"no reply possible for {future.name}: the "
-                        "transport has no reply_waiter and no clock — "
-                        "wire one up (e.g. TcpPipe.pump) before calling"
-                    ))
-                elif (deadline := clock.next_deadline()) is None:
-                    future.fail(RpcTimeout(
-                        f"nothing in flight for {future.name}"
-                    ))
-                else:
-                    clock.advance(max(0.0, deadline - clock.now))
+            self._pump_until(future)
         finally:
             layers.pop()
 
+    def _pump_until(self, future: Future) -> None:
+        """Pump the clock's scheduler (or, without a clock, the
+        transport's own wait) until *future* completes.  With nothing
+        runnable and no timer left the record was lost; with neither a
+        clock nor a wait nothing could ever arrive."""
+        clock = self.clock
+        pump = clock.scheduler.legacy_pump if clock is not None else self._wait
+        if pump is None:
+            future.fail(RpcNoWaiter(
+                f"no reply possible for {future.name}: the transport "
+                "has no clock and no wait of its own"
+            ))
+            return
+        while not future.done:
+            try:
+                pump()
+            except SchedulerStalled:
+                # Nothing runnable and no timer: the record (or its
+                # reply) was lost.  Same as an elapsed retransmission
+                # timeout — the task path retries.
+                future.fail(RpcTimeout(
+                    f"scheduler stalled waiting on {future.name}"
+                ))
+
     def _sleep_sync(self, seconds: float) -> None:
-        """A yielded sleep, spent on whichever clock applies.  A zero
-        sleep still advances: it fires whatever is already due."""
-        if self.backoff_clock is not None:
-            self.backoff_clock.advance(seconds)
+        """A yielded sleep: a timer on the clock's scheduler, waited out
+        like a reply (a zero sleep fires whatever is already due); on
+        the wall clock without a virtual one."""
+        clock = self.clock
+        if clock is not None:
+            self._pump_until(clock.scheduler.timer(seconds))
         elif seconds > 0:
             time.sleep(seconds)
 
@@ -334,11 +333,11 @@ class RpcPeer(Runner):
 
     def __init__(self, pipe: Pipe, name: str = "peer",
                  trace: TraceFn | None = None) -> None:
-        # The pipe volunteers its waiter, clock and metrics registry;
-        # wrapper pipes (secure channel, switchable pipe) pass them on.
-        super().__init__(getattr(pipe, "suggested_reply_waiter", None),
-                         getattr(pipe, "suggested_clock", None),
-                         getattr(pipe, "suggested_metrics", None))
+        # The pipe describes itself once (wrapper pipes pass their
+        # lower pipe's description on); the peer reads it here, so a
+        # later re-timing of the link leaves this peer's RTO alone.
+        transport = getattr(pipe, "transport", None) or Transport()
+        super().__init__(transport.clock, transport.metrics, transport.wait)
         self._pipe = pipe
         self.name = name
         self.trace = trace
@@ -370,20 +369,17 @@ class RpcPeer(Runner):
         #: (backpressure by parking, never busy-spinning); completions
         #: hand their slot to the oldest waiter FIFO, so out-of-order
         #: replies still admit senders in arrival order.
-        self.window_depth: int | None = getattr(
-            pipe, "suggested_window_depth", None
-        )
+        self.window_depth: int | None = transport.window_depth
         #: Round-trip estimate volunteered by the transport (links
         #: surface their propagation delay).  Floors the first
         #: retransmission timeout at 2x RTT: a 2ms base delay would
         #: expire long before any WAN reply could arrive and every call
         #: would retransmit itself into a channel rekey storm.
-        self.rtt_estimate: float = getattr(pipe, "suggested_rtt", 0.0) or 0.0
+        self.rtt_estimate: float = transport.rtt
         #: The transport's bandwidth in bytes per second, where it knows
         #: one (0.0 = unknown).  With :attr:`rtt_estimate` it gives the
         #: bytes that fill the path, which is how far sfscd reads ahead.
-        self.bandwidth_estimate: float = getattr(
-            pipe, "suggested_bandwidth", 0.0) or 0.0
+        self.bandwidth_estimate: float = transport.bandwidth
         self._window_in_flight = 0
         self._window_waiters: deque[Future] = deque()
         self.window_waits = 0
@@ -712,7 +708,7 @@ class RpcPeer(Runner):
 
         The non-blocking counterpart of :meth:`drive`.  The generator is
         stepped from the done-callbacks of the futures it yields (from a
-        :attr:`backoff_clock` timer for a sleep), so it moves whenever
+        :attr:`clock` timer for a sleep), so it moves whenever
         the clock does and needs no scheduler.
         """
         outcome = Future(name=f"{self.name}:background")
@@ -748,7 +744,7 @@ class RpcPeer(Runner):
         if isinstance(waited, Future):
             waited.add_done_callback(resume)
         else:
-            clock = self.backoff_clock
+            clock = self.clock
             clock.call_at(clock.now + (
                 waited.seconds if isinstance(waited, Sleep)
                 else float(waited)), resume)
@@ -877,7 +873,7 @@ class RpcPeer(Runner):
         self._calls_by_proc.labels((prog, proc)).inc()
         if self.trace:
             self.trace(f"{self.name}: call prog={prog} proc={proc} args={args!r}")
-        clock = self.backoff_clock
+        clock = self.clock
         sim0 = clock.now if clock is not None else 0.0
         policy = self.retry_policy
         attempts = (1 if policy is None or speculative

@@ -5,9 +5,12 @@ each record behind a 4-byte big-endian header whose high bit marks the
 final fragment.  As in SFS's daemons, a process runs its sockets from
 one loop (:data:`LOOP`) and no threads.  A `TcpPipe` never blocks: it
 queues what the socket will not take yet, so one thread can serve both
-ends of a connection.  `TcpPipe.pump`, every TCP peer's reply waiter,
-makes one round of the loop, and a bound Scheduler polls it before it
-advances its clock.
+ends of a connection.  TCP is the one transport without a virtual
+clock: its description (`TcpPipe.transport`) names `Loop.run_once` as
+its wait, so a synchronous RPC caller makes one round of the loop at a
+time.  A server master's clock may bind its scheduler to the loop
+(`repro.core.tcpstack.TcpServerHost`); the loop's round is then that
+scheduler's pump, which polls the sockets before it advances the clock.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import selectors
 import socket
 import struct
 from typing import Callable
+
+from ..sim.network import Transport
 
 _LAST_FRAGMENT = 0x80000000
 _MAX_FRAGMENT = 0x7FFFFFFF
@@ -103,7 +108,8 @@ class Loop:
         return bool(events)
 
     def run_once(self) -> None:
-        """One round, for a synchronous caller."""
+        """One round, for a synchronous caller: the bound scheduler's
+        pump, else a wait for a ready socket."""
         if self.scheduler is not None:
             self.scheduler.legacy_pump()
         else:
@@ -118,6 +124,10 @@ class TcpPipe:
     """A Pipe over a connected socket; like a ``LinkSide``, it reports
     its close (:meth:`on_close`), whichever end closed."""
 
+    #: No clock: a synchronous caller waits one round of the loop at a
+    #: time.
+    transport = Transport(wait=LOOP.run_once)
+
     def __init__(self, sock: socket.socket) -> None:
         sock.setblocking(False)
         self._sock = sock
@@ -126,8 +136,6 @@ class TcpPipe:
         self._handler: Callable[[bytes], None] | None = None
         self._close_handlers: list[Callable[[], None]] = []
         self.is_open = True
-        #: One round of the loop; RpcPeer waits for replies with it.
-        self.pump = self.suggested_reply_waiter = LOOP.run_once
         LOOP.register(sock, self._ready)
 
     def send(self, data: bytes) -> None:
@@ -180,11 +188,6 @@ class TcpPipe:
         handlers, self._close_handlers = self._close_handlers, []
         for handler in handlers:
             handler()
-
-
-def attach_peer(pipe: TcpPipe, peer) -> None:
-    """Wire an RpcPeer to a TcpPipe for synchronous-style calls."""
-    peer.reply_waiter = pipe.pump
 
 
 class TcpListener:

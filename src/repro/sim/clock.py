@@ -7,10 +7,12 @@ only by timers.  Devices do not stall the clock to charge their
 latency; they book it.  A link or NIC occupies a
 :class:`~repro.sim.network.Medium` and delivers each record from a
 timer at its arrival time; a disk occupies its arm the same way, and the
-NFS call that booked it sleeps until the disk is done.  The clock is
-advanced only by whoever waits at top level (a synchronous RPC caller,
-the scheduler's pump), to the next timer's deadline; never from
-inside a timer callback, where every handler and task yields instead.
+NFS call that booked it sleeps until the disk is done.  Each clock has
+one :class:`~repro.sim.sched.Scheduler` (:attr:`Clock.scheduler`), and
+only its pump advances the clock, to the next timer's deadline, for
+whoever waits at top level (a synchronous RPC caller, a top-level
+sleep, a system call); never from inside a timer callback, where every
+handler and task yields instead.
 
 Benchmarks report virtual seconds (what the modelled 1999 testbed would
 see: network round trips, disk seeks and transfers) next to host CPU
@@ -41,6 +43,18 @@ class Clock:
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
         self._firing: Callable[[], None] | None = None
+        self._scheduler = None
+
+    @property
+    def scheduler(self):
+        """This clock's one :class:`~repro.sim.sched.Scheduler`: the one
+        built on it (a World's), else one made now.  Every synchronous
+        wait on this clock pumps it."""
+        if self._scheduler is None:
+            from .sched import Scheduler  # sched builds on this module
+
+            Scheduler(self)
+        return self._scheduler
 
     @property
     def now(self) -> float:

@@ -8,8 +8,8 @@ The network carries framed records between endpoint pairs (one
 :class:`Link` per TCP-connection analogue).  There is one delivery rule:
 *a record arrives when the virtual clock reaches its arrival time* —
 ``send`` schedules a clock timer at ``depart + transmission + latency``
-and returns; whoever is waiting advances the clock (or yields to the
-scheduler, which does).  Every record is routed through an optional
+and returns; whoever is waiting yields, or pumps the clock's scheduler,
+which advances it.  Every record is routed through an optional
 :class:`Adversary` that may observe, modify, drop, reorder, or inject
 records.  Security tests use adversaries to prove that the SFS secure
 channel rejects all of this; benchmarks use a passive network with the
@@ -20,13 +20,42 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from ..obs.registry import NULL_REGISTRY
 from .clock import Clock
 
 #: A message handler: receives raw record bytes.
 Handler = Callable[[bytes], None]
+
+
+class Transport(NamedTuple):
+    """What a pipe tells the peers and channels built over it.
+
+    Every pipe offers this as its one ``transport`` attribute; a
+    wrapper pipe (secure channel, switchable pipe) forwards its lower
+    pipe's, and :class:`~repro.rpc.peer.RpcPeer` reads it once, at
+    construction.  A synchronous caller waits by pumping
+    ``clock.scheduler``; a transport without a clock names its own
+    *wait* (a TCP socket's loop).  A pipe with neither offers nothing
+    to wait on.
+    """
+
+    #: The virtual clock records arrive by; retry backoff runs on it.
+    clock: Clock | None = None
+    #: The registry the peer's and channel's counters land in.
+    metrics: Any = None
+    #: Advisory RPC send-window depth (None = unwindowed).
+    window_depth: int | None = None
+    #: Round-trip propagation estimate; retransmission timers are
+    #: floored at twice it, so a WAN reply still in flight is not
+    #: mistaken for a lost one.
+    rtt: float = 0.0
+    #: Bytes per second in one direction (0.0 = unknown); with *rtt*,
+    #: how many bytes in flight fill the path.
+    bandwidth: float = 0.0
+    #: One round of progress for a transport without a clock.
+    wait: Callable[[], None] | None = None
 
 
 @dataclass
@@ -392,19 +421,13 @@ class Link:
         self._open = True
         #: Advisory RPC send-window depth for peers built over this
         #: link; World gives every wire link its pipeline depth (None =
-        #: unwindowed).  Surfaced to RpcPeer via
-        #: ``suggested_window_depth``.
+        #: unwindowed).
         self.window_depth: "int | None" = None
         #: The medium each direction transmits on ({"a->b": ..., "b->a":
         #: ...}): a shared one where given (see :class:`Medium`), else
         #: this link's own.
         self._media = {"a->b": Medium("a->b"), "b->a": Medium("b->a"),
                        **(media or {})}
-        #: Optional progress pump (Scheduler.legacy_pump) that RpcPeer
-        #: picks up as its reply_waiter via ``suggested_reply_waiter``:
-        #: how a synchronous caller outside any task lets the world's
-        #: tasks (a queued server's workers) run while it waits.
-        self.pump = None
         #: Called (once each) when the link closes; RpcPeer hangs the
         #: failure of its in-flight call futures here.
         self._close_handlers: list[Callable[[], None]] = []
@@ -568,48 +591,13 @@ class LinkSide:
         return self._link
 
     @property
-    def suggested_clock(self) -> Clock:
-        """The virtual clock; retry backoff charges delay here instead
-        of sleeping, the same way the link charges latency."""
-        return self._link.clock
-
-    @property
-    def suggested_metrics(self):
-        """The link's metrics registry; wrapper pipes (secure channel,
-        switchable pipe) pass this through so RpcPeer and friends land
-        their counters in the owning World's registry."""
-        return self._link.metrics
-
-    @property
-    def suggested_window_depth(self) -> "int | None":
-        """Advisory RPC send-window depth for this link (None = off)."""
-        return self._link.window_depth
-
-    @property
-    def suggested_rtt(self) -> float:
-        """Round-trip propagation estimate (2x one-way latency).
-
-        RPC peers floor their retransmission timers at twice this, so
-        links with real wire time don't retransmit calls whose replies
-        are still in flight."""
-        return 2.0 * self._link._params.latency
-
-    @property
-    def suggested_bandwidth(self) -> float:
-        """Bytes per second this link carries in one direction; with
-        :attr:`suggested_rtt`, how many bytes in flight fill it."""
-        return self._link._params.bandwidth
-
-    @property
-    def suggested_reply_waiter(self):
-        """The link's progress pump (a Scheduler.pump_once), if any.
-
-        With a queued server, a reply only arrives once a worker task
-        runs; synchronous callers wait by pumping the scheduler.  None
-        on bare links, where a waiting caller advances the clock to the
-        next arrival itself.
-        """
-        return self._link.pump
+    def transport(self) -> Transport:
+        """This link as its peers see it, as of now: its clock and
+        registry, window depth, and round trip (2x one-way latency)
+        and bandwidth."""
+        link = self._link
+        return Transport(link.clock, link.metrics, link.window_depth,
+                         2.0 * link._params.latency, link._params.bandwidth)
 
     def send(self, data: bytes) -> None:
         if self._side == "a":

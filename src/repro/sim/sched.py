@@ -13,12 +13,17 @@ Determinism: when several tasks are runnable the scheduler picks among
 them with its own seeded ``random.Random``, so every interleaving is a
 pure function of the seed.  Nothing here reads wall-clock time.
 
-The synchronous edge: callers outside any task (tests, examples, a
-system call made at top level) drive a generator to completion with
-:meth:`repro.rpc.peer.Runner.drive`, which makes progress through
+The synchronous edge: a clock has exactly one scheduler
+(:attr:`Clock.scheduler <repro.sim.clock.Clock.scheduler>`: the one a
+World builds, or one made on first use), and a caller outside any task
+(a test, an example, a system call made at top level) waits by pumping
+it.  :meth:`repro.rpc.peer.Runner.drive` runs a generator to completion
+that way: a Future it yields is waited out through
 :meth:`Scheduler.legacy_pump` — step one runnable task or advance the
-clock.  Code running *inside* a task step (or a handler) never pumps:
-it yields, system calls too, and a pump from there is an
+clock — and a :class:`Sleep` becomes a :meth:`Scheduler.timer` waited
+out the same way, so :meth:`pump_once` is the only place the clock
+advances.  Code running *inside* a task step (or a handler) never
+pumps: it yields, system calls too, and a pump from there is an
 :class:`AssertionError` naming the task.  With nothing runnable and no
 timer pending, :meth:`pump_once` waits on its sockets (if any; they are
 served before each clock advance) or raises :class:`SchedulerStalled`,
@@ -137,6 +142,10 @@ class Scheduler:
     """Runs tasks to completion with seeded, reproducible interleaving."""
 
     def __init__(self, clock: Clock, seed: int = 0, metrics=None) -> None:
+        if clock._scheduler is not None:
+            raise RuntimeError(
+                "this clock already has a scheduler (clock.scheduler)")
+        clock._scheduler = self
         self.clock = clock
         self.rng = random.Random(seed)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -306,17 +315,23 @@ class Scheduler:
             )
         self.clock.advance(max(0.0, deadline - self.clock.now))
 
+    def timer(self, seconds: float) -> Future:
+        """A Future the clock resolves *seconds* from now: how a
+        synchronous caller sleeps, by pumping until it is done."""
+        future = Future(f"sleep {seconds:g}")
+        self.clock.call_at(self.clock.now + seconds, future.resolve)
+        return future
+
     def legacy_pump(self) -> None:
         """:meth:`pump_once` for synchronous callers outside any task.
 
-        This is what :class:`~repro.kernel.world.World` wires into
-        ``link.pump`` and the kernel's runner: sync entry points
-        (handshakes run outside any task, top-level system calls,
-        tests) make progress by pumping, and every use is counted
-        (``sched.legacy_pumps``).  A pump *from inside a task step*
-        would re-enter the scheduler under the task that is supposed
-        to yield instead; that is always an error, and it names the
-        offending task.
+        Every synchronous wait on this scheduler's clock comes here
+        (:meth:`repro.rpc.peer.Runner.wait_for`): handshakes run
+        outside any task, top-level system calls and sleeps, tests.
+        Every use is counted (``sched.legacy_pumps``).  A pump *from
+        inside a task step* would re-enter the scheduler under the task
+        that is supposed to yield instead; that is always an error, and
+        it names the offending task.
         """
         self._m_legacy_pumps.inc()
         if self.current is not None:

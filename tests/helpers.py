@@ -48,11 +48,12 @@ def job(action=None):
 
 def run(task, clock):
     """Run a task generator to its result at top level, through the one
-    synchronous runner: a :class:`~repro.sim.sched.Sleep` it yields
-    advances *clock*, a Future waits for *clock*'s timers to resolve
-    it.  An agent's methods and a handler called directly run this
-    way."""
-    return Runner(backoff_clock=clock).drive(task)
+    synchronous runner, which waits by pumping ``clock.scheduler``: a
+    :class:`~repro.sim.sched.Sleep` it yields is a timer there, and a
+    Future waits for *clock*'s timers (and the scheduler's tasks) to
+    resolve it.  An agent's methods and a handler called directly run
+    this way."""
+    return Runner(clock).drive(task)
 
 
 class SyncNfs3Client:

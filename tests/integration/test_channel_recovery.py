@@ -187,6 +187,30 @@ def test_resync_on_healthy_channel_swaps_keys():
     assert proc.read_file(f"{path}/data") == b"before and after"
 
 
+def test_a_failure_to_void_leases_is_not_hidden():
+    """Dropping the caches the old keys covered (``on_rekey``) is part
+    of the resync: if it fails, the resync raises instead of reporting
+    a rekey whose stale leases are still in use."""
+    world = World(seed=77)
+    server = world.add_server("sfs.lcs.mit.edu")
+    path = server.export_fs()
+    pathops.write_file(server.fs, "/data", b"cached")
+    client = world.add_client("laptop")
+    client.new_agent("user", 1000)
+    assert client.process(uid=1000).read_file(f"{path}/data") == b"cached"
+    session = session_for(world, path)
+
+    class VoidFailed(Exception):
+        pass
+
+    def void_fails():
+        raise VoidFailed("could not drop the leased caches")
+
+    session.on_rekey = void_fails
+    with pytest.raises(VoidFailed):
+        session.resync()
+
+
 def test_authentication_survives_rekey():
     """Authnos persist across a re-keying: the REKEY was authenticated
     under the old SessionID, so the server knows it is the same client

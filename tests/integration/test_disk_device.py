@@ -39,7 +39,7 @@ def _start(peer, proc, args, finished, label):
     done = peer.start(peer.call_task(
         nfs_const.NFS3_PROGRAM, nfs_const.NFS3_VERSION, proc,
         arg_codec, args, res_codec))
-    clock = peer.backoff_clock
+    clock = peer.clock
     done.add_done_callback(
         lambda done: finished.append((label, clock.now, done.value[0])))
 

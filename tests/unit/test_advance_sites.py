@@ -4,8 +4,8 @@ A component that calls ``clock.advance`` from inside a handler stops
 every machine in the World until its charge is over: a seek on one
 server would freeze them all.  Devices book their time instead (a
 :class:`~repro.sim.network.Medium` for links and NICs, the disk's arm)
-and handlers ``yield Sleep``.  The clock is advanced only by the loops
-that wait at top level, listed here by file and function; a new call
+and handlers ``yield Sleep``.  The clock is advanced only by the loop
+that waits at top level, listed here by file and function; a new call
 site fails this test until it is justified and added.
 """
 
@@ -15,12 +15,10 @@ from pathlib import Path
 import repro
 
 ALLOWED = {
-    # A synchronous caller waiting for a reply or sleeping out a
-    # back-off, at top level.
-    ("rpc/peer.py", "Runner.wait_for"),
-    ("rpc/peer.py", "Runner._sleep_sync"),
-    # The scheduler's own loop; a master served over real sockets runs
-    # on one too, which advances it only when no socket is ready.
+    # The scheduler's own loop, which every synchronous wait pumps (a
+    # reply, a top-level sleep, a system call); a master served over
+    # real sockets binds its clock's one to the socket loop, which it
+    # advances only when no socket is ready.
     ("sim/sched.py", "Scheduler.pump_once"),
 }
 

@@ -34,7 +34,7 @@ def test_bidirectional_delivery():
     client.send(b"request one")
     server.send(b"reply one")
     client.send(b"request two")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"request one", b"request two"]
     assert client_in == [b"reply one"]
 
@@ -43,7 +43,7 @@ def test_ciphertext_differs_from_plaintext():
     recorder = RecordingAdversary()
     client, _server, _ci, server_in = make_channel_pair(recorder)
     client.send(b"super secret payload")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"super secret payload"]
     wire = recorder.transcript[0][1]
     assert b"super secret payload" not in wire
@@ -55,7 +55,7 @@ def test_identical_records_encrypt_differently():
     client, _server, _ci, _si = make_channel_pair(recorder)
     client.send(b"same")
     client.send(b"same")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert recorder.transcript[0][1] != recorder.transcript[1][1]
 
 
@@ -64,7 +64,7 @@ def test_tampered_record_dropped_not_delivered():
         TamperAdversary(target_index=0)
     )
     client.send(b"payload")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == []
     assert server.rejected_records == 1
 
@@ -75,7 +75,7 @@ def test_replayed_record_dropped():
     )
     client.send(b"one")
     client.send(b"two")  # adversary appends a replay of "one"
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"one", b"two"]
 
 
@@ -87,7 +87,7 @@ def test_dropped_record_desynchronizes_stream():
     )
     client.send(b"lost")
     client.send(b"after")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == []
     assert server.rejected_records >= 1
 
@@ -127,7 +127,7 @@ def test_plaintext_mode_passthrough():
     server.on_receive(server_in.append)
     client.on_receive(lambda d: None)
     client.send(b"visible")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"visible"]
     assert recorder.transcript[0][1] == b"visible"
 
@@ -135,7 +135,7 @@ def test_plaintext_mode_passthrough():
 def test_empty_record():
     client, _server, _ci, server_in = make_channel_pair()
     client.send(b"")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b""]
 
 
@@ -143,7 +143,7 @@ def test_large_record():
     client, _server, _ci, server_in = make_channel_pair()
     blob = bytes(range(256)) * 128
     client.send(blob)
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [blob]
 
 
@@ -152,7 +152,7 @@ def test_stats_counters():
     client.send(b"a")
     client.send(b"b")
     server.send(b"c")
-    settle(server.suggested_clock)
+    settle(server.transport.clock)
     assert client.records_sent == 2
     assert server.records_received == 2
     assert client.records_received == 1
@@ -167,12 +167,12 @@ def test_no_handler_counts_instead_of_raising():
     server = SecureChannel(b, send_key=K_SC, recv_key=K_CS)
     client.on_receive(lambda d: None)
     client.send(b"nobody is listening")  # server has no handler yet
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server.unhandled_records == 1
     server_in = []
     server.on_receive(server_in.append)
     client.send(b"now they are")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"now they are"]
 
 
@@ -181,15 +181,15 @@ def test_desync_signal_after_consecutive_rejects():
     client, server, _ci, _si = make_channel_pair(DropAdversary(target_index=0))
     server.on_desync = lambda: fired.append(True)
     client.send(b"lost")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert not server.desynchronized
     client.send(b"fails mac")
     client.send(b"fails mac too")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server.desynchronized
     assert fired == [True]  # reported once per desync episode
     client.send(b"still failing")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert fired == [True]
 
 
@@ -200,10 +200,10 @@ def test_single_tamper_does_not_signal_desync():
         TamperAdversary(target_index=0)
     )
     client.send(b"mangled")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server.consecutive_rejects == 1
     client.send(b"fine")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"fine"]
     assert server.consecutive_rejects == 0
     assert not server.desynchronized
@@ -216,14 +216,14 @@ def test_rekey_restores_desynchronized_channel():
     client.send(b"lost")
     client.send(b"rejected")
     client.send(b"rejected too")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server.desynchronized
     client.rekey(b"n" * 20, b"m" * 20)
     server.rekey(b"m" * 20, b"n" * 20)
     assert not server.desynchronized
     assert server.rekeys == 1
     client.send(b"fresh streams")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == [b"fresh streams"]
 
 
@@ -258,7 +258,7 @@ def test_control_records_route_to_control_handler():
     payloads = []
     server.control_handler = payloads.append
     client.send_control(RESYNC_REQUEST)
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert payloads == [RESYNC_REQUEST]
     assert server_in == []  # never reaches the data handler
     assert parse_control_record(make_control_record(b"p")) == b"p"
@@ -268,7 +268,7 @@ def test_control_records_route_to_control_handler():
 def test_control_record_without_handler_is_rejected():
     client, server, _ci, server_in = make_channel_pair()
     client.send_control(b"nobody home")
-    settle(client.suggested_clock)
+    settle(client.transport.clock)
     assert server_in == []
     assert server.rejected_records == 1
 

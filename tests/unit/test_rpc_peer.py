@@ -353,6 +353,27 @@ def test_recovery_hook_runs_from_second_retry():
     assert client.recoveries >= 1
 
 
+def test_a_bare_link_call_pumps_the_clock_scheduler():
+    """A synchronous call over a bare ``link_pair`` waits by pumping
+    ``clock.scheduler``, so a server whose calls are served by tasks on
+    that scheduler answers it."""
+    from repro.obs.registry import MetricsRegistry
+    from repro.sim.sched import Scheduler
+
+    clock = Clock()
+    registry = MetricsRegistry()
+    scheduler = Scheduler(clock, metrics=registry)
+    a, b = link_pair(clock, NetworkParameters.instant())
+    client, server = RpcPeer(a, "client"), RpcPeer(b, "server")
+    server.register(demo_program())
+    server.dispatcher = lambda header, body, request: scheduler.spawn(
+        server.serve_queued(header, body, request), name="worker")
+    assert client.call(400000, 2, 1, ADD_ARGS, {"x": 2, "y": 3}, UInt32) == 5
+    assert clock.scheduler is scheduler
+    assert registry.counter("sched.steps").value == scheduler.steps >= 1
+    assert registry.counter("sched.legacy_pumps").value >= 2
+
+
 def test_no_waiter_distinguished_from_timeout():
     from repro.rpc.peer import RpcNoWaiter
 

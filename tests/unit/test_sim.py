@@ -32,6 +32,53 @@ def test_clock_rejects_negative():
         Clock().advance(-1)
 
 
+def test_a_clock_has_one_scheduler():
+    """The scheduler built on a clock is the clock's; a second one on
+    the same clock is refused, and a bare clock makes its own on first
+    use."""
+    from repro.sim.sched import Scheduler
+
+    clock = Clock()
+    scheduler = Scheduler(clock, seed=3)
+    assert clock.scheduler is scheduler
+    with pytest.raises(RuntimeError):
+        Scheduler(clock)
+    bare = Clock()
+    assert bare.scheduler is bare.scheduler
+    with pytest.raises(RuntimeError):
+        Scheduler(bare)
+
+
+def test_a_top_level_sleep_is_a_timer_on_the_clock_scheduler():
+    """A Sleep yielded at top level pumps the clock's scheduler until its
+    timer fires: a task sleeping meanwhile runs at its own deadline, and
+    a timer due earlier fires at its own time, not at the sleep's end."""
+    from repro.obs.registry import MetricsRegistry
+    from repro.sim.sched import Scheduler, Sleep
+    from tests.helpers import run
+
+    clock = Clock()
+    registry = MetricsRegistry()
+    scheduler = Scheduler(clock, metrics=registry)
+    woke, fired = [], []
+
+    def napper():
+        yield Sleep(0.25)
+        woke.append(clock.now)
+
+    def nap():
+        yield Sleep(0.5)
+        return clock.now
+
+    scheduler.spawn(napper(), name="napper")
+    clock.call_at(0.125, lambda: fired.append(clock.now))
+    assert run(nap(), clock) == 0.5
+    assert fired == [0.125]
+    assert woke == [0.25]
+    assert scheduler.steps == 2  # the napper's two steps
+    assert registry.counter("sched.legacy_pumps").value >= 3
+
+
 def test_stopwatch():
     clock = Clock()
     watch = Stopwatch(clock)

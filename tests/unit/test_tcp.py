@@ -8,7 +8,6 @@ from repro.rpc.peer import Program, RpcPeer
 from repro.rpc.tcp import (
     TcpListener,
     TcpPipe,
-    attach_peer,
     connect,
     recv_record,
     send_record,
@@ -54,8 +53,7 @@ def test_rpc_over_real_tcp():
     listener = TcpListener("127.0.0.1", 0, session)
     try:
         pipe = connect("127.0.0.1", listener.port)
-        client = RpcPeer(pipe, "tcp-client")
-        attach_peer(pipe, client)
+        client = RpcPeer(pipe, "tcp-client")  # waits on the loop
         result = client.call(400000, 2, 1, ADD_ARGS,
                              {"x": 20, "y": 22}, UInt32)
         assert result == 42

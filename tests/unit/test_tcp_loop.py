@@ -26,7 +26,7 @@ def test_a_large_record_crosses_each_way_in_one_thread():
         with wall_bound(20):
             pipe.send(up)
             while not got:
-                pipe.pump()
+                LOOP.run_once()
         assert served == [up]
         assert got == [down]
     finally:
