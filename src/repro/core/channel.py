@@ -96,10 +96,6 @@ class SecureChannel:
         #: records never reach the data handler; with no control handler
         #: installed they are counted and dropped like any junk.
         self.control_handler: Callable[[bytes], None] | None = None
-        #: Called once when the channel first crosses the desync
-        #: threshold (and again after each successful rekey, should the
-        #: new streams desynchronize too).
-        self.on_desync: Callable[[], None] | None = None
         #: The lower pipe's description, passed on to the peer above.
         self.transport = getattr(pipe, "transport", None) or Transport()
         self.metrics = self.transport.metrics or NULL_REGISTRY
@@ -180,11 +176,6 @@ class SecureChannel:
         if self.desynchronized and not self._desync_reported:
             self._desync_reported = True
             self._m_desyncs.inc()
-            if self.on_desync is not None:
-                try:
-                    self.on_desync()
-                except Exception:  # noqa: BLE001 - supervision is advisory
-                    pass
 
     # --- pipe interface ------------------------------------------------------
 

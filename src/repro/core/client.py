@@ -41,6 +41,7 @@ from ..crypto.rabin import PublicKey, RabinError
 from ..crypto.sha1 import sha1
 from ..nfs3 import const as nfs_const
 from ..nfs3 import types as nfs_types
+from ..nfs3.program import PROCS, nfs3_program, refuse
 from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import (
     CallContext,
@@ -80,7 +81,7 @@ from .revocation import (
     REVOKED_LINK_TARGET,
     verify_certificate,
 )
-from .server import SwitchablePipe, make_sfs_cred, nfs_failure_shape
+from .server import SwitchablePipe, make_sfs_cred
 
 #: Dials (location, service) -> LinkSide.  Provided by the world model
 #: (or a real TCP dialer); raises ConnectionError if unreachable.
@@ -736,7 +737,7 @@ class ServerSession:
         A *speculative* relay (a prefetch) is one attempt and nothing
         more: see :meth:`RpcPeer.call_task`; SERVER_BUSY ends it too.
         """
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
+        arg_codec, res_codec = nfs_types.PROC_CODECS[proc]
 
         def attempt():
             return self.peer.call_task(
@@ -949,14 +950,8 @@ class MountedRemoteFs:
     # -- program --
 
     def _build_program(self) -> Program:
-        program = Program("sfs-mount", nfs_const.NFS3_PROGRAM,
-                          nfs_const.NFS3_VERSION)
-        program.idempotent = nfs_const.IDEMPOTENT_PROCS
-        for proc, (arg_codec, res_codec) in proto.NFS_PROC_CODECS.items():
-            if proc == nfs_const.NFSPROC3_NULL:
-                continue
-            program.add_proc(proc, nfs_const.PROC_NAMES[proc],
-                             arg_codec, res_codec, self._make_handler(proc))
+        program = nfs3_program(
+            "sfs-mount", {proc: self._make_handler(proc) for proc in PROCS})
         program._sfs_mount = self  # back-pointer for tools (sfsls/libsfs)
         return program
 
@@ -1007,7 +1002,7 @@ class MountedRemoteFs:
             # drop whatever leases mention the offending handles.
             self.stale_handles += 1
             self._m_stale.inc()
-            for handle in _handles_in_args(proc, args):
+            for handle in handlemap.handles(proc, args):
                 self.caches.invalidate(handle)
         _rewrite_fsids(body, self.fsid)
         self._absorb(proc, args, ctx, status, body)
@@ -1026,7 +1021,7 @@ class MountedRemoteFs:
                 # we read it back.
                 status = yield from self._write_barrier(args.file, ctx)
                 if status is not None:
-                    return status, Record(file_attributes=None)
+                    return status, nfs_types.failure_arm(proc)
             return (yield from self._read_ahead(args, ctx, depth))
         if proc == nfs_const.NFSPROC3_WRITE:
             self._ra_discard(args.file)
@@ -1034,9 +1029,7 @@ class MountedRemoteFs:
                 return (yield from self._gather_write(args, ctx, depth))
             status = yield from self._write_barrier(args.file, ctx)
             if status is not None:
-                return status, Record(
-                    file_wcc=nfs_types.WccData.make(before=None, after=None)
-                )
+                return status, nfs_types.failure_arm(proc)
             return None
         if proc == nfs_const.NFSPROC3_CREATE and _create_sets_size(args):
             # O_TRUNC by name: the CREATE can shrink a file whose handle
@@ -1059,13 +1052,13 @@ class MountedRemoteFs:
         # SETATTR, GETATTR, ...) is a write-behind barrier: the reply
         # reflects our writes, and reports a flush that failed.
         # Mutating ops also discard readahead.
-        for handle in _handles_in_args(proc, args):
+        for handle in handlemap.handles(proc, args):
             if proc in _MUTATING_PROCS:
                 self._ra_discard(handle)
             if self._dirty(handle):
                 status = yield from self._write_barrier(handle, ctx)
                 if status is not None:
-                    return status, nfs_failure_shape(proc)
+                    return status, nfs_types.failure_arm(proc)
         return None
 
     def _ra_count(self, event: str) -> None:
@@ -1555,18 +1548,6 @@ def _create_sets_size(args: Record) -> bool:
     return how_disc != nfs_const.EXCLUSIVE and how_body.size is not None
 
 
-def _handles_in_args(proc: int, args: Record) -> list[bytes]:
-    """Collect every file handle a request record carries."""
-    found: list[bytes] = []
-
-    def collect(handle: bytes) -> bytes:
-        found.append(handle)
-        return handle
-
-    handlemap.translate_args(proc, args, collect)
-    return found
-
-
 #: The group the kernel tags an agent's own reads with (its
 #: certification paths and revocation directories).
 AGENT_GID = 0xFFFD
@@ -1578,6 +1559,47 @@ def _authsys(cred: OpaqueAuth) -> AuthSys:
         return AuthSys.from_auth(cred)
     except RpcMsgError:
         return _NOBODY
+
+
+# ---------------------------------------------------------------------------
+# Synthetic NFS replies: the /sfs root and the read-only mount
+# ---------------------------------------------------------------------------
+
+
+def _synthetic_fattr(ftype: int, mode: int, nlink: int, uid: int, size: int,
+                     fsid: int, fileid: int) -> Record:
+    """Attributes of a node that no disk holds: group 0, every time 0."""
+    zero_time = nfs_types.NfsTime.make(seconds=0, nseconds=0)
+    return nfs_types.Fattr.make(
+        type=ftype, mode=mode, nlink=nlink, uid=uid, gid=0,
+        size=size, used=size,
+        rdev=nfs_types.SpecData.make(major=0, minor=0),
+        fsid=fsid, fileid=fileid,
+        atime=zero_time, mtime=zero_time, ctime=zero_time,
+    )
+
+
+def _read_only_access(attrs: Record | None, requested: int):
+    """ACCESS on a read-only file system: reading and searching only."""
+    return nfs_const.NFS3_OK, Record(
+        obj_attributes=attrs,
+        access=requested & (nfs_const.ACCESS3_READ | nfs_const.ACCESS3_LOOKUP
+                            | nfs_const.ACCESS3_EXECUTE),
+    )
+
+
+def _listing_reply(listing: list[tuple[int, str]], cookie: int,
+                   dir_attrs: Record | None):
+    """READDIR of a whole (fileid, name) *listing*, resuming after
+    *cookie*: an entry's cookie is its position, from 1."""
+    return nfs_const.NFS3_OK, Record(
+        dir_attributes=dir_attrs, cookieverf=b"\x00" * 8,
+        entries=[nfs_types.DirEntry.make(fileid=fileid, name=name,
+                                         cookie=position)
+                 for position, (fileid, name) in enumerate(listing, 1)
+                 if position > cookie],
+        eof=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1638,40 +1660,21 @@ class ReadOnlyMount:
         return self.client.root_digest
 
     def _build_program(self) -> Program:
-        program = Program("sfs-ro-mount", nfs_const.NFS3_PROGRAM,
-                          nfs_const.NFS3_VERSION)
-        program.idempotent = nfs_const.IDEMPOTENT_PROCS
-        codecs = proto.NFS_PROC_CODECS
-        program.add_proc(nfs_const.NFSPROC3_GETATTR, "GETATTR",
-                         *codecs[nfs_const.NFSPROC3_GETATTR], self._getattr)
-        program.add_proc(nfs_const.NFSPROC3_LOOKUP, "LOOKUP",
-                         *codecs[nfs_const.NFSPROC3_LOOKUP], self._lookup)
-        program.add_proc(nfs_const.NFSPROC3_ACCESS, "ACCESS",
-                         *codecs[nfs_const.NFSPROC3_ACCESS], self._access)
-        program.add_proc(nfs_const.NFSPROC3_READLINK, "READLINK",
-                         *codecs[nfs_const.NFSPROC3_READLINK], self._readlink)
-        program.add_proc(nfs_const.NFSPROC3_READ, "READ",
-                         *codecs[nfs_const.NFSPROC3_READ], self._read)
-        program.add_proc(nfs_const.NFSPROC3_READDIR, "READDIR",
-                         *codecs[nfs_const.NFSPROC3_READDIR], self._readdir)
-        program.add_proc(nfs_const.NFSPROC3_FSINFO, "FSINFO",
-                         *codecs[nfs_const.NFSPROC3_FSINFO], self._fsinfo)
-        for proc in (nfs_const.NFSPROC3_SETATTR, nfs_const.NFSPROC3_WRITE,
-                     nfs_const.NFSPROC3_CREATE, nfs_const.NFSPROC3_MKDIR,
-                     nfs_const.NFSPROC3_SYMLINK, nfs_const.NFSPROC3_REMOVE,
-                     nfs_const.NFSPROC3_RMDIR, nfs_const.NFSPROC3_RENAME,
-                     nfs_const.NFSPROC3_LINK):
-            program.add_proc(proc, nfs_const.PROC_NAMES[proc],
-                             *codecs[proc], self._readonly_reject(proc))
-        return program
-
-    def _readonly_reject(self, proc: int):
-        from .server import nfs_failure_shape
-
-        def handler(args: Record, ctx: CallContext):
-            return nfs_const.NFS3ERR_ROFS, nfs_failure_shape(proc)
-
-        return handler
+        return nfs3_program("sfs-ro-mount", {
+            nfs_const.NFSPROC3_GETATTR: self._getattr,
+            nfs_const.NFSPROC3_LOOKUP: self._lookup,
+            nfs_const.NFSPROC3_ACCESS: self._access,
+            nfs_const.NFSPROC3_READLINK: self._readlink,
+            nfs_const.NFSPROC3_READ: self._read,
+            nfs_const.NFSPROC3_READDIR: self._readdir,
+            nfs_const.NFSPROC3_FSINFO: self._fsinfo,
+            **dict.fromkeys((
+                nfs_const.NFSPROC3_SETATTR, nfs_const.NFSPROC3_WRITE,
+                nfs_const.NFSPROC3_CREATE, nfs_const.NFSPROC3_MKDIR,
+                nfs_const.NFSPROC3_SYMLINK, nfs_const.NFSPROC3_REMOVE,
+                nfs_const.NFSPROC3_RMDIR, nfs_const.NFSPROC3_RENAME,
+                nfs_const.NFSPROC3_LINK), refuse(nfs_const.NFS3ERR_ROFS)),
+        })
 
     def _node(self, digest: bytes):
         try:
@@ -1692,14 +1695,7 @@ class ReadOnlyMount:
             ftype, mode, size = nfs_const.NF3DIR, body.mode & 0o555, 512
         else:
             ftype, mode, size = nfs_const.NF3LNK, 0o777, len(body.target)
-        zero_time = nfs_types.NfsTime.make(seconds=0, nseconds=0)
-        return nfs_types.Fattr.make(
-            type=ftype, mode=mode, nlink=1, uid=0, gid=0,
-            size=size, used=size,
-            rdev=nfs_types.SpecData.make(major=0, minor=0),
-            fsid=self.fsid, fileid=fileid,
-            atime=zero_time, mtime=zero_time, ctime=zero_time,
-        )
+        return _synthetic_fattr(ftype, mode, 1, 0, size, self.fsid, fileid)
 
     def _getattr(self, args: Record, ctx: CallContext):
         attrs = yield from self._fattr(args.object)
@@ -1722,13 +1718,8 @@ class ReadOnlyMount:
         )
 
     def _access(self, args: Record, ctx: CallContext):
-        granted = args.access & (nfs_const.ACCESS3_READ
-                                 | nfs_const.ACCESS3_LOOKUP
-                                 | nfs_const.ACCESS3_EXECUTE)
-        return nfs_const.NFS3_OK, Record(
-            obj_attributes=(yield from self._fattr(args.object)),
-            access=granted,
-        )
+        return _read_only_access(
+            (yield from self._fattr(args.object)), args.access)
 
     def _readlink(self, args: Record, ctx: CallContext):
         try:
@@ -1758,18 +1749,10 @@ class ReadOnlyMount:
             listing = yield from self.client.listdir(args.dir)
         except ReadOnlyError:
             return nfs_const.NFS3ERR_NOTDIR, Record(dir_attributes=None)
-        entries = []
-        for position, (name, digest) in enumerate(listing, start=1):
-            if position <= args.cookie:
-                continue
-            entries.append(nfs_types.DirEntry.make(
-                fileid=int.from_bytes(digest[:8], "big") >> 1,
-                name=name, cookie=position,
-            ))
-        return nfs_const.NFS3_OK, Record(
-            dir_attributes=(yield from self._fattr(args.dir)),
-            cookieverf=b"\x00" * 8, entries=entries, eof=True,
-        )
+        return _listing_reply(
+            [(int.from_bytes(digest[:8], "big") >> 1, name)
+             for name, digest in listing],
+            args.cookie, (yield from self._fattr(args.dir)))
 
     def _fsinfo(self, args: Record, ctx: CallContext):
         return nfs_const.NFS3_OK, Record(
@@ -2144,23 +2127,14 @@ class SfsClientDaemon:
     # -- the /sfs synthetic file system --
 
     def _build_root_program(self) -> Program:
-        program = Program("sfscd-root", nfs_const.NFS3_PROGRAM,
-                          nfs_const.NFS3_VERSION)
-        program.idempotent = nfs_const.IDEMPOTENT_PROCS
-        codecs = proto.NFS_PROC_CODECS
-        program.add_proc(nfs_const.NFSPROC3_GETATTR, "GETATTR",
-                         *codecs[nfs_const.NFSPROC3_GETATTR], self._getattr)
-        program.add_proc(nfs_const.NFSPROC3_LOOKUP, "LOOKUP",
-                         *codecs[nfs_const.NFSPROC3_LOOKUP], self._lookup)
-        program.add_proc(nfs_const.NFSPROC3_ACCESS, "ACCESS",
-                         *codecs[nfs_const.NFSPROC3_ACCESS], self._access)
-        program.add_proc(nfs_const.NFSPROC3_READLINK, "READLINK",
-                         *codecs[nfs_const.NFSPROC3_READLINK], self._readlink)
-        program.add_proc(nfs_const.NFSPROC3_READDIR, "READDIR",
-                         *codecs[nfs_const.NFSPROC3_READDIR], self._readdir)
-        program.add_proc(nfs_const.NFSPROC3_FSINFO, "FSINFO",
-                         *codecs[nfs_const.NFSPROC3_FSINFO], self._fsinfo)
-        return program
+        return nfs3_program("sfscd-root", {
+            nfs_const.NFSPROC3_GETATTR: self._getattr,
+            nfs_const.NFSPROC3_LOOKUP: self._lookup,
+            nfs_const.NFSPROC3_ACCESS: self._access,
+            nfs_const.NFSPROC3_READLINK: self._readlink,
+            nfs_const.NFSPROC3_READDIR: self._readdir,
+            nfs_const.NFSPROC3_FSINFO: self._fsinfo,
+        })
 
     def root_handle(self) -> bytes:
         return self.ROOT_HANDLE
@@ -2179,25 +2153,24 @@ class SfsClientDaemon:
         return b"MP" + sha1(b"sfscd-mountpoint" + mount_name.encode())[:18]
 
     def _dir_attrs(self, handle: bytes, fileid: int) -> Record:
-        zero_time = nfs_types.NfsTime.make(seconds=0, nseconds=0)
-        return nfs_types.Fattr.make(
-            type=nfs_const.NF3DIR, mode=0o755, nlink=2, uid=0, gid=0,
-            size=512, used=512,
-            rdev=nfs_types.SpecData.make(major=0, minor=0),
-            fsid=0x5F5, fileid=fileid,
-            atime=zero_time, mtime=zero_time, ctime=zero_time,
-        )
+        return _synthetic_fattr(nfs_const.NF3DIR, 0o755, 2, 0, 512, 0x5F5,
+                                fileid)
 
     def _symlink_attrs(self, node: _SymlinkNode, handle: bytes) -> Record:
-        zero_time = nfs_types.NfsTime.make(seconds=0, nseconds=0)
-        return nfs_types.Fattr.make(
-            type=nfs_const.NF3LNK, mode=0o777, nlink=1,
-            uid=node.uid if node.uid is not None else 0, gid=0,
-            size=len(node.target), used=len(node.target),
-            rdev=nfs_types.SpecData.make(major=0, minor=0),
-            fsid=0x5F5,
-            fileid=int.from_bytes(handle[2:10], "big") >> 1,
-            atime=zero_time, mtime=zero_time, ctime=zero_time,
+        return _synthetic_fattr(
+            nfs_const.NF3LNK, 0o777, 1,
+            node.uid if node.uid is not None else 0, len(node.target),
+            0x5F5, int.from_bytes(handle[2:10], "big") >> 1)
+
+    def _link_found(self, uid: int | None, name: str, node: _SymlinkNode,
+                    dir_attrs: Record):
+        """LOOKUP's reply naming the symlink *node* (*uid*'s, or None:
+        everyone's)."""
+        handle = self._symlink_handle(uid, name)
+        return nfs_const.NFS3_OK, Record(
+            object=handle,
+            obj_attributes=self._symlink_attrs(node, handle),
+            dir_attributes=dir_attrs,
         )
 
     def _getattr(self, args: Record, ctx: CallContext):
@@ -2229,12 +2202,7 @@ class SfsClientDaemon:
         for key_uid in (None, uid):
             node = self._symlinks.get((key_uid, name))
             if node is not None:
-                handle = self._symlink_handle(key_uid, name)
-                return nfs_const.NFS3_OK, Record(
-                    object=handle,
-                    obj_attributes=self._symlink_attrs(node, handle),
-                    dir_attributes=dir_attrs,
-                )
+                return self._link_found(key_uid, name, node, dir_attrs)
         parsed = parse_mount_name(name)
         if parsed is not None:
             try:
@@ -2243,12 +2211,7 @@ class SfsClientDaemon:
                 # Mount failures may have installed a revoked link.
                 node = self._symlinks.get((None, name))
                 if node is not None:
-                    handle = self._symlink_handle(None, name)
-                    return nfs_const.NFS3_OK, Record(
-                        object=handle,
-                        obj_attributes=self._symlink_attrs(node, handle),
-                        dir_attributes=dir_attrs,
-                    )
+                    return self._link_found(None, name, node, dir_attrs)
                 return nfs_const.NFS3ERR_NOENT, Record(dir_attributes=dir_attrs)
             handle = self._mountpoint_handle(name)
             return nfs_const.NFS3_OK, Record(
@@ -2265,19 +2228,11 @@ class SfsClientDaemon:
             if target is not None:
                 node = _SymlinkNode(name, target, uid)
                 self._symlinks[(uid, name)] = node
-                handle = self._symlink_handle(uid, name)
-                return nfs_const.NFS3_OK, Record(
-                    object=handle,
-                    obj_attributes=self._symlink_attrs(node, handle),
-                    dir_attributes=dir_attrs,
-                )
+                return self._link_found(uid, name, node, dir_attrs)
         return nfs_const.NFS3ERR_NOENT, Record(dir_attributes=dir_attrs)
 
     def _access(self, args: Record, ctx: CallContext):
-        granted = args.access & (nfs_const.ACCESS3_READ
-                                 | nfs_const.ACCESS3_LOOKUP
-                                 | nfs_const.ACCESS3_EXECUTE)
-        return nfs_const.NFS3_OK, Record(obj_attributes=None, access=granted)
+        return _read_only_access(None, args.access)
 
     def _readlink(self, args: Record, ctx: CallContext):
         node = self._find_symlink(args.symlink)
@@ -2306,17 +2261,8 @@ class SfsClientDaemon:
             name for (link_uid, name) in self._symlinks
             if link_uid in (uid, None)
         ))
-        entries = []
-        for position, name in enumerate(names, start=1):
-            if position <= args.cookie:
-                continue
-            entries.append(nfs_types.DirEntry.make(
-                fileid=position, name=name, cookie=position
-            ))
-        return nfs_const.NFS3_OK, Record(
-            dir_attributes=self._dir_attrs(self.ROOT_HANDLE, 1),
-            cookieverf=b"\x00" * 8, entries=entries, eof=True,
-        )
+        return _listing_reply(list(enumerate(names, 1)), args.cookie,
+                              self._dir_attrs(self.ROOT_HANDLE, 1))
 
     def _fsinfo(self, args: Record, ctx: CallContext):
         return nfs_const.NFS3_OK, Record(

@@ -7,9 +7,13 @@ Both SFS daemons rewrite handles as requests pass through them:
 * the client translates between the remote server's handles and the
   handles it gives the local kernel.
 
-This module knows, for every NFS3 procedure, where the handles live in
-the argument and (successful) result records, and applies a translation
-function to each — mutating the freshly-decoded records in place.
+Where the handles sit in each procedure's argument and (successful)
+result records is derived from the XDR declarations
+(:data:`repro.nfs3.types.ARG_HANDLES`, ``RES_HANDLES`` and
+``ENTRY_HANDLES``, the last for READDIRPLUS's per-entry handles); this
+module is the one reader of those tables.  It applies a translation
+function to each handle, mutating the freshly-decoded records in place,
+and lists them (:func:`handles`).
 """
 
 from __future__ import annotations
@@ -17,42 +21,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..nfs3 import const
+from ..nfs3.types import ARG_HANDLES, ENTRY_HANDLES, RES_HANDLES
 
 HandleFn = Callable[[bytes], bytes]
-
-#: proc -> list of attribute paths to handles in the args record.
-_ARG_HANDLES: dict[int, list[tuple[str, ...]]] = {
-    const.NFSPROC3_GETATTR: [("object",)],
-    const.NFSPROC3_SETATTR: [("object",)],
-    const.NFSPROC3_LOOKUP: [("what", "dir")],
-    const.NFSPROC3_ACCESS: [("object",)],
-    const.NFSPROC3_READLINK: [("symlink",)],
-    const.NFSPROC3_READ: [("file",)],
-    const.NFSPROC3_WRITE: [("file",)],
-    const.NFSPROC3_CREATE: [("where", "dir")],
-    const.NFSPROC3_MKDIR: [("where", "dir")],
-    const.NFSPROC3_SYMLINK: [("where", "dir")],
-    const.NFSPROC3_REMOVE: [("object", "dir")],
-    const.NFSPROC3_RMDIR: [("object", "dir")],
-    const.NFSPROC3_RENAME: [("from_", "dir"), ("to", "dir")],
-    const.NFSPROC3_LINK: [("file",), ("link", "dir")],
-    const.NFSPROC3_READDIR: [("dir",)],
-    const.NFSPROC3_READDIRPLUS: [("dir",)],
-    const.NFSPROC3_FSSTAT: [("fsroot",)],
-    const.NFSPROC3_FSINFO: [("fsroot",)],
-    const.NFSPROC3_PATHCONF: [("object",)],
-    const.NFSPROC3_COMMIT: [("file",)],
-    const.NFSPROC3_READV: [("file",)],
-    const.NFSPROC3_WRITEV: [("file",)],
-}
-
-#: proc -> list of (path, optional?) to handles in the OK result record.
-_RES_HANDLES: dict[int, list[tuple[tuple[str, ...], bool]]] = {
-    const.NFSPROC3_LOOKUP: [(("object",), False)],
-    const.NFSPROC3_CREATE: [(("obj",), True)],
-    const.NFSPROC3_MKDIR: [(("obj",), True)],
-    const.NFSPROC3_SYMLINK: [(("obj",), True)],
-}
 
 
 def _apply(record: Any, path: tuple[str, ...], fn: HandleFn,
@@ -68,23 +39,36 @@ def _apply(record: Any, path: tuple[str, ...], fn: HandleFn,
 
 def translate_args(proc: int, args: Any, fn: HandleFn) -> Any:
     """Rewrite every handle in a request record with *fn* (in place)."""
-    for path in _ARG_HANDLES.get(proc, []):
-        _apply(args, path, fn, optional=False)
+    for path, optional in ARG_HANDLES.get(proc, ()):
+        _apply(args, path, fn, optional)
     return args
 
 
 def translate_result(proc: int, status: int, body: Any, fn: HandleFn) -> Any:
-    """Rewrite every handle in a successful result record with *fn*.
-
-    READDIRPLUS entries carry per-name optional handles and are handled
-    specially.
-    """
+    """Rewrite every handle in a successful result record with *fn*."""
     if status != const.NFS3_OK or body is None:
         return body
-    for path, optional in _RES_HANDLES.get(proc, []):
+    for path, optional in RES_HANDLES.get(proc, ()):
         _apply(body, path, fn, optional)
-    if proc == const.NFSPROC3_READDIRPLUS:
-        for entry in body.entries:
-            if entry.name_handle is not None:
-                entry.name_handle = fn(entry.name_handle)
+    for path, sites in ENTRY_HANDLES.get(proc, ()):
+        entries = body
+        for attr in path:
+            entries = getattr(entries, attr)
+        for entry in entries:
+            for site, optional in sites:
+                _apply(entry, site, fn, optional)
     return body
+
+
+def handles(proc: int, args: Any, body: Any = None) -> list[bytes]:
+    """Every handle a request carries, then every handle present in its
+    successful result *body* (if one is given)."""
+    found: list[bytes] = []
+
+    def collect(handle: bytes) -> bytes:
+        found.append(handle)
+        return handle
+
+    translate_args(proc, args, collect)
+    translate_result(proc, const.NFS3_OK, body, collect)
+    return found

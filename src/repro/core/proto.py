@@ -17,7 +17,6 @@ and the cryptographic function is computed over the marshaled bytes
 
 from __future__ import annotations
 
-from ..nfs3 import types as nfs_types
 from ..rpc.xdr import (
     Array,
     Bool,
@@ -403,6 +402,3 @@ PROC_GETROOT = 1
 PROC_GETDATA = 2
 
 SFS_RO_PROGRAM = 344445
-
-# Re-export the NFS3 codecs the read-write program shares.
-NFS_PROC_CODECS = nfs_types.PROC_CODECS

@@ -37,11 +37,13 @@ from typing import Callable, Iterator
 from ..crypto.rabin import PrivateKey
 from ..fs.memfs import ANONYMOUS, Cred, MemFs
 from ..nfs3 import const as nfs_const
+from ..nfs3 import types as nfs_types
 from ..nfs3.client import Nfs3Client
 from ..nfs3.handles import BadHandle, EncryptedHandles, PlainHandles
+from ..nfs3.program import PROCS, nfs3_program
 from ..nfs3.server import Nfs3Server
 from ..obs.registry import NULL_REGISTRY
-from ..rpc.peer import CallContext, Program, Pipe, RpcPeer
+from ..rpc.peer import CallContext, Program, Pipe, RpcPeer, RpcTransportDown
 from ..rpc.rpcmsg import CRED_MEMO, AuthSys, OpaqueAuth
 from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
@@ -81,42 +83,6 @@ CHANNEL_CALLS = frozenset({(proto.SFS_CONNECT_PROGRAM, proto.PROC_REKEY)})
 
 #: LOOKUP of "." on this handle names an export's root (mount convention).
 ZERO_HANDLE = bytes(24)
-
-
-def nfs_failure_shape(proc: int) -> Record | None:
-    """The failure-arm body for an NFS3 procedure (attributes omitted)."""
-    from ..nfs3 import types as nfs_types
-
-    empty_wcc = nfs_types.WccData.make(before=None, after=None)
-    shapes = {
-        nfs_const.NFSPROC3_GETATTR: None,
-        nfs_const.NFSPROC3_SETATTR: Record(obj_wcc=empty_wcc),
-        nfs_const.NFSPROC3_LOOKUP: Record(dir_attributes=None),
-        nfs_const.NFSPROC3_ACCESS: Record(obj_attributes=None),
-        nfs_const.NFSPROC3_READLINK: Record(symlink_attributes=None),
-        nfs_const.NFSPROC3_READ: Record(file_attributes=None),
-        nfs_const.NFSPROC3_WRITE: Record(file_wcc=empty_wcc),
-        nfs_const.NFSPROC3_CREATE: Record(dir_wcc=empty_wcc),
-        nfs_const.NFSPROC3_MKDIR: Record(dir_wcc=empty_wcc),
-        nfs_const.NFSPROC3_SYMLINK: Record(dir_wcc=empty_wcc),
-        nfs_const.NFSPROC3_REMOVE: Record(dir_wcc=empty_wcc),
-        nfs_const.NFSPROC3_RMDIR: Record(dir_wcc=empty_wcc),
-        nfs_const.NFSPROC3_RENAME: Record(
-            fromdir_wcc=empty_wcc, todir_wcc=empty_wcc
-        ),
-        nfs_const.NFSPROC3_LINK: Record(
-            file_attributes=None, linkdir_wcc=empty_wcc
-        ),
-        nfs_const.NFSPROC3_READDIR: Record(dir_attributes=None),
-        nfs_const.NFSPROC3_READDIRPLUS: Record(dir_attributes=None),
-        nfs_const.NFSPROC3_FSSTAT: Record(obj_attributes=None),
-        nfs_const.NFSPROC3_FSINFO: Record(obj_attributes=None),
-        nfs_const.NFSPROC3_PATHCONF: Record(obj_attributes=None),
-        nfs_const.NFSPROC3_COMMIT: Record(file_wcc=empty_wcc),
-        nfs_const.NFSPROC3_READV: Record(file_attributes=None),
-        nfs_const.NFSPROC3_WRITEV: Record(file_wcc=empty_wcc),
-    }
-    return shapes[proc]
 
 
 @lru_cache(maxsize=CRED_MEMO)
@@ -872,13 +838,9 @@ class ServerConnection:
     # -- read-write dialect --
 
     def _rw_program(self) -> Program:
-        program = Program("sfs-rw", proto.SFS_RW_PROGRAM, proto.SFS_VERSION)
-        program.idempotent = nfs_const.IDEMPOTENT_PROCS
-        for proc, (arg_codec, res_codec) in proto.NFS_PROC_CODECS.items():
-            if proc == nfs_const.NFSPROC3_NULL:
-                continue
-            program.add_proc(proc, nfs_const.PROC_NAMES[proc],
-                             arg_codec, res_codec, self._make_relay(proc))
+        program = nfs3_program(
+            "sfs-rw", {proc: self._make_relay(proc) for proc in PROCS},
+            proto.SFS_RW_PROGRAM, proto.SFS_VERSION)
         program.add_proc(proto.PROC_LOGIN, "LOGIN",
                          proto.LoginArgs, proto.LoginRes, self._login)
         program.add_proc(proto.PROC_LOGOUT, "LOGOUT",
@@ -933,14 +895,15 @@ class ServerConnection:
             try:
                 handlemap.translate_args(proc, args, self._decrypt_handle)
             except BadHandle:
-                return nfs_const.NFS3ERR_BADHANDLE, nfs_failure_shape(proc)
+                return (nfs_const.NFS3ERR_BADHANDLE,
+                        nfs_types.failure_arm(proc))
         auth_sys = AuthSys(stamp=export.origin_stamp(self), uid=cred.uid,
                            gid=cred.gid, gids=tuple(cred.groups))
         if proc == nfs_const.NFSPROC3_COMMIT:
             # Whatever unstable writes preceded this COMMIT are still
             # volatile; a crash here provably loses them.
             self.master.crashpoint("before-commit")
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
+        arg_codec, res_codec = nfs_types.PROC_CODECS[proc]
         overtaken = export.relay_started(self)
         try:
             status, body = yield from export.nfs_client.peer.call_task(
@@ -975,22 +938,8 @@ class ServerConnection:
         """Remember (plain) handles this client now caches attributes for."""
         if status != nfs_const.NFS3_OK:
             return
-        grant = self.export.grant
-        for path in handlemap._ARG_HANDLES.get(proc, []):
-            target = args
-            for attr in path:
-                target = getattr(target, attr)
-            grant(target, self)
-        for path, optional in handlemap._RES_HANDLES.get(proc, []):
-            target = body
-            for attr in path:
-                target = getattr(target, attr)
-            if target is not None:
-                grant(target, self)
-        if proc == nfs_const.NFSPROC3_READDIRPLUS:
-            for entry in body.entries:
-                if entry.name_handle is not None:
-                    grant(entry.name_handle, self)
+        for handle in handlemap.handles(proc, args, body):
+            self.export.grant(handle, self)
 
     @property
     def alive(self) -> bool:
@@ -1019,8 +968,8 @@ class ServerConnection:
                 proto.InvalidateArgs,
                 proto.InvalidateArgs.make(handle=encrypted_handle),
             )
-        except Exception:  # noqa: BLE001 - invalidations are best-effort
-            pass
+        except RpcTransportDown:
+            pass  # the holder's link closed: no lease left to call back
 
     # -- user authentication --
 

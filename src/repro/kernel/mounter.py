@@ -17,8 +17,8 @@ the machine.
 from __future__ import annotations
 
 from ..nfs3 import const as nfs_const
-from ..rpc.peer import CallContext, Program
-from ..rpc.xdr import Record
+from ..nfs3.program import PROCS, nfs3_program, refuse
+from ..rpc.peer import Program
 from .vfs import Kernel, Mount
 
 
@@ -69,22 +69,5 @@ class NfsMounter:
 
 def _stale_program() -> Program:
     """An NFS program that answers everything with NFS3ERR_STALE."""
-    from ..core.server import nfs_failure_shape
-    from ..core import proto
-
-    program = Program("nfsmounter-stale", nfs_const.NFS3_PROGRAM,
-                      nfs_const.NFS3_VERSION)
-    program.idempotent = nfs_const.IDEMPOTENT_PROCS
-
-    def make_handler(proc: int):
-        def handler(args: Record, ctx: CallContext):
-            return nfs_const.NFS3ERR_STALE, nfs_failure_shape(proc)
-        return handler
-
-    for proc in proto.NFS_PROC_CODECS:
-        if proc == nfs_const.NFSPROC3_NULL:
-            continue
-        arg_codec, res_codec = proto.NFS_PROC_CODECS[proc]
-        program.add_proc(proc, nfs_const.PROC_NAMES[proc],
-                         arg_codec, res_codec, make_handler(proc))
-    return program
+    return nfs3_program("nfsmounter-stale",
+                        dict.fromkeys(PROCS, refuse(nfs_const.NFS3ERR_STALE)))

@@ -34,6 +34,7 @@ from ..core.revocation import (
     verify_certificate,
 )
 from ..crypto.rabin import generate_key
+from ..fs.memfs import ERR_NOENT, FsError
 from ..rpc.xdr import Record
 
 #: Modes for :func:`rollover_export`.
@@ -99,8 +100,9 @@ def rollover_export(server, name: str = "default", mode: str = FORWARD,
         link = ca_name if ca_name is not None else name
         try:
             ca.decertify(link)
-        except Exception:  # noqa: BLE001 - the name may not be certified yet
-            pass
+        except FsError as exc:
+            if exc.code != ERR_NOENT:
+                raise  # only a name never certified may be missing
         ca.certify(link, new_path)
         if mode == REVOKE:
             ca.publish_revocation(cert)

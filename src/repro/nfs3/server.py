@@ -24,6 +24,7 @@ from ..rpc.xdr import Record
 from ..sim.sched import Sleep
 from . import const, types
 from .handles import BadHandle, PlainHandles
+from .program import PROCS, nfs3_program
 
 _COOKIE_VERF = b"\x00" * 8
 
@@ -181,43 +182,13 @@ class Nfs3Server:
     # --- program ------------------------------------------------------------
 
     def _build_program(self) -> Program:
-        program = Program("nfs3", const.NFS3_PROGRAM, const.NFS3_VERSION)
-        program.idempotent = const.IDEMPOTENT_PROCS
-        handlers = {
-            const.NFSPROC3_GETATTR: self._getattr,
-            const.NFSPROC3_SETATTR: self._setattr,
-            const.NFSPROC3_LOOKUP: self._lookup,
-            const.NFSPROC3_ACCESS: self._access,
-            const.NFSPROC3_READLINK: self._readlink,
-            const.NFSPROC3_READ: self._read,
-            const.NFSPROC3_WRITE: self._write,
-            const.NFSPROC3_CREATE: self._create,
-            const.NFSPROC3_MKDIR: self._mkdir,
-            const.NFSPROC3_SYMLINK: self._symlink,
-            const.NFSPROC3_REMOVE: self._remove,
-            const.NFSPROC3_RMDIR: self._rmdir,
-            const.NFSPROC3_RENAME: self._rename,
-            const.NFSPROC3_LINK: self._link,
-            const.NFSPROC3_READDIR: self._readdir,
-            const.NFSPROC3_READDIRPLUS: self._readdirplus,
-            const.NFSPROC3_FSSTAT: self._fsstat,
-            const.NFSPROC3_FSINFO: self._fsinfo,
-            const.NFSPROC3_PATHCONF: self._pathconf,
-            const.NFSPROC3_COMMIT: self._commit,
-            const.NFSPROC3_READV: self._readv,
-            const.NFSPROC3_WRITEV: self._writev,
-        }
-        for proc, handler in handlers.items():
-            arg_codec, res_codec = types.PROC_CODECS[proc]
-            program.add_proc(
-                proc, const.PROC_NAMES[proc], arg_codec, res_codec,
-                self._wrap(handler, const.PROC_NAMES[proc]),
-            )
-        return program
+        return nfs3_program("nfs3", {proc: self._wrap(proc) for proc in PROCS})
 
-    def _wrap(self, handler, name: str = "?"):
-        op_counter = self.metrics.counter(f"nfs3.ops.{name.lower()}")
-        err_counter = self.metrics.counter(f"nfs3.errors.{name.lower()}")
+    def _wrap(self, proc: int):
+        name = const.PROC_NAMES[proc].lower()
+        handler = getattr(self, f"_{name}")  # _getattr, _setattr, ...
+        op_counter = self.metrics.counter(f"nfs3.ops.{name}")
+        err_counter = self.metrics.counter(f"nfs3.errors.{name}")
 
         def dispatch(args, ctx: CallContext):
             # The procedure runs without waiting; what it booked on the
@@ -227,66 +198,25 @@ class Nfs3Server:
             self.caller = ctx
             if disk is not None:
                 disk.start_call()
-            try:
-                result = serve(args, ctx)
-            finally:
-                self.caller = None
-                wait = disk.finish_call() if disk is not None else 0.0
-            if self.metrics.enabled:
-                self._op_seconds.observe(wait)
-            if wait > 0.0:
-                return _reply_after(wait, result)
-            return result
-
-        def serve(args, ctx: CallContext):
-            if not self.metrics.enabled:
-                cred = self._cred_mapper(ctx)
-                try:
-                    return handler(args, cred)
-                except FsError as exc:
-                    return exc.code, self._failure_body(args, handler)
             op_counter.inc()
             layers = self.metrics.layers
             layers.push("nfs3")
             try:
                 cred = self._cred_mapper(ctx)
                 try:
-                    return handler(args, cred)
+                    result = handler(args, cred)
                 except FsError as exc:
                     err_counter.inc()
-                    return exc.code, self._failure_body(args, handler)
+                    result = exc.code, types.failure_arm(proc)
             finally:
                 layers.pop()
+                self.caller = None
+                wait = disk.finish_call() if disk is not None else 0.0
+            self._op_seconds.observe(wait)
+            if wait > 0.0:
+                return _reply_after(wait, result)
+            return result
         return dispatch
-
-    def _failure_body(self, args, handler):
-        """Best-effort failure arms (attributes omitted)."""
-        empty_wcc = types.WccData.make(before=None, after=None)
-        failure_shapes = {
-            self._getattr: None,
-            self._setattr: types.Record(obj_wcc=empty_wcc),
-            self._lookup: types.Record(dir_attributes=None),
-            self._access: types.Record(obj_attributes=None),
-            self._readlink: types.Record(symlink_attributes=None),
-            self._read: types.Record(file_attributes=None),
-            self._write: types.Record(file_wcc=empty_wcc),
-            self._create: types.Record(dir_wcc=empty_wcc),
-            self._mkdir: types.Record(dir_wcc=empty_wcc),
-            self._symlink: types.Record(dir_wcc=empty_wcc),
-            self._remove: types.Record(dir_wcc=empty_wcc),
-            self._rmdir: types.Record(dir_wcc=empty_wcc),
-            self._rename: types.Record(fromdir_wcc=empty_wcc, todir_wcc=empty_wcc),
-            self._link: types.Record(file_attributes=None, linkdir_wcc=empty_wcc),
-            self._readdir: types.Record(dir_attributes=None),
-            self._readdirplus: types.Record(dir_attributes=None),
-            self._fsstat: types.Record(obj_attributes=None),
-            self._fsinfo: types.Record(obj_attributes=None),
-            self._pathconf: types.Record(obj_attributes=None),
-            self._commit: types.Record(file_wcc=empty_wcc),
-            self._readv: types.Record(file_attributes=None),
-            self._writev: types.Record(file_wcc=empty_wcc),
-        }
-        return failure_shapes[handler]
 
     # --- procedures ---------------------------------------------------------
 

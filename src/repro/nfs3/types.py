@@ -7,6 +7,11 @@ discriminated-union convention: ``(NFS3_OK, ok_body)`` or
 
 XDR linked lists (READDIR entries) are :class:`~repro.rpc.xdr.LinkedList`:
 a Python list as the bool-chained representation the RFC specifies.
+
+The declarations are the only description of NFS 3 in the tree: each
+procedure's failure arm (:func:`failure_arm`) and where its file
+handles sit (:data:`ARG_HANDLES`, :data:`RES_HANDLES`,
+:data:`ENTRY_HANDLES`) are derived from them at import.
 """
 
 from __future__ import annotations
@@ -478,3 +483,68 @@ PROC_CODECS: dict[int, tuple[Codec, Codec]] = {
     const.NFSPROC3_READV: (ReadvArgs, ReadvRes),
     const.NFSPROC3_WRITEV: (WritevArgs, WritevRes),
 }
+
+
+# --- facts derived from the declarations ------------------------------------
+
+def _empty_shape(codec: Codec) -> tuple:
+    """The field names of a *codec* struct with nothing known: an
+    ``Optional`` field is absent (None), a ``Struct`` one emptied alike."""
+    if not isinstance(codec, Struct):
+        raise TypeError(f"no empty value for a failure arm's {codec!r}")
+    return tuple((name, None if isinstance(field, Optional)
+                  else _empty_shape(field)) for name, field in codec.fields)
+
+
+def _fresh(shape: tuple) -> Record:
+    return Record(**{name: None if inner is None else _fresh(inner)
+                     for name, inner in shape})
+
+
+#: proc -> the empty shape of its result union's default (failure) arm;
+#: None for a void arm (GETATTR).
+_FAILURE_SHAPES = {
+    proc: None if res.default is None else _empty_shape(res.default)
+    for proc, (_args, res) in PROC_CODECS.items() if isinstance(res, Union)
+}
+
+
+def failure_arm(proc: int) -> Record | None:
+    """The body of *proc*'s failure arm with every attribute omitted: a
+    fresh record on every call, since relays rewrite replies in place."""
+    shape = _FAILURE_SHAPES[proc]
+    return None if shape is None else _fresh(shape)
+
+
+def _handle_sites(codec: Codec, path: tuple[str, ...] = ()):
+    """Where a *codec* value carries file handles, in declaration order:
+    ``(path, optional)`` for each ``NfsFh``/``PostOpFh`` reached through
+    structs, and ``(path, sites)`` for each list whose elements carry
+    some (*sites* within one element)."""
+    if codec is NfsFh or codec is PostOpFh:
+        return [(path, codec is PostOpFh)], []
+    if isinstance(codec, LinkedList):
+        inner, _lists = _handle_sites(codec.element)
+        return [], [(path, tuple(inner))] if inner else []
+    sites, lists = [], []
+    for name, field in codec.fields if isinstance(codec, Struct) else ():
+        more, more_lists = _handle_sites(field, path + (name,))
+        sites += more
+        lists += more_lists
+    return sites, lists
+
+
+#: proc -> its handle sites in the arguments, and in the OK result; and
+#: the lists of handle-carrying entries in the OK result (READDIRPLUS).
+#: Read only through :mod:`repro.core.handlemap`.
+ARG_HANDLES: dict[int, tuple] = {}
+RES_HANDLES: dict[int, tuple] = {}
+ENTRY_HANDLES: dict[int, tuple] = {}
+for _proc, (_args, _res) in PROC_CODECS.items():
+    _ok = _res.arms[const.NFS3_OK] if isinstance(_res, Union) else VOID
+    for _table, _found in ((ARG_HANDLES, _handle_sites(_args)[0]),
+                           (RES_HANDLES, _handle_sites(_ok)[0]),
+                           (ENTRY_HANDLES, _handle_sites(_ok)[1])):
+        if _found:
+            _table[_proc] = tuple(_found)
+del _proc, _args, _res, _ok, _table, _found

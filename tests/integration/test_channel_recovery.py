@@ -331,7 +331,7 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
     # a guessed authno (authnos are small sequential ints).  The
     # mount-convention LOOKUP needs no stolen handle, so before the
     # fallback window withdrew the dialect it leaked the root handle.
-    arg_codec, _res_codec = proto.NFS_PROC_CODECS[nfs_const.NFSPROC3_LOOKUP]
+    arg_codec, _res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_LOOKUP]
     forged = rpcmsg.pack_call(
         rpcmsg.CallHeader(
             0xADBEEF, proto.SFS_RW_PROGRAM, proto.SFS_VERSION,
@@ -609,7 +609,7 @@ class ForgeReadvReplies(Adversary):
     def process(self, data, direction):
         if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
             return [data]
-        _args, res_codec = proto.NFS_PROC_CODECS[nfs_const.NFSPROC3_READV]
+        _args, res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_READV]
         body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
             file_attributes=None,
             segments=[nfs_types.Record(count=8192, eof=False, data=self.EVIL)
@@ -679,7 +679,7 @@ class ForgeReadReplies(Adversary):
     def process(self, data, direction):
         if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
             return [data]
-        _args, res_codec = proto.NFS_PROC_CODECS[nfs_const.NFSPROC3_READ]
+        _args, res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_READ]
         body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
             file_attributes=None, count=8192, eof=False, data=self.EVIL)))
         forged = [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)

@@ -72,6 +72,18 @@ def test_invalidation_callback_on_remote_write(two_clients):
     assert p1.stat(f"{path}/shared/f").size == 19
 
 
+def test_invalidate_over_a_closed_link_raises_nothing(two_clients):
+    """A callback is fire and forget: a lease holder whose link has
+    closed costs the writer that triggered the fan-out no error."""
+    _world, server, path, _c1, p1, _c2, _p2 = two_clients
+    p1.write_file(f"{path}/shared/f", b"data")
+    export = server.master.rw_export(path.hostid)
+    (connection,) = export.connections
+    connection.pipe.raw.close()
+    assert connection not in export.connections
+    connection.send_invalidate(b"\x00" * 32)
+
+
 @pytest.mark.parametrize("pipeline_depth", [1, 8])
 def test_truncating_create_invalidates_the_file_lease(pipeline_depth):
     """``open(f, "w")`` truncates by name, inside CREATE: the server

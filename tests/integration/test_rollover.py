@@ -17,7 +17,7 @@ import pytest
 from repro.core.client import SecurityError
 from repro.core.revocation import REVOKED_LINK_TARGET
 from repro.fs import pathops
-from repro.fs.memfs import Cred
+from repro.fs.memfs import ERR_ISDIR, Cred, FsError
 from repro.kernel.vfs import KernelError
 from repro.kernel.world import World
 from repro.keymgmt import CertificationAuthority
@@ -140,6 +140,25 @@ def test_rollover_with_ca_repoints_the_certified_name(rolled):
     result = rollover_export(server, mode=FORWARD, ca=ca, ca_name="files")
     link = pathops.resolve(ca.fs, "/files", follow=False)
     assert link.target == str(result.new_path)
+
+
+def test_rollover_certifies_a_ca_name_never_certified(rolled):
+    world, server, path, client, proc = rolled
+    ca = CertificationAuthority("ca.example.com", world.rng)
+    result = rollover_export(server, mode=FORWARD, ca=ca, ca_name="files")
+    link = pathops.resolve(ca.fs, "/files", follow=False)
+    assert link.target == str(result.new_path)
+
+
+def test_rollover_surfaces_any_other_failure_to_decertify(rolled):
+    """Only a missing name is expected; a CA entry that cannot be
+    removed (here a directory) is an error the caller must see."""
+    world, server, path, client, proc = rolled
+    ca = CertificationAuthority("ca.example.com", world.rng)
+    pathops.mkdirs(ca.fs, "/files")
+    with pytest.raises(FsError) as failure:
+        rollover_export(server, mode=FORWARD, ca=ca, ca_name="files")
+    assert failure.value.code == ERR_ISDIR
 
 
 def test_out_of_band_revocation_evicts_cached_mount(rolled):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.channel import SecureChannel
+from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.network import (
     DropAdversary,
@@ -177,20 +178,25 @@ def test_no_handler_counts_instead_of_raising():
 
 
 def test_desync_signal_after_consecutive_rejects():
-    fired = []
-    client, server, _ci, _si = make_channel_pair(DropAdversary(target_index=0))
-    server.on_desync = lambda: fired.append(True)
+    metrics = MetricsRegistry()
+    clock = Clock()
+    a, b = link_pair(clock, NetworkParameters.instant(),
+                     DropAdversary(target_index=0), metrics=metrics)
+    client = SecureChannel(a, send_key=K_CS, recv_key=K_SC)
+    server = SecureChannel(b, send_key=K_SC, recv_key=K_CS)
+    server.on_receive(lambda data: None)
+    desyncs = metrics.counter("channel.desyncs")
     client.send(b"lost")
-    settle(client.transport.clock)
+    settle(clock)
     assert not server.desynchronized
     client.send(b"fails mac")
     client.send(b"fails mac too")
-    settle(client.transport.clock)
+    settle(clock)
     assert server.desynchronized
-    assert fired == [True]  # reported once per desync episode
+    assert desyncs.value == 1  # reported once per desync episode
     client.send(b"still failing")
-    settle(client.transport.clock)
-    assert fired == [True]
+    settle(clock)
+    assert desyncs.value == 1
 
 
 def test_single_tamper_does_not_signal_desync():

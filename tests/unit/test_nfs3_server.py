@@ -1,15 +1,23 @@
-"""Tests for the NFS3 server over MemFs, through real RPC."""
+"""Tests for the NFS3 server over MemFs, through real RPC, and for the
+NFS 3 programs every daemon builds."""
+
+import struct
 
 import pytest
 
+from repro.core import proto
+from repro.core.readonly import publish
+from repro.crypto.rabin import generate_key
 from repro.fs.memfs import Cred, MemFs
 from repro.fs import pathops
-from repro.nfs3 import const
+from repro.kernel.mounter import _stale_program
+from repro.kernel.world import World
+from repro.nfs3 import const, types
 from repro.nfs3.client import Nfs3Error
 from repro.nfs3.handles import EncryptedHandles
 from repro.nfs3.server import Nfs3Server, authsys_cred_mapper
-from repro.rpc.peer import RpcPeer
-from repro.rpc.rpcmsg import AuthSys, NULL_AUTH
+from repro.rpc.peer import CallContext, RpcPeer
+from repro.rpc.rpcmsg import AuthSys, CallHeader, NULL_AUTH
 from repro.sim.clock import Clock
 from repro.sim.disk import Disk
 from repro.sim.network import NetworkParameters, link_pair
@@ -280,3 +288,112 @@ def test_create_costs_one_metadata_write_and_setattrs_only_what_changes():
     assert excinfo.value.status == const.NFS3ERR_ACCES
     client.create(root, "f", mode=0o640, size=0)
     assert disk.syncs == syncs + 3
+
+
+# --- the six NFS 3 programs --------------------------------------------------
+
+ALL_PROCS = frozenset(types.PROC_CODECS) - {const.NFSPROC3_NULL}
+SYNTHETIC = frozenset({
+    const.NFSPROC3_GETATTR, const.NFSPROC3_LOOKUP, const.NFSPROC3_ACCESS,
+    const.NFSPROC3_READLINK, const.NFSPROC3_READDIR, const.NFSPROC3_FSINFO,
+})
+ROFS = frozenset({
+    const.NFSPROC3_SETATTR, const.NFSPROC3_WRITE, const.NFSPROC3_CREATE,
+    const.NFSPROC3_MKDIR, const.NFSPROC3_SYMLINK, const.NFSPROC3_REMOVE,
+    const.NFSPROC3_RMDIR, const.NFSPROC3_RENAME, const.NFSPROC3_LINK,
+})
+
+#: Which NFS 3 procedures each program serves; the rest answer
+#: PROC_UNAVAIL (MKNOD, 11, is served nowhere).
+REGISTERED = {
+    "nfsd": ALL_PROCS,
+    "sfssd-relay": ALL_PROCS,
+    "sfscd-relay": ALL_PROCS,
+    "sfs-root": SYNTHETIC,
+    "ro-mount": SYNTHETIC | {const.NFSPROC3_READ} | ROFS,
+    "nfsmounter-stale": ALL_PROCS,
+}
+
+#: proc -> the absent optionals its failure arm packs (RFC 1813: a
+#: post_op_attr is one, a wcc_data two).
+FAILURE_ABSENT = {
+    const.NFSPROC3_GETATTR: 0, const.NFSPROC3_SETATTR: 2,
+    const.NFSPROC3_LOOKUP: 1, const.NFSPROC3_ACCESS: 1,
+    const.NFSPROC3_READLINK: 1, const.NFSPROC3_READ: 1,
+    const.NFSPROC3_WRITE: 2, const.NFSPROC3_CREATE: 2,
+    const.NFSPROC3_MKDIR: 2, const.NFSPROC3_SYMLINK: 2,
+    const.NFSPROC3_REMOVE: 2, const.NFSPROC3_RMDIR: 2,
+    const.NFSPROC3_RENAME: 4, const.NFSPROC3_LINK: 3,
+    const.NFSPROC3_READDIR: 1, const.NFSPROC3_READDIRPLUS: 1,
+    const.NFSPROC3_FSSTAT: 1, const.NFSPROC3_FSINFO: 1,
+    const.NFSPROC3_PATHCONF: 1, const.NFSPROC3_COMMIT: 2,
+    const.NFSPROC3_READV: 1, const.NFSPROC3_WRITEV: 2,
+}
+
+
+def _failure_bytes(proc: int, status: int) -> bytes:
+    return struct.pack(">I", status) + bytes(4 * FAILURE_ABSENT[proc])
+
+
+@pytest.fixture(scope="module")
+def nfs3_programs():
+    """Each daemon's NFS 3 program, from one world with a read-write and
+    a read-only export both mounted."""
+    world = World(seed=40)
+    server = world.add_server("rw.example.com")
+    rw_path = server.export_fs()
+    image = publish(MemFs(), generate_key(768, world.rng), "ro.example.com")
+    ro_path = world.add_server("ro.example.com").master.add_ro_export(image)
+    client = world.add_client("laptop")
+    client.new_agent("u", 1000)
+    process = client.process(uid=1000)
+    process.stat(str(rw_path))
+    process.stat(str(ro_path))
+    export = server.master.rw_export(rw_path.hostid)
+    (connection,) = export.connections
+    return {
+        "nfsd": export.nfs_server.program,
+        "sfssd-relay": connection._rw_program(),
+        "sfscd-relay": client.sfscd._mounts[rw_path.hostid].program,
+        "sfs-root": client.sfscd.program,
+        "ro-mount": client.sfscd._mounts[ro_path.hostid].program,
+        "nfsmounter-stale": _stale_program(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED))
+def test_each_program_registers_its_procedures(nfs3_programs, name):
+    program = nfs3_programs[name]
+    served = {proc for proc in range(1, 24) if proc in program.procedures}
+    assert served == REGISTERED[name]
+    assert program.idempotent == const.IDEMPOTENT_PROCS
+    for proc in served:
+        procedure = program.procedures[proc]
+        assert procedure.name == const.PROC_NAMES[proc]
+        assert (procedure.arg_codec, procedure.res_codec) \
+            == types.PROC_CODECS[proc]
+
+
+@pytest.mark.parametrize("name, status, proc", [
+    *(("ro-mount", const.NFS3ERR_ROFS, proc) for proc in sorted(ROFS)),
+    *(("nfsmounter-stale", const.NFS3ERR_STALE, proc)
+      for proc in sorted(ALL_PROCS)),
+])
+def test_refusals_reply_status_and_empty_failure_arm(nfs3_programs, name,
+                                                    status, proc):
+    procedure = nfs3_programs[name].procedures[proc]
+    ctx = CallContext(peer=None, header=CallHeader(
+        xid=1, prog=const.NFS3_PROGRAM, vers=const.NFS3_VERSION, proc=proc))
+    reply = procedure.handler(None, ctx)
+    assert reply[0] == status
+    assert procedure.res_codec.pack(reply) == _failure_bytes(proc, status)
+
+
+@pytest.mark.parametrize("proc", sorted(ALL_PROCS))
+def test_failure_arm_packs_under_a_failing_status(proc):
+    _args, res_codec = types.PROC_CODECS[proc]
+    arm = types.failure_arm(proc)
+    assert res_codec.pack((const.NFS3ERR_IO, arm)) \
+        == _failure_bytes(proc, const.NFS3ERR_IO)
+    if arm is not None:  # relays rewrite replies in place
+        assert types.failure_arm(proc) is not arm

@@ -6,7 +6,7 @@ import pytest
 from repro.core import proto
 from repro.core.cache import ClientCaches, LeaseCache
 from repro.core.config import DispatchConfig
-from repro.core.handlemap import translate_args, translate_result
+from repro.core.handlemap import handles, translate_args, translate_result
 from repro.core.sealing import SealError, seal, unseal
 from repro.nfs3 import const as nfs_const
 from repro.nfs3 import types as nfs_types
@@ -159,6 +159,70 @@ def test_translate_readdirplus_entries():
                      body, _tag)
     assert entries[0].name_handle == b"TH1"
     assert entries[1].name_handle is None
+
+
+#: The handle tables handlemap held when they were written by hand:
+#: the reference the derivation from the XDR declarations reproduces.
+FROZEN_ARG_HANDLES = {
+    nfs_const.NFSPROC3_GETATTR: [("object",)],
+    nfs_const.NFSPROC3_SETATTR: [("object",)],
+    nfs_const.NFSPROC3_LOOKUP: [("what", "dir")],
+    nfs_const.NFSPROC3_ACCESS: [("object",)],
+    nfs_const.NFSPROC3_READLINK: [("symlink",)],
+    nfs_const.NFSPROC3_READ: [("file",)],
+    nfs_const.NFSPROC3_WRITE: [("file",)],
+    nfs_const.NFSPROC3_CREATE: [("where", "dir")],
+    nfs_const.NFSPROC3_MKDIR: [("where", "dir")],
+    nfs_const.NFSPROC3_SYMLINK: [("where", "dir")],
+    nfs_const.NFSPROC3_REMOVE: [("object", "dir")],
+    nfs_const.NFSPROC3_RMDIR: [("object", "dir")],
+    nfs_const.NFSPROC3_RENAME: [("from_", "dir"), ("to", "dir")],
+    nfs_const.NFSPROC3_LINK: [("file",), ("link", "dir")],
+    nfs_const.NFSPROC3_READDIR: [("dir",)],
+    nfs_const.NFSPROC3_READDIRPLUS: [("dir",)],
+    nfs_const.NFSPROC3_FSSTAT: [("fsroot",)],
+    nfs_const.NFSPROC3_FSINFO: [("fsroot",)],
+    nfs_const.NFSPROC3_PATHCONF: [("object",)],
+    nfs_const.NFSPROC3_COMMIT: [("file",)],
+    nfs_const.NFSPROC3_READV: [("file",)],
+    nfs_const.NFSPROC3_WRITEV: [("file",)],
+}
+FROZEN_RES_HANDLES = {
+    nfs_const.NFSPROC3_LOOKUP: [(("object",), False)],
+    nfs_const.NFSPROC3_CREATE: [(("obj",), True)],
+    nfs_const.NFSPROC3_MKDIR: [(("obj",), True)],
+    nfs_const.NFSPROC3_SYMLINK: [(("obj",), True)],
+}
+#: READDIRPLUS, the one list of handle-carrying entries.
+FROZEN_ENTRY_HANDLES = {
+    nfs_const.NFSPROC3_READDIRPLUS:
+        [(("entries",), [(("name_handle",), True)])],
+}
+
+
+@pytest.mark.parametrize("proc", sorted(nfs_types.PROC_CODECS))
+def test_handle_sites_derive_from_the_declarations(proc):
+    args = nfs_types.ARG_HANDLES.get(proc, ())
+    assert [path for path, _optional in args] \
+        == FROZEN_ARG_HANDLES.get(proc, [])
+    assert not any(optional for _path, optional in args)
+    assert list(nfs_types.RES_HANDLES.get(proc, ())) \
+        == FROZEN_RES_HANDLES.get(proc, [])
+    assert [(path, list(sites))
+            for path, sites in nfs_types.ENTRY_HANDLES.get(proc, ())] \
+        == FROZEN_ENTRY_HANDLES.get(proc, [])
+
+
+def test_handles_lists_request_then_present_result_handles():
+    args = nfs_types.LookupArgs.make(
+        what=nfs_types.DirOpArgs.make(dir=b"D", name="x"))
+    body = Record(object=b"O", obj_attributes=None, dir_attributes=None)
+    assert handles(nfs_const.NFSPROC3_LOOKUP, args) == [b"D"]
+    assert handles(nfs_const.NFSPROC3_LOOKUP, args, body) == [b"D", b"O"]
+    entries = [Record(name_handle=b"E1"), Record(name_handle=None)]
+    listing = Record(dir_attributes=None, entries=entries)
+    assert handles(nfs_const.NFSPROC3_READDIRPLUS, Record(dir=b"D"),
+                   listing) == [b"D", b"E1"]
 
 
 def test_translate_failure_result_untouched():
