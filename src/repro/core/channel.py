@@ -117,16 +117,6 @@ class SecureChannel:
             self._init_streams(send_key, recv_key)
         pipe.on_receive(self._on_record)
 
-    @property
-    def is_open(self) -> bool:
-        """Liveness of the transport underneath the cryptography.
-
-        A server crash closes the link out from under the channel; the
-        reconnect engine (and tests) probe this instead of learning
-        about the death from a ConnectionError mid-send.
-        """
-        return getattr(self._pipe, "is_open", True)
-
     def _init_streams(self, send_key: bytes, recv_key: bytes) -> None:
         self._send_stream = ARC4(send_key)
         self._recv_stream = ARC4(recv_key)

@@ -144,11 +144,6 @@ class ServerSession:
         #: Called after each successful rekey (mounts flush lease caches
         #: here; authnos survive because the rekey is authenticated).
         self.on_rekey: Callable[[], None] | None = None
-        #: Called as each resync starts and again as it ends, whatever
-        #: the outcome: in between, a pending call can be resolved by an
-        #: unauthenticated plaintext record (PROTOCOLS.md §10), so
-        #: mounts forget every byte of file data they keep, both times.
-        self.on_resync: Callable[[], None] | None = None
         #: Called when the connection's transport closes: the leases it
         #: held, and any INVALIDATE still owed on them, died with it.
         self.on_close: Callable[[], None] | None = None
@@ -324,6 +319,9 @@ class ServerSession:
         substitute a session of their own — and swaps the fresh streams
         into both the channel and the pipe.  Returns True on success.
 
+        Each round withdraws the channel: until the pipe installs one,
+        only the REKEY exchange crosses it (PROTOCOLS.md §10).
+
         Installed as the peer's ``recovery_hook``; the guard keeps the
         REKEY call's own retries from recursing into another resync.
         """
@@ -332,16 +330,6 @@ class ServerSession:
             return False
         self._resyncing = True
         self._m_resyncs.inc()
-        # While the pipe is down to plaintext an unauthenticated record
-        # can resolve any pending xid (ROADMAP item 1).  A prefetch
-        # answered that way would put forged bytes in the readahead
-        # buffer, so none crosses the window (PROTOCOLS.md §10): each is
-        # failed here, its xid forgotten and its window slot released.
-        # A foreground READ cannot be failed so, but what it brings is
-        # only cached into the stream it left under, replaced here.
-        self.peer.abandon_speculative()
-        if self.on_resync is not None:
-            self.on_resync()
         try:
             for _ in range(_RESYNC_ROUNDS):
                 if (yield from self._resync_round()):
@@ -357,15 +345,12 @@ class ServerSession:
             self._resyncing = False
             self._resync_ack = None
             if self.pipe.lower is self.pipe.raw:
-                # A failed resync must never leave the session speaking
-                # plaintext: reinstall the (possibly still broken)
-                # channel so retransmitted data records stay encrypted
-                # and an unrecovered desync surfaces as a timeout — the
-                # delay an attacker could always cause — rather than as
-                # a silent downgrade.
+                # A failed resync ends its window too: the (possibly
+                # still broken) channel seals what the pipe parked, and
+                # an unrecovered desync surfaces as a timeout — the
+                # delay an attacker could always cause — never as a
+                # downgrade.
                 self.pipe.switch_now(self.channel)
-            if self.on_resync is not None:
-                self.on_resync()
 
     def _resync_round(self):
         ack = self._resync_ack = Future("resync-ack")
@@ -898,7 +883,6 @@ class MountedRemoteFs:
         self._m_gather_bytes = m.counter("client.gather.bytes")
         session.invalidate_handler = self._on_invalidate
         session.on_rekey = self._void_leases
-        session.on_resync = self._ra_discard_all
         session.on_close = self._void_leases
         session.on_reconnect = self._after_reconnect
 
@@ -1154,8 +1138,8 @@ class MountedRemoteFs:
                   ctx: CallContext):
         """Relay a plain READ, and keep its data if *stream* — current
         when the READ went out — still is when the reply is back.  A
-        resync replaces every stream as it starts, so nothing that can
-        have resolved inside its plaintext window is kept."""
+        rekey replaces every stream, so nothing a READ brings across it
+        is kept."""
         status, body = yield from self._relay(nfs_const.NFSPROC3_READ,
                                               args, ctx)
         if (status == nfs_const.NFS3_OK

@@ -44,7 +44,8 @@ from ..nfs3.program import PROCS, nfs3_program
 from ..nfs3.server import Nfs3Server
 from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import CallContext, Program, Pipe, RpcPeer, RpcTransportDown
-from ..rpc.rpcmsg import CRED_MEMO, AuthSys, OpaqueAuth
+from ..rpc.rpcmsg import (CALL, CRED_MEMO, REPLY, AuthSys, OpaqueAuth,
+                          peek_message)
 from ..rpc.xdr import Record, VOID
 from ..sim.clock import Clock
 from ..sim.crash import CrashInjector
@@ -98,18 +99,69 @@ def parse_sfs_cred(cred: OpaqueAuth) -> int:
     return int.from_bytes(cred.body, "big")
 
 
+#: A REKEY CALL's prog, vers and proc words, at byte 12 (RFC 5531).
+_REKEY = b"".join(word.to_bytes(4, "big") for word in (
+    proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION, proto.PROC_REKEY))
+
+
+class _Withdrawn:
+    """A :class:`SwitchablePipe`'s lower end while its channel is
+    withdrawn for a resync, the one gate of PROTOCOLS.md §10: only
+    control records and the REKEY exchange cross it; other sends are
+    parked, in order, for the next channel installed to seal, and other
+    records that arrive are dropped and counted.  A REPLY goes out only
+    while the REKEY CALL it answers is dispatched (the server serves
+    a REKEY inline, never yielding), so no forged REKEY-shaped CALL
+    lets out a reply to another call under its xid."""
+
+    def __init__(self, pipe: "SwitchablePipe") -> None:
+        self.pipe = pipe
+        self.parked: list[bytes] = []
+        #: xids of the REKEY CALLs let out, whose replies may come in.
+        self.sent: set[int] = set()
+        #: xid of the REKEY CALL being dispatched, until its reply is out.
+        self.answering: int | None = None
+
+    def send(self, data: bytes) -> None:
+        peeked = peek_message(data) or (None, None)
+        if peeked == (REPLY, self.answering):
+            self.answering = None
+        elif peeked[0] == CALL and data[12:24] == _REKEY:
+            self.sent.add(peeked[1])
+        else:
+            self.parked.append(data)
+            return
+        self.pipe.raw.send(data)
+
+    def receive(self, data: bytes) -> None:
+        pipe = self.pipe
+        peeked = peek_message(data) or (None, None)
+        if parse_control_record(data) is not None or (
+                peeked[0] == REPLY and peeked[1] in self.sent):
+            pipe._dispatch(data)
+        elif peeked[0] == CALL and data[12:24] == _REKEY:
+            self.answering = peeked[1]
+            try:
+                pipe._dispatch(data)
+            finally:
+                self.answering = None
+        else:
+            pipe.withdrawn_drops += 1
+            pipe.metrics.counter("channel.withdrawn_drops").inc()
+
+
 class SwitchablePipe:
     """A pipe whose lower transport can be swapped (plaintext <-> secure).
 
     The swap to a secure channel is requested *during* the ENCRYPT (or
     REKEY) RPC handler but must take effect only after the plaintext
     reply has been sent; ``send`` applies any pending switch after
-    transmitting.  For channel resynchronization the pipe can also fall
-    *back* to the raw transport (:meth:`reset_to_plaintext`) so the
-    re-keying exchange runs below the broken streams, and it routes
-    plaintext control records (:data:`repro.core.channel.CONTROL_PREFIX`)
-    to :attr:`control_handler` in both phases — via the channel's own
-    control routing when secure, directly when plaintext.
+    transmitting.  For channel resynchronization the pipe withdraws its
+    channel (:meth:`reset_to_plaintext`) so the re-keying exchange runs
+    below the broken streams, behind the gate :class:`_Withdrawn` until
+    a channel is installed again.  Plaintext control records
+    (:data:`repro.core.channel.CONTROL_PREFIX`) reach
+    :attr:`control_handler` in every phase.
     """
 
     def __init__(self, lower: Pipe) -> None:
@@ -117,9 +169,13 @@ class SwitchablePipe:
         self._lower: Pipe = lower
         self._handler: Callable[[bytes], None] | None = None
         self._pending: SecureChannel | None = None
+        self._withdrawn: _Withdrawn | None = None
         #: Receives control-record payloads (the resync handshake).
         self.control_handler: Callable[[bytes], None] | None = None
         self.transport = lower.transport
+        self.metrics = self.transport.metrics or NULL_REGISTRY
+        #: Records dropped while withdrawn (``channel.withdrawn_drops``).
+        self.withdrawn_drops = 0
         lower.on_receive(self._dispatch)
 
     def _dispatch(self, data: bytes) -> None:
@@ -137,9 +193,8 @@ class SwitchablePipe:
     def send(self, data: bytes) -> None:
         self._lower.send(data)
         if self._pending is not None:
-            channel = self._pending
-            self._pending = None
-            self._install(channel)
+            channel, self._pending = self._pending, None
+            self.switch_now(channel)
 
     def send_control(self, payload: bytes) -> None:
         """Send a plaintext control record on the raw transport."""
@@ -153,33 +208,36 @@ class SwitchablePipe:
         channels are wrappers and never close independently."""
         self._raw.on_close(handler)
 
-    def _install(self, channel: SecureChannel) -> None:
+    def switch_now(self, channel: SecureChannel) -> None:
+        """Put *channel* in front now (the client, after the ENCRYPT
+        reply); it seals what a withdrawal parked, unless the link
+        closed meanwhile."""
         self._lower = channel
         channel.control_handler = self._forward_control
         channel.attach()
         channel.on_receive(self._dispatch)
+        withdrawn, self._withdrawn = self._withdrawn, None
+        if withdrawn is not None and self._raw.is_open:
+            for record in withdrawn.parked:
+                channel.send(record)
 
     def switch_after_reply(self, channel: SecureChannel) -> None:
         """Arm a secure channel to take over after the next send."""
         self._pending = channel
 
-    def switch_now(self, channel: SecureChannel) -> None:
-        """Immediately swap (client side, after the ENCRYPT reply)."""
-        self._install(channel)
-
     def reset_to_plaintext(self) -> None:
-        """Take the raw transport back for a resynchronization phase.
-
-        Records sent and received bypass any installed channel until the
-        next switch; control records still route to `control_handler`.
-        """
+        """Withdraw the channel for a resynchronization phase: until the
+        next switch, only control records and the REKEY exchange pass,
+        in plaintext.  A reset inside the window keeps what it parked."""
         self._pending = None
-        self._lower = self._raw
-        self._raw.on_receive(self._dispatch)
+        if self._withdrawn is None:
+            self._withdrawn = self._lower = _Withdrawn(self)
+        self._raw.on_receive(self._withdrawn.receive)
 
     @property
     def lower(self) -> Pipe:
-        return self._lower
+        """The installed channel, or the raw transport while withdrawn."""
+        return self._raw if self._withdrawn is not None else self._lower
 
     @property
     def raw(self) -> Pipe:
@@ -796,12 +854,9 @@ class ServerConnection:
 
         Control records are unauthenticated by necessity (they exist for
         when the streams are broken), so they must grant nothing.  A
-        forged RESYNC-REQ drops the connection to plaintext framing, so
-        for the whole fallback window the session dialect is *withdrawn*
-        — only SFS_CONNECT (whose REKEY proves continuity) stays
-        registered.  An attacker who forges the request therefore cannot
-        follow it with plaintext session calls under a guessed authno;
-        forgery stays one more DoS lever.
+        RESYNC-REQ, forged or not, withdraws the channel: until a REKEY
+        proves continuity the pipe passes only that exchange, so a
+        forgery buys no plaintext file service, only delay.
         """
         if payload == RESYNC_REQUEST:
             if self.session_keys is None:
@@ -810,7 +865,6 @@ class ServerConnection:
             self.resyncs_served += 1
             self._m_resyncs_served.inc()
             self.pipe.reset_to_plaintext()
-            self._deregister_session_programs()
             self.pipe.send_control(RESYNC_ACK)
         # Unknown payloads (injected garbage) are ignored.
 
@@ -823,14 +877,6 @@ class ServerConnection:
             self.peer.register(self._rw_program())
             assert self.export is not None
             self.export.admit(self)
-
-    def _deregister_session_programs(self) -> None:
-        """Withdraw the session dialect while the pipe is in plaintext
-        fallback.  A successful REKEY re-registers it (via
-        :meth:`_negotiate`); until then the peer answers session calls
-        with PROG_UNAVAIL instead of executing them in the clear."""
-        self.peer.unregister(proto.SFS_RW_PROGRAM, proto.SFS_VERSION)
-        self.peer.unregister(proto.SFS_AUTHSERV_PROGRAM, proto.SFS_VERSION)
 
     def _register_readonly_program(self) -> None:
         self.peer.register(self._readonly_program())
@@ -955,9 +1001,8 @@ class ServerConnection:
             self.export.drop(self)
 
     def send_invalidate(self, encrypted_handle: bytes) -> None:
-        """Server->client lease invalidation; fire and forget."""
-        self.invalidations_sent += 1
-        self._m_invalidations.inc()
+        """Server->client lease invalidation; fire and forget.  Counted
+        once the pipe takes it, parked in a resync window included."""
         try:
             # One-way on purpose ("without waiting for acknowledgment"):
             # waiting would let one unreachable lease holder — crashed,
@@ -969,7 +1014,9 @@ class ServerConnection:
                 proto.InvalidateArgs.make(handle=encrypted_handle),
             )
         except RpcTransportDown:
-            pass  # the holder's link closed: no lease left to call back
+            return  # the holder's link closed: no lease left to call back
+        self.invalidations_sent += 1
+        self._m_invalidations.inc()
 
     # -- user authentication --
 

@@ -396,9 +396,6 @@ class RpcPeer(Runner):
         #: xid -> the Future the call's current attempt waits on; a
         #: reply resolves it with ``(header, body)``.
         self._call_futures: dict[int, Future] = {}
-        #: xids of speculative calls in flight (see :meth:`call_task`):
-        #: what :meth:`abandon_speculative` fails.
-        self._speculative: set[int] = set()
         self._closed = False
         #: A generator function :meth:`call_task` delegates to
         #: (``yield from``) before the second and later retransmissions;
@@ -454,9 +451,6 @@ class RpcPeer(Runner):
     def register(self, program: Program) -> Program:
         self._programs[(program.prog, program.vers)] = program
         return program
-
-    def unregister(self, prog: int, vers: int) -> None:
-        self._programs.pop((prog, vers), None)
 
     def _on_record(self, data: bytes) -> None:
         # The "rpc" layer claims parsing, dispatch, unmarshaling and
@@ -824,9 +818,7 @@ class RpcPeer(Runner):
 
         A *speculative* call is one whose caller can do without the
         answer (a prefetch): it gets one attempt under the same timer,
-        is never retransmitted and never runs :attr:`recovery_hook`, and
-        :meth:`abandon_speculative` may fail it at any moment.  Either
-        way it ends in :class:`RpcTimeout`.
+        is never retransmitted and never runs :attr:`recovery_hook`.
         """
         call = self._call_task_inner(prog, vers, proc, arg_codec, args,
                                      res_codec, cred, speculative)
@@ -837,21 +829,6 @@ class RpcPeer(Runner):
             return (yield from call)
         finally:
             self._window_release()
-
-    def abandon_speculative(self) -> int:
-        """Fail every speculative call in flight; returns how many.
-
-        Their xids leave the pending table at once, so no record that
-        arrives afterwards can resolve them — what the session does
-        before it lets plaintext records through (PROTOCOLS.md §10).
-        """
-        abandoned = 0
-        for xid in sorted(self._speculative):
-            future = self._call_futures.pop(xid, None)
-            if future is not None and future.fail(
-                    RpcTimeout(f"speculative xid {xid} abandoned")):
-                abandoned += 1
-        return abandoned
 
     def _call_task_inner(
         self,
@@ -908,8 +885,6 @@ class RpcPeer(Runner):
                     )
                 future = Future(name=f"{self.name}:xid{xid}")
                 self._call_futures[xid] = future
-                if speculative:
-                    self._speculative.add(xid)
                 try:
                     self._pipe.send(record)
                 except ConnectionError as exc:
@@ -945,6 +920,5 @@ class RpcPeer(Runner):
             )
         finally:
             self._call_futures.pop(xid, None)
-            self._speculative.discard(xid)
             if clock is not None:
                 self._m_call_seconds.observe(clock.now - sim0)

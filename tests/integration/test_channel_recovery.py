@@ -10,6 +10,8 @@ resync handshake with an authenticated REKEY.  These tests run it all
 together over seeded fault-injection adversaries.
 """
 
+import math
+import os
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from repro.core.channel import (
     make_control_record,
     parse_control_record,
 )
+from repro.core.keyneg import negotiate_client_keys
 from repro.core.server import ZERO_HANDLE, make_sfs_cred
 from repro.fs import pathops
 from repro.fs.memfs import Cred
@@ -29,6 +32,8 @@ from repro.kernel.world import World
 from repro.nfs3 import const as nfs_const
 from repro.nfs3 import types as nfs_types
 from repro.rpc import rpcmsg
+from repro.rpc.peer import RpcRejected
+from repro.rpc.xdr import XdrError
 from tests.helpers import settle
 from repro.sim.network import (
     Adversary,
@@ -303,36 +308,12 @@ def test_forged_resync_request_is_dos_only():
     assert session.rekeys >= 1
 
 
-def test_forged_resync_window_rejects_plaintext_session_calls():
-    """While the plaintext fallback a forged RESYNC-REQ opens is in
-    effect, the session dialect is withdrawn: an attacker who follows
-    the forgery with a plaintext NFS call under a guessed authno gets
-    PROG_UNAVAIL, never file service — the fallback window really is
-    DoS-only, not an authentication or confidentiality hole."""
-    world = World(seed=82)
-    server = world.add_server("sfs.lcs.mit.edu")
-    path = server.export_fs()
-    pathops.write_file(server.fs, "/data", b"protected contents")
-    pathops.write_file(server.fs, "/other", b"not read yet")
-    client = world.add_client("laptop")
-    client.new_agent("user", 1000)
-    proc = client.process(uid=1000)
-    assert proc.read_file(f"{path}/data") == b"protected contents"
-    session = session_for(world, path)
-    (connection,) = server_connections(server, path)
-    export = server.master._rw[path.hostid]
-    served_before = connection.peer.calls_served
-    relayed_before = export.nfs_client.peer.calls_sent
-    # Step 1: the forged control record drops the server to plaintext.
-    session.pipe.raw.send(make_control_record(RESYNC_REQUEST))
-    settle(world.clock)
-    assert connection.resyncs_served == 1
-    # Step 2: the attacker speaks the session dialect in plaintext with
-    # a guessed authno (authnos are small sequential ints).  The
-    # mount-convention LOOKUP needs no stolen handle, so before the
-    # fallback window withdrew the dialect it leaked the root handle.
+def _plaintext_lookup(session):
+    """The session dialect in plaintext under a guessed authno (authnos
+    are small sequential ints).  The mount-convention LOOKUP needs no
+    stolen handle, so executed it would leak the root handle."""
     arg_codec, _res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_LOOKUP]
-    forged = rpcmsg.pack_call(
+    return rpcmsg.pack_call(
         rpcmsg.CallHeader(
             0xADBEEF, proto.SFS_RW_PROGRAM, proto.SFS_VERSION,
             nfs_const.NFSPROC3_LOOKUP, cred=make_sfs_cred(1),
@@ -341,16 +322,156 @@ def test_forged_resync_window_rejects_plaintext_session_calls():
             what=nfs_types.DirOpArgs.make(dir=ZERO_HANDLE, name=".")
         )),
     )
-    session.pipe.raw.send(forged)
-    settle(world.clock)
-    # Not executed: no registered procedure ran and nothing reached the
-    # local NFS server, so no reply can have carried file system state.
-    assert connection.peer.calls_served == served_before
-    assert export.nfs_client.peer.calls_sent == relayed_before
-    # The real client still recovers; the attacker bought only delay.
-    assert proc.read_file(f"{path}/other") == b"not read yet"
-    assert session.rekeys >= 1
-    assert connection.peer.calls_served > served_before
+
+
+def _plaintext_encrypt(session):
+    """A fresh figure-3 ENCRYPT with the attacker's own key halves.
+    Executed, it would put keys the attacker can derive in front of
+    the connection, and the authnos the real client logged in."""
+    pubkey, sealed, _finish = negotiate_client_keys(
+        session.server_public_key, session.ephemeral_keys.current(),
+        random.Random(1))
+    return rpcmsg.pack_call(
+        rpcmsg.CallHeader(0xBADBAD, proto.SFS_CONNECT_PROGRAM,
+                          proto.SFS_VERSION, proto.PROC_ENCRYPT),
+        proto.EncryptArgs.pack(proto.EncryptArgs.make(
+            client_pubkey=pubkey, encrypted_keyhalves=sealed)),
+    )
+
+
+def _forge_to_the_server(plaintext):
+    def forge(world, server, path, mount, forger):
+        """A forged RESYNC-REQ opens the server's window, and the
+        attacker follows it with a plaintext call.  Returns the pipe
+        whose gate must drop it."""
+        (connection,) = server_connections(server, path)
+        export = server.master._rw[path.hostid]
+
+        def state():
+            return (connection.peer.calls_served,
+                    export.nfs_client.peer.calls_sent,
+                    connection.session_keys)
+
+        before = state()
+        raw = mount.session.pipe.raw
+        raw.send(make_control_record(RESYNC_REQUEST))
+        settle(world.clock)
+        assert connection.resyncs_served == 1
+        raw.send(plaintext(mount.session))
+        settle(world.clock)
+        # Not executed: no procedure ran, nothing reached the local NFS
+        # server and the session keys are the real client's.
+        assert state() == before
+        return connection.pipe
+    return forge
+
+
+def _forge_an_invalidate(world, server, path, mount, forger):
+    """Behind the RESYNC-ACK of the client's own resync, a plaintext
+    INVALIDATE for the handle the mount caches.  It is checked as the
+    rekey lands, before the rekey voids the leases itself: executed, it
+    would have dropped the entry and answered in the clear."""
+    session = mount.session
+    (handle,) = mount._ra_streams
+    forger.forge = lambda: [rpcmsg.pack_call(
+        rpcmsg.CallHeader(0xC0FFEE, proto.SFS_CB_PROGRAM, proto.SFS_VERSION,
+                          proto.PROC_INVALIDATE),
+        proto.InvalidateArgs.pack(proto.InvalidateArgs.make(handle=handle)),
+    )]
+    void_leases = session.on_rekey
+    at_rekey = []
+
+    def look_then_void():
+        at_rekey.append(mount.caches.attrs.peek(handle))
+        void_leases()
+
+    session.on_rekey = look_then_void
+    served_before = session.peer.calls_served
+    assert session.resync()
+    session.on_rekey = void_leases
+    assert at_rekey and at_rekey[0] is not None     # the entry survived
+    assert session.peer.calls_served == served_before   # and no reply left
+    return session.pipe
+
+
+def _forge_a_rekey_under_a_relayed_read(world, server, path, mount,
+                                        forger):
+    """Behind a READ the server is still relaying to its NFS server, a
+    forged RESYNC-REQ and then a REKEY-shaped CALL under the READ's xid.
+    The gate lets out only the forged call's own answer (GARBAGE_ARGS,
+    nothing secret) and parks the READ's reply for the next channel to
+    seal: the file's bytes never reach the wire in plaintext."""
+    session = mount.session
+    (handle,) = mount._ra_streams
+    (connection,) = server_connections(server, path)
+    read = session.peer.start(session.call_nfs_task(
+        nfs_const.NFSPROC3_READ,
+        nfs_types.ReadArgs.make(file=handle, offset=0, count=8192), 0))
+    xid = session.peer._xid
+    session.pipe.raw.send(make_control_record(RESYNC_REQUEST))
+    session.pipe.raw.send(rpcmsg.pack_call(
+        rpcmsg.CallHeader(xid, proto.SFS_CONNECT_PROGRAM, proto.SFS_VERSION,
+                          proto.PROC_REKEY), b"junk"))
+    session.peer.wait_for(read)
+    assert read.value[1].data == b"protected contents"
+    assert connection.resyncs_served >= 1
+    answers = [rpcmsg.parse_message(record).reply.accept_stat
+               for direction, record in forger.transcript
+               if direction == "b->a"
+               and rpcmsg.peek_message(record) == (rpcmsg.REPLY, xid)]
+    assert answers == [rpcmsg.GARBAGE_ARGS]
+    return connection.pipe
+
+
+def _forge_replies_to(proc_no):
+    def forge(world, server, path, mount, forger):
+        """Behind the RESYNC-ACK of the client's own resync, a plaintext
+        reply of this kind for every xid the session has used."""
+        session = mount.session
+        last_xid = session.peer._xid
+        forger.forge = lambda: forged_replies(proc_no, last_xid)
+        assert session.resync()
+        return session.pipe
+    return forge
+
+
+def test_forged_resync_window_rejects_plaintext_session_calls():
+    """A case table: each row forges one kind of plaintext record into
+    an open resync window.  The withdrawn pipe's gate drops it (and
+    counts it), it executes nothing, and the real client recovers with
+    the true bytes: the window is DoS-only, not an authentication,
+    integrity or confidentiality hole (PROTOCOLS.md §10)."""
+    cases = {
+        "session call": _forge_to_the_server(_plaintext_lookup),
+        "ENCRYPT": _forge_to_the_server(_plaintext_encrypt),
+        "INVALIDATE": _forge_an_invalidate,
+        "READV reply": _forge_replies_to(nfs_const.NFSPROC3_READV),
+        "READ reply": _forge_replies_to(nfs_const.NFSPROC3_READ),
+        "REKEY under a relayed READ's xid":
+            _forge_a_rekey_under_a_relayed_read,
+    }
+    for name, forge in cases.items():
+        world = World(seed=82)
+        # Records sent in one instant arrive in one instant, so what is
+        # forged behind a call reaches the server while it relays that
+        # call to its NFS server.
+        world.lan_params = NetworkParameters(bandwidth=math.inf)
+        server = world.add_server("sfs.lcs.mit.edu")
+        path = server.export_fs()
+        pathops.write_file(server.fs, "/data", b"protected contents")
+        pathops.write_file(server.fs, "/other", b"not read yet")
+        forger = ForgeBehindAck()
+        world.adversary_factory = lambda: forger
+        client = world.add_client("laptop")
+        client.new_agent("user", 1000)
+        proc = client.process(uid=1000)
+        assert proc.read_file(f"{path}/data") == b"protected contents"
+        mount = client.sfscd._mounts[path.hostid]
+        pipe = forge(world, server, path, mount, forger)
+        assert pipe.withdrawn_drops >= max(1, forger.forged), name
+        # The attacker bought only delay.
+        assert proc.read_file(f"{path}/other") == b"not read yet", name
+        assert mount.session.rekeys >= 1, name
 
 
 def test_failed_resync_never_downgrades_to_plaintext():
@@ -363,6 +484,7 @@ def test_failed_resync_never_downgrades_to_plaintext():
     path = server.export_fs()
     secret = b"never in the clear"
     pathops.write_file(server.fs, "/secret", secret)
+    pathops.write_file(server.fs, "/unread", secret)
     recorder = RecordingAdversary()
     world.adversary_factory = lambda: recorder
     client = world.add_client("laptop")
@@ -379,9 +501,10 @@ def test_failed_resync_never_downgrades_to_plaintext():
     # The channel — broken or not — is back in front of the raw
     # transport, so data records cannot flow in plaintext ...
     assert session.pipe.lower is session.channel
-    # ... and calls fail with an error instead of silently downgrading.
+    # ... and calls fail with an error instead of silently downgrading
+    # (a file not read before, so the read goes to the wire).
     with pytest.raises(KernelError):
-        proc.read_file(f"{path}/secret")
+        proc.read_file(f"{path}/unread")
     # No session-dialect RPC ever crossed the wire in the clear:
     wire = b"".join(record for _direction, record in recorder.transcript)
     assert secret not in wire
@@ -479,6 +602,99 @@ def test_lossy_depth_8_closed_loop_recovers_inside_its_tasks():
     harness.scheduler.drain()
 
 
+#: Programs whose records carry a session's content: every CALL of
+#: these, and every REPLY but a REKEY's, must cross the wire sealed.
+SESSION_PROGRAMS = frozenset({proto.SFS_RW_PROGRAM,
+                              proto.SFS_AUTHSERV_PROGRAM,
+                              proto.SFS_CB_PROGRAM})
+
+
+def plaintext_session_records(transcript):
+    """The session records of a ``(direction, record)`` transcript that
+    parse as plaintext RPC.  (A sealed record parses only by a 2^-31
+    coincidence of its mtype word.)"""
+    rekeys, found = set(), []
+    for direction, record in transcript:
+        try:
+            message = rpcmsg.parse_message(record)
+        except XdrError:
+            continue                     # sealed, or a control record
+        if message.mtype == rpcmsg.CALL:
+            call = message.call
+            if (call.prog, call.proc) == (proto.SFS_CONNECT_PROGRAM,
+                                          proto.PROC_REKEY):
+                rekeys.add((direction, call.xid))
+            elif call.prog in SESSION_PROGRAMS:
+                found.append((direction, "CALL", call.prog, call.proc))
+        else:
+            back = "b->a" if direction == "a->b" else "a->b"
+            if (back, message.reply.xid) not in rekeys:
+                found.append((direction, "REPLY", message.reply.xid))
+    return found
+
+
+class RecordThenDrop(RandomDropAdversary):
+    """A wire recorder in front of seeded random loss: the transcript
+    holds every record a sender put on the wire, lost or not."""
+
+    def __init__(self, rate, rng, transcript):
+        super().__init__(rate, rng)
+        self.transcript = transcript
+
+    def process(self, data, direction):
+        self.transcript.append((direction, bytes(data)))
+        return super().process(data, direction)
+
+
+#: Recipe (b)'s ops_completed (of 210 arrivals at seed 2026, 203 at
+#: 31337) before the resync window had its gate, when sibling calls
+#: crossed it in plaintext and came back PROG_UNAVAIL.
+OPEN_LOOP_BEFORE_THE_GATE = {
+    2026: {0.01: 205, 0.05: 108, 0.15: 38},
+    31337: {0.01: 145, 0.05: 169, 0.15: 119},
+}
+
+
+@pytest.mark.parametrize("loss", [0.01, 0.05, 0.15])
+def test_lossy_open_loop_sends_no_session_record_in_the_clear(loss):
+    """Recipe (b), secrecy: an open loop of 400 arrivals/s for 0.5 s on
+    two depth-8 sessions, with *loss* of the records dropped once the
+    handshakes are done.  Every resync window withdraws the channel on
+    both ends, so no session record crosses the wire in plaintext in
+    either direction, no sibling call meets a withdrawn dialect
+    (PROG_UNAVAIL), and the loop completes at least as many ops as it
+    did before the gate.  Ops still lost are RPC timeouts, the
+    retransmission timer's business (ROADMAP item 1)."""
+    from repro.load import LoadConfig, LoadHarness
+
+    seed = int(os.environ.get("SFS_PIPELINE_SEED", "2026"))
+    harness = LoadHarness(LoadConfig(clients=2, seed=seed, pipeline_depth=8,
+                                     arrival_rate=400.0, duration=0.5))
+    transcript, rejected = [], []
+    seeds = random.Random(seed)
+    harness.world.set_wire_adversary(lambda: RecordThenDrop(
+        loss, random.Random(seeds.random()), transcript))
+
+    def recording(call_nfs_task):
+        def call(*args, **kwargs):
+            try:
+                return (yield from call_nfs_task(*args, **kwargs))
+            except RpcRejected as exc:
+                rejected.append(exc.header.accept_stat)
+                raise
+        return call
+
+    for session in harness.sessions:
+        session.call_nfs_task = recording(session.call_nfs_task)
+    report = harness.run_open_loop()
+    assert sum(session.rekeys for session in harness.sessions) > 0
+    assert plaintext_session_records(transcript) == []
+    assert rpcmsg.PROG_UNAVAIL not in rejected
+    assert report.ops_completed >= \
+        OPEN_LOOP_BEFORE_THE_GATE.get(seed, {}).get(loss, 0)
+    assert report.unfinished_tasks == 0
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_lossy_depth_1_write_and_read_back_completes(seed):
     """A window of 1 on a LAN that loses 5 % of records.  The call that
@@ -514,11 +730,11 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
     """5 % of records vanish on a WAN link at depth 8 while the kernel
     writes and reads back four files.  Prefetches are speculative: one
     attempt each, none retransmitted, none the caller of the recovery
-    hook, and — checked at the moment the pipe drops to plaintext —
-    none pending while an unauthenticated record could resolve it.  The
-    reads that waited for a lost one fall back to plain READs, whose
-    retransmissions recover as they always did: every file completes
-    with the right bytes.  Whatever the seed's losses hit, one READV is
+    hook.  A reply that reaches a withdrawn pipe is dropped by its gate
+    whatever it answers, so a prefetch pending across a resync ends
+    with the true bytes or none.  The reads that waited for a lost one
+    fall back to plain READs, whose retransmissions recover as they
+    always did: every file completes with the right bytes.  Whatever the seed's losses hit, one READV is
     lost by construction: the first one's record is dropped as it
     leaves, so a prefetch is known to be pending when a record goes."""
     import re
@@ -535,16 +751,7 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
     proc = client.login_user("alice", alice.key, uid=1000)
     proc.stat(f"{path}/home/alice")           # mounted before the loss
     session = session_for(world, path)
-    peer, pipe = session.peer, session.pipe
-
-    plaintext_windows = []
-    reset_to_plaintext = pipe.reset_to_plaintext
-
-    def checked_reset():
-        plaintext_windows.append(sorted(peer._speculative))
-        reset_to_plaintext()
-
-    pipe.reset_to_plaintext = checked_reset
+    peer = session.peer
     proc_of_xid, retransmitted = {}, []
 
     first_readv = []
@@ -585,47 +792,69 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
         assert bytes(got) == data
 
     assert session.peer is peer               # recovered in place
-    assert session.rekeys >= 1 and plaintext_windows
-    assert not any(plaintext_windows)         # no prefetch xid pending
+    assert session.rekeys >= 1
     assert retransmitted                      # foreground calls recovered
     assert nfs_const.NFSPROC3_READV not in retransmitted
     assert proc_of_xid and nfs_const.NFSPROC3_READV in proc_of_xid.values()
-    assert not peer._speculative
+    assert not peer._call_futures
     assert first_readv[1:] == ["lost"]
     assert world.metrics.counter("client.readahead.abandoned").value >= 1
 
 
-class ForgeReadvReplies(Adversary):
-    """ROADMAP item 1(a) aimed at the readahead buffer: behind the
-    server's RESYNC-ACK, a plaintext READV reply for every xid up to
-    *last_xid*, each offering attacker bytes as chunks of the file."""
+EVIL = b"\xee" * 8192
 
-    EVIL = b"\xee" * 8192
+
+def forged_replies(proc_no, last_xid):
+    """Plaintext NFS3_OK replies to READ or READV for xids 1 to
+    *last_xid*, each offering attacker bytes as file data (ROADMAP item
+    1, recipe (a))."""
+    _args, res_codec = nfs_types.PROC_CODECS[proc_no]
+    if proc_no == nfs_const.NFSPROC3_READV:
+        result = nfs_types.Record(
+            file_attributes=None,
+            segments=[nfs_types.Record(count=8192, eof=False, data=EVIL)
+                      for _ in range(8)])
+    else:
+        result = nfs_types.Record(file_attributes=None, count=8192,
+                                  eof=False, data=EVIL)
+    body = res_codec.pack((nfs_const.NFS3_OK, result))
+    return [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)
+            for xid in range(1, last_xid + 1)]
+
+
+class ForgeBehindAck(Adversary):
+    """Behind each RESYNC-ACK from the server, the plaintext records
+    ``forge()`` makes then: an attacker writing into the client's
+    resync window.  Passes everything through until ``forge`` is set."""
 
     def __init__(self):
+        self.forge = list
         self.forged = 0
-        self.last_xid = 0
+        #: Every ``(direction, record)`` put on the wire, forgeries too.
+        self.transcript = []
 
     def process(self, data, direction):
-        if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
-            return [data]
-        _args, res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_READV]
-        body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
-            file_attributes=None,
-            segments=[nfs_types.Record(count=8192, eof=False, data=self.EVIL)
-                      for _ in range(8)])))
-        forged = [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)
-                  for xid in range(1, self.last_xid + 1)]
-        self.forged += len(forged)
-        return [data] + forged
+        records = [data]
+        if direction == "b->a" and parse_control_record(data) == RESYNC_ACK:
+            forged = self.forge()
+            self.forged += len(forged)
+            records += forged
+        self.transcript += [(direction, record) for record in records]
+        return records
+
+
+def kept_chunks(mount):
+    return [chunk for stream in mount._ra_streams.values()
+            for chunk, _eof, _expires in stream.chunks.values()]
 
 
 def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     """With READVs in flight the session resyncs, and an attacker
-    answers every pending xid in plaintext.  Prefetches were abandoned
-    before the pipe dropped its channel — xid gone, future failed, slot
-    released — so the forgeries resolve nothing and no attacker byte
-    reaches the readahead buffer."""
+    answers every xid sent so far in plaintext behind the RESYNC-ACK.
+    The withdrawn pipe's gate drops each forgery, so none resolves a
+    prefetch and no attacker byte reaches the readahead buffer: a
+    prefetch pending across the window ends with the true bytes, sealed
+    by the new channel, or with none, and the file reads back whole."""
     world = World(seed=85)
     world.lan_params = NetworkParameters.wan()
     world.enable_pipelining(depth=8, seed=85)
@@ -633,7 +862,7 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     path = server.export_fs()
     data = random.Random(85).randbytes(48 * 8192)
     pathops.write_file(server.fs, "/big", data)
-    forger = ForgeReadvReplies()
+    forger = ForgeBehindAck()
     world.adversary_factory = lambda: forger
     client = world.add_client("laptop")
     client.new_agent("user", 1000)
@@ -642,50 +871,17 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     assert proc.read(fd, 2 * 8192) == data[:2 * 8192]   # the window opens
     mount = client.sfscd._mounts[path.hostid]
     session = mount.session
-    assert len(mount._background) >= 2 and session.peer._speculative
-    counter = world.metrics.counter
-    batches = counter("client.readahead.batches").value
-    pending_at_reset = []
-    reset_to_plaintext = session.pipe.reset_to_plaintext
-
-    def checked_reset():
-        pending_at_reset.append(sorted(session.peer._speculative))
-        reset_to_plaintext()
-
-    session.pipe.reset_to_plaintext = checked_reset
-    forger.last_xid = session.peer._xid       # every call sent so far
+    assert len(mount._background) >= 2
+    last_xid = session.peer._xid              # every call sent so far
+    forger.forge = lambda: forged_replies(nfs_const.NFSPROC3_READV, last_xid)
     assert session.resync()
-    assert forger.forged and pending_at_reset == [[]]
-    assert counter("client.readahead.batches").value == batches
-    assert counter("client.readahead.abandoned").value >= 2
-    assert not mount._background
-    assert session.peer._window_in_flight == 0
-    assert not session.peer._call_futures
+    assert forger.forged == last_xid
+    assert session.pipe.withdrawn_drops >= forger.forged
+    assert EVIL not in kept_chunks(mount)
     assert proc.read(fd, len(data)) == data[2 * 8192:]
     proc.close(fd)
-
-
-class ForgeReadReplies(Adversary):
-    """ROADMAP item 1(a) aimed at the block cache: behind the server's
-    RESYNC-ACK, a plaintext READ reply for every xid up to *last_xid*,
-    each offering attacker bytes as file data."""
-
-    EVIL = b"\xee" * 8192
-
-    def __init__(self):
-        self.forged = 0
-        self.last_xid = 0
-
-    def process(self, data, direction):
-        if direction != "b->a" or parse_control_record(data) != RESYNC_ACK:
-            return [data]
-        _args, res_codec = nfs_types.PROC_CODECS[nfs_const.NFSPROC3_READ]
-        body = res_codec.pack((nfs_const.NFS3_OK, nfs_types.Record(
-            file_attributes=None, count=8192, eof=False, data=self.EVIL)))
-        forged = [rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid), body)
-                  for xid in range(1, self.last_xid + 1)]
-        self.forged += len(forged)
-        return [data] + forged
+    assert not mount._background and not session.peer._call_futures
+    assert session.peer._window_in_flight == 0
 
 
 #: The block cache is one at every depth; its tests run at both.
@@ -708,17 +904,17 @@ def _wan_world(seed, adversary, data, depth=8):
 
 
 def test_a_read_resolved_inside_the_resync_window_is_not_kept():
-    """A plain READ is on the wire when the session starts a resync,
-    and the forger answers its xid in plaintext behind the RESYNC-ACK.
-    The forged reply still reaches the one caller (item 1(a), open) —
-    while the REKEY is still on its way — but it is not kept: the
-    resync replaced every stream as it started, and a reply is only
-    kept in the stream it left under.  The next read of that offset
-    goes to the wire and gets the true bytes.  At depth 1 the REKEY
-    takes its reserved slot beside the READ holding the only one."""
+    """Recipe (a), inverted: a plain READ is on the wire when the
+    session starts a resync, and the forger answers its xid, and every
+    older one, in plaintext behind the RESYNC-ACK.  The withdrawn
+    pipe's gate drops every forgery, so nothing resolves the READ inside
+    the window: it returns the true bytes once the new channel carries
+    its reply, never the attacker's, and nothing it brings is EVIL.  At
+    depth 1 the REKEY takes its reserved slot beside the READ holding
+    the only one."""
     data = random.Random(87).randbytes(8 * 8192)
     for depth in CACHE_DEPTHS:
-        forger = ForgeReadReplies()
+        forger = ForgeBehindAck()
         world, path, proc = _wan_world(87, forger, data, depth)
         fd = proc.open(f"{path}/big")
         mount = world.clients["laptop"].sfscd._mounts[path.hostid]
@@ -732,68 +928,28 @@ def test_a_read_resolved_inside_the_resync_window_is_not_kept():
                                                  speculative))
             pending = session.peer.start(
                 call_nfs_task(proc_no, args, authno))
-            forger.last_xid = session.peer._xid  # the READ's, and older
+            last_xid = session.peer._xid     # the READ's, and older
+            forger.forge = lambda: forged_replies(nfs_const.NFSPROC3_READ,
+                                                  last_xid)
             resyncs.append(session.peer.start(session.resync_task()))
             return (yield pending)
 
         session.call_nfs_task = read_then_resync
-        forged = proc.read(fd, 8192)
+        assert proc.read(fd, 8192) == data[:8192], depth
         (resync,) = resyncs
-        assert not resync.done                 # the window is still open
-        assert forger.forged and forged == ForgeReadReplies.EVIL
-        kept = [chunk for stream in mount._ra_streams.values()
-                for chunk, _eof, _expires in stream.chunks.values()]
-        assert ForgeReadReplies.EVIL not in kept
         while not resync.done:
             world.clock.advance(0.01)
         assert resync.value is True, depth
-        calls = session.peer.calls_sent
+        assert forger.forged and session.pipe.withdrawn_drops >= forger.forged
+        assert EVIL not in kept_chunks(mount)
+        # The rekey voided the stream the READ left under, so the re-read
+        # goes to the wire.  (At depth 8 a READV rides along: the true
+        # reply's attributes say the file is longer than one chunk.)
+        read = (proto.SFS_RW_PROGRAM, nfs_const.NFSPROC3_READ)
+        reads = session.peer.proc_counts[read]
         proc.lseek(fd, 0)
         assert proc.read(fd, 8192) == data[:8192]
-        assert session.peer.calls_sent == calls + 1
-        proc.close(fd)
-
-
-def test_nothing_kept_across_a_failed_resync_is_served_after_it():
-    """The rekey never happens when every round fails, so no on-rekey
-    flush does either: the resync itself drops what is kept, as it
-    starts and as it ends.  A read of a chunk the mount held goes to
-    the (still broken) wire and fails — it is not answered from the
-    cache — and once the session does recover, the bytes are right."""
-    from repro.core.client import _ReadStream
-
-    data = random.Random(88).randbytes(8 * 8192)
-    for depth in CACHE_DEPTHS:
-        world, path, proc = _wan_world(88, Adversary(), data, depth)
-        fd = proc.open(f"{path}/big")
-        assert b"".join(proc.read(fd, 8192) for _ in range(9)) == data
-        mount = world.clients["laptop"].sfscd._mounts[path.hostid]
-        session = mount.session
-        assert sum(stream.held for stream in mount._ra_streams.values()) \
-            == len(data), depth
-        (handle,) = mount._ra_streams
-        resync_round = session._resync_round
-
-        def round_that_keeps_a_forgery():
-            # As if a reply resolved inside the window had been kept.
-            planted = mount._ra_streams.setdefault(handle, _ReadStream())
-            mount._ra_keep(planted, 0, b"\xee" * 8192, False)
-            return (yield from resync_round())
-
-        session._resync_round = round_that_keeps_a_forgery
-        good_key = session.server_public_key
-        session.server_public_key = \
-            session.ephemeral_keys.current().public_key
-        assert session.resync() is False
-        del session._resync_round
-        assert not mount._ra_streams
-        proc.lseek(fd, 3 * 8192)
-        with pytest.raises(KernelError):
-            proc.read(fd, 8192)
-        session.server_public_key = good_key
-        assert session.resync()
-        proc.lseek(fd, 3 * 8192)
-        assert proc.read(fd, 8192) == data[3 * 8192:4 * 8192]
+        assert session.peer.proc_counts[read] == reads + 1
         proc.close(fd)
 
 

@@ -507,7 +507,7 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
     assert world.metrics.counter("client.readahead.abandoned").value >= 2
     assert not mount._background
     for peer in (old_peer, session.peer):
-        assert not peer._call_futures and not peer._speculative
+        assert not peer._call_futures
     hits = world.metrics.counter("client.readahead.hits")
     assert hits.value > 32
     # Read back: what was kept before the crash went with the old

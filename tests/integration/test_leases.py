@@ -74,14 +74,18 @@ def test_invalidation_callback_on_remote_write(two_clients):
 
 def test_invalidate_over_a_closed_link_raises_nothing(two_clients):
     """A callback is fire and forget: a lease holder whose link has
-    closed costs the writer that triggered the fan-out no error."""
+    closed costs the writer that triggered the fan-out no error, and
+    since nothing left, nothing is counted as sent."""
     _world, server, path, _c1, p1, _c2, _p2 = two_clients
     p1.write_file(f"{path}/shared/f", b"data")
     export = server.master.rw_export(path.hostid)
     (connection,) = export.connections
     connection.pipe.raw.close()
     assert connection not in export.connections
+    counter = connection.metrics.counter("server.invalidations_sent")
+    counted = (connection.invalidations_sent, counter.value)
     connection.send_invalidate(b"\x00" * 32)
+    assert (connection.invalidations_sent, counter.value) == counted
 
 
 @pytest.mark.parametrize("pipeline_depth", [1, 8])

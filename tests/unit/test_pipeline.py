@@ -326,27 +326,8 @@ def test_speculative_call_gets_one_attempt():
     assert isinstance(outcome.exception, RpcTimeout)
     assert calls == [] and client.retransmissions == 0 and not recoveries
     assert clock.now == pytest.approx(client.rto_floor)
-    assert not client._call_futures and not client._speculative
+    assert not client._call_futures
     assert client._window_in_flight == 0
-
-
-def test_abandoned_speculative_call_cannot_be_resolved():
-    """Abandoning forgets the xid at once: the reply, when it comes, is
-    one for an unknown call; foreground calls are left alone."""
-    client, server, clock = make_pipelined_pair(depth=4)
-    program, calls = counting_program()
-    server.register(program)
-    prefetches = [client.start(_add(client, i, speculative=True))
-                  for i in range(2)]
-    foreground = client.start(_add(client, 9))
-    assert client.abandon_speculative() == 2
-    assert all(isinstance(p.exception, RpcTimeout) for p in prefetches)
-    assert not client._speculative and len(client._call_futures) == 1
-    assert client._window_in_flight == 1
-    settle(clock)
-    assert foreground.value == 10
-    assert sorted(calls) == [0, 1, 9]           # sent, served, unheard
-    assert client.abandon_speculative() == 0
 
 
 # --- NFS3 vectored procedures ---------------------------------------------

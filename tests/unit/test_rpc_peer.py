@@ -158,14 +158,6 @@ def test_trace_pretty_prints_traffic():
     assert any("call" in line for line in log)
 
 
-def test_unregister():
-    client, server, _clock = make_pair()
-    server.register(demo_program())
-    server.unregister(400000, 2)
-    with pytest.raises(RpcRejected):
-        client.call(400000, 2, 1, ADD_ARGS, {"x": 1, "y": 1}, UInt32)
-
-
 # --- retransmission and at-most-once semantics --------------------------------
 
 def test_retry_policy_recovers_dropped_call():

@@ -9,6 +9,8 @@ from repro.core.channel import SecureChannel
 from repro.nfs3 import const as nfs_const
 from repro.nfs3 import types as nfs_types
 from repro.rpc.peer import CallContext, RpcPeer
+from repro.core import proto
+from repro.rpc import rpcmsg
 from repro.rpc.rpcmsg import AuthSys, CallHeader
 from repro.rpc.xdr import Record
 from repro.sim.clock import Clock
@@ -224,3 +226,81 @@ def test_switchable_pipe_switch_now():
     pipe.switch_now(fake)
     fake.handler(b"via channel")
     assert seen == [b"via channel"]
+
+
+class _SealingChannel:
+    """Stands in for a SecureChannel: what it would seal, it keeps."""
+
+    def __init__(self):
+        self.sealed = []
+
+    def send(self, data):
+        self.sealed.append(data)
+
+    def on_receive(self, handler): ...
+
+    def attach(self): ...
+
+
+def _call(xid, prog, proc):
+    return rpcmsg.pack_call(CallHeader(xid, prog, proto.SFS_VERSION, proc),
+                            b"")
+
+
+def test_withdrawn_pipe_passes_only_the_rekey_exchange():
+    """While withdrawn, a pipe lets out and in only a REKEY CALL and the
+    REPLY to its xid; a REKEY CALL let in gets one reply out, sent while
+    it is dispatched.  Other sends wait parked, in order, for the next
+    channel to seal them; other records that arrive are dropped and
+    counted, and a closed link drops what is parked."""
+    clock = Clock()
+    a, b = link_pair(clock, NetworkParameters.instant())
+    pipe = SwitchablePipe(a)
+    seen, wire = [], []
+    pipe.on_receive(seen.append)
+    b.on_receive(wire.append)
+    pipe.switch_now(_SealingChannel())
+    rekey = _call(7, proto.SFS_CONNECT_PROGRAM, proto.PROC_REKEY)
+    siblings = [_call(8, proto.SFS_RW_PROGRAM, nfs_const.NFSPROC3_GETATTR),
+                _call(9, proto.SFS_RW_PROGRAM, nfs_const.NFSPROC3_READ)]
+
+    pipe.reset_to_plaintext()
+    assert pipe.lower is pipe.raw
+    pipe.send(siblings[0])
+    pipe.send(rekey)
+    pipe.send(siblings[1])
+    settle(clock)
+    assert wire == [rekey]
+    rekey_reply = rpcmsg.pack_reply(rpcmsg.ReplyHeader(7))
+    b.send(rpcmsg.pack_reply(rpcmsg.ReplyHeader(8)))    # a sibling's
+    b.send(_call(5, proto.SFS_CB_PROGRAM, proto.PROC_INVALIDATE))
+    b.send(rekey_reply)
+    settle(clock)
+    assert seen == [rekey_reply]
+    assert pipe.withdrawn_drops == 2
+    channel = _SealingChannel()
+    pipe.switch_now(channel)
+    assert pipe.lower is channel and channel.sealed == siblings
+
+    pipe.reset_to_plaintext()                # the server's end of it
+    answer, other = (rpcmsg.pack_reply(rpcmsg.ReplyHeader(xid))
+                     for xid in (11, 12))
+
+    def serve(record):       # a REKEY is answered before its dispatch ends
+        seen.append(record)
+        pipe.send(answer)
+        pipe.send(answer)                    # ... once
+        pipe.send(other)                     # ... and under its xid only
+
+    pipe.on_receive(serve)
+    served = _call(11, proto.SFS_CONNECT_PROGRAM, proto.PROC_REKEY)
+    b.send(served)
+    settle(clock)
+    assert seen[-1] == served and wire[1:] == [answer]
+    pipe.send(answer)                        # after it: parked
+    pipe.send(siblings[0])
+    settle(clock)
+    assert wire[1:] == [answer]
+    a.close()
+    pipe.switch_now(channel)
+    assert channel.sealed == siblings                   # nothing more
