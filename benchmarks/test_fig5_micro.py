@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import NFS_TCP, NFS_UDP, SFS, SFS_NOENC, make_setup
+from repro.bench import NFS_TCP, NFS_UDP, SFS, SFS_NOENC
+from repro.bench.__main__ import _attribution_table, measured
 from repro.bench.micro import run_micro
 from repro.bench.timing import format_table
 
@@ -29,14 +30,18 @@ _LATENCY_OPS = 150
 _THROUGHPUT_BYTES = 1 << 20
 
 _results: dict[str, object] = {}
+_splits: dict[str, dict] = {}
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_fig5_micro(config, benchmark):
-    setup = make_setup(config)
-    result = benchmark.pedantic(
-        lambda: run_micro(setup, ops=_LATENCY_OPS, size=_THROUGHPUT_BYTES),
-        rounds=1, iterations=1,
+    result, _splits[config] = measured(
+        config, "fig5", None,
+        lambda setup: benchmark.pedantic(
+            lambda: run_micro(setup, ops=_LATENCY_OPS,
+                              size=_THROUGHPUT_BYTES),
+            rounds=1, iterations=1,
+        ),
     )
     _results[config] = result
     assert result.latency_usec > 0
@@ -57,29 +62,20 @@ def test_fig5_report(benchmark, capsys):
     )
     emit_table("fig5_micro", table, capsys)
 
-    # Per-layer latency attribution: the tracker's exclusive times must
-    # account for the whole headline (within 5%), and the SFS rows must
-    # show where the overhead lives — crypto and the user-level relay.
-    layers = ["crypto", "rpc", "nfs3", "network", "disk", "other"]
-    attr_rows = []
+    # Per-layer attribution, one clock at a time: each clock's split
+    # must account for its own headline (within 5%), and the host split
+    # must show where SFS's overhead lives — crypto and the user-level
+    # relay.
     for name in CONFIGS:
-        result = _results[name]
-        assert result.attribution is not None
-        components = sum(result.attribution.values())
-        assert components == pytest.approx(result.headline_seconds, rel=0.05)
-        attr_rows.append(tuple(
-            [name] + [result.attribution.get(layer, 0.0) for layer in layers]
-            + [components, result.headline_seconds]
-        ))
-    attr_table = format_table(
-        "Figure 5 latency attribution (seconds)",
-        ["File system"] + layers + ["sum", "headline"], attr_rows,
-    )
-    emit_table("fig5_attribution", attr_table, capsys)
-    assert _results[SFS].attribution.get("crypto", 0.0) > 0
-    assert _results[SFS_NOENC].attribution.get("crypto", 0.0) == 0
-    assert (_results[SFS].attribution.get("rpc", 0.0)
-            > _results[NFS_UDP].attribution.get("rpc", 0.0))
+        for entry in _splits[name].values():
+            assert sum(entry["layers"].values()) == pytest.approx(
+                entry["headline_seconds"], rel=0.05)
+    emit_table("fig5_attribution",
+               _attribution_table("Figure 5", _splits), capsys)
+    host = {name: _splits[name]["host"]["layers"] for name in CONFIGS}
+    assert host[SFS]["crypto"] > 0
+    assert host[SFS_NOENC]["crypto"] == 0
+    assert host[SFS]["rpc"] > host[NFS_UDP]["rpc"]
 
     latency = {name: _results[name].latency_usec for name in CONFIGS}
     throughput = {name: _results[name].throughput_mbs for name in CONFIGS}

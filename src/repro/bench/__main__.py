@@ -8,8 +8,9 @@
     python -m repro.bench fig5 --profile
 
 Prints the same rows/series the paper's section 4 reports, each followed
-by a per-layer latency attribution table (where did the time go: crypto,
-RPC/marshaling, the NFS server, the simulated network and disk).
+by its time split by layer, one row per clock and never summed: host CPU
+across crypto, RPC, the NFS server, the network pump and the disk model;
+virtual seconds across the simulated network and disk.
 Absolute numbers reflect the Python simulator; the *shape* (who wins, by
 roughly what factor) is the reproduction target — see EXPERIMENTS.md.
 
@@ -18,7 +19,7 @@ With ``--metrics-out PATH``, the full metrics snapshot of every
 ``python -m repro.obs PATH``.
 
 With ``--json PATH``, a machine-readable summary of the selected
-figures — rows, per-layer attribution, and the wire-path fast-lane
+figures — rows, the per-clock attribution, and the wire-path fast-lane
 counters (which ARC4 kernel generated how many keystream bytes, fast vs
 slow marshals, Packer buffer-pool hits) — is written as JSON.  The
 committed ``BENCH_fig5.json``/``BENCH_scale.json`` at the repo root are
@@ -40,6 +41,7 @@ from dataclasses import replace
 
 from ..crypto import arc4kernel, backend
 from ..obs.export import SnapshotCollector
+from ..obs.trace import BOUNDARIES, LAYERS, Attribution
 from ..rpc import xdr
 from . import compile_bench, mab, micro, sprite
 from .setups import LOCAL, NFS_TCP, NFS_UDP, SFS, SFS_NOENC, make_setup
@@ -47,8 +49,6 @@ from .timing import format_table
 
 MICRO_CONFIGS = [NFS_UDP, NFS_TCP, SFS, SFS_NOENC]
 APP_CONFIGS = [LOCAL, NFS_UDP, NFS_TCP, SFS]
-
-_LAYERS = ["crypto", "rpc", "nfs3", "network", "disk", "other"]
 
 
 def perf_stats() -> dict:
@@ -79,72 +79,78 @@ def _perf_delta(before: dict, after: dict) -> dict:
     return delta
 
 
-def _measured(name: str, figure: str, collector, workload):
-    """Run *workload*(setup) bracketed by layer attribution.
+def _disks(world) -> list:
+    """Every disk in *world*: the servers' exports' and the clients'."""
+    systems = [fs for server in world.servers.values()
+               for _path, fs, _auth in server.exports.values()]
+    systems += [client.local_fs for client in world.clients.values()]
+    return [fs.disk for fs in systems if fs.disk is not None]
 
-    The layer tracker is reset after setup (key generation and the
-    session handshake are not part of any figure's headline), so the
-    exclusive per-layer times sum to the workload's elapsed time.
+
+def measured(name: str, figure: str, collector, workload):
+    """Run *workload*(setup) on a fresh *name* setup inside an
+    :class:`~repro.obs.trace.Attribution` window.
+
+    Returns the workload's result and its split: for each clock
+    (``host``, ``virtual``) the seconds per layer and the headline they
+    sum to, measured around the window.  Setup (key generation, the
+    session handshake) is outside it.
     """
     setup = make_setup(name)
-    setup.metrics.layers.reset()
     arc4_before = arc4kernel.STATS.snapshot()
     marshal_before = xdr.STATS.snapshot()
     sim_start = setup.clock.now
     cpu_start = time.perf_counter()
-    result = workload(setup)
-    headline = ((time.perf_counter() - cpu_start)
-                + (setup.clock.now - sim_start))
+    with Attribution(BOUNDARIES, setup.clock, _disks(setup.world)) as window:
+        result = workload(setup)
+    split = {
+        "host": {"headline_seconds": time.perf_counter() - cpu_start,
+                 "layers": window.host},
+        "virtual": {"headline_seconds": setup.clock.now - sim_start,
+                    "layers": window.virtual},
+    }
     # Fold this run's fast-lane counter deltas into the World's own
-    # registry so the exported snapshot carries them alongside the
-    # layer attribution (the kernel/marshal counters are process-wide;
-    # runs are sequential, so the delta is this workload's).
+    # registry so the exported snapshot carries them (the kernel/marshal
+    # counters are process-wide; runs are sequential, so the delta is
+    # this workload's).
     for key, value in arc4kernel.STATS.snapshot().items():
         setup.metrics.counter(f"fastlane.arc4.{key}").inc(
             value - arc4_before[key])
     for key, value in xdr.STATS.snapshot().items():
         setup.metrics.counter(f"fastlane.marshal.{key}").inc(
             value - marshal_before[key])
-    breakdown = setup.metrics.layers.breakdown()
-    attribution = {n: cpu + sim for n, (cpu, sim) in breakdown.items()}
     if collector is not None:
         collector.add(f"{figure}/{name}", setup.metrics,
                       meta={"figure": figure, "config": name})
-    return result, (name, attribution, headline)
+    return result, split
 
 
-def _attribution_table(figure: str, attributions) -> str:
-    """Render per-layer time for each configuration of one figure."""
+def _attribution_table(figure: str, attribution: dict) -> str:
+    """Each configuration's split, one row per clock (``-``: the clock
+    books nothing in that layer)."""
     rows = []
-    for name, attribution, headline in attributions:
-        folded = {layer: attribution.get(layer, 0.0) for layer in _LAYERS}
-        folded["other"] += sum(seconds for layer, seconds
-                               in attribution.items() if layer not in _LAYERS)
-        total = sum(folded.values())
-        rows.append(tuple([name] + [folded[layer] for layer in _LAYERS]
-                          + [total, headline]))
+    for name, split in attribution.items():
+        for clock, entry in split.items():
+            layers = entry["layers"]
+            rows.append(tuple(
+                [name, clock] + [layers.get(layer, "-") for layer in LAYERS]
+                + [sum(layers.values()), entry["headline_seconds"]]))
     return format_table(
-        f"{figure} latency attribution (seconds)",
-        ["File system"] + _LAYERS + ["sum", "headline"], rows,
+        f"{figure} attribution by clock (seconds)",
+        ["File system", "clock", *LAYERS, "sum", "headline"], rows,
     )
-
-
-def _attribution_data(attributions) -> dict:
-    return {name: {"headline_seconds": headline, "layers": attribution}
-            for name, attribution, headline in attributions}
 
 
 def run_fig5(quick: bool, collector=None) -> tuple[str, dict]:
     ops = 100 if quick else 200
     size = (1 << 20) if quick else (2 << 20)
-    rows, attributions = [], []
+    rows, attribution = [], {}
     for name in MICRO_CONFIGS:
-        result, attribution = _measured(
+        result, attribution[name] = measured(
             name, "fig5", collector,
             lambda setup: micro.run_micro(setup, ops=ops, size=size),
         )
         rows.append((name, result.latency_usec, result.throughput_mbs))
-        attributions.append(attribution)
     table = format_table(
         "Figure 5: micro-benchmarks for basic operations",
         ["File system", "Latency (usec)", "Throughput (MB/s)"], rows,
@@ -153,20 +159,20 @@ def run_fig5(quick: bool, collector=None) -> tuple[str, dict]:
         "rows": [{"config": name, "latency_usec": latency,
                   "throughput_mbs": throughput}
                  for name, latency, throughput in rows],
-        "attribution": _attribution_data(attributions),
+        "attribution": attribution,
     }
-    return table + "\n\n" + _attribution_table("Figure 5", attributions), data
+    return table + "\n\n" + _attribution_table("Figure 5", attribution), data
 
 
 def run_fig6(quick: bool, collector=None) -> tuple[str, dict]:
-    rows, attributions = [], []
+    rows, attribution = [], {}
     for name in APP_CONFIGS:
-        result, attribution = _measured(name, "fig6", collector, mab.run_mab)
+        result, attribution[name] = measured(name, "fig6", collector,
+                                             mab.run_mab)
         rows.append(tuple(
             [name] + [result.phases[p].total for p in mab.PHASES]
             + [result.total]
         ))
-        attributions.append(attribution)
     table = format_table(
         "Figure 6: Modified Andrew Benchmark (seconds per phase)",
         ["File system"] + mab.PHASES + ["total"], rows,
@@ -174,19 +180,18 @@ def run_fig6(quick: bool, collector=None) -> tuple[str, dict]:
     data = {
         "rows": [dict(zip(["config"] + mab.PHASES + ["total"], row))
                  for row in rows],
-        "attribution": _attribution_data(attributions),
+        "attribution": attribution,
     }
-    return table + "\n\n" + _attribution_table("Figure 6", attributions), data
+    return table + "\n\n" + _attribution_table("Figure 6", attribution), data
 
 
 def run_fig7(quick: bool, collector=None) -> tuple[str, dict]:
-    rows, attributions = [], []
+    rows, attribution = [], {}
     for name in APP_CONFIGS + [SFS_NOENC]:
-        result, attribution = _measured(
+        result, attribution[name] = measured(
             name, "fig7", collector, compile_bench.run_compile
         )
         rows.append((name, result.seconds))
-        attributions.append(attribution)
     table = format_table(
         "Figure 7: compiling the GENERIC kernel (synthetic)",
         ["System", "Time (seconds)"], rows,
@@ -194,23 +199,22 @@ def run_fig7(quick: bool, collector=None) -> tuple[str, dict]:
     data = {
         "rows": [{"config": name, "seconds": seconds}
                  for name, seconds in rows],
-        "attribution": _attribution_data(attributions),
+        "attribution": attribution,
     }
-    return table + "\n\n" + _attribution_table("Figure 7", attributions), data
+    return table + "\n\n" + _attribution_table("Figure 7", attribution), data
 
 
 def run_fig8(quick: bool, collector=None) -> tuple[str, dict]:
     count = 150 if quick else 500
-    rows, attributions = [], []
+    rows, attribution = [], {}
     for name in APP_CONFIGS:
-        result, attribution = _measured(
+        result, attribution[name] = measured(
             name, "fig8", collector,
             lambda setup: sprite.run_small_file(setup, count=count),
         )
         rows.append(tuple(
             [name] + [result.phases[p].total for p in sprite.SMALL_PHASES]
         ))
-        attributions.append(attribution)
     table = format_table(
         f"Figure 8: Sprite LFS small-file benchmark ({count} x 1 KB files)",
         ["File system"] + sprite.SMALL_PHASES, rows,
@@ -218,25 +222,24 @@ def run_fig8(quick: bool, collector=None) -> tuple[str, dict]:
     data = {
         "rows": [dict(zip(["config"] + sprite.SMALL_PHASES, row))
                  for row in rows],
-        "attribution": _attribution_data(attributions),
+        "attribution": attribution,
     }
-    return table + "\n\n" + _attribution_table("Figure 8", attributions), data
+    return table + "\n\n" + _attribution_table("Figure 8", attribution), data
 
 
 def run_fig9(quick: bool, collector=None) -> tuple[str, dict]:
     # Larger than sfscd's block cache even when quick: the paper's
     # 40,000 KB file was read cold in every phase.
     size = sprite.DEFAULT_LARGE_BYTES
-    rows, attributions = [], []
+    rows, attribution = [], {}
     for name in APP_CONFIGS:
-        result, attribution = _measured(
+        result, attribution[name] = measured(
             name, "fig9", collector,
             lambda setup: sprite.run_large_file(setup, size=size),
         )
         rows.append(tuple(
             [name] + [result.phases[p].total for p in sprite.LARGE_PHASES]
         ))
-        attributions.append(attribution)
     table = format_table(
         f"Figure 9: Sprite LFS large-file benchmark ({size >> 20} MB file)",
         ["File system"] + sprite.LARGE_PHASES, rows,
@@ -244,9 +247,9 @@ def run_fig9(quick: bool, collector=None) -> tuple[str, dict]:
     data = {
         "rows": [dict(zip(["config"] + sprite.LARGE_PHASES, row))
                  for row in rows],
-        "attribution": _attribution_data(attributions),
+        "attribution": attribution,
     }
-    return table + "\n\n" + _attribution_table("Figure 9", attributions), data
+    return table + "\n\n" + _attribution_table("Figure 9", attribution), data
 
 
 def run_scale(quick: bool, collector=None) -> tuple[str, dict]:

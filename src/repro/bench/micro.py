@@ -30,8 +30,6 @@ class MicroResult:
     name: str
     latency_usec: float
     throughput_mbs: float
-    attribution: dict[str, float] | None = None
-    headline_seconds: float = 0.0
 
 
 def measure_latency(setup: BenchSetup, ops: int = DEFAULT_LATENCY_OPS) -> float:
@@ -92,27 +90,9 @@ def measure_throughput(setup: BenchSetup,
 
 def run_micro(setup: BenchSetup, ops: int = DEFAULT_LATENCY_OPS,
               size: int = DEFAULT_THROUGHPUT_BYTES) -> MicroResult:
-    """Run both micro-benchmarks, attributing time to protocol layers.
-
-    The layer tracker is reset right as the headline timers start, so
-    the exclusive per-layer times it accumulates sum to the headline by
-    construction (gaps land in "other").
-    """
-    layers = setup.metrics.layers
-    layers.reset()
-    sim_start = setup.clock.now
-    cpu_start = time.perf_counter()
-    latency_usec = measure_latency(setup, ops)
-    throughput_mbs = measure_throughput(setup, size)
-    headline = ((time.perf_counter() - cpu_start)
-                + (setup.clock.now - sim_start))
-    breakdown = layers.breakdown()
-    attribution = ({name: cpu + sim for name, (cpu, sim) in breakdown.items()}
-                   if setup.metrics.enabled else None)
+    """Run both micro-benchmarks."""
     return MicroResult(
         name=setup.name,
-        latency_usec=latency_usec,
-        throughput_mbs=throughput_mbs,
-        attribution=attribution,
-        headline_seconds=headline,
+        latency_usec=measure_latency(setup, ops),
+        throughput_mbs=measure_throughput(setup, size),
     )

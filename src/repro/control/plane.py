@@ -60,8 +60,8 @@ class ControlPlane:
     # -- source adoption ---------------------------------------------------
 
     def new_registry(self) -> MetricsRegistry:
-        """A fresh per-source registry on the world's clock."""
-        return MetricsRegistry(clock=self.world.clock)
+        """A fresh per-source registry."""
+        return MetricsRegistry()
 
     def adopt_server(self, machine) -> None:
         """Heartbeat a ServerMachine; down masters miss their beats."""

@@ -175,20 +175,15 @@ class SecureChannel:
         if not self._encrypt:
             self._pipe.send(data)
             return
-        layers = self.metrics.layers
-        layers.push("crypto")
-        try:
-            # Seal in one buffer: length‖payload‖MAC assembled once,
-            # then encrypted where it lies, in one pass.
-            mac = self._send_mac.compute(data)
-            n = len(data)
-            record = bytearray(_LEN_BYTES + n + len(mac))
-            record[:_LEN_BYTES] = n.to_bytes(_LEN_BYTES, "big")
-            record[_LEN_BYTES:_LEN_BYTES + n] = data
-            record[_LEN_BYTES + n:] = mac
-            self._send_stream.encrypt(record, record)
-        finally:
-            layers.pop()
+        # Seal in one buffer: length‖payload‖MAC assembled once, then
+        # encrypted where it lies, in one pass.
+        mac = self._send_mac.compute(data)
+        n = len(data)
+        record = bytearray(_LEN_BYTES + n + len(mac))
+        record[:_LEN_BYTES] = n.to_bytes(_LEN_BYTES, "big")
+        record[_LEN_BYTES:_LEN_BYTES + n] = data
+        record[_LEN_BYTES + n:] = mac
+        self._send_stream.encrypt(record, record)
         self._pipe.send(record)
 
     def on_receive(self, handler: Callable[[bytes], None]) -> None:
@@ -209,32 +204,27 @@ class SecureChannel:
         if not self._encrypt:
             self._deliver(record)
             return
-        layers = self.metrics.layers
-        layers.push("crypto")
-        try:
-            plaintext = None
-            body = self._recv_stream.decrypt(record)
-            if len(body) < _LEN_BYTES + MAC_LEN:
-                # The cipher stream consumed this record's bytes; burn
-                # the matching MAC slot so the two receive streams stay
-                # in lock-step (they must desynchronize together or not
-                # at all).
+        plaintext = None
+        body = self._recv_stream.decrypt(record)
+        if len(body) < _LEN_BYTES + MAC_LEN:
+            # The cipher stream consumed this record's bytes; burn the
+            # matching MAC slot so the two receive streams stay in
+            # lock-step (they must desynchronize together or not at
+            # all).
+            self._recv_mac.skip()
+        else:
+            length = int.from_bytes(body[:_LEN_BYTES], "big")
+            if length != len(body) - _LEN_BYTES - MAC_LEN:
                 self._recv_mac.skip()
             else:
-                length = int.from_bytes(body[:_LEN_BYTES], "big")
-                if length != len(body) - _LEN_BYTES - MAC_LEN:
-                    self._recv_mac.skip()
-                else:
-                    # Views, not slices: the payload is verified and
-                    # delivered without ever being copied out of the
-                    # decrypted record (the RPC layer accepts views).
-                    view = memoryview(body)
-                    candidate = view[_LEN_BYTES : _LEN_BYTES + length]
-                    tag = view[_LEN_BYTES + length :]
-                    if self._recv_mac.verify(candidate, tag):
-                        plaintext = candidate
-        finally:
-            layers.pop()
+                # Views, not slices: the payload is verified and
+                # delivered without ever being copied out of the
+                # decrypted record (the RPC layer accepts views).
+                view = memoryview(body)
+                candidate = view[_LEN_BYTES : _LEN_BYTES + length]
+                tag = view[_LEN_BYTES + length :]
+                if self._recv_mac.verify(candidate, tag):
+                    plaintext = candidate
         if plaintext is None:
             self._reject()
             return

@@ -114,7 +114,7 @@ class Kernel:
         #: Runs a synchronous system call, waiting by pumping the
         #: clock's scheduler.  The daemons' handlers yield, so this wait
         #: is the one that lets a queued server's workers run.
-        self.runner = Runner(clock, metrics)
+        self.runner = Runner(clock)
         self._mounts: list[Mount] = []
         self._mountpoints: dict[tuple[int, bytes], Mount] = {}
         self._next_mount_id = 1

@@ -295,8 +295,7 @@ class World:
                  metrics=None) -> None:
         self.clock = Clock()
         self.rng = random.Random(seed)
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(clock=self.clock)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.lan_params = lan_params or NetworkParameters.lan_100mbit()
         #: Per-Location overrides of the world's default link timing,
         #: set via :meth:`set_link_params` — how a WAN mirror coexists

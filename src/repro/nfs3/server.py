@@ -186,37 +186,38 @@ class Nfs3Server:
 
     def _wrap(self, proc: int):
         name = const.PROC_NAMES[proc].lower()
-        handler = getattr(self, f"_{name}")  # _getattr, _setattr, ...
-        op_counter = self.metrics.counter(f"nfs3.ops.{name}")
-        err_counter = self.metrics.counter(f"nfs3.errors.{name}")
+        entry = (proc, getattr(self, f"_{name}"),  # _getattr, _setattr, ...
+                 self.metrics.counter(f"nfs3.ops.{name}"),
+                 self.metrics.counter(f"nfs3.errors.{name}"))
+        # The dispatch table holds this from construction on; it looks
+        # _serve up per call, so a measured window can wrap that
+        # (repro.obs.trace.BOUNDARIES).
+        return lambda args, ctx: self._serve(entry, args, ctx)
 
-        def dispatch(args, ctx: CallContext):
-            # The procedure runs without waiting; what it booked on the
-            # disk it waits out before replying, so that wait is the
-            # call's whole virtual time from dispatch to reply.
-            disk = self.fs.disk
-            self.caller = ctx
-            if disk is not None:
-                disk.start_call()
-            op_counter.inc()
-            layers = self.metrics.layers
-            layers.push("nfs3")
+    def _serve(self, entry: tuple, args, ctx: CallContext):
+        # The procedure runs without waiting; what it booked on the
+        # disk it waits out before replying, so that wait is the call's
+        # whole virtual time from dispatch to reply.
+        proc, handler, op_counter, err_counter = entry
+        disk = self.fs.disk
+        self.caller = ctx
+        if disk is not None:
+            disk.start_call()
+        op_counter.inc()
+        try:
+            cred = self._cred_mapper(ctx)
             try:
-                cred = self._cred_mapper(ctx)
-                try:
-                    result = handler(args, cred)
-                except FsError as exc:
-                    err_counter.inc()
-                    result = exc.code, types.failure_arm(proc)
-            finally:
-                layers.pop()
-                self.caller = None
-                wait = disk.finish_call() if disk is not None else 0.0
-            self._op_seconds.observe(wait)
-            if wait > 0.0:
-                return _reply_after(wait, result)
-            return result
-        return dispatch
+                result = handler(args, cred)
+            except FsError as exc:
+                err_counter.inc()
+                result = exc.code, types.failure_arm(proc)
+        finally:
+            self.caller = None
+            wait = disk.finish_call() if disk is not None else 0.0
+        self._op_seconds.observe(wait)
+        if wait > 0.0:
+            return _reply_after(wait, result)
+        return result
 
     # --- procedures ---------------------------------------------------------
 

@@ -13,8 +13,8 @@ decomposition possible in the reproduction:
   everything at near-zero cost.
 * :mod:`repro.obs.trace` — nested spans recording both CPU time
   (``time.perf_counter``) and simulated time (:mod:`repro.sim.clock`),
-  plus the :class:`LayerTracker` stack profiler behind the per-layer
-  latency-attribution tables.
+  plus the :class:`~repro.obs.trace.Attribution` window behind the
+  figures' per-layer split, one clock at a time.
 * :mod:`repro.obs.export` — JSON snapshots and paper-style text tables
   (imported on demand; ``python -m repro.obs snapshot.json`` pretty-
   prints a file).
@@ -36,7 +36,7 @@ from .registry import (
     NullRegistry,
     ScopedRegistry,
 )
-from .trace import LayerTracker, NullLayerTracker, Span, Tracer
+from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -44,10 +44,8 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
-    "LayerTracker",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "NullLayerTracker",
     "NullRegistry",
     "ScopedRegistry",
     "Span",

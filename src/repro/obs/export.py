@@ -2,7 +2,7 @@
 
 Two output shapes:
 
-* a **single snapshot** — ``{"meta": ..., "metrics": ..., "layers": ...}``
+* a **single snapshot** — ``{"meta": ..., "metrics": ...}``
   from one registry (:func:`registry_snapshot` / :func:`write_snapshot`);
 * a **collection** — ``{"snapshots": {name: snapshot, ...}}`` gathered
   across benchmark runs by :class:`SnapshotCollector` (what
@@ -15,10 +15,6 @@ same ``format_table`` renderer the benchmark figures use.
 from __future__ import annotations
 
 import json
-from typing import Any
-
-#: Display order for the attribution table; unknown layers follow.
-LAYER_ORDER = ["crypto", "rpc", "nfs3", "network", "disk", "other"]
 
 
 def _format_table(title: str, columns: list[str], rows: list[tuple]) -> str:
@@ -30,7 +26,7 @@ def _format_table(title: str, columns: list[str], rows: list[tuple]) -> str:
 
 
 def registry_snapshot(registry, meta: dict | None = None) -> dict:
-    """One registry's metrics + layer breakdown as a JSON-ready dict."""
+    """One registry's metrics as a JSON-ready dict."""
     snapshot = registry.snapshot()
     if meta:
         snapshot["meta"] = dict(meta)
@@ -73,44 +69,6 @@ class SnapshotCollector:
             fh.write("\n")
 
 
-def _layer_triple(value: Any) -> tuple[float, float, float]:
-    """Accept both snapshot dicts and LayerTracker breakdown tuples."""
-    if isinstance(value, dict):
-        return value["cpu"], value["sim"], value["total"]
-    cpu, sim = value
-    return cpu, sim, cpu + sim
-
-
-def ordered_layers(layers: dict) -> list[str]:
-    known = [name for name in LAYER_ORDER if name in layers]
-    extra = sorted(name for name in layers if name not in LAYER_ORDER)
-    return known + extra
-
-
-def format_attribution(layers: dict, headline: float | None = None,
-                       title: str = "Per-layer latency attribution") -> str:
-    """Render a layer breakdown as a text table.
-
-    *layers* is either ``snapshot["layers"]`` or a raw
-    ``LayerTracker.breakdown()``.  With *headline* given, a final row
-    shows the externally measured total the components should sum to.
-    """
-    rows: list[tuple] = []
-    total_cpu = total_sim = total_all = 0.0
-    for name in ordered_layers(layers):
-        cpu, sim, total = _layer_triple(layers[name])
-        rows.append((name, cpu, sim, total))
-        total_cpu += cpu
-        total_sim += sim
-        total_all += total
-    rows.append(("total", total_cpu, total_sim, total_all))
-    if headline is not None:
-        rows.append(("headline", "", "", headline))
-    return _format_table(
-        title, ["layer", "cpu (s)", "sim (s)", "total (s)"], rows
-    )
-
-
 def format_metrics(snapshot: dict, title: str = "Metrics") -> str:
     """Render a snapshot's instruments as a text table."""
     rows: list[tuple] = []
@@ -134,7 +92,7 @@ def format_metrics(snapshot: dict, title: str = "Metrics") -> str:
 
 
 def format_snapshot(snapshot: dict, heading: str | None = None) -> str:
-    """Pretty-print one snapshot: meta, attribution, then metrics."""
+    """Pretty-print one snapshot: meta, then metrics."""
     parts: list[str] = []
     if heading:
         parts.append(f"=== {heading} ===")
@@ -142,7 +100,5 @@ def format_snapshot(snapshot: dict, heading: str | None = None) -> str:
     if meta:
         parts.append("\n".join(f"meta: {key} = {meta[key]}"
                                for key in sorted(meta)))
-    if snapshot.get("layers"):
-        parts.append(format_attribution(snapshot["layers"]))
     parts.append(format_metrics(snapshot))
     return "\n\n".join(parts)

@@ -16,7 +16,6 @@ gauge dict (with peak)    value: last write; peak: max
 histogram dict            bucket-wise sum; count/sum added;
                           mean/p50/p95/p99 recomputed
 family dict               per-label sum
-layers                    cpu/sim/total summed per layer
 ========================  ====================================
 
 "Last write" follows the order snapshots are passed in, so callers
@@ -105,17 +104,6 @@ def merge_metrics(metric_dicts) -> dict:
     return dict(sorted(merged.items()))
 
 
-def _merge_layers(layer_dicts) -> dict:
-    merged: dict = {}
-    for layers in layer_dicts:
-        for name, triple in layers.items():
-            into = merged.setdefault(
-                name, {"cpu": 0.0, "sim": 0.0, "total": 0.0})
-            for key in ("cpu", "sim", "total"):
-                into[key] += triple.get(key, 0.0)
-    return dict(sorted(merged.items()))
-
-
 def merge_snapshots(snapshots, meta: dict | None = None) -> dict:
     """Merge full registry snapshots into one fleet-level snapshot.
 
@@ -132,7 +120,6 @@ def merge_snapshots(snapshots, meta: dict | None = None) -> dict:
                  for index, snap in enumerate(ordered)]
     merged = {
         "metrics": merge_metrics(s.get("metrics", {}) for s in ordered),
-        "layers": _merge_layers(s.get("layers", {}) for s in ordered),
         "meta": {"merged_from": len(ordered), "sources": names},
     }
     if meta:
@@ -188,12 +175,5 @@ def diff_snapshots(before: dict, after: dict) -> dict:
             metrics[name] = diff_metric(before_metrics[name], value, name)
         else:
             metrics[name] = value
-    layers = {}
-    before_layers = before.get("layers", {})
-    for name, triple in after.get("layers", {}).items():
-        base = before_layers.get(name, {})
-        layers[name] = {key: triple.get(key, 0.0) - base.get(key, 0.0)
-                        for key in ("cpu", "sim", "total")}
     return {"metrics": dict(sorted(metrics.items())),
-            "layers": dict(sorted(layers.items())),
             "meta": {"diff": True}}

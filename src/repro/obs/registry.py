@@ -13,8 +13,8 @@ under one registry (RPC peers) carve a private namespace with
 :meth:`MetricsRegistry.scope`, which uniquifies the prefix.
 
 :data:`NULL_REGISTRY` is the disabled configuration — every instrument
-is a shared no-op, and the layer tracker never reads a clock — so
-instrumented code needs no ``if metrics:`` guards on the hot path.
+is a shared no-op — so instrumented code needs no ``if metrics:``
+guards on the hot path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Iterable
 
-from .trace import LayerTracker, NullLayerTracker
 
 #: Fixed exponential histogram buckets: 1 µs to ~17 minutes in steps of
 #: 4x.  Fixed so histograms from any two runs are bucket-compatible.
@@ -196,16 +195,13 @@ class CounterFamily:
 
 
 class MetricsRegistry:
-    """One session's worth of instruments plus its layer tracker."""
+    """One session's worth of instruments."""
 
     enabled = True
 
-    def __init__(self, clock=None) -> None:
+    def __init__(self) -> None:
         self._instruments: dict[str, Any] = {}
         self._scope_counts: dict[str, int] = {}
-        #: The per-layer latency-attribution profiler (see
-        #: :class:`repro.obs.trace.LayerTracker`).
-        self.layers = LayerTracker(clock)
 
     def _get(self, name: str, kind: type, factory) -> Any:
         instrument = self._instruments.get(name)
@@ -247,14 +243,9 @@ class MetricsRegistry:
         return ScopedRegistry(self, unique)
 
     def snapshot(self) -> dict:
-        """All instruments plus the layer breakdown, JSON-serializable."""
-        metrics = {name: self._instruments[name].snapshot()
-                   for name in sorted(self._instruments)}
-        layers = {
-            name: {"cpu": cpu, "sim": sim, "total": cpu + sim}
-            for name, (cpu, sim) in sorted(self.layers.breakdown().items())
-        }
-        return {"metrics": metrics, "layers": layers}
+        """All instruments, JSON-serializable."""
+        return {"metrics": {name: self._instruments[name].snapshot()
+                            for name in sorted(self._instruments)}}
 
 
 class ScopedRegistry:
@@ -269,10 +260,6 @@ class ScopedRegistry:
     @property
     def enabled(self) -> bool:
         return self._parent.enabled
-
-    @property
-    def layers(self):
-        return self._parent.layers
 
     def counter(self, name: str) -> Counter:
         return self._parent.counter(f"{self.prefix}.{name}")
@@ -350,9 +337,6 @@ class NullRegistry:
 
     enabled = False
 
-    def __init__(self) -> None:
-        self.layers = NullLayerTracker()
-
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
@@ -370,7 +354,7 @@ class NullRegistry:
         return self
 
     def snapshot(self) -> dict:
-        return {"metrics": {}, "layers": {}}
+        return {"metrics": {}}
 
 
 #: The shared disabled registry; safe to hand to any number of components.
@@ -427,8 +411,7 @@ class TeeRegistry:
     *per-source* registry (what its heartbeat reports to the collector)
     without breaking the world-wide registry every existing test and
     bench reads: instruments created through the tee update both.
-    ``layers`` and ``scope`` delegate to the primary only — layer
-    attribution is a per-World concern, not a per-source one.
+    ``scope`` delegates to the primary only.
     """
 
     __slots__ = ("_primary", "_secondary")
@@ -440,10 +423,6 @@ class TeeRegistry:
     @property
     def enabled(self) -> bool:
         return self._primary.enabled or self._secondary.enabled
-
-    @property
-    def layers(self):
-        return self._primary.layers
 
     def counter(self, name: str) -> _TeeInstrument:
         return _TeeInstrument(self._primary.counter(name),

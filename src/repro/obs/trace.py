@@ -1,25 +1,22 @@
-"""Structured tracing: nested spans and per-layer time attribution.
+"""Structured tracing: nested spans, and a window's time split by layer.
 
-Two instruments share the hybrid time model of :mod:`repro.bench.timing`
-(real CPU seconds from ``time.perf_counter`` plus simulated device
-seconds from the virtual clock):
-
-* :class:`Tracer` records *inclusive* spans that nest — the
-  generalization of the bench Timer, with per-span tags and children.
-* :class:`LayerTracker` is a stack profiler charging *exclusive* time to
-  the innermost active layer.  A synchronous caller waits for its reply
-  by advancing the clock (under the ``network`` layer), and the handlers
-  that run from the arrival timers nest on that same Python stack — so
-  on the kernel path exactly one layer (or the root ``"other"`` bucket)
-  is active at every instant, and the per-layer totals sum to the
-  tracked wall total by construction.  This is what lets a Fig. 5 run
-  split its headline number into crypto / RPC / NFS server / network /
-  disk components that actually add up.  (Across *tasks* there is no
-  one stack; see ROADMAP item 3.)
+* :class:`Tracer` records *inclusive* spans that nest, against host CPU
+  (``time.perf_counter``) and the virtual clock — the generalization of
+  the bench Timer, with per-span tags and children.
+* :class:`Attribution` splits one measured window by layer, one clock at
+  a time, and the two are never added together.  Host CPU comes from
+  :data:`BOUNDARIES`, a table of named callables the window wraps on
+  entry and puts back on exit: nothing outside a window pays for it.
+  Virtual time comes from what the devices booked: the disks' booked
+  seconds are ``disk``, and the rest of the elapsed virtual time is
+  ``network`` (the model books virtual time nowhere else).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -86,7 +83,7 @@ class Tracer:
     """Records a forest of nested spans against cpu + simulated time.
 
     Span times are *inclusive* (a parent's time covers its children);
-    use :class:`LayerTracker` for exclusive attribution.
+    use :class:`Attribution` for exclusive attribution.
     """
 
     def __init__(self, clock=None) -> None:
@@ -112,151 +109,177 @@ class Tracer:
         return [span.to_dict() for span in self.roots]
 
 
-class _LayerContext:
-    __slots__ = ("_tracker", "_name")
+#: The layers a figure's time splits into, in display order.  ``other``
+#: is host time inside a window that no boundary claims.
+LAYERS = ("crypto", "rpc", "nfs3", "network", "disk", "other")
 
-    def __init__(self, tracker: "LayerTracker", name: str) -> None:
-        self._tracker = tracker
-        self._name = name
+#: (layer, dotted path of a callable).  Every one is looked up where it
+#: is called, at each call, so a window opened after the world is built
+#: still sees it: what a pipe or a dispatch table bound at construction
+#: reaches through one of these.
+BOUNDARIES: tuple[tuple[str, str], ...] = (
+    # The channel's cipher and MAC: they run only with encryption on.
+    ("crypto", "repro.crypto.arc4.ARC4.encrypt"),
+    ("crypto", "repro.crypto.arc4.ARC4.decrypt"),
+    ("crypto", "repro.crypto.mac.SessionMAC.compute"),
+    ("crypto", "repro.crypto.mac.SessionMAC.verify"),
+    # A record's parse and dispatch, a served call (unmarshal, handler,
+    # reply) and a synchronous call.
+    ("rpc", "repro.rpc.peer.RpcPeer._receive"),
+    ("rpc", "repro.rpc.peer.RpcPeer.serve_queued"),
+    ("rpc", "repro.rpc.peer.RpcPeer.call"),
+    ("nfs3", "repro.nfs3.server.Nfs3Server._serve"),
+    # A synchronous caller pumping the clock until its reply is in:
+    # the scheduler, its timers and the links they deliver on.
+    ("network", "repro.rpc.peer.Runner.wait_for"),
+    ("disk", "repro.sim.disk.Disk.read"),
+    ("disk", "repro.sim.disk.Disk.write"),
+    ("disk", "repro.sim.disk.Disk.sync"),
+)
 
-    def __enter__(self) -> "LayerTracker":
-        self._tracker.push(self._name)
-        return self._tracker
 
-    def __exit__(self, *exc) -> bool:
-        self._tracker.pop()
-        return False
+def resolve(dotted: str) -> tuple[Any, str, Any]:
+    """``(owner, name, value)`` for *dotted*: its longest importable
+    prefix is the module, the rest a chain of attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:-1]:
+            owner = getattr(owner, name)
+        return owner, parts[-1], getattr(owner, parts[-1])
+    raise ImportError(f"{dotted}: no importable module prefix")
 
 
-class LayerTracker:
-    """Charges exclusive cpu + simulated time to the innermost layer.
+class Attribution:
+    """One measured window's time split by layer, one clock at a time.
 
-    Instrumented sections bracket themselves with :meth:`push` /
-    :meth:`pop` (or ``with layers.layer("crypto")``).  Time between a
-    push and the next push/pop is charged to the pushed layer; time with
-    an empty stack goes to the root bucket :data:`ROOT` (``"other"``).
-    Nested pushes suspend the outer layer, so totals are exclusive.
-    A device that books time ahead (the disk) charges it with
-    :meth:`book` when it books, and the simulated time until the device
-    is done is not charged again; so :meth:`breakdown` sums to the time
-    elapsed since :meth:`reset` once every booking has passed.
+    ``with Attribution(BOUNDARIES, clock, disks) as window:`` wraps each
+    boundary on entry and puts every original back on exit, whatever
+    the body raised.  Then:
+
+    * :attr:`host` holds host CPU seconds for each of :data:`LAYERS`.
+      They are exclusive: a call into another layer's boundary is
+      charged there, one into its own layer folds in, and a generator
+      boundary is charged per resumption, so the time it spends
+      suspended goes to whatever runs meanwhile.  Host execution is one
+      Python stack, so the stack of open boundaries is exact on the
+      pipelined core too.
+    * :attr:`virtual` holds ``disk``, the seconds *disks* booked inside
+      the window, and ``network``, the rest of the virtual time that
+      passed.
+
+    A wrapper that outlives its window (a generator still suspended, a
+    method bound meanwhile) calls straight through.
     """
 
-    ROOT = "other"
-    enabled = True
-
-    __slots__ = ("_clock", "_stack", "_totals", "_cpu_mark", "_sim_mark",
-                 "_booked_until")
-
-    def __init__(self, clock=None) -> None:
+    def __init__(self, boundaries, clock, disks=()) -> None:
+        self._boundaries = boundaries
         self._clock = clock
-        self._stack: list[str] = []
-        self._totals: dict[str, list[float]] = {}
-        self._cpu_mark = time.perf_counter()
-        self._sim_mark = self._now_sim()
-        #: Simulated time before this was booked and charged ahead.
-        self._booked_until = 0.0
+        self._disks = tuple(disks)
+        self._patched: list[tuple[Any, str, Any]] = []
+        #: Open boundaries, innermost last: [layer, start, child seconds].
+        self._stack: list[list] = []
+        self._open = False
+        #: When host time last started going to ``other``.
+        self._mark = 0.0
+        self._sim0 = self._booked0 = 0.0
+        self.host = dict.fromkeys(LAYERS, 0.0)
+        self.virtual: dict[str, float] = {}
 
-    def _now_sim(self) -> float:
-        return self._clock.now if self._clock is not None else 0.0
+    def _booked(self) -> float:
+        return sum(disk.booked for disk in self._disks)
 
-    def _flush(self) -> None:
-        cpu = time.perf_counter()
-        sim = self._now_sim()
-        name = self._stack[-1] if self._stack else self.ROOT
-        bucket = self._totals.get(name)
-        if bucket is None:
-            bucket = self._totals[name] = [0.0, 0.0]
-        bucket[0] += cpu - self._cpu_mark
-        passed = sim - self._sim_mark
-        if self._booked_until > self._sim_mark:
-            passed -= min(sim, self._booked_until) - self._sim_mark
-        bucket[1] += passed
-        self._cpu_mark = cpu
-        self._sim_mark = sim
-
-    def push(self, name: str) -> None:
-        self._flush()
-        self._stack.append(name)
-
-    def pop(self) -> None:
-        self._flush()
-        if self._stack:
-            self._stack.pop()
-
-    def book(self, seconds: float, until: float) -> None:
-        """Charge *seconds* of device time to the innermost layer now,
-        for a device busy until simulated time *until*.  The time up to
-        *until* is not charged again as it passes, to whichever layer
-        is on the stack then."""
-        self._flush()
-        self._totals[self._stack[-1] if self._stack else self.ROOT][1] \
-            += seconds
-        if until > self._booked_until:
-            self._booked_until = until
-
-    def layer(self, name: str) -> _LayerContext:
-        return _LayerContext(self, name)
-
-    def reset(self) -> None:
-        """Zero the totals and restart the accounting window now.
-
-        The layer stack survives — reset may run while instrumented
-        code is active further up the call stack.
-        """
-        self._totals.clear()
-        self._booked_until = 0.0
-        self._cpu_mark = time.perf_counter()
-        self._sim_mark = self._now_sim()
-
-    def breakdown(self) -> dict[str, tuple[float, float]]:
-        """Per-layer ``(cpu_seconds, sim_seconds)`` since the last reset."""
-        self._flush()
-        return {name: (cpu, sim) for name, (cpu, sim) in self._totals.items()}
-
-    def total(self) -> float:
-        """Total tracked seconds (cpu + sim) since the last reset."""
-        return sum(cpu + sim for cpu, sim in self.breakdown().values())
-
-
-class _NullLayerContext:
-    __slots__ = ()
-
-    def __enter__(self):
+    def __enter__(self) -> "Attribution":
+        # Every name resolves before any is wrapped: a stale one
+        # raises here with nothing left patched.
+        targets = [(layer, *resolve(dotted))
+                   for layer, dotted in self._boundaries]
+        for layer, owner, name, fn in targets:
+            wrap = (self._wrap_generator if inspect.isgeneratorfunction(fn)
+                    else self._wrap_call)
+            setattr(owner, name, wrap(layer, fn))
+            self._patched.append((owner, name, fn))
+        self._sim0 = self._clock.now
+        self._booked0 = self._booked()
+        self._open = True
+        self._mark = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
+        self.host["other"] += time.perf_counter() - self._mark
+        self._open = False
+        self._restore()
+        disk = self._booked() - self._booked0
+        self.virtual = {"network": self._clock.now - self._sim0 - disk,
+                        "disk": disk}
         return False
 
+    def _restore(self) -> None:
+        while self._patched:
+            owner, name, fn = self._patched.pop()
+            setattr(owner, name, fn)
 
-_NULL_LAYER_CONTEXT = _NullLayerContext()
+    def _enter(self, layer: str) -> list:
+        now = time.perf_counter()
+        if not self._stack:
+            self.host["other"] += now - self._mark
+        span = [layer, now, 0.0]
+        self._stack.append(span)
+        return span
 
+    def _leave(self, span: list) -> None:
+        now = time.perf_counter()
+        stack = self._stack
+        stack.pop()
+        spent = now - span[1]
+        self.host[span[0]] += spent - span[2]
+        if stack:
+            stack[-1][2] += spent
+        else:
+            self._mark = now
 
-class NullLayerTracker:
-    """Do-nothing LayerTracker for disabled metrics."""
+    def _charges(self, layer: str) -> bool:
+        return self._open and not (self._stack
+                                   and self._stack[-1][0] == layer)
 
-    ROOT = LayerTracker.ROOT
-    enabled = False
+    def _wrap_call(self, layer: str, fn):
+        @functools.wraps(fn)
+        def attributed(*args, **kwargs):
+            if not self._charges(layer):
+                return fn(*args, **kwargs)
+            span = self._enter(layer)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._leave(span)
+        return attributed
 
-    __slots__ = ()
-
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
-    def book(self, seconds: float, until: float) -> None:
-        pass
-
-    def layer(self, name: str) -> _NullLayerContext:
-        return _NULL_LAYER_CONTEXT
-
-    def reset(self) -> None:
-        pass
-
-    def breakdown(self) -> dict[str, tuple[float, float]]:
-        return {}
-
-    def total(self) -> float:
-        return 0.0
+    def _wrap_generator(self, layer: str, fn):
+        @functools.wraps(fn)
+        def attributed(*args, **kwargs):
+            gen = fn(*args, **kwargs)
+            value = error = None
+            while True:
+                span = self._enter(layer) if self._charges(layer) else None
+                try:
+                    if error is not None:
+                        waited = gen.throw(error)
+                    else:
+                        waited = gen.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    if span is not None:
+                        self._leave(span)
+                try:
+                    value = yield waited
+                    error = None
+                except GeneratorExit:
+                    gen.close()
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - thrown in
+                    error = exc  # forwarded to the generator, as yield from
+        return attributed

@@ -211,13 +211,11 @@ class Runner:
     :class:`RpcPeer` over its transport, or the kernel's own (a system
     call may wait on any of its mounts)."""
 
-    def __init__(self, clock=None, metrics=None,
+    def __init__(self, clock=None,
                  wait: Callable[[], None] | None = None) -> None:
         #: Virtual clock retransmission timers and backoff run on, and
         #: whose scheduler a wait pumps; None = wall clock.
         self.clock = clock
-        #: The registry whose layer tracker a wait is charged to.
-        self.metrics = metrics or NULL_REGISTRY
         #: How a transport without a clock makes progress (a TCP
         #: socket's loop); must make progress or raise.
         self._wait = wait
@@ -255,23 +253,11 @@ class Runner:
             raise
 
     def wait_for(self, future: Future) -> None:
-        """Block (in simulation terms) until *future* completes.
-
-        The time spent is time on the wire, charged to the ``network``
-        layer; whatever runs from the timers charges its own.
-        """
-        layers = self.metrics.layers
-        layers.push("network")
-        try:
-            self._pump_until(future)
-        finally:
-            layers.pop()
-
-    def _pump_until(self, future: Future) -> None:
-        """Pump the clock's scheduler (or, without a clock, the
-        transport's own wait) until *future* completes.  With nothing
-        runnable and no timer left the record was lost; with neither a
-        clock nor a wait nothing could ever arrive."""
+        """Block (in simulation terms) until *future* completes: pump
+        the clock's scheduler (or, without a clock, the transport's own
+        wait).  With nothing runnable and no timer left the record was
+        lost; with neither a clock nor a wait nothing could ever
+        arrive."""
         clock = self.clock
         pump = clock.scheduler.legacy_pump if clock is not None else self._wait
         if pump is None:
@@ -297,7 +283,7 @@ class Runner:
         the wall clock without a virtual one."""
         clock = self.clock
         if clock is not None:
-            self._pump_until(clock.scheduler.timer(seconds))
+            self.wait_for(clock.scheduler.timer(seconds))
         elif seconds > 0:
             time.sleep(seconds)
 
@@ -337,7 +323,8 @@ class RpcPeer(Runner):
         # lower pipe's description on); the peer reads it here, so a
         # later re-timing of the link leaves this peer's RTO alone.
         transport = getattr(pipe, "transport", None) or Transport()
-        super().__init__(transport.clock, transport.metrics, transport.wait)
+        super().__init__(transport.clock, transport.wait)
+        self.metrics = transport.metrics or NULL_REGISTRY
         self._pipe = pipe
         self.name = name
         self.trace = trace
@@ -453,16 +440,10 @@ class RpcPeer(Runner):
         return program
 
     def _on_record(self, data: bytes) -> None:
-        # The "rpc" layer claims parsing, dispatch, unmarshaling and
-        # handler glue; instrumented work the handler triggers (nfs3
-        # dispatch, crypto, network) is charged to its own layer by
-        # nesting.
-        layers = self.metrics.layers
-        layers.push("rpc")
-        try:
-            self._receive(data)
-        finally:
-            layers.pop()
+        # The pipe holds this bound method from construction on; it
+        # looks _receive up per record, so a measured window can wrap
+        # it (repro.obs.trace.BOUNDARIES).
+        self._receive(data)
 
     def _receive(self, data: bytes) -> None:
         peeked = rpcmsg.peek_message(data)
@@ -533,77 +514,63 @@ class RpcPeer(Runner):
         returns the result.  Either way an exception becomes SYSTEM_ERR,
         except an AssertionError, which fails the run.
         """
-        # The "rpc" layer claims the unmarshaling, dispatch and reply;
-        # instrumented work the handler triggers nests in its own layer.
-        layers = self.metrics.layers
-        layers.push("rpc")
+        program = self._programs.get((header.prog, header.vers))
+        if program is None:
+            versions = [v for (p, v) in self._programs if p == header.prog]
+            if versions:
+                reply = ReplyHeader(
+                    header.xid,
+                    accept_stat=rpcmsg.PROG_MISMATCH,
+                    mismatch_low=min(versions),
+                    mismatch_high=max(versions),
+                )
+            else:
+                reply = ReplyHeader(header.xid,
+                                    accept_stat=rpcmsg.PROG_UNAVAIL)
+            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+            return
+        if header.proc in program.idempotent:
+            request = None  # a retransmission runs again, not replayed
+        procedure = program.procedures.get(header.proc)
+        if procedure is None:
+            reply = ReplyHeader(header.xid,
+                                accept_stat=rpcmsg.PROC_UNAVAIL)
+            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+            return
         try:
-            program = self._programs.get((header.prog, header.vers))
-            if program is None:
-                versions = [v for (p, v) in self._programs
-                            if p == header.prog]
-                if versions:
-                    reply = ReplyHeader(
-                        header.xid,
-                        accept_stat=rpcmsg.PROG_MISMATCH,
-                        mismatch_low=min(versions),
-                        mismatch_high=max(versions),
-                    )
-                else:
-                    reply = ReplyHeader(header.xid,
-                                        accept_stat=rpcmsg.PROG_UNAVAIL)
-                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-                return
-            if header.proc in program.idempotent:
-                request = None  # a retransmission runs again, not replayed
-            procedure = program.procedures.get(header.proc)
-            if procedure is None:
-                reply = ReplyHeader(header.xid,
-                                    accept_stat=rpcmsg.PROC_UNAVAIL)
-                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-                return
-            try:
-                args = procedure.arg_codec.unpack(body)
-            except XdrError:
-                reply = ReplyHeader(header.xid,
-                                    accept_stat=rpcmsg.GARBAGE_ARGS)
-                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-                return
+            args = procedure.arg_codec.unpack(body)
+        except XdrError:
+            reply = ReplyHeader(header.xid,
+                                accept_stat=rpcmsg.GARBAGE_ARGS)
+            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+            return
+        if self.trace:
+            self.trace(
+                f"{self.name}: serve "
+                f"{program.name}.{procedure.name}({args!r})"
+            )
+        self.calls_served += 1
+        self._m_served.inc()
+        try:
+            result = procedure.handler(args, CallContext(self, header))
+            if isinstance(result, GeneratorType):
+                result = yield from result
+            payload = procedure.res_codec.pack(result)
+        except AssertionError:
+            raise  # a broken invariant (the clock's guard) is no reply
+        except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
             if self.trace:
                 self.trace(
-                    f"{self.name}: serve "
-                    f"{program.name}.{procedure.name}({args!r})"
+                    f"{self.name}: {program.name}.{procedure.name} "
+                    f"failed: {exc!r}"
                 )
-            self.calls_served += 1
-            self._m_served.inc()
-            try:
-                result = procedure.handler(args, CallContext(self, header))
-                if isinstance(result, GeneratorType):
-                    # Its waits, and the steps whoever resumes it runs,
-                    # are not this peer's "rpc" work.
-                    layers.pop()
-                    try:
-                        result = yield from result
-                    finally:
-                        layers.push("rpc")
-                payload = procedure.res_codec.pack(result)
-            except AssertionError:
-                raise  # a broken invariant (the clock's guard) is no reply
-            except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
-                if self.trace:
-                    self.trace(
-                        f"{self.name}: {program.name}.{procedure.name} "
-                        f"failed: {exc!r}"
-                    )
-                reply = ReplyHeader(header.xid, accept_stat=rpcmsg.SYSTEM_ERR)
-                self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
-                return
-            self._send_reply(
-                header.xid, request,
-                rpcmsg.pack_reply(ReplyHeader(header.xid), payload),
-            )
-        finally:
-            layers.pop()
+            reply = ReplyHeader(header.xid, accept_stat=rpcmsg.SYSTEM_ERR)
+            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+            return
+        self._send_reply(
+            header.xid, request,
+            rpcmsg.pack_reply(ReplyHeader(header.xid), payload),
+        )
 
     def _send_reply(self, xid: int, request: bytes | None,
                     record: bytes) -> None:
@@ -687,13 +654,8 @@ class RpcPeer(Runner):
         :class:`RpcNoWaiter` when the transport gives :meth:`drive` no
         way to wait.
         """
-        layers = self.metrics.layers
-        layers.push("rpc")
-        try:
-            return self.drive(self.call_task(
-                prog, vers, proc, arg_codec, args, res_codec, cred))
-        finally:
-            layers.pop()
+        return self.drive(self.call_task(
+            prog, vers, proc, arg_codec, args, res_codec, cred))
 
     def start(self, gen) -> Future:
         """Run a task generator in the background; the Future returned

@@ -67,18 +67,20 @@ class Disk:
         self.reads = 0
         self.writes = 0
         self.syncs = 0
+        #: Seconds of arm time booked by served calls, ever.
+        self.booked = 0.0
         #: dirty write-back cache: tag -> count of un-flushed writes
         self._dirty: dict[int, int] = {}
         self._torn_countdown = 0
         self._torn_pending = False
         self.torn_syncs = 0
         self.lost_writes = 0
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._m_reads = self._metrics.counter("disk.reads")
-        self._m_writes = self._metrics.counter("disk.writes")
-        self._m_syncs = self._metrics.counter("disk.syncs")
-        self._m_lost = self._metrics.counter("disk.lost_writes")
-        self._m_torn = self._metrics.counter("disk.torn_syncs")
+        metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._m_reads = metrics.counter("disk.reads")
+        self._m_writes = metrics.counter("disk.writes")
+        self._m_syncs = metrics.counter("disk.syncs")
+        self._m_lost = metrics.counter("disk.lost_writes")
+        self._m_torn = metrics.counter("disk.torn_syncs")
 
     @property
     def params(self) -> DiskParameters:
@@ -114,21 +116,16 @@ class Disk:
             until = self._arm.busy_until
             if until > self._call_done:
                 self._call_done = until
-            self._metrics.layers.book(seconds, until)
+            self.booked += seconds
 
     def _access(self, block: int, nbytes: int) -> float:
-        layers = self._metrics.layers
-        layers.push("disk")
-        try:
-            params = self._params
-            sequential = (self._last_block is not None
-                          and block == self._last_block + 1)
-            if not sequential:
-                self._book(params.average_seek + params.rotational_latency)
-            self._book(nbytes / params.transfer_rate)
-            self._last_block = block + max(0, (nbytes - 1) // params.block_size)
-        finally:
-            layers.pop()
+        params = self._params
+        sequential = (self._last_block is not None
+                      and block == self._last_block + 1)
+        if not sequential:
+            self._book(params.average_seek + params.rotational_latency)
+        self._book(nbytes / params.transfer_rate)
+        self._last_block = block + max(0, (nbytes - 1) // params.block_size)
         return self._arm.busy_until if self._in_call else self._clock.now
 
     def read(self, block: int, nbytes: int) -> float:
@@ -170,16 +167,11 @@ class Disk:
                 self._dirty.clear()
             else:
                 self._dirty.pop(tag, None)
-        layers = self._metrics.layers
-        layers.push("disk")
-        try:
-            params = self._params
-            self._book(params.average_seek + params.rotational_latency)
-            if nbytes:
-                self._book(nbytes / params.transfer_rate)
-            self._last_block = None
-        finally:
-            layers.pop()
+        params = self._params
+        self._book(params.average_seek + params.rotational_latency)
+        if nbytes:
+            self._book(nbytes / params.transfer_rate)
+        self._last_block = None
 
     # -- failure model --
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import signal
+import sys
 
 from repro.nfs3.client import Nfs3Client
 from repro.rpc.peer import Runner
@@ -34,6 +35,25 @@ def wall_bound(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_calls(fn) -> int:
+    """Python-level and built-in calls one warm *fn()* makes, counted
+    with ``sys.setprofile``: an exact cost, where host time is too noisy
+    to gate."""
+    fn()  # warm: memo tables filled, nothing compiled on the way
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count - 1  # setprofile(None) itself
 
 
 def job(action=None):

@@ -3,8 +3,8 @@
 ``bench scale|fleet|control|auth --quick`` are pure functions of their
 seed: every row is simulated seconds and counts.  The paper's figures
 (``fig5`` .. ``fig9``) add host CPU seconds to virtual ones; with the
-host clock stopped, their rows (and Fig. 5's per-layer split) are
-virtual seconds alone, just as pure.  Each figure's rows are folded
+host clock stopped, their rows are virtual seconds alone, just as pure,
+and so is Fig. 5's virtual split by layer.  Each figure's rows are folded
 into a SHA-256 (floats at 9 significant digits, so a last-ULP wobble in
 a derived rate is not a change) and compared with the digest committed
 here, as ``scenarios/DIGESTS.json`` pins the chaos decks.  A change that
@@ -38,12 +38,12 @@ ROWS = {
 }
 
 #: The paper's figures: their rows, and Fig. 5's split of each
-#: configuration's time by layer.
+#: configuration's virtual time by layer.
 PAPER_ROWS = {
     "fig5": lambda data: {
         "rows": data["rows"],
-        "layers": {name: entry["layers"]
-                   for name, entry in data["attribution"].items()},
+        "virtual": {name: split["virtual"]
+                    for name, split in data["attribution"].items()},
     },
     **{figure: lambda data: data["rows"]
        for figure in ("fig6", "fig7", "fig8", "fig9")},
@@ -59,9 +59,11 @@ DIGESTS = {
 
 #: Re-pinned when sfscd's name cache began keeping the names its own
 #: CREATE/MKDIR/SYMLINK made: every SFS row that moved went down (the
-#: table is in EXPERIMENTS.md).
+#: table is in EXPERIMENTS.md).  ``fig5`` re-pinned once more when its
+#: split became one per clock: the virtual split is now ``network`` and
+#: ``disk`` beside their headline, each value unchanged (CHANGES.md).
 PAPER_DIGESTS = {
-    "fig5": "dce1a4c5c81d66e70e0d6b46ef705f4e55d31e27ba1004c067d09f851333a495",
+    "fig5": "ad841e290863759d11a17c4bba484de9cf4ff7249876680d9d2287be3afc8cfd",
     "fig6": "b590566439b32f40f5d3b5d1a6bbaf0cdaa8d3e44080031166eb321258421ae8",
     "fig7": "6b733be3d29de65a861ff2cacff50cd011a7bdec2b5202a59fcbd74e45b4baaa",
     "fig8": "991db4fb8365746345303e89696ff39a67e59fd8a155afca0d0011591518ee40",

@@ -21,7 +21,7 @@ from repro.sim.clock import Clock
 
 def snapshot_of(**metrics):
     """A minimal registry-snapshot dict from keyword instruments."""
-    return {"metrics": dict(metrics), "layers": {}}
+    return {"metrics": dict(metrics)}
 
 
 def hist_snapshot(values):

@@ -64,7 +64,7 @@ def make_set(mirrors, seed=7, **kwargs):
     clock = mirrors[0].clock
     replicas = [Replica(name, mirror.dial, clock)
                 for name, mirror in mirrors_named(mirrors)]
-    metrics = MetricsRegistry(clock=clock)
+    metrics = MetricsRegistry()
     replica_set = ReplicaSet(replicas, clock, random.Random(seed),
                              metrics=metrics, **kwargs)
     return replica_set, metrics
@@ -170,7 +170,7 @@ def test_misconduct_on_dial_is_banned():
 
     replicas = [Replica("m0", impostor_dial, clock),
                 Replica("m1", honest.dial, clock)]
-    metrics = MetricsRegistry(clock=clock)
+    metrics = MetricsRegistry()
     replica_set = ReplicaSet(replicas, clock, random.Random(3),
                              metrics=metrics)
     assert run(replica_set.fetch_data(DIGEST), clock) == BLOB

@@ -6,23 +6,21 @@ import pytest
 
 from repro.obs import (
     DEFAULT_BUCKETS,
-    LayerTracker,
     MetricsRegistry,
     NULL_REGISTRY,
-    NullLayerTracker,
     NullRegistry,
     Tracer,
 )
 from repro.obs.export import (
     SnapshotCollector,
-    format_attribution,
     format_metrics,
     format_snapshot,
     load_snapshot,
-    ordered_layers,
     write_snapshot,
 )
+from repro.obs.trace import LAYERS, Attribution
 from repro.sim.clock import Clock
+from repro.sim.disk import Disk
 
 
 # --- registry instruments ----------------------------------------------------
@@ -133,78 +131,186 @@ def test_null_registry_is_inert():
     NULL_REGISTRY.histogram("h").observe(1.0)
     NULL_REGISTRY.family("f").labels("x").inc()
     assert NULL_REGISTRY.scope("p") is NULL_REGISTRY
-    assert NULL_REGISTRY.snapshot() == {"metrics": {}, "layers": {}}
-    assert isinstance(NULL_REGISTRY.layers, NullLayerTracker)
-    with NULL_REGISTRY.layers.layer("crypto"):
-        pass
-    assert NULL_REGISTRY.layers.breakdown() == {}
+    assert NULL_REGISTRY.snapshot() == {"metrics": {}}
     assert isinstance(NullRegistry(), NullRegistry)
 
 
-# --- layer tracker -----------------------------------------------------------
+# --- attribution windows -----------------------------------------------------
 
-def test_layer_tracker_charges_sim_time_exclusively():
-    clock = Clock()
-    layers = LayerTracker(clock)
-    layers.reset()
-    clock.advance(1.0)            # root time
-    layers.push("rpc")
-    clock.advance(2.0)            # rpc exclusive
-    layers.push("network")
-    clock.advance(3.0)            # network, suspends rpc
-    layers.pop()
-    clock.advance(4.0)            # rpc resumes
-    layers.pop()
-    clock.advance(0.5)            # root again
-    breakdown = layers.breakdown()
-    assert breakdown["rpc"][1] == pytest.approx(6.0)
-    assert breakdown["network"][1] == pytest.approx(3.0)
-    assert breakdown[LayerTracker.ROOT][1] == pytest.approx(1.5)
+class _Ticks:
+    """A host clock that moves only when told to."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.now = 0.0
+        monkeypatch.setattr("time.perf_counter", lambda: self.now)
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+class _Stack:
+    """Stand-ins for a stack's layers: each spends host time on ticks."""
+
+    def rpc(self, ticks, inner=True):
+        ticks.advance(2.0)
+        if inner:
+            self.crypto(ticks)
+        ticks.advance(4.0)
+
+    def crypto(self, ticks):
+        ticks.advance(3.0)
+        self.crypto_again(ticks)
+
+    def crypto_again(self, ticks):
+        ticks.advance(1.0)
+
+    def network(self, ticks):
+        ticks.advance(1.0)
+        got = yield "waiting"
+        ticks.advance(2.0)
+        return got
+
+
+_BOUNDARIES = tuple((layer, f"{__name__}._Stack.{name}") for layer, name in (
+    ("rpc", "rpc"), ("crypto", "crypto"), ("crypto", "crypto_again"),
+    ("network", "network")))
+
+
+def _host(**seconds):
+    return {layer: seconds.get(layer, 0.0) for layer in LAYERS}
+
+
+def test_attribution_charges_nested_time_exclusively(monkeypatch):
+    ticks = _Ticks(monkeypatch)
+    with Attribution(_BOUNDARIES, Clock()) as window:
+        ticks.advance(1.0)            # no boundary open: other
+        _Stack().rpc(ticks)           # rpc 2 + 4; crypto 3, and 1 folded
+        ticks.advance(0.5)            # other again
+    assert window.host == _host(rpc=6.0, crypto=4.0, other=1.5)
     # Exclusive components sum to the elapsed window.
-    assert sum(sim for _cpu, sim in breakdown.values()) == pytest.approx(10.5)
+    assert sum(window.host.values()) == 11.5
 
 
-def test_layer_tracker_sums_to_elapsed_cpu():
-    layers = LayerTracker()
-    layers.reset()
+def test_attribution_charges_a_generator_per_resumption(monkeypatch):
+    ticks = _Ticks(monkeypatch)
+    with Attribution(_BOUNDARIES, Clock()) as window:
+        task = _Stack().network(ticks)
+        assert next(task) == "waiting"        # network 1
+        ticks.advance(5.0)                    # suspended: not network's
+        with pytest.raises(StopIteration) as done:
+            task.send("reply")                # network 2
+    assert done.value.value == "reply"
+    assert window.host == _host(network=3.0, other=5.0)
+
+
+def test_attribution_forwards_what_is_thrown_into_a_generator(monkeypatch):
+    ticks = _Ticks(monkeypatch)
+    with Attribution(_BOUNDARIES, Clock()) as window:
+        task = _Stack().network(ticks)
+        next(task)
+        with pytest.raises(KeyError):
+            task.throw(KeyError("lost"))
+    assert window.host == _host(network=1.0)
+
+
+class _Busy:
+    """Spends real host time where _Ticks would advance."""
+
+    def advance(self, seconds: float) -> None:
+        sum(range(20000))
+
+
+def test_attribution_host_split_sums_to_elapsed_cpu():
     import time
     cpu_start = time.perf_counter()
-    with layers.layer("crypto"):
-        sum(range(20000))
-    with layers.layer("rpc"):
+    with Attribution(_BOUNDARIES, Clock()) as window:
+        _Stack().rpc(_Busy())
         sum(range(20000))
     elapsed = time.perf_counter() - cpu_start
-    breakdown = layers.breakdown()
-    total = sum(cpu for cpu, _sim in breakdown.values())
-    assert total == pytest.approx(elapsed, rel=0.25, abs=5e-3)
-    assert breakdown["crypto"][0] > 0
-    assert breakdown["rpc"][0] > 0
+    assert sum(window.host.values()) == pytest.approx(elapsed, rel=0.25,
+                                                      abs=5e-3)
+    assert window.host["crypto"] > 0
+    assert window.host["rpc"] > 0
+    assert window.host["other"] > 0
 
 
-def test_layer_tracker_reset_preserves_stack():
+def test_attribution_unwraps_every_boundary_even_when_the_workload_raises():
+    originals = {name: vars(_Stack)[name]
+                 for name in ("rpc", "crypto", "crypto_again", "network")}
+    with pytest.raises(RuntimeError):
+        with Attribution(_BOUNDARIES, Clock()):
+            assert all(vars(_Stack)[name] is not fn
+                       for name, fn in originals.items())
+            raise RuntimeError("workload failed")
+    assert all(vars(_Stack)[name] is fn for name, fn in originals.items())
+
+
+def test_attribution_with_a_stale_boundary_wraps_nothing():
+    original = vars(_Stack)["rpc"]
+    stale = _BOUNDARIES + (("rpc", f"{__name__}._Stack.renamed"),)
+    with pytest.raises(AttributeError):
+        with Attribution(stale, Clock()):
+            pass
+    assert vars(_Stack)["rpc"] is original
+
+
+def test_attribution_windows_in_a_row_do_not_leak(monkeypatch):
+    ticks = _Ticks(monkeypatch)
+    stack = _Stack()
+    with Attribution(_BOUNDARIES, Clock()) as first:
+        task = stack.network(ticks)
+        next(task)                            # first window: network 1
+    assert first.host == _host(network=1.0)
+    with Attribution(_BOUNDARIES, Clock()) as second:
+        stack.rpc(ticks, inner=False)         # rpc 6
+        with pytest.raises(StopIteration):
+            task.send(None)                   # first's wrapper: other 2
+    assert first.host == _host(network=1.0)
+    assert second.host == _host(rpc=6.0, other=2.0)
+
+
+def test_attribution_virtual_split_is_disk_bookings_and_the_rest():
     clock = Clock()
-    layers = LayerTracker(clock)
-    layers.push("rpc")
-    clock.advance(1.0)
-    layers.reset()                # mid-flight reset, e.g. bench warmup
-    clock.advance(2.0)
-    layers.pop()
-    breakdown = layers.breakdown()
-    assert "rpc" in breakdown
-    assert breakdown["rpc"][1] == pytest.approx(2.0)
+    disk = Disk(clock)
+    disk.start_call()
+    disk.read(0, 8192)                        # booked before the window
+    clock.advance(disk.finish_call())
+    with Attribution((), clock, [disk]) as window:
+        disk.start_call()
+        disk.read(100, 8192)
+        disk.sync()
+        done = disk.finish_call()
+        clock.advance(done + 0.25)            # the reply on the wire
+    params = disk.params
+    booked = 2 * (params.average_seek + params.rotational_latency) \
+        + 8192 / params.transfer_rate
+    assert done == pytest.approx(booked)
+    assert window.virtual == pytest.approx({"disk": booked, "network": 0.25})
+    assert window.host["crypto"] == 0.0
 
 
-def test_registry_snapshot_includes_layers():
-    clock = Clock()
-    registry = MetricsRegistry(clock)
-    registry.layers.reset()
-    with registry.layers.layer("disk"):
-        clock.advance(0.25)
-    layers = registry.snapshot()["layers"]
-    assert layers["disk"]["sim"] == pytest.approx(0.25)
-    assert layers["disk"]["total"] == pytest.approx(
-        layers["disk"]["cpu"] + layers["disk"]["sim"]
-    )
+def test_registry_snapshot_has_no_layers():
+    registry = MetricsRegistry()
+    registry.counter("rpc.calls").inc()
+    assert registry.snapshot() == {"metrics": {"rpc.calls": 1}}
+
+
+def test_attribution_table_renders_one_row_per_clock():
+    from repro.bench.__main__ import _attribution_table
+
+    text = _attribution_table("Figure 5", {"SFS": {
+        "host": {"headline_seconds": 2.0,
+                 "layers": _host(crypto=0.5, rpc=1.5)},
+        "virtual": {"headline_seconds": 3.0,
+                    "layers": {"network": 2.25, "disk": 0.75}},
+    }})
+    header = text.splitlines()[1].split()
+    assert header == ["File", "system", "clock", *LAYERS, "sum", "headline"]
+    host, virtual = text.splitlines()[3:]
+    assert host.split()[1:] == ["host", "0.500", "1.500", "0.000", "0.000",
+                                "0.000", "0.000", "2.000", "2.000"]
+    assert virtual.split()[1:] == ["virtual", "-", "-", "-", "2.250",
+                                   "0.750", "-", "3.000", "3.000"]
 
 
 # --- tracer ------------------------------------------------------------------
@@ -240,18 +346,14 @@ def test_tracer_measure_returns_finished_span():
 # --- exporter ----------------------------------------------------------------
 
 def test_snapshot_round_trips_through_json(tmp_path):
-    clock = Clock()
-    registry = MetricsRegistry(clock)
+    registry = MetricsRegistry()
     registry.counter("rpc.calls").inc(3)
-    with registry.layers.layer("network"):
-        clock.advance(0.5)
     path = tmp_path / "snap.json"
     written = write_snapshot(str(path), registry, meta={"figure": "fig5"})
     loaded = load_snapshot(str(path))
     assert loaded == written
     assert loaded["meta"] == {"figure": "fig5"}
     assert loaded["metrics"]["rpc.calls"] == 3
-    assert loaded["layers"]["network"]["sim"] == pytest.approx(0.5)
 
 
 def test_snapshot_collector_gathers_named_runs(tmp_path):
@@ -267,29 +369,11 @@ def test_snapshot_collector_gathers_named_runs(tmp_path):
     assert loaded["snapshots"]["fig5/SFS"]["metrics"]["rpc.calls"] == 1
 
 
-def test_ordered_layers_puts_known_layers_first():
-    layers = {"zebra": (0, 0), "disk": (0, 0), "crypto": (0, 0)}
-    assert ordered_layers(layers) == ["crypto", "disk", "zebra"]
-
-
-def test_format_attribution_renders_totals_and_headline():
-    text = format_attribution(
-        {"crypto": (0.5, 0.0), "network": (0.0, 1.5)}, headline=2.0
-    )
-    assert "crypto" in text
-    assert "total" in text
-    assert "headline" in text
-    assert "2.000" in text
-
-
 def test_format_snapshot_renders_every_instrument_kind():
-    clock = Clock()
-    registry = MetricsRegistry(clock)
+    registry = MetricsRegistry()
     registry.counter("rpc.calls").inc(7)
     registry.histogram("rpc.call_seconds").observe(0.001)
     registry.family("rpc.peer.x.calls").labels((100003, 4)).inc()
-    with registry.layers.layer("rpc"):
-        clock.advance(0.1)
     text = format_snapshot(
         registry.snapshot() | {"meta": {"figure": "fig5"}},
         heading="fig5/SFS",
@@ -299,7 +383,6 @@ def test_format_snapshot_renders_every_instrument_kind():
     assert "rpc.calls" in text
     assert "count=1" in text                       # histogram summary
     assert "rpc.peer.x.calls{(100003, 4)}" in text  # family row
-    assert "Per-layer latency attribution" in text
 
 
 def test_obs_cli_renders_both_shapes(tmp_path, capsys):
@@ -549,20 +632,6 @@ def test_merge_named_snapshots_records_sources():
 def test_merge_metric_rejects_incompatible_shapes():
     with pytest.raises(ValueError):
         merge_metric(3, {"type": "family", "values": {}}, "x")
-
-
-def test_merge_sums_layers():
-    from repro.obs.export import registry_snapshot
-
-    clock_a, clock_b = Clock(), Clock()
-    a = MetricsRegistry(clock_a)
-    with a.layers.layer("crypto"):
-        clock_a.advance(0.25)
-    b = MetricsRegistry(clock_b)
-    with b.layers.layer("crypto"):
-        clock_b.advance(0.50)
-    merged = merge_snapshots([registry_snapshot(a), registry_snapshot(b)])
-    assert merged["layers"]["crypto"]["sim"] == pytest.approx(0.75)
 
 
 def test_diff_subtracts_monotonic_instruments():

@@ -231,7 +231,7 @@ def test_eviction_degrades_at_most_once_to_at_least_once():
             return [data]
 
     clock = Clock()
-    registry = MetricsRegistry(clock)
+    registry = MetricsRegistry()
     recorder = RecordingAdversary()
     a, b = link_pair(clock, NetworkParameters.instant(), recorder,
                      metrics=registry)

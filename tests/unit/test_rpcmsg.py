@@ -1,7 +1,6 @@
 """Tests for Sun RPC message framing (repro.rpc.rpcmsg)."""
 
 import struct
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +19,7 @@ from repro.rpc.rpcmsg import (
     pack_reply,
     parse_message,
 )
+from tests.helpers import count_calls
 
 
 def test_call_roundtrip():
@@ -224,22 +224,6 @@ def test_damaged_record_parses_or_raises_xdr_error(record, data):
 # struct-packed one's 22, 18 and 14 with a little slack.
 # ---------------------------------------------------------------------------
 
-def _calls(fn):
-    fn()  # warm: memo tables filled, nothing compiled on the way
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return count - 1  # setprofile(None) itself
-
-
 @pytest.mark.parametrize("budget,round_trip", [
     pytest.param(24, lambda: parse_message(pack_call(CallHeader(
         1, 100003, 3, 3,
@@ -253,4 +237,4 @@ def _calls(fn):
         id="success-reply"),
 ])
 def test_envelope_call_budget(budget, round_trip):
-    assert _calls(round_trip) <= budget
+    assert count_calls(round_trip) <= budget
