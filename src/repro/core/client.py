@@ -46,6 +46,7 @@ from ..obs.registry import NULL_REGISTRY
 from ..rpc.peer import (
     CallContext,
     Program,
+    Relayed,
     RetryPolicy,
     RpcBusy,
     RpcError,
@@ -54,7 +55,7 @@ from ..rpc.peer import (
     RpcTransportDown,
 )
 from ..rpc.rpcmsg import AuthSys, OpaqueAuth, RpcMsgError
-from ..rpc.xdr import Record, VOID, XdrError
+from ..rpc.xdr import RAW, Record, VOID, XdrError
 from ..sim.clock import Clock
 from ..sim.network import LinkSide
 from ..sim.sched import Future, Sleep
@@ -717,17 +718,24 @@ class ServerSession:
 
     def call_nfs_task(self, proc: int, args: Record, authno: int,
                       speculative: bool = False):
-        """Relay one NFS procedure over the session (``yield from``).
+        """Call one NFS procedure over the session (``yield from``):
+        :meth:`relay_task` with *args* encoded and the result decoded."""
+        arg_codec, res_codec = nfs_types.PROC_CODECS[proc]
+        return res_codec.unpack((yield from self.relay_task(
+            proc, arg_codec.pack(args), authno, speculative)))
+
+    def relay_task(self, proc: int, args: bytes, authno: int,
+                   speculative: bool = False):
+        """Relay one NFS procedure's argument bytes over the session and
+        return its result bytes (``yield from``).
 
         A *speculative* relay (a prefetch) is one attempt and nothing
         more: see :meth:`RpcPeer.call_task`; SERVER_BUSY ends it too.
         """
-        arg_codec, res_codec = nfs_types.PROC_CODECS[proc]
-
         def attempt():
             return self.peer.call_task(
                 proto.SFS_RW_PROGRAM, proto.SFS_VERSION, proc,
-                arg_codec, args, res_codec, cred=make_sfs_cred(authno),
+                RAW, args, RAW, cred=make_sfs_cred(authno),
                 speculative=speculative,
             )
         if speculative:
@@ -738,27 +746,6 @@ class ServerSession:
 # ---------------------------------------------------------------------------
 # Subordinate read-write client daemon
 # ---------------------------------------------------------------------------
-
-
-def _rewrite_fsids(value: Any, fsid: int) -> None:
-    """Rewrite every fattr3's fsid in a result tree to the local device.
-
-    "by assigning each file system its own device number, this scheme
-    prevents a malicious server from tricking the pwd command into
-    printing an incorrect path."
-    """
-    if isinstance(value, Record):
-        fields = vars(value)
-        if "fsid" in fields and "fileid" in fields:
-            value.fsid = fsid
-        for item in fields.values():
-            _rewrite_fsids(item, fsid)
-    elif isinstance(value, list):
-        for item in value:
-            _rewrite_fsids(item, fsid)
-    elif isinstance(value, tuple):
-        for item in value[1:] if value and isinstance(value[0], int) else value:
-            _rewrite_fsids(item, fsid)
 
 
 #: Procedures whose success changes file/directory contents as seen by
@@ -955,13 +942,28 @@ class MountedRemoteFs:
         cached = self._try_cache(proc, args, ctx)
         if cached is not None:
             return cached
-        return (yield from self._relay(proc, args, ctx))
+        return (yield from self._relay(proc, args, ctx.body, ctx))
 
-    def _relay(self, proc: int, args: Record, ctx: CallContext):
+    def _call_task(self, proc: int, wire: bytes, authno: int,
+                   speculative: bool = False):
+        """Relay *proc*'s argument bytes; its reply (``yield from``), with
+        this mount's fsid in every fattr3, decoded once and still
+        carrying its bytes for the kernel (:class:`Relayed`)."""
+        result = yield from self.session.relay_task(proc, wire, authno,
+                                                    speculative)
+        result, _ = handlemap.patch_result(proc, result, None, self.fsid)
+        reply = Relayed(nfs_types.PROC_CODECS[proc][1].unpack(result))
+        reply.wire = result
+        return reply
+
+    def _relay(self, proc: int, args: Record, wire: bytes,
+               ctx: CallContext):
+        """Relay one call whose arguments are *args*, encoded as *wire*
+        (the kernel's bytes, forwarded as they came), and absorb its
+        reply into the caches (``yield from``)."""
         try:
             authno = yield from self._authno_for(ctx)
-            status, body = yield from self.session.call_nfs_task(
-                proc, args, authno)
+            reply = yield from self._call_task(proc, wire, authno)
         except RpcTransportDown:
             # Transport dead (server crash) — fail over, then replay.
             # Plain RpcTimeout is *not* failover material: a live but
@@ -976,8 +978,8 @@ class MountedRemoteFs:
             self.replayed_calls += 1
             self._m_replayed.inc()
             authno = yield from self._authno_for(ctx)
-            status, body = yield from self.session.call_nfs_task(
-                proc, args, authno)
+            reply = yield from self._call_task(proc, wire, authno)
+        status, body = reply
         self.rpcs_relayed += 1
         self._m_relayed.inc()
         if status in (nfs_const.NFS3ERR_STALE, nfs_const.NFS3ERR_BADHANDLE):
@@ -988,9 +990,8 @@ class MountedRemoteFs:
             self._m_stale.inc()
             for handle in handlemap.handles(proc, args):
                 self.caches.invalidate(handle)
-        _rewrite_fsids(body, self.fsid)
         self._absorb(proc, args, ctx, status, body)
-        return status, body
+        return reply
 
     # -- readahead, block cache and write-gathering --
 
@@ -1140,8 +1141,9 @@ class MountedRemoteFs:
         when the READ went out — still is when the reply is back.  A
         rekey replaces every stream, so nothing a READ brings across it
         is kept."""
-        status, body = yield from self._relay(nfs_const.NFSPROC3_READ,
-                                              args, ctx)
+        reply = yield from self._relay(nfs_const.NFSPROC3_READ, args,
+                                       ctx.body, ctx)
+        status, body = reply
         if (status == nfs_const.NFS3_OK
                 and self._ra_streams.get(args.file) is stream):
             if body.file_attributes is not None:
@@ -1149,7 +1151,7 @@ class MountedRemoteFs:
             self._ra_keep(stream, args.offset, body.data, body.eof)
             self._ra_count("kept_reads")
             self._ra_trim()
-        return status, body
+        return reply
 
     def _ra_window(self, depth: int, count: int) -> int:
         """Bytes to keep requested or buffered ahead of a sequential
@@ -1187,10 +1189,10 @@ class MountedRemoteFs:
         count = stream.count
         offsets = [stream.front + i * count for i in range(chunks)]
         stream.front += chunks * count
-        done = self.session.peer.start(self.session.call_nfs_task(
+        done = self.session.peer.start(self._call_task(
             nfs_const.NFSPROC3_READV,
-            Record(file=handle, segments=[
-                Record(offset=at, count=count) for at in offsets]),
+            nfs_types.ReadvArgs.pack(Record(file=handle, segments=[
+                Record(offset=at, count=count) for at in offsets])),
             authno, speculative=True,
         ))
         self._background.append(done)
@@ -1222,7 +1224,6 @@ class MountedRemoteFs:
         status, body = done.value
         if status != nfs_const.NFS3_OK:
             return  # the reader's plain READ will report it, READ-shaped
-        _rewrite_fsids(body, self.fsid)
         if body.file_attributes is not None:
             self.caches.attrs.put(handle, body.file_attributes)
         self._m_ra_batches.inc()
@@ -1356,15 +1357,14 @@ class MountedRemoteFs:
         flushes = self._flushes.setdefault(handle, [])
         for older in flushes:
             older.superseded = True
+        args = Record(
+            file=handle, stable=nfs_const.UNSTABLE,
+            segments=[Record(offset=offset, data=b"".join(parts))
+                      for offset, parts, _ in segs],
+        )
         done = self.session.peer.start(self._relay(
-            nfs_const.NFSPROC3_WRITEV,
-            Record(
-                file=handle, stable=nfs_const.UNSTABLE,
-                segments=[Record(offset=offset, data=b"".join(parts))
-                          for offset, parts, _ in segs],
-            ),
-            ctx,
-        ))
+            nfs_const.NFSPROC3_WRITEV, args,
+            nfs_types.WritevArgs.pack(args), ctx))
         flush = _Flush([(offset, offset + size)
                         for offset, _, size in segs], done)
         flushes.append(flush)

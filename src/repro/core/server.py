@@ -43,10 +43,11 @@ from ..nfs3.handles import BadHandle, EncryptedHandles, PlainHandles
 from ..nfs3.program import PROCS, nfs3_program
 from ..nfs3.server import Nfs3Server
 from ..obs.registry import NULL_REGISTRY
-from ..rpc.peer import CallContext, Program, Pipe, RpcPeer, RpcTransportDown
+from ..rpc.peer import (CallContext, GarbageArgs, Program, Pipe, RpcPeer,
+                        RpcTransportDown)
 from ..rpc.rpcmsg import (CALL, CRED_MEMO, REPLY, AuthSys, OpaqueAuth,
                           peek_message)
-from ..rpc.xdr import Record, VOID
+from ..rpc.xdr import RAW, Record, VOID, XdrError
 from ..sim.clock import Clock
 from ..sim.crash import CrashInjector
 from ..sim.network import LinkSide, link_pair
@@ -84,6 +85,11 @@ CHANNEL_CALLS = frozenset({(proto.SFS_CONNECT_PROGRAM, proto.PROC_REKEY)})
 
 #: LOOKUP of "." on this handle names an export's root (mount convention).
 ZERO_HANDLE = bytes(24)
+#: The arguments of the mount convention's LOOKUP of "." in ZERO_HANDLE.
+_MOUNT_LOOKUP = nfs_types.LookupArgs.pack(nfs_types.LookupArgs.make(
+    what=nfs_types.DirOpArgs.make(dir=ZERO_HANDLE, name=".")))
+#: The first word of a successful NFS 3 result.
+_NFS3_OK = nfs_const.NFS3_OK.to_bytes(4, "big")
 
 
 @lru_cache(maxsize=CRED_MEMO)
@@ -886,7 +892,7 @@ class ServerConnection:
     def _rw_program(self) -> Program:
         program = nfs3_program(
             "sfs-rw", {proc: self._make_relay(proc) for proc in PROCS},
-            proto.SFS_RW_PROGRAM, proto.SFS_VERSION)
+            proto.SFS_RW_PROGRAM, proto.SFS_VERSION, wire=True)
         program.add_proc(proto.PROC_LOGIN, "LOGIN",
                          proto.LoginArgs, proto.LoginRes, self._login)
         program.add_proc(proto.PROC_LOGOUT, "LOGOUT",
@@ -918,43 +924,54 @@ class ServerConnection:
         return proto.IDMAP_OK, numeric_id
 
     def _make_relay(self, proc: int):
-        def relay(args: Record, ctx: CallContext):
+        def relay(args: bytes, ctx: CallContext):
             return self._relay(proc, args, ctx)
         return relay
 
-    def _relay(self, proc: int, args: Record, ctx: CallContext):
+    def _relay(self, proc: int, args: bytes, ctx: CallContext):
         """Tag with credentials, translate handles, forward to local NFS.
 
-        A generator handler: it yields while the local NFS server
-        answers, so relays from any number of connections can be in
-        flight at once; each carries its originator in its credential
-        (:meth:`RwExport.origin_stamp`)."""
+        The call's bytes pass through both ways: the arguments' handles
+        are decrypted and the result's encrypted in the wire images
+        (:func:`handlemap.patch_args`, :func:`handlemap.patch_result`),
+        so neither this relay nor its call to the local NFS server
+        decodes or encodes a body.  A generator handler: it yields while
+        the local NFS server answers, so relays from any number of
+        connections can be in flight at once; each carries its
+        originator in its credential (:meth:`RwExport.origin_stamp`)."""
         export = self.export
         assert export is not None
         authno = parse_sfs_cred(ctx.cred)
         cred = self._authnos.get(authno, ANONYMOUS)
-        if (proc == nfs_const.NFSPROC3_LOOKUP
-                and args.what.dir == ZERO_HANDLE and args.what.name == "."):
+        plain: list[bytes] = []
+        if proc == nfs_const.NFSPROC3_LOOKUP and args == _MOUNT_LOOKUP:
             # Mount convention: hand out the export's root handle.
-            args.what.dir = export.nfs_server.root_handle()
+            plain.append(export.nfs_server.root_handle())
+            args = nfs_types.LookupArgs.pack(nfs_types.LookupArgs.make(
+                what=nfs_types.DirOpArgs.make(dir=plain[0], name=".")))
         else:
+            def decrypt(handle: bytes) -> bytes:
+                plain.append(self._decrypt_handle(handle))
+                return plain[-1]
             try:
-                handlemap.translate_args(proc, args, self._decrypt_handle)
+                args, _ = handlemap.patch_args(proc, args, decrypt)
             except BadHandle:
-                return (nfs_const.NFS3ERR_BADHANDLE,
-                        nfs_types.failure_arm(proc))
+                return nfs_types.PROC_CODECS[proc][1].pack(
+                    (nfs_const.NFS3ERR_BADHANDLE,
+                     nfs_types.failure_arm(proc)))
+            except XdrError:
+                raise GarbageArgs(proc) from None
         auth_sys = AuthSys(stamp=export.origin_stamp(self), uid=cred.uid,
                            gid=cred.gid, gids=tuple(cred.groups))
         if proc == nfs_const.NFSPROC3_COMMIT:
             # Whatever unstable writes preceded this COMMIT are still
             # volatile; a crash here provably loses them.
             self.master.crashpoint("before-commit")
-        arg_codec, res_codec = nfs_types.PROC_CODECS[proc]
         overtaken = export.relay_started(self)
         try:
-            status, body = yield from export.nfs_client.peer.call_task(
+            result = yield from export.nfs_client.peer.call_task(
                 nfs_const.NFS3_PROGRAM, nfs_const.NFS3_VERSION, proc,
-                arg_codec, args, res_codec, cred=auth_sys.to_auth(),
+                RAW, args, RAW, cred=auth_sys.to_auth(),
             )
         finally:
             export.relay_done(overtaken)
@@ -963,11 +980,15 @@ class ServerConnection:
             # client must replay it after reconnecting (and the crash
             # itself rolls the un-committed data back).
             self.master.crashpoint("after-write")
-        self._record_leases(proc, args, status, body)
+        result, found = handlemap.patch_result(proc, result,
+                                               self._encrypt_handle, None)
+        if result[:4] == _NFS3_OK:
+            # This client now caches attributes for these plain handles.
+            for handle in plain + found:
+                export.grant(handle, self)
         if overtaken:
             export.call_back_overtaken(self, overtaken)
-        handlemap.translate_result(proc, status, body, self._encrypt_handle)
-        return status, body
+        return result
 
     def _decrypt_handle(self, handle: bytes) -> bytes:
         assert self.export is not None
@@ -978,14 +999,6 @@ class ServerConnection:
         assert self.export is not None
         fsid, ino, generation = PlainHandles().decode(handle)
         return self.export.handles.encode(fsid, ino, generation)
-
-    def _record_leases(self, proc: int, args: Record, status: int,
-                       body: Record) -> None:
-        """Remember (plain) handles this client now caches attributes for."""
-        if status != nfs_const.NFS3_OK:
-            return
-        for handle in handlemap.handles(proc, args, body):
-            self.export.grant(handle, self)
 
     @property
     def alive(self) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..rpc.peer import CallContext, Program
+from ..rpc.xdr import RAW
 from . import const, types
 
 Handler = Callable[[Any, CallContext], Any]
@@ -23,9 +24,12 @@ PROCS = tuple(proc for proc in types.PROC_CODECS
 
 def nfs3_program(name: str, handlers: dict[int, Handler],
                  prog: int = const.NFS3_PROGRAM,
-                 vers: int = const.NFS3_VERSION) -> Program:
+                 vers: int = const.NFS3_VERSION,
+                 wire: bool = False) -> Program:
     """A program serving *handlers* (proc -> handler) as NFS 3, under
-    NFS 3's program number unless *prog*/*vers* say otherwise.
+    NFS 3's program number unless *prog*/*vers* say otherwise.  With
+    *wire*, a handler takes its argument bytes and returns its result
+    bytes (:data:`~repro.rpc.xdr.RAW`): sfssd's relay patches them.
 
     Each handler is registered as given, not wrapped, so whatever
     inspects a handler (a tracer filing it by module) sees its own.
@@ -33,7 +37,7 @@ def nfs3_program(name: str, handlers: dict[int, Handler],
     program = Program(name, prog, vers)
     program.idempotent = const.IDEMPOTENT_PROCS
     for proc, handler in handlers.items():
-        arg_codec, res_codec = types.PROC_CODECS[proc]
+        arg_codec, res_codec = (RAW, RAW) if wire else types.PROC_CODECS[proc]
         program.add_proc(proc, const.PROC_NAMES[proc], arg_codec, res_codec,
                          handler)
     return program

@@ -516,19 +516,21 @@ def failure_arm(proc: int) -> Record | None:
     return None if shape is None else _fresh(shape)
 
 
-def _handle_sites(codec: Codec, path: tuple[str, ...] = ()):
-    """Where a *codec* value carries file handles, in declaration order:
-    ``(path, optional)`` for each ``NfsFh``/``PostOpFh`` reached through
-    structs, and ``(path, sites)`` for each list whose elements carry
-    some (*sites* within one element)."""
-    if codec is NfsFh or codec is PostOpFh:
-        return [(path, codec is PostOpFh)], []
+def _sites(codec: Codec, target: Codec, path: tuple[str, ...] = ()):
+    """Where a *codec* value holds a *target* value, in declaration
+    order: ``(path, optional)`` for each one reached through structs
+    (optional: behind an ``Optional``), and ``(path, sites)`` for each
+    list whose elements hold some (*sites* within one element)."""
+    if codec is target:
+        return [(path, False)], []
+    if isinstance(codec, Optional) and codec.element is target:
+        return [(path, True)], []
     if isinstance(codec, LinkedList):
-        inner, _lists = _handle_sites(codec.element)
+        inner, _lists = _sites(codec.element, target)
         return [], [(path, tuple(inner))] if inner else []
     sites, lists = [], []
     for name, field in codec.fields if isinstance(codec, Struct) else ():
-        more, more_lists = _handle_sites(field, path + (name,))
+        more, more_lists = _sites(field, target, path + (name,))
         sites += more
         lists += more_lists
     return sites, lists
@@ -540,11 +542,23 @@ def _handle_sites(codec: Codec, path: tuple[str, ...] = ()):
 ARG_HANDLES: dict[int, tuple] = {}
 RES_HANDLES: dict[int, tuple] = {}
 ENTRY_HANDLES: dict[int, tuple] = {}
+#: proc -> ``(sites, lists)`` of the fattr3 records in its OK result
+#: body and in its failure body, found the same way; sfscd sets their
+#: ``fsid``.  Read only through :mod:`repro.core.handlemap`.
+ATTR_SITES: dict[int, tuple] = {}
 for _proc, (_args, _res) in PROC_CODECS.items():
     _ok = _res.arms[const.NFS3_OK] if isinstance(_res, Union) else VOID
-    for _table, _found in ((ARG_HANDLES, _handle_sites(_args)[0]),
-                           (RES_HANDLES, _handle_sites(_ok)[0]),
-                           (ENTRY_HANDLES, _handle_sites(_ok)[1])):
+    _fail = _res.default if isinstance(_res, Union) else None
+    for _table, _found in ((ARG_HANDLES, _sites(_args, NfsFh)[0]),
+                           (RES_HANDLES, _sites(_ok, NfsFh)[0]),
+                           (ENTRY_HANDLES, _sites(_ok, NfsFh)[1])):
         if _found:
             _table[_proc] = tuple(_found)
-del _proc, _args, _res, _ok, _table, _found
+    ATTR_SITES[_proc] = tuple(
+        _sites(_arm, Fattr) if _arm is not None else ((), ())
+        for _arm in (_ok, _fail))
+del _proc, _args, _res, _ok, _fail, _table, _found
+
+#: The sites :meth:`~repro.rpc.xdr.Codec.patcher` rewrites in a wire
+#: image: every file handle, and the ``fsid`` of every fattr3.
+PATCH_SITES = (NfsFh, (Fattr, "fsid"))

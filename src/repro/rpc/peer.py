@@ -36,10 +36,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from types import GeneratorType
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from ..obs.registry import CounterFamily, NULL_REGISTRY
 from ..sim.network import Transport
@@ -51,6 +51,7 @@ from .rpcmsg import (
     NULL_AUTH,
     OpaqueAuth,
     ReplyHeader,
+    _new,
     parse_message,
 )
 from .xdr import Codec, VOID, XdrError
@@ -160,16 +161,32 @@ class Procedure:
     handler: Callable[[Any, "CallContext"], Any]
 
 
-@dataclass
-class CallContext:
-    """Passed to every handler: who called, with what credentials."""
+class CallContext(NamedTuple):
+    """Passed to every handler: who called, with what credentials, and
+    the argument bytes as they came (a relay forwards them)."""
 
     peer: "RpcPeer"
     header: CallHeader
+    body: bytes = b""
 
     @property
     def cred(self) -> OpaqueAuth:
         return self.header.cred
+
+
+class Relayed(tuple):
+    """A handler's result that is a decoded union value ``(disc, body)``
+    and also carries, as ``wire``, the bytes it was decoded from: the
+    peer sends those as the reply, rather than encoding the value again.
+    A relay returns one for what it forwards unchanged."""
+
+    wire: bytes
+
+
+class GarbageArgs(RpcError):
+    """A handler that reads its own argument bytes (registered with
+    :data:`~repro.rpc.xdr.RAW`) found them malformed: the caller gets
+    GARBAGE_ARGS, as for arguments the peer could not decode."""
 
 
 class Program:
@@ -396,7 +413,9 @@ class RpcPeer(Runner):
         #: re-executed.  The digest guards against xid collisions — only
         #: a byte-identical request counts as a retransmission; a new
         #: call that reuses an old xid executes normally.
-        self._reply_cache: OrderedDict[int, tuple[bytes, bytes]] = OrderedDict()
+        #: Insertion-ordered, oldest first: a re-executed xid moves to
+        #: the end.
+        self._reply_cache: dict[int, tuple[bytes, bytes]] = {}
         self.reply_cache_size = 128
         self.calls_sent = 0
         self.calls_served = 0
@@ -446,17 +465,6 @@ class RpcPeer(Runner):
         self._receive(data)
 
     def _receive(self, data: bytes) -> None:
-        peeked = rpcmsg.peek_message(data)
-        if peeked is not None and peeked[0] == rpcmsg.CALL:
-            cached = self._reply_cache.get(peeked[1])
-            if cached is not None and cached[0] == _request_digest(data):
-                # A retransmitted call we already executed: replay the
-                # recorded reply so non-idempotent procedures keep
-                # at-most-once semantics.
-                self.duplicates_served += 1
-                self._m_duplicates.inc()
-                self._pipe.send(cached[1])
-                return
         try:
             message = parse_message(data)
         except XdrError:
@@ -466,12 +474,20 @@ class RpcPeer(Runner):
             if self.trace:
                 self.trace(f"{self.name}: dropping unparseable record")
             return
-        if message.mtype == rpcmsg.CALL:
-            assert message.call is not None
-            if self.dispatcher is not None:
-                self.dispatcher(message.call, message.body, data)
+        call = message.call
+        if call is not None:
+            cached = self._reply_cache.get(call.xid)
+            if cached is not None and cached[0] == _request_digest(data):
+                # A retransmitted call we already executed: replay the
+                # recorded reply so non-idempotent procedures keep
+                # at-most-once semantics.
+                self.duplicates_served += 1
+                self._m_duplicates.inc()
+                self._pipe.send(cached[1])
+            elif self.dispatcher is not None:
+                self.dispatcher(call, message.body, data)
             else:
-                self.serve(message.call, message.body, data)
+                self.serve(call, message.body, data)
         else:
             assert message.reply is not None
             future = self._call_futures.pop(message.reply.xid, None)
@@ -552,12 +568,19 @@ class RpcPeer(Runner):
         self.calls_served += 1
         self._m_served.inc()
         try:
-            result = procedure.handler(args, CallContext(self, header))
+            result = procedure.handler(
+                args, _new(CallContext, (self, header, body)))
             if isinstance(result, GeneratorType):
                 result = yield from result
-            payload = procedure.res_codec.pack(result)
+            payload = (result.wire if result.__class__ is Relayed
+                       else procedure.res_codec.pack(result))
         except AssertionError:
             raise  # a broken invariant (the clock's guard) is no reply
+        except GarbageArgs:
+            reply = ReplyHeader(header.xid,
+                                accept_stat=rpcmsg.GARBAGE_ARGS)
+            self._send_reply(header.xid, request, rpcmsg.pack_reply(reply))
+            return
         except Exception as exc:  # noqa: BLE001 - surfaces as SYSTEM_ERR
             if self.trace:
                 self.trace(
@@ -585,14 +608,15 @@ class RpcPeer(Runner):
         learns of the death from its own close hook.
         """
         if request is not None:
-            self._reply_cache[xid] = (_request_digest(request), record)
-            self._reply_cache.move_to_end(xid)
-            while len(self._reply_cache) > self.reply_cache_size:
+            cache = self._reply_cache
+            cache.pop(xid, None)
+            cache[xid] = (_request_digest(request), record)
+            while len(cache) > self.reply_cache_size:
                 # Past this point at-most-once degrades to at-least-once
                 # for the evicted xid: a late retransmission re-executes.
                 # The counter is the observable signal that the window
                 # has been exceeded (see docs/OBSERVABILITY.md).
-                self._reply_cache.popitem(last=False)
+                del cache[next(iter(cache))]
                 self.reply_cache_evictions += 1
                 self._m_evictions.inc()
         try:

@@ -239,6 +239,11 @@ def peek_message(data: bytes) -> tuple[int, int] | None:
     return mtype, xid
 
 
+#: Builds a named tuple from its items in one C call, without the
+#: generated ``__new__`` in between (every record parses through here).
+_new = tuple.__new__
+
+
 def parse_message(data: bytes) -> ParsedMessage:
     """Parse an RPC record into its envelope + trailing body bytes."""
     try:
@@ -249,10 +254,9 @@ def parse_message(data: bytes) -> ParsedMessage:
             prog, vers, proc = _TRIPLE.unpack_from(data, 12)
             cred, off = _auth_at(data, 24)
             verf, off = _auth_at(data, off)
-            return ParsedMessage(
-                CALL, CallHeader(xid, prog, vers, proc, cred, verf), None,
-                memoryview(data)[off:],
-            )
+            return _new(ParsedMessage, (
+                CALL, _new(CallHeader, (xid, prog, vers, proc, cred, verf)),
+                None, memoryview(data)[off:]))
         if mtype != REPLY:
             raise RpcMsgError(f"bad message type {mtype}")
         if word == MSG_ACCEPTED:
@@ -262,12 +266,11 @@ def parse_message(data: bytes) -> ParsedMessage:
             if stat == PROG_MISMATCH:
                 low, high = _PAIR.unpack_from(data, off + 4)
                 off += 8
-            return ParsedMessage(
+            return _new(ParsedMessage, (
                 REPLY, None,
-                ReplyHeader(xid, MSG_ACCEPTED, stat, RPC_MISMATCH, 0, verf,
-                            low, high),
-                memoryview(data)[off + 4 :],
-            )
+                _new(ReplyHeader, (xid, MSG_ACCEPTED, stat, RPC_MISMATCH, 0,
+                                   verf, low, high)),
+                memoryview(data)[off + 4 :]))
         if word == MSG_DENIED:
             reject_stat, value = _PAIR.unpack_from(data, 12)
             if reject_stat == RPC_MISMATCH:

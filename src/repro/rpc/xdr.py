@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..crypto import backend
@@ -306,20 +307,13 @@ class Unpacker:
             raise XdrError(f"string is not valid UTF-8: {exc}") from None
 
 
-class Record:
-    """A decoded XDR struct: attribute access, equality, readable repr."""
+class Record(SimpleNamespace):
+    """A decoded XDR struct: attribute access, equality, readable repr.
 
-    def __init__(self, **fields: Any) -> None:
-        self.__dict__.update(fields)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Record):
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
-        return f"Record({inner})"
+    ``Record(name=value, ...)`` is built in one step by
+    ``SimpleNamespace``'s constructor, in C: a decode builds a record
+    per struct it reads, and none of them runs a Python ``__init__``.
+    """
 
     def _asdict(self) -> dict[str, Any]:
         return dict(self.__dict__)
@@ -347,8 +341,19 @@ def _take(data: Any, off: int, length: int) -> bytes:
     return chunk if chunk.__class__ is bytes else bytes(chunk)
 
 
+def _skip(data: Any, off: int, length: int) -> int:
+    """The offset past the opaque body at *off*, bounds and zero fill
+    checked as :func:`_take` checks them, without copying it."""
+    end = off + length
+    stop = end + (-length & 3)
+    if stop > len(data) or (stop != end and any(data[end:stop])):
+        raise ValueError("truncated or nonzero padding")
+    return stop
+
+
 class _Source:
-    """The statements of one flat ``pack(value)`` or ``unpack(data)``.
+    """The statements of one flat ``pack(value)``, ``unpack(data)`` or
+    ``patch(data, fn, word)``.
 
     Fixed-width items are not written as they come: they queue (a format
     plus the expression to pack, or the name to unpack into) across any
@@ -356,14 +361,27 @@ class _Source:
     ``struct.Struct`` call when the first variable-length item, branch
     or loop needs the bytes in order.  ``pack`` appends to ``out``;
     ``unpack`` reads ``data`` at ``off``.
+
+    ``patch`` reads like ``unpack`` and builds nothing: it checks what
+    ``unpack`` checks and copies the wire image, except that each value
+    of the *handle* codec is replaced by ``fn(value)`` (a changed length
+    is spliced in) and the 64-bit field *word* — ``(struct, field
+    name)`` — of each such struct is set to ``word``; a ``None`` *fn*
+    or ``word`` leaves its sites as they are.  It returns the new image
+    and every handle it read, in wire order.
     """
 
-    def __init__(self, unpacking: bool) -> None:
+    def __init__(self, unpacking: bool, handle: "Codec | None" = None,
+                 word: "tuple[Struct, str] | None" = None) -> None:
         self.unpacking = unpacking
+        self.patching = handle is not None or word is not None
+        self.handle = handle
+        self.word = word
         self.lines: list[str] = []
         self.depth = 1
         self.names: dict[str, Any] = {
-            "Record": Record, "_take": _take, "_PAD": _PAD}
+            "Record": Record, "_take": _take, "_skip": _skip, "_PAD": _PAD,
+            "_U32": _U32, "_U64": _U64}
         self.locals = 0
         self.run: list[tuple[str, str, str | None]] = []
 
@@ -403,6 +421,10 @@ class _Source:
         self.run.append((fmt, name, check and check.format(name)))
         return name
 
+    def skip(self, size: int) -> None:
+        """Queue *size* bytes that are read for their bounds only."""
+        self.run.append((f"{size}x", "", None))
+
     def take_flag(self) -> str:
         return self.take("I", "if {} > 1: raise ValueError('flag not 0 or 1')")
 
@@ -416,7 +438,8 @@ class _Source:
         packer = _STRUCTS[fmt]
         items = [item[1] for item in run]
         if self.unpacking:
-            self.line(f"{', '.join(items)}, = "
+            names = "".join(f"{item}, " for item in items if item)
+            self.line(f"{names}{'= ' if names else ''}"
                       f"{self.bind(packer)}.unpack_from(data, off)", False)
             self.line(f"off += {packer.size}", False)
             for _fmt, _name, check in run:
@@ -439,17 +462,57 @@ class _Source:
             self.line("pass")
         self.depth -= 1
 
+    def patch(self, codec: "Codec") -> None:
+        """Emit *codec*'s patch reading, or its handle site's."""
+        if codec is not self.handle:
+            codec.emit_patch(self)
+            return
+        size = self.take("I", f"if {{}} > {codec.maximum}: "
+                              "raise ValueError('too long')")
+        self.flush()
+        old, new = self.new(), self.new()
+        self.line(f"{old} = _take(data, off, {size})")
+        self.line(f"seen.append({old})")
+        with self.block("if fn is not None:"):
+            self.line(f"{new} = fn({old})")
+            self.line(f"if {new}.__class__ is not bytes or len({new}) > "
+                      f"{codec.maximum}: raise ValueError('handle')")
+            self.line("out.append(data[mark:off - 4])")
+            self.line(f"out.append(_U32.pack(len({new})) + {new} "
+                      f"+ _PAD[-len({new}) & 3])")
+            self.line(f"mark = off + ({size} + 3 & -4)")
+        self.line(f"off += {size} + 3 & -4")
+
+    def patch_word(self) -> None:
+        """Set the 8-byte field that starts here to ``word``."""
+        self.flush()
+        with self.block("if word is not None:"):
+            self.line("out.append(data[mark:off])")
+            self.line("out.append(_U64.pack(word))")
+            self.line("mark = off + 8")
+
     def function(self, label: str, result: str = "") -> Callable[[Any], Any]:
-        if self.unpacking:
+        if self.patching:
+            name = "patch"
+            head = ["def patch(data, fn, word):",
+                    "    off = mark = 0", "    out, seen = [], []"]
+            self.line("if off != len(data): raise ValueError('trailing bytes')")
+            with self.block("if out:"):
+                self.line("out.append(data[mark:])")
+                self.line("data = b''.join(out)")
+            self.line("return data, seen")
+        elif self.unpacking:
+            name = "unpack"
             head = ["def unpack(data):", "    off = 0"]
             self.line("if off != len(data): raise ValueError('trailing bytes')")
             self.line(f"return {result}")
         else:
+            name = "pack"
             head = ["def pack(value):", "    out = bytearray()"]
             self.line("return bytes(out)")
         source = "\n".join(head + self.lines) + "\n"
         exec(compile(source, f"<xdr {label}>", "exec"), self.names)
-        function = self.names["unpack" if self.unpacking else "pack"]
+        function = self.names[name]
         function.source = source
         return function
 
@@ -512,6 +575,19 @@ class Codec:
 
     def emit_unpack(self, src: _Source) -> str:
         raise NotImplementedError(f"{type(self).__name__} has no emit_unpack")
+
+    def emit_patch(self, src: _Source) -> None:
+        """Check and step over a value: what ``emit_unpack`` emits, with
+        the value it would build left unused."""
+        self.emit_unpack(src)
+
+    def patcher(self, handle: "Codec", word: "tuple[Struct, str]"):
+        """The compiled ``patch(data, fn, word) -> (image, handles)``
+        over this codec's wire image (see :class:`_Source`)."""
+        src = _Source(True, handle, word)
+        src.patch(self)
+        return src.function(f"{getattr(self, 'name', type(self).__name__)} "
+                            "patch")
 
     def flat(self) -> tuple[Callable[[Any], bytes], Callable[[Any], Any]]:
         """The compiled ``(pack, unpack)`` pair, built on first use."""
@@ -576,8 +652,14 @@ class _Simple(Codec):
     def emit_unpack(self, src: _Source) -> str:
         return src.take(self._fmt)
 
+    def emit_patch(self, src: _Source) -> None:
+        src.skip(struct.calcsize(self._fmt))
+
 
 class _Bool(_Simple):
+    def emit_patch(self, src: _Source) -> None:
+        src.take_flag()
+
     def emit_pack(self, src: _Source, expr: str) -> None:
         src.put("I", f"(1 if {expr} else 0)")
 
@@ -610,6 +692,27 @@ class Void(Codec):
 
 
 VOID = Void()
+
+
+class Raw(Codec):
+    """A body already in its procedure's encoding, passed as it is: a
+    relay's arguments and results, which it patches (``Codec.patcher``)
+    instead of decoding and encoding them."""
+
+    def encode(self, packer: Packer, value: Any) -> None:
+        packer.pack_raw(value)
+
+    def decode(self, unpacker: Unpacker) -> Any:
+        raise XdrError("a raw body is read whole, by unpack")
+
+    def pack(self, value: Any) -> Any:
+        return value
+
+    def unpack(self, data: Any) -> Any:
+        return data
+
+
+RAW = Raw()
 
 
 class Enum(Codec):
@@ -685,6 +788,11 @@ class Opaque(Codec):
     def emit_unpack(self, src: _Source) -> str:
         return _emit_unpack_bytes(src, self.maximum)
 
+    def emit_patch(self, src: _Source) -> None:
+        size = src.take("I", None if self.maximum == UNLIMITED else
+                        f"if {{}} > {self.maximum}: raise ValueError('too long')")
+        src.line(f"off = _skip(data, off, {size})")
+
 
 class String(Codec):
     def __init__(self, maximum: int = UNLIMITED) -> None:
@@ -703,6 +811,9 @@ class String(Codec):
 
     def emit_unpack(self, src: _Source) -> str:
         return f"{_emit_unpack_bytes(src, self.maximum)}.decode()"
+
+    def emit_patch(self, src: _Source) -> None:
+        src.line(self.emit_unpack(src))  # the UTF-8 check
 
 
 class Array(Codec):
@@ -739,6 +850,10 @@ class Array(Codec):
         return _emit_unpack_each(src, self.element,
                                  src.take("I", self._check()))
 
+    def emit_patch(self, src: _Source) -> None:
+        with src.block(f"for _ in range({src.take('I', self._check())}):"):
+            src.patch(self.element)
+
 
 class FixedArray(Codec):
     def __init__(self, element: Codec, length: int) -> None:
@@ -762,6 +877,10 @@ class FixedArray(Codec):
 
     def emit_unpack(self, src: _Source) -> str:
         return _emit_unpack_each(src, self.element, self.length)
+
+    def emit_patch(self, src: _Source) -> None:
+        with src.block(f"for _ in range({self.length}):"):
+            src.patch(self.element)
 
 
 class Optional(Codec):
@@ -796,6 +915,10 @@ class Optional(Codec):
         with src.block(f"if {flag}:"):
             src.line(f"{out} = {self.element.emit_unpack(src)}")
         return out
+
+    def emit_patch(self, src: _Source) -> None:
+        with src.block(f"if {src.take_flag()}:"):
+            src.patch(self.element)
 
 
 class LinkedList(Codec):
@@ -835,6 +958,11 @@ class LinkedList(Codec):
             src.line(f"{out}.append({self.element.emit_unpack(src)})")
         return out
 
+    def emit_patch(self, src: _Source) -> None:
+        with src.block("while True:"):
+            src.line(f"if not {src.take_flag()}: break")
+            src.patch(self.element)
+
 
 class Struct(Codec):
     """Named XDR struct; decodes to :class:`Record`.
@@ -873,6 +1001,12 @@ class Struct(Codec):
         fields = [f"{name}={codec.emit_unpack(src)}"
                   for name, codec in self.fields]
         return f"Record({', '.join(fields)})"
+
+    def emit_patch(self, src: _Source) -> None:
+        for name, codec in self.fields:
+            if src.word == (self, name):
+                src.patch_word()
+            src.patch(codec)
 
     def make(self, **fields: Any) -> Record:
         """Build a Record for this struct, checking the field names."""
@@ -961,3 +1095,6 @@ class Union(Codec):
             src, disc,
             lambda arm: src.line(f"{body} = {arm.emit_unpack(src)}"))
         return f"({disc}, {body})"
+
+    def emit_patch(self, src: _Source) -> None:
+        self._emit_arms(src, src.take("I"), src.patch)

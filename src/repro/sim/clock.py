@@ -39,7 +39,10 @@ class Clock:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Total simulated seconds advanced so far.  A plain attribute,
+        #: read on every hop; only :meth:`advance` and :meth:`reset`
+        #: write it.
+        self.now = 0.0
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
         self._firing: Callable[[], None] | None = None
@@ -55,11 +58,6 @@ class Clock:
 
             Scheduler(self)
         return self._scheduler
-
-    @property
-    def now(self) -> float:
-        """Total simulated seconds advanced so far."""
-        return self._now
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule *callback* to run when simulated time reaches *when*.
@@ -83,7 +81,7 @@ class Clock:
         """Move time forward *seconds*, firing the timers that fall due."""
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        self._fire_due(self._now + seconds)
+        self._fire_due(self.now + seconds)
 
     def _fire_due(self, now: float) -> None:
         # A flat drain: devices book their time and handlers and tasks
@@ -94,7 +92,7 @@ class Clock:
             raise AssertionError(
                 "clock advanced inside timer callback "
                 f"{getattr(named, '__qualname__', named)}: yield instead")
-        self._now = now
+        self.now = now
         timers = self._timers
         try:
             while timers and timers[0][0] <= now:
@@ -105,7 +103,7 @@ class Clock:
             self._firing = None
 
     def reset(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._timers.clear()
 
 

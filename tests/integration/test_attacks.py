@@ -16,6 +16,7 @@ from repro.fs import pathops
 from repro.kernel.vfs import KernelError
 from repro.kernel.world import World
 from repro.sim.network import (
+    Adversary,
     DropAdversary,
     RecordingAdversary,
     ReplayAdversary,
@@ -165,6 +166,69 @@ def test_forged_revocation_certificate_ignored():
     with pytest.raises(KernelError) as excinfo:
         proc.readlink(f"/sfs/{path.mount_name}")
     assert excinfo.value.errno in (errno.ENOENT, errno.EINVAL)
+
+
+def test_forwarding_pointer_signed_by_a_foreign_key_fails_the_redial():
+    """On a redial, a forwarding pointer counts only if its key hashes
+    to the HostID being dialed.  An impostor at the crashed server's
+    Location answers with a well-formed pointer signed by a key of its
+    own: the redial fails with SecurityError and the mount stays on
+    its self-certifying pathname."""
+    from repro.core.revocation import make_forwarding_pointer
+    from repro.crypto.rabin import generate_key
+
+    world, server, path, proc = build_world()
+    assert proc.read_file(f"{path}/data") == b"protected contents"
+    client = world.clients["victim"]
+    session = client.sfscd._mounts[path.hostid].session
+    server.crash()
+    impostor = world.add_server(path.location)
+    elsewhere = impostor.export_fs()
+    foreign = generate_key(768, world.rng)
+    impostor.master.set_forwarding_pointer(path.hostid, make_forwarding_pointer(
+        foreign, path.location, str(elsewhere)))
+    with pytest.raises(SecurityError, match="wrong HostID"):
+        session.peer.drive(session.reconnect_task())
+    assert session.path == path
+    assert session.reconnects == 0
+
+
+def test_sfs_read_reply_with_a_flipped_payload_bit_never_delivers_it():
+    """The SFS half of the contrast below: one ciphertext bit of the
+    READ reply is flipped deep inside the sealed payload, far past the
+    length word, so only the record MAC can catch it.  The relays
+    forward the reply's bytes without decoding them, but behind the
+    channel: the record is dropped, and the reader gets the file's true
+    bytes (or an error), never the flipped one."""
+    contents = bytes(range(256)) * 8
+    armed = []
+
+    class FlipReadReply(Adversary):
+        def process(self, data, direction):
+            if armed and direction == "b->a" and len(data) > len(contents):
+                armed.clear()
+                corrupted = bytearray(data)
+                corrupted[len(data) - 64] ^= 0x10
+                return [bytes(corrupted)]
+            return [data]
+
+    world = World(seed=11)
+    server = world.add_server("srv.example.com")
+    path = server.export_fs()
+    pathops.write_file(server.fs, "/data", contents)
+    world.adversary_factory = FlipReadReply
+    client = world.add_client("victim")
+    client.new_agent("user", 1000)
+    proc = client.process(uid=1000)
+    assert proc.stat(f"{path}/data").size == len(contents)
+    armed.append(True)
+    try:
+        assert proc.read_file(f"{path}/data") == contents
+    except KernelError:
+        pass  # refused outright: still no wrong byte
+    assert not armed, "no READ reply was tampered with"
+    session = client.sfscd._mounts[path.hostid].session
+    assert session.channel.rejected_records + session.rekeys >= 1
 
 
 def test_nfs_baseline_is_tamperable_where_sfs_is_not():

@@ -919,22 +919,22 @@ def test_a_read_resolved_inside_the_resync_window_is_not_kept():
         fd = proc.open(f"{path}/big")
         mount = world.clients["laptop"].sfscd._mounts[path.hostid]
         session = mount.session
-        call_nfs_task = session.call_nfs_task
+        relay_task = session.relay_task
         resyncs = []
 
         def read_then_resync(proc_no, args, authno, speculative=False):
             if proc_no != nfs_const.NFSPROC3_READ or resyncs:
-                return (yield from call_nfs_task(proc_no, args, authno,
-                                                 speculative))
+                return (yield from relay_task(proc_no, args, authno,
+                                              speculative))
             pending = session.peer.start(
-                call_nfs_task(proc_no, args, authno))
+                relay_task(proc_no, args, authno))
             last_xid = session.peer._xid     # the READ's, and older
             forger.forge = lambda: forged_replies(nfs_const.NFSPROC3_READ,
                                                   last_xid)
             resyncs.append(session.peer.start(session.resync_task()))
             return (yield pending)
 
-        session.call_nfs_task = read_then_resync
+        session.relay_task = read_then_resync
         assert proc.read(fd, 8192) == data[:8192], depth
         (resync,) = resyncs
         while not resync.done:

@@ -46,36 +46,36 @@ MARGIN = (0.01, 0.5)
 #: workload -> layer -> Python calls per op (smoke size, seed 2026).
 BUDGETS = {
     "bulk-lan": {
-        "core.channel": 25.0, "core.client": 133.5, "core.server": 18.9,
+        "core.channel": 25.0, "core.client": 29.8, "core.server": 19.7,
         "crypto.handle": 8.0, "crypto.mac": 18.3, "crypto.stream": 5.0,
-        "fs": 35.7, "kernel": 17.0, "nfs3.server": 13.0, "other": 233.8,
-        "rpc.marshal": 290.8, "rpc.peer": 94.5, "sim.clock": 57.2,
+        "fs": 35.7, "kernel": 17.0, "nfs3.server": 13.0, "other": 196.0,
+        "rpc.marshal": 200.5, "rpc.peer": 97.7, "sim.clock": 33.2,
         "sim.disk": 3.8, "sim.network": 58.8, "sim.sched": 27.1,
-        "total": 1040.1,
+        "total": 788.5,
     },
     "bulk-wan-d8": {
-        "core.channel": 8.8, "core.client": 70.4, "core.server": 6.5,
+        "core.channel": 8.8, "core.client": 27.5, "core.server": 6.8,
         "crypto.handle": 3.6, "crypto.mac": 6.4, "crypto.stream": 1.7,
-        "fs": 24.1, "kernel": 17.0, "nfs3.server": 6.8, "other": 144.5,
-        "rpc.marshal": 202.7, "rpc.peer": 61.8, "sim.clock": 40.5,
+        "fs": 24.1, "kernel": 17.0, "nfs3.server": 6.8, "other": 121.9,
+        "rpc.marshal": 140.8, "rpc.peer": 64.0, "sim.clock": 23.5,
         "sim.disk": 2.1, "sim.network": 39.2, "sim.sched": 19.2,
-        "total": 655.3,
+        "total": 513.4,
     },
     "fanout-1024": {
-        "core.channel": 55.5, "core.client": 5.8, "core.server": 26.4,
+        "core.channel": 55.5, "core.client": 7.8, "core.server": 27.4,
         "crypto.handle": 8.9, "crypto.mac": 40.1, "crypto.stream": 10.1,
-        "fs": 23.5, "nfs3.server": 10.8, "other": 334.4,
-        "rpc.marshal": 196.0, "rpc.peer": 65.4, "sim.clock": 70.3,
+        "fs": 23.5, "nfs3.server": 10.8, "other": 296.0,
+        "rpc.marshal": 142.6, "rpc.peer": 68.3, "sim.clock": 44.9,
         "sim.disk": 2.8, "sim.network": 52.5, "sim.sched": 106.3,
-        "total": 1008.9,
+        "total": 897.5,
     },
     "smallfile-lan": {
-        "core.channel": 42.0, "core.client": 223.5, "core.server": 30.8,
+        "core.channel": 42.0, "core.client": 59.1, "core.server": 32.2,
         "crypto.handle": 19.2, "crypto.mac": 30.8, "crypto.stream": 8.4,
-        "fs": 52.6, "kernel": 62.2, "nfs3.server": 35.4, "other": 604.5,
-        "rpc.marshal": 799.4, "rpc.peer": 217.4, "sim.clock": 138.4,
+        "fs": 52.6, "kernel": 62.2, "nfs3.server": 35.4, "other": 523.1,
+        "rpc.marshal": 528.9, "rpc.peer": 225.2, "sim.clock": 81.6,
         "sim.disk": 9.4, "sim.network": 141.6, "sim.sched": 66.2,
-        "total": 2481.8,
+        "total": 1918.0,
     },
 }
 

@@ -330,8 +330,10 @@ def test_sealed_rpc_round_trip_call_budget():
     """One sealed RPC round trip between two peers, each over a secure
     channel: the call goes out, the server's ``_on_record`` serves it
     (``serve_queued``), and the reply comes back.  The always-on layer
-    stack these paths used to stamp made it 303 calls; without it, 219,
-    pinned here."""
+    stack these paths used to stamp made it 303 calls; without it, 219;
+    parsing each record's envelope once, a plain dict for the reply
+    cache and one-call named tuples made it 208 run alone and 209 after
+    the rest of the suite, pinned here."""
     metrics = MetricsRegistry()
     client_pipe, server_pipe = _MeteredPipe(metrics), _MeteredPipe(metrics)
     client = RpcPeer(SecureChannel(client_pipe, send_key=K_CS,
@@ -352,4 +354,4 @@ def test_sealed_rpc_round_trip_call_budget():
 
     count = count_calls(round_trip)
     assert replies == [8, 8]
-    assert count <= 219
+    assert count <= 209

@@ -18,6 +18,7 @@ from repro.nfs3.handles import EncryptedHandles
 from repro.nfs3.server import Nfs3Server, authsys_cred_mapper
 from repro.rpc.peer import CallContext, RpcPeer
 from repro.rpc.rpcmsg import AuthSys, CallHeader, NULL_AUTH
+from repro.rpc.xdr import RAW
 from repro.sim.clock import Clock
 from repro.sim.disk import Disk
 from repro.sim.network import NetworkParameters, link_pair
@@ -370,8 +371,10 @@ def test_each_program_registers_its_procedures(nfs3_programs, name):
     for proc in served:
         procedure = program.procedures[proc]
         assert procedure.name == const.PROC_NAMES[proc]
+        # sfssd's relay patches the bytes it forwards: it is served raw.
         assert (procedure.arg_codec, procedure.res_codec) \
-            == types.PROC_CODECS[proc]
+            == ((RAW, RAW) if name == "sfssd-relay"
+                else types.PROC_CODECS[proc])
 
 
 @pytest.mark.parametrize("name, status, proc", [

@@ -220,19 +220,20 @@ def test_damaged_record_parses_or_raises_xdr_error(record, data):
 # ---------------------------------------------------------------------------
 # The envelope's cost, as a count: the Python and C functions one warm
 # round trip calls (host time is too noisy to gate).  The Packer-based
-# envelope this replaced made 134, 98 and 62; these ceilings are the
-# struct-packed one's 22, 18 and 14 with a little slack.
+# envelope this replaced made 134, 98 and 62, the struct-packed one 22,
+# 18 and 14; building the parsed named tuples in one C call each made
+# them 20, 16 and 12, pinned here.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("budget,round_trip", [
-    pytest.param(24, lambda: parse_message(pack_call(CallHeader(
+    pytest.param(20, lambda: parse_message(pack_call(CallHeader(
         1, 100003, 3, 3,
         AuthSys(uid=1000, gid=100, gids=(100,)).to_auth()), b"ARGS")),
         id="auth_sys-call"),
-    pytest.param(20, lambda: parse_message(pack_call(CallHeader(
+    pytest.param(16, lambda: parse_message(pack_call(CallHeader(
         2, 344444, 1, 3, make_sfs_cred(5)), b"ARGS")),
         id="auth_sfs-call"),
-    pytest.param(16, lambda: parse_message(pack_reply(
+    pytest.param(12, lambda: parse_message(pack_reply(
         ReplyHeader(3), b"RESULT")),
         id="success-reply"),
 ])

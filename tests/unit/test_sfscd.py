@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.core.client import SfsClientDaemon, _rewrite_fsids
+from repro.core.client import SfsClientDaemon
+from repro.core.handlemap import patch_result
 from repro.core.server import SwitchablePipe
 from repro.core.channel import SecureChannel
 from repro.nfs3 import const as nfs_const
@@ -142,7 +143,7 @@ def test_fsinfo_and_access():
     assert body.access == nfs_const.ACCESS3_READ  # read-only namespace
 
 
-# --- _rewrite_fsids -----------------------------------------------------------
+# --- fsids, patched in the reply's bytes ---------------------------------------
 
 def _fattr(fsid):
     zero = nfs_types.NfsTime.make(seconds=0, nseconds=0)
@@ -153,26 +154,40 @@ def _fattr(fsid):
     )
 
 
-def test_rewrite_fsids_deep():
-    body = Record(
-        obj_attributes=_fattr(111),
-        dir_wcc=nfs_types.WccData.make(before=None, after=_fattr(222)),
-        entries=[Record(name_attributes=_fattr(333), name_handle=None,
-                        fileid=1, name="x", cookie=1)],
-    )
-    _rewrite_fsids(body, 777)
+def _patched(proc, value, fsid):
+    """*value*, a result of *proc*, after sfscd's patch sets *fsid*."""
+    codec = nfs_types.PROC_CODECS[proc][1]
+    wire, _ = patch_result(proc, codec.pack(value), None, fsid)
+    return codec.unpack(wire)
+
+
+def test_patched_fsids_deep():
+    _status, body = _patched(nfs_const.NFSPROC3_CREATE, (nfs_const.NFS3_OK, Record(
+        obj=b"h", obj_attributes=_fattr(111),
+        dir_wcc=nfs_types.WccData.make(before=None, after=_fattr(222)))),
+        777)
     assert body.obj_attributes.fsid == 777
     assert body.dir_wcc.after.fsid == 777
+    _status, body = _patched(nfs_const.NFSPROC3_READDIRPLUS, (
+        nfs_const.NFS3_OK, Record(
+            dir_attributes=None, cookieverf=bytes(8), eof=True,
+            entries=[Record(name_attributes=_fattr(333), name_handle=None,
+                            fileid=1, name="x", cookie=1)])), 777)
     assert body.entries[0].name_attributes.fsid == 777
     assert body.entries[0].name_attributes.fileid == 9  # untouched
 
 
-def test_rewrite_fsids_handles_unions_and_none():
-    _rewrite_fsids(None, 7)
-    _rewrite_fsids((0, Record(obj_attributes=_fattr(5))), 7)
-    value = (nfs_const.NFS3_OK, Record(obj_attributes=_fattr(5)))
-    _rewrite_fsids(value, 7)
-    assert value[1].obj_attributes.fsid == 7
+def test_patched_fsids_in_failure_arms_and_absent_attributes():
+    assert _patched(nfs_const.NFSPROC3_GETATTR,
+                    (nfs_const.NFS3ERR_STALE, None), 7) == \
+        (nfs_const.NFS3ERR_STALE, None)
+    _status, body = _patched(nfs_const.NFSPROC3_LOOKUP, (
+        nfs_const.NFS3ERR_NOENT, Record(dir_attributes=_fattr(5))), 7)
+    assert body.dir_attributes.fsid == 7
+    _status, body = _patched(nfs_const.NFSPROC3_LOOKUP, (
+        nfs_const.NFS3_OK, Record(object=b"o", obj_attributes=_fattr(5),
+                                  dir_attributes=None)), 7)
+    assert body.obj_attributes.fsid == 7 and body.dir_attributes is None
 
 
 # --- SwitchablePipe -----------------------------------------------------------
