@@ -256,8 +256,8 @@ def run_scale(quick: bool, collector=None) -> tuple[str, dict]:
     """Not a paper figure: N closed-loop clients vs one queued server.
 
     Deterministic per seed — throughput and the latency percentiles are
-    pure functions of the configuration.  Past the worker pool's
-    service capacity, queueing delay dominates the tail.
+    pure functions of the configuration.  Past the server's busy
+    slots' service capacity, queueing delay dominates the tail.
     """
     from ..load import LoadConfig, LoadHarness
 

@@ -78,7 +78,6 @@ class ControlBench:
         self.controlled = controlled
         self.world = World(seed=load.seed)
         self.world.enable_concurrency(seed=load.seed)
-        self.world.enable_contention()
         # Control first: machines built afterwards get per-source tee
         # registries, which is what makes scope="sources" SLOs real.
         self.plane = self.world.enable_control(

@@ -78,7 +78,6 @@ class FleetBench:
         self.config = config
         self.world = World(seed=load.seed)
         self.world.enable_concurrency(seed=load.seed)
-        self.world.enable_contention()
         self.fleet = self.world.add_fleet(config.servers)
         names = [f"proj{index:02d}" for index in range(config.names)]
         links = provision_data(self.fleet, names)

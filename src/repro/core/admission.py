@@ -4,30 +4,36 @@ With one synchronous client the server could execute every call inline,
 inside record delivery.  Under concurrent load that model breaks: every
 client's call would be serviced instantly regardless of how many others
 are in flight, so contention — the thing the scale benchmarks measure —
-would never appear.  This module gives the server a real queue:
+would never appear.  This module gives the server finite capacity:
 
-* inbound calls are **admitted** into a bounded queue (per RPC peer's
-  ``dispatcher`` hook) instead of executing inline;
-* a small pool of **worker tasks** (daemons on the cooperative
-  scheduler) drains the queue, optionally charging a fixed service time
-  per request so server capacity is finite;
+* ``workers`` **busy slots** bound concurrent service.  A call that
+  finds a slot free runs at once, in the record delivery that brought
+  it (per RPC peer's ``dispatcher`` hook), optionally after a fixed
+  service time; it holds its slot until its handler returns, waits on
+  a hop of its own included;
+* a call that finds every slot busy **waits** in a bounded queue, and a
+  finishing call hands its slot to the next waiting one;
 * when the queue is full, admission control **rejects** the call with a
   ``SERVER_BUSY`` reply — backpressure the client's
   :class:`~repro.core.backoff.BackoffPolicy` turns into a delayed retry.
 
-Two scheduling policies:
+No task runs here: a slot is the call's own generator, stepped from the
+futures it yields like any served call (:class:`repro.rpc.peer.Runner`).
+
+Two scheduling policies pick which waiting call gets a freed slot:
 
 ``fifo``
     One global arrival-order queue.  Simple, but a single aggressive
-    client can monopolize the workers.
+    client can monopolize the slots.
 ``fair``
     Per-connection queues drained round-robin, so each connection gets
-    an equal share of worker capacity regardless of its arrival rate.
+    an equal share of service capacity regardless of its arrival rate.
 
-Metrics (see docs/OBSERVABILITY.md): ``server.queue.depth`` gauge,
-``server.queue.admitted`` / ``server.queue.rejected`` /
-``server.queue.job_failures`` counters, ``server.queue.wait_seconds``
-histogram of time spent queued before service.
+Metrics (see docs/OBSERVABILITY.md): ``server.queue.depth`` gauge
+(calls waiting for a slot), ``server.queue.admitted`` /
+``server.queue.rejected`` / ``server.queue.job_failures`` counters,
+``server.queue.wait_seconds`` histogram of time spent waiting before
+service.
 """
 
 from __future__ import annotations
@@ -36,33 +42,26 @@ from collections import deque
 from typing import Callable, Iterator
 
 from ..obs.registry import NULL_REGISTRY, Gauge
+from ..rpc.peer import Runner
 from ..sim.clock import Clock
-from ..sim.sched import Future, Scheduler, Sleep
+from ..sim.sched import Sleep
 
 FIFO = "fifo"
 FAIR_SHARE = "fair"
 
 
-class QueuedRequest:
-    """One admitted call waiting for a worker."""
-
-    __slots__ = ("conn_id", "execute", "enqueued_at")
-
-    def __init__(self, conn_id: object, execute: Callable[[], Iterator],
-                 enqueued_at: float) -> None:
-        self.conn_id = conn_id
-        self.execute = execute
-        self.enqueued_at = enqueued_at
+#: A waiting call: ``(execute, enqueued_at)``.
+Waiting = tuple[Callable[[], Iterator], float]
 
 
 class RequestQueue:
-    """A bounded request queue with a worker pool and admission control.
+    """``workers`` busy slots with a bounded queue and admission control.
 
-    ``max_depth`` bounds *waiting* requests (in-service requests have
-    already left the queue); ``workers`` bounds concurrent service;
-    ``service_time`` is the simulated seconds each request occupies a
-    worker (0 = workers are infinitely fast and only the queue's FIFO
-    ordering matters).
+    ``max_depth`` bounds *waiting* requests (a call in service holds a
+    slot, not a queue place); ``workers`` bounds concurrent service;
+    ``service_time`` is the simulated seconds each request occupies its
+    slot before its handler runs (0 = slots are infinitely fast and only
+    the queue's ordering matters).
     """
 
     def __init__(
@@ -81,22 +80,27 @@ class RequestQueue:
         if workers < 1:
             raise ValueError("need at least one worker")
         self._clock = clock
+        #: Steps each slot from the futures and sleeps it yields.
+        self._runner = Runner(clock)
         self.max_depth = max_depth
         self.workers = workers
         self.policy = policy
         self.service_time = service_time
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        #: Calls waiting for a slot, and slots in service.  A slot is
+        #: free only while nothing waits.
         self.depth = 0
-        self._fifo: deque[QueuedRequest] = deque()
+        self.busy = 0
+        self._fifo: deque[Waiting] = deque()
         #: fair-share state: per-connection queues + round-robin order.
-        self._per_conn: dict[object, deque[QueuedRequest]] = {}
+        self._per_conn: dict[object, deque[Waiting]] = {}
         self._rotation: deque[object] = deque()
         #: (conn_id, xid) pairs admitted but not yet executed — the
         #: window the peer's duplicate-reply cache cannot cover.
         self._queued_xids: set[tuple[object, int]] = set()
-        self._wakeup: Future | None = None
-        #: Bumped by :meth:`clear`; a worker that slept through a crash
-        #: finds its request belongs to a machine that no longer exists.
+        #: Bumped by :meth:`clear`; a slot that was in service across a
+        #: crash finds its call belongs to a machine that no longer
+        #: exists, and gives back no slot.
         self._boots = 0
         self._g_depth = self.metrics.gauge("server.queue.depth",
                                            track_peak=True)
@@ -134,13 +138,20 @@ class RequestQueue:
 
     def submit(self, conn_id: object, execute: Callable[[], Iterator]) -> bool:
         """Admit a request, or return False (caller sends SERVER_BUSY).
-        A worker serves it by ``yield from execute()``: it stays busy
-        while the call's handler waits on a hop of its own."""
+
+        A slot serves it by ``yield from execute()``.  With a slot free
+        it starts before this returns and runs to its first wait;
+        otherwise it waits for a finishing call to hand it one."""
+        if self.busy < self.workers:
+            self.busy += 1
+            self._m_admitted.inc()
+            self._runner.step(self._slot(execute, self._clock.now))
+            return True
         if self.depth >= self.max_depth:
             self.rejected += 1
             self._m_rejected.inc()
             return False
-        request = QueuedRequest(conn_id, execute, self._clock.now)
+        request = (execute, self._clock.now)
         if self.policy == FAIR_SHARE:
             queue = self._per_conn.get(conn_id)
             if queue is None:
@@ -153,26 +164,23 @@ class RequestQueue:
         self.depth += 1
         self._set_depth(self.depth)  # the gauges track the peak too
         self._m_admitted.inc()
-        if self._wakeup is not None:
-            self._wakeup.resolve()
         return True
 
     def bind(self, peer, conn_id: object,
              inline_calls: frozenset = frozenset()) -> None:
         """Route *peer*'s inbound calls through this queue.
 
-        Installs the peer's ``dispatcher`` hook: admitted calls run
-        later via ``serve_queued``; rejected ones get a busy reply
+        Installs the peer's ``dispatcher`` hook: an admitted call runs
+        in a slot via ``serve_queued``; a rejected one gets a busy reply
         immediately (never cached — the retry must execute for real).
 
         ``(prog, proc)`` pairs in *inline_calls* bypass the queue and
-        execute during record delivery, like the classic model.  The
-        REKEY that completes a channel resync must go here: it has to
-        stay ordered with the channel state machine, and a queued REKEY
-        can deadlock against a worker that is itself blocked waiting on
-        a reply from the desynchronized client — the client cannot
-        answer until its REKEY is served, and the REKEY waits behind
-        the blocked worker.
+        execute during record delivery without a slot.  The REKEY that
+        completes a channel resync must go here: it has to stay ordered
+        with the channel state machine, and a queued REKEY can deadlock
+        against a slot that is itself blocked waiting on a reply from
+        the desynchronized client — the client cannot answer until its
+        REKEY is served, and the REKEY waits behind the blocked slot.
 
         Retransmissions of a call that is *still waiting* in the queue
         are absorbed (dropped, counted in
@@ -195,15 +203,15 @@ class RequestQueue:
             def execute():
                 self._queued_xids.discard(key)
                 return peer.serve_queued(header, body, request)
-            if self.submit(conn_id, execute):
-                self._queued_xids.add(key)
-            else:
+            self._queued_xids.add(key)
+            if not self.submit(conn_id, execute):
+                self._queued_xids.discard(key)
                 peer.send_busy(header.xid)
         peer.dispatcher = dispatch
 
     # -- service -----------------------------------------------------------
 
-    def _pop(self) -> QueuedRequest | None:
+    def _pop(self) -> Waiting | None:
         if self.policy == FAIR_SHARE:
             while self._rotation:
                 conn_id = self._rotation.popleft()
@@ -230,40 +238,34 @@ class RequestQueue:
         self._set_depth(self.depth)
         return request
 
-    def _arrival(self) -> Future:
-        if self._wakeup is None or self._wakeup.done:
-            self._wakeup = Future("queue-arrival")
-        return self._wakeup
-
-    def start(self, scheduler: Scheduler, name: str = "queue") -> None:
-        """Spawn the worker pool as daemon tasks on *scheduler*."""
-        for index in range(self.workers):
-            scheduler.spawn(self._worker(), name=f"{name}-worker-{index}",
-                            daemon=True)
-
-    def _worker(self):
+    def _slot(self, execute: Callable[[], Iterator], enqueued_at: float):
+        """One busy slot: serve a call, then each waiting call the
+        policy hands the slot to, and free it when none waits.  A crash
+        (:meth:`clear`) freed every slot, so one in service across it
+        just ends."""
+        boot = self._boots
         while True:
-            request = self._pop()
-            if request is None:
-                # All workers may share one arrival future; whoever
-                # wakes first wins the request, the rest re-wait.
-                yield self._arrival()
-                continue
-            self._m_wait.observe(self._clock.now - request.enqueued_at)
-            if self.service_time > 0.0:
-                boot = self._boots
-                yield Sleep(self.service_time)
-                if boot != self._boots:
-                    continue  # the machine crashed mid-service
+            self._m_wait.observe(self._clock.now - enqueued_at)
             try:
-                yield from request.execute()
-            except ConnectionError:
-                # The caller's link died while its request waited (or
-                # mid-reply, e.g. a server crash): the reply has nowhere
+                if self.service_time > 0.0:
+                    yield Sleep(self.service_time)
+                    if boot != self._boots:
+                        return  # the machine crashed mid-service
+                yield from execute()
+            except AssertionError:
+                raise  # a broken invariant fails the run
+            except Exception:  # noqa: BLE001 - a slot must not die
+                # E.g. the caller's link died while its request waited
+                # (or mid-reply, a server crash): the reply has nowhere
                 # to go, and the client's retry machinery owns recovery.
                 self._m_failures.inc()
-            except Exception:  # noqa: BLE001 - a worker must not die
-                self._m_failures.inc()
+            if boot != self._boots:
+                return
+            waiting = self._pop()
+            if waiting is None:
+                self.busy -= 1
+                return
+            execute, enqueued_at = waiting
 
     # -- dynamic control ---------------------------------------------------
 
@@ -283,8 +285,8 @@ class RequestQueue:
     # -- lifecycle ---------------------------------------------------------
 
     def clear(self) -> int:
-        """Drop every waiting request, and whatever the workers have in
-        service (server crash); returns the count of waiting ones.
+        """Drop every waiting request and free every slot (server
+        crash); returns the count of waiting ones.
 
         Clients learn the same way they learn about any crash: their
         link closes and their in-flight futures fail with
@@ -300,6 +302,7 @@ class RequestQueue:
         self._rotation.clear()
         self._queued_xids.clear()
         self.depth = 0
+        self.busy = 0
         self._set_depth(0)
         self._g_depth.reset_peak()
         self._watermark.reset_peak()

@@ -429,8 +429,8 @@ class SfsServerMaster:
         self.down = False
         #: Optional scheduled-fault source (see :mod:`repro.sim.crash`).
         self.crash_injector: CrashInjector | None = None
-        #: Set by :meth:`enable_concurrency`: inbound calls queue here
-        #: instead of executing inline during record delivery.
+        #: Set by :meth:`enable_concurrency`: inbound calls are admitted
+        #: here instead of executing inline during record delivery.
         self.request_queue: RequestQueue | None = None
         #: Zero-argument callables fired at the end of every
         #: :meth:`restart` — the machine's boot beacon.  The control
@@ -631,28 +631,26 @@ class SfsServerMaster:
 
     def enable_concurrency(
         self,
-        scheduler,
         max_depth: int = 32,
         workers: int = 4,
         policy: str = FIFO,
         service_time: float = 0.0,
     ) -> RequestQueue:
-        """Serve requests through a bounded queue + worker pool.
+        """Serve requests through a bounded queue in front of *workers*
+        busy slots.
 
         Until this is called the master keeps the classic model — every
         call executes inline during record delivery, which is correct
         but serializes the world.  Afterwards each connection's inbound
-        calls are admitted (or busy-rejected) into one shared
-        :class:`~repro.core.admission.RequestQueue` whose workers run as
-        daemon tasks on *scheduler*.  The loopback NFS connection stays
-        inline: its calls are issued *by* the workers, and queueing them
-        behind the same pool would deadlock.
+        calls are admitted (or busy-rejected) by one shared
+        :class:`~repro.core.admission.RequestQueue`.  The loopback NFS
+        connection stays inline: its calls are issued *from* the slots,
+        and queueing them behind the same slots would deadlock.
         """
         queue = RequestQueue(
             self.clock, max_depth=max_depth, workers=workers,
             policy=policy, metrics=self.metrics, service_time=service_time,
         )
-        queue.start(scheduler, name=f"{self.location}")
         self.request_queue = queue
         for connection in self.connections:
             queue.bind(connection.peer, connection,
@@ -1019,7 +1017,7 @@ class ServerConnection:
         try:
             # One-way on purpose ("without waiting for acknowledgment"):
             # waiting would let one unreachable lease holder — crashed,
-            # partitioned, or mid-resync — stall the worker serving the
+            # partitioned, or mid-resync — stall the slot serving the
             # write that triggered the fan-out.
             self.peer.call_oneway(
                 proto.SFS_CB_PROGRAM, proto.SFS_VERSION, proto.PROC_INVALIDATE,

@@ -72,10 +72,10 @@ class ServerMachine:
         self.with_disk = with_disk
         self.exports: dict[str, tuple[SelfCertifyingPath, MemFs, AuthServer]] = {}
         #: This machine's network interface, one shared medium per
-        #: direction: when the world enables contention, every client
-        #: link terminating here queues for the same rx/tx bandwidth.
-        self.nic_rx = Medium(f"{location}:rx")
-        self.nic_tx = Medium(f"{location}:tx")
+        #: direction (link_pair's ``media``: a->b is the server's rx):
+        #: every link terminating here queues for the same bandwidth.
+        self.media = {"a->b": Medium(f"{location}:rx"),
+                      "b->a": Medium(f"{location}:tx")}
 
     def _new_fs(self, fsid: int) -> MemFs:
         disk = Disk(self.world.clock, DiskParameters.ibm_18es(),
@@ -148,12 +148,11 @@ class ServerMachine:
                         policy: str = "fifo", service_time: float = 0.0):
         """Serve this machine's requests through a bounded queue.
 
-        The worker pool runs as daemon tasks on the world's scheduler.
         See :meth:`repro.core.server.SfsServerMaster.enable_concurrency`.
         """
         return self.master.enable_concurrency(
-            self.world.enable_concurrency(), max_depth=max_depth,
-            workers=workers, policy=policy, service_time=service_time,
+            max_depth=max_depth, workers=workers, policy=policy,
+            service_time=service_time,
         )
 
     def add_user(self, name: str, uid: int, gid: int = 100,
@@ -269,11 +268,9 @@ class ClientMachine:
         nfsd = Nfs3Server(fs, metrics=self.world.metrics)
         mountd = MountServer()
         mountd.add_export(export_dir, nfsd.root_handle())
-        media = ({"a->b": server.nic_rx, "b->a": server.nic_tx}
-                 if self.world.contention else None)
         kernel_side, server_side = link_pair(
             self.world.clock, params or self.world.lan_params,
-            metrics=self.world.metrics, media=media,
+            metrics=self.world.metrics, media=server.media,
         )
         self.world._wire(kernel_side)
         peer = _RpcPeer(server_side, f"nfsd@{server.location}")
@@ -311,9 +308,6 @@ class World:
         #: :meth:`enable_concurrency` call picks its interleaving seed.
         self.scheduler = Scheduler(self.clock, metrics=self.metrics)
         self._scheduler_seeded = False
-        #: Set by :meth:`enable_contention`: new links to a server share
-        #: its NIC media, so concurrent clients queue for bandwidth.
-        self.contention = False
         #: Peers built over new wire links get a send window this deep,
         #: and client daemons read ahead / gather writes this deep
         #: (PROTOCOLS.md §17); :meth:`enable_pipelining` sets it.
@@ -331,13 +325,6 @@ class World:
             self._scheduler_seeded = True
             self.scheduler.rng.seed(seed)
         return self.scheduler
-
-    def enable_contention(self) -> None:
-        """Make links to each server contend for its NIC bandwidth.
-
-        Off by default: single-client benchmarks keep their original,
-        independent per-record charges bit-for-bit."""
-        self.contention = True
 
     def enable_pipelining(self, depth: int = 8, seed: int = 0) -> Scheduler:
         """Set the pipeline depth (PROTOCOLS.md §17).
@@ -518,11 +505,9 @@ class World:
         if server is None:
             raise ConnectionError(f"no route to host {location}")
         adversary = self.adversary_factory() if self.adversary_factory else None
-        media = ({"a->b": server.nic_rx, "b->a": server.nic_tx}
-                 if self.contention else None)
         client_side, server_side = link_pair(
             self.clock, self.link_params.get(location, self.lan_params),
-            adversary, metrics=server.metrics, media=media,
+            adversary, metrics=server.metrics, media=server.media,
         )
         client_side.link.location = location
         self._wire(client_side)

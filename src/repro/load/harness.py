@@ -71,7 +71,6 @@ class LoadConfig:
     workers: int = 2
     queue_policy: str = "fifo"
     service_time: float = 0.001
-    contention: bool = True
     #: Per-attempt RPC retransmission timer.  The single-client default
     #: (2 ms) assumes an idle server; under deliberate queueing delay it
     #: would fire constantly and every retransmit would be re-admitted
@@ -271,8 +270,6 @@ class LoadHarness:
         self.world = world if world is not None else World(seed=config.seed)
         self.scheduler = self.world.enable_pipelining(
             depth=config.pipeline_depth, seed=config.seed)
-        if config.contention:
-            self.world.enable_contention()
         if targets is None:
             targets = [self._seed_server(server, location)] * config.clients
         if len(targets) != config.clients:

@@ -304,6 +304,44 @@ class Runner:
         elif seconds > 0:
             time.sleep(seconds)
 
+    def step(self, gen, outcome: Future | None = None,
+             waited: Future | None = None) -> None:
+        """Run *gen* in the background: to its first wait now, then on
+        from each future it yields (from a clock timer for a sleep)
+        with what it waited for.  Its result or exception completes
+        *outcome* (:meth:`RpcPeer.start`); with none, nothing waits for
+        it (a served call, a request queue's slot) and what it raises
+        reaches whoever resumed it — except an AssertionError, which is
+        always raised."""
+        try:
+            if waited is None:
+                waited = gen.send(None)
+            elif waited.exception is not None:
+                waited = gen.throw(waited.exception)
+            else:
+                waited = gen.send(waited.value)
+        except StopIteration as stop:
+            if outcome is not None:
+                outcome.resolve(stop.value)
+            return
+        except AssertionError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - carried by the future
+            if outcome is None:
+                raise
+            outcome.fail(exc)
+            return
+        # (A partial, not a closure over itself: nothing here is left
+        # for the cycle collector once the generator is done.)
+        resume = functools.partial(self.step, gen, outcome)
+        if isinstance(waited, Future):
+            waited.add_done_callback(resume)
+        else:
+            clock = self.clock
+            clock.call_at(clock.now + (
+                waited.seconds if isinstance(waited, Sleep)
+                else float(waited)), resume)
+
 
 def blocking(method):
     """The synchronous method of the generator *method*: it runs it to
@@ -502,7 +540,7 @@ class RpcPeer(Runner):
         that lets it bypass the queue).  A handler that yields runs on
         from the futures it waits for, like a :meth:`start`-ed task, and
         its reply goes out when it returns."""
-        self._step(self.serve_queued(header, body, request), None)
+        self.step(self.serve_queued(header, body, request))
 
     def send_busy(self, xid: int) -> None:
         """Reject a call with ``SERVER_BUSY`` — admission control's
@@ -520,9 +558,9 @@ class RpcPeer(Runner):
 
     def serve_queued(self, header: CallHeader, body: bytes, request: bytes):
         """Run one call's handler and send its reply (``yield from``):
-        :meth:`serve`'s body, and the request-queue workers' entry point,
+        :meth:`serve`'s body, and a request-queue slot's entry point,
         which bypasses :attr:`dispatcher` so the queue cannot re-enqueue
-        its own work.  A worker stays busy until the handler returns.
+        its own work.  The slot stays busy until the handler returns.
 
         A handler either returns its result or is a generator: one that
         relays the call onward yields while the next hop answers
@@ -692,42 +730,8 @@ class RpcPeer(Runner):
         the clock does and needs no scheduler.
         """
         outcome = Future(name=f"{self.name}:background")
-        self._step(gen, outcome)
+        self.step(gen, outcome)
         return outcome
-
-    def _step(self, gen, outcome: Future | None,
-              waited: Future | None = None) -> None:
-        """Resume a :meth:`start`-ed generator (or a served call's, whose
-        *outcome* is None) with what it waited for (None: its first
-        step, or a sleep that is over)."""
-        try:
-            if waited is None:
-                waited = gen.send(None)
-            elif waited.exception is not None:
-                waited = gen.throw(waited.exception)
-            else:
-                waited = gen.send(waited.value)
-        except StopIteration as stop:
-            if outcome is not None:
-                outcome.resolve(stop.value)
-            return
-        except AssertionError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - carried by the future
-            if outcome is None:
-                raise
-            outcome.fail(exc)
-            return
-        # (A partial, not a closure over itself: nothing here is left
-        # for the cycle collector once the generator is done.)
-        resume = functools.partial(self._step, gen, outcome)
-        if isinstance(waited, Future):
-            waited.add_done_callback(resume)
-        else:
-            clock = self.clock
-            clock.call_at(clock.now + (
-                waited.seconds if isinstance(waited, Sleep)
-                else float(waited)), resume)
 
     # --- the send window --------------------------------------------------
 

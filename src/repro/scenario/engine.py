@@ -183,8 +183,6 @@ class _Runtime:
         if topology.control:
             self.world.enable_control(period=topology.control_period,
                                       start=topology.control_start)
-        if topology.contention:
-            self.world.enable_contention()
         for index in range(topology.servers):
             machine = self.world.add_server(f"s{index}.load.test")
             machine.export_fs(lease_duration=topology.lease_duration)
@@ -313,7 +311,6 @@ class _Runtime:
             max_depth=workload.max_depth,
             workers=workload.workers,
             service_time=workload.service_time,
-            contention=spec.topology.contention,
             rpc_timeout=workload.rpc_timeout,
             failover=workload.failover,
         )

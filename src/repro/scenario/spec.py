@@ -6,8 +6,7 @@ with five sections:
 ``topology``
     What the World looks like: load servers, certificate-target
     servers, kernel clients with agents, a CA-served namespace with
-    untrusted mirrors, Medium contention, the control plane, armed
-    crash points.
+    untrusted mirrors, the control plane, armed crash points.
 ``links``
     Per-host link profiles applied before anything dials (latency,
     bandwidth, framing overhead) — the WAN in "WAN churn".
@@ -78,7 +77,6 @@ class TopologySpec:
     names: int = 0              # names provisioned on the fleet CA
     mirrors: int = 0            # untrusted namespace mirrors
     login_users: int = 0        # auth accounts auth0.. on the primary
-    contention: bool = True
     control: bool = False
     control_period: float = 0.010
     control_start: bool = True  # False: control_tick events drive it
@@ -158,7 +156,7 @@ def _parse_mix(data, context: str) -> OpMix:
 def _parse_topology(data: dict) -> TopologySpec:
     _take(data, "topology", {
         "servers", "extra_servers", "kernel_clients", "names", "mirrors",
-        "login_users", "contention", "control", "control_period",
+        "login_users", "control", "control_period",
         "control_start", "lease_duration", "crash_points",
     })
     points = []
@@ -186,7 +184,6 @@ def _parse_topology(data: dict) -> TopologySpec:
         mirrors=int(_number(data, "mirrors", "topology", 0, minimum=0)),
         login_users=int(_number(data, "login_users", "topology", 0,
                                 minimum=0)),
-        contention=bool(data.get("contention", True)),
         control=bool(data.get("control", False)),
         control_period=float(_number(data, "control_period", "topology",
                                      0.010, minimum=1e-6)),

@@ -4,7 +4,7 @@ Every record in the simulator arrives from a clock timer, and whoever
 waits for one waits by yielding.  This module is where the yielding
 happens, without threads: a :class:`Task` wraps a generator that
 ``yield``\\ s what it is waiting for — a :class:`Future` (an RPC reply,
-a queue wakeup) or a :class:`Sleep` (think time, backoff) — and the
+a send-window slot) or a :class:`Sleep` (think time, backoff) — and the
 :class:`Scheduler` steps whichever tasks are runnable, advancing the
 :class:`~repro.sim.clock.Clock` to the next timer deadline whenever
 everyone is waiting.
@@ -115,7 +115,7 @@ class Task:
 
     def __init__(self, gen: Generator, name: str, daemon: bool) -> None:
         self.name = name
-        #: Daemon tasks (server queue workers) serve the others; they
+        #: Daemon tasks (the control loop) serve the others; they
         #: never count toward run-loop liveness and are simply abandoned
         #: at drain, like OS daemon threads.
         self.daemon = daemon

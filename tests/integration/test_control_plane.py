@@ -67,7 +67,7 @@ def test_server_instruments_tee_through_to_the_collector():
     queue = server.enable_queueing(max_depth=2, workers=1,
                                    service_time=0.001)
     conn = object()
-    for _ in range(4):                        # 2 admitted + 2 rejected
+    for _ in range(5):          # 1 in service, 2 waiting + 2 rejected
         queue.submit(conn, job())
     world.clock.advance(0.01)
     world.control.collector.tick()

@@ -49,12 +49,18 @@ PAPER_ROWS = {
        for figure in ("fig6", "fig7", "fig8", "fig9")},
 }
 
+#: Re-pinned when the request queue became a count of busy slots and
+#: every link to a server began sharing its NIC: a call that finds a
+#: slot free no longer counts as queued, so the lightly loaded rows'
+#: peak queue depth fell from 1 to 0 (scale, fleet, control); the auth
+#: storm's links now contend for the shard NIC (row 0 duration
+#: 0.97507 -> 0.97605 s, p99 809.5 -> 814.5 ms, 885 -> 884 rejects).
 DIGESTS = {
-    "scale": "1355d36974c9e06cce34100543bfa50d236b44a430886a6f3d14652157e3b26a",
-    "fleet": "cc535c34f74c1cbac98b99f4fbda4f41877af29c593d490bb5c825b0e77c567b",
+    "scale": "1e33185266b693cee3d18f948108398302e06aa3da0535fb6b0adeddbcdedc24",
+    "fleet": "05167cdc883a293414546034e3108a36c11f0ba805d8677f34b0537452cfac05",
     "control":
-        "2e992833c7a9679e21b86e1e3c966ec6f9f3069f3584d6f7b645270acfdc2c26",
-    "auth": "1443b0482824f151b48e888f7b844967b422b9760692076a7d47928475e3cf54",
+        "c8ba83441debb83c220972ab34e3544d3b1cda171162d969a717f60a0a184c06",
+    "auth": "178f78805923bff4b603ada0c5153ea48f2b65d5517318a6ae8a09a62dfcad8f",
 }
 
 #: Re-pinned when sfscd's name cache began keeping the names its own

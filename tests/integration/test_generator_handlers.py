@@ -83,8 +83,11 @@ def test_two_relays_in_flight_each_invalidate_the_other():
     """Two sessions hold leases on two files, and each WRITEs its own
     file at the same instant.  Both relays are in flight at sfssd
     together; each write calls back the *other* lessee, before that
-    one's reply, and neither writer hears of its own write."""
+    one's reply, and neither writer hears of its own write.  The links
+    charge no per-byte time: both sessions share the server's NIC, which
+    would otherwise put one WRITE a transmission time behind the other."""
     world = World(seed=11)
+    world.lan_params = NetworkParameters(bandwidth=math.inf)
     server = world.add_server("lease.example.com")
     path = server.export_fs(lease_duration=1000.0)
     seed_file(server.fs, "/one", b"v0" * 256)

@@ -64,10 +64,10 @@ BUDGETS = {
     "fanout-1024": {
         "core.channel": 55.5, "core.client": 7.8, "core.server": 27.4,
         "crypto.handle": 8.9, "crypto.mac": 40.1, "crypto.stream": 10.1,
-        "fs": 23.5, "nfs3.server": 10.8, "other": 296.0,
-        "rpc.marshal": 142.6, "rpc.peer": 68.3, "sim.clock": 44.9,
-        "sim.disk": 2.8, "sim.network": 52.5, "sim.sched": 106.3,
-        "total": 897.5,
+        "fs": 23.5, "nfs3.server": 10.8, "other": 287.7,
+        "rpc.marshal": 142.6, "rpc.peer": 75.9, "sim.clock": 41.9,
+        "sim.disk": 2.8, "sim.network": 52.5, "sim.sched": 68.0,
+        "total": 855.6,
     },
     "smallfile-lan": {
         "core.channel": 42.0, "core.client": 59.1, "core.server": 32.2,

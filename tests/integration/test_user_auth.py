@@ -165,11 +165,14 @@ def test_kernel_login_backs_off_when_the_admission_queue_is_full(auth_world):
     client = world.add_client("workstation")
     client.process(uid=4000).stat(f"{path}/home")   # mount; no agent
     session = client.sfscd._mounts[path.hostid].session
-    # One filler in service (the worker sleeps on it), one waiting: the
-    # queue is full when alice's LOGIN arrives.
+    # One filler in service (its slot sleeps on it), one waiting: the
+    # queue is full when alice's LOGIN arrives.  The first filler starts
+    # at once and the pump runs the clock to its end, so the second
+    # takes the free slot and a third is the one that waits.
     assert queue.submit("filler", job())
     world.scheduler.pump_once()
     assert queue.submit("filler", job())
+    queue.submit("filler", job())
     proc = client.login_user("alice", alice.key, uid=1000)
     proc.write_file(f"{path}/home/alice/note", b"signed in")
     assert proc.stat(f"{path}/home/alice/note").uid == 1000

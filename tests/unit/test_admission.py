@@ -5,19 +5,39 @@ import pytest
 from repro.core.admission import FAIR_SHARE, FIFO, RequestQueue
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
-from repro.sim.sched import Scheduler, SchedulerStalled, Sleep
+from repro.sim.sched import Future, Scheduler, SchedulerStalled, Sleep
 from tests.helpers import job
 
 
 def pump_all(sched):
-    """Run until stalled.  The queue's workers are daemons, so they do
-    not hold ``Scheduler.run`` open on their own — real deployments
-    always have live client tasks; these tests do not."""
+    """Run until stalled: fire every timer (service times, sleeps) and
+    step every task the test left pending."""
     while True:
         try:
             sched.pump_once()
         except SchedulerStalled:
             return
+
+
+def held(gate, action=None):
+    """An ``execute`` whose call holds its slot until *gate* resolves,
+    then runs *action* (if any) — how a test keeps the slots busy so
+    that the calls it submits next wait in the queue."""
+    def execute():
+        yield gate
+        if action is not None:
+            action()
+    return execute
+
+
+def occupy(queue, conn_id="hog"):
+    """Fill every slot of *queue* with a held call; returns the gate
+    that releases them all."""
+    gate = Future("gate")
+    for _ in range(queue.workers):
+        assert queue.submit(conn_id, held(gate))
+    assert queue.depth == 0
+    return gate
 
 
 def make(max_depth=4, workers=1, policy=FIFO, service_time=0.0):
@@ -42,22 +62,27 @@ def test_rejects_bad_configuration():
 
 def test_submit_bounded_by_max_depth():
     _clock, _sched, registry, queue = make(max_depth=2)
+    occupy(queue)
     assert queue.submit("c1", job()) is True
     assert queue.submit("c1", job()) is True
     assert queue.submit("c1", job()) is False
     assert queue.depth == 2
     assert queue.peak_depth == 2
-    assert registry.counter("server.queue.admitted").value == 2
+    # The call in service was admitted too; max_depth bounds the two
+    # that wait.
+    assert registry.counter("server.queue.admitted").value == 3
     assert registry.counter("server.queue.rejected").value == 1
     assert registry.gauge("server.queue.depth").value == 2
 
 
 def test_workers_drain_fifo_in_arrival_order():
     _clock, sched, _registry, queue = make()
-    queue.start(sched, name="q")
+    gate = occupy(queue)
     served = []
     for index in range(3):
         queue.submit("c1", job(lambda i=index: served.append(i)))
+    assert served == []
+    gate.resolve(None)
     pump_all(sched)
     assert served == [0, 1, 2]
     assert queue.depth == 0
@@ -67,12 +92,13 @@ def test_fair_share_round_robins_across_connections():
     """An aggressive connection cannot monopolize the workers: service
     alternates across connections no matter the arrival pattern."""
     _clock, sched, _registry, queue = make(max_depth=16, policy=FAIR_SHARE)
-    queue.start(sched, name="q")
+    gate = occupy(queue)
     served = []
     for index in range(6):                    # greedy client first
         queue.submit("greedy", job(lambda i=index: served.append(("g", i))))
     queue.submit("meek", job(lambda: served.append(("m", 0))))
     queue.submit("meek", job(lambda: served.append(("m", 1))))
+    gate.resolve(None)
     pump_all(sched)
     # Round-robin: g0 m0 g1 m1 g2 g3 g4 g5 — the meek connection's two
     # requests are served 2nd and 4th, not behind all six greedy ones.
@@ -87,18 +113,18 @@ def test_fifo_makes_the_meek_wait():
     """The contrast case: under FIFO the greedy client's backlog is
     served first."""
     _clock, sched, _registry, queue = make(max_depth=16, policy=FIFO)
-    queue.start(sched, name="q")
+    gate = occupy(queue)
     served = []
     for index in range(6):
         queue.submit("greedy", job(lambda i=index: served.append(("g", i))))
     queue.submit("meek", job(lambda: served.append(("m", 0))))
+    gate.resolve(None)
     pump_all(sched)
     assert served.index(("m", 0)) == 6
 
 
 def test_service_time_occupies_workers():
     clock, sched, _registry, queue = make(workers=2, service_time=0.010)
-    queue.start(sched, name="q")
     done = []
     for index in range(4):
         queue.submit("c", job(lambda i=index: done.append((i, clock.now))))
@@ -109,7 +135,6 @@ def test_service_time_occupies_workers():
 
 def test_wait_histogram_measures_queueing_delay():
     clock, sched, registry, queue = make(workers=1, service_time=0.005)
-    queue.start(sched, name="q")
     queue.submit("c", job())
     queue.submit("c", job())
     pump_all(sched)
@@ -120,11 +145,14 @@ def test_wait_histogram_measures_queueing_delay():
 
 
 def test_worker_survives_failing_jobs():
+    """A slot whose call fails still hands itself to the next call."""
     _clock, sched, registry, queue = make()
-    queue.start(sched, name="q")
+    gate = Future("gate")
     served = []
-    queue.submit("c", job(lambda: (_ for _ in ()).throw(RuntimeError("boom"))))
+    queue.submit("c", held(gate, lambda: (_ for _ in ()).throw(
+        RuntimeError("boom"))))
     queue.submit("c", job(lambda: served.append("after")))
+    gate.resolve(None)
     pump_all(sched)
     assert served == ["after"]
     assert registry.counter("server.queue.job_failures").value == 1
@@ -132,7 +160,6 @@ def test_worker_survives_failing_jobs():
 
 def test_workers_wake_for_requests_submitted_later():
     clock, sched, _registry, queue = make()
-    queue.start(sched, name="q")
     served = []
 
     def late_submitter():
@@ -146,7 +173,7 @@ def test_workers_wake_for_requests_submitted_later():
 
 def test_clear_drops_waiting_requests():
     _clock, sched, registry, queue = make(max_depth=8)
-    queue.start(sched, name="q")
+    occupy(queue)
     served = []
     for index in range(3):
         queue.submit("c", job(lambda i=index: served.append(i)))
@@ -163,7 +190,7 @@ def test_clear_drops_waiting_requests():
 
 def test_fair_share_clear_resets_rotation():
     _clock, sched, _registry, queue = make(max_depth=8, policy=FAIR_SHARE)
-    queue.start(sched, name="q")
+    occupy(queue)
     queue.submit("a", job())
     queue.submit("b", job())
     queue.clear()
@@ -179,6 +206,7 @@ def test_crash_with_deep_fair_share_queue_leaves_no_stale_state():
     the depth gauge AND its peak — or a restarted server inherits
     phantom connections and a watermark from its previous life."""
     _clock, sched, registry, queue = make(max_depth=16, policy=FAIR_SHARE)
+    occupy(queue)
     for conn in ("a", "b", "c"):
         for index in range(3):
             queue.submit(conn, job())
@@ -195,10 +223,11 @@ def test_crash_with_deep_fair_share_queue_leaves_no_stale_state():
     assert snapshot == {"type": "gauge", "value": 0.0, "peak": 0.0}
     # The reborn server serves fresh connections and re-tracks its peak
     # from scratch.
-    queue.start(sched, name="q")
+    gate = occupy(queue)
     served = []
     queue.submit("d", job(lambda: served.append("d")))
     assert queue.peak_depth == 1
+    gate.resolve(None)
     pump_all(sched)
     assert served == ["d"]
 
@@ -207,10 +236,12 @@ def test_fair_share_drain_drops_empty_connection_queues():
     """Serving a connection dry removes its per-conn entry, so conn_ids
     from long-gone dials do not accumulate on a long-lived server."""
     _clock, sched, _registry, queue = make(max_depth=16, policy=FAIR_SHARE)
-    queue.start(sched, name="q")
+    gate = occupy(queue)
     queue.submit("a", job())
     queue.submit("a", job())
     queue.submit("b", job())
+    assert queue.depth == 3
+    gate.resolve(None)
     pump_all(sched)
     assert queue.depth == 0
     assert queue._per_conn == {}
@@ -219,6 +250,7 @@ def test_fair_share_drain_drops_empty_connection_queues():
 
 def test_set_max_depth_retunes_admission_at_runtime():
     _clock, _sched, registry, queue = make(max_depth=2)
+    occupy(queue)
     assert queue.submit("c", job())
     assert queue.submit("c", job())
     assert not queue.submit("c", job())
@@ -267,13 +299,14 @@ class FakePeer:
 
 def test_bind_queues_calls_and_busies_overflow():
     _clock, sched, _registry, queue = make(max_depth=1)
-    queue.start(sched)
+    gate = occupy(queue)
     peer = FakePeer()
     queue.bind(peer, "conn")
     peer.dispatcher(FakeHeader(100, 1, xid=1), b"", None)
     peer.dispatcher(FakeHeader(100, 2, xid=2), b"", None)   # over depth
     assert peer.served == []                # nothing ran inline
     assert peer.busied == [2]
+    gate.resolve(None)
     pump_all(sched)
     assert peer.served == [(100, 1)]
 
@@ -285,7 +318,7 @@ def test_bind_absorbs_retransmits_of_queued_calls():
     dedup set the retransmit would be admitted as a second queue entry
     and executed twice — breaking at-most-once under load."""
     _clock, sched, registry, queue = make(max_depth=4)
-    queue.start(sched)
+    gate = occupy(queue)
     peer = FakePeer()
     queue.bind(peer, "conn")
     peer.dispatcher(FakeHeader(100, 1, xid=5), b"", None)
@@ -294,6 +327,7 @@ def test_bind_absorbs_retransmits_of_queued_calls():
     assert registry.counter(
         "server.queue.retransmits_absorbed").value == 2
     assert peer.busied == []                # absorbed, not rejected
+    gate.resolve(None)
     pump_all(sched)
     assert peer.served == [(100, 1)]        # executed exactly once
     # The dedup slot is per *queued* call: once executed, responsibility
@@ -306,7 +340,7 @@ def test_bind_absorbs_retransmits_of_queued_calls():
 
 def test_clear_also_drops_retransmit_dedup_state():
     _clock, sched, _registry, queue = make(max_depth=4)
-    queue.start(sched)
+    occupy(queue)
     peer = FakePeer()
     queue.bind(peer, "conn")
     peer.dispatcher(FakeHeader(100, 1, xid=9), b"", None)
@@ -321,17 +355,119 @@ def test_clear_also_drops_retransmit_dedup_state():
 def test_bind_inline_calls_bypass_the_queue():
     """The REKEY deadlock regression: a channel-state call listed in
     inline_calls must execute during record delivery — even with the
-    queue full and every worker wedged — because the worker may itself
-    be blocked on the desynchronized client that sent it."""
+    queue full and every slot wedged — because the slot's call may
+    itself be blocked on the desynchronized client that sent it."""
     _clock, _sched, registry, queue = make(max_depth=1)
-    # No workers pumping: the queue is wedged on purpose.
+    occupy(queue)                            # the slot is wedged on purpose
     peer = FakePeer()
     queue.bind(peer, "conn", inline_calls=frozenset({(344440, 3)}))
     assert queue.submit("other", job())      # fill the queue
     peer.dispatcher(FakeHeader(344440, 3, xid=7), b"", None)
     assert peer.served == [(344440, 3)]             # served immediately
     assert peer.busied == []
-    assert registry.counter("server.queue.admitted").value == 1
+    # The wedged call and the waiting one; the REKEY took no admission.
+    assert registry.counter("server.queue.admitted").value == 2
     # A non-listed call still goes through admission (and is rejected).
+    peer.dispatcher(FakeHeader(100, 1, xid=8), b"", None)
+    assert peer.busied == [8]
+
+
+# -- the slot rule ------------------------------------------------------------
+
+
+def test_a_call_that_finds_a_free_slot_starts_in_its_own_delivery():
+    """No queue hop: the call runs inside the dispatch that delivered it,
+    at the same virtual instant, and never counts as waiting."""
+    clock, _sched, registry, queue = make(workers=2)
+    peer = FakePeer()
+    queue.bind(peer, "conn")
+    peer.dispatcher(FakeHeader(100, 1, xid=1), b"", None)
+    assert peer.served == [(100, 1)]        # before dispatch returned
+    assert clock.now == 0.0
+    assert queue.busy == 0                  # done, slot given back
+    assert queue.peak_depth == 0
+    assert registry.gauge("server.queue.depth").snapshot()["peak"] == 0.0
+    wait = registry.histogram("server.queue.wait_seconds").snapshot()
+    assert (wait["count"], wait["sum"]) == (1, 0.0)
+
+
+@pytest.mark.parametrize("policy, order", [
+    (FIFO, ["a0", "a1", "b0"]),
+    (FAIR_SHARE, ["a0", "b0", "a1"]),
+])
+def test_a_finished_call_hands_its_slot_to_the_next_by_policy(policy,
+                                                                order):
+    """The slot passes on inside the finishing call's own step, at its
+    instant, to the call the policy picks; it frees only when none
+    waits."""
+    clock, sched, _registry, queue = make(max_depth=8, policy=policy)
+    gate = Future("gate")
+    served = []
+    queue.submit("hog", held(gate))
+    for name in ("a0", "a1", "b0"):
+        queue.submit(name[0], job(lambda n=name: served.append(
+            (n, clock.now))))
+    assert served == [] and queue.busy == 1 and queue.depth == 3
+    sched.timer(0.25).add_done_callback(lambda _f: gate.resolve(None))
+    pump_all(sched)
+    assert served == [(name, 0.25) for name in order]
+    assert queue.busy == 0 and queue.depth == 0
+
+
+def test_service_time_is_charged_once_per_call():
+    """The service sleep opens each call's turn in its slot, once: not
+    again when the handler waits on a hop of its own, nor when the slot
+    passes to the next call."""
+    clock, sched, _registry, queue = make(service_time=0.010)
+    done = []
+
+    def relaying():
+        yield Sleep(0.005)                  # the handler's own hop
+        done.append(("relay", clock.now))
+
+    queue.submit("c", relaying)
+    queue.submit("c", job(lambda: done.append(("next", clock.now))))
+    pump_all(sched)
+    assert done == [("relay", pytest.approx(0.015)),
+                    ("next", pytest.approx(0.025))]
+
+
+def test_crash_frees_every_slot_and_old_calls_release_none():
+    """After clear() with calls in service and waiting, all ``workers``
+    slots are free and the next call starts at once.  A call that was in
+    service across the crash and finishes after the restart gives back
+    no slot: a third new call still waits."""
+    _clock, sched, _registry, queue = make(workers=2, max_depth=4)
+    old = occupy(queue)
+    served = []
+    queue.submit("c", job(lambda: served.append("dropped")))
+    assert queue.depth == 1
+    assert queue.clear() == 1
+    assert queue.busy == 0 and queue.depth == 0
+    fresh = Future("fresh")
+    queue.submit("d", held(fresh, lambda: served.append("d0")))
+    queue.submit("d", held(fresh, lambda: served.append("d1")))
+    assert queue.busy == 2 and queue.depth == 0   # both started at once
+    old.resolve(None)                       # pre-crash calls finish now
+    assert queue.busy == 2
+    queue.submit("d", job(lambda: served.append("d2")))
+    assert queue.depth == 1 and served == []
+    fresh.resolve(None)
+    pump_all(sched)
+    # d0's slot passes to d2 inside d0's own step, before d1 resumes.
+    assert served == ["d0", "d2", "d1"]
+    assert queue.busy == 0
+
+
+def test_rekey_bypasses_full_slots_and_queue_and_takes_neither():
+    _clock, _sched, registry, queue = make(workers=2, max_depth=1)
+    occupy(queue)
+    assert queue.submit("other", job())
+    peer = FakePeer()
+    queue.bind(peer, "conn", inline_calls=frozenset({(344440, 3)}))
+    peer.dispatcher(FakeHeader(344440, 3, xid=7), b"", None)
+    assert peer.served == [(344440, 3)]
+    assert (queue.busy, queue.depth) == (2, 1)
+    assert registry.counter("server.queue.admitted").value == 3
     peer.dispatcher(FakeHeader(100, 1, xid=8), b"", None)
     assert peer.busied == [8]

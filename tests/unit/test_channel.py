@@ -332,8 +332,8 @@ def test_sealed_rpc_round_trip_call_budget():
     (``serve_queued``), and the reply comes back.  The always-on layer
     stack these paths used to stamp made it 303 calls; without it, 219;
     parsing each record's envelope once, a plain dict for the reply
-    cache and one-call named tuples made it 208 run alone and 209 after
-    the rest of the suite, pinned here."""
+    cache and one-call named tuples made it 209, run alone or after the
+    rest of the suite, pinned here."""
     metrics = MetricsRegistry()
     client_pipe, server_pipe = _MeteredPipe(metrics), _MeteredPipe(metrics)
     client = RpcPeer(SecureChannel(client_pipe, send_key=K_CS,
