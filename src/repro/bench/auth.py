@@ -88,8 +88,7 @@ class AuthStorm:
         # the logins would queue in the client, and the figure measures
         # the shards' admission control, not the send window.
         self.scheduler = self.world.enable_pipelining(
-            depth=math.ceil(load.arrival_rate * load.duration),
-            seed=load.seed)
+            depth=math.ceil(load.arrival_rate * load.duration))
         self.fleet = self.world.add_auth_fleet(config.shards,
                                                vnodes=config.vnodes)
         for index in range(max(0, config.users - load.clients)):
@@ -100,7 +99,7 @@ class AuthStorm:
         ]
         if config.queueing:
             for shard in self.fleet.shards:
-                shard.server.enable_queueing(
+                shard.server.master.request_queue.configure(
                     max_depth=load.max_depth, workers=load.workers,
                     service_time=load.service_time,
                 )
@@ -267,8 +266,8 @@ def run_cost_sweep(costs=(2, 4, 6), seed: int = 2026,
         world = World(seed=seed)
         server = world.add_server("files.test")
         server.export_fs()
-        server.enable_queueing(max_depth=8, workers=1,
-                               service_time=service_time)
+        server.master.request_queue.configure(
+            max_depth=8, workers=1, service_time=service_time)
         authserver = server.authserver
         password = b"correct horse"
         enrolment = sfskey.prepare_enrolment(

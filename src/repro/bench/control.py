@@ -77,7 +77,6 @@ class ControlBench:
         self.config = config
         self.controlled = controlled
         self.world = World(seed=load.seed)
-        self.world.enable_concurrency(seed=load.seed)
         # Control first: machines built afterwards get per-source tee
         # registries, which is what makes scope="sources" SLOs real.
         self.plane = self.world.enable_control(
@@ -88,15 +87,15 @@ class ControlBench:
         self.names = [f"proj{index:02d}" for index in range(config.names)]
         provision_data(self.fleet, self.names)
         self.hot_shard = self._pick_hot_shard()
-        self.queues = {
-            shard.location: shard.server.enable_queueing(
+        self.queues = {shard.location: shard.server.master.request_queue
+                       for shard in self.fleet.shards}
+        for location, queue in self.queues.items():
+            queue.configure(
                 max_depth=load.max_depth, workers=load.workers,
                 service_time=(load.service_time * config.hot_factor
-                              if shard.location == self.hot_shard
+                              if location == self.hot_shard
                               else load.service_time),
             )
-            for shard in self.fleet.shards
-        }
         self._declare_slos()
         self.harness = LoadHarness(load, world=self.world, targets=[
             data_target(self.fleet, name) for name in self._client_names()

@@ -77,14 +77,13 @@ class FleetBench:
         load = config.load
         self.config = config
         self.world = World(seed=load.seed)
-        self.world.enable_concurrency(seed=load.seed)
         self.fleet = self.world.add_fleet(config.servers)
         names = [f"proj{index:02d}" for index in range(config.names)]
         links = provision_data(self.fleet, names)
         self.fleet.publish(mirrors=config.mirrors)
         self.names_resolved = self._resolve_namespace(links)
         for shard in self.fleet.shards:
-            shard.server.enable_queueing(
+            shard.server.master.request_queue.configure(
                 max_depth=load.max_depth, workers=load.workers,
                 service_time=load.service_time)
         self.harness = LoadHarness(load, world=self.world, targets=[

@@ -75,7 +75,7 @@ def make_setup(name: str, seed: int = 7, caching: bool = True,
     world = World(seed=seed)
     if params is not None:
         world.lan_params = params
-    world.enable_pipelining(depth=pipeline_depth, seed=seed)
+    world.enable_pipelining(depth=pipeline_depth)
     if name == LOCAL:
         client = world.add_client("bench-client")
         proc = client.process(uid=_BENCH_UID)

@@ -121,14 +121,14 @@ class ControlPlane:
         """Spawn the control loop as a daemon task (idempotent)."""
         if self._started:
             return
-        scheduler = self.world.enable_concurrency()
 
         def loop():
             while True:
                 yield Sleep(self.period)
                 self.tick()
 
-        scheduler.spawn(loop(), name="control-plane", daemon=True)
+        self.world.scheduler.spawn(loop(), name="control-plane",
+                                   daemon=True)
         self._started = True
 
     # -- reporting ---------------------------------------------------------

@@ -1,16 +1,15 @@
 """Server-side request queueing and admission control.
 
-With one synchronous client the server could execute every call inline,
-inside record delivery.  Under concurrent load that model breaks: every
-client's call would be serviced instantly regardless of how many others
-are in flight, so contention — the thing the scale benchmarks measure —
-would never appear.  This module gives the server finite capacity:
+Every SFS server master serves its inbound calls through one of these
+queues, from construction until the machine is gone (PROTOCOLS.md §12):
 
 * ``workers`` **busy slots** bound concurrent service.  A call that
   finds a slot free runs at once, in the record delivery that brought
   it (per RPC peer's ``dispatcher`` hook), optionally after a fixed
   service time; it holds its slot until its handler returns, waits on
-  a hop of its own included;
+  a hop of its own included.  A server's queue starts with no slot
+  limit (``workers=math.inf``), so until :meth:`RequestQueue.configure`
+  says otherwise every call starts the instant it arrives;
 * a call that finds every slot busy **waits** in a bounded queue, and a
   finishing call hands its slot to the next waiting one;
 * when the queue is full, admission control **rejects** the call with a
@@ -39,6 +38,7 @@ service.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Iterator
 
 from ..obs.registry import NULL_REGISTRY, Gauge
@@ -58,34 +58,25 @@ class RequestQueue:
     """``workers`` busy slots with a bounded queue and admission control.
 
     ``max_depth`` bounds *waiting* requests (a call in service holds a
-    slot, not a queue place); ``workers`` bounds concurrent service;
-    ``service_time`` is the simulated seconds each request occupies its
-    slot before its handler runs (0 = slots are infinitely fast and only
-    the queue's ordering matters).
+    slot, not a queue place); ``workers`` bounds concurrent service
+    (``math.inf``: no call ever waits); ``service_time`` is the
+    simulated seconds each request occupies its slot before its handler
+    runs (0 = slots are infinitely fast and only the queue's ordering
+    matters).
     """
 
     def __init__(
         self,
         clock: Clock,
         max_depth: int = 32,
-        workers: int = 4,
+        workers: float = 4,
         policy: str = FIFO,
         metrics=None,
         service_time: float = 0.0,
     ) -> None:
-        if policy not in (FIFO, FAIR_SHARE):
-            raise ValueError(f"unknown queue policy {policy!r}")
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if workers < 1:
-            raise ValueError("need at least one worker")
         self._clock = clock
         #: Steps each slot from the futures and sleeps it yields.
         self._runner = Runner(clock)
-        self.max_depth = max_depth
-        self.workers = workers
-        self.policy = policy
-        self.service_time = service_time
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: Calls waiting for a slot, and slots in service.  A slot is
         #: free only while nothing waits.
@@ -112,13 +103,38 @@ class RequestQueue:
         #: This queue's busy-rejects, for the same reason.
         self.rejected = 0
         self._g_max_depth = self.metrics.gauge("server.queue.max_depth")
-        self._g_max_depth.set(max_depth)
         self._m_admitted = self.metrics.counter("server.queue.admitted")
         self._m_rejected = self.metrics.counter("server.queue.rejected")
         self._m_absorbed = self.metrics.counter(
             "server.queue.retransmits_absorbed")
         self._m_failures = self.metrics.counter("server.queue.job_failures")
         self._m_wait = self.metrics.histogram("server.queue.wait_seconds")
+        self.configure(max_depth, workers, policy, service_time)
+
+    def configure(self, max_depth: int = 32, workers: float = 4,
+                  policy: str = FIFO, service_time: float = 0.0) -> None:
+        """Set the queue's four parameters in place.
+
+        The queue, its instruments and the connections bound to it stay
+        as they are; only what the next call finds changes.  Raises
+        unless the queue is idle (no call in service or waiting), so no
+        admitted call ever sees two configurations.
+        """
+        if self.busy or self.depth:
+            raise RuntimeError(
+                f"configure() on a busy queue ({self.busy} in service, "
+                f"{self.depth} waiting)")
+        if policy not in (FIFO, FAIR_SHARE):
+            raise ValueError(f"unknown queue policy {policy!r}")
+        if max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        self.max_depth = max_depth
+        self.workers = workers
+        self.policy = policy
+        self.service_time = service_time
+        self._g_max_depth.set(max_depth)
 
     @property
     def peak_depth(self) -> int:
@@ -196,6 +212,15 @@ class RequestQueue:
             if (header.prog, header.proc) in inline_calls:
                 peer.serve(header, body, request)
                 return
+            if self.busy < self.workers and not self.service_time:
+                # Served from here to its reply without waiting, so no
+                # retransmission can find it unexecuted: no absorb entry.
+                self.busy += 1
+                self._m_admitted.inc()
+                self._runner.step(self._slot(
+                    partial(peer.serve_queued, header, body, request),
+                    self._clock.now))
+                return
             key = (conn_id, header.xid)
             if key in self._queued_xids:
                 self._m_absorbed.inc()
@@ -211,9 +236,10 @@ class RequestQueue:
 
     # -- service -----------------------------------------------------------
 
-    def _pop(self) -> Waiting | None:
+    def _pop(self) -> Waiting:
+        """The waiting call the policy serves next (one must wait)."""
         if self.policy == FAIR_SHARE:
-            while self._rotation:
+            while True:
                 conn_id = self._rotation.popleft()
                 queue = self._per_conn.get(conn_id)
                 if not queue:
@@ -227,13 +253,9 @@ class RequestQueue:
                     self._rotation.append(conn_id)
                 else:
                     del self._per_conn[conn_id]
-                self.depth -= 1
-                self._set_depth(self.depth)
-                return request
-            return None
-        if not self._fifo:
-            return None
-        request = self._fifo.popleft()
+                break
+        else:
+            request = self._fifo.popleft()
         self.depth -= 1
         self._set_depth(self.depth)
         return request
@@ -261,11 +283,10 @@ class RequestQueue:
                 self._m_failures.inc()
             if boot != self._boots:
                 return
-            waiting = self._pop()
-            if waiting is None:
+            if not self.depth:
                 self.busy -= 1
                 return
-            execute, enqueued_at = waiting
+            execute, enqueued_at = self._pop()
 
     # -- dynamic control ---------------------------------------------------
 

@@ -29,6 +29,7 @@ mutates them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -53,7 +54,7 @@ from ..sim.crash import CrashInjector
 from ..sim.network import LinkSide, link_pair
 from ..crypto.util import constant_time_eq
 from . import handlemap, proto
-from .admission import FIFO, RequestQueue
+from .admission import RequestQueue
 from .authserv import AuthServer, SrpSession
 from .channel import (
     RESYNC_ACK,
@@ -429,9 +430,15 @@ class SfsServerMaster:
         self.down = False
         #: Optional scheduled-fault source (see :mod:`repro.sim.crash`).
         self.crash_injector: CrashInjector | None = None
-        #: Set by :meth:`enable_concurrency`: inbound calls are admitted
-        #: here instead of executing inline during record delivery.
-        self.request_queue: RequestQueue | None = None
+        #: Every inbound client call is admitted here (the REKEY of a
+        #: resync excepted).  With no slot limit until someone calls its
+        #: :meth:`~repro.core.admission.RequestQueue.configure`, each
+        #: call starts in the record delivery that brought it.  The
+        #: loopback NFS connection is not a client's: its calls are
+        #: issued from the slots, and queueing them behind the same
+        #: slots would deadlock.
+        self.request_queue = RequestQueue(clock, workers=math.inf,
+                                          metrics=self.metrics)
         #: Zero-argument callables fired at the end of every
         #: :meth:`restart` — the machine's boot beacon.  The control
         #: plane hangs its alive-with-reset notification here so a
@@ -556,10 +563,9 @@ class SfsServerMaster:
         self.down = True
         self.crashes += 1
         self._m_crashes.inc()
-        if self.request_queue is not None:
-            # Queued-but-unserved requests die with the machine; their
-            # clients learn via the closing links, not busy replies.
-            self.request_queue.clear()
+        # Queued-but-unserved requests die with the machine; their
+        # clients learn via the closing links, not busy replies.
+        self.request_queue.clear()
         # Lists first: the close hooks below then find nothing to prune,
         # so a crash is not counted as dead connections.
         connections = list(self.connections)
@@ -627,36 +633,6 @@ class SfsServerMaster:
         self._rw.pop(hostid, None)
         self._ro.pop(hostid, None)
 
-    # --- concurrency -----------------------------------------------------
-
-    def enable_concurrency(
-        self,
-        max_depth: int = 32,
-        workers: int = 4,
-        policy: str = FIFO,
-        service_time: float = 0.0,
-    ) -> RequestQueue:
-        """Serve requests through a bounded queue in front of *workers*
-        busy slots.
-
-        Until this is called the master keeps the classic model — every
-        call executes inline during record delivery, which is correct
-        but serializes the world.  Afterwards each connection's inbound
-        calls are admitted (or busy-rejected) by one shared
-        :class:`~repro.core.admission.RequestQueue`.  The loopback NFS
-        connection stays inline: its calls are issued *from* the slots,
-        and queueing them behind the same slots would deadlock.
-        """
-        queue = RequestQueue(
-            self.clock, max_depth=max_depth, workers=workers,
-            policy=policy, metrics=self.metrics, service_time=service_time,
-        )
-        self.request_queue = queue
-        for connection in self.connections:
-            queue.bind(connection.peer, connection,
-                       inline_calls=CHANNEL_CALLS)
-        return queue
-
     # --- accepting connections ------------------------------------------------
 
     def accept(self, link: LinkSide) -> "ServerConnection":
@@ -668,9 +644,8 @@ class SfsServerMaster:
         self.connections_accepted += 1
         connection = ServerConnection(self, link)
         self.connections[connection] = None
-        if self.request_queue is not None:
-            self.request_queue.bind(connection.peer, connection,
-                                    inline_calls=CHANNEL_CALLS)
+        self.request_queue.bind(connection.peer, connection,
+                                inline_calls=CHANNEL_CALLS)
         return connection
 
 

@@ -60,13 +60,10 @@ def sfs_base32_encode(data: bytes) -> str:
     """
     if not data:
         return ""
-    bits = len(data) * 8
-    ndigits = (bits + 4) // 5
     value = bytes_to_int(data)
-    chars = []
-    for shift in range(ndigits - 1, -1, -1):
-        chars.append(SFS_BASE32_ALPHABET[(value >> (shift * 5)) & 0x1F])
-    return "".join(chars)
+    top = (len(data) * 8 - 1) // 5 * 5    # shift of the leading digit
+    return "".join([SFS_BASE32_ALPHABET[(value >> shift) & 0x1F]
+                    for shift in range(top, -1, -5)])
 
 
 def sfs_base32_decode(text: str, length: int | None = None) -> bytes:

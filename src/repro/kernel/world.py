@@ -144,17 +144,6 @@ class ServerMachine:
         """Arm deterministic crash points; see sim/crash.py."""
         return self.master.install_crash_injector(schedule)
 
-    def enable_queueing(self, max_depth: int = 32, workers: int = 4,
-                        policy: str = "fifo", service_time: float = 0.0):
-        """Serve this machine's requests through a bounded queue.
-
-        See :meth:`repro.core.server.SfsServerMaster.enable_concurrency`.
-        """
-        return self.master.enable_concurrency(
-            max_depth=max_depth, workers=workers, policy=policy,
-            service_time=service_time,
-        )
-
     def add_user(self, name: str, uid: int, gid: int = 100,
                  groups: tuple[int, ...] = (),
                  key_bits: int = DEFAULT_KEY_BITS,
@@ -291,6 +280,7 @@ class World:
                  lan_params: NetworkParameters | None = None,
                  metrics=None) -> None:
         self.clock = Clock()
+        self.seed = seed
         self.rng = random.Random(seed)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.lan_params = lan_params or NetworkParameters.lan_100mbit()
@@ -304,10 +294,9 @@ class World:
         self.adversary_factory = None  # optional: () -> Adversary
         self.links: list[LinkSide] = []
         #: The world's one task engine, its clock's scheduler: every
-        #: synchronous wait pumps it; the first
-        #: :meth:`enable_concurrency` call picks its interleaving seed.
-        self.scheduler = Scheduler(self.clock, metrics=self.metrics)
-        self._scheduler_seeded = False
+        #: synchronous wait pumps it, and *seed* picks its interleaving.
+        self.scheduler = Scheduler(self.clock, seed=seed,
+                                   metrics=self.metrics)
         #: Peers built over new wire links get a send window this deep,
         #: and client daemons read ahead / gather writes this deep
         #: (PROTOCOLS.md §17); :meth:`enable_pipelining` sets it.
@@ -316,32 +305,30 @@ class World:
         #: machine gets a per-source registry and a collector heartbeat.
         self.control = None
 
-    # -- concurrency --
+    # -- pipelining --
 
-    def enable_concurrency(self, seed: int = 0) -> Scheduler:
-        """The world's scheduler; the first call seeds its interleaving
-        (later calls, from harnesses sharing the world, leave it be)."""
-        if not self._scheduler_seeded:
-            self._scheduler_seeded = True
-            self.scheduler.rng.seed(seed)
-        return self.scheduler
-
-    def enable_pipelining(self, depth: int = 8, seed: int = 0) -> Scheduler:
-        """Set the pipeline depth (PROTOCOLS.md §17).
+    def enable_pipelining(self, depth: int = 8,
+                          seed: int | None = None) -> Scheduler:
+        """Set the pipeline depth (PROTOCOLS.md §17); returns the
+        world's scheduler.
 
         RPC peers over links dialed from now on get a send window of
         *depth* in-flight xids, and client daemons run sequential
         readahead and write-gathering at the same depth.  Every world
         runs the same call path and the same relay; the default depth 1
         is a window of 1.  Call before creating the machines that
-        should benefit.
+        should benefit.  The scheduler's seed is the world's; a *seed*
+        other than that raises :class:`ValueError`.
         """
+        if seed is not None and seed != self.seed:
+            raise ValueError(f"world seeded {self.seed}, not {seed}: "
+                             "the seed is World(seed=)'s")
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")
         self.pipeline_depth = depth
         for client in self.clients.values():
             client.sfscd.pipeline_depth = depth
-        return self.enable_concurrency(seed=seed)
+        return self.scheduler
 
     def _wire(self, side: "LinkSide") -> None:
         """The single place a wire link meets the world: it gets the

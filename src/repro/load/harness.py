@@ -269,7 +269,7 @@ class LoadHarness:
         #: world with one seeded server, as always.
         self.world = world if world is not None else World(seed=config.seed)
         self.scheduler = self.world.enable_pipelining(
-            depth=config.pipeline_depth, seed=config.seed)
+            depth=config.pipeline_depth)
         if targets is None:
             targets = [self._seed_server(server, location)] * config.clients
         if len(targets) != config.clients:
@@ -277,11 +277,10 @@ class LoadHarness:
                              f"{config.clients} clients")
         self.targets = list(targets)
         #: Location -> its server's request queue, in target order.
-        self.queues = {}
-        for target in self.targets:
-            if target.location not in self.queues:
-                self.queues[target.location] = self._queue(
-                    self.world.servers[target.location])
+        self.queues = {
+            target.location:
+                self.world.servers[target.location].master.request_queue
+            for target in self.targets}
         first = self.targets[0]
         self.path, self.location = first.path, first.location
         self.server = self.world.servers[self.location]
@@ -307,29 +306,24 @@ class LoadHarness:
 
     def _seed_server(self, server, location: str) -> Target:
         """The default target: *server* (or a new one at *location*)
-        with ``file_count`` seeded files at its export root."""
+        with ``file_count`` seeded files at its export root, its request
+        queue configured with this config's admission parameters.  (A
+        given target's server keeps whatever queue it has.)"""
+        config = self.config
         if server is None:
             server = self.world.add_server(location)
         path = (server.path if "default" in server.exports
                 else server.export_fs())
-        files = tuple(f"load{index}"
-                      for index in range(self.config.file_count))
+        files = tuple(f"load{index}" for index in range(config.file_count))
         for name in files:
             seed_file(server.fs, name, FILE_CONTENT)
-        return Target(path, files)
-
-    def _queue(self, server):
-        """*server*'s request queue, enabled with this config's
-        admission parameters if it has none yet."""
-        if server.master.request_queue is not None:
-            return server.master.request_queue
-        config = self.config
-        return server.enable_queueing(
+        server.master.request_queue.configure(
             max_depth=(config.max_depth if config.max_depth is not None
                        else NO_ADMISSION_LIMIT),
             workers=config.workers, policy=config.queue_policy,
             service_time=config.service_time,
         )
+        return Target(path, files)
 
     def _connect_sessions(self) -> None:
         """Dial every client's session, sequentially and synchronously

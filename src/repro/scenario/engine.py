@@ -104,7 +104,7 @@ class _Runtime:
         self.spec = spec
         self.world = World(seed=spec.seed)
         self.clock = self.world.clock
-        self.scheduler = self.world.enable_concurrency(seed=spec.seed)
+        self.scheduler = self.world.scheduler
         self.aliases: dict[str, ServerMachine] = {}
         self.load_servers: list[ServerMachine] = []
         self.extra_servers: list[ServerMachine] = []
@@ -208,9 +208,10 @@ class _Runtime:
             self.extra_servers.append(machine)
         self._build_fleet()
         self._build_kernel_clients()
-        # Login accounts connect before the harnesses enable queueing:
-        # the session handshakes run synchronously, and the established
-        # connections then share the admission queue with the workload.
+        # Login accounts connect before the harnesses configure their
+        # servers' queues: the handshakes run synchronously, with no
+        # slot limit, and the established connections then take slots
+        # of the configured queue with the workload.
         self._build_login_accounts()
         self._build_harnesses()
 

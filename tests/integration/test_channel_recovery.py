@@ -703,7 +703,7 @@ def test_lossy_depth_1_write_and_read_back_completes(seed):
     the session for good, and a 64 KB write and its read-back complete
     with the right bytes."""
     world = World(seed=seed)
-    world.enable_pipelining(depth=1, seed=seed)
+    world.enable_pipelining(depth=1)
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     alice = server.add_user("alice", uid=1000)
@@ -741,7 +741,7 @@ def test_lossy_wan_readahead_never_crosses_the_plaintext_window(seed):
 
     world = World(seed=seed)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=8, seed=seed)
+    world.enable_pipelining(depth=8)
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     alice = server.add_user("alice", uid=1000)
@@ -857,7 +857,7 @@ def test_resync_abandons_prefetches_before_the_pipe_goes_plaintext():
     by the new channel, or with none, and the file reads back whole."""
     world = World(seed=85)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=8, seed=85)
+    world.enable_pipelining(depth=8)
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     data = random.Random(85).randbytes(48 * 8192)
@@ -893,7 +893,7 @@ def _wan_world(seed, adversary, data, depth=8):
     under *adversary*.  Returns (world, path, proc)."""
     world = World(seed=seed)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=depth, seed=seed)
+    world.enable_pipelining(depth=depth)
     server = world.add_server("sfs.lcs.mit.edu")
     path = server.export_fs()
     pathops.write_file(server.fs, "/big", data)

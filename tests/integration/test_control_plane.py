@@ -64,8 +64,8 @@ def test_server_instruments_tee_through_to_the_collector():
     world.enable_control(start=False)
     server = world.add_server("files.example.com")
     server.export_fs()
-    queue = server.enable_queueing(max_depth=2, workers=1,
-                                   service_time=0.001)
+    queue = server.master.request_queue
+    queue.configure(max_depth=2, workers=1, service_time=0.001)
     conn = object()
     for _ in range(5):          # 1 in service, 2 waiting + 2 rejected
         queue.submit(conn, job())
@@ -118,7 +118,7 @@ def test_clients_heartbeat_too():
 def test_control_daemon_ticks_on_the_virtual_clock():
     world = make_world()
     world.enable_control(period=0.010)        # start=True spawns the daemon
-    scheduler = world.enable_concurrency()
+    scheduler = world.scheduler
 
     def workload():
         yield Sleep(0.1)

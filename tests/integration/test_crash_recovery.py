@@ -479,7 +479,7 @@ def test_crash_with_a_readahead_window_in_flight_fails_over():
 
     world = World(seed=SEED)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=8, seed=SEED)
+    world.enable_pipelining(depth=8)
     server = world.add_server("crashy.example.com")
     path = server.export_fs()
     alice = server.add_user("alice", uid=1000)
@@ -529,7 +529,7 @@ def test_crash_with_a_write_behind_flush_in_flight_replays_it():
 
     world = World(seed=SEED)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=8, seed=SEED)
+    world.enable_pipelining(depth=8)
     server = world.add_server("crashy.example.com")
     path = server.export_fs()
     alice = server.add_user("alice", uid=1000)

@@ -140,7 +140,7 @@ def test_a_reply_overtaken_by_another_write_is_called_back(leased):
     world = World(seed=11)
     world.lan_params = NetworkParameters(bandwidth=math.inf)
     server = world.add_server("lease.example.com")
-    server.enable_queueing(workers=2)
+    server.master.request_queue.configure(workers=2)
     path = server.export_fs(lease_duration=1000.0)
     seed_file(server.fs, "/shared", b"v0" * 256)
     keys = EphemeralKeyCache(world.rng)

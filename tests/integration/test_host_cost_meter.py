@@ -48,34 +48,34 @@ BUDGETS = {
     "bulk-lan": {
         "core.channel": 25.0, "core.client": 29.8, "core.server": 19.7,
         "crypto.handle": 8.0, "crypto.mac": 18.3, "crypto.stream": 5.0,
-        "fs": 35.7, "kernel": 17.0, "nfs3.server": 13.0, "other": 196.0,
-        "rpc.marshal": 200.5, "rpc.peer": 97.7, "sim.clock": 33.2,
+        "fs": 35.7, "kernel": 17.0, "nfs3.server": 13.0, "other": 193.3,
+        "rpc.marshal": 200.5, "rpc.peer": 96.9, "sim.clock": 33.2,
         "sim.disk": 3.8, "sim.network": 58.8, "sim.sched": 27.1,
-        "total": 788.5,
+        "total": 785.0,
     },
     "bulk-wan-d8": {
         "core.channel": 8.8, "core.client": 27.5, "core.server": 6.8,
         "crypto.handle": 3.6, "crypto.mac": 6.4, "crypto.stream": 1.7,
-        "fs": 24.1, "kernel": 17.0, "nfs3.server": 6.8, "other": 121.9,
-        "rpc.marshal": 140.8, "rpc.peer": 64.0, "sim.clock": 23.5,
+        "fs": 24.1, "kernel": 17.0, "nfs3.server": 6.8, "other": 115.9,
+        "rpc.marshal": 140.8, "rpc.peer": 63.7, "sim.clock": 23.5,
         "sim.disk": 2.1, "sim.network": 39.2, "sim.sched": 19.2,
-        "total": 513.4,
+        "total": 507.1,
     },
     "fanout-1024": {
         "core.channel": 55.5, "core.client": 7.8, "core.server": 27.4,
         "crypto.handle": 8.9, "crypto.mac": 40.1, "crypto.stream": 10.1,
-        "fs": 23.5, "nfs3.server": 10.8, "other": 287.7,
+        "fs": 23.5, "nfs3.server": 10.8, "other": 287.4,
         "rpc.marshal": 142.6, "rpc.peer": 75.9, "sim.clock": 41.9,
         "sim.disk": 2.8, "sim.network": 52.5, "sim.sched": 68.0,
-        "total": 855.6,
+        "total": 855.3,
     },
     "smallfile-lan": {
         "core.channel": 42.0, "core.client": 59.1, "core.server": 32.2,
         "crypto.handle": 19.2, "crypto.mac": 30.8, "crypto.stream": 8.4,
-        "fs": 52.6, "kernel": 62.2, "nfs3.server": 35.4, "other": 523.1,
-        "rpc.marshal": 528.9, "rpc.peer": 225.2, "sim.clock": 81.6,
+        "fs": 52.6, "kernel": 62.2, "nfs3.server": 35.4, "other": 469.5,
+        "rpc.marshal": 528.9, "rpc.peer": 223.8, "sim.clock": 81.6,
         "sim.disk": 9.4, "sim.network": 141.6, "sim.sched": 66.2,
-        "total": 1918.0,
+        "total": 1862.9,
     },
 }
 

@@ -160,8 +160,8 @@ def test_kernel_login_backs_off_when_the_admission_queue_is_full(auth_world):
     client backs off, signs a fresh seqno and gets in — the user is
     authenticated, not handed EIO (or silently left anonymous)."""
     world, server, path, alice = auth_world
-    queue = server.enable_queueing(max_depth=1, workers=1,
-                                   service_time=0.010)
+    queue = server.master.request_queue
+    queue.configure(max_depth=1, workers=1, service_time=0.010)
     client = world.add_client("workstation")
     client.process(uid=4000).stat(f"{path}/home")   # mount; no agent
     session = client.sfscd._mounts[path.hostid].session

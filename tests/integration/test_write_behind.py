@@ -34,9 +34,9 @@ def _wan(seed):
     """alice on a depth-8 WAN mount of a server with two queued workers."""
     world = World(seed=seed)
     world.lan_params = NetworkParameters.wan()
-    world.enable_pipelining(depth=DEPTH, seed=seed)
+    world.enable_pipelining(depth=DEPTH)
     server = world.add_server("behind.example.com")
-    server.enable_queueing(workers=2)
+    server.master.request_queue.configure(workers=2)
     path = server.export_fs()
     alice = server.add_user("alice", uid=1000)
     home = pathops.mkdirs(server.fs, "/home/alice")

@@ -60,6 +60,27 @@ def test_rejects_bad_configuration():
         RequestQueue(clock, workers=0)
 
 
+def test_configure_retunes_in_place_only_while_idle():
+    _clock, sched, registry, queue = make(max_depth=4, workers=1)
+    gate = occupy(queue)
+    with pytest.raises(RuntimeError):           # a call in service
+        queue.configure(workers=2)
+    assert queue.submit("c", job())
+    with pytest.raises(RuntimeError):           # and one waiting
+        queue.configure(workers=2)
+    assert queue.workers == 1
+    gate.resolve(None)
+    pump_all(sched)
+    assert queue.busy == 0 and queue.depth == 0
+    with pytest.raises(ValueError):             # the constructor's checks
+        queue.configure(max_depth=0)
+    queue.configure(max_depth=8, workers=3, policy=FAIR_SHARE,
+                    service_time=0.5)
+    assert (queue.max_depth, queue.workers, queue.policy,
+            queue.service_time) == (8, 3, FAIR_SHARE, 0.5)
+    assert registry.gauge("server.queue.max_depth").value == 8
+
+
 def test_submit_bounded_by_max_depth():
     _clock, _sched, registry, queue = make(max_depth=2)
     occupy(queue)

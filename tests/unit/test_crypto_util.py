@@ -41,6 +41,20 @@ def test_known_encoding():
     assert sfs_base32_encode(b"\x01") != sfs_base32_encode(b"\x02")
 
 
+@pytest.mark.parametrize("data, text", [
+    # SHA-1 of "sfs.lcs.mit.edu": a HostID-sized input, 32 digits.
+    (bytes.fromhex("fc13378d93f1f6a85ca3e9557d25f0b5f83a2729"),
+     "zibmh5emy9vcir75x7crubhiqrw5nbtb"),
+    # Lengths whose bit count is not a multiple of 5: left padding.
+    (bytes.fromhex("0b3055"), "2qe4p"),
+    (bytes.fromhex("0b30557a9fc4e9"), "24ticpxbzj9b"),
+    (bytes.fromhex("0b30557a9fc4e90e33587da2c7"), "2qe4phchwbuag8fe9vaq9"),
+])
+def test_known_answer_vectors(data, text):
+    assert sfs_base32_encode(data) == text
+    assert sfs_base32_decode(text, len(data)) == data
+
+
 def test_decode_rejects_bad_characters():
     with pytest.raises(ValueError):
         sfs_base32_decode("l234", 2)
